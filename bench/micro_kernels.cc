@@ -123,6 +123,29 @@ BENCHMARK(BM_AttractorScanSoASimd)
     ->Args({3, 16})->Args({3, 128})->Args({7, 64})->Args({54, 64})
     ->Args({16, 64})->Args({16, 512})->Args({64, 64})->Args({64, 512});
 
+// The expiry path of an attractor pool in steady state: each iteration
+// appends the newest point, drops the oldest, and scans the survivors once,
+// as one GuessStructure update with one expiry does. Args: {dim, pool size}.
+void BM_PoolExpiryChurn(benchmark::State& state) {
+  const EuclideanMetric metric;
+  const int dim = static_cast<int>(state.range(0));
+  const int n = static_cast<int>(state.range(1));
+  const auto points = MakePoints(n + 1, dim);
+  CoordinatePool pool(static_cast<size_t>(dim));
+  for (int i = 0; i < n; ++i) pool.Append(points[i + 1]);
+  std::vector<double> out(n + 1);
+  size_t next = 1;
+  for (auto _ : state) {
+    pool.Append(points[next]);
+    pool.DropFront(1);
+    metric.DistanceSoA(points[0], pool, out.data());
+    benchmark::DoNotOptimize(out.data());
+    next = next == static_cast<size_t>(n) ? 1 : next + 1;
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PoolExpiryChurn)->Args({54, 2048});
+
 // End-to-end variant through the virtual entry point, exactly as
 // GuessStructure::Update calls it (dispatch + pool bookkeeping included).
 void BM_AttractorScanSoAMetric(benchmark::State& state) {

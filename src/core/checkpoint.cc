@@ -121,6 +121,15 @@ Status NextEntries(CheckpointReader* reader, PointBounds* bounds,
     FKC_RETURN_IF_ERROR(NextPoint(reader, bounds, &entry.attractor));
     FKC_RETURN_IF_ERROR(NextPoints(reader, bounds, &entry.representatives));
   }
+  // Every writer appends entries in arrival order and removes only the
+  // oldest, and the restored coordinate pools expire by dropping their
+  // front: entries out of order would desynchronize pool and entries.
+  for (size_t i = 1; i < out->size(); ++i) {
+    if ((*out)[i].attractor.arrival <= (*out)[i - 1].attractor.arrival) {
+      return Status::InvalidArgument(
+          "attractor entries not ascending by arrival in checkpoint");
+    }
+  }
   return Status::OK();
 }
 

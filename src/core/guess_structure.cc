@@ -6,6 +6,21 @@
 #include "common/logging.h"
 
 namespace fkc {
+namespace {
+
+/// Length of the leading run of `entries` that `removed` selects. Entries
+/// ascend by attractor arrival, so an age-based removal takes exactly this
+/// prefix — the pool rows to drop. The callers' size checks after the
+/// entry compaction catch any removal that was not a prefix.
+template <typename Predicate>
+size_t RemovedPrefix(const std::vector<AttractorEntry>& entries,
+                     Predicate removed) {
+  size_t n = 0;
+  while (n < entries.size() && removed(entries[n])) ++n;
+  return n;
+}
+
+}  // namespace
 
 GuessStructure::GuessStructure(double gamma, double delta, int64_t window_size,
                                const ColorConstraint& constraint,
@@ -18,7 +33,6 @@ GuessStructure::GuessStructure(double gamma, double delta, int64_t window_size,
   FKC_CHECK_GT(gamma, 0.0);
   FKC_CHECK_GT(delta, 0.0);
   FKC_CHECK_GT(window_size, 0);
-  
 }
 
 void GuessStructure::ExpireOnly(int64_t now) {
@@ -28,14 +42,13 @@ void GuessStructure::ExpireOnly(int64_t now) {
   // on all stored arrivals, so state stays bit-identical to sweeping always.
   if (oldest_arrival_ > now - window_size_) return;
   ++expiry_sweeps_;
-  // The pools mirror the entry vectors by dense position, so compaction must
-  // run off the same predicate ExpireEntries applies, before the entries
-  // themselves shift.
+  // The pools mirror the entry vectors by position; the expired attractors
+  // are the oldest, so the pools drop the same prefix ExpireEntries removes.
   const auto attractor_expired = [&](const AttractorEntry& entry) {
     return !IsActive(entry.attractor, now, window_size_);
   };
-  RemovePoolEntries(&v_pool_, v_entries_, attractor_expired);
-  RemovePoolEntries(&c_pool_, c_entries_, attractor_expired);
+  v_pool_.DropFront(RemovedPrefix(v_entries_, attractor_expired));
+  c_pool_.DropFront(RemovedPrefix(c_entries_, attractor_expired));
   ExpireEntries(&v_entries_, &v_orphans_, now, window_size_);
   ExpirePoints(&v_orphans_, now, window_size_);
   ExpireEntries(&c_entries_, &c_orphans_, now, window_size_);
@@ -177,35 +190,27 @@ void GuessStructure::Cleanup(int64_t now) {
   (void)now;
   const int k = constraint_.TotalK();
 
-  // Line 1-2: with k+2 v-attractors, evict the oldest; its representatives
-  // survive as orphans (subject to the threshold below).
+  // Line 1-2: with k+2 v-attractors, evict the oldest — entry 0, as entries
+  // ascend by arrival; its representatives survive as orphans (subject to
+  // the threshold below).
   if (static_cast<int>(v_entries_.size()) == k + 2) {
-    size_t victim = 0;
-    for (size_t i = 1; i < v_entries_.size(); ++i) {
-      if (v_entries_[i].attractor.arrival <
-          v_entries_[victim].attractor.arrival) {
-        victim = i;
-      }
-    }
-    for (Point& rep : v_entries_[victim].representatives) {
+    for (Point& rep : v_entries_.front().representatives) {
       v_orphans_.push_back(std::move(rep));
     }
-    v_pool_.Remove(v_pool_.SlotAt(victim));
-    v_entries_.erase(v_entries_.begin() + victim);
+    v_pool_.DropFront(1);
+    v_entries_.erase(v_entries_.begin());
   }
 
   // Lines 3-5: with k+1 v-attractors the guess is invalid until the oldest
   // of them expires; points older than that are useless and are dropped
   // from A, RV, and R.
   if (static_cast<int>(v_entries_.size()) == k + 1) {
-    int64_t threshold = std::numeric_limits<int64_t>::max();
-    for (const AttractorEntry& entry : v_entries_) {
-      threshold = std::min(threshold, entry.attractor.arrival);
-    }
+    const int64_t threshold = v_entries_.front().attractor.arrival;
     DropPointsOlderThan(&v_orphans_, threshold);
-    RemovePoolEntries(&c_pool_, c_entries_, [&](const AttractorEntry& entry) {
-      return entry.attractor.arrival < threshold;
-    });
+    c_pool_.DropFront(
+        RemovedPrefix(c_entries_, [&](const AttractorEntry& entry) {
+          return entry.attractor.arrival < threshold;
+        }));
     DropEntriesOlderThan(&c_entries_, &c_orphans_, threshold);
     DropPointsOlderThan(&c_orphans_, threshold);
     FKC_CHECK_EQ(c_pool_.size(), c_entries_.size());

@@ -97,9 +97,12 @@ class GuessStructure {
   const std::vector<AttractorEntry>& c_entries() const { return c_entries_; }
   const std::vector<Point>& v_orphans() const { return v_orphans_; }
   const std::vector<Point>& c_orphans() const { return c_orphans_; }
+  const CoordinatePool& v_pool() const { return v_pool_; }
+  const CoordinatePool& c_pool() const { return c_pool_; }
 
   /// Overwrites the stored sets verbatim — checkpoint restore only
-  /// (core/checkpoint.cc); the caller is responsible for state validity.
+  /// (core/checkpoint.cc); the caller is responsible for state validity,
+  /// including entries strictly ascending by attractor arrival.
   void RestoreState(std::vector<AttractorEntry> v_entries,
                     std::vector<Point> v_orphans,
                     std::vector<AttractorEntry> c_entries,
@@ -132,24 +135,6 @@ class GuessStructure {
   /// from).
   void RebuildPools();
 
-  /// Removes from `pool` every dense position whose entry `predicate(entry)`
-  /// says is about to be removed from `entries`, keeping pool dense order ==
-  /// entry order. Must run BEFORE the entry vector itself is compacted.
-  template <typename Predicate>
-  void RemovePoolEntries(CoordinatePool* pool,
-                         const std::vector<AttractorEntry>& entries,
-                         Predicate predicate) {
-    const size_t n = entries.size();
-    if (n == 0) return;
-    scratch_mask_.resize(n);
-    bool any = false;
-    for (size_t i = 0; i < n; ++i) {
-      scratch_mask_[i] = predicate(entries[i]) ? 1 : 0;
-      any |= scratch_mask_[i] != 0;
-    }
-    if (any) pool->RemoveMasked(scratch_mask_);
-  }
-
   double gamma_;
   double delta_;
   int64_t window_size_;
@@ -164,9 +149,11 @@ class GuessStructure {
   std::vector<AttractorEntry> c_entries_;
   std::vector<Point> c_orphans_;
 
-  // Dim-major mirrors of the attractor coordinates (dense position i ==
-  // entries[i]), feeding the vectorized Metric::DistanceSoA scans. Derived
-  // state — rebuilt on restore, never serialized.
+  // Dim-major mirrors of the attractor coordinates (pool position i ==
+  // entries[i]), feeding the vectorized Metric::DistanceSoA scans. Entries
+  // ascend by attractor arrival and leave only oldest-first (expiry,
+  // Cleanup), so every removal is a prefix and the pools follow it with an
+  // O(1) DropFront. Derived state — rebuilt on restore, never serialized.
   CoordinatePool v_pool_;
   CoordinatePool c_pool_;
 
@@ -174,7 +161,6 @@ class GuessStructure {
   // serialized). Kept per-structure so ladder updates can run in parallel
   // without sharing buffers.
   std::vector<double> scratch_dists_;
-  std::vector<unsigned char> scratch_mask_;
 
   // Expiry watermark: a lower bound on the arrival of every stored point.
   // While it proves all stored points active, ExpireOnly is O(1). Removals

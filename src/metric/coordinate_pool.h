@@ -8,19 +8,24 @@
 // where row d holds coordinate d of all stored points, padded to a SIMD
 // lane multiple so kernels may always load full vectors.
 //
-// Layout:   Row(d)[i] == coordinate d of the point at dense position i,
-//           rows are stride() doubles apart, stride() % kLaneAlign == 0,
-//           and Row(d)[size()..stride()) is zeroed (safe over-read).
+// Layout:   Row(d)[i] == coordinate d of the point at position i, rows are
+//           stride() doubles apart, stride() % kLaneAlign == 0, and
+//           Row(d)[size()..RoundUpToLanes(size())) is zero (safe over-read).
 //
-// Identity: Append returns a stable slot id that survives compaction; the
-// dense position of a slot shifts down as earlier slots are removed
-// (order-preserving compaction), mirroring vector::erase on the owner's
-// side so dense position i always tracks the owner's element i.
+// Identity: a point is known only by its position, which counts from the
+//           oldest stored point: Append stores at position size(), and
+//           DropFront(n) removes positions [0, n), shifting every later
+//           position down by n. That mirrors an owner that appends in
+//           arrival order and only ever removes its oldest elements, so
+//           position i always tracks the owner's element i. DropFront is
+//           O(1): it advances a head offset into each row. The rows move
+//           back to offset 0 only when an Append finds no room past the
+//           tail and at least half of the used span has been dropped, so
+//           each dropped point costs O(dim) amortised.
 #ifndef FKC_METRIC_COORDINATE_POOL_H_
 #define FKC_METRIC_COORDINATE_POOL_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "metric/point.h"
@@ -32,7 +37,6 @@ class CoordinatePool {
   /// Kernels load this many doubles per vector (AVX-512 width); stride and
   /// padding are aligned to it so every narrower kernel is covered too.
   static constexpr size_t kLaneAlign = 8;
-  static constexpr uint32_t kInvalidSlot = UINT32_MAX;
 
   /// An empty pool of dimension 0; ResetDim before the first Append.
   CoordinatePool() = default;
@@ -41,19 +45,13 @@ class CoordinatePool {
   /// Drops all points and re-dimensions the pool.
   void ResetDim(size_t dim);
 
-  /// Stores `coords` (dim() doubles) at dense position size(); returns the
-  /// stable slot id. Amortized O(dim): one strided write per row, doubling
-  /// growth. Ids of removed slots may be reused.
-  uint32_t Append(const double* coords);
-  uint32_t Append(const Point& p);
+  /// Stores `coords` (dim() doubles) at position size(). Amortized O(dim):
+  /// one strided write per row, doubling growth.
+  void Append(const double* coords);
+  void Append(const Point& p);
 
-  /// Removes one slot, shifting later points down one dense position
-  /// (order-preserving). O(dim * tail).
-  void Remove(uint32_t slot);
-
-  /// Removes every dense position i with mask[i] != 0 in one compaction
-  /// pass per row (order-preserving). mask.size() must equal size().
-  void RemoveMasked(const std::vector<unsigned char>& dense_mask);
+  /// Removes positions [0, n); position n becomes position 0. O(1).
+  void DropFront(size_t n);
 
   void Clear();
 
@@ -64,33 +62,37 @@ class CoordinatePool {
   /// nothing was ever appended).
   size_t stride() const { return stride_; }
 
-  /// Row d: coordinate d of points at dense positions [0, size()); entries
-  /// [size(), stride()) are zero so kernels may over-read to a lane
-  /// boundary.
-  const double* Row(size_t d) const { return data_.data() + d * stride_; }
-  double At(size_t dense_pos, size_t d) const { return Row(d)[dense_pos]; }
+  /// Row d: coordinate d of points at positions [0, size()); entries
+  /// [size(), RoundUpToLanes(size())) are zero so kernels may over-read to
+  /// a lane boundary.
+  const double* Row(size_t d) const {
+    return data_.data() + d * stride_ + head_;
+  }
+  double At(size_t pos, size_t d) const { return Row(d)[pos]; }
 
-  uint32_t SlotAt(size_t dense_pos) const { return dense_to_slot_[dense_pos]; }
-  /// Dense position of a live slot id.
-  size_t DensePos(uint32_t slot) const;
-  bool Contains(uint32_t slot) const;
-
-  /// Fails (FKC_CHECK) unless the id maps, padding, and zero-fill
+  /// Fails (FKC_CHECK) unless the offset, padding, and zero-fill
   /// invariants all hold. Test / debug hook.
   void CheckInvariants() const;
 
  private:
-  void EnsureCapacity(size_t min_points);
+  /// Points a row can hold from offset 0 while keeping the lane over-read
+  /// of its last point inside the row.
+  size_t Capacity() const {
+    return stride_ == 0 ? 0 : stride_ - (kLaneAlign - 1);
+  }
+
+  /// Makes room for one more point past the tail: moves the rows back to
+  /// offset 0 when the dropped head is at least the live size, grows them
+  /// otherwise.
+  void MakeRoom();
 
   size_t dim_ = 0;
-  size_t size_ = 0;      // live points
-  size_t capacity_ = 0;  // points the buffer can hold == stride_
+  size_t size_ = 0;    // live points
+  size_t head_ = 0;    // offset of position 0 in every row
   size_t stride_ = 0;
-  std::vector<double> data_;  // dim_ rows of stride_ doubles, zero padded
-
-  std::vector<uint32_t> dense_to_slot_;  // size_ entries
-  std::vector<uint32_t> slot_to_dense_;  // kInvalidSlot == free
-  std::vector<uint32_t> free_slots_;     // reusable ids
+  // dim_ rows of stride_ doubles; [head_ + size_, stride_) of every row is
+  // zero. [0, head_) holds dropped points and is never read.
+  std::vector<double> data_;
 };
 
 }  // namespace fkc

@@ -168,6 +168,10 @@ TEST(CheckpointTest, RejectsCorruptInteriorContent) {
   const std::string header = "fkc-checkpoint-v1 10 0x1p+1 0x1p+0 0 1 "
                              "0x0p+0 0x0p+0 1 1 2 2 1 3 4 ";
   const std::string point = "2 0x1p+0 0x1p+0 0 3 3 ";
+  // Arrival 2 (id 2, and a twin with id 1), far enough from `point` to be
+  // another attractor.
+  const std::string older = "2 0x1p+6 0x1p+0 0 2 2 ";
+  const std::string older_twin = "2 0x1p+7 0x1p+0 0 2 1 ";
   const std::string buckets = "1 0 3 ";
   auto blob = [&](const std::string& guesses) {
     return header + "1 " + point + buckets + guesses;
@@ -176,6 +180,12 @@ TEST(CheckpointTest, RejectsCorruptInteriorContent) {
       std::string("1 0 ") + "1 " + point + "0 " + "0 0 0 ";
   ASSERT_TRUE(FairCenterSlidingWindow::DeserializeState(blob(good_guess),
                                                         &kMetric, &kJones)
+                  .ok());
+  // The same two attractors in arrival order restore fine.
+  ASSERT_TRUE(FairCenterSlidingWindow::DeserializeState(
+                  blob(std::string("1 0 ") + "2 " + older + "0 " + point +
+                       "0 " + "0 0 0 "),
+                  &kMetric, &kJones)
                   .ok());
 
   const struct {
@@ -199,6 +209,16 @@ TEST(CheckpointTest, RejectsCorruptInteriorContent) {
       {"duplicate exponent",
        std::string("2 0 ") + "1 " + point + "0 " + "0 0 0 " + "0 " + "1 " +
            point + "0 " + "0 0 0 "},
+      // Entries must ascend strictly by attractor arrival: the restored
+      // coordinate pools expire by dropping their front.
+      {"v-entries out of arrival order",
+       std::string("1 0 ") + "2 " + point + "0 " + older + "0 " + "0 0 0 "},
+      {"c-entries out of arrival order",
+       std::string("1 0 ") + "1 " + point + "0 " + "0 " + "2 " + point +
+           "0 " + older + "0 " + "0 "},
+      {"v-entries with equal arrivals",
+       std::string("1 0 ") + "2 " + older + "0 " + older_twin + "0 " +
+           "0 0 0 "},
   };
   for (const auto& c : kCases) {
     auto restored = FairCenterSlidingWindow::DeserializeState(

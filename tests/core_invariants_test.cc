@@ -7,9 +7,11 @@
 #include <limits>
 
 #include "common/random.h"
+#include "core/fair_center_sliding_window.h"
 #include "core/guess_structure.h"
 #include "matroid/color_constraint.h"
 #include "metric/metric.h"
+#include "sequential/jones_fair_center.h"
 
 namespace fkc {
 namespace {
@@ -37,6 +39,39 @@ int64_t OldestVAttractor(const GuessStructure& guess) {
   return oldest;
 }
 
+// The coordinate pools expire by dropping their front, which mirrors the
+// entries only while they ascend strictly by attractor arrival: checks that
+// order, and that pool position i holds entries[i]'s attractor.
+::testing::AssertionResult PoolsMirrorEntries(const GuessStructure& guess) {
+  const auto check = [](const char* family,
+                        const std::vector<AttractorEntry>& entries,
+                        const CoordinatePool& pool)
+      -> ::testing::AssertionResult {
+    if (pool.size() != entries.size()) {
+      return ::testing::AssertionFailure()
+             << family << " pool holds " << pool.size() << " points for "
+             << entries.size() << " entries";
+    }
+    for (size_t i = 0; i < entries.size(); ++i) {
+      if (i > 0 &&
+          entries[i].attractor.arrival <= entries[i - 1].attractor.arrival) {
+        return ::testing::AssertionFailure()
+               << family << " entries out of arrival order at " << i;
+      }
+      for (size_t d = 0; d < pool.dim(); ++d) {
+        if (pool.At(i, d) != entries[i].attractor.coords[d]) {
+          return ::testing::AssertionFailure()
+                 << family << " pool position " << i << " is not entry " << i;
+        }
+      }
+    }
+    return ::testing::AssertionSuccess();
+  };
+  ::testing::AssertionResult v = check("v", guess.v_entries(), guess.v_pool());
+  if (!v) return v;
+  return check("c", guess.c_entries(), guess.c_pool());
+}
+
 TEST_P(GuessStructureInvariantsTest, HoldAtEveryStep) {
   const InvariantCase c = GetParam();
   const ColorConstraint constraint(std::vector<int>(c.colors, 2));
@@ -58,6 +93,7 @@ TEST_P(GuessStructureInvariantsTest, HoldAtEveryStep) {
     guess.Update(p, t, kMetric, nullptr);
 
     // --- Structural invariants. ---
+    ASSERT_TRUE(PoolsMirrorEntries(guess)) << "t=" << t;
     // |AV| <= k + 1 after every update.
     ASSERT_LE(guess.v_attractor_count(), k + 1);
     // v-attractors pairwise > 2*gamma.
@@ -221,6 +257,80 @@ TEST(GuessStructureTest, ReplayReproducesCoverage) {
   const std::vector<Point> rv = copy.ValidationPoints();
   for (const Point& q : source.ValidationPoints()) {
     EXPECT_LE(DistanceToSet(kMetric, q, rv), 4.0 * 5.0 + 1e-9);
+  }
+}
+
+TEST(GuessStructureTest, WarmStartedGuessesKeepPoolsInArrivalOrder) {
+  // The adaptive range warm-starts a new guess by replaying a neighbour's
+  // stored points (ReplayInto). Replay feeds old arrivals, so the copy's
+  // entries and pools must still come out ascending, and stay so while
+  // both keep streaming. Both variants, warm starts at several ages.
+  for (CoreVariant variant :
+       {CoreVariant::kFull, CoreVariant::kValidationOnly}) {
+    const ColorConstraint constraint({2, 2});
+    const int64_t window = 40;
+    GuessStructure source(4.0, 1.0, window, constraint, variant);
+    std::vector<GuessStructure> copies;
+    Rng rng(17);
+    for (int64_t t = 1; t <= 5 * window; ++t) {
+      if (t % 37 == 0) {
+        // A neighbouring rung of a beta = 2 ladder, below and above.
+        const double gamma = copies.size() % 2 == 0 ? 4.0 / 3.0 : 12.0;
+        copies.emplace_back(gamma, 1.0, window, constraint, variant);
+        source.ReplayInto(&copies.back(), t - 1, kMetric);
+        ASSERT_TRUE(PoolsMirrorEntries(copies.back())) << "replay at " << t;
+      }
+      Point p({rng.NextUniform(0, 40), rng.NextUniform(0, 40)},
+              static_cast<int>(rng.NextBounded(2)));
+      p.arrival = t;
+      p.id = static_cast<uint64_t>(t);
+      source.Update(p, t, kMetric, nullptr);
+      ASSERT_TRUE(PoolsMirrorEntries(source)) << "t=" << t;
+      for (GuessStructure& copy : copies) {
+        copy.Update(p, t, kMetric, nullptr);
+        ASSERT_TRUE(PoolsMirrorEntries(copy))
+            << "gamma=" << copy.gamma() << " t=" << t;
+      }
+    }
+  }
+}
+
+TEST(GuessStructureTest, WindowStateRestoresAtEveryStep) {
+  // End to end through FairCenterSlidingWindow: every guess of the ladder
+  // (fixed range; adaptive with warm starts; the kValidationOnly variant)
+  // must serialize entries that DeserializeState accepts, which requires
+  // them to ascend strictly by attractor arrival.
+  const JonesFairCenter jones;
+  struct Mode {
+    bool adaptive;
+    CoreVariant variant;
+  };
+  for (const Mode mode : {Mode{false, CoreVariant::kFull},
+                          Mode{true, CoreVariant::kFull},
+                          Mode{false, CoreVariant::kValidationOnly}}) {
+    SlidingWindowOptions options;
+    options.window_size = 50;
+    options.delta = 1.0;
+    options.variant = mode.variant;
+    options.adaptive_range = mode.adaptive;
+    if (!mode.adaptive) {
+      options.d_min = 0.1;
+      options.d_max = 300.0;
+    }
+    FairCenterSlidingWindow window(options, ColorConstraint({2, 1}),
+                                   &kMetric, &jones);
+    Rng rng(23);
+    for (int t = 1; t <= 200; ++t) {
+      // Drift the scale so the adaptive ladder keeps adding guesses.
+      const double scale = 1.0 + static_cast<double>(t % 100);
+      window.Update({rng.NextUniform(0, scale), rng.NextUniform(0, scale)},
+                    static_cast<int>(rng.NextBounded(2)));
+      const auto restored = FairCenterSlidingWindow::DeserializeState(
+          window.SerializeState(), &kMetric, &jones);
+      ASSERT_TRUE(restored.ok())
+          << "adaptive=" << mode.adaptive << " t=" << t << ": "
+          << restored.status().ToString();
+    }
   }
 }
 

@@ -3,11 +3,13 @@
 // virtual per-pair Distance — bit for bit (lane-per-pair contract, see
 // simd_kernels.h), across awkward dimensions, counts that straddle vector
 // widths, and subnormal coordinates; and the CoordinatePool must hold its
-// layout invariants under arbitrary insert/remove/compaction churn.
+// layout invariants under arbitrary append/drop-front churn.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <deque>
 #include <limits>
 #include <vector>
 
@@ -194,86 +196,101 @@ TEST(SimdKernelTest, CountingMetricCountsOnePerPairOnSoA) {
 
 // --- CoordinatePool invariants under churn. ---
 
-TEST(CoordinatePoolTest, AppendAssignsDensePositionsInOrder) {
-  CoordinatePool pool(3);
-  Rng rng(2);
-  const auto points = RandomPoints(20, 3, &rng);
-  std::vector<uint32_t> slots;
-  for (const Point& p : points) slots.push_back(pool.Append(p));
-  ASSERT_EQ(pool.size(), 20u);
-  pool.CheckInvariants();
-  for (size_t i = 0; i < points.size(); ++i) {
-    EXPECT_EQ(pool.DensePos(slots[i]), i);
-    EXPECT_EQ(pool.SlotAt(i), slots[i]);
-    for (size_t d = 0; d < 3; ++d) {
-      EXPECT_EQ(pool.At(i, d), points[i].coords[d]);
-    }
-  }
-}
-
-TEST(CoordinatePoolTest, RemoveShiftsTailAndPreservesOrder) {
-  CoordinatePool pool(2);
-  Rng rng(3);
-  const auto points = RandomPoints(5, 2, &rng);
-  std::vector<uint32_t> slots;
-  for (const Point& p : points) slots.push_back(pool.Append(p));
-  pool.Remove(slots[1]);
-  pool.CheckInvariants();
-  ASSERT_EQ(pool.size(), 4u);
-  EXPECT_FALSE(pool.Contains(slots[1]));
-  // Order-preserving compaction: 0,2,3,4 in that dense order.
-  const size_t survivors[] = {0, 2, 3, 4};
-  for (size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(pool.SlotAt(i), slots[survivors[i]]);
-    EXPECT_EQ(pool.At(i, 0), points[survivors[i]].coords[0]);
-  }
-}
-
-TEST(CoordinatePoolTest, RandomChurnAgainstMirror) {
-  // Random Append/Remove/RemoveMasked churn checked against a plain mirror
-  // vector after every operation: dense order, slot stability, coordinates,
-  // and the padding/stride invariants (via CheckInvariants) must all hold.
+TEST(CoordinatePoolTest, AppendDropFrontChurnAgainstMirror) {
+  // Random Append/DropFront churn checked against a plain mirror deque
+  // after every operation: positions, coordinates, and the padding/stride
+  // invariants (via CheckInvariants) must all hold. The churn first grows
+  // the pool, then holds it near a steady size so the dropped head fills
+  // the rows and Append must move them back to offset 0.
   const size_t dim = 5;
   CoordinatePool pool(dim);
   Rng rng(99);
-  struct MirrorEntry {
-    uint32_t slot;
-    Coordinates coords;
-  };
-  std::vector<MirrorEntry> mirror;
+  std::deque<Coordinates> mirror;
+  int growths = 0, shifts_back = 0;
 
-  for (int step = 0; step < 600; ++step) {
-    const uint64_t op = rng.NextBounded(10);
-    if (op < 5 || mirror.empty()) {
+  for (int step = 0; step < 3000; ++step) {
+    const bool growing = step < 400;
+    if (mirror.empty() || rng.NextBernoulli(growing ? 0.8 : 0.5)) {
       Coordinates coords(dim);
       for (size_t d = 0; d < dim; ++d) coords[d] = rng.NextUniform(-10, 10);
-      const uint32_t slot = pool.Append(coords.data());
-      mirror.push_back({slot, std::move(coords)});
-    } else if (op < 8) {
-      const size_t victim = rng.NextBounded(mirror.size());
-      pool.Remove(mirror[victim].slot);
-      mirror.erase(mirror.begin() + static_cast<long>(victim));
+      const size_t stride_before = pool.stride();
+      const double* row_before = pool.Row(0);
+      pool.Append(coords.data());
+      mirror.push_back(std::move(coords));
+      if (pool.stride() != stride_before) {
+        ++growths;
+      } else if (pool.Row(0) < row_before) {
+        ++shifts_back;
+      }
     } else {
-      std::vector<unsigned char> mask(mirror.size());
-      for (size_t i = 0; i < mirror.size(); ++i) {
-        mask[i] = rng.NextBernoulli(0.3) ? 1 : 0;
-      }
-      pool.RemoveMasked(mask);
-      std::vector<MirrorEntry> kept;
-      for (size_t i = 0; i < mirror.size(); ++i) {
-        if (!mask[i]) kept.push_back(std::move(mirror[i]));
-      }
-      mirror = std::move(kept);
+      const size_t n = rng.NextBounded(std::min<size_t>(mirror.size(), 4) + 1);
+      pool.DropFront(n);
+      mirror.erase(mirror.begin(), mirror.begin() + static_cast<long>(n));
     }
 
     pool.CheckInvariants();
     ASSERT_EQ(pool.size(), mirror.size());
-    for (size_t i = 0; i < mirror.size(); ++i) {
-      ASSERT_EQ(pool.SlotAt(i), mirror[i].slot) << "step " << step;
-      ASSERT_EQ(pool.DensePos(mirror[i].slot), i);
-      for (size_t d = 0; d < dim; ++d) {
-        ASSERT_EQ(pool.At(i, d), mirror[i].coords[d]);
+    for (size_t d = 0; d < dim; ++d) {
+      const double* row = pool.Row(d);
+      for (size_t i = 0; i < mirror.size(); ++i) {
+        ASSERT_EQ(row[i], mirror[i][d]) << "step " << step;
       }
+      for (size_t i = mirror.size(); i < simd::RoundUpToLanes(mirror.size());
+           ++i) {
+        ASSERT_EQ(row[i], 0.0) << "step " << step;
+      }
+    }
+  }
+  EXPECT_GE(growths, 3);
+  EXPECT_GE(shifts_back, 3);
+}
+
+TEST(CoordinatePoolTest, KernelsMatchScalarOnHeadShiftedPoolAtRowEnd) {
+  // A pool whose dropped head pushes the kernels' lane over-read to the very
+  // end of each row — and, on the last row, of the buffer, so an
+  // address-sanitized build catches any read past the padding contract.
+  Rng rng(314);
+  for (size_t dim : {1u, 3u, 8u, 54u}) {
+    CoordinatePool pool(dim);
+    std::deque<Point> stored;
+    // Fill until the tail reaches the last slot Append may use without
+    // moving the rows; nothing has been dropped yet, so Row(0) is the base.
+    while (pool.size() < 40 ||
+           pool.size() + CoordinatePool::kLaneAlign - 1 != pool.stride()) {
+      stored.push_back(RandomPoints(1, dim, &rng)[0]);
+      pool.Append(stored.back());
+    }
+    const double* base = pool.Row(0);
+    // Keep a live size of 1 mod kLaneAlign: its lane round-up adds the
+    // most padding, exactly the row slack.
+    const size_t drop =
+        (pool.size() - 1) % CoordinatePool::kLaneAlign +
+        2 * CoordinatePool::kLaneAlign;
+    pool.DropFront(drop);
+    stored.erase(stored.begin(), stored.begin() + static_cast<long>(drop));
+    pool.CheckInvariants();
+    const size_t head = static_cast<size_t>(pool.Row(0) - base);
+    ASSERT_EQ(head, drop);
+    ASSERT_EQ(head + simd::RoundUpToLanes(pool.size()), pool.stride())
+        << "dim=" << dim;
+
+    const Point query = RandomPoints(1, dim, &rng)[0];
+    const auto& scalar = simd::ScalarKernels();
+    for (const simd::KernelSet* set : simd::CompiledKernelSets()) {
+      if (!simd::CpuSupports(*set)) continue;
+      ExpectKernelMatchesScalar(set->euclidean, scalar.euclidean, query, pool,
+                                set->name, "euclidean");
+      ExpectKernelMatchesScalar(set->manhattan, scalar.manhattan, query, pool,
+                                set->name, "manhattan");
+      ExpectKernelMatchesScalar(set->chebyshev, scalar.chebyshev, query, pool,
+                                set->name, "chebyshev");
+    }
+    // The dispatched SoA path agrees with the per-pair Distance.
+    const EuclideanMetric euclidean;
+    std::vector<double> out(pool.size(), -1.0);
+    euclidean.DistanceSoA(query, pool, out.data());
+    for (size_t i = 0; i < stored.size(); ++i) {
+      EXPECT_EQ(euclidean.Distance(query, stored[i]), out[i]) << "pair " << i;
     }
   }
 }
