@@ -219,6 +219,43 @@ void BM_JonesSolver(benchmark::State& state) {
 }
 BENCHMARK(BM_JonesSolver)->Range(256, 4096)->Complexity(benchmark::oN);
 
+// The solver at the shape of a covtype query coreset (~9.9k points, d=54),
+// where the per-head SoA scans dominate. Args: {n, dim}.
+void BM_JonesSolverHighDim(benchmark::State& state) {
+  const EuclideanMetric metric;
+  const auto points = MakePoints(static_cast<int>(state.range(0)),
+                                 static_cast<int>(state.range(1)), 7);
+  const ColorConstraint constraint = ColorConstraint::Uniform(7, 2);
+  const JonesFairCenter solver;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(solver.Solve(metric, points, constraint));
+  }
+  state.SetLabel(simd::ActiveKernels().name);
+}
+BENCHMARK(BM_JonesSolverHighDim)
+    ->Args({9914, 54})
+    ->Unit(benchmark::kMillisecond);
+
+// Fixed-work ledger of one Jones solve: the distance pairs it evaluates,
+// which must be identical at every kernel width (compared at 0% tolerance
+// between the FKC_SIMD=scalar and SIMD runs, like the ledgers below).
+void BM_JonesSolveLedger(benchmark::State& state) {
+  const auto points = MakePoints(4096, 3, 7);
+  const EuclideanMetric inner;
+  CountingMetric counting(&inner);
+  const ColorConstraint constraint = ColorConstraint::Uniform(7, 2);
+  const JonesFairCenter solver;
+  auto solution = solver.Solve(counting, points, constraint);
+  const int64_t solve_calls = solution.ok() ? counting.count() : -1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(&solution);
+  }
+  state.SetLabel(simd::ActiveKernels().name);
+  state.counters["distance_calls_total_solve"] =
+      static_cast<double>(solve_calls);
+}
+BENCHMARK(BM_JonesSolveLedger);
+
 void BM_ChenSolver(benchmark::State& state) {
   const EuclideanMetric metric;
   const auto points = MakePoints(static_cast<int>(state.range(0)), 3, 7);

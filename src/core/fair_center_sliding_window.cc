@@ -251,8 +251,7 @@ bool FairCenterSlidingWindow::GuessPasses(const GuessStructure& guess) const {
   // joins the cover exactly when the original scalar scan would have
   // (min-over-centers compares the same bit-identical distances), so the
   // accepted guess — and every determinism contract above it — is unchanged.
-  CoordinatePool pool(rv[0].dimension());
-  for (const Point& q : rv) pool.Append(q);
+  const CoordinatePool pool = CoordinatePool::FromPoints(rv);
   std::vector<double> cover_dist(rv.size(),
                                  std::numeric_limits<double>::infinity());
   std::vector<double> row(rv.size());

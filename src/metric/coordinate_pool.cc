@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/logging.h"
+#include "metric/simd_kernels.h"
 
 namespace fkc {
 
@@ -34,23 +35,50 @@ void CoordinatePool::MakeRoom() {
     head_ = 0;
     return;
   }
-  size_t new_stride = stride_ == 0 ? 2 * kLaneAlign : 2 * stride_;
+  Reallocate(stride_ == 0 ? 2 * kLaneAlign : 2 * stride_);
+}
+
+void CoordinatePool::Reallocate(size_t stride) {
   // Keep the row stride off 4 KiB multiples: with a 4 KiB-aliased stride
   // every row's element i lands in the same L1 set, and the dim-outer
   // kernel walk (one load per row at fixed i) thrashes that set at high
   // dimension. One extra lane of padding breaks the alignment.
   constexpr size_t kPageDoubles = 4096 / sizeof(double);
-  if (new_stride % kPageDoubles == 0) new_stride += kLaneAlign;
-  std::vector<double> grown(dim_ * new_stride, 0.0);
+  if (stride % kPageDoubles == 0) stride += kLaneAlign;
+  std::vector<double> grown(dim_ * stride, 0.0);
   if (size_ > 0) {  // first growth copies from an empty (null-data) buffer
     for (size_t d = 0; d < dim_; ++d) {
-      std::memcpy(grown.data() + d * new_stride, Row(d),
-                  size_ * sizeof(double));
+      std::memcpy(grown.data() + d * stride, Row(d), size_ * sizeof(double));
     }
   }
   data_ = std::move(grown);
-  stride_ = new_stride;
+  stride_ = stride;
   head_ = 0;
+}
+
+CoordinatePool CoordinatePool::FromPoints(const std::vector<Point>& points) {
+  CoordinatePool pool;
+  if (points.empty()) return pool;
+  const size_t n = points.size();
+  pool.dim_ = points[0].dimension();
+  // Room for n points plus the row slack Capacity() reserves, so a later
+  // Append still finds the invariants it expects.
+  pool.Reallocate(simd::RoundUpToLanes(n + kLaneAlign - 1));
+  // One lane block of points at a time: each row gets kLaneAlign contiguous
+  // stores (one cache line) while the block's coordinates stay in L1.
+  for (size_t block = 0; block < n; block += kLaneAlign) {
+    const size_t end = std::min(n, block + kLaneAlign);
+    for (size_t i = block; i < end; ++i) {
+      FKC_CHECK_EQ(points[i].dimension(), pool.dim_)
+          << "pool points must share one dimension";
+    }
+    for (size_t d = 0; d < pool.dim_; ++d) {
+      double* row = pool.data_.data() + d * pool.stride_;
+      for (size_t i = block; i < end; ++i) row[i] = points[i].coords[d];
+    }
+  }
+  pool.size_ = n;
+  return pool;
 }
 
 void CoordinatePool::Append(const double* coords) {

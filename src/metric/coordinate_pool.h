@@ -42,6 +42,12 @@ class CoordinatePool {
   CoordinatePool() = default;
   explicit CoordinatePool(size_t dim) : dim_(dim) {}
 
+  /// A pool holding `points` at positions [0, points.size()), built in one
+  /// pass: the stride is sized once and the rows are filled one lane block
+  /// of points at a time. All points must share one dimension (FKC_CHECK);
+  /// an empty vector gives an empty pool of dimension 0.
+  static CoordinatePool FromPoints(const std::vector<Point>& points);
+
   /// Drops all points and re-dimensions the pool.
   void ResetDim(size_t dim);
 
@@ -85,6 +91,10 @@ class CoordinatePool {
   /// offset 0 when the dropped head is at least the live size, grows them
   /// otherwise.
   void MakeRoom();
+
+  /// Replaces the rows with zeroed rows of `stride` doubles (bumped off
+  /// 4 KiB multiples), keeping the first size_ points at offset 0.
+  void Reallocate(size_t stride);
 
   size_t dim_ = 0;
   size_t size_ = 0;    // live points

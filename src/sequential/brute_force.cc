@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "common/logging.h"
+#include "metric/coordinate_pool.h"
 
 namespace fkc {
 namespace {
@@ -60,7 +61,9 @@ Result<FairCenterSolution> BruteForceFairCenter(
     return Status::Infeasible("all usable color caps are zero");
   }
 
-  // Cartesian product of per-color combinations via recursion over colors.
+  // Cartesian product of per-color combinations via recursion over colors;
+  // every candidate is scored against one pool built here.
+  const CoordinatePool coords = CoordinatePool::FromPoints(points);
   FairCenterSolution best;
   best.radius = std::numeric_limits<double>::infinity();
   std::vector<int> chosen;
@@ -70,7 +73,7 @@ Result<FairCenterSolution> BruteForceFairCenter(
       std::vector<Point> centers;
       centers.reserve(chosen.size());
       for (int idx : chosen) centers.push_back(points[idx]);
-      const double radius = ClusteringRadius(metric, points, centers);
+      const double radius = PoolClusteringRadius(metric, coords, centers);
       if (radius < best.radius) {
         best.radius = radius;
         best.centers = std::move(centers);

@@ -7,10 +7,13 @@
 namespace fkc {
 
 GonzalezResult GonzalezKCenter(const Metric& metric,
-                               const std::vector<Point>& points, int k,
-                               int first_index) {
+                               const std::vector<Point>& points,
+                               const CoordinatePool& pool, int k,
+                               int first_index,
+                               const GonzalezHeadFn& on_head) {
   GonzalezResult result;
   if (points.empty() || k <= 0) return result;
+  FKC_CHECK_EQ(pool.size(), points.size());
   FKC_CHECK_GE(first_index, 0);
   FKC_CHECK_LT(first_index, static_cast<int>(points.size()));
 
@@ -19,6 +22,7 @@ GonzalezResult GonzalezKCenter(const Metric& metric,
 
   // nearest[i] = distance from point i to the current head set.
   std::vector<double> nearest(n, std::numeric_limits<double>::infinity());
+  std::vector<double> row(n);
 
   int next_head = first_index;
   double next_distance = std::numeric_limits<double>::infinity();
@@ -26,12 +30,12 @@ GonzalezResult GonzalezKCenter(const Metric& metric,
     result.head_indices.push_back(next_head);
     result.insertion_distances.push_back(next_distance);
 
-    const Point& head = points[next_head];
+    metric.DistanceSoA(points[next_head], pool, row.data());
+    if (on_head) on_head(row.data());
     next_distance = 0.0;
     next_head = -1;
     for (int i = 0; i < n; ++i) {
-      const double d = metric.Distance(points[i], head);
-      if (d < nearest[i]) nearest[i] = d;
+      if (row[i] < nearest[i]) nearest[i] = row[i];
       if (nearest[i] > next_distance) {
         next_distance = nearest[i];
         next_head = i;
@@ -47,6 +51,13 @@ GonzalezResult GonzalezKCenter(const Metric& metric,
   result.coverage_radius =
       result.head_indices.empty() ? 0.0 : next_distance;
   return result;
+}
+
+GonzalezResult GonzalezKCenter(const Metric& metric,
+                               const std::vector<Point>& points, int k,
+                               int first_index) {
+  return GonzalezKCenter(metric, points, CoordinatePool::FromPoints(points), k,
+                         first_index);
 }
 
 std::vector<Point> HeadPoints(const std::vector<Point>& points,

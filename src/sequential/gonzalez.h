@@ -4,8 +4,10 @@
 #ifndef FKC_SEQUENTIAL_GONZALEZ_H_
 #define FKC_SEQUENTIAL_GONZALEZ_H_
 
+#include <functional>
 #include <vector>
 
+#include "metric/coordinate_pool.h"
 #include "metric/metric.h"
 #include "metric/point.h"
 
@@ -23,8 +25,21 @@ struct GonzalezResult {
   double coverage_radius = 0.0;
 };
 
+/// Sees each selected head's distance row, row[i] = d(head, points[i]),
+/// once per head in selection order.
+using GonzalezHeadFn = std::function<void(const double* row)>;
+
 /// Runs the farthest-point greedy starting from `first_index`, selecting
-/// min(k, n) heads. O(n * k) distance evaluations.
+/// min(k, n) heads. `pool` must hold `points` at the same positions (see
+/// CoordinatePool::FromPoints); each head costs one DistanceSoA scan over
+/// it, so O(n * k) distance evaluations in k kernel calls.
+GonzalezResult GonzalezKCenter(const Metric& metric,
+                               const std::vector<Point>& points,
+                               const CoordinatePool& pool, int k,
+                               int first_index = 0,
+                               const GonzalezHeadFn& on_head = nullptr);
+
+/// The same greedy over a pool built from `points` for this call.
 GonzalezResult GonzalezKCenter(const Metric& metric,
                                const std::vector<Point>& points, int k,
                                int first_index = 0);

@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "matching/capacitated_matching.h"
+#include "metric/coordinate_pool.h"
 #include "sequential/gonzalez.h"
 
 namespace fkc {
@@ -14,33 +15,12 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // For each head, the distance to the nearest point of each color and that
-// point's index. O(n * k) distance evaluations.
+// point's index, filled from the distance rows Gonzalez computes anyway.
 struct ColorTable {
   // nearest_distance[h][c], nearest_index[h][c]
   std::vector<std::vector<double>> nearest_distance;
   std::vector<std::vector<int>> nearest_index;
 };
-
-ColorTable BuildColorTable(const Metric& metric,
-                           const std::vector<Point>& points,
-                           const std::vector<int>& head_indices, int ell) {
-  ColorTable table;
-  const size_t heads = head_indices.size();
-  table.nearest_distance.assign(heads, std::vector<double>(ell, kInf));
-  table.nearest_index.assign(heads, std::vector<int>(ell, -1));
-  for (size_t h = 0; h < heads; ++h) {
-    const Point& head = points[head_indices[h]];
-    for (size_t i = 0; i < points.size(); ++i) {
-      const int c = points[i].color;
-      const double d = metric.Distance(head, points[i]);
-      if (d < table.nearest_distance[h][c]) {
-        table.nearest_distance[h][c] = d;
-        table.nearest_index[h][c] = static_cast<int>(i);
-      }
-    }
-  }
-  return table;
-}
 
 // Attempts to match the prefix of heads with insertion distance > 2*rho to
 // color slots using balls of radius rho. On success fills `centers`.
@@ -90,14 +70,35 @@ Result<FairCenterSolution> JonesFairCenter::Solve(
       return Status::InvalidArgument("point color out of range: " +
                                      p.ToString());
     }
+    if (p.dimension() != points[0].dimension()) {
+      return Status::InvalidArgument("points of mixed dimension: " +
+                                     p.ToString());
+    }
   }
 
   const int k = constraint.TotalK();
   if (k <= 0) return Status::Infeasible("all color caps are zero");
 
-  const GonzalezResult gonzalez = GonzalezKCenter(metric, points, k);
-  const ColorTable table =
-      BuildColorTable(metric, points, gonzalez.head_indices, constraint.ell());
+  // One pool per solve: Gonzalez scans it once per head, the color table
+  // is filled from those same rows, and the final radius scans it once per
+  // center.
+  const CoordinatePool pool = CoordinatePool::FromPoints(points);
+  const int ell = constraint.ell();
+  ColorTable table;
+  const GonzalezResult gonzalez = GonzalezKCenter(
+      metric, points, pool, k, /*first_index=*/0,
+      [&](const double* row) {
+        std::vector<double>& distance =
+            table.nearest_distance.emplace_back(ell, kInf);
+        std::vector<int>& index = table.nearest_index.emplace_back(ell, -1);
+        for (size_t i = 0; i < points.size(); ++i) {
+          const int c = points[i].color;
+          if (row[i] < distance[c]) {
+            distance[c] = row[i];
+            index[c] = static_cast<int>(i);
+          }
+        }
+      });
 
   // Candidate radii where feasibility can flip: head-to-color distances and
   // prefix breakpoints delta_j / 2 (and 0, for the degenerate exact case).
@@ -141,7 +142,7 @@ Result<FairCenterSolution> JonesFairCenter::Solve(
 
   FairCenterSolution solution;
   solution.centers = std::move(final_centers);
-  solution.radius = ClusteringRadius(metric, points, solution.centers);
+  solution.radius = PoolClusteringRadius(metric, pool, solution.centers);
   return solution;
 }
 

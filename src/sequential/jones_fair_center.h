@@ -23,7 +23,8 @@
 //      the full Gonzalez coverage radius) and the head within rho of its
 //      center, giving radius <= 2*OPT + rho* <= 3*OPT since rho* <= OPT.
 //
-// Runtime: O(n*k) for Gonzalez and the per-color distance table, plus
+// Runtime: O(n*k) for Gonzalez, whose per-head distance rows also fill the
+// per-color distance table, plus
 // O((k*ell + k) log(k*ell)) matchings on k-vertex graphs — matching the
 // "linear in k and n" claim of [13].
 #ifndef FKC_SEQUENTIAL_JONES_FAIR_CENTER_H_

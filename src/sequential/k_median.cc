@@ -61,11 +61,10 @@ KMedianSolution KMedianLocalSearch(const Metric& metric,
   const size_t n = points.size();
   const size_t kk = std::min<size_t>(static_cast<size_t>(k), n);
 
-  // Full pairwise distances through the SoA kernels: one pool append pass,
+  // Full pairwise distances through the SoA kernels: one bulk-built pool,
   // then one DistanceSoA row per point (bit-identical to per-pair Distance
   // by the kernel contract, so the solver is deterministic at any width).
-  CoordinatePool pool(points[0].dimension());
-  for (const Point& p : points) pool.Append(p);
+  const CoordinatePool pool = CoordinatePool::FromPoints(points);
   std::vector<double> dist(n * n);
   for (size_t i = 0; i < n; ++i) {
     metric.DistanceSoA(points[i], pool, dist.data() + i * n);
@@ -74,7 +73,7 @@ KMedianSolution KMedianLocalSearch(const Metric& metric,
   // Gonzalez seeds: spread-out medoids make the local search start near a
   // good max-distance cover, which is also a decent sum-distance start.
   const GonzalezResult seeds =
-      GonzalezKCenter(metric, points, static_cast<int>(kk));
+      GonzalezKCenter(metric, points, pool, static_cast<int>(kk));
   std::vector<int> centers(seeds.head_indices.begin(),
                            seeds.head_indices.end());
   std::sort(centers.begin(), centers.end());

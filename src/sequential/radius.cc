@@ -1,5 +1,6 @@
 #include "sequential/radius.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/logging.h"
@@ -8,13 +9,25 @@ namespace fkc {
 
 double ClusteringRadius(const Metric& metric, const std::vector<Point>& window,
                         const std::vector<Point>& centers) {
+  return PoolClusteringRadius(metric, CoordinatePool::FromPoints(window),
+                              centers);
+}
+
+double PoolClusteringRadius(const Metric& metric, const CoordinatePool& window,
+                            const std::vector<Point>& centers) {
   if (window.empty()) return 0.0;
   if (centers.empty()) return std::numeric_limits<double>::infinity();
-  double worst = 0.0;
-  for (const Point& p : window) {
-    const double d = DistanceToSet(metric, p, centers);
-    if (d > worst) worst = d;
+  std::vector<double> nearest(window.size(),
+                              std::numeric_limits<double>::infinity());
+  std::vector<double> row(window.size());
+  for (const Point& center : centers) {
+    metric.DistanceSoA(center, window, row.data());
+    for (size_t i = 0; i < row.size(); ++i) {
+      nearest[i] = std::min(nearest[i], row[i]);
+    }
   }
+  double worst = 0.0;
+  for (double d : nearest) worst = std::max(worst, d);
   return worst;
 }
 

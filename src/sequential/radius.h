@@ -5,6 +5,7 @@
 
 #include <vector>
 
+#include "metric/coordinate_pool.h"
 #include "metric/metric.h"
 #include "metric/point.h"
 
@@ -14,6 +15,11 @@ namespace fkc {
 /// a non-empty window with no centers.
 double ClusteringRadius(const Metric& metric, const std::vector<Point>& window,
                         const std::vector<Point>& centers);
+
+/// ClusteringRadius over a window already held in a pool: one DistanceSoA
+/// scan per center, min-accumulated per point, then the max.
+double PoolClusteringRadius(const Metric& metric, const CoordinatePool& window,
+                            const std::vector<Point>& centers);
 
 /// For each window point, the index of its closest center (ties to the
 /// lowest index). Requires a non-empty center set.

@@ -3,9 +3,12 @@
 // exact optima, matroid-generic behaviour, and edge cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/random.h"
+#include "matching/capacitated_matching.h"
 #include "matroid/transversal.h"
 #include "matroid/uniform_matroid.h"
 #include "metric/metric.h"
@@ -97,6 +100,13 @@ TEST(JonesTest, EmptyInput) {
 TEST(JonesTest, RejectsOutOfRangeColors) {
   const JonesFairCenter solver;
   auto result = solver.Solve(kMetric, {P({0}, 5)}, ColorConstraint({1}));
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(JonesTest, RejectsMixedDimensions) {
+  const JonesFairCenter solver;
+  auto result = solver.Solve(kMetric, {P({0, 0}, 0), P({1}, 0)},
+                             ColorConstraint({1}));
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
@@ -315,6 +325,238 @@ TEST(SolverComparisonTest, FairMatchesUnconstrainedWhenColorsAbundant) {
   // Both are <= 2*OPT-ish; fair must stay within 3x of the greedy radius
   // up to its own guarantee.
   EXPECT_LE(fair.value().radius, 3.0 * greedy.coverage_radius + 1e-9);
+}
+
+// ---------------------------------------------------------------------------
+// Bit identity of the pool-based solvers. The scalar per-pair Gonzalez,
+// color table, radius and Jones search below are the solvers as they were
+// before they scanned a CoordinatePool; the pool versions must reproduce
+// them exactly (same heads, insertion distances, centers and radii), at
+// every kernel width.
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+GonzalezResult ScalarGonzalez(const Metric& metric,
+                              const std::vector<Point>& points, int k,
+                              int first_index) {
+  GonzalezResult result;
+  if (points.empty() || k <= 0) return result;
+  const int n = static_cast<int>(points.size());
+  std::vector<double> nearest(n, kInf);
+  int next_head = first_index;
+  double next_distance = kInf;
+  for (int j = 0; j < std::min(k, n); ++j) {
+    result.head_indices.push_back(next_head);
+    result.insertion_distances.push_back(next_distance);
+    const Point& head = points[next_head];
+    next_distance = 0.0;
+    next_head = -1;
+    for (int i = 0; i < n; ++i) {
+      const double d = metric.Distance(points[i], head);
+      if (d < nearest[i]) nearest[i] = d;
+      if (nearest[i] > next_distance) {
+        next_distance = nearest[i];
+        next_head = i;
+      }
+    }
+    if (next_head == -1) {
+      next_distance = 0.0;
+      break;
+    }
+  }
+  result.coverage_radius = result.head_indices.empty() ? 0.0 : next_distance;
+  return result;
+}
+
+double ScalarRadius(const Metric& metric, const std::vector<Point>& window,
+                    const std::vector<Point>& centers) {
+  if (window.empty()) return 0.0;
+  if (centers.empty()) return kInf;
+  double worst = 0.0;
+  for (const Point& p : window) {
+    const double d = DistanceToSet(metric, p, centers);
+    if (d > worst) worst = d;
+  }
+  return worst;
+}
+
+struct ScalarColorTable {
+  std::vector<std::vector<double>> nearest_distance;
+  std::vector<std::vector<int>> nearest_index;
+};
+
+ScalarColorTable BuildScalarColorTable(const Metric& metric,
+                                       const std::vector<Point>& points,
+                                       const std::vector<int>& head_indices,
+                                       int ell) {
+  ScalarColorTable table;
+  const size_t heads = head_indices.size();
+  table.nearest_distance.assign(heads, std::vector<double>(ell, kInf));
+  table.nearest_index.assign(heads, std::vector<int>(ell, -1));
+  for (size_t h = 0; h < heads; ++h) {
+    const Point& head = points[head_indices[h]];
+    for (size_t i = 0; i < points.size(); ++i) {
+      const int c = points[i].color;
+      const double d = metric.Distance(head, points[i]);
+      if (d < table.nearest_distance[h][c]) {
+        table.nearest_distance[h][c] = d;
+        table.nearest_index[h][c] = static_cast<int>(i);
+      }
+    }
+  }
+  return table;
+}
+
+bool ScalarTryRadius(double rho, const GonzalezResult& gonzalez,
+                     const ScalarColorTable& table,
+                     const ColorConstraint& constraint,
+                     const std::vector<Point>& points,
+                     std::vector<Point>* centers) {
+  size_t prefix = 0;
+  while (prefix < gonzalez.insertion_distances.size() &&
+         gonzalez.insertion_distances[prefix] > 2.0 * rho) {
+    ++prefix;
+  }
+  std::vector<std::vector<int>> allowed(prefix);
+  for (size_t h = 0; h < prefix; ++h) {
+    for (int c = 0; c < constraint.ell(); ++c) {
+      if (constraint.cap(c) > 0 && table.nearest_distance[h][c] <= rho) {
+        allowed[h].push_back(c);
+      }
+    }
+  }
+  const CapacitatedMatchingResult matching =
+      MaximumCapacitatedMatching(allowed, constraint);
+  if (!matching.Saturates(static_cast<int>(prefix))) return false;
+  centers->clear();
+  for (size_t h = 0; h < prefix; ++h) {
+    centers->push_back(
+        points[table.nearest_index[h][matching.assigned_color[h]]]);
+  }
+  return true;
+}
+
+// The Jones solve over the scalar pieces; callers pass valid, non-empty
+// input with positive total capacity.
+FairCenterSolution ScalarJones(const Metric& metric,
+                               const std::vector<Point>& points,
+                               const ColorConstraint& constraint) {
+  const GonzalezResult gonzalez =
+      ScalarGonzalez(metric, points, constraint.TotalK(), 0);
+  const ScalarColorTable table = BuildScalarColorTable(
+      metric, points, gonzalez.head_indices, constraint.ell());
+  std::vector<double> candidates = {0.0};
+  for (const auto& row : table.nearest_distance) {
+    for (double d : row) {
+      if (std::isfinite(d)) candidates.push_back(d);
+    }
+  }
+  for (double delta : gonzalez.insertion_distances) {
+    if (std::isfinite(delta)) candidates.push_back(delta / 2.0);
+  }
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
+  std::vector<Point> centers;
+  EXPECT_TRUE(ScalarTryRadius(candidates.back(), gonzalez, table, constraint,
+                              points, &centers));
+  size_t lo = 0;
+  size_t hi = candidates.size() - 1;
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (ScalarTryRadius(candidates[mid], gonzalez, table, constraint, points,
+                        &centers)) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  FairCenterSolution solution;
+  EXPECT_TRUE(ScalarTryRadius(candidates[lo], gonzalez, table, constraint,
+                              points, &solution.centers));
+  solution.radius = ScalarRadius(metric, points, solution.centers);
+  return solution;
+}
+
+// Small integer coordinates plus explicit copies, so exact duplicates and
+// distance ties occur at every dimension. Ids are input indices, so an
+// answer that picks a different one of two tied points shows.
+std::vector<Point> DuplicateHeavy(int n, int dim, int ell, Rng* rng) {
+  std::vector<Point> points;
+  for (int i = 0; i < n; ++i) {
+    const int color = static_cast<int>(rng->NextBounded(ell));
+    Coordinates coords(dim);
+    if (!points.empty() && rng->NextBernoulli(0.25)) {
+      coords = points[rng->NextBounded(points.size())].coords;
+    } else {
+      for (double& x : coords) x = static_cast<double>(rng->NextBounded(5));
+    }
+    points.emplace_back(std::move(coords), color, i, static_cast<uint64_t>(i));
+  }
+  return points;
+}
+
+TEST(SolverIdentityTest, PoolSolversMatchScalarReferenceBitForBit) {
+  // Overrides only Distance, so DistanceSoA takes the base gather fallback.
+  class WeightedManhattan final : public Metric {
+   public:
+    double Distance(const Point& a, const Point& b) const override {
+      double sum = 0.0;
+      for (size_t d = 0; d < a.coords.size(); ++d) {
+        sum += static_cast<double>(d + 1) * std::fabs(a.coords[d] - b.coords[d]);
+      }
+      return sum;
+    }
+    std::string Name() const override { return "weighted-manhattan"; }
+  };
+  const EuclideanMetric euclidean;
+  const ManhattanMetric manhattan;
+  const ChebyshevMetric chebyshev;
+  const WeightedManhattan weighted;
+  const std::vector<const Metric*> metrics = {&euclidean, &manhattan,
+                                              &chebyshev, &weighted};
+  const ColorConstraint constraint({2, 1, 3});
+  const JonesFairCenter jones;
+  std::vector<int> sizes;
+  for (int n = 1; n <= 17; ++n) sizes.push_back(n);
+  for (int n : {31, 32, 33, 64, 100, 127, 128, 129, 255, 256, 300}) {
+    sizes.push_back(n);
+  }
+  Rng rng(1414);
+  for (int dim : {1, 3, 54}) {
+    for (int n : sizes) {
+      const auto points = DuplicateHeavy(n, dim, constraint.ell(), &rng);
+      const int first = static_cast<int>(rng.NextBounded(n));
+      for (const Metric* metric : metrics) {
+        SCOPED_TRACE(metric->Name() + " dim=" + std::to_string(dim) +
+                     " n=" + std::to_string(n));
+        for (int k : {1, constraint.TotalK(), n + 1}) {
+          const GonzalezResult want = ScalarGonzalez(*metric, points, k, first);
+          const GonzalezResult got = GonzalezKCenter(*metric, points, k, first);
+          EXPECT_EQ(got.head_indices, want.head_indices) << "k=" << k;
+          EXPECT_EQ(got.insertion_distances, want.insertion_distances)
+              << "k=" << k;
+          EXPECT_EQ(got.coverage_radius, want.coverage_radius) << "k=" << k;
+        }
+
+        const FairCenterSolution want = ScalarJones(*metric, points, constraint);
+        auto got = jones.Solve(*metric, points, constraint);
+        ASSERT_TRUE(got.ok());
+        ASSERT_EQ(got.value().centers.size(), want.centers.size());
+        for (size_t c = 0; c < want.centers.size(); ++c) {
+          EXPECT_EQ(got.value().centers[c].id, want.centers[c].id);
+          EXPECT_EQ(got.value().centers[c].coords, want.centers[c].coords);
+        }
+        EXPECT_EQ(got.value().radius, want.radius);
+
+        // The radius of an arbitrary center set, duplicates included.
+        std::vector<Point> centers;
+        for (int c = 0; c < 4; ++c) centers.push_back(points[rng.NextBounded(n)]);
+        EXPECT_EQ(ClusteringRadius(*metric, points, centers),
+                  ScalarRadius(*metric, points, centers));
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // virtual per-pair Distance — bit for bit (lane-per-pair contract, see
 // simd_kernels.h), across awkward dimensions, counts that straddle vector
 // widths, and subnormal coordinates; and the CoordinatePool must hold its
-// layout invariants under arbitrary append/drop-front churn.
+// layout invariants under arbitrary append/drop-front churn and after a
+// bulk build.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -291,6 +292,76 @@ TEST(CoordinatePoolTest, KernelsMatchScalarOnHeadShiftedPoolAtRowEnd) {
     euclidean.DistanceSoA(query, pool, out.data());
     for (size_t i = 0; i < stored.size(); ++i) {
       EXPECT_EQ(euclidean.Distance(query, stored[i]), out[i]) << "pair " << i;
+    }
+  }
+}
+
+TEST(CoordinatePoolTest, FromPointsHoldsInputAndAcceptsAppends) {
+  const size_t dim = 5;
+  Rng rng(61);
+  // 4089 points would size the stride to exactly 4 KiB; the alias bump
+  // must move it off.
+  for (size_t n : {0u, 1u, 7u, 8u, 9u, 4089u, 4096u}) {
+    const auto points = RandomPoints(n, dim, &rng);
+    CoordinatePool pool = CoordinatePool::FromPoints(points);
+    pool.CheckInvariants();
+    ASSERT_EQ(pool.size(), n);
+    if (n > 0) {
+      EXPECT_NE(pool.stride() % (4096 / sizeof(double)), 0u) << "n=" << n;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t d = 0; d < dim; ++d) {
+        ASSERT_EQ(pool.At(i, d), points[i].coords[d]) << "n=" << n;
+      }
+    }
+    // An empty input has no dimension to take; it is re-dimensioned first.
+    if (n == 0) {
+      EXPECT_EQ(pool.dim(), 0u);
+      pool.ResetDim(dim);
+    }
+    const auto extra = RandomPoints(2, dim, &rng);
+    for (const Point& p : extra) pool.Append(p);
+    pool.CheckInvariants();
+    ASSERT_EQ(pool.size(), n + 2);
+    for (size_t d = 0; d < dim; ++d) {
+      for (size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(pool.At(i, d), points[i].coords[d]) << "n=" << n;
+      }
+      EXPECT_EQ(pool.At(n, d), extra[0].coords[d]) << "n=" << n;
+      EXPECT_EQ(pool.At(n + 1, d), extra[1].coords[d]) << "n=" << n;
+    }
+  }
+}
+
+TEST(CoordinatePoolTest, KernelsMatchScalarOnBulkBuiltPool) {
+  // Counts one below a lane multiple (the widest lane over-read) and one
+  // above (the over-read ends exactly at the row end, and on the last row
+  // at the buffer end), so an address-sanitized build catches any read
+  // past the tail.
+  Rng rng(27);
+  const auto& scalar = simd::ScalarKernels();
+  for (size_t dim : {1u, 3u, 54u}) {
+    for (size_t n : {7u, 9u, 63u, 4095u}) {
+      const auto stored = RandomPoints(n, dim, &rng);
+      const CoordinatePool pool = CoordinatePool::FromPoints(stored);
+      pool.CheckInvariants();
+      const Point query = RandomPoints(1, dim, &rng)[0];
+      for (const simd::KernelSet* set : simd::CompiledKernelSets()) {
+        if (!simd::CpuSupports(*set)) continue;
+        ExpectKernelMatchesScalar(set->euclidean, scalar.euclidean, query,
+                                  pool, set->name, "euclidean");
+        ExpectKernelMatchesScalar(set->manhattan, scalar.manhattan, query,
+                                  pool, set->name, "manhattan");
+        ExpectKernelMatchesScalar(set->chebyshev, scalar.chebyshev, query,
+                                  pool, set->name, "chebyshev");
+      }
+      const EuclideanMetric euclidean;
+      std::vector<double> out(n, -1.0);
+      euclidean.DistanceSoA(query, pool, out.data());
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(euclidean.Distance(query, stored[i]), out[i])
+            << "dim=" << dim << " n=" << n << " pair " << i;
+      }
     }
   }
 }
