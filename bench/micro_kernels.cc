@@ -9,16 +9,20 @@
 // *_Parallel benchmarks.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/logging.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "core/fair_center_sliding_window.h"
+#include "core/guess_structure.h"
 #include "core/k_median_sliding_window.h"
 #include "datasets/blobs.h"
+#include "datasets/registry.h"
 #include "matching/capacitated_matching.h"
 #include "matching/hopcroft_karp.h"
 #include "metric/coordinate_pool.h"
@@ -166,6 +170,90 @@ void BM_AttractorScanSoAMetric(benchmark::State& state) {
 }
 BENCHMARK(BM_AttractorScanSoAMetric)
     ->Args({16, 64})->Args({16, 512})->Args({64, 64})->Args({64, 512});
+
+// The covtype simulator stream (d = 54) behind the dense-guess benches,
+// generated once per process.
+const datasets::Dataset& CovtypeStream() {
+  static const datasets::Dataset* dataset = [] {
+    auto made = datasets::MakeDataset("covtype", 30000);
+    FKC_CHECK(made.ok()) << made.status().ToString();
+    return new datasets::Dataset(std::move(made).value());
+  }();
+  return *dataset;
+}
+
+// covtype-ingest's densest guess: delta = 0.5 and gamma = 27, so the c-phase
+// asks for the c-attractors within delta * gamma / 2 of each arrival.
+constexpr double kDenseGamma = 27.0;
+constexpr double kDenseDelta = 0.5;
+
+// The c-phase scan of that guess: one arrival against 9,000 stored covtype
+// points, of which only a handful lie within the bound. Arg 1 picks the
+// exact DistanceSoA (0) or the bounded DistanceSoAWithin (1), which stops
+// reading a lane block once every lane is provably out of range.
+// Args: {pool size, bounded}.
+void BM_BoundedCScan(benchmark::State& state) {
+  const EuclideanMetric concrete;
+  const Metric& metric = concrete;
+  const std::vector<Point>& points = CovtypeStream().points;
+  const size_t n = static_cast<size_t>(state.range(0));
+  const bool bounded = state.range(1) != 0;
+  constexpr size_t kQueries = 64;
+  const CoordinatePool pool = CoordinatePool::FromPoints(
+      std::vector<Point>(points.begin(), points.begin() + n));
+  const double bound = kDenseDelta * kDenseGamma / 2.0;
+  std::vector<double> out(n);
+  size_t q = 0;
+  int64_t in_range = 0;
+  for (auto _ : state) {
+    const Point& query = points[n + q];
+    if (bounded) {
+      metric.DistanceSoAWithin(query, pool, bound, out.data());
+    } else {
+      metric.DistanceSoA(query, pool, out.data());
+    }
+    benchmark::DoNotOptimize(out.data());
+    in_range += std::count_if(out.begin(), out.end(),
+                              [bound](double d) { return d <= bound; });
+    q = (q + 1) % kQueries;
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+  state.counters["in_range_per_scan"] =
+      static_cast<double>(in_range) / static_cast<double>(state.iterations());
+  state.SetLabel(std::string(simd::ActiveKernels().name) +
+                 (bounded ? "/bounded" : "/exact"));
+}
+BENCHMARK(BM_BoundedCScan)->Args({9000, 0})->Args({9000, 1});
+
+// One arrival into that guess with W = 10000, where nearly every window
+// point is its own c-attractor: the bounded c-scan over ~9,000 attractors
+// and, once the window is full, the expiry of the oldest entry (an O(1)
+// pop) and a watermark reset that reads only the fronts and the orphans.
+void BM_DenseGuessUpdate(benchmark::State& state) {
+  constexpr int64_t kWindow = 10000;
+  const datasets::Dataset& dataset = CovtypeStream();
+  const int64_t stream = static_cast<int64_t>(dataset.points.size());
+  const EuclideanMetric metric;
+  const ColorConstraint constraint =
+      ColorConstraint::Proportional(dataset.points, dataset.ell, 14);
+  GuessStructure guess(kDenseGamma, kDenseDelta, kWindow, constraint,
+                       CoreVariant::kFull);
+  int64_t t = 0;
+  const auto feed = [&] {
+    Point p = dataset.points[t % stream];
+    ++t;
+    p.arrival = t;
+    p.id = static_cast<uint64_t>(t);
+    guess.Update(p, t, metric, nullptr);
+  };
+  while (t < kWindow + 1000) feed();  // full window, expiry in steady state
+  for (auto _ : state) feed();
+  state.SetItemsProcessed(state.iterations());
+  state.counters["c_attractors"] =
+      static_cast<double>(guess.c_attractor_count());
+  state.SetLabel(simd::ActiveKernels().name);
+}
+BENCHMARK(BM_DenseGuessUpdate)->Unit(benchmark::kMicrosecond);
 
 void BM_Gonzalez(benchmark::State& state) {
   const EuclideanMetric metric;

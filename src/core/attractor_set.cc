@@ -33,26 +33,34 @@ void AddRepresentativeWithCap(AttractorEntry* entry, const Point& p, int cap) {
   }
 }
 
-void ExpireEntries(std::vector<AttractorEntry>* entries,
-                   std::vector<Point>* orphans, int64_t now,
-                   int64_t window_size) {
-  auto is_expired = [&](const Point& p) {
-    return !IsActive(p, now, window_size);
-  };
-  size_t write = 0;
-  for (size_t read = 0; read < entries->size(); ++read) {
-    AttractorEntry& entry = (*entries)[read];
-    if (is_expired(entry.attractor)) {
-      // The attractor leaves; its live representatives become orphans.
-      for (Point& rep : entry.representatives) {
-        if (!is_expired(rep)) orphans->push_back(std::move(rep));
-      }
-      continue;
+namespace {
+
+/// Pops the leading entries `leaves` selects, moving each one's
+/// representatives that `keep` accepts into `orphans`; returns the count.
+template <typename Leaves, typename Keep>
+size_t PopPrefix(AttractorList* entries, std::vector<Point>* orphans,
+                 Leaves leaves, Keep keep) {
+  size_t popped = 0;
+  while (!entries->empty() && leaves(entries->front().attractor)) {
+    for (Point& rep : entries->front().representatives) {
+      if (keep(rep)) orphans->push_back(std::move(rep));
     }
-    if (write != read) (*entries)[write] = std::move(entry);
-    ++write;
+    entries->pop_front();
+    ++popped;
   }
-  entries->resize(write);
+  return popped;
+}
+
+}  // namespace
+
+size_t ExpireEntries(AttractorList* entries, std::vector<Point>* orphans,
+                     int64_t now, int64_t window_size) {
+  const auto active = [&](const Point& p) {
+    return IsActive(p, now, window_size);
+  };
+  // The attractor leaves; its live representatives become orphans.
+  return PopPrefix(
+      entries, orphans, [&](const Point& p) { return !active(p); }, active);
 }
 
 void ExpirePoints(std::vector<Point>* points, int64_t now,
@@ -64,21 +72,12 @@ void ExpirePoints(std::vector<Point>* points, int64_t now,
                 points->end());
 }
 
-void DropEntriesOlderThan(std::vector<AttractorEntry>* entries,
-                          std::vector<Point>* orphans, int64_t threshold) {
-  size_t write = 0;
-  for (size_t read = 0; read < entries->size(); ++read) {
-    AttractorEntry& entry = (*entries)[read];
-    if (entry.attractor.arrival < threshold) {
-      for (Point& rep : entry.representatives) {
-        if (rep.arrival >= threshold) orphans->push_back(std::move(rep));
-      }
-      continue;
-    }
-    if (write != read) (*entries)[write] = std::move(entry);
-    ++write;
-  }
-  entries->resize(write);
+size_t DropEntriesOlderThan(AttractorList* entries,
+                            std::vector<Point>* orphans, int64_t threshold) {
+  return PopPrefix(
+      entries, orphans,
+      [&](const Point& p) { return p.arrival < threshold; },
+      [&](const Point& p) { return p.arrival >= threshold; });
 }
 
 void DropPointsOlderThan(std::vector<Point>* points, int64_t threshold) {
@@ -89,7 +88,7 @@ void DropPointsOlderThan(std::vector<Point>* points, int64_t threshold) {
                 points->end());
 }
 
-int64_t CountRepresentatives(const std::vector<AttractorEntry>& entries) {
+int64_t CountRepresentatives(const AttractorList& entries) {
   int64_t total = 0;
   for (const AttractorEntry& entry : entries) {
     total += static_cast<int64_t>(entry.representatives.size());

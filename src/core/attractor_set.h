@@ -9,6 +9,7 @@
 #ifndef FKC_CORE_ATTRACTOR_SET_H_
 #define FKC_CORE_ATTRACTOR_SET_H_
 
+#include <deque>
 #include <vector>
 
 #include "matroid/color_constraint.h"
@@ -26,6 +27,11 @@ struct AttractorEntry {
   std::vector<Point> representatives;
 };
 
+/// The entries of one attractor family. Writers append in arrival order and
+/// remove only the oldest (expiry, Cleanup), so entries ascend strictly by
+/// attractor arrival and every removal pops a prefix — O(1) per entry.
+using AttractorList = std::deque<AttractorEntry>;
+
 /// Number of representatives of `color` in the entry.
 int CountColor(const AttractorEntry& entry, int color);
 
@@ -35,12 +41,13 @@ int CountColor(const AttractorEntry& entry, int color);
 void AddRepresentativeWithCap(AttractorEntry* entry, const Point& p, int cap);
 
 /// Removes expired attractors from `entries` (arrival <= now - window_size),
-/// moving their still-active representatives into `orphans`. Representatives
-/// of surviving attractors never expire first (they arrive later), so they
-/// are left untouched.
-void ExpireEntries(std::vector<AttractorEntry>* entries,
-                   std::vector<Point>* orphans, int64_t now,
-                   int64_t window_size);
+/// moving their still-active representatives into `orphans`, and returns how
+/// many left. Entries ascend by attractor arrival, so the expired ones are a
+/// prefix: the scan stops at the first live attractor. Representatives of
+/// surviving attractors never expire first (they arrive later), so they are
+/// left untouched.
+size_t ExpireEntries(AttractorList* entries, std::vector<Point>* orphans,
+                     int64_t now, int64_t window_size);
 
 /// Drops expired points from a flat orphan list.
 void ExpirePoints(std::vector<Point>* points, int64_t now,
@@ -48,15 +55,16 @@ void ExpirePoints(std::vector<Point>* points, int64_t now,
 
 /// Cleanup threshold filter: evicts entries whose attractor arrived before
 /// `threshold`, keeping representatives with arrival >= threshold as orphans
-/// (Algorithm 2, line 5).
-void DropEntriesOlderThan(std::vector<AttractorEntry>* entries,
-                          std::vector<Point>* orphans, int64_t threshold);
+/// (Algorithm 2, line 5), and returns how many left — a prefix, as in
+/// ExpireEntries.
+size_t DropEntriesOlderThan(AttractorList* entries,
+                            std::vector<Point>* orphans, int64_t threshold);
 
 /// Drops points with arrival < threshold from a flat list.
 void DropPointsOlderThan(std::vector<Point>* points, int64_t threshold);
 
 /// Total number of representative slots across entries.
-int64_t CountRepresentatives(const std::vector<AttractorEntry>& entries);
+int64_t CountRepresentatives(const AttractorList& entries);
 
 }  // namespace fkc
 

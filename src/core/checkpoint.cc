@@ -27,8 +27,7 @@ void WritePoint(std::ostringstream* out, const Point& p) {
   *out << p.color << ' ' << p.arrival << ' ' << p.id << ' ';
 }
 
-void WriteEntries(std::ostringstream* out,
-                  const std::vector<AttractorEntry>& entries) {
+void WriteEntries(std::ostringstream* out, const AttractorList& entries) {
   *out << entries.size() << ' ';
   for (const AttractorEntry& entry : entries) {
     WritePoint(out, entry.attractor);
@@ -113,21 +112,28 @@ Status NextPoints(CheckpointReader* reader, PointBounds* bounds,
 }
 
 Status NextEntries(CheckpointReader* reader, PointBounds* bounds,
-                   std::vector<AttractorEntry>* out) {
+                   AttractorList* out) {
   size_t count = 0;
   FKC_RETURN_IF_ERROR(reader->NextSize(&count, reader->Remaining()));
-  out->resize(count);
-  for (AttractorEntry& entry : *out) {
+  for (size_t i = 0; i < count; ++i) {
+    AttractorEntry& entry = out->emplace_back();
     FKC_RETURN_IF_ERROR(NextPoint(reader, bounds, &entry.attractor));
     FKC_RETURN_IF_ERROR(NextPoints(reader, bounds, &entry.representatives));
-  }
-  // Every writer appends entries in arrival order and removes only the
-  // oldest, and the restored coordinate pools expire by dropping their
-  // front: entries out of order would desynchronize pool and entries.
-  for (size_t i = 1; i < out->size(); ++i) {
-    if ((*out)[i].attractor.arrival <= (*out)[i - 1].attractor.arrival) {
+    // Every writer appends entries in arrival order and removes only the
+    // oldest, and the restored coordinate pools expire by dropping their
+    // front: entries out of order would desynchronize pool and entries.
+    if (i > 0 && entry.attractor.arrival <= (*out)[i - 1].attractor.arrival) {
       return Status::InvalidArgument(
           "attractor entries not ascending by arrival in checkpoint");
+    }
+    // A representative is its attractor or a later arrival attracted to it.
+    // The expiry watermark reads only each list's front attractor, so an
+    // older representative would be missed by expiry.
+    for (const Point& rep : entry.representatives) {
+      if (rep.arrival < entry.attractor.arrival) {
+        return Status::InvalidArgument(
+            "representative older than its attractor in checkpoint");
+      }
     }
   }
   return Status::OK();
@@ -249,7 +255,7 @@ Result<FairCenterSlidingWindow> FairCenterSlidingWindow::DeserializeState(
     if (!std::isfinite(gamma) || gamma <= 0.0) {
       return Status::InvalidArgument("guess exponent out of range");
     }
-    std::vector<AttractorEntry> v_entries, c_entries;
+    AttractorList v_entries, c_entries;
     std::vector<Point> v_orphans, c_orphans;
     FKC_RETURN_IF_ERROR(NextEntries(&reader, &bounds, &v_entries));
     FKC_RETURN_IF_ERROR(NextPoints(&reader, &bounds, &v_orphans));

@@ -6,22 +6,6 @@
 #include "common/logging.h"
 
 namespace fkc {
-namespace {
-
-/// Length of the leading run of `entries` that `removed` selects. Entries
-/// ascend by attractor arrival, so an age-based removal takes exactly this
-/// prefix — the pool rows to drop. The callers' size checks after the
-/// entry compaction catch any removal that was not a prefix.
-template <typename Predicate>
-size_t RemovedPrefix(const std::vector<AttractorEntry>& entries,
-                     Predicate removed) {
-  size_t n = 0;
-  while (n < entries.size() && removed(entries[n])) ++n;
-  return n;
-}
-
-}  // namespace
-
 GuessStructure::GuessStructure(double gamma, double delta, int64_t window_size,
                                const ColorConstraint& constraint,
                                CoreVariant variant)
@@ -42,19 +26,12 @@ void GuessStructure::ExpireOnly(int64_t now) {
   // on all stored arrivals, so state stays bit-identical to sweeping always.
   if (oldest_arrival_ > now - window_size_) return;
   ++expiry_sweeps_;
-  // The pools mirror the entry vectors by position; the expired attractors
-  // are the oldest, so the pools drop the same prefix ExpireEntries removes.
-  const auto attractor_expired = [&](const AttractorEntry& entry) {
-    return !IsActive(entry.attractor, now, window_size_);
-  };
-  v_pool_.DropFront(RemovedPrefix(v_entries_, attractor_expired));
-  c_pool_.DropFront(RemovedPrefix(c_entries_, attractor_expired));
-  ExpireEntries(&v_entries_, &v_orphans_, now, window_size_);
+  // The pools mirror the entry lists by position; the expired attractors
+  // are the oldest, so the pools drop the prefix ExpireEntries popped.
+  v_pool_.DropFront(ExpireEntries(&v_entries_, &v_orphans_, now, window_size_));
   ExpirePoints(&v_orphans_, now, window_size_);
-  ExpireEntries(&c_entries_, &c_orphans_, now, window_size_);
+  c_pool_.DropFront(ExpireEntries(&c_entries_, &c_orphans_, now, window_size_));
   ExpirePoints(&c_orphans_, now, window_size_);
-  FKC_CHECK_EQ(v_pool_.size(), v_entries_.size());
-  FKC_CHECK_EQ(c_pool_.size(), c_entries_.size());
   RecomputeOldestArrival();
 }
 
@@ -78,14 +55,14 @@ void GuessStructure::RebuildPools() {
 }
 
 void GuessStructure::RecomputeOldestArrival() {
+  // Entries ascend by attractor arrival and every representative arrives no
+  // earlier than its attractor, so a family's oldest entry-held point is its
+  // front attractor; only the orphans need a full scan.
   int64_t oldest = INT64_MAX;
-  auto scan = [&oldest](const std::vector<AttractorEntry>& entries,
+  auto scan = [&oldest](const AttractorList& entries,
                         const std::vector<Point>& orphans) {
-    for (const AttractorEntry& entry : entries) {
-      oldest = std::min(oldest, entry.attractor.arrival);
-      for (const Point& rep : entry.representatives) {
-        oldest = std::min(oldest, rep.arrival);
-      }
+    if (!entries.empty()) {
+      oldest = std::min(oldest, entries.front().attractor.arrival);
     }
     for (const Point& p : orphans) oldest = std::min(oldest, p.arrival);
   };
@@ -162,10 +139,13 @@ void GuessStructure::Update(const Point& p, int64_t now, const Metric& metric,
   // --- Coreset phase: assign p to a c-attractor (lines 11-20). ---
   if (variant_ != CoreVariant::kFull) return;
 
+  // Only the attractors within c_threshold matter here, so the bounded scan
+  // may stop reading a column once it is provably out of range; the
+  // in-range distances — the only ones tested below — are exact.
   const double c_threshold = delta_ * gamma_ / 2.0;
   const size_t nc = c_entries_.size();
   scratch_dists_.resize(nc);
-  metric.DistanceSoA(p, c_pool_, scratch_dists_.data());
+  metric.DistanceSoAWithin(p, c_pool_, c_threshold, scratch_dists_.data());
   int c_target = -1;
   int c_target_count = std::numeric_limits<int>::max();
   for (size_t i = 0; i < nc; ++i) {
@@ -198,7 +178,7 @@ void GuessStructure::Cleanup(int64_t now) {
       v_orphans_.push_back(std::move(rep));
     }
     v_pool_.DropFront(1);
-    v_entries_.erase(v_entries_.begin());
+    v_entries_.pop_front();
   }
 
   // Lines 3-5: with k+1 v-attractors the guess is invalid until the oldest
@@ -208,12 +188,8 @@ void GuessStructure::Cleanup(int64_t now) {
     const int64_t threshold = v_entries_.front().attractor.arrival;
     DropPointsOlderThan(&v_orphans_, threshold);
     c_pool_.DropFront(
-        RemovedPrefix(c_entries_, [&](const AttractorEntry& entry) {
-          return entry.attractor.arrival < threshold;
-        }));
-    DropEntriesOlderThan(&c_entries_, &c_orphans_, threshold);
+        DropEntriesOlderThan(&c_entries_, &c_orphans_, threshold));
     DropPointsOlderThan(&c_orphans_, threshold);
-    FKC_CHECK_EQ(c_pool_.size(), c_entries_.size());
   }
 }
 
@@ -253,7 +229,7 @@ MemoryStats GuessStructure::Memory() const {
 void GuessStructure::ReplayInto(GuessStructure* sink, int64_t now,
                                 const Metric& metric) const {
   std::vector<Point> stored;
-  auto harvest = [&stored](const std::vector<AttractorEntry>& entries,
+  auto harvest = [&stored](const AttractorList& entries,
                            const std::vector<Point>& orphans) {
     for (const AttractorEntry& entry : entries) {
       stored.push_back(entry.attractor);

@@ -93,8 +93,8 @@ class GuessStructure {
                   const Metric& metric) const;
 
   /// Introspection for tests, invariant checks, and diagnostics.
-  const std::vector<AttractorEntry>& v_entries() const { return v_entries_; }
-  const std::vector<AttractorEntry>& c_entries() const { return c_entries_; }
+  const AttractorList& v_entries() const { return v_entries_; }
+  const AttractorList& c_entries() const { return c_entries_; }
   const std::vector<Point>& v_orphans() const { return v_orphans_; }
   const std::vector<Point>& c_orphans() const { return c_orphans_; }
   const CoordinatePool& v_pool() const { return v_pool_; }
@@ -102,11 +102,10 @@ class GuessStructure {
 
   /// Overwrites the stored sets verbatim — checkpoint restore only
   /// (core/checkpoint.cc); the caller is responsible for state validity,
-  /// including entries strictly ascending by attractor arrival.
-  void RestoreState(std::vector<AttractorEntry> v_entries,
-                    std::vector<Point> v_orphans,
-                    std::vector<AttractorEntry> c_entries,
-                    std::vector<Point> c_orphans) {
+  /// including entries strictly ascending by attractor arrival and no
+  /// representative arriving before its attractor.
+  void RestoreState(AttractorList v_entries, std::vector<Point> v_orphans,
+                    AttractorList c_entries, std::vector<Point> c_orphans) {
     v_entries_ = std::move(v_entries);
     v_orphans_ = std::move(v_orphans);
     c_entries_ = std::move(c_entries);
@@ -123,14 +122,15 @@ class GuessStructure {
   void Cleanup(int64_t now);
 
   /// Resets the expiry watermark to the exact minimum stored arrival
-  /// (INT64_MAX when nothing is stored).
+  /// (INT64_MAX when nothing is stored), reading only each family's front
+  /// attractor and its orphans: see oldest_arrival_.
   void RecomputeOldestArrival();
 
   /// Appends `p` to `pool`, (re)dimensioning an empty pool first so the
   /// first attractor of a stream fixes the pool's dimension.
   static void AppendAttractorCoords(CoordinatePool* pool, const Point& p);
 
-  /// Rebuilds both pools from the entry vectors (checkpoint restore — the
+  /// Rebuilds both pools from the entry lists (checkpoint restore — the
   /// only mutation path where incremental maintenance has nothing to work
   /// from).
   void RebuildPools();
@@ -141,19 +141,22 @@ class GuessStructure {
   ColorConstraint constraint_;
   CoreVariant variant_;
 
+  // Entry lists (deques): entries ascend strictly by attractor arrival and
+  // leave only oldest-first (expiry, Cleanup), so every removal pops a
+  // prefix in O(1) per entry — an expiry costs what leaves, not what stays.
   // Validation family. In kFull each entry holds exactly one representative.
-  std::vector<AttractorEntry> v_entries_;
+  AttractorList v_entries_;
   std::vector<Point> v_orphans_;
 
   // Coreset family (kFull only).
-  std::vector<AttractorEntry> c_entries_;
+  AttractorList c_entries_;
   std::vector<Point> c_orphans_;
 
   // Dim-major mirrors of the attractor coordinates (pool position i ==
-  // entries[i]), feeding the vectorized Metric::DistanceSoA scans. Entries
-  // ascend by attractor arrival and leave only oldest-first (expiry,
-  // Cleanup), so every removal is a prefix and the pools follow it with an
-  // O(1) DropFront. Derived state — rebuilt on restore, never serialized.
+  // entries[i]), feeding the vectorized Metric::DistanceSoA scans (the
+  // c-phase uses the bounded DistanceSoAWithin). Every entry removal pops a
+  // prefix, and the pools follow it with an O(1) DropFront of the popped
+  // count. Derived state — rebuilt on restore, never serialized.
   CoordinatePool v_pool_;
   CoordinatePool c_pool_;
 
@@ -165,7 +168,12 @@ class GuessStructure {
   // Expiry watermark: a lower bound on the arrival of every stored point.
   // While it proves all stored points active, ExpireOnly is O(1). Removals
   // (Cleanup, representative replacement) may leave it stale-low, which only
-  // costs a redundant sweep — never a missed one. INT64_MAX = empty.
+  // costs a redundant sweep — never a missed one. INT64_MAX = empty. A sweep
+  // resets it exactly in O(orphans): entries ascend by attractor arrival,
+  // and a representative never arrives before its attractor (it is the
+  // attractor itself or a later arrival attracted to it; DeserializeState
+  // rejects blobs that break either order), so no entry holds a point older
+  // than the front attractor.
   int64_t oldest_arrival_ = INT64_MAX;
   int64_t expiry_sweeps_ = 0;  // transient diagnostic
 };

@@ -72,7 +72,7 @@ class InsertionOnlyFairCenter {
 
  private:
   struct GuessState {
-    std::vector<AttractorEntry> entries;
+    AttractorList entries;
   };
 
   /// Moves from the buffering phase to the ladder phase.

@@ -46,6 +46,15 @@ class CountingMetric final : public Metric {
     inner_->DistanceSoA(p, pool, out);
   }
 
+  /// A bounded scan counts like the exact one: one per stored point, however
+  /// many dimensions the inner kernel actually reads.
+  void DistanceSoAWithin(const Point& p, const CoordinatePool& pool,
+                         double bound, double* out) const override {
+    count_.fetch_add(static_cast<int64_t>(pool.size()),
+                     std::memory_order_relaxed);
+    inner_->DistanceSoAWithin(p, pool, bound, out);
+  }
+
   std::string Name() const override {
     return "counting(" + inner_->Name() + ")";
   }

@@ -30,18 +30,26 @@ void Metric::DistanceSoA(const Point& p, const CoordinatePool& pool,
   }
 }
 
+void Metric::DistanceSoAWithin(const Point& p, const CoordinatePool& pool,
+                               double /*bound*/, double* out) const {
+  DistanceSoA(p, pool, out);
+}
+
 namespace {
 
 /// Shared prologue of the built-in SoA overrides: dimension check plus the
 /// raw kernel call (row 0 is the base of the dim-major buffer; rows are
 /// stride() apart and zero-padded to a lane multiple, so kernels may always
-/// load full vectors).
-inline void RunSoAKernel(simd::DistanceKernel kernel, const Point& p,
-                         const CoordinatePool& pool, double* out) {
+/// load full vectors). `bound` is empty for an exact kernel and the bound
+/// for a bounded one.
+template <typename Kernel, typename... Bound>
+inline void RunSoAKernel(Kernel kernel, const Point& p,
+                         const CoordinatePool& pool, double* out,
+                         Bound... bound) {
   if (pool.empty()) return;  // a never-filled pool has no dimension yet
   FKC_CHECK_EQ(p.coords.size(), pool.dim());
   kernel(p.coords.data(), pool.Row(0), pool.stride(), pool.dim(), pool.size(),
-         out);
+         bound..., out);
 }
 
 }  // namespace
@@ -51,14 +59,32 @@ void EuclideanMetric::DistanceSoA(const Point& p, const CoordinatePool& pool,
   RunSoAKernel(simd::ActiveKernels().euclidean, p, pool, out);
 }
 
+void EuclideanMetric::DistanceSoAWithin(const Point& p,
+                                        const CoordinatePool& pool,
+                                        double bound, double* out) const {
+  RunSoAKernel(simd::ActiveKernels().euclidean_within, p, pool, out, bound);
+}
+
 void ManhattanMetric::DistanceSoA(const Point& p, const CoordinatePool& pool,
                                   double* out) const {
   RunSoAKernel(simd::ActiveKernels().manhattan, p, pool, out);
 }
 
+void ManhattanMetric::DistanceSoAWithin(const Point& p,
+                                        const CoordinatePool& pool,
+                                        double bound, double* out) const {
+  RunSoAKernel(simd::ActiveKernels().manhattan_within, p, pool, out, bound);
+}
+
 void ChebyshevMetric::DistanceSoA(const Point& p, const CoordinatePool& pool,
                                   double* out) const {
   RunSoAKernel(simd::ActiveKernels().chebyshev, p, pool, out);
+}
+
+void ChebyshevMetric::DistanceSoAWithin(const Point& p,
+                                        const CoordinatePool& pool,
+                                        double bound, double* out) const {
+  RunSoAKernel(simd::ActiveKernels().chebyshev_within, p, pool, out, bound);
 }
 
 double EuclideanMetric::Distance(const Point& a, const Point& b) const {

@@ -53,6 +53,18 @@ class Metric {
   virtual void DistanceSoA(const Point& p, const CoordinatePool& pool,
                            double* out) const;
 
+  /// Bounded SoA scan, for callers that only need the columns within
+  /// `bound`: out[i] is bit-identical to DistanceSoA's wherever that
+  /// distance is <= bound, and !(out[i] <= bound) everywhere else. The base
+  /// implementation is the exact DistanceSoA, so any metric (and any
+  /// decorator that overrides only DistanceSoA) satisfies the contract. The
+  /// built-in metrics dispatch to the bounded kernels in simd_kernels.h,
+  /// which stop reading a lane block's dimensions once every lane's partial
+  /// sum (or max) proves its distance past the bound — exact, because
+  /// partials of non-negative terms never decrease under round-to-nearest.
+  virtual void DistanceSoAWithin(const Point& p, const CoordinatePool& pool,
+                                 double bound, double* out) const;
+
   virtual std::string Name() const = 0;
 };
 
@@ -64,6 +76,8 @@ class EuclideanMetric final : public Metric {
                     double* out) const override;
   void DistanceSoA(const Point& p, const CoordinatePool& pool,
                    double* out) const override;
+  void DistanceSoAWithin(const Point& p, const CoordinatePool& pool,
+                         double bound, double* out) const override;
   std::string Name() const override { return "euclidean"; }
 };
 
@@ -75,6 +89,8 @@ class ManhattanMetric final : public Metric {
                     double* out) const override;
   void DistanceSoA(const Point& p, const CoordinatePool& pool,
                    double* out) const override;
+  void DistanceSoAWithin(const Point& p, const CoordinatePool& pool,
+                         double bound, double* out) const override;
   std::string Name() const override { return "manhattan"; }
 };
 
@@ -86,6 +102,8 @@ class ChebyshevMetric final : public Metric {
                     double* out) const override;
   void DistanceSoA(const Point& p, const CoordinatePool& pool,
                    double* out) const override;
+  void DistanceSoAWithin(const Point& p, const CoordinatePool& pool,
+                         double bound, double* out) const override;
   std::string Name() const override { return "chebyshev"; }
 };
 

@@ -16,6 +16,24 @@
 // with FP contraction off: a fused multiply-add would skip the
 // intermediate rounding of the scalar `sum += diff * diff`.
 //
+// Bounded scans (the *_within kernels) serve callers that only need to know
+// which pairs lie within `bound`: out[i] is the exact distance wherever
+// d <= bound, and !(out[i] <= bound) everywhere else. The kernel abandons a
+// lane block once every live lane's running partial (sum of squares, sum of
+// absolute differences, or running max) is at or past a cutoff, testing
+// every kBoundCheckDims dimensions:
+//   - Euclidean: the smallest double s with fl(sqrt(s)) > bound;
+//   - Manhattan, Chebyshev: the smallest double past bound.
+// This is exact, not a heuristic. Every term is non-negative, and under
+// round-to-nearest fl(a + t) >= a for t >= 0 (max never decreases either),
+// so a partial never decreases along the dimensions; and fl(sqrt) is
+// monotone. A lane at or past the cutoff therefore ends past `bound`, and
+// so does the value stored for it. Lanes of a block that is not abandoned
+// run to the last dimension, so every in-range lane is bit-identical to the
+// exact kernel. A NaN partial is never past the cutoff, and a bound of
+// +inf or NaN gives a NaN cutoff, so those scans run to completion. The
+// exact kernels are the same bodies with the check compiled out.
+//
 // One binary runs everywhere: only the AVX2/AVX-512 translation units are
 // built with -mavx2/-mavx512f, and ActiveKernels() selects the widest
 // variant the running CPU reports (cpuid via __builtin_cpu_supports),
@@ -37,14 +55,64 @@ using DistanceKernel = void (*)(const double* query, const double* data,
                                 size_t stride, size_t dim, size_t count,
                                 double* out);
 
-/// One kernel per built-in metric, all of one vector width.
+/// Bounded scan: out[i] is exact wherever the distance is <= bound, and
+/// !(out[i] <= bound) elsewhere; see the file comment.
+using BoundedDistanceKernel = void (*)(const double* query, const double* data,
+                                       size_t stride, size_t dim, size_t count,
+                                       double bound, double* out);
+
+/// One exact and one bounded kernel per built-in metric, all of one vector
+/// width.
 struct KernelSet {
   const char* name;  ///< "scalar", "avx2", "avx512"
   size_t lanes;      ///< pairs processed per vector
   DistanceKernel euclidean;
   DistanceKernel manhattan;
   DistanceKernel chebyshev;
+  BoundedDistanceKernel euclidean_within;
+  BoundedDistanceKernel manhattan_within;
+  BoundedDistanceKernel chebyshev_within;
 };
+
+/// Cutoff of a Euclidean bounded scan: the smallest double s with
+/// fl(sqrt(s)) > bound (0 for a negative bound; NaN for +inf or NaN).
+double SquaredDistanceCutoff(double bound);
+
+/// Cutoff of a Manhattan or Chebyshev bounded scan: the smallest double past
+/// bound (NaN for +inf or NaN).
+double DistanceCutoff(double bound);
+
+/// A bounded kernel tests its block against the cutoff after every
+/// kBoundCheckDims-th dimension, except the last (the block ends there
+/// anyway). Each abandoned block costs one mispredicted branch, so a test
+/// per dimension would cost more than the few dimensions it saves.
+constexpr size_t kBoundCheckDims = 4;
+
+/// True when a bounded kernel tests its block after dimension d of dim.
+constexpr bool IsBoundCheckDim(size_t d, size_t dim) {
+  return (d + 1) % kBoundCheckDims == 0 && d + 1 < dim;
+}
+
+/// One kernel body serves both scans of a metric: `cutoff` is read only when
+/// kBounded, so the exact instantiation is the plain loop.
+using KernelBody = void (*)(const double* query, const double* data,
+                            size_t stride, size_t dim, size_t count,
+                            double cutoff, double* out);
+
+template <KernelBody kBody>
+void ExactScan(const double* query, const double* data, size_t stride,
+               size_t dim, size_t count, double* out) {
+  kBody(query, data, stride, dim, count, 0.0, out);
+}
+
+/// With dim <= kBoundCheckDims no block is ever tested, so the cutoff is
+/// not computed.
+template <KernelBody kBody, double (*kCutoff)(double)>
+void BoundedScan(const double* query, const double* data, size_t stride,
+                 size_t dim, size_t count, double bound, double* out) {
+  kBody(query, data, stride, dim, count,
+        dim > kBoundCheckDims ? kCutoff(bound) : 0.0, out);
+}
 
 /// Rows must be readable (not meaningful) up to this many doubles.
 constexpr size_t RoundUpToLanes(size_t count) {

@@ -32,8 +32,30 @@ inline __m512d Abs(__m512d v) {
       _mm512_andnot_si512(sign, _mm512_castpd_si512(v)));
 }
 
+// Lanes of the block starting at pair i0 that hold live pairs.
+inline __mmask8 LiveLanes(size_t i0, size_t count) {
+  return i0 + kLanes <= count ? static_cast<__mmask8>(0xFF)
+                              : TailMask(count - i0);
+}
+
+// Lanes whose partial is at or past the cutoff (never a NaN partial).
+inline __mmask8 PastCutoff(__m512d partial, __m512d cutoff) {
+  return _mm512_cmp_pd_mask(partial, cutoff, _CMP_GE_OQ);
+}
+
+// Stores the block's live lanes (all eight unless it is the tail).
+inline void StoreLanes(double* out, size_t i0, size_t count, __m512d v) {
+  if (i0 + kLanes <= count) {
+    _mm512_storeu_pd(out + i0, v);
+  } else {
+    _mm512_mask_storeu_pd(out + i0, TailMask(count - i0), v);
+  }
+}
+
+template <bool kBounded>
 void EuclideanAvx512(const double* query, const double* data, size_t stride,
-                     size_t dim, size_t count, double* out) {
+                     size_t dim, size_t count, double cutoff, double* out) {
+  const __m512d cut = _mm512_set1_pd(cutoff);
   // Two vectors (16 pairs) per dim pass: amortizes the query broadcast and
   // keeps two independent accumulation chains in flight, which matters at
   // high dim where a single add chain leaves the FPU idle. Each lane still
@@ -50,29 +72,35 @@ void EuclideanAvx512(const double* query, const double* data, size_t stride,
       const __m512d diff1 = _mm512_sub_pd(qd, _mm512_loadu_pd(row + kLanes));
       acc0 = _mm512_add_pd(acc0, _mm512_mul_pd(diff0, diff0));
       acc1 = _mm512_add_pd(acc1, _mm512_mul_pd(diff1, diff1));
+      if constexpr (kBounded) {
+        if (IsBoundCheckDim(d, dim) &&
+            (PastCutoff(acc0, cut) & PastCutoff(acc1, cut)) == 0xFF) break;
+      }
     }
     _mm512_storeu_pd(out + i, _mm512_sqrt_pd(acc0));
     _mm512_storeu_pd(out + i + kLanes, _mm512_sqrt_pd(acc1));
   }
   for (; i < count; i += kLanes) {
+    const __mmask8 dead = static_cast<__mmask8>(~LiveLanes(i, count));
     __m512d acc = _mm512_setzero_pd();
     for (size_t d = 0; d < dim; ++d) {
       const __m512d qd = _mm512_set1_pd(query[d]);
       const __m512d pts = _mm512_loadu_pd(data + d * stride + i);
       const __m512d diff = _mm512_sub_pd(qd, pts);
       acc = _mm512_add_pd(acc, _mm512_mul_pd(diff, diff));
+      if constexpr (kBounded) {
+        if (IsBoundCheckDim(d, dim) &&
+            (PastCutoff(acc, cut) | dead) == 0xFF) break;
+      }
     }
-    const __m512d result = _mm512_sqrt_pd(acc);
-    if (i + kLanes <= count) {
-      _mm512_storeu_pd(out + i, result);
-    } else {
-      _mm512_mask_storeu_pd(out + i, TailMask(count - i), result);
-    }
+    StoreLanes(out, i, count, _mm512_sqrt_pd(acc));
   }
 }
 
+template <bool kBounded>
 void ManhattanAvx512(const double* query, const double* data, size_t stride,
-                     size_t dim, size_t count, double* out) {
+                     size_t dim, size_t count, double cutoff, double* out) {
+  const __m512d cut = _mm512_set1_pd(cutoff);
   size_t i = 0;
   for (; i + 2 * kLanes <= count; i += 2 * kLanes) {
     __m512d acc0 = _mm512_setzero_pd();
@@ -85,27 +113,34 @@ void ManhattanAvx512(const double* query, const double* data, size_t stride,
       acc1 = _mm512_add_pd(
           acc1,
           Abs(_mm512_sub_pd(qd, _mm512_loadu_pd(row + kLanes))));
+      if constexpr (kBounded) {
+        if (IsBoundCheckDim(d, dim) &&
+            (PastCutoff(acc0, cut) & PastCutoff(acc1, cut)) == 0xFF) break;
+      }
     }
     _mm512_storeu_pd(out + i, acc0);
     _mm512_storeu_pd(out + i + kLanes, acc1);
   }
   for (; i < count; i += kLanes) {
+    const __mmask8 dead = static_cast<__mmask8>(~LiveLanes(i, count));
     __m512d acc = _mm512_setzero_pd();
     for (size_t d = 0; d < dim; ++d) {
       const __m512d qd = _mm512_set1_pd(query[d]);
       const __m512d pts = _mm512_loadu_pd(data + d * stride + i);
       acc = _mm512_add_pd(acc, Abs(_mm512_sub_pd(qd, pts)));
+      if constexpr (kBounded) {
+        if (IsBoundCheckDim(d, dim) &&
+            (PastCutoff(acc, cut) | dead) == 0xFF) break;
+      }
     }
-    if (i + kLanes <= count) {
-      _mm512_storeu_pd(out + i, acc);
-    } else {
-      _mm512_mask_storeu_pd(out + i, TailMask(count - i), acc);
-    }
+    StoreLanes(out, i, count, acc);
   }
 }
 
+template <bool kBounded>
 void ChebyshevAvx512(const double* query, const double* data, size_t stride,
-                     size_t dim, size_t count, double* out) {
+                     size_t dim, size_t count, double cutoff, double* out) {
+  const __m512d cut = _mm512_set1_pd(cutoff);
   size_t i = 0;
   for (; i + 2 * kLanes <= count; i += 2 * kLanes) {
     __m512d best0 = _mm512_setzero_pd();
@@ -120,28 +155,40 @@ void ChebyshevAvx512(const double* query, const double* data, size_t stride,
       best1 = _mm512_max_pd(
           Abs(_mm512_sub_pd(qd, _mm512_loadu_pd(row + kLanes))),
           best1);
+      if constexpr (kBounded) {
+        if (IsBoundCheckDim(d, dim) &&
+            (PastCutoff(best0, cut) & PastCutoff(best1, cut)) == 0xFF) break;
+      }
     }
     _mm512_storeu_pd(out + i, best0);
     _mm512_storeu_pd(out + i + kLanes, best1);
   }
   for (; i < count; i += kLanes) {
+    const __mmask8 dead = static_cast<__mmask8>(~LiveLanes(i, count));
     __m512d best = _mm512_setzero_pd();
     for (size_t d = 0; d < dim; ++d) {
       const __m512d qd = _mm512_set1_pd(query[d]);
       const __m512d pts = _mm512_loadu_pd(data + d * stride + i);
       const __m512d diff = Abs(_mm512_sub_pd(qd, pts));
       best = _mm512_max_pd(diff, best);
+      if constexpr (kBounded) {
+        if (IsBoundCheckDim(d, dim) &&
+            (PastCutoff(best, cut) | dead) == 0xFF) break;
+      }
     }
-    if (i + kLanes <= count) {
-      _mm512_storeu_pd(out + i, best);
-    } else {
-      _mm512_mask_storeu_pd(out + i, TailMask(count - i), best);
-    }
+    StoreLanes(out, i, count, best);
   }
 }
 
-const KernelSet kAvx512Set = {"avx512", kLanes, EuclideanAvx512,
-                              ManhattanAvx512, ChebyshevAvx512};
+const KernelSet kAvx512Set = {
+    "avx512",
+    kLanes,
+    ExactScan<EuclideanAvx512<false>>,
+    ExactScan<ManhattanAvx512<false>>,
+    ExactScan<ChebyshevAvx512<false>>,
+    BoundedScan<EuclideanAvx512<true>, SquaredDistanceCutoff>,
+    BoundedScan<ManhattanAvx512<true>, DistanceCutoff>,
+    BoundedScan<ChebyshevAvx512<true>, DistanceCutoff>};
 
 }  // namespace
 

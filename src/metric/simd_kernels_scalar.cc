@@ -5,8 +5,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "common/logging.h"
@@ -26,48 +28,110 @@ namespace {
 // Dimension-outer, point-inner traversal: each pass streams one contiguous
 // row, and out[i] carries pair i's running sum — ascending-dimension
 // accumulation per pair, exactly like the scalar Distance loop (and
-// auto-vectorizable without changing any pair's rounding).
+// auto-vectorizable without changing any pair's rounding). A bounded scan
+// walks the points in blocks of kLaneAlign so it can abandon one block at a
+// time; the exact scan takes them all as one block.
+template <bool kBounded>
+size_t ScalarBlock(size_t count) {
+  return kBounded ? CoordinatePool::kLaneAlign : count;
+}
+
+// True when every partial of the block is at or past the cutoff (a NaN
+// partial never is).
+inline bool AllPastCutoff(const double* partial, size_t n, double cutoff) {
+  for (size_t i = 0; i < n; ++i) {
+    if (!(partial[i] >= cutoff)) return false;
+  }
+  return true;
+}
+
+template <bool kBounded>
 void EuclideanScalar(const double* query, const double* data, size_t stride,
-                     size_t dim, size_t count, double* out) {
-  std::fill(out, out + count, 0.0);
-  for (size_t d = 0; d < dim; ++d) {
-    const double* row = data + d * stride;
-    const double qd = query[d];
-    for (size_t i = 0; i < count; ++i) {
-      const double diff = qd - row[i];
-      out[i] += diff * diff;
+                     size_t dim, size_t count, double cutoff, double* out) {
+  const size_t block = ScalarBlock<kBounded>(count);
+  for (size_t first = 0; first < count; first += block) {
+    const size_t n = std::min(block, count - first);
+    double* acc = out + first;
+    std::fill(acc, acc + n, 0.0);
+    for (size_t d = 0; d < dim; ++d) {
+      const double* row = data + d * stride + first;
+      const double qd = query[d];
+      for (size_t i = 0; i < n; ++i) {
+        const double diff = qd - row[i];
+        acc[i] += diff * diff;
+      }
+      if constexpr (kBounded) {
+        if (IsBoundCheckDim(d, dim) && AllPastCutoff(acc, n, cutoff)) break;
+      }
     }
+    for (size_t i = 0; i < n; ++i) acc[i] = std::sqrt(acc[i]);
   }
-  for (size_t i = 0; i < count; ++i) out[i] = std::sqrt(out[i]);
 }
 
+template <bool kBounded>
 void ManhattanScalar(const double* query, const double* data, size_t stride,
-                     size_t dim, size_t count, double* out) {
-  std::fill(out, out + count, 0.0);
-  for (size_t d = 0; d < dim; ++d) {
-    const double* row = data + d * stride;
-    const double qd = query[d];
-    for (size_t i = 0; i < count; ++i) {
-      out[i] += std::fabs(qd - row[i]);
+                     size_t dim, size_t count, double cutoff, double* out) {
+  const size_t block = ScalarBlock<kBounded>(count);
+  for (size_t first = 0; first < count; first += block) {
+    const size_t n = std::min(block, count - first);
+    double* acc = out + first;
+    std::fill(acc, acc + n, 0.0);
+    for (size_t d = 0; d < dim; ++d) {
+      const double* row = data + d * stride + first;
+      const double qd = query[d];
+      for (size_t i = 0; i < n; ++i) {
+        acc[i] += std::fabs(qd - row[i]);
+      }
+      if constexpr (kBounded) {
+        if (IsBoundCheckDim(d, dim) && AllPastCutoff(acc, n, cutoff)) break;
+      }
     }
   }
 }
 
+template <bool kBounded>
 void ChebyshevScalar(const double* query, const double* data, size_t stride,
-                     size_t dim, size_t count, double* out) {
-  std::fill(out, out + count, 0.0);
-  for (size_t d = 0; d < dim; ++d) {
-    const double* row = data + d * stride;
-    const double qd = query[d];
-    for (size_t i = 0; i < count; ++i) {
-      const double diff = std::fabs(qd - row[i]);
-      if (diff > out[i]) out[i] = diff;
+                     size_t dim, size_t count, double cutoff, double* out) {
+  const size_t block = ScalarBlock<kBounded>(count);
+  for (size_t first = 0; first < count; first += block) {
+    const size_t n = std::min(block, count - first);
+    double* best = out + first;
+    std::fill(best, best + n, 0.0);
+    for (size_t d = 0; d < dim; ++d) {
+      const double* row = data + d * stride + first;
+      const double qd = query[d];
+      for (size_t i = 0; i < n; ++i) {
+        const double diff = std::fabs(qd - row[i]);
+        if (diff > best[i]) best[i] = diff;
+      }
+      if constexpr (kBounded) {
+        if (IsBoundCheckDim(d, dim) && AllPastCutoff(best, n, cutoff)) break;
+      }
     }
   }
 }
 
-const KernelSet kScalarSet = {"scalar", 1, EuclideanScalar, ManhattanScalar,
-                              ChebyshevScalar};
+uint64_t BitsOf(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+double DoubleOf(uint64_t bits) {
+  double value;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
+}
+
+const KernelSet kScalarSet = {
+    "scalar",
+    1,
+    ExactScan<EuclideanScalar<false>>,
+    ExactScan<ManhattanScalar<false>>,
+    ExactScan<ChebyshevScalar<false>>,
+    BoundedScan<EuclideanScalar<true>, SquaredDistanceCutoff>,
+    BoundedScan<ManhattanScalar<true>, DistanceCutoff>,
+    BoundedScan<ChebyshevScalar<true>, DistanceCutoff>};
 
 bool CpuHasAvx2() {
 #if (defined(__GNUC__) || defined(__clang__)) && \
@@ -117,6 +181,52 @@ const KernelSet* PickActive() {
 }
 
 }  // namespace
+
+double SquaredDistanceCutoff(double bound) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (!(bound < kInf)) return std::numeric_limits<double>::quiet_NaN();
+  if (bound < 0.0) return 0.0;  // fl(sqrt(0)) = 0 is already past it
+  // fl(sqrt) is monotone, so the cutoff is one boundary in the ordered
+  // doubles, and the bit patterns of non-negative doubles order like their
+  // values: one ulp is one bit pattern. When bound^2 is a finite normal the
+  // boundary lies an ulp or two above it (fl(sqrt(fl(b * b))) == b there,
+  // so the first test normally fails): step onto it.
+  const double square = bound * bound;
+  if (square >= std::numeric_limits<double>::min() && square < kInf) {
+    uint64_t bits = BitsOf(square);
+    if (std::sqrt(square) > bound) {
+      while (std::sqrt(DoubleOf(bits - 1)) > bound) --bits;
+    } else {
+      do {
+        ++bits;
+      } while (!(std::sqrt(DoubleOf(bits)) > bound));
+    }
+    return DoubleOf(bits);
+  }
+  // A subnormal or overflowing square: bisect the bit patterns of [0, +inf]
+  // (fl(sqrt(+inf)) > bound).
+  uint64_t lo = 0;
+  uint64_t hi = BitsOf(kInf);
+  while (lo < hi) {
+    const uint64_t mid = lo + (hi - lo) / 2;
+    if (std::sqrt(DoubleOf(mid)) > bound) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return DoubleOf(lo);
+}
+
+double DistanceCutoff(double bound) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (!(bound < kInf)) return std::numeric_limits<double>::quiet_NaN();
+  // The next double up: +-0 goes to the smallest subnormal, a positive
+  // value one bit pattern up, a negative one (down to -inf) one down.
+  if (bound == 0.0) return std::numeric_limits<double>::denorm_min();
+  const uint64_t bits = BitsOf(bound);
+  return DoubleOf(bound > 0.0 ? bits + 1 : bits - 1);
+}
 
 const KernelSet& ScalarKernels() { return kScalarSet; }
 

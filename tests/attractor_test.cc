@@ -52,7 +52,7 @@ TEST(AddRepresentativeTest, CapOneKeepsMostRecent) {
 }
 
 TEST(ExpireEntriesTest, ExpiredAttractorOrphansLiveReps) {
-  std::vector<AttractorEntry> entries;
+  AttractorList entries;
   // Attractor arrived at t=1, reps at 5 and 6. Window n=10, now=11:
   // attractor TTL = 10-(11-1) = 0 -> expired; reps still active.
   entries.push_back({At(0, 0, 1), {At(1, 0, 5), At(2, 0, 6)}});
@@ -66,7 +66,7 @@ TEST(ExpireEntriesTest, ExpiredAttractorOrphansLiveReps) {
 }
 
 TEST(ExpireEntriesTest, ExpiredRepsAreDroppedNotOrphaned) {
-  std::vector<AttractorEntry> entries;
+  AttractorList entries;
   // Attractor and its only rep both expired.
   entries.push_back({At(0, 0, 1), {At(0, 0, 1)}});
   std::vector<Point> orphans;
@@ -86,7 +86,7 @@ TEST(ExpirePointsTest, DropsExactlyExpired) {
 }
 
 TEST(DropEntriesOlderThanTest, KeepsNewRepsOfDroppedAttractor) {
-  std::vector<AttractorEntry> entries;
+  AttractorList entries;
   // Attractor at t=3 (below threshold 5); reps at 4 (dropped) and 7 (kept).
   entries.push_back({At(0, 0, 3), {At(1, 0, 4), At(2, 0, 7)}});
   entries.push_back({At(9, 0, 6), {At(10, 0, 8)}});
@@ -107,7 +107,7 @@ TEST(DropPointsOlderThanTest, StrictThreshold) {
 }
 
 TEST(CountRepresentativesTest, SumsAcrossEntries) {
-  std::vector<AttractorEntry> entries;
+  AttractorList entries;
   entries.push_back({At(0, 0, 1), {At(1, 0, 2)}});
   entries.push_back({At(2, 0, 3), {At(3, 0, 4), At(4, 0, 5)}});
   EXPECT_EQ(CountRepresentatives(entries), 3);

@@ -187,6 +187,23 @@ TEST(CheckpointTest, RejectsCorruptInteriorContent) {
                        "0 " + "0 0 0 "),
                   &kMetric, &kJones)
                   .ok());
+  // So do representatives no older than their attractor, in either family:
+  // the attractor itself, or a later arrival.
+  for (const std::string& reps :
+       {"1 " + point, "1 " + older, "2 " + older + point}) {
+    ASSERT_TRUE(FairCenterSlidingWindow::DeserializeState(
+                    blob(std::string("1 0 ") + "1 " + older + reps + "0 " +
+                         "0 0 "),
+                    &kMetric, &kJones)
+                    .ok())
+        << "v reps " << reps;
+    ASSERT_TRUE(FairCenterSlidingWindow::DeserializeState(
+                    blob(std::string("1 0 ") + "0 0 " + "1 " + older + reps +
+                         "0 "),
+                    &kMetric, &kJones)
+                    .ok())
+        << "c reps " << reps;
+  }
 
   const struct {
     const char* label;
@@ -219,6 +236,15 @@ TEST(CheckpointTest, RejectsCorruptInteriorContent) {
       {"v-entries with equal arrivals",
        std::string("1 0 ") + "2 " + older + "0 " + older_twin + "0 " +
            "0 0 0 "},
+      // A representative never arrives before its attractor: the expiry
+      // watermark reads only each list's front attractor.
+      {"v-representative older than its attractor",
+       std::string("1 0 ") + "1 " + point + "1 " + older + "0 " + "0 0 "},
+      {"c-representative older than its attractor",
+       std::string("1 0 ") + "0 0 " + "1 " + point + "1 " + older + "0 "},
+      {"older representative behind a newer one",
+       std::string("1 0 ") + "0 0 " + "1 " + point + "2 " + point + older +
+           "0 "},
   };
   for (const auto& c : kCases) {
     auto restored = FairCenterSlidingWindow::DeserializeState(

@@ -40,11 +40,13 @@ int64_t OldestVAttractor(const GuessStructure& guess) {
 }
 
 // The coordinate pools expire by dropping their front, which mirrors the
-// entries only while they ascend strictly by attractor arrival: checks that
-// order, and that pool position i holds entries[i]'s attractor.
-::testing::AssertionResult PoolsMirrorEntries(const GuessStructure& guess) {
-  const auto check = [](const char* family,
-                        const std::vector<AttractorEntry>& entries,
+// entries only while they ascend strictly by attractor arrival, and the
+// expiry watermark reads only the front attractor, which is exact only while
+// no representative arrives before its attractor: checks both orders, and
+// that pool position i holds entries[i]'s attractor.
+::testing::AssertionResult EntriesOrderedAndMirrored(
+    const GuessStructure& guess) {
+  const auto check = [](const char* family, const AttractorList& entries,
                         const CoordinatePool& pool)
       -> ::testing::AssertionResult {
     if (pool.size() != entries.size()) {
@@ -57,6 +59,14 @@ int64_t OldestVAttractor(const GuessStructure& guess) {
           entries[i].attractor.arrival <= entries[i - 1].attractor.arrival) {
         return ::testing::AssertionFailure()
                << family << " entries out of arrival order at " << i;
+      }
+      for (const Point& rep : entries[i].representatives) {
+        if (rep.arrival < entries[i].attractor.arrival) {
+          return ::testing::AssertionFailure()
+                 << family << " entry " << i << " holds a representative ("
+                 << rep.arrival << ") older than its attractor ("
+                 << entries[i].attractor.arrival << ")";
+        }
       }
       for (size_t d = 0; d < pool.dim(); ++d) {
         if (pool.At(i, d) != entries[i].attractor.coords[d]) {
@@ -93,7 +103,7 @@ TEST_P(GuessStructureInvariantsTest, HoldAtEveryStep) {
     guess.Update(p, t, kMetric, nullptr);
 
     // --- Structural invariants. ---
-    ASSERT_TRUE(PoolsMirrorEntries(guess)) << "t=" << t;
+    ASSERT_TRUE(EntriesOrderedAndMirrored(guess)) << "t=" << t;
     // |AV| <= k + 1 after every update.
     ASSERT_LE(guess.v_attractor_count(), k + 1);
     // v-attractors pairwise > 2*gamma.
@@ -278,17 +288,18 @@ TEST(GuessStructureTest, WarmStartedGuessesKeepPoolsInArrivalOrder) {
         const double gamma = copies.size() % 2 == 0 ? 4.0 / 3.0 : 12.0;
         copies.emplace_back(gamma, 1.0, window, constraint, variant);
         source.ReplayInto(&copies.back(), t - 1, kMetric);
-        ASSERT_TRUE(PoolsMirrorEntries(copies.back())) << "replay at " << t;
+        ASSERT_TRUE(EntriesOrderedAndMirrored(copies.back()))
+            << "replay at " << t;
       }
       Point p({rng.NextUniform(0, 40), rng.NextUniform(0, 40)},
               static_cast<int>(rng.NextBounded(2)));
       p.arrival = t;
       p.id = static_cast<uint64_t>(t);
       source.Update(p, t, kMetric, nullptr);
-      ASSERT_TRUE(PoolsMirrorEntries(source)) << "t=" << t;
+      ASSERT_TRUE(EntriesOrderedAndMirrored(source)) << "t=" << t;
       for (GuessStructure& copy : copies) {
         copy.Update(p, t, kMetric, nullptr);
-        ASSERT_TRUE(PoolsMirrorEntries(copy))
+        ASSERT_TRUE(EntriesOrderedAndMirrored(copy))
             << "gamma=" << copy.gamma() << " t=" << t;
       }
     }

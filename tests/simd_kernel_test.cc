@@ -2,9 +2,10 @@
 // compiled SIMD kernel set must reproduce the scalar reference — and the
 // virtual per-pair Distance — bit for bit (lane-per-pair contract, see
 // simd_kernels.h), across awkward dimensions, counts that straddle vector
-// widths, and subnormal coordinates; and the CoordinatePool must hold its
-// layout invariants under arbitrary append/drop-front churn and after a
-// bulk build.
+// widths, and subnormal coordinates; every bounded kernel must be exact
+// within its bound and out of range beyond it; and the CoordinatePool must
+// hold its layout invariants under arbitrary append/drop-front churn and
+// after a bulk build.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -60,6 +61,53 @@ void ExpectKernelMatchesScalar(simd::DistanceKernel kernel,
   }
   EXPECT_EQ(std::memcmp(want.data(), got.data(), count * sizeof(double)), 0)
       << set_name << "/" << metric_name << " not bit-identical";
+}
+
+// One metric's exact and bounded kernels within a kernel set.
+struct MetricKernels {
+  const char* name;
+  simd::DistanceKernel exact;
+  simd::BoundedDistanceKernel within;
+};
+
+std::vector<MetricKernels> KernelsOf(const simd::KernelSet& set) {
+  return {{"euclidean", set.euclidean, set.euclidean_within},
+          {"manhattan", set.manhattan, set.manhattan_within},
+          {"chebyshev", set.chebyshev, set.chebyshev_within}};
+}
+
+// Runs the bounded kernel of metric `m` in `set` and checks its contract
+// against the scalar exact kernel: a lane whose exact distance is <= bound
+// comes back bit-identical, any other lane !(<= bound). Returns the number
+// of lanes that differ from the exact distance (abandoned ones).
+size_t ExpectBoundedScanHonorsContract(const simd::KernelSet& set, size_t m,
+                                       const Point& query,
+                                       const CoordinatePool& pool,
+                                       double bound) {
+  const MetricKernels kernels = KernelsOf(set)[m];
+  const size_t count = pool.size();
+  std::vector<double> exact(count, -1.0), got(count, -1.0);
+  KernelsOf(simd::ScalarKernels())[m].exact(query.coords.data(), pool.Row(0),
+                                            pool.stride(), pool.dim(), count,
+                                            exact.data());
+  kernels.within(query.coords.data(), pool.Row(0), pool.stride(), pool.dim(),
+                 count, bound, got.data());
+  size_t abandoned = 0;
+  for (size_t i = 0; i < count; ++i) {
+    if (exact[i] <= bound) {
+      EXPECT_EQ(std::memcmp(&exact[i], &got[i], sizeof(double)), 0)
+          << set.name << "/" << kernels.name << " in-range pair " << i
+          << " not exact: " << got[i] << " vs " << exact[i] << " (dim="
+          << pool.dim() << ", count=" << count << ", bound=" << bound << ")";
+    } else {
+      EXPECT_FALSE(got[i] <= bound)
+          << set.name << "/" << kernels.name << " out-of-range pair " << i
+          << " came back in range: " << got[i] << " (exact " << exact[i]
+          << ", bound=" << bound << ")";
+    }
+    if (std::memcmp(&exact[i], &got[i], sizeof(double)) != 0) ++abandoned;
+  }
+  return abandoned;
 }
 
 TEST(SimdKernelTest, ScalarSetIsAlwaysPresentAndActiveIsSupported) {
@@ -195,6 +243,127 @@ TEST(SimdKernelTest, CountingMetricCountsOnePerPairOnSoA) {
   }
 }
 
+TEST(SimdKernelTest, CutoffsAreTheFirstDoublesPastTheBound) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double bounds[] = {0.0,
+                           -0.0,
+                           std::numeric_limits<double>::denorm_min(),
+                           1e-310,
+                           1e-160,
+                           std::numeric_limits<double>::min(),
+                           1e-3,
+                           0.5,
+                           1.0,
+                           2.0,
+                           6.75,
+                           13.5,
+                           1e10,
+                           1e154,
+                           1.5e154,
+                           1e200,
+                           std::numeric_limits<double>::max()};
+  for (double bound : bounds) {
+    const double s = simd::SquaredDistanceCutoff(bound);
+    EXPECT_GT(std::sqrt(s), bound) << "bound=" << bound;
+    if (s > 0.0) {
+      EXPECT_LE(std::sqrt(std::nextafter(s, 0.0)), bound) << "bound=" << bound;
+    }
+    const double c = simd::DistanceCutoff(bound);
+    EXPECT_GT(c, bound);
+    EXPECT_EQ(std::nextafter(c, -inf), bound);
+  }
+  EXPECT_EQ(simd::SquaredDistanceCutoff(-1.0), 0.0);
+  EXPECT_TRUE(std::isnan(simd::SquaredDistanceCutoff(inf)));
+  EXPECT_TRUE(std::isnan(simd::SquaredDistanceCutoff(nan)));
+  EXPECT_TRUE(std::isnan(simd::DistanceCutoff(inf)));
+  EXPECT_TRUE(std::isnan(simd::DistanceCutoff(nan)));
+}
+
+TEST(SimdKernelTest, BoundedScansAreExactWithinTheBound) {
+  // Every compiled tier's bounded kernel against the scalar exact kernel:
+  // counts straddling the 4-, 8- and 16-lane blocks plus a large ragged
+  // pool, dimensions around the vector widths and covtype's 54. The pool
+  // holds a copy of the query, so bound 0 keeps one lane in range; the
+  // median distance splits the lanes; +inf keeps them all.
+  Rng rng(2718);
+  for (size_t dim : {1u, 3u, 4u, 5u, 54u}) {
+    for (size_t n : {1u, 7u, 15u, 16u, 17u, 4095u}) {
+      std::vector<Point> stored = RandomPoints(n, dim, &rng);
+      const Point query = RandomPoints(1, dim, &rng)[0];
+      stored[n / 2] = query;
+      const CoordinatePool pool = CoordinatePool::FromPoints(stored);
+      for (size_t m = 0; m < 3; ++m) {
+        std::vector<double> exact(n);
+        KernelsOf(simd::ScalarKernels())[m].exact(
+            query.coords.data(), pool.Row(0), pool.stride(), dim, n,
+            exact.data());
+        std::sort(exact.begin(), exact.end());
+        const double median = exact[n / 2];
+        for (const simd::KernelSet* set : simd::CompiledKernelSets()) {
+          if (!simd::CpuSupports(*set)) continue;
+          ExpectBoundedScanHonorsContract(*set, m, query, pool, median);
+          EXPECT_EQ(ExpectBoundedScanHonorsContract(
+                        *set, m, query, pool,
+                        std::numeric_limits<double>::infinity()),
+                    0u);
+          const size_t abandoned =
+              ExpectBoundedScanHonorsContract(*set, m, query, pool, 0.0);
+          // The bound must actually cut work short: far lanes of a wide
+          // pool leave their blocks long before the last dimension.
+          if (dim == 54 && n == 4095) {
+            EXPECT_GT(abandoned, n / 2) << set->name << " metric " << m;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, BoundedScanThroughMetrics) {
+  // The built-in metrics dispatch to the bounded kernels; a metric that
+  // overrides only Distance gets the exact scan from the base class; a
+  // CountingMetric counts one per stored point either way.
+  class HalfEuclidean final : public Metric {
+   public:
+    double Distance(const Point& a, const Point& b) const override {
+      return 0.5 * base_.Distance(a, b);
+    }
+    std::string Name() const override { return "half"; }
+
+   private:
+    EuclideanMetric base_;
+  };
+  const EuclideanMetric euclidean;
+  const ManhattanMetric manhattan;
+  const ChebyshevMetric chebyshev;
+  const HalfEuclidean half;
+  const Metric* metrics[] = {&euclidean, &manhattan, &chebyshev, &half};
+  Rng rng(8);
+  const size_t dim = 20, n = 100;
+  const auto stored = RandomPoints(n, dim, &rng);
+  const auto pool = PoolOf(stored, dim);
+  const Point query = RandomPoints(1, dim, &rng)[0];
+  for (const Metric* metric : metrics) {
+    CountingMetric counting(metric);
+    std::vector<double> exact(n), got(n);
+    metric->DistanceSoA(query, pool, exact.data());
+    const double bound = exact[n / 3];
+    counting.DistanceSoAWithin(query, pool, bound, got.data());
+    EXPECT_EQ(counting.count(), static_cast<int64_t>(n));
+    for (size_t i = 0; i < n; ++i) {
+      if (exact[i] <= bound) {
+        EXPECT_EQ(exact[i], got[i]) << metric->Name() << " pair " << i;
+      } else {
+        EXPECT_FALSE(got[i] <= bound) << metric->Name() << " pair " << i;
+      }
+      if (metric == &half) {
+        EXPECT_EQ(exact[i], got[i]);
+      }
+    }
+  }
+}
+
 // --- CoordinatePool invariants under churn. ---
 
 TEST(CoordinatePoolTest, AppendDropFrontChurnAgainstMirror) {
@@ -285,6 +454,15 @@ TEST(CoordinatePoolTest, KernelsMatchScalarOnHeadShiftedPoolAtRowEnd) {
                                 set->name, "manhattan");
       ExpectKernelMatchesScalar(set->chebyshev, scalar.chebyshev, query, pool,
                                 set->name, "chebyshev");
+    }
+    // The bounded kernels read no further, whatever they abandon.
+    for (const simd::KernelSet* set : simd::CompiledKernelSets()) {
+      if (!simd::CpuSupports(*set)) continue;
+      for (size_t m = 0; m < 3; ++m) {
+        for (double bound : {0.0, 150.0, 1e300}) {
+          ExpectBoundedScanHonorsContract(*set, m, query, pool, bound);
+        }
+      }
     }
     // The dispatched SoA path agrees with the per-pair Distance.
     const EuclideanMetric euclidean;
