@@ -8,7 +8,6 @@
 // buys accuracy with memory.
 #include "bench_util.h"
 #include "common/flags.h"
-#include "core/fair_center_lite.h"
 #include "core/fair_center_sliding_window.h"
 #include "sequential/jones_fair_center.h"
 
@@ -51,7 +50,8 @@ int main(int argc, char** argv) {
     coarse.delta = 4.0;
     fkc::FairCenterSlidingWindow full_coarse(coarse, prepared.constraint,
                                              &metric, &jones);
-    fkc::FairCenterLite lite(fine, prepared.constraint, &metric, &jones);
+    fkc::FairCenterSlidingWindow lite(fkc::ValidationOnlyOptions(fine),
+                                      prepared.constraint, &metric, &jones);
 
     fkc::WindowDriver driver(&metric, prepared.constraint, window);
     driver.AddStreaming("Full@0.5", &full_fine);

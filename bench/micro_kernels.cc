@@ -20,7 +20,6 @@
 #include "common/thread_pool.h"
 #include "core/fair_center_sliding_window.h"
 #include "core/guess_structure.h"
-#include "core/k_median_sliding_window.h"
 #include "datasets/blobs.h"
 #include "datasets/registry.h"
 #include "matching/capacitated_matching.h"
@@ -511,11 +510,11 @@ void BM_DistanceCallLedger(benchmark::State& state) {
 }
 BENCHMARK(BM_DistanceCallLedger);
 
-// The same fixed-work ledger through the k-median objective engine: 6000
-// arrivals into a KMedianSlidingWindow (identical substrate, so the update
-// ledger must match BM_DistanceCallLedger bit-exactly), then 10
-// QueryObjective rounds whose distance calls cover coreset selection PLUS
-// the local-search swap evaluation. All counters are deterministic totals
+// The same fixed-work ledger through the k-median objective: 6000 arrivals
+// into the same window (so the update ledger must match
+// BM_DistanceCallLedger bit-exactly), then 10 k-median Query rounds whose
+// distance calls cover coreset selection PLUS the local-search swap
+// evaluation. All counters are deterministic totals
 // compared at 0% tolerance across kernel widths, like the fair-center
 // ledger above.
 void BM_KMedianLedger(benchmark::State& state) {
@@ -529,7 +528,7 @@ void BM_KMedianLedger(benchmark::State& state) {
   options.num_threads = 1;
   static const ColorConstraint constraint = ColorConstraint::Uniform(7, 2);
   static const JonesFairCenter jones;
-  KMedianSlidingWindow window(options, constraint, &counting, &jones);
+  FairCenterSlidingWindow window(options, constraint, &counting, &jones);
   for (const Point& p : points) window.Update(p);
   const int64_t update_calls = counting.count();
   counting.Reset();
@@ -538,7 +537,7 @@ void BM_KMedianLedger(benchmark::State& state) {
   int64_t centers_total = 0;
   for (int q = 0; q < 10; ++q) {
     QueryStats stats;
-    auto solution = window.QueryObjective(&stats);
+    auto solution = window.Query(ObjectiveKind::kKMedian, &stats);
     cost_total += solution.ok() ? solution.value().value : -1.0;
     coreset_total += stats.coreset_size;
     centers_total +=

@@ -60,21 +60,628 @@
 // rehydration / checkpoint-size counters) which are stable across machines
 // and usable for regression checks.
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
 #include "common/flags.h"
+#include "common/logging.h"
+#include "common/random.h"
+#include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "metric/simd_kernels.h"
 #include "sequential/jones_fair_center.h"
+#include "serving/delta_log.h"
 #include "serving/shard_manager.h"
 #include "serving/spill_store.h"
-#include "stream/window_driver.h"
+#include "stream/stream.h"
+
+// The three serving drivers this bench runs: throughput, eviction churn and
+// multi-thread contention, each over a ShardManager.
+namespace fkc {
+namespace {
+
+/// The keyed-arrival batching both sharded drivers share: buffers arrivals,
+/// delivers them through IngestBatch in `batch_size` chunks, accumulates the
+/// ingest wall time, and CHECKs every status (the drivers' schedules only
+/// produce valid arrivals, so a rejection is a driver bug).
+class KeyedBatchFeeder {
+ public:
+  KeyedBatchFeeder(serving::ShardManager* manager, int64_t batch_size,
+                   double* update_seconds)
+      : manager_(manager),
+        batch_size_(batch_size),
+        update_seconds_(update_seconds) {
+    pending_.reserve(static_cast<size_t>(batch_size_));
+  }
+
+  void Add(std::string key, Point point) {
+    pending_.push_back({std::move(key), std::move(point)});
+    if (static_cast<int64_t>(pending_.size()) >= batch_size_) Flush();
+  }
+
+  void Flush() {
+    if (pending_.empty()) return;
+    Stopwatch timer;
+    const Status status = manager_->IngestBatch(std::move(pending_));
+    FKC_CHECK(status.ok()) << status.ToString();
+    *update_seconds_ += timer.ElapsedMillis() / 1e3;
+    pending_ = {};
+    pending_.reserve(static_cast<size_t>(batch_size_));
+  }
+
+ private:
+  serving::ShardManager* manager_;
+  int64_t batch_size_;
+  double* update_seconds_;
+  std::vector<serving::KeyedPoint> pending_;
+};
+
+/// Schedule of a sharded serving run.
+struct ShardedRunOptions {
+  /// Total keyed arrivals fed across all shards.
+  int64_t stream_length = 0;
+  /// Keyed arrivals per IngestBatch call.
+  int64_t batch_size = 64;
+  /// A QueryAll fan-out after every this many arrivals (0 = never).
+  int64_t query_every = 1024;
+  /// Burst arrivals: every `burst_every` arrivals the driver withholds the
+  /// next `burst_size` arrivals and delivers them as ONE oversized
+  /// IngestBatch call (bypassing `batch_size`), modelling synchronized
+  /// sensor flushes or thundering-herd tenants instead of a perfectly
+  /// paced stream. Any paced arrivals still buffered are flushed before
+  /// the burst, so per-key arrival order — the only order that matters —
+  /// is exactly the paced stream's. 0 disables bursts.
+  int64_t burst_every = 0;
+  /// Arrivals per burst; clamped to `burst_every`, and 0 defaults to
+  /// 8 * batch_size when bursts are enabled.
+  int64_t burst_size = 0;
+};
+
+/// Aggregate throughput of one sharded run.
+struct ShardedThroughputReport {
+  int shards = 0;
+  int64_t updates = 0;
+  int64_t queries = 0;  ///< per-shard answers, i.e. QueryAll calls * shards
+  int64_t bursts = 0;   ///< oversized burst batches delivered
+  double update_seconds = 0.0;
+  double query_seconds = 0.0;
+
+  double UpdatesPerSecond() const {
+    return update_seconds > 0.0 ? static_cast<double>(updates) / update_seconds
+                                : 0.0;
+  }
+  double QueriesPerSecond() const {
+    return query_seconds > 0.0 ? static_cast<double>(queries) / query_seconds
+                                : 0.0;
+  }
+};
+
+/// Drives a ShardManager for throughput measurement: arrivals from `stream`
+/// are routed round-robin over `keys` (arrival i goes to keys[i % keys]),
+/// delivered in batches, with periodic QueryAll fan-outs. Every returned
+/// answer is checked OK; wall times for ingest and query are accumulated
+/// separately.
+ShardedThroughputReport RunShardedThroughput(
+    serving::ShardManager* manager, PointStream* stream,
+    const std::vector<std::string>& keys, const ShardedRunOptions& options) {
+  FKC_CHECK(manager != nullptr);
+  FKC_CHECK(stream != nullptr);
+  FKC_CHECK(!keys.empty());
+  FKC_CHECK_GT(options.stream_length, 0);
+  FKC_CHECK_GT(options.batch_size, 0);
+
+  ShardedThroughputReport report;
+  report.shards = static_cast<int>(keys.size());
+
+  KeyedBatchFeeder feeder(manager, options.batch_size,
+                          &report.update_seconds);
+
+  // Burst schedule: the first burst_size arrivals of every burst_every
+  // cycle accumulate here and land as one oversized IngestBatch. The burst
+  // is always delivered before the next paced arrival is read, so per-key
+  // arrival order matches the paced stream exactly.
+  int64_t burst_size = 0;
+  if (options.burst_every > 0) {
+    burst_size = options.burst_size > 0 ? options.burst_size
+                                        : 8 * options.batch_size;
+    burst_size = std::min(burst_size, options.burst_every);
+  }
+  std::vector<serving::KeyedPoint> burst;
+  if (burst_size > 0) burst.reserve(static_cast<size_t>(burst_size));
+  auto deliver_burst = [&] {
+    if (burst.empty()) return;
+    feeder.Flush();  // paced arrivals buffered earlier precede the burst
+    Stopwatch timer;
+    const Status status = manager->IngestBatch(std::move(burst));
+    FKC_CHECK(status.ok()) << status.ToString();
+    report.update_seconds += timer.ElapsedMillis() / 1e3;
+    ++report.bursts;
+    burst = {};
+    burst.reserve(static_cast<size_t>(burst_size));
+  };
+
+  for (int64_t t = 0; t < options.stream_length; ++t) {
+    auto next = stream->Next();
+    FKC_CHECK(next.has_value()) << "stream exhausted at arrival " << t;
+    const std::string& key =
+        keys[static_cast<size_t>(t % static_cast<int64_t>(keys.size()))];
+    if (burst_size > 0 && t % options.burst_every < burst_size) {
+      burst.push_back({key, std::move(*next)});
+      if (static_cast<int64_t>(burst.size()) >= burst_size) deliver_burst();
+    } else {
+      feeder.Add(key, std::move(*next));
+    }
+    ++report.updates;
+
+    if (options.query_every > 0 && (t + 1) % options.query_every == 0) {
+      deliver_burst();  // a query mid-cycle ships the partial burst first
+      feeder.Flush();  // answers must reflect every arrival delivered so far
+      Stopwatch timer;
+      const auto answers = manager->QueryAll();
+      report.query_seconds += timer.ElapsedMillis() / 1e3;
+      for (const serving::ShardAnswer& answer : answers) {
+        FKC_CHECK(answer.solution.ok())
+            << "shard '" << answer.key
+            << "': " << answer.solution.status().ToString();
+      }
+      report.queries += static_cast<int64_t>(answers.size());
+    }
+  }
+  deliver_burst();
+  feeder.Flush();
+  return report;
+}
+
+/// Schedule of an eviction-churn serving run: a large tenant population of
+/// which only a small set is active at any moment, the active set sliding
+/// over time so tenants go idle, get spilled by periodic EvictIdle sweeps
+/// (into whichever SpillStore backend the manager was built with), and are
+/// rehydrated if the schedule returns to them. Periodic delta captures feed
+/// a compacting serving::DeltaLog, measuring how much smaller steady-state
+/// deltas are than the full fleet blob and how often the chain re-bases.
+struct ShardedChurnOptions {
+  /// Total keyed arrivals fed across the run.
+  int64_t stream_length = 0;
+  /// Keyed arrivals per IngestBatch call.
+  int64_t batch_size = 64;
+  /// Tenant population the schedule cycles through.
+  int64_t tenants = 32;
+  /// Tenants receiving arrivals at any moment (arrival t goes to tenant
+  /// (t / rotate_every + t % active) % tenants).
+  int64_t active = 4;
+  /// Arrivals between sliding the active set forward by one tenant.
+  int64_t rotate_every = 1024;
+  /// Arrivals between EvictIdle sweeps (0 = never evict).
+  int64_t evict_every = 1024;
+  /// Idle TTL handed to EvictIdle, in fleet-wide arrivals.
+  int64_t idle_ttl = 4096;
+  /// Arrivals between DeltaLog captures (0 = never).
+  int64_t delta_every = 8192;
+  /// DeltaLog chain-length budget: captures past this many chained deltas
+  /// re-base on a full checkpoint.
+  int64_t delta_chain_budget = 8;
+};
+
+/// Outcome of one churn run. The counters (updates, evictions,
+/// rehydrations, shard/byte totals) are deterministic for a fixed stream
+/// and schedule; the wall times are not.
+struct ShardedChurnReport {
+  int64_t updates = 0;
+  int64_t evictions = 0;
+  int64_t rehydrations = 0;
+  int64_t total_shards = 0;      ///< live + spilled at the end
+  int64_t live_shards = 0;       ///< live at the end (post final sweep)
+  int64_t delta_checkpoints = 0;  ///< DeltaLog captures that shipped a delta
+  int64_t delta_bytes = 0;       ///< summed over all delta captures
+  int64_t rebases = 0;           ///< chain compactions (budget exceeded)
+  int64_t log_bytes = 0;         ///< final DeltaLog size (base + chain)
+  int64_t full_checkpoint_bytes = 0;  ///< one CheckpointAll at the end
+  double update_seconds = 0.0;
+  double maintenance_seconds = 0.0;  ///< EvictIdle + checkpoint time
+
+  double UpdatesPerSecond() const {
+    return update_seconds > 0.0 ? static_cast<double>(updates) / update_seconds
+                                : 0.0;
+  }
+};
+
+/// Drives a ShardManager through the churn schedule above. Every IngestBatch
+/// status is checked OK (the schedule only produces valid arrivals).
+ShardedChurnReport RunShardedChurn(serving::ShardManager* manager,
+                                   PointStream* stream,
+                                   const ShardedChurnOptions& options) {
+  FKC_CHECK(manager != nullptr);
+  FKC_CHECK(stream != nullptr);
+  FKC_CHECK_GT(options.stream_length, 0);
+  FKC_CHECK_GT(options.batch_size, 0);
+  FKC_CHECK_GT(options.tenants, 0);
+  FKC_CHECK_GT(options.active, 0);
+  FKC_CHECK_GT(options.rotate_every, 0);
+
+  ShardedChurnReport report;
+  KeyedBatchFeeder feeder(manager, options.batch_size,
+                          &report.update_seconds);
+  serving::DeltaLog::Options log_options;
+  log_options.max_chain_length = options.delta_chain_budget;
+  serving::DeltaLog log(log_options);
+
+  for (int64_t t = 0; t < options.stream_length; ++t) {
+    auto next = stream->Next();
+    FKC_CHECK(next.has_value()) << "stream exhausted at arrival " << t;
+    // The active set slides forward one tenant per rotate_every arrivals;
+    // tenants behind the set go idle and the periodic sweep spills them.
+    const int64_t tenant =
+        (t / options.rotate_every + t % options.active) % options.tenants;
+    feeder.Add(StrFormat("tenant-%04lld", static_cast<long long>(tenant)),
+               std::move(*next));
+    ++report.updates;
+
+    if (options.evict_every > 0 && (t + 1) % options.evict_every == 0) {
+      feeder.Flush();
+      Stopwatch timer;
+      Status spill_status;
+      manager->EvictIdle(options.idle_ttl, &spill_status);
+      FKC_CHECK(spill_status.ok()) << spill_status.ToString();
+      report.maintenance_seconds += timer.ElapsedMillis() / 1e3;
+    }
+    if (options.delta_every > 0 && (t + 1) % options.delta_every == 0) {
+      feeder.Flush();
+      Stopwatch timer;
+      auto captured = log.Capture(manager);
+      report.maintenance_seconds += timer.ElapsedMillis() / 1e3;
+      FKC_CHECK(captured.ok()) << captured.status().ToString();
+      if (!captured.value().rebased) {
+        ++report.delta_checkpoints;
+        report.delta_bytes += static_cast<int64_t>(captured.value().bytes);
+      }
+    }
+  }
+  feeder.Flush();
+
+  Stopwatch timer;
+  auto full = manager->CheckpointAll();
+  FKC_CHECK(full.ok()) << full.status().ToString();
+  report.full_checkpoint_bytes = static_cast<int64_t>(full.value().size());
+  report.maintenance_seconds += timer.ElapsedMillis() / 1e3;
+  report.log_bytes = static_cast<int64_t>(log.base_bytes()) + log.chain_bytes();
+  report.rebases = log.rebases();
+  report.evictions = manager->evictions();
+  report.rehydrations = manager->rehydrations();
+  report.total_shards = static_cast<int64_t>(manager->shard_count());
+  report.live_shards = static_cast<int64_t>(manager->live_shard_count());
+  return report;
+}
+
+/// Schedule of a multi-thread contention run: N client threads, each
+/// ingesting a fixed number of pre-generated arrivals into its own tenant
+/// shard, while a background thread runs continuous QueryAll rounds and a
+/// maintenance thread runs eviction-sweep ticks. Measures how much ingest
+/// the serving layer sustains while fleet-wide reads and maintenance hammer
+/// it — the scenario per-shard locking exists for. With `global_mutex` the
+/// same schedule wraps EVERY manager call in one external mutex, emulating
+/// the old single-internal-mutex design as the baseline: there a QueryAll
+/// round blocks all clients for the whole fleet scan.
+struct ShardedContentionOptions {
+  /// Client threads; client c ingests only into its own key ("client-c"),
+  /// so client threads never contend with each other under per-shard
+  /// locking, only with the fleet-wide readers.
+  int client_threads = 8;
+  /// Arrivals each client ingests (pre-generated before the clock starts,
+  /// so stream synthesis is not measured).
+  int64_t points_per_client = 0;
+  /// Keyed arrivals per IngestBatch call.
+  int64_t batch_size = 64;
+  /// Think time between a client's batches, modelling a paced per-tenant
+  /// arrival stream instead of an offline replay. The pacing leaves the
+  /// fleet idle headroom — per-shard locking spends it on the background
+  /// QueryAll scans without delaying any client, while the single-mutex
+  /// baseline stalls every client for the full duration of each scan.
+  /// 0 = hammer (clients replay as fast as the manager admits them).
+  int64_t client_pause_ms = 2;
+  /// Cold tenants: before the clock starts, each is filled with
+  /// `idle_points` arrivals and spilled to the store (EvictIdle(0)). They
+  /// never ingest again, but every background QueryAll round pays an
+  /// ephemeral read — store Get + full state deserialization — for each
+  /// one. That is what makes a fleet scan cost real time: under the
+  /// single-mutex baseline the whole scan happens with every hot client
+  /// blocked, while per-shard locking deserializes cold state outside any
+  /// lock the clients need.
+  int64_t idle_tenants = 24;
+  /// Arrivals pre-ingested into each cold tenant (sets its spilled-state
+  /// size, i.e. the per-shard cost of a fleet scan).
+  int64_t idle_points = 1000;
+  /// Pause between background QueryAll rounds. Deliberately non-zero: it
+  /// also gives the single-mutex baseline its only ingest window — with a
+  /// back-to-back query loop the global mutex would be re-acquired before
+  /// any waiting client wakes, and the baseline would measure pure
+  /// starvation instead of contention.
+  int64_t query_pause_ms = 2;
+  /// Pause between maintenance ticks (each = one eviction sweep).
+  int64_t maintenance_pause_ms = 5;
+  /// Idle TTL handed to the per-tick sweep. The default is large enough
+  /// that the sweep scans but spills nothing — the contention scenario
+  /// measures locking, not spill IO.
+  int64_t idle_ttl = int64_t{1} << 30;
+  /// Baseline mode: serialize every manager call behind one external
+  /// mutex (ingest, QueryAll, and maintenance alike).
+  bool global_mutex = false;
+  /// Zipf skew of the key routing. 0 keeps the classic schedule (client c
+  /// owns key "client-c", fully disjoint). s > 0 switches to a shared
+  /// heavy-tailed tenant population: each client draws every arrival's key
+  /// from Zipf(s) over `zipf_tenants` ranks (deterministically, seeded per
+  /// client), so hot tenants — and their routing stripes — are shared
+  /// across clients. Measures the striped map under realistic hot-key
+  /// popularity instead of perfectly spread routing.
+  double zipf_s = 0.0;
+  /// Tenant population for the Zipf schedule; 0 = 4 * client_threads.
+  int64_t zipf_tenants = 0;
+  /// Create-heavy churn: every this many arrivals, a client rotates to a
+  /// fresh never-seen key generation (key "client-c-gN" or a fresh Zipf
+  /// rank namespace), so shard CREATION — the routing-layer write path the
+  /// stripes exist to spread — stays on the hot path instead of happening
+  /// once at warm-up. 0 = keys are stable for the whole run.
+  int64_t create_every = 0;
+};
+
+/// Outcome of one contention run. updates and shards are deterministic;
+/// everything else is wall-clock dependent (including query_rounds and
+/// maintenance_ticks — background threads run as often as the clock lets
+/// them).
+struct ShardedContentionReport {
+  int shards = 0;          ///< hot shards at the end (clients or Zipf ranks)
+  int client_threads = 0;
+  int idle_tenants = 0;    ///< cold spilled tenants scanned by every round
+  int64_t updates = 0;
+  int64_t query_rounds = 0;       ///< completed background QueryAll rounds
+  int64_t maintenance_ticks = 0;  ///< completed background sweeps
+  int stripes = 0;                ///< manager's resolved routing-stripe count
+  /// Pool iterations claimed while another fan-out was concurrently in
+  /// flight (ThreadPool work sharing). Volatile, like query_rounds.
+  int64_t pool_steals = 0;
+  /// Fraction of routing ops landing on the single busiest stripe — 1/N is
+  /// perfectly spread, ~1.0 is one hot stripe. Volatile under concurrency.
+  double stripe_hot_ratio = 0.0;
+  /// Wall time from releasing the clients to the last client finishing,
+  /// with the background threads running throughout.
+  double update_seconds = 0.0;
+
+  double UpdatesPerSecond() const {
+    return update_seconds > 0.0 ? static_cast<double>(updates) / update_seconds
+                                : 0.0;
+  }
+};
+
+/// Runs the contention schedule. Every IngestBatch status, QueryAll answer,
+/// and maintenance tick is checked OK.
+ShardedContentionReport RunShardedContention(
+    serving::ShardManager* manager, PointStream* stream,
+    const ShardedContentionOptions& options) {
+  FKC_CHECK(manager != nullptr);
+  FKC_CHECK(stream != nullptr);
+  FKC_CHECK_GT(options.client_threads, 0);
+  FKC_CHECK_GT(options.points_per_client, 0);
+  FKC_CHECK_GT(options.batch_size, 0);
+
+  ShardedContentionReport report;
+  report.client_threads = options.client_threads;
+  report.idle_tenants = static_cast<int>(options.idle_tenants);
+
+  // The key schedule. Classic mode: client c owns "client-c", fully
+  // disjoint. Zipf mode (zipf_s > 0): every arrival's key is a rank drawn
+  // from a shared heavy-tailed tenant population, so hot tenants — and
+  // their routing stripes — are contended across clients. create_every
+  // rotates either schedule to a fresh key generation mid-run, keeping
+  // shard creation on the measured path.
+  const int64_t zipf_tenants =
+      options.zipf_s > 0.0
+          ? (options.zipf_tenants > 0
+                 ? options.zipf_tenants
+                 : int64_t{4} * options.client_threads)
+          : 0;
+  std::unique_ptr<ZipfDistribution> zipf;
+  if (options.zipf_s > 0.0) {
+    zipf = std::make_unique<ZipfDistribution>(
+        static_cast<size_t>(zipf_tenants), options.zipf_s);
+  }
+  auto key_for = [&](int client, int64_t i, Rng* rng) -> std::string {
+    const long long generation =
+        options.create_every > 0
+            ? static_cast<long long>(i / options.create_every)
+            : 0;
+    if (zipf != nullptr) {
+      const long long rank = static_cast<long long>(zipf->Next(rng));
+      return generation == 0 ? StrFormat("hot-%04lld", rank)
+                             : StrFormat("hot-g%lld-%04lld", generation, rank);
+    }
+    return generation == 0
+               ? StrFormat("client-%02d", client)
+               : StrFormat("client-%02d-g%lld", client, generation);
+  };
+
+  // Pre-generate every client's keyed arrivals before the clock starts:
+  // stream synthesis (and Zipf sampling) must not be measured, and clients
+  // must not contend on the stream itself. Deterministic per client: the
+  // Zipf draws are seeded by the client index.
+  std::vector<std::vector<serving::KeyedPoint>> per_client(
+      static_cast<size_t>(options.client_threads));
+  for (int c = 0; c < options.client_threads; ++c) {
+    Rng rng(/*seed=*/777 + static_cast<uint64_t>(c));
+    auto& arrivals = per_client[static_cast<size_t>(c)];
+    arrivals.reserve(static_cast<size_t>(options.points_per_client));
+    for (int64_t i = 0; i < options.points_per_client; ++i) {
+      auto next = stream->Next();
+      FKC_CHECK(next.has_value()) << "stream exhausted pre-generating points";
+      arrivals.push_back({key_for(c, i, &rng), std::move(*next)});
+    }
+  }
+
+  // Build the cold half of the fleet (also unmeasured): fill each idle
+  // tenant, then spill all of them at once. They stay spilled for the whole
+  // run — the hot keys are disjoint and the maintenance TTL is far larger
+  // than the run — so every QueryAll round pays idle_tenants ephemeral
+  // reads with full state deserialization.
+  for (int64_t t = 0; t < options.idle_tenants; ++t) {
+    const std::string key = StrFormat("idle-%02lld", static_cast<long long>(t));
+    std::vector<serving::KeyedPoint> batch;
+    batch.reserve(static_cast<size_t>(options.batch_size));
+    for (int64_t i = 0; i < options.idle_points; ++i) {
+      auto next = stream->Next();
+      FKC_CHECK(next.has_value()) << "stream exhausted building idle tenants";
+      batch.push_back({key, std::move(*next)});
+      if (static_cast<int64_t>(batch.size()) == options.batch_size ||
+          i + 1 == options.idle_points) {
+        const Status status = manager->IngestBatch(std::move(batch));
+        FKC_CHECK(status.ok()) << status.ToString();
+        batch.clear();
+        batch.reserve(static_cast<size_t>(options.batch_size));
+      }
+    }
+  }
+  // Warm up the generation-0 hot shards: one arrival each, so the measured
+  // phase never pays their creation (later create_every generations pay it
+  // on the hot path by design), and the fleet clock moves past every cold
+  // tenant's last touch (EvictIdle counts a shard idle only when it is
+  // STRICTLY older than the TTL). In Zipf mode the warm set is the whole
+  // rank population — even the tail ranks a client may never draw.
+  std::vector<std::string> warm_keys;
+  if (zipf != nullptr) {
+    for (int64_t rank = 0; rank < zipf_tenants; ++rank) {
+      warm_keys.push_back(StrFormat("hot-%04lld", static_cast<long long>(rank)));
+    }
+  } else {
+    for (int c = 0; c < options.client_threads; ++c) {
+      warm_keys.push_back(StrFormat("client-%02d", c));
+    }
+  }
+  for (const std::string& key : warm_keys) {
+    auto next = stream->Next();
+    FKC_CHECK(next.has_value()) << "stream exhausted warming hot shards";
+    std::vector<serving::KeyedPoint> warmup;
+    warmup.push_back({key, std::move(*next)});
+    const Status status = manager->IngestBatch(std::move(warmup));
+    FKC_CHECK(status.ok()) << status.ToString();
+  }
+  if (options.idle_tenants > 0) {
+    // TTL = warm_keys - 1 separates the fleet exactly: every cold tenant
+    // is at least warm_keys arrivals stale (the warmups above all came
+    // later), while the oldest hot warmup is warm_keys - 1.
+    Status spill_status;
+    const int64_t spilled = manager->EvictIdle(
+        static_cast<int64_t>(warm_keys.size()) - 1, &spill_status);
+    FKC_CHECK(spill_status.ok()) << spill_status.ToString();
+    FKC_CHECK_EQ(spilled, options.idle_tenants)
+        << "cold tenants failed to spill";
+  }
+
+  // The baseline's "one internal mutex": every manager call — ingest,
+  // QueryAll, maintenance — funnels through this lock when global_mutex is
+  // set. With it off the lambda is pass-through and the manager's own
+  // two-level locking is what's measured.
+  std::mutex global_mu;
+  auto locked = [&](auto&& fn) {
+    if (options.global_mutex) {
+      std::lock_guard<std::mutex> lock(global_mu);
+      return fn();
+    }
+    return fn();
+  };
+
+  std::atomic<bool> done{false};
+  std::atomic<int64_t> query_rounds{0};
+  std::atomic<int64_t> maintenance_ticks{0};
+
+  // Background QueryAll storm: rounds run back to back, separated only by
+  // the configured pause (the baseline's ingest window — see
+  // ShardedContentionOptions::query_pause_ms).
+  std::thread query_thread([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      const auto answers = locked([&] { return manager->QueryAll(); });
+      for (const serving::ShardAnswer& answer : answers) {
+        FKC_CHECK(answer.solution.ok())
+            << "shard '" << answer.key
+            << "': " << answer.solution.status().ToString();
+      }
+      query_rounds.fetch_add(1, std::memory_order_relaxed);
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(options.query_pause_ms));
+    }
+  });
+  std::thread maintenance_thread([&] {
+    serving::MaintenanceOptions tick_options;
+    tick_options.idle_ttl = options.idle_ttl;
+    while (!done.load(std::memory_order_relaxed)) {
+      const auto tick =
+          locked([&] { return manager->RunMaintenanceTick(tick_options); });
+      FKC_CHECK(tick.status.ok()) << tick.status.ToString();
+      maintenance_ticks.fetch_add(1, std::memory_order_relaxed);
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(options.maintenance_pause_ms));
+    }
+  });
+
+  // Release the clients and time the whole concurrent phase: wall clock
+  // from here to the last client finishing its fixed workload, with the
+  // background threads hammering throughout.
+  Stopwatch timer;
+  std::vector<std::thread> clients;
+  clients.reserve(static_cast<size_t>(options.client_threads));
+  for (int c = 0; c < options.client_threads; ++c) {
+    clients.emplace_back([&, c] {
+      const std::vector<serving::KeyedPoint>& arrivals =
+          per_client[static_cast<size_t>(c)];
+      for (size_t start = 0; start < arrivals.size();
+           start += static_cast<size_t>(options.batch_size)) {
+        const size_t end = std::min(
+            arrivals.size(), start + static_cast<size_t>(options.batch_size));
+        std::vector<serving::KeyedPoint> batch(arrivals.begin() + start,
+                                               arrivals.begin() + end);
+        const Status status =
+            locked([&] { return manager->IngestBatch(std::move(batch)); });
+        FKC_CHECK(status.ok()) << status.ToString();
+        if (options.client_pause_ms > 0 &&
+            end < arrivals.size()) {  // no tail padding after the last batch
+          std::this_thread::sleep_for(
+              std::chrono::milliseconds(options.client_pause_ms));
+        }
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  report.update_seconds = timer.ElapsedMillis() / 1e3;
+  done.store(true, std::memory_order_relaxed);
+  query_thread.join();
+  maintenance_thread.join();
+
+  report.updates = static_cast<int64_t>(options.client_threads) *
+                   options.points_per_client;
+  report.query_rounds = query_rounds.load();
+  report.maintenance_ticks = maintenance_ticks.load();
+  report.shards = static_cast<int>(manager->shard_count()) -
+                  static_cast<int>(options.idle_tenants);
+  report.stripes = manager->num_stripes();
+  report.pool_steals = manager->pool_shared_claims();
+  const std::vector<int64_t> stripe_ops = manager->StripeOps();
+  int64_t hottest = 0, total_ops = 0;
+  for (int64_t ops : stripe_ops) {
+    hottest = std::max(hottest, ops);
+    total_ops += ops;
+  }
+  report.stripe_hot_ratio =
+      total_ops > 0 ? static_cast<double>(hottest) / total_ops : 0.0;
+  return report;
+}
+
+}  // namespace
+}  // namespace fkc
 
 namespace {
 

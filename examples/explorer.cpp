@@ -12,7 +12,6 @@
 
 #include "common/flags.h"
 #include "common/logging.h"
-#include "core/fair_center_lite.h"
 #include "core/fair_center_sliding_window.h"
 #include "core/insertion_only_fair_center.h"
 #include "datasets/csv_loader.h"
@@ -125,16 +124,12 @@ int main(int argc, char** argv) {
   }
 
   std::unique_ptr<fkc::FairCenterSlidingWindow> streaming;
-  std::unique_ptr<fkc::FairCenterLite> lite;
   fkc::WindowDriver driver(&metric, constraint, window);
-  if (algorithm == "ours" || algorithm == "oblivious") {
+  if (algorithm == "ours" || algorithm == "oblivious" || algorithm == "lite") {
     streaming = std::make_unique<fkc::FairCenterSlidingWindow>(
-        options, constraint, &metric, &jones);
+        algorithm == "lite" ? fkc::ValidationOnlyOptions(options) : options,
+        constraint, &metric, &jones);
     driver.AddStreaming(algorithm, streaming.get());
-  } else if (algorithm == "lite") {
-    lite = std::make_unique<fkc::FairCenterLite>(options, constraint, &metric,
-                                                 &jones);
-    driver.AddStreaming("lite", lite.get());
   } else if (algorithm == "jones") {
     driver.AddBaseline("jones", &jones);
   } else if (algorithm == "chen") {

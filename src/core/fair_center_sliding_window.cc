@@ -7,6 +7,7 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "metric/coordinate_pool.h"
+#include "sequential/k_median.h"
 
 namespace fkc {
 namespace {
@@ -25,7 +26,47 @@ class RecordingObserver final : public DistanceObserver {
   std::vector<double> observed;
 };
 
+// The shared back half of every query mode: selects the coreset through
+// PlanQuery, then runs `solve` on it, timed into `stats->solver_millis`. An
+// empty window answers with an empty solution without running the solver.
+template <typename Solution, typename Solve>
+Result<Solution> SolveOnPlan(FairCenterSlidingWindow* window,
+                             QueryStats* stats, Solve solve) {
+  if (stats != nullptr) *stats = QueryStats{};
+  auto plan = window->PlanQuery();
+  if (!plan.ok()) return plan.status();
+  if (stats != nullptr) *stats = plan.value().stats;
+  if (plan.value().coreset.empty()) return Solution{};
+
+  Stopwatch solver_timer;
+  Result<Solution> solved = solve(plan.value().coreset);
+  if (stats != nullptr) stats->solver_millis = solver_timer.ElapsedMillis();
+  return solved;
+}
+
 }  // namespace
+
+SlidingWindowOptions ValidationOnlyOptions(SlidingWindowOptions options) {
+  options.variant = CoreVariant::kValidationOnly;
+  options.delta = 4.0;
+  return options;
+}
+
+const char* ObjectiveTag(ObjectiveKind kind) {
+  switch (kind) {
+    case ObjectiveKind::kFairCenter:
+      return "fair-center";
+    case ObjectiveKind::kKMedian:
+      return "k-median";
+  }
+  return "unknown";  // unreachable for in-range enum values
+}
+
+Result<ObjectiveKind> ParseObjectiveTag(const std::string& tag) {
+  if (tag == "fair-center") return ObjectiveKind::kFairCenter;
+  if (tag == "k-median") return ObjectiveKind::kKMedian;
+  return Status::InvalidArgument("unknown objective tag '" + tag + "'");
+}
 
 double DeltaForEpsilon(double epsilon, double beta, double alpha) {
   FKC_CHECK_GT(epsilon, 0.0);
@@ -357,31 +398,36 @@ Result<QueryPlan> FairCenterSlidingWindow::PlanQuery() {
 }
 
 Result<FairCenterSolution> FairCenterSlidingWindow::Query(QueryStats* stats) {
-  if (stats != nullptr) *stats = QueryStats{};
-  auto plan = PlanQuery();
-  if (!plan.ok()) return plan.status();
-  if (stats != nullptr) *stats = plan.value().stats;
-  if (plan.value().coreset.empty()) return FairCenterSolution{};
+  return SolveOnPlan<FairCenterSolution>(
+      this, stats, [&](const std::vector<Point>& coreset) {
+        return solver_->Solve(*metric_, coreset, constraint_);
+      });
+}
 
-  Stopwatch solver_timer;
-  auto solved = solver_->Solve(*metric_, plan.value().coreset, constraint_);
-  if (stats != nullptr) stats->solver_millis = solver_timer.ElapsedMillis();
-  return solved;
+Result<ObjectiveSolution> FairCenterSlidingWindow::Query(
+    ObjectiveKind objective, QueryStats* stats) {
+  if (objective == ObjectiveKind::kFairCenter) {
+    auto solved = Query(stats);
+    if (!solved.ok()) return solved.status();
+    FairCenterSolution typed = std::move(solved).value();
+    return ObjectiveSolution{std::move(typed.centers), typed.radius};
+  }
+  return SolveOnPlan<ObjectiveSolution>(
+      this, stats,
+      [&](const std::vector<Point>& coreset) -> Result<ObjectiveSolution> {
+        KMedianSolution solved =
+            KMedianLocalSearch(*metric_, coreset, constraint_.TotalK());
+        return ObjectiveSolution{std::move(solved.centers), solved.cost};
+      });
 }
 
 Result<RobustFairCenterSolution> FairCenterSlidingWindow::QueryRobust(
     int num_outliers, QueryStats* stats) {
-  if (stats != nullptr) *stats = QueryStats{};
-  auto plan = PlanQuery();
-  if (!plan.ok()) return plan.status();
-  if (stats != nullptr) *stats = plan.value().stats;
-  if (plan.value().coreset.empty()) return RobustFairCenterSolution{};
-
-  Stopwatch solver_timer;
-  auto solved = SolveRobustFairCenter(*metric_, plan.value().coreset,
-                                      constraint_, num_outliers);
-  if (stats != nullptr) stats->solver_millis = solver_timer.ElapsedMillis();
-  return solved;
+  return SolveOnPlan<RobustFairCenterSolution>(
+      this, stats, [&](const std::vector<Point>& coreset) {
+        return SolveRobustFairCenter(*metric_, coreset, constraint_,
+                                     num_outliers);
+      });
 }
 
 MemoryStats FairCenterSlidingWindow::Memory() const {

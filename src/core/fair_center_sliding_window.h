@@ -11,12 +11,19 @@
 //     lazily and retiring ones that fall out of range.
 // The variant knob selects the full coreset algorithm (Theorem 1) or the
 // dimension-oblivious validation-only algorithm (Corollary 2).
+//
+// The window summary does not depend on the clustering objective; only the
+// query-time solver does (Braverman et al., "A Unified Approach for
+// Clustering Problems on Sliding Windows"). Query(ObjectiveKind) runs either
+// the fair-center solver or the k-median local search on the same coreset,
+// so one window class, and one checkpoint format, serves both objectives.
 #ifndef FKC_CORE_FAIR_CENTER_SLIDING_WINDOW_H_
 #define FKC_CORE_FAIR_CENTER_SLIDING_WINDOW_H_
 
 #include <map>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -25,7 +32,6 @@
 #include "core/guess_ladder.h"
 #include "core/guess_structure.h"
 #include "core/memory_footprint.h"
-#include "core/objective_engine.h"
 #include "matroid/color_constraint.h"
 #include "metric/metric.h"
 #include "sequential/fair_center_solver.h"
@@ -79,6 +85,38 @@ struct SlidingWindowOptions {
   int num_threads = 1;
 };
 
+/// The Corollary-2 preset: the dimension-oblivious validation-only
+/// algorithm. It keeps, per v-attractor, a maximal independent set of
+/// recently attracted points and no coreset family, so space and update time
+/// shrink to O(k^2 log Delta / eps) with no exponential dependence on the
+/// doubling dimension, at the price of a weaker (31 + O(eps)) guarantee.
+/// Returns `options` with variant = kValidationOnly and delta pinned to 4,
+/// the value at which the full algorithm's coreset degenerates to the
+/// validation set (paper, Section 4).
+SlidingWindowOptions ValidationOnlyOptions(SlidingWindowOptions options);
+
+/// The clustering objectives a window can answer for.
+enum class ObjectiveKind {
+  kFairCenter = 0,  ///< the paper's fair k-center (minimize max distance)
+  kKMedian = 1,     ///< sliding-window k-median (minimize sum of distances)
+};
+
+/// Stable wire tag of an objective ("fair-center" / "k-median"), used by the
+/// fkc-shards-v3 fleet format and the --objective flags.
+const char* ObjectiveTag(ObjectiveKind kind);
+
+/// Inverse of ObjectiveTag. kInvalidArgument on an unknown tag — restore
+/// paths must reject forged tags gracefully, never abort.
+Result<ObjectiveKind> ParseObjectiveTag(const std::string& tag);
+
+/// An objective-generic clustering answer: the chosen centers plus the
+/// objective value — the covering radius for fair-center, the sum of
+/// point-to-nearest-center distances for k-median. Lower is better for both.
+struct ObjectiveSolution {
+  std::vector<Point> centers;
+  double value = 0.0;
+};
+
 /// Theorem 1 parameter rule: the delta achieving an (alpha+epsilon)
 /// approximation is epsilon / ((1+beta)(1+2*alpha)).
 double DeltaForEpsilon(double epsilon, double beta, double alpha);
@@ -110,15 +148,14 @@ struct QueryPlan {
   QueryStats stats;
 };
 
-/// Streaming fair-center clustering over a sliding window — the paper's
-/// objective, and the reference ObjectiveEngine implementation the generic
-/// serving layer programs against.
+/// Streaming clustering over a sliding window: the paper's fair-center
+/// algorithm, whose coreset also answers k-median queries.
 ///
 /// Typical use:
 ///   FairCenterSlidingWindow window(options, constraint, &metric, &solver);
 ///   for each stream point: window.Update(coords, color);
 ///   auto solution = window.Query();
-class FairCenterSlidingWindow : public ObjectiveEngine {
+class FairCenterSlidingWindow {
  public:
   /// `metric` and `solver` must outlive the window. Every color that occurs
   /// in the stream must have a cap >= 1 (the paper assumes positive k_i).
@@ -126,12 +163,10 @@ class FairCenterSlidingWindow : public ObjectiveEngine {
                           ColorConstraint constraint, const Metric* metric,
                           const FairCenterSolver* solver);
 
-  ObjectiveKind kind() const override { return ObjectiveKind::kFairCenter; }
-
   /// Feeds the next stream point; arrival time and id are assigned
   /// internally (one logical time step per call).
   void Update(Coordinates coords, int color);
-  void Update(Point p) override;
+  void Update(Point p);
 
   /// Feeds a batch of stream points, equivalent to calling Update on each in
   /// order (bit-identical final state), but amortizing the parallel fan-out:
@@ -139,24 +174,25 @@ class FairCenterSlidingWindow : public ObjectiveEngine {
   /// its own thread; in adaptive mode arrivals are processed one step at a
   /// time (the guess set may shift between arrivals) with the ladder fanned
   /// out per step.
-  void UpdateBatch(std::vector<Point> batch) override;
+  void UpdateBatch(std::vector<Point> batch);
 
   /// Computes a fair-center solution for the current window (Algorithm 3).
   /// Fails with kFailedPrecondition in fixed-range mode if the configured
   /// [d_min, d_max] does not cover the data.
   Result<FairCenterSolution> Query(QueryStats* stats = nullptr);
 
-  /// The typed Query through the objective-generic surface: the solution's
-  /// `value` is the fair-center radius.
-  Result<ObjectiveSolution> QueryObjective(QueryStats* stats = nullptr) override {
-    auto solution = Query(stats);
-    if (!solution.ok()) return solution.status();
-    FairCenterSolution typed = std::move(solution).value();
-    ObjectiveSolution out;
-    out.centers = std::move(typed.centers);
-    out.value = typed.radius;
-    return out;
-  }
+  /// Answers for `objective` on the same coreset: the fair-center solver
+  /// (`value` is the radius, as Query above), or the deterministic k-median
+  /// local search with k = constraint().TotalK().
+  ///
+  /// Honesty caveat for k-median, documented rather than hidden (same
+  /// policy as QueryRobust): `value` is the k-median cost ON THE CORESET.
+  /// Each coreset point stands for up to cap same-colored window points
+  /// within delta*gamma of it, so the window cost differs by at most
+  /// |W| * delta * gamma-hat; the centers are genuine window points. Color
+  /// caps do not constrain the k-median centers — only their sum k is used.
+  Result<ObjectiveSolution> Query(ObjectiveKind objective,
+                                  QueryStats* stats = nullptr);
 
   /// The guess-selection front half of Algorithm 3, exposed so callers (and
   /// the serving layer) can split selection from solving: expires stale
@@ -186,7 +222,7 @@ class FairCenterSlidingWindow : public ObjectiveEngine {
   /// structure, and the adaptive-range tracker — into a self-describing
   /// text format with exact (hex-float) coordinates. The metric and solver
   /// are code, not state, and are re-supplied on restore.
-  std::string SerializeState() const override;
+  std::string SerializeState() const;
 
   /// Reconstructs a window from SerializeState output. The restored window
   /// behaves identically to the original under any future Update/Query
@@ -197,15 +233,15 @@ class FairCenterSlidingWindow : public ObjectiveEngine {
       const FairCenterSolver* solver);
 
   /// Stored-point counts (the paper's memory metric).
-  MemoryStats Memory() const override;
+  MemoryStats Memory() const;
 
   /// Total expiry sweeps actually executed across the ladder since
   /// construction (diagnostic; see GuessStructure::expiry_sweeps). The
   /// batch-level dedup makes this grow far slower than arrivals * guesses.
-  int64_t ExpirySweeps() const override;
+  int64_t ExpirySweeps() const;
 
   /// Logical time = number of points consumed so far.
-  int64_t now() const override { return now_; }
+  int64_t now() const { return now_; }
 
   /// Monotone counter of state-changing arrivals in this process: bumped
   /// once per consumed point, never serialized (a restored window restarts
@@ -214,24 +250,24 @@ class FairCenterSlidingWindow : public ObjectiveEngine {
   /// housekeeping (expiry sweeps, adaptive-ladder reconciliation) does not
   /// bump it because it is behaviorally neutral: a blob taken before such
   /// housekeeping restores to a window that answers identically.
-  int64_t state_epoch() const override { return state_epoch_; }
+  int64_t state_epoch() const { return state_epoch_; }
 
   /// Number of points currently in the window: min(now, window_size).
-  int64_t WindowPopulation() const override;
+  int64_t WindowPopulation() const;
 
   /// Coordinate dimension this window is pinned to — the dimension of its
   /// most recent arrival, or -1 before the first one. The SoA pools (and
   /// the checkpoint reader's uniformity check) require every stored point
   /// to share one dimension, so front-ends use this to reject mismatched
   /// arrivals before they reach CHECK-guarded code.
-  int64_t dimension() const override {
+  int64_t dimension() const {
     return last_point_.has_value()
                ? static_cast<int64_t>(last_point_->dimension())
                : -1;
   }
 
-  const SlidingWindowOptions& options() const override { return options_; }
-  const ColorConstraint& constraint() const override { return constraint_; }
+  const SlidingWindowOptions& options() const { return options_; }
+  const ColorConstraint& constraint() const { return constraint_; }
 
  private:
   /// Expires stale points in every guess structure, fanned out over the pool
@@ -293,6 +329,10 @@ class FairCenterSlidingWindow : public ObjectiveEngine {
   /// fallback solution when the window holds a single distinct location.
   std::optional<Point> last_point_;
 };
+
+/// perfbench/ still names the window by the interface it once implemented;
+/// this alias exists only so that code compiles unchanged.
+using ObjectiveEngine = FairCenterSlidingWindow;
 
 }  // namespace fkc
 

@@ -75,7 +75,7 @@ void WriteOverrides(std::ostringstream* out,
 }
 
 // Reads the v3 "<count> { <raw key> <tag> }*" objective-override table.
-// Unknown tags reject here (ReadObjectiveTag), before any engine exists.
+// Unknown tags reject here (ReadObjectiveTag), before any window exists.
 Status ReadObjectiveOverrides(CheckpointReader* cursor,
                               std::map<std::string, ObjectiveKind>* out) {
   int64_t count = 0;
@@ -357,9 +357,8 @@ ShardManager::Shard* ShardManager::RouteLocked(Stripe& stripe,
     if (!create_missing) return nullptr;
     it = stripe.shards.try_emplace(key).first;
     it->second.kind = ObjectiveForKey(stripe, key);
-    it->second.live =
-        CreateObjectiveEngine(it->second.kind, OptionsForKey(stripe, key),
-                              constraint_, metric_, solver_);
+    it->second.live = std::make_unique<FairCenterSlidingWindow>(
+        OptionsForKey(stripe, key), constraint_, metric_, solver_);
     live_count_.fetch_add(1, std::memory_order_relaxed);
   }
   Shard* shard = &it->second;
@@ -382,34 +381,29 @@ Status ShardManager::EnsureLiveHeld(const std::string& key, Shard* shard) {
         blob.status(), "rehydrating shard '" + key + "' from the " +
                            options_.spill_store->Name() + " spill store");
   }
-  auto engine = DeserializeObjectiveEngine(blob.value(), metric_, solver_);
-  if (!engine.ok()) return engine.status();
+  auto window =
+      FairCenterSlidingWindow::DeserializeState(blob.value(), metric_, solver_);
+  if (!window.ok()) return window.status();
   // Same forged-blob guards as Restore/ApplyDelta: with a durable backend
   // the bytes come from a directory two fleets could share (or anyone
   // could write — the FNV checksum is integrity, not authentication). A
   // shard under a different constraint would pass ValidateArrival yet
   // CHECK-abort in StampArrival on its next ingest; a different dimension
   // would feed mismatched points into the coordinate pools.
-  if (engine.value()->constraint().caps() != constraint_.caps()) {
+  if (window.value().constraint().caps() != constraint_.caps()) {
     return Status::InvalidArgument(
         "spilled shard's constraint does not match the fleet constraint");
   }
   {
     Stripe& stripe = StripeOf(key);
     std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
-    // The blob's own magic must agree with the objective this shard was
-    // created under — a store handing back another objective's state is
-    // corruption (or another fleet's entry), not a valid rehydration.
-    if (engine.value()->kind() != shard->kind) {
-      return Status::InvalidArgument(
-          "spilled shard's objective does not match the shard's objective");
-    }
-    if (shard->dim >= 0 && engine.value()->dimension() >= 0 &&
-        engine.value()->dimension() != shard->dim) {
+    if (shard->dim >= 0 && window.value().dimension() >= 0 &&
+        window.value().dimension() != shard->dim) {
       return Status::InvalidArgument(
           "spilled shard's dimension does not match its pinned dimension");
     }
-    shard->live = std::move(engine).value();
+    shard->live =
+        std::make_unique<FairCenterSlidingWindow>(std::move(window).value());
     if (shard->live->dimension() >= 0) shard->dim = shard->live->dimension();
     // A fresh deserialization restarts the epoch counter at 0; a clean
     // spill therefore rehydrates clean, a dirty one stays dirty via the
@@ -458,7 +452,7 @@ Result<ShardManager::SpillAttempt> ShardManager::TrySpillShard(
   std::unique_lock<std::mutex> shard_lock(shard->mu, std::try_to_lock);
   if (!shard_lock.owns_lock()) return SpillAttempt::kSkipped;
   const bool dirty = IsDirty(*shard);
-  ObjectiveEngine* window = shard->live.get();
+  FairCenterSlidingWindow* window = shard->live.get();
   stripe_lock.unlock();
 
   // Serialize and write outside the stripe lock (the shard lock keeps the
@@ -839,7 +833,7 @@ Result<ObjectiveSolution> ShardManager::Query(const std::string& key,
   Result<ObjectiveSolution> result = [&]() -> Result<ObjectiveSolution> {
     std::lock_guard<std::mutex> shard_lock(shard->mu);
     FKC_RETURN_IF_ERROR(EnsureLiveHeld(key, shard));
-    return shard->live->QueryObjective(stats);
+    return shard->live->Query(shard->kind, stats);
   }();
   {
     std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
@@ -868,7 +862,8 @@ std::vector<ShardAnswer> ShardManager::QueryAll() {
     Shard* shard = pinned[i].shard;
     std::unique_lock<std::mutex> shard_lock(shard->mu);
     if (shard->live != nullptr) {
-      answers[i].solution = shard->live->QueryObjective(&answers[i].stats);
+      answers[i].solution =
+          shard->live->Query(shard->kind, &answers[i].stats);
       return;
     }
     // The blob read happens under the shard lock (a concurrent rehydration
@@ -876,25 +871,22 @@ std::vector<ShardAnswer> ShardManager::QueryAll() {
     // and the query run outside every manager lock. The shard's objective
     // is captured beside the blob: ApplyDelta, the only post-creation
     // writer of `kind`, swaps it under this same shard lock.
-    const ObjectiveKind expected = shard->kind;
+    const ObjectiveKind objective = shard->kind;
     Result<std::string> blob = options_.spill_store->Get(answers[i].key);
     shard_lock.unlock();
     if (!blob.ok()) {
       answers[i].solution = blob.status();
       return;
     }
-    auto engine = DeserializeObjectiveEngine(blob.value(), metric_, solver_);
-    blob = std::string();  // the deserialized engine supersedes the bytes
-    if (!engine.ok()) {
-      answers[i].solution = engine.status();
+    auto window = FairCenterSlidingWindow::DeserializeState(blob.value(),
+                                                            metric_, solver_);
+    blob = std::string();  // the deserialized window supersedes the bytes
+    if (!window.ok()) {
+      answers[i].solution = window.status();
       return;
     }
-    if (engine.value()->kind() != expected) {
-      answers[i].solution = Status::InvalidArgument(
-          "spilled shard's objective does not match the shard's objective");
-      return;
-    }
-    answers[i].solution = engine.value()->QueryObjective(&answers[i].stats);
+    answers[i].solution =
+        window.value().Query(objective, &answers[i].stats);
   });
   return answers;
 }
@@ -1088,31 +1080,32 @@ Status ShardManager::ApplyDelta(const std::string& bytes) {
   }
   // No reserve from the blob-supplied count: growth is paid only for
   // entries that actually parse.
-  std::vector<std::pair<std::string, std::unique_ptr<ObjectiveEngine>>> staged;
+  struct StagedShard {
+    std::string key;
+    ObjectiveKind kind;
+    std::unique_ptr<FairCenterSlidingWindow> window;
+  };
+  std::vector<StagedShard> staged;
   for (int64_t s = 0; s < shard_count; ++s) {
     std::string key, blob;
     FKC_RETURN_IF_ERROR(cursor.NextRaw(&key, kMaxKeyBytes));
     FKC_RETURN_IF_ERROR(cursor.NextRaw(&blob));
-    auto engine = DeserializeObjectiveEngine(blob, metric_, solver_);
-    if (!engine.ok()) return engine.status();
-    // The blob's own magic must match the objective the delta's table
-    // assigns this tenant — a forged or misfiled segment rejects here,
-    // before anything has been mutated.
-    auto ov = objective_overrides.find(key);
-    const ObjectiveKind expected =
-        ov == objective_overrides.end() ? default_objective : ov->second;
-    if (engine.value()->kind() != expected) {
-      return Status::InvalidArgument(
-          "shard blob objective does not match the delta's objective table");
-    }
+    auto window =
+        FairCenterSlidingWindow::DeserializeState(blob, metric_, solver_);
+    if (!window.ok()) return window.status();
     // An interior-corrupt or forged shard blob under a different constraint
     // would restore fine and then CHECK-abort on its next in-range ingest
     // (StampArrival checks color against the shard's own ell).
-    if (engine.value()->constraint().caps() != constraint_.caps()) {
+    if (window.value().constraint().caps() != constraint_.caps()) {
       return Status::InvalidArgument(
           "shard constraint does not match the fleet constraint in delta");
     }
-    staged.emplace_back(std::move(key), std::move(engine).value());
+    auto ov = objective_overrides.find(key);
+    const ObjectiveKind kind =
+        ov == objective_overrides.end() ? default_objective : ov->second;
+    staged.push_back(
+        {std::move(key), kind,
+         std::make_unique<FairCenterSlidingWindow>(std::move(window).value())});
   }
 
   {
@@ -1136,7 +1129,7 @@ Status ShardManager::ApplyDelta(const std::string& bytes) {
   // Swap each staged shard in under its own lock: per-shard atomicity (a
   // concurrent QueryAll may see a partially applied delta, never a torn
   // shard), and ingest to untouched tenants proceeds throughout.
-  for (auto& [key, engine] : staged) {
+  for (auto& [key, kind, window] : staged) {
     Stripe& stripe = StripeOf(key);
     Shard* shard = nullptr;
     {
@@ -1147,8 +1140,8 @@ Status ShardManager::ApplyDelta(const std::string& bytes) {
         // under the stripe lock (nobody can hold its shard lock yet).
         it = stripe.shards.try_emplace(key).first;
         Shard* fresh = &it->second;
-        fresh->kind = engine->kind();
-        fresh->live = std::move(engine);
+        fresh->kind = kind;
+        fresh->live = std::move(window);
         fresh->dim = fresh->live->dimension();
         // The shard now matches the leader's checkpointed state exactly.
         fresh->clean_epoch = fresh->live->state_epoch();
@@ -1166,11 +1159,10 @@ Status ShardManager::ApplyDelta(const std::string& bytes) {
     {
       std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
       was_live = shard->live != nullptr;
-      // The kind follows the engine it was validated against above — an
-      // objective change for an existing tenant arrives only this way, as
-      // a whole replacement state, never as a live mutation.
-      shard->kind = engine->kind();
-      shard->live = std::move(engine);
+      // An objective change for an existing tenant arrives only this way,
+      // as a whole replacement state, never as a live mutation.
+      shard->kind = kind;
+      shard->live = std::move(window);
       shard->dim = shard->live->dimension();
       shard->clean_epoch = shard->live->state_epoch();
       shard->spill_dirty = false;
@@ -1253,33 +1245,28 @@ Result<ShardManager> ShardManager::Restore(
     std::string key, blob;
     FKC_RETURN_IF_ERROR(cursor.NextRaw(&key, kMaxKeyBytes));
     FKC_RETURN_IF_ERROR(cursor.NextRaw(&blob));
-    auto engine = DeserializeObjectiveEngine(blob, metric, solver);
-    if (!engine.ok()) return engine.status();
+    auto window =
+        FairCenterSlidingWindow::DeserializeState(blob, metric, solver);
+    if (!window.ok()) return window.status();
     // Same forged-blob guard as ApplyDelta: a shard under a different
     // constraint would pass the manager's ValidateArrival yet CHECK-abort
     // inside the window on the next ingest.
-    if (engine.value()->constraint().caps() != manager.constraint_.caps()) {
+    if (window.value().constraint().caps() != manager.constraint_.caps()) {
       return Status::InvalidArgument(
           "shard constraint does not match the fleet constraint");
     }
     // Shards carry their mutex, so entries are built in place.
     Stripe& stripe = manager.StripeOf(key);
-    // The blob's own magic must match the objective the checkpoint's own
-    // table (default tag + overrides, scattered above) assigns this
-    // tenant; v1/v2 tables are implicitly all-fair-center. Forged or
-    // swapped segments reject here, never abort.
-    if (engine.value()->kind() != manager.ObjectiveForKey(stripe, key)) {
-      return Status::InvalidArgument(
-          "shard blob objective does not match the checkpoint's objective "
-          "table");
-    }
     auto [pos, inserted] = stripe.shards.try_emplace(std::move(key));
     if (!inserted) {
       return Status::InvalidArgument("duplicate shard key in checkpoint");
     }
     Shard& shard = pos->second;
-    shard.kind = engine.value()->kind();
-    shard.live = std::move(engine).value();
+    // The checkpoint's own table (default tag + overrides, scattered above)
+    // assigns the objective; v1/v2 tables are implicitly all-fair-center.
+    shard.kind = manager.ObjectiveForKey(stripe, pos->first);
+    shard.live =
+        std::make_unique<FairCenterSlidingWindow>(std::move(window).value());
     shard.dim = shard.live->dimension();
     shard.clean_epoch = shard.live->state_epoch();  // restored = checkpointed
     stripe.live_lru.insert({shard.last_touch, pos->first});
@@ -1492,7 +1479,7 @@ std::vector<std::string> ShardManager::Keys() const {
   return keys;
 }
 
-ObjectiveEngine* ShardManager::shard(const std::string& key) {
+FairCenterSlidingWindow* ShardManager::shard(const std::string& key) {
   Stripe& stripe = StripeOf(key);
   Shard* shard = nullptr;
   {
@@ -1503,7 +1490,7 @@ ObjectiveEngine* ShardManager::shard(const std::string& key) {
     ++shard->pins;
     ++stripe.ops;
   }
-  ObjectiveEngine* window = nullptr;
+  FairCenterSlidingWindow* window = nullptr;
   {
     std::lock_guard<std::mutex> shard_lock(shard->mu);
     if (EnsureLiveHeld(key, shard).ok()) window = shard->live.get();
@@ -1516,7 +1503,8 @@ ObjectiveEngine* ShardManager::shard(const std::string& key) {
   return window;
 }
 
-const ObjectiveEngine* ShardManager::shard(const std::string& key) const {
+const FairCenterSlidingWindow* ShardManager::shard(
+    const std::string& key) const {
   Stripe& stripe = StripeOf(key);
   std::shared_lock<std::shared_mutex> stripe_lock(stripe.mu);
   auto it = stripe.shards.find(key);

@@ -2,21 +2,21 @@
 // sliding windows (per tenant, per sensor, per data stream), all driven
 // through one shared thread pool.
 //
-// Each shard is a full ObjectiveEngine (core/objective_engine.h) keyed by an
-// opaque string. Shards share no state, so ingest batches and query
-// multiplexing fan out across the pool with bit-identical per-shard results
-// at any thread count — the same determinism contract as the core engine.
+// Each shard is a FairCenterSlidingWindow keyed by an opaque string. Shards
+// share no state, so ingest batches and query multiplexing fan out across
+// the pool with bit-identical per-shard results at any thread count — the
+// same determinism contract as the core engine.
 //
-// The OBJECTIVE LAYER: shards are constructed through the objective factory
-// (CreateObjectiveEngine), so one fleet can host mixed-objective tenants —
+// The OBJECTIVE LAYER: a window's state does not depend on the objective it
+// answers for, so the objective is a query-time choice recorded beside the
+// window (Shard::kind), and one fleet can host mixed-objective tenants —
 // fair-center dashboards beside k-median tenants on the same streams. The
 // fleet default objective lives in ShardManagerOptions; per-tenant
 // deviations are registered with SetTenantObjective before the tenant's
 // first arrival, exactly like option overrides. The spill / delta /
-// replication paths are untouched by the objective: they move each engine's
-// self-describing blob opaquely, and restore paths cross-check the blob's
-// own magic against the fleet's objective table, rejecting forged or
-// mismatched tags with a Status, never an abort.
+// replication paths are untouched by the objective: every shard blob is a
+// plain fkc-checkpoint-v1 window blob, and the fleet format's v3 objective
+// tables are the only record of which objective a tenant answers for.
 //
 // Multi-tenant hardening on top of the basic routing:
 //   * per-tenant options: a tenant key may carry its own SlidingWindowOptions
@@ -126,7 +126,6 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/fair_center_sliding_window.h"
-#include "core/objective_engine.h"
 #include "serving/spill_store.h"
 
 namespace fkc {
@@ -347,7 +346,7 @@ class ShardManager {
   /// Registers the clustering objective `key`'s shard will optimize,
   /// overriding the fleet default. Same lifecycle contract as
   /// SetTenantOptions: must precede the tenant's first arrival
-  /// (kFailedPrecondition once the shard exists — a window's objective is
+  /// (kFailedPrecondition once the shard exists — a shard's objective is
   /// fixed at creation), and a registration equal to the fleet default is
   /// not stored. Objective overrides travel in v3 fleet checkpoints.
   Status SetTenantObjective(const std::string& key, ObjectiveKind objective);
@@ -422,8 +421,8 @@ class ShardManager {
   /// tables and upserts every contained shard as live-and-clean. Validates
   /// everything before mutating anything — on a non-OK return the manager
   /// is unchanged. The delta's constraint and fleet-default objective must
-  /// match this manager's, and every shard blob's own magic must match the
-  /// objective the delta's table assigns it (forged tags reject).
+  /// match this manager's (forged tags reject); every contained shard takes
+  /// the objective the delta's table assigns it.
   /// Shards are swapped in one at a time under their own locks; a
   /// concurrent QueryAll may observe a partially applied delta (per-shard
   /// atomicity), never a torn shard.
@@ -507,10 +506,10 @@ class ShardManager {
   /// concurrent ingest to the same key mutates it. Use the pointer before
   /// the next manager call, from the only thread driving this key, and
   /// not while the maintenance thread runs.
-  ObjectiveEngine* shard(const std::string& key);
+  FairCenterSlidingWindow* shard(const std::string& key);
   /// Const access never changes residency: returns nullptr for spilled as
   /// well as unknown keys.
-  const ObjectiveEngine* shard(const std::string& key) const;
+  const FairCenterSlidingWindow* shard(const std::string& key) const;
 
   /// All shards the manager knows, live + spilled.
   size_t shard_count() const;
@@ -595,13 +594,10 @@ class ShardManager {
     /// held; try_lock'ed under the stripe lock by eviction. Mutable so
     /// const fleet accessors can lock shards they only read.
     mutable std::mutex mu;
-    std::unique_ptr<ObjectiveEngine> live;  ///< null when spilled
-    /// The objective this shard's engine runs. Fixed when the entry is
-    /// created (factory table lookup) or restored (the blob's own magic);
-    /// ApplyDelta may replace it together with the whole engine. Read by
-    /// rehydration and ephemeral QueryAll reads to cross-check a spill
-    /// blob's magic — a store returning a different objective's blob is a
-    /// corruption, answered with a Status.
+    std::unique_ptr<FairCenterSlidingWindow> live;  ///< null when spilled
+    /// The objective this shard's queries answer for. Fixed when the entry
+    /// is created or restored (the fleet's objective table); ApplyDelta may
+    /// replace it together with the whole window.
     ObjectiveKind kind = ObjectiveKind::kFairCenter;
     bool spill_dirty = false;  ///< spilled state not yet in a fleet blob
     /// Live shards: state_epoch() at the last fleet checkpoint;

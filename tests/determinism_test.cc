@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "core/fair_center_lite.h"
 #include "core/fair_center_sliding_window.h"
 #include "core/insertion_only_fair_center.h"
 #include "datasets/registry.h"
@@ -75,7 +74,8 @@ TEST(DeterminismTest, LiteAndInsertionOnlyIdenticalRuns) {
     SlidingWindowOptions options;
     options.window_size = 80;
     options.adaptive_range = true;
-    FairCenterLite lite(options, constraint, &kMetric, &kJones);
+    FairCenterSlidingWindow lite(ValidationOnlyOptions(options), constraint,
+                                 &kMetric, &kJones);
     for (const Point& p : points) lite.Update(p);
     auto result = lite.Query();
     EXPECT_TRUE(result.ok());

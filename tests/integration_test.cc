@@ -7,7 +7,6 @@
 #include <cmath>
 
 #include "common/random.h"
-#include "core/fair_center_lite.h"
 #include "core/fair_center_sliding_window.h"
 #include "datasets/registry.h"
 #include "metric/aspect_ratio.h"
@@ -57,7 +56,8 @@ TEST_P(DatasetIntegrationTest, FullPipelineMatchesPaperClaims) {
   adaptive.d_min = adaptive.d_max = 0.0;
   FairCenterSlidingWindow oblivious(adaptive, constraint, &kMetric, &kJones);
 
-  FairCenterLite lite(adaptive, constraint, &kMetric, &kJones);
+  FairCenterSlidingWindow lite(ValidationOnlyOptions(adaptive), constraint,
+                               &kMetric, &kJones);
 
   WindowDriver driver(&kMetric, constraint, window_size);
   driver.AddStreaming("Ours", &ours);

@@ -1,10 +1,10 @@
-// Tests for the Corollary-2 variant (FairCenterLite): configuration,
+// Tests for the Corollary-2 preset (ValidationOnlyOptions): configuration,
 // quality, fairness, and the space advantage over the full algorithm in
 // higher-dimensional data.
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "core/fair_center_lite.h"
+#include "core/fair_center_sliding_window.h"
 #include "metric/metric.h"
 #include "sequential/brute_force.h"
 #include "sequential/jones_fair_center.h"
@@ -26,16 +26,17 @@ SlidingWindowOptions BaseOptions(int64_t window_size) {
   return options;
 }
 
-TEST(FairCenterLiteTest, ForcesValidationOnlyVariant) {
-  FairCenterLite lite(BaseOptions(10), ColorConstraint({1, 1}), &kMetric,
-                      &kJones);
-  EXPECT_EQ(lite.window().options().variant, CoreVariant::kValidationOnly);
-  EXPECT_DOUBLE_EQ(lite.window().options().delta, 4.0);
+TEST(ValidationOnlyPresetTest, ForcesValidationOnlyVariant) {
+  FairCenterSlidingWindow lite(ValidationOnlyOptions(BaseOptions(10)),
+                               ColorConstraint({1, 1}), &kMetric, &kJones);
+  EXPECT_EQ(lite.options().variant, CoreVariant::kValidationOnly);
+  EXPECT_DOUBLE_EQ(lite.options().delta, 4.0);
 }
 
-TEST(FairCenterLiteTest, SolutionsFeasibleAndNonEmpty) {
+TEST(ValidationOnlyPresetTest, SolutionsFeasibleAndNonEmpty) {
   const ColorConstraint constraint({2, 1});
-  FairCenterLite lite(BaseOptions(50), constraint, &kMetric, &kJones);
+  FairCenterSlidingWindow lite(ValidationOnlyOptions(BaseOptions(50)),
+                               constraint, &kMetric, &kJones);
   Rng rng(3);
   for (int t = 0; t < 200; ++t) {
     lite.Update({rng.NextUniform(0, 100), rng.NextUniform(0, 100)},
@@ -49,13 +50,14 @@ TEST(FairCenterLiteTest, SolutionsFeasibleAndNonEmpty) {
   }
 }
 
-TEST(FairCenterLiteTest, ConstantFactorOnSolvableInstances) {
+TEST(ValidationOnlyPresetTest, ConstantFactorOnSolvableInstances) {
   // Corollary 2 guarantees 31 + O(eps); verify a loose constant factor
   // against brute-force optima on tiny windows.
   const ColorConstraint constraint({1, 1});
   SlidingWindowOptions options = BaseOptions(12);
   options.beta = 0.5;
-  FairCenterLite lite(options, constraint, &kMetric, &kJones);
+  FairCenterSlidingWindow lite(ValidationOnlyOptions(options), constraint,
+                               &kMetric, &kJones);
   ReferenceWindow truth(12);
   Rng rng(11);
   for (int t = 0; t < 60; ++t) {
@@ -75,9 +77,9 @@ TEST(FairCenterLiteTest, ConstantFactorOnSolvableInstances) {
   }
 }
 
-TEST(FairCenterLiteTest, NoCoresetStructuresAllocated) {
-  FairCenterLite lite(BaseOptions(30), ColorConstraint({1, 1}), &kMetric,
-                      &kJones);
+TEST(ValidationOnlyPresetTest, NoCoresetStructuresAllocated) {
+  FairCenterSlidingWindow lite(ValidationOnlyOptions(BaseOptions(30)),
+                               ColorConstraint({1, 1}), &kMetric, &kJones);
   Rng rng(5);
   for (int t = 0; t < 100; ++t) {
     lite.Update({rng.NextUniform(0, 100)}, static_cast<int>(t % 2));
@@ -88,14 +90,15 @@ TEST(FairCenterLiteTest, NoCoresetStructuresAllocated) {
   EXPECT_GT(memory.v_representatives, 0);
 }
 
-TEST(FairCenterLiteTest, UsesLessMemoryThanSmallDeltaFull) {
+TEST(ValidationOnlyPresetTest, UsesLessMemoryThanSmallDeltaFull) {
   // In moderate dimension the full algorithm's coreset at delta = 0.5 packs
   // many c-attractors; the Lite variant keeps only O(k) points per guess.
   const ColorConstraint constraint = ColorConstraint::Uniform(3, 2);
   SlidingWindowOptions options = BaseOptions(300);
   options.delta = 0.5;
   FairCenterSlidingWindow full(options, constraint, &kMetric, &kJones);
-  FairCenterLite lite(BaseOptions(300), constraint, &kMetric, &kJones);
+  FairCenterSlidingWindow lite(ValidationOnlyOptions(BaseOptions(300)),
+                               constraint, &kMetric, &kJones);
 
   Rng rng(13);
   for (int t = 0; t < 900; ++t) {

@@ -1,22 +1,24 @@
-// Objective-layer contract: the ObjectiveEngine seam and the second
-// objective built on it. Fair-center fleets keep emitting byte-identical
+// Objective-layer contract: the objective is a query-time solver choice on
+// one window class. A window's state (and so its checkpoint) is the same
+// whichever objective it answers for; a k-median answer is the local search
+// on the planned coreset. Fair-center fleets keep emitting byte-identical
 // fkc-shards-v2 checkpoints (pre-objective builds restore them); mixed
 // fleets round-trip through fkc-shards-v3 byte-equal at any stripe count;
-// k-median engines serialize/restore bit-exactly and answer
-// deterministically; forged or mismatched objective tags are rejected with
-// a Status, never an abort; SetTenantObjective is creation-time-only; and
-// the deterministic k-median local search honors its contract (medoids are
-// input points, cost never above the Gonzalez seed, bit-identical reruns).
+// spilled shards answer like live ones under either objective; forged
+// objective tags and foreign shard blobs are rejected with a Status, never
+// an abort; SetTenantObjective is creation-time-only; and the deterministic
+// k-median local search honors its contract (medoids are input points, cost
+// never above the Gonzalez seed, bit-identical reruns).
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/checkpoint_io.h"
 #include "common/random.h"
-#include "core/k_median_sliding_window.h"
-#include "core/objective_engine.h"
+#include "core/fair_center_sliding_window.h"
 #include "metric/metric.h"
 #include "sequential/jones_fair_center.h"
 #include "sequential/k_median.h"
@@ -62,6 +64,22 @@ serving::ShardManagerOptions Options(int num_stripes = 0) {
   return options;
 }
 
+// Same centers (coordinates and colors) and bit-identical value.
+void ExpectSameSolution(const Result<ObjectiveSolution>& a,
+                        const Result<ObjectiveSolution>& b,
+                        const std::string& where) {
+  ASSERT_TRUE(a.ok()) << where << ": " << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << where << ": " << b.status().ToString();
+  EXPECT_EQ(a.value().value, b.value().value) << where;
+  ASSERT_EQ(a.value().centers.size(), b.value().centers.size()) << where;
+  for (size_t i = 0; i < a.value().centers.size(); ++i) {
+    EXPECT_EQ(a.value().centers[i].coords, b.value().centers[i].coords)
+        << where;
+    EXPECT_EQ(a.value().centers[i].color, b.value().centers[i].color)
+        << where;
+  }
+}
+
 std::string MustCheckpoint(serving::ShardManager* manager) {
   auto blob = manager->CheckpointAll();
   EXPECT_TRUE(blob.ok()) << blob.status().ToString();
@@ -91,28 +109,6 @@ TEST(ObjectiveTagTest, RoundTripsAndRejectsUnknown) {
               StatusCode::kInvalidArgument)
         << forged;
   }
-}
-
-TEST(ObjectiveTagTest, SniffsBothBlobFamiliesAndRejectsGarbage) {
-  auto fair = CreateObjectiveEngine(ObjectiveKind::kFairCenter,
-                                    WindowOptions(), kConstraint, &kMetric,
-                                    &kJones);
-  auto median = CreateObjectiveEngine(ObjectiveKind::kKMedian, WindowOptions(),
-                                      kConstraint, &kMetric, &kJones);
-  for (const Point& p : RandomPoints(40, 7)) {
-    fair->Update(p);
-    median->Update(p);
-  }
-  EXPECT_EQ(SniffObjectiveBlob(fair->SerializeState())
-                .ValueOr(ObjectiveKind::kKMedian),
-            ObjectiveKind::kFairCenter);
-  EXPECT_EQ(SniffObjectiveBlob(median->SerializeState())
-                .ValueOr(ObjectiveKind::kFairCenter),
-            ObjectiveKind::kKMedian);
-  EXPECT_EQ(SniffObjectiveBlob("fkc-forged-v9 whatever").status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(SniffObjectiveBlob("").status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 // --- The k-median solver's determinism contract. ---
@@ -158,53 +154,49 @@ TEST(KMedianSolverTest, LocalSearchNeverWorseThanSeedAndHandlesEdges) {
   EXPECT_EQ(empty.cost, 0.0);
 }
 
-// --- The k-median engine on the shared substrate. ---
+// --- k-median as a query on the one window. ---
 
-TEST(KMedianEngineTest, SerializeRestoreIsByteEqualAndAnswersMatch) {
-  KMedianSlidingWindow window(WindowOptions(), kConstraint, &kMetric, &kJones);
+TEST(KMedianQueryTest, SerializeRestoreIsByteEqualAndAnswersMatch) {
+  FairCenterSlidingWindow window(WindowOptions(), kConstraint, &kMetric,
+                                 &kJones);
   for (const Point& p : RandomPoints(150, 19)) window.Update(p);
 
   const std::string blob = window.SerializeState();
-  ASSERT_EQ(blob.rfind(KMedianSlidingWindow::kMagic, 0), 0u)
-      << "k-median blob must open with its own magic";
+  ASSERT_EQ(blob.rfind("fkc-checkpoint-v1", 0), 0u)
+      << "the window blob does not depend on the objective";
   auto restored =
-      KMedianSlidingWindow::DeserializeState(blob, &kMetric, &kJones);
+      FairCenterSlidingWindow::DeserializeState(blob, &kMetric, &kJones);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored.value().SerializeState(), blob);
 
   QueryStats stats;
-  auto before = window.QueryObjective(&stats);
-  auto after = restored.value().QueryObjective();
-  ASSERT_TRUE(before.ok());
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(before.value().value, after.value().value);
-  ASSERT_EQ(before.value().centers.size(), after.value().centers.size());
-  for (size_t i = 0; i < before.value().centers.size(); ++i) {
-    EXPECT_EQ(before.value().centers[i].coords,
-              after.value().centers[i].coords);
-  }
+  auto before = window.Query(ObjectiveKind::kKMedian, &stats);
+  auto after = restored.value().Query(ObjectiveKind::kKMedian);
+  ExpectSameSolution(before, after, "restored");
   EXPECT_EQ(before.value().centers.size(),
             static_cast<size_t>(kConstraint.TotalK()));
   EXPECT_GT(stats.coreset_size, 0);
   EXPECT_GT(before.value().value, 0.0);
 }
 
-TEST(KMedianEngineTest, GenericDeserializeDispatchesOnMagic) {
-  auto median = CreateObjectiveEngine(ObjectiveKind::kKMedian, WindowOptions(),
-                                      kConstraint, &kMetric, &kJones);
-  for (const Point& p : RandomPoints(80, 23)) median->Update(p);
-  const std::string blob = median->SerializeState();
-  auto engine = DeserializeObjectiveEngine(blob, &kMetric, &kJones);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  EXPECT_EQ(engine.value()->kind(), ObjectiveKind::kKMedian);
-  EXPECT_EQ(engine.value()->SerializeState(), blob);
-  // Truncations of the blob fail with a Status at every cut, never abort.
-  // (size - 1 would only shave the trailing raw-field separator, which the
-  // cursor never needs, so the deepest cut here takes a real byte.)
-  for (size_t cut : {blob.size() / 4, blob.size() / 2, blob.size() - 2}) {
-    auto truncated =
-        DeserializeObjectiveEngine(blob.substr(0, cut), &kMetric, &kJones);
-    EXPECT_FALSE(truncated.ok()) << "cut at " << cut;
+TEST(KMedianQueryTest, AnswerIsLocalSearchOnThePlannedCoreset) {
+  FairCenterSlidingWindow window(WindowOptions(), kConstraint, &kMetric,
+                                 &kJones);
+  const std::vector<Point> points = RandomPoints(200, 59);
+  for (size_t t = 0; t < points.size(); ++t) {
+    window.Update(points[t]);
+    if (t % 37 != 5) continue;
+    auto plan = window.PlanQuery();
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const KMedianSolution expected =
+        KMedianLocalSearch(kMetric, plan.value().coreset, kConstraint.TotalK());
+    QueryStats stats;
+    auto answer = window.Query(ObjectiveKind::kKMedian, &stats);
+    ExpectSameSolution(answer,
+                       ObjectiveSolution{expected.centers, expected.cost},
+                       "t=" + std::to_string(t));
+    EXPECT_EQ(stats.coreset_size, plan.value().stats.coreset_size);
+    EXPECT_EQ(stats.guess, plan.value().stats.guess);
   }
 }
 
@@ -342,48 +334,37 @@ TEST(ObjectiveFleetTest, ForgedObjectiveTagsAreRejectedNotFatal) {
   }
 }
 
-TEST(ObjectiveFleetTest, BlobObjectiveMustMatchTheCheckpointTable) {
-  // Two fleets with the same single tenant under different objectives;
-  // splice the k-median fleet's engine blob into the fair-center fleet's
-  // checkpoint. The blob's own magic then contradicts the checkpoint's
-  // objective table and the restore must say so.
+TEST(ObjectiveFleetTest, OldKMedianWrapperSegmentIsRejectedNotFatal) {
+  // Shard blobs are plain window blobs; a segment still wrapped in the
+  // retired fkc-kmedian-v1 envelope is foreign bytes to Restore.
+  serving::ShardManagerOptions options = Options();
+  options.objective = ObjectiveKind::kKMedian;
+  serving::ShardManager manager(options, kConstraint, &kMetric, &kJones);
   std::vector<serving::KeyedPoint> stream;
-  for (const Point& p : RandomPoints(80, 47)) {
-    stream.push_back({"tenant-a", p});
-  }
-  serving::ShardManager fair(Options(), kConstraint, &kMetric, &kJones);
-  ASSERT_TRUE(fair.IngestBatch(stream).ok());
-  serving::ShardManagerOptions median_options = Options();
-  median_options.objective = ObjectiveKind::kKMedian;
-  serving::ShardManager median(median_options, kConstraint, &kMetric,
-                               &kJones);
-  ASSERT_TRUE(median.IngestBatch(stream).ok());
+  for (const Point& p : RandomPoints(80, 47)) stream.push_back({"tenant-a", p});
+  ASSERT_TRUE(manager.IngestBatch(stream).ok());
+  const std::string blob = MustCheckpoint(&manager);
+  ASSERT_EQ(blob.rfind("fkc-shards-v3", 0), 0u);
+  const std::string window = manager.shard("tenant-a")->SerializeState();
 
-  const std::string fair_blob = MustCheckpoint(&fair);
-  const std::string median_blob = MustCheckpoint(&median);
-  const std::string fair_engine = fair.shard("tenant-a")->SerializeState();
-  const std::string median_engine = median.shard("tenant-a")->SerializeState();
-  const size_t engine_at = fair_blob.find(fair_engine);
-  ASSERT_NE(engine_at, std::string::npos);
+  // Re-emit the shard segment ("<size> <bytes>") with the window wrapped
+  // the way the retired k-median class wrote it.
+  const std::string segment_tail = " " + window;
+  const size_t window_at = blob.find(segment_tail);
+  ASSERT_NE(window_at, std::string::npos);
+  const size_t size_at = blob.rfind(' ', window_at - 1) + 1;
+  std::ostringstream wrapped;
+  wrapped << "fkc-kmedian-v1 ";
+  WriteCheckpointRaw(&wrapped, window);
+  std::ostringstream segment;
+  WriteCheckpointRaw(&segment, wrapped.str());
+  const std::string spliced =
+      blob.substr(0, size_at) + segment.str() +
+      blob.substr(window_at + segment_tail.size() + 1);
 
-  // Swap in the other objective's raw engine state, keeping the surrounding
-  // length prefix honest (WriteCheckpointRaw = "<size> <bytes>").
-  std::string spliced = fair_blob.substr(0, engine_at - 1);
-  {
-    std::ostringstream patch;
-    // Rewrite the length prefix: drop the old "<size>" token that precedes
-    // the engine bytes.
-    const size_t prefix_end = spliced.find_last_of(' ');
-    ASSERT_NE(prefix_end, std::string::npos);
-    spliced.resize(prefix_end + 1);
-    WriteCheckpointRaw(&patch, median_engine);
-    spliced += patch.str();
-  }
-  spliced += fair_blob.substr(engine_at + fair_engine.size());
-  auto mismatched =
-      serving::ShardManager::Restore(spliced, &kMetric, &kJones);
-  ASSERT_FALSE(mismatched.ok());
-  EXPECT_EQ(mismatched.status().code(), StatusCode::kInvalidArgument);
+  auto restored = serving::ShardManager::Restore(spliced, &kMetric, &kJones);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
 }
 
 // --- SetTenantObjective lifecycle. ---
@@ -409,9 +390,11 @@ TEST(ObjectiveFleetTest, ObjectiveIsFixedAtShardCreation) {
       << "an existing shard's objective must be immutable";
   EXPECT_EQ(manager.TenantObjective("tenant-a"), ObjectiveKind::kKMedian);
 
-  // The shard really runs k-median: its engine self-identifies.
+  // The shard really answers k-median queries.
   ASSERT_NE(manager.shard("tenant-a"), nullptr);
-  EXPECT_EQ(manager.shard("tenant-a")->kind(), ObjectiveKind::kKMedian);
+  ExpectSameSolution(manager.Query("tenant-a"),
+                     manager.shard("tenant-a")->Query(ObjectiveKind::kKMedian),
+                     "tenant-a");
 }
 
 TEST(ObjectiveFleetTest, MixedFleetAnswersBothObjectivesOnOneStream) {
@@ -435,6 +418,55 @@ TEST(ObjectiveFleetTest, MixedFleetAnswersBothObjectivesOnOneStream) {
   EXPECT_GT(median.value().value, fair.value().value);
   EXPECT_EQ(median.value().centers.size(),
             static_cast<size_t>(kConstraint.TotalK()));
+}
+
+TEST(ObjectiveFleetTest, SameStreamGivesSameWindowBytesUnderEitherObjective) {
+  serving::ShardManager manager(Options(), kConstraint, &kMetric, &kJones);
+  ASSERT_TRUE(
+      manager.SetTenantObjective("tenant-b", ObjectiveKind::kKMedian).ok());
+  std::vector<serving::KeyedPoint> stream;
+  for (const Point& p : RandomPoints(120, 61)) {
+    stream.push_back({"tenant-a", p});
+    stream.push_back({"tenant-b", p});
+  }
+  ASSERT_TRUE(manager.IngestBatch(stream).ok());
+  ASSERT_NE(manager.shard("tenant-a"), nullptr);
+  ASSERT_NE(manager.shard("tenant-b"), nullptr);
+  EXPECT_EQ(manager.shard("tenant-a")->SerializeState(),
+            manager.shard("tenant-b")->SerializeState())
+      << "the objective must not leak into the window state";
+}
+
+TEST(ObjectiveFleetTest, SpilledShardsAnswerLikeLiveOnes) {
+  serving::ShardManagerOptions spill_options = Options();
+  spill_options.max_live_shards = 1;
+  serving::ShardManager spilling(spill_options, kConstraint, &kMetric,
+                                 &kJones);
+  serving::ShardManager live(Options(), kConstraint, &kMetric, &kJones);
+  for (serving::ShardManager* manager : {&spilling, &live}) {
+    ASSERT_TRUE(
+        manager->SetTenantObjective("tenant-b", ObjectiveKind::kKMedian).ok());
+    ASSERT_TRUE(
+        manager->SetTenantObjective("tenant-d", ObjectiveKind::kKMedian).ok());
+    ASSERT_TRUE(manager->IngestBatch(KeyedStream(240, 67)).ok());
+  }
+  ASSERT_EQ(spilling.spilled_shard_count(), 3u);
+
+  // QueryAll answers spilled shards from ephemeral reads.
+  const auto from_spill = spilling.QueryAll();
+  const auto from_live = live.QueryAll();
+  ASSERT_EQ(from_spill.size(), from_live.size());
+  for (size_t i = 0; i < from_spill.size(); ++i) {
+    EXPECT_EQ(from_spill[i].key, from_live[i].key);
+    ExpectSameSolution(from_spill[i].solution, from_live[i].solution,
+                       "QueryAll " + from_live[i].key);
+  }
+  // Query rehydrates each shard in turn, spilling the previous one.
+  for (const char* key : kKeys) {
+    ExpectSameSolution(spilling.Query(key), live.Query(key),
+                       std::string("Query ") + key);
+  }
+  EXPECT_GT(spilling.rehydrations(), 0);
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/random.h"
-#include "core/fair_center_lite.h"
 #include "core/fair_center_sliding_window.h"
 #include "metric/metric.h"
 #include "sequential/jones_fair_center.h"
@@ -143,7 +142,8 @@ TEST(WindowDriverTest, LiteVariantDrivable) {
   SlidingWindowOptions options;
   options.window_size = 40;
   options.adaptive_range = true;
-  FairCenterLite lite(options, constraint, &kMetric, &kJones);
+  FairCenterSlidingWindow lite(ValidationOnlyOptions(options), constraint,
+                               &kMetric, &kJones);
 
   WindowDriver driver(&kMetric, constraint, 40);
   driver.AddStreaming("Lite", &lite);
