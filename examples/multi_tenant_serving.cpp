@@ -34,7 +34,7 @@
 //      --threads it is an execution knob — answers and checkpoint bytes
 //      are identical at every value,
 //   9. survive a SIGKILL: the leader captures every tranche into a
-//      crash-safe ReplicatedLog while a LogSender streams it over a unix
+//      directory-backed DeltaLog while a LogSender streams it over a unix
 //      socket to a fault-injected follower (frames dropped, corrupted,
 //      and truncated on a seeded schedule) that still converges to a
 //      byte-equal checkpoint — then the leader "dies" and a fresh process
@@ -68,7 +68,6 @@
 #include "sequential/jones_fair_center.h"
 #include "serving/delta_log.h"
 #include "serving/replication/fault_injector.h"
-#include "serving/replication/replicated_log.h"
 #include "serving/replication/transport.h"
 #include "serving/shard_manager.h"
 #include "serving/spill_store.h"
@@ -122,7 +121,7 @@ bool SameAnswers(const std::vector<fkc::serving::ShardAnswer>& a,
 // recovery truncates back to the last intact capture.
 int RunRecovery(const std::string& log_dir, const fkc::EuclideanMetric& metric,
                 const fkc::JonesFairCenter& jones, int num_threads) {
-  fkc::serving::ReplicatedLog log(log_dir);
+  fkc::serving::DeltaLog log(log_dir);
   auto opened = log.Open();
   if (!opened.ok()) {
     std::fprintf(stderr, "recovery failed: %s\n", opened.ToString().c_str());
@@ -175,7 +174,7 @@ int RunReplicationPhase(const std::string& log_dir,
   std::filesystem::remove_all(log_dir, cleanup);  // fresh leader log
 
   srv::ShardManager leader(options, constraint, &metric, &jones);
-  srv::ReplicatedLog log(log_dir);
+  srv::DeltaLog log(log_dir);
   auto opened = log.Open();
   if (!opened.ok()) {
     std::fprintf(stderr, "log open failed: %s\n", opened.ToString().c_str());
@@ -318,7 +317,7 @@ int RunReplicationPhase(const std::string& log_dir,
   // Simulated SIGKILL: a second process image knows nothing but the
   // directory. Reconstruct and compare answers with the (still live
   // here, conveniently) leader.
-  srv::ReplicatedLog risen(log_dir);
+  srv::DeltaLog risen(log_dir);
   if (!risen.Open().ok()) return 1;
   auto recovered = risen.Replay(&metric, &jones, options.num_threads);
   if (!recovered.ok()) {

@@ -121,7 +121,7 @@ struct LogSender::Connection {
   std::thread thread;
 };
 
-LogSender::LogSender(const ReplicatedLog* log, Options options)
+LogSender::LogSender(const DeltaLog* log, Options options)
     : log_(log), options_(std::move(options)) {}
 
 LogSender::~LogSender() { Stop(); }
@@ -303,10 +303,10 @@ void LogSender::ServeConnection(Connection* connection) {
       std::lock_guard<std::mutex> lock(mu_);
       if (stopping_) return;
     }
-    std::vector<ReplicatedLog::Entry> entries =
+    std::vector<DeltaLog::Entry> entries =
         log_->EntriesFrom(followed_generation, next_index);
     if (!entries.empty()) {
-      for (const ReplicatedLog::Entry& entry : entries) {
+      for (const DeltaLog::Entry& entry : entries) {
         Frame frame;
         frame.type =
             entry.index == 0 ? FrameType::kBase : FrameType::kDelta;
@@ -630,7 +630,7 @@ ReceiverStats LogReceiver::stats() const {
 
 struct LogSender::Connection {};
 
-LogSender::LogSender(const ReplicatedLog* log, Options options)
+LogSender::LogSender(const DeltaLog* log, Options options)
     : log_(log), options_(std::move(options)) {}
 LogSender::~LogSender() {}
 Status LogSender::Start() {

@@ -1,5 +1,7 @@
-// Leader -> follower streaming of a ReplicatedLog over a length-prefixed
-// unix-socket or localhost-TCP connection (wire_format.h frames).
+// Leader -> follower streaming of a DeltaLog (serving/delta_log.h —
+// usually directory-backed on the leader, so the leader itself is
+// crash-safe) over a length-prefixed unix-socket or localhost-TCP
+// connection (wire_format.h frames).
 //
 //   LogSender    runs on the leader: listens, and per accepted follower
 //                streams the log — resync-from-base when the follower's
@@ -20,7 +22,8 @@
 //                the connection; the next connect's HELLO lets the leader
 //                decide between tailing and a full resync. Optionally
 //                persists every applied entry into the follower's own
-//                ReplicatedLog, making the replica itself crash-safe.
+//                directory-backed DeltaLog, making the replica itself
+//                crash-safe.
 //
 // POSIX-only (sockets + poll); on _WIN32 both Start() calls return
 // kUnimplemented. Thread model: the sender owns one accept thread plus one
@@ -39,8 +42,8 @@
 #include <vector>
 
 #include "common/status.h"
+#include "serving/delta_log.h"
 #include "serving/replication/fault_injector.h"
-#include "serving/replication/replicated_log.h"
 #include "serving/replication/wire_format.h"
 #include "serving/shard_manager.h"
 
@@ -91,8 +94,9 @@ class LogSender {
     FaultInjector* fault_injector = nullptr;
   };
 
-  /// `log` must outlive the sender and be Open()ed by the caller.
-  LogSender(const ReplicatedLog* log, Options options);
+  /// `log` must outlive the sender; a directory-backed one must be
+  /// Open()ed by the caller.
+  LogSender(const DeltaLog* log, Options options);
   ~LogSender();  ///< Stop()s
 
   LogSender(const LogSender&) = delete;
@@ -117,7 +121,7 @@ class LogSender {
   /// Encodes + (fault-injected) sends one frame within send_timeout.
   Status SendFrame(int fd, const Frame& frame);
 
-  const ReplicatedLog* log_;
+  const DeltaLog* log_;
   const Options options_;
 
   mutable std::mutex mu_;
@@ -156,9 +160,9 @@ class LogReceiver {
     std::shared_ptr<SpillStore> spill_store;
 
     /// When set, every applied BASE/DELTA is also AppendBase/AppendDelta'd
-    /// into this (caller-Open()ed) log, so the follower itself restarts
-    /// from disk. Must outlive the receiver.
-    ReplicatedLog* local_log = nullptr;
+    /// into this log; with a directory (caller-Open()ed) the follower
+    /// itself restarts from disk. Must outlive the receiver.
+    DeltaLog* local_log = nullptr;
   };
 
   /// How far behind the leader this replica may be. `entries_behind`

@@ -12,7 +12,6 @@
 #include "common/string_util.h"
 #include "core/options_io.h"
 #include "serving/delta_log.h"
-#include "serving/replication/replicated_log.h"
 
 namespace fkc {
 namespace serving {
@@ -40,26 +39,32 @@ constexpr size_t kMaxKeyBytes = 1u << 20;
 // Upper bounds on checkpointed table sizes, rejected before any allocation.
 constexpr int64_t kMaxShards = 1 << 24;
 
-// Reads the v2 "<count> { <raw key> <options> }*" override table.
-Status ReadOverrides(CheckpointReader* cursor,
-                     std::map<std::string, SlidingWindowOptions>* out) {
+// Reads a "<count> { <raw key> <value> }*" table: the v2 option overrides
+// or the v3 objective overrides (`what` names it in errors). `read_value`
+// validates each value, so unknown tags or bad options reject here, before
+// any window exists.
+template <typename Value, typename ReadValue>
+Status ReadKeyedTable(CheckpointReader* cursor, const char* what,
+                      ReadValue read_value,
+                      std::map<std::string, Value>* out) {
   int64_t count = 0;
   FKC_RETURN_IF_ERROR(cursor->NextInt(&count));
   // Every entry occupies well over one byte, so the remaining blob length
   // bounds any honest count.
   if (count < 0 || count > kMaxShards ||
       static_cast<size_t>(count) > cursor->Remaining()) {
-    return Status::InvalidArgument("implausible override count in checkpoint");
+    return Status::InvalidArgument(std::string("implausible ") + what +
+                                   " count in checkpoint");
   }
   out->clear();
   for (int64_t i = 0; i < count; ++i) {
     std::string key;
-    SlidingWindowOptions options;
+    Value value{};
     FKC_RETURN_IF_ERROR(cursor->NextRaw(&key, kMaxKeyBytes));
-    FKC_RETURN_IF_ERROR(ReadSlidingWindowOptions(cursor, &options));
-    options.num_threads = 1;
-    if (!out->emplace(std::move(key), options).second) {
-      return Status::InvalidArgument("duplicate override key in checkpoint");
+    FKC_RETURN_IF_ERROR(read_value(cursor, &value));
+    if (!out->emplace(std::move(key), std::move(value)).second) {
+      return Status::InvalidArgument(std::string("duplicate ") + what +
+                                     " key in checkpoint");
     }
   }
   return Status::OK();
@@ -74,31 +79,6 @@ void WriteOverrides(std::ostringstream* out,
   }
 }
 
-// Reads the v3 "<count> { <raw key> <tag> }*" objective-override table.
-// Unknown tags reject here (ReadObjectiveTag), before any window exists.
-Status ReadObjectiveOverrides(CheckpointReader* cursor,
-                              std::map<std::string, ObjectiveKind>* out) {
-  int64_t count = 0;
-  FKC_RETURN_IF_ERROR(cursor->NextInt(&count));
-  if (count < 0 || count > kMaxShards ||
-      static_cast<size_t>(count) > cursor->Remaining()) {
-    return Status::InvalidArgument(
-        "implausible objective-override count in checkpoint");
-  }
-  out->clear();
-  for (int64_t i = 0; i < count; ++i) {
-    std::string key;
-    ObjectiveKind kind = ObjectiveKind::kFairCenter;
-    FKC_RETURN_IF_ERROR(cursor->NextRaw(&key, kMaxKeyBytes));
-    FKC_RETURN_IF_ERROR(ReadObjectiveTag(cursor, &kind));
-    if (!out->emplace(std::move(key), kind).second) {
-      return Status::InvalidArgument(
-          "duplicate objective-override key in checkpoint");
-    }
-  }
-  return Status::OK();
-}
-
 void WriteObjectiveOverrides(std::ostringstream* out,
                              const std::map<std::string, ObjectiveKind>& map) {
   *out << map.size() << ' ';
@@ -106,6 +86,107 @@ void WriteObjectiveOverrides(std::ostringstream* out,
     WriteCheckpointRaw(out, key);
     WriteObjectiveTag(out, kind);
   }
+}
+
+// Everything a fleet blob carries ahead of its shard segments.
+struct FleetHeader {
+  bool delta = false;
+  /// v1/v2 blobs predate the objective layer: all-fair-center.
+  ObjectiveKind objective = ObjectiveKind::kFairCenter;
+  SlidingWindowOptions window;  ///< the shard template (full blobs only)
+  std::vector<int> caps;
+  std::map<std::string, SlidingWindowOptions> overrides;
+  std::map<std::string, ObjectiveKind> objectives;
+  int64_t shard_count = 0;
+};
+
+// Reads a full (v1/v2/v3) or delta (v2/v3) fleet header, up to and
+// including the plausibility-checked shard count.
+Status ReadFleetHeader(CheckpointReader* cursor, bool delta,
+                       FleetHeader* header) {
+  const char* what = delta ? "delta" : "checkpoint";
+  header->delta = delta;
+  std::string magic;
+  FKC_RETURN_IF_ERROR(cursor->NextToken(&magic));
+  const bool v3 = magic == (delta ? kDeltaMagicV3 : kMagicV3);
+  const bool v2 = magic == (delta ? kDeltaMagic : kMagicV2);
+  const bool v1 = !delta && magic == kMagicV1;
+  if (!v3 && !v2 && !v1) {
+    return Status::InvalidArgument(std::string("not an fkc shard ") + what +
+                                   " (bad magic '" + magic + "')");
+  }
+  if (v3) FKC_RETURN_IF_ERROR(ReadObjectiveTag(cursor, &header->objective));
+  // ReadSlidingWindowOptions validates what it parses (window size, delta,
+  // beta, variant, slack exponents, range bounds): a corrupted or
+  // adversarial blob must fail here, not abort in a constructor CHECK.
+  if (!delta) {
+    FKC_RETURN_IF_ERROR(ReadSlidingWindowOptions(cursor, &header->window));
+  }
+  FKC_RETURN_IF_ERROR(ReadColorCaps(cursor, &header->caps));
+  if (!v1) {
+    FKC_RETURN_IF_ERROR(ReadKeyedTable(
+        cursor, "override",
+        [](CheckpointReader* in, SlidingWindowOptions* options) {
+          FKC_RETURN_IF_ERROR(ReadSlidingWindowOptions(in, options));
+          options->num_threads = 1;
+          return Status::OK();
+        },
+        &header->overrides));
+  }
+  if (v3) {
+    FKC_RETURN_IF_ERROR(ReadKeyedTable(cursor, "objective-override",
+                                       ReadObjectiveTag, &header->objectives));
+  }
+  FKC_RETURN_IF_ERROR(cursor->NextInt(&header->shard_count));
+  if (header->shard_count < 0 || header->shard_count > kMaxShards ||
+      static_cast<size_t>(header->shard_count) > cursor->Remaining()) {
+    return Status::InvalidArgument(std::string("implausible shard count in ") +
+                                   what);
+  }
+  return Status::OK();
+}
+
+// One decoded shard segment. `blob` is the verbatim window checkpoint,
+// which Restore hands to the spill store when it spills past its cap.
+struct FleetShard {
+  std::string key;
+  std::string blob;
+  std::unique_ptr<FairCenterSlidingWindow> window;
+  ObjectiveKind kind = ObjectiveKind::kFairCenter;  ///< from the header
+};
+
+// Reads the next shard segment after `header`: the raw key and window
+// blob, the deserialized window, and the checks a forged blob could
+// otherwise slip past. `seen_keys` accumulates the keys read so far.
+Status ReadFleetShard(CheckpointReader* cursor, const FleetHeader& header,
+                      const Metric* metric, const FairCenterSolver* solver,
+                      std::set<std::string>* seen_keys, FleetShard* shard) {
+  const char* what = header.delta ? "delta" : "checkpoint";
+  FKC_RETURN_IF_ERROR(cursor->NextRaw(&shard->key, kMaxKeyBytes));
+  FKC_RETURN_IF_ERROR(cursor->NextRaw(&shard->blob));
+  auto window =
+      FairCenterSlidingWindow::DeserializeState(shard->blob, metric, solver);
+  if (!window.ok()) return window.status();
+  // An interior-corrupt or forged shard blob under a different constraint
+  // would restore fine and then CHECK-abort on its next in-range ingest
+  // (StampArrival checks color against the shard's own ell).
+  if (window.value().constraint().caps() != header.caps) {
+    return Status::InvalidArgument(
+        std::string("shard constraint does not match the fleet constraint "
+                    "in ") +
+        what);
+  }
+  // A repeated key would silently overwrite the earlier segment.
+  if (!seen_keys->insert(shard->key).second) {
+    return Status::InvalidArgument(std::string("duplicate shard key in ") +
+                                   what);
+  }
+  shard->window =
+      std::make_unique<FairCenterSlidingWindow>(std::move(window).value());
+  auto kind = header.objectives.find(shard->key);
+  shard->kind =
+      kind == header.objectives.end() ? header.objective : kind->second;
+  return Status::OK();
 }
 
 }  // namespace
@@ -1040,72 +1121,30 @@ size_t ShardManager::dirty_shard_count() const {
 }
 
 Status ShardManager::ApplyDelta(const std::string& bytes) {
-  CheckpointReader cursor(bytes);
-  std::string magic;
-  FKC_RETURN_IF_ERROR(cursor.NextToken(&magic));
-  const bool v3 = magic == kDeltaMagicV3;
-  if (!v3 && magic != kDeltaMagic) {
-    return Status::InvalidArgument("not an fkc shard delta (bad magic '" +
-                                   magic + "')");
-  }
-
   // Parse and stage everything with NO manager lock held — the inputs
   // (constraint, metric, solver) are immutable after construction, and a
   // truncated or corrupt delta must leave the fleet exactly as it was.
-  // A v2 delta (no objective data) is by construction all-fair-center.
-  ObjectiveKind default_objective = ObjectiveKind::kFairCenter;
-  if (v3) FKC_RETURN_IF_ERROR(ReadObjectiveTag(&cursor, &default_objective));
-  if (default_objective != options_.objective) {
+  CheckpointReader cursor(bytes);
+  FleetHeader header;
+  FKC_RETURN_IF_ERROR(ReadFleetHeader(&cursor, /*delta=*/true, &header));
+  if (header.objective != options_.objective) {
     return Status::InvalidArgument(
         "delta fleet objective does not match this manager's");
   }
-  std::vector<int> caps;
-  FKC_RETURN_IF_ERROR(ReadColorCaps(&cursor, &caps));
-  if (caps != constraint_.caps()) {
+  if (header.caps != constraint_.caps()) {
     return Status::InvalidArgument(
         "delta constraint does not match this manager's");
   }
-  std::map<std::string, SlidingWindowOptions> overrides;
-  FKC_RETURN_IF_ERROR(ReadOverrides(&cursor, &overrides));
-  std::map<std::string, ObjectiveKind> objective_overrides;
-  if (v3) {
-    FKC_RETURN_IF_ERROR(ReadObjectiveOverrides(&cursor, &objective_overrides));
-  }
-
-  int64_t shard_count = 0;
-  FKC_RETURN_IF_ERROR(cursor.NextInt(&shard_count));
-  if (shard_count < 0 || shard_count > kMaxShards ||
-      static_cast<size_t>(shard_count) > cursor.Remaining()) {
-    return Status::InvalidArgument("implausible shard count in delta");
-  }
   // No reserve from the blob-supplied count: growth is paid only for
   // entries that actually parse.
-  struct StagedShard {
-    std::string key;
-    ObjectiveKind kind;
-    std::unique_ptr<FairCenterSlidingWindow> window;
-  };
-  std::vector<StagedShard> staged;
-  for (int64_t s = 0; s < shard_count; ++s) {
-    std::string key, blob;
-    FKC_RETURN_IF_ERROR(cursor.NextRaw(&key, kMaxKeyBytes));
-    FKC_RETURN_IF_ERROR(cursor.NextRaw(&blob));
-    auto window =
-        FairCenterSlidingWindow::DeserializeState(blob, metric_, solver_);
-    if (!window.ok()) return window.status();
-    // An interior-corrupt or forged shard blob under a different constraint
-    // would restore fine and then CHECK-abort on its next in-range ingest
-    // (StampArrival checks color against the shard's own ell).
-    if (window.value().constraint().caps() != constraint_.caps()) {
-      return Status::InvalidArgument(
-          "shard constraint does not match the fleet constraint in delta");
-    }
-    auto ov = objective_overrides.find(key);
-    const ObjectiveKind kind =
-        ov == objective_overrides.end() ? default_objective : ov->second;
-    staged.push_back(
-        {std::move(key), kind,
-         std::make_unique<FairCenterSlidingWindow>(std::move(window).value())});
+  std::vector<FleetShard> staged;
+  std::set<std::string> seen_keys;
+  for (int64_t s = 0; s < header.shard_count; ++s) {
+    FleetShard segment;
+    FKC_RETURN_IF_ERROR(ReadFleetShard(&cursor, header, metric_, solver_,
+                                       &seen_keys, &segment));
+    segment.blob = std::string();  // the window supersedes the bytes
+    staged.push_back(std::move(segment));
   }
 
   {
@@ -1119,17 +1158,17 @@ Status ShardManager::ApplyDelta(const std::string& bytes) {
       stripe->overrides.clear();
       stripe->objective_overrides.clear();
     }
-    for (auto& [key, opts] : overrides) {
+    for (auto& [key, opts] : header.overrides) {
       StripeOf(key).overrides.emplace(key, std::move(opts));
     }
-    for (const auto& [key, kind] : objective_overrides) {
+    for (const auto& [key, kind] : header.objectives) {
       StripeOf(key).objective_overrides.emplace(key, kind);
     }
   }
   // Swap each staged shard in under its own lock: per-shard atomicity (a
   // concurrent QueryAll may see a partially applied delta, never a torn
   // shard), and ingest to untouched tenants proceeds throughout.
-  for (auto& [key, kind, window] : staged) {
+  for (auto& [key, blob, window, kind] : staged) {
     Stripe& stripe = StripeOf(key);
     Shard* shard = nullptr;
     {
@@ -1186,93 +1225,52 @@ Result<ShardManager> ShardManager::Restore(
     const FairCenterSolver* solver, int num_threads, int64_t max_live_shards,
     std::shared_ptr<SpillStore> spill_store, int num_stripes) {
   CheckpointReader cursor(bytes);
-  std::string magic;
-  FKC_RETURN_IF_ERROR(cursor.NextToken(&magic));
-  const bool v3 = magic == kMagicV3;
-  const bool v2 = magic == kMagicV2;
-  if (!v3 && !v2 && magic != kMagicV1) {
-    return Status::InvalidArgument("not an fkc shard checkpoint (bad magic '" +
-                                   magic + "')");
-  }
+  FleetHeader header;
+  FKC_RETURN_IF_ERROR(ReadFleetHeader(&cursor, /*delta=*/false, &header));
 
   ShardManagerOptions options;
   options.num_threads = num_threads;
   options.num_stripes = num_stripes;
   options.max_live_shards = max_live_shards;
   options.spill_store = std::move(spill_store);
-  // v1/v2 blobs predate the objective layer and restore unchanged, as
-  // all-fair-center (the only objective those builds had).
-  if (v3) FKC_RETURN_IF_ERROR(ReadObjectiveTag(&cursor, &options.objective));
-  // ReadSlidingWindowOptions validates what it parses (window size, delta,
-  // beta, variant, slack exponents, range bounds): a corrupted or
-  // adversarial blob must fail here, not abort in a constructor CHECK.
-  FKC_RETURN_IF_ERROR(ReadSlidingWindowOptions(&cursor, &options.window));
-
-  std::vector<int> caps;
-  FKC_RETURN_IF_ERROR(ReadColorCaps(&cursor, &caps));
+  options.objective = header.objective;
+  options.window = header.window;
 
   // Single-threaded throughout: the manager is not published to any other
   // thread until Restore returns, so its members are mutated directly.
-  ShardManager manager(options, ColorConstraint(std::move(caps)), metric,
-                       solver);
-  if (v2 || v3) {
-    std::map<std::string, SlidingWindowOptions> overrides;
-    FKC_RETURN_IF_ERROR(ReadOverrides(&cursor, &overrides));
-    for (auto& [key, opts] : overrides) {
-      manager.StripeOf(key).overrides.emplace(key, std::move(opts));
-    }
+  ShardManager manager(options, ColorConstraint(header.caps), metric, solver);
+  for (auto& [key, opts] : header.overrides) {
+    manager.StripeOf(key).overrides.emplace(key, std::move(opts));
   }
-  if (v3) {
-    std::map<std::string, ObjectiveKind> objective_overrides;
-    FKC_RETURN_IF_ERROR(ReadObjectiveOverrides(&cursor, &objective_overrides));
-    for (const auto& [key, kind] : objective_overrides) {
-      manager.StripeOf(key).objective_overrides.emplace(key, kind);
-    }
+  for (const auto& [key, kind] : header.objectives) {
+    manager.StripeOf(key).objective_overrides.emplace(key, kind);
   }
 
-  int64_t shard_count = 0;
-  FKC_RETURN_IF_ERROR(cursor.NextInt(&shard_count));
-  if (shard_count < 0 || shard_count > kMaxShards ||
-      static_cast<size_t>(shard_count) > cursor.Remaining()) {
-    return Status::InvalidArgument("implausible shard count in checkpoint");
-  }
   // Verbatim blob segments of the currently-live shards, so enforcing the
   // cap mid-restore hands the exact bytes just read to the spill store
   // instead of re-serializing a window that was deserialized moments ago.
   // Holds at most max_live_shards entries at any time.
   std::map<std::string, std::string> verbatim;
-  for (int64_t s = 0; s < shard_count; ++s) {
-    std::string key, blob;
-    FKC_RETURN_IF_ERROR(cursor.NextRaw(&key, kMaxKeyBytes));
-    FKC_RETURN_IF_ERROR(cursor.NextRaw(&blob));
-    auto window =
-        FairCenterSlidingWindow::DeserializeState(blob, metric, solver);
-    if (!window.ok()) return window.status();
-    // Same forged-blob guard as ApplyDelta: a shard under a different
-    // constraint would pass the manager's ValidateArrival yet CHECK-abort
-    // inside the window on the next ingest.
-    if (window.value().constraint().caps() != manager.constraint_.caps()) {
-      return Status::InvalidArgument(
-          "shard constraint does not match the fleet constraint");
-    }
-    // Shards carry their mutex, so entries are built in place.
-    Stripe& stripe = manager.StripeOf(key);
-    auto [pos, inserted] = stripe.shards.try_emplace(std::move(key));
-    if (!inserted) {
-      return Status::InvalidArgument("duplicate shard key in checkpoint");
-    }
+  std::set<std::string> seen_keys;
+  for (int64_t s = 0; s < header.shard_count; ++s) {
+    FleetShard segment;
+    FKC_RETURN_IF_ERROR(ReadFleetShard(&cursor, header, metric, solver,
+                                       &seen_keys, &segment));
+    // Shards carry their mutex, so entries are built in place (the key is
+    // new: ReadFleetShard rejects repeats).
+    Stripe& stripe = manager.StripeOf(segment.key);
+    const auto pos = stripe.shards.try_emplace(std::move(segment.key)).first;
     Shard& shard = pos->second;
-    // The checkpoint's own table (default tag + overrides, scattered above)
-    // assigns the objective; v1/v2 tables are implicitly all-fair-center.
-    shard.kind = manager.ObjectiveForKey(stripe, pos->first);
-    shard.live =
-        std::make_unique<FairCenterSlidingWindow>(std::move(window).value());
+    // The checkpoint's own table (default tag + overrides) assigns the
+    // objective; v1/v2 tables are implicitly all-fair-center.
+    shard.kind = segment.kind;
+    shard.live = std::move(segment.window);
     shard.dim = shard.live->dimension();
     shard.clean_epoch = shard.live->state_epoch();  // restored = checkpointed
     stripe.live_lru.insert({shard.last_touch, pos->first});
     manager.live_count_.fetch_add(1, std::memory_order_relaxed);
     if (max_live_shards <= 0) continue;
-    verbatim.emplace(pos->first, std::move(blob));
+    verbatim.emplace(pos->first, std::move(segment.blob));
     // Enforce the cap as shards stream in, not after: a fleet far larger
     // than max_live_shards must never be fully resident at once — that is
     // the exact condition the cap exists to prevent. All last_touch values
@@ -1295,18 +1293,18 @@ Result<ShardManager> ShardManager::Restore(
       const auto victim = victim_stripe->live_lru.begin();
       Shard& victim_shard =
           victim_stripe->shards.find(victim->second)->second;
-      auto segment = verbatim.find(victim->second);
+      auto spilled = verbatim.find(victim->second);
       // A spill backend that cannot even absorb the restore is fatal to
       // the restore, not the process.
       Status put = manager.options_.spill_store->Put(
-          victim->second, std::move(segment->second));
+          victim->second, std::move(spilled->second));
       if (!put.ok()) {
         return AnnotateBackendFailure(
             put, "restore-time spill of shard '" + victim->second +
                      "' to the " + manager.options_.spill_store->Name() +
                      " spill store");
       }
-      verbatim.erase(segment);
+      verbatim.erase(spilled);
       victim_shard.live.reset();
       victim_shard.spill_dirty = false;  // restored = checkpointed = clean
       victim_shard.clean_epoch = kNeverCheckpointed;
@@ -1321,13 +1319,6 @@ Result<ShardManager> ShardManager::Restore(
 Status ShardManager::StartMaintenance(MaintenanceOptions options) {
   if (options.cadence <= std::chrono::milliseconds::zero()) {
     return Status::InvalidArgument("maintenance cadence must be positive");
-  }
-  if (options.delta_log != nullptr && options.replicated_log != nullptr) {
-    // The per-shard dirty bit is a single-consumer cursor: two captors
-    // would each ship only the shards the other had not already marked
-    // clean, and both logs would replay a torn fleet.
-    return Status::InvalidArgument(
-        "at most one of delta_log / replicated_log may capture");
   }
   std::lock_guard<std::mutex> admin(*maintenance_admin_mu_);
   if (maintenance_ != nullptr) {
@@ -1417,21 +1408,8 @@ MaintenanceTickReport ShardManager::RunMaintenanceTick(
     if (report.status.ok()) report.status = spill_status;
   }
 
-  if (options.delta_log != nullptr && options.replicated_log != nullptr) {
-    if (report.status.ok()) {
-      report.status = Status::InvalidArgument(
-          "at most one of delta_log / replicated_log may capture");
-    }
-  } else if (options.delta_log != nullptr && dirty_shard_count() > 0) {
+  if (options.delta_log != nullptr && dirty_shard_count() > 0) {
     auto captured = options.delta_log->Capture(this);
-    if (captured.ok()) {
-      report.capture_bytes = captured.value().bytes;
-      report.rebased = captured.value().rebased;
-    } else if (report.status.ok()) {
-      report.status = captured.status();
-    }
-  } else if (options.replicated_log != nullptr && dirty_shard_count() > 0) {
-    auto captured = options.replicated_log->Capture(this);
     if (captured.ok()) {
       report.capture_bytes = captured.value().bytes;
       report.rebased = captured.value().rebased;

@@ -40,7 +40,8 @@
 //     as any other objective is involved; Restore accepts v1/v2/v3 blobs
 //     (v1/v2 restore unchanged, as all-fair-center). DeltaLog
 //     (serving/delta_log.h) turns the delta stream into a replayable,
-//     self-compacting log.
+//     self-compacting log, held in memory or, given a directory, also
+//     published crash-safely to disk.
 //   * background maintenance: StartMaintenance(options) runs the eviction
 //     sweep, DeltaLog capture, and spill-store GC on a timer thread instead
 //     of caller-driven; StopMaintenance() (also run by the destructor)
@@ -132,7 +133,6 @@ namespace fkc {
 namespace serving {
 
 class DeltaLog;
-class ReplicatedLog;
 
 /// An arrival addressed to one shard.
 struct KeyedPoint {
@@ -207,23 +207,17 @@ struct MaintenanceOptions {
   int64_t idle_ttl = -1;
 
   /// When set, every tick captures into this log (CheckpointDelta while the
-  /// chain budget holds, re-base otherwise — see DeltaLog). The log must
-  /// outlive the maintenance run. Ticks with zero dirty shards skip the
-  /// capture entirely. The per-shard dirty bit is a SINGLE-CONSUMER
-  /// cursor: while a log captures on a cadence, nothing else may call
-  /// CheckpointDelta/CheckpointAll on the same manager — a direct call
-  /// marks shards clean and the log's next delta silently omits them.
+  /// chain budget holds, re-base otherwise — see DeltaLog). A log with a
+  /// directory also publishes every appended base/delta before the tick
+  /// reports, so a SIGKILL between ticks loses at most the arrivals since
+  /// the last capture. The log must outlive the maintenance run (and a
+  /// directory-backed one must be Open()ed first). Ticks with zero dirty
+  /// shards skip the capture entirely. The per-shard dirty bit is a
+  /// SINGLE-CONSUMER cursor: while a log captures on a cadence, nothing
+  /// else may call CheckpointDelta/CheckpointAll on the same manager — a
+  /// direct call marks shards clean and the log's next delta silently
+  /// omits them.
   DeltaLog* delta_log = nullptr;
-
-  /// Like delta_log, but captures into a crash-safe ReplicatedLog
-  /// (serving/replication/replicated_log.h): every appended base/delta is
-  /// also published to the log's directory before the tick reports, so a
-  /// SIGKILL between ticks loses at most the arrivals since the last
-  /// capture. The same single-consumer dirty-bit rule applies, and at most
-  /// ONE of delta_log / replicated_log may be set (StartMaintenance
-  /// rejects both; a manual tick reports kInvalidArgument) — two captors
-  /// would each see only half the deltas.
-  ReplicatedLog* replicated_log = nullptr;
 
   /// Run spill-store GarbageCollect every this many ticks (0 = never).
   int64_t gc_every = 0;
@@ -248,7 +242,7 @@ struct MaintenanceStats {
   /// touch (ingest / per-key query / shard()).
   int64_t rehydration_failures = 0;
   /// Fleet checkpoints (CheckpointAll / CheckpointDelta, including
-  /// DeltaLog/ReplicatedLog captures) abandoned because a spilled shard's
+  /// DeltaLog captures) abandoned because a spilled shard's
   /// blob could not be read back. Dirty bits stay set — nothing is lost.
   int64_t checkpoint_failures = 0;
 };

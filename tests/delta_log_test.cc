@@ -1,14 +1,19 @@
-// DeltaLog contract: replaying base + delta chain reconstructs the fleet
+// DeltaLog contract, checked over both backings (in memory, and backed by
+// a directory): replaying base + delta chain reconstructs the fleet
 // bit-exactly (per-shard SerializeState byte-equal to a restore from a
 // fresh full checkpoint, at any thread count); the chain re-bases itself
 // once it exceeds the configured length/byte budget and replay stays exact
 // across re-basings; and the ShardManager background maintenance thread —
 // which feeds the log — starts, ticks, and shuts down cleanly under
-// adversarial start/stop timing.
+// adversarial start/stop timing. The on-disk recovery rules live in
+// replication_test.cc.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -62,10 +67,43 @@ void ExpectSameFleets(ShardManager* a, ShardManager* b) {
   }
 }
 
-TEST(DeltaLogTest, ReplayWithoutBaseFails) {
-  DeltaLog log;
-  EXPECT_FALSE(log.has_base());
-  auto replayed = log.Replay(&kMetric, &kJones);
+enum class Backing { kInMemory, kDirectory };
+
+// The contract every log must keep, whatever its backing.
+class DeltaLogContractTest : public testing::TestWithParam<Backing> {
+ protected:
+  // A log ready to capture: in memory, or Open()ed on a fresh directory.
+  std::unique_ptr<DeltaLog> MakeLog(DeltaLog::Options options = {}) {
+    std::string dir;
+    if (GetParam() == Backing::kDirectory) {
+      std::string name =
+          testing::UnitTest::GetInstance()->current_test_info()->name();
+      std::replace(name.begin(), name.end(), '/', '_');
+      dir = testing::TempDir() + "/fkc_delta_log_" + name + "_" +
+            std::to_string(logs_made_++);
+      std::filesystem::remove_all(dir);
+    }
+    auto log = std::make_unique<DeltaLog>(dir, options);
+    EXPECT_TRUE(log->Open().ok());
+    return log;
+  }
+
+ private:
+  int logs_made_ = 0;
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Backings, DeltaLogContractTest,
+    testing::Values(Backing::kInMemory, Backing::kDirectory),
+    [](const testing::TestParamInfo<Backing>& info) {
+      return info.param == Backing::kInMemory ? "InMemory" : "Directory";
+    });
+
+TEST_P(DeltaLogContractTest, ReplayWithoutBaseFails) {
+  auto log = MakeLog();
+  EXPECT_FALSE(log->has_base());
+  EXPECT_EQ(log->generation(), 0);
+  auto replayed = log->Replay(&kMetric, &kJones);
   ASSERT_FALSE(replayed.ok());
   EXPECT_EQ(replayed.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -73,12 +111,12 @@ TEST(DeltaLogTest, ReplayWithoutBaseFails) {
 // The acceptance criterion: a fleet restored by replaying the log is
 // byte-equal to one restored from a fresh full checkpoint, at multiple
 // thread counts, with eviction churn in between captures.
-TEST(DeltaLogTest, ReplayMatchesFullRestoreBitExactly) {
+TEST_P(DeltaLogContractTest, ReplayMatchesFullRestoreBitExactly) {
   for (int threads : {1, 4}) {
     SCOPED_TRACE(threads);
     const auto stream = KeyedStream(360, 83);
     ShardManager leader(Options(threads), kConstraint, &kMetric, &kJones);
-    DeltaLog log;
+    auto log = MakeLog();
 
     // Tranches of ingest, eviction churn, and captures: the first capture
     // lays the base, later ones chain deltas.
@@ -87,15 +125,15 @@ TEST(DeltaLogTest, ReplayMatchesFullRestoreBitExactly) {
         ASSERT_TRUE(leader.Ingest(stream[i].key, stream[i].point).ok());
       }
       if (tranche % 2 == 1) leader.EvictIdle(/*idle_ttl=*/0);
-      auto captured = log.Capture(&leader);
+      auto captured = log->Capture(&leader);
       ASSERT_TRUE(captured.ok()) << captured.status().ToString();
       EXPECT_EQ(captured.value().rebased, tranche == 0)
           << "first capture is the base; the chain stays under budget";
     }
-    EXPECT_EQ(log.chain_length(), 5u);
+    EXPECT_EQ(log->chain_length(), 5u);
     EXPECT_EQ(leader.dirty_shard_count(), 0u);
 
-    auto replayed = log.Replay(&kMetric, &kJones, threads);
+    auto replayed = log->Replay(&kMetric, &kJones, threads);
     ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
     auto full_blob = leader.CheckpointAll();
     ASSERT_TRUE(full_blob.ok());
@@ -109,10 +147,10 @@ TEST(DeltaLogTest, ReplayMatchesFullRestoreBitExactly) {
 
 // Chain-length budget: the capture that finds the chain full re-bases —
 // the chain resets, rebases() counts it, and replay stays bit-exact.
-TEST(DeltaLogTest, CompactionRebasesPastChainLengthBudget) {
+TEST_P(DeltaLogContractTest, CompactionRebasesPastChainLengthBudget) {
   DeltaLog::Options budget;
   budget.max_chain_length = 2;
-  DeltaLog log(budget);
+  auto log = MakeLog(budget);
   ShardManager leader(Options(1), kConstraint, &kMetric, &kJones);
 
   const auto stream = KeyedStream(280, 89);
@@ -121,7 +159,7 @@ TEST(DeltaLogTest, CompactionRebasesPastChainLengthBudget) {
     for (size_t end = fed + 40; fed < end; ++fed) {
       EXPECT_TRUE(leader.Ingest(stream[fed].key, stream[fed].point).ok());
     }
-    auto captured = log.Capture(&leader);
+    auto captured = log->Capture(&leader);
     EXPECT_TRUE(captured.ok()) << captured.status().ToString();
     return captured.ValueOr(DeltaLog::CaptureStats{});
   };
@@ -132,36 +170,37 @@ TEST(DeltaLogTest, CompactionRebasesPastChainLengthBudget) {
   const auto compacted = feed_and_capture();  // budget exceeded -> re-base
   EXPECT_TRUE(compacted.rebased);
   EXPECT_EQ(compacted.chain_length, 0u);
-  EXPECT_EQ(log.rebases(), 1);
+  EXPECT_EQ(log->rebases(), 1);
+  EXPECT_EQ(log->generation(), 2) << "each base opens a generation";
 
   EXPECT_FALSE(feed_and_capture().rebased);  // chains again after re-base
-  EXPECT_EQ(log.chain_length(), 1u);
+  EXPECT_EQ(log->chain_length(), 1u);
 
-  auto replayed = log.Replay(&kMetric, &kJones);
+  auto replayed = log->Replay(&kMetric, &kJones);
   ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
   ExpectSameFleets(&leader, &replayed.value());
 }
 
 // Byte budget: a tiny max_chain_bytes forces a re-base as soon as any
 // delta is chained.
-TEST(DeltaLogTest, CompactionRebasesPastByteBudget) {
+TEST_P(DeltaLogContractTest, CompactionRebasesPastByteBudget) {
   DeltaLog::Options budget;
   budget.max_chain_bytes = 1;
-  DeltaLog log(budget);
+  auto log = MakeLog(budget);
   ShardManager leader(Options(1), kConstraint, &kMetric, &kJones);
   const auto stream = KeyedStream(120, 97);
   for (size_t tranche = 0; tranche < 3; ++tranche) {
     for (size_t i = tranche * 40; i < (tranche + 1) * 40; ++i) {
       ASSERT_TRUE(leader.Ingest(stream[i].key, stream[i].point).ok());
     }
-    auto captured = log.Capture(&leader);
+    auto captured = log->Capture(&leader);
     ASSERT_TRUE(captured.ok());
     // Capture 0: base. Capture 1: chains (budget checked before append).
     // Capture 2: chain already over a 1-byte budget -> re-base.
     EXPECT_EQ(captured.value().rebased, tranche != 1) << tranche;
   }
-  EXPECT_EQ(log.rebases(), 1);
-  auto replayed = log.Replay(&kMetric, &kJones);
+  EXPECT_EQ(log->rebases(), 1);
+  auto replayed = log->Replay(&kMetric, &kJones);
   ASSERT_TRUE(replayed.ok());
   ExpectSameFleets(&leader, &replayed.value());
 }
@@ -228,13 +267,13 @@ TEST(DeltaLogTest, RunMaintenanceTickReportsItsWork) {
 
 // The background thread end to end: ticks happen, the log fills, shutdown
 // is prompt and clean, and the replayed log matches the leader.
-TEST(DeltaLogTest, MaintenanceThreadCapturesAndReplaysExactly) {
+TEST_P(DeltaLogContractTest, MaintenanceThreadCapturesAndReplaysExactly) {
   ShardManager leader(Options(2), kConstraint, &kMetric, &kJones);
-  DeltaLog log;
+  auto log = MakeLog();
   MaintenanceOptions options;
   options.cadence = std::chrono::milliseconds(1);
   options.idle_ttl = 50;
-  options.delta_log = &log;
+  options.delta_log = log.get();
   options.gc_every = 2;
   std::atomic<int64_t> ticks_seen{0};
   options.on_tick = [&](const MaintenanceTickReport& report) {
@@ -264,8 +303,8 @@ TEST(DeltaLogTest, MaintenanceThreadCapturesAndReplaysExactly) {
       << "no ticks after shutdown";
 
   // Flush whatever the last tick missed, then replay must match the leader.
-  ASSERT_TRUE(log.Capture(&leader).ok());
-  auto replayed = log.Replay(&kMetric, &kJones);
+  ASSERT_TRUE(log->Capture(&leader).ok());
+  auto replayed = log->Replay(&kMetric, &kJones);
   ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
   ExpectSameFleets(&leader, &replayed.value());
 }

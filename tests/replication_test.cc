@@ -1,11 +1,15 @@
 // Replication stack contract. Three layers, each with its own guarantees:
 //
-//   ReplicatedLog   a SIGKILL'd leader restores its fleet purely from the
-//                   on-disk chain — including a torn tail, which recovery
+//   DeltaLog on     a SIGKILL'd leader restores its fleet purely from the
+//   a directory     on-disk chain — including a torn tail, which recovery
 //                   truncates back to the last intact capture boundary
 //                   (never aborting). Every byte-truncation prefix of the
 //                   log recovers to a fleet byte-equal to the fleet as of
-//                   the corresponding capture.
+//                   the corresponding capture, and a directory written
+//                   before the in-memory and on-disk logs became one class
+//                   still opens and replays byte-equal. (The capture and
+//                   replay contract shared with the in-memory log is
+//                   delta_log_test.cc's.)
 //   transport       a follower over a unix socket converges to a
 //                   byte-equal checkpoint and reports a staleness bound,
 //                   resyncing from the base after drops, corruption,
@@ -16,6 +20,7 @@
 //                   MaintenanceStats counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -30,8 +35,8 @@
 #include "common/random.h"
 #include "metric/metric.h"
 #include "sequential/jones_fair_center.h"
+#include "serving/delta_log.h"
 #include "serving/replication/fault_injector.h"
-#include "serving/replication/replicated_log.h"
 #include "serving/replication/transport.h"
 #include "serving/replication/wire_format.h"
 #include "serving/shard_manager.h"
@@ -150,36 +155,32 @@ void WriteRaw(const std::string& path, const std::string& bytes) {
   ASSERT_TRUE(out.good()) << path;
 }
 
-// --- ReplicatedLog: crash-safe capture + recovery. ---
+// --- DeltaLog on a directory: crash-safe capture + recovery. ---
 
-TEST(ReplicatedLogTest, EmptyLogOpensAndRefusesReplay) {
-  ReplicatedLog log(FreshDir("empty"));
-  ASSERT_TRUE(log.Open().ok());
-  EXPECT_FALSE(log.has_base());
-  EXPECT_EQ(log.generation(), 0);
-  auto replayed = log.Replay(&kMetric, &kJones);
-  ASSERT_FALSE(replayed.ok());
-  EXPECT_EQ(replayed.status().code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(ReplicatedLogTest, MethodsBeforeOpenFail) {
-  ReplicatedLog log(FreshDir("unopened"));
+TEST(DeltaLogDirectoryTest, MethodsBeforeOpenFail) {
+  DeltaLog log(FreshDir("unopened"));
   ShardManager leader(ManagerOptions(), kConstraint, &kMetric, &kJones);
   EXPECT_EQ(log.Capture(&leader).status().code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(log.AppendBase(1, "x").code(), StatusCode::kFailedPrecondition);
+
+  // Without a directory there is nothing to recover: Open is a no-op.
+  DeltaLog in_memory;
+  EXPECT_TRUE(in_memory.Open().ok());
+  EXPECT_TRUE(in_memory.Open().ok());
+  EXPECT_TRUE(in_memory.Capture(&leader).ok());
 }
 
 // The tentpole acceptance: drop the log object with no shutdown (the
 // in-process stand-in for SIGKILL — all durable state is already on disk),
 // re-open the directory, and the replayed fleet is byte-equal to the
 // leader.
-TEST(ReplicatedLogTest, ReopenAfterKillReplaysBitExactly) {
+TEST(DeltaLogDirectoryTest, ReopenAfterKillReplaysBitExactly) {
   const std::string dir = FreshDir("kill_recover");
   const auto stream = KeyedStream(360, 83);
   ShardManager leader(ManagerOptions(), kConstraint, &kMetric, &kJones);
   {
-    ReplicatedLog log(dir);
+    DeltaLog log(dir);
     ASSERT_TRUE(log.Open().ok());
     for (size_t tranche = 0; tranche < 6; ++tranche) {
       for (size_t i = tranche * 60; i < (tranche + 1) * 60; ++i) {
@@ -194,7 +195,7 @@ TEST(ReplicatedLogTest, ReopenAfterKillReplaysBitExactly) {
     EXPECT_EQ(log.chain_length(), 5u);
   }  // "SIGKILL": the log object vanishes; only the directory survives
 
-  ReplicatedLog recovered(dir);
+  DeltaLog recovered(dir);
   ASSERT_TRUE(recovered.Open().ok());
   EXPECT_EQ(recovered.generation(), 1);
   EXPECT_EQ(recovered.chain_length(), 5u);
@@ -209,12 +210,12 @@ TEST(ReplicatedLogTest, ReopenAfterKillReplaysBitExactly) {
 
 // Re-bases open a new generation; the old generation's files are retired
 // and recovery adopts only the newest chain.
-TEST(ReplicatedLogTest, RebaseRetiresOldGenerationAndRecovers) {
+TEST(DeltaLogDirectoryTest, RebaseRetiresOldGenerationAndRecovers) {
   const std::string dir = FreshDir("rebase");
-  ReplicatedLog::Options budget;
+  DeltaLog::Options budget;
   budget.max_chain_length = 2;
   ShardManager leader(ManagerOptions(), kConstraint, &kMetric, &kJones);
-  ReplicatedLog log(dir, budget);
+  DeltaLog log(dir, budget);
   ASSERT_TRUE(log.Open().ok());
 
   const auto stream = KeyedStream(420, 89);
@@ -234,7 +235,7 @@ TEST(ReplicatedLogTest, RebaseRetiresOldGenerationAndRecovers) {
   EXPECT_EQ(segments[0].generation, 3);
   EXPECT_EQ(segments[0].index, 0);
 
-  ReplicatedLog recovered(dir);
+  DeltaLog recovered(dir);
   ASSERT_TRUE(recovered.Open().ok());
   EXPECT_EQ(recovered.generation(), 3);
   auto replayed = recovered.Replay(&kMetric, &kJones);
@@ -244,11 +245,11 @@ TEST(ReplicatedLogTest, RebaseRetiresOldGenerationAndRecovers) {
 
 // The MANIFEST is advisory: deleting or shredding it must not change what
 // recovery adopts.
-TEST(ReplicatedLogTest, RecoveryIgnoresMissingOrGarbageManifest) {
+TEST(DeltaLogDirectoryTest, RecoveryIgnoresMissingOrGarbageManifest) {
   const std::string dir = FreshDir("manifest");
   ShardManager leader(ManagerOptions(), kConstraint, &kMetric, &kJones);
   {
-    ReplicatedLog log(dir);
+    DeltaLog log(dir);
     ASSERT_TRUE(log.Open().ok());
     const auto stream = KeyedStream(120, 7);
     for (const auto& kp : stream) {
@@ -263,7 +264,7 @@ TEST(ReplicatedLogTest, RecoveryIgnoresMissingOrGarbageManifest) {
     } else {
       WriteRaw(dir + "/MANIFEST", garbage);
     }
-    ReplicatedLog recovered(dir);
+    DeltaLog recovered(dir);
     ASSERT_TRUE(recovered.Open().ok());
     EXPECT_EQ(recovered.generation(), 1);
     EXPECT_EQ(recovered.recovery_stats().recovered_entries, 1);
@@ -278,11 +279,11 @@ TEST(ReplicatedLogTest, RecoveryIgnoresMissingOrGarbageManifest) {
 // at arbitrary byte truncation points. For every segment k and every
 // truncation offset, recovery must adopt exactly the k intact entries —
 // and the replayed fleet must be byte-equal to the fleet as of capture k.
-TEST(ReplicatedLogTest, EveryTornTailPrefixRecoversToItsCaptureBoundary) {
+TEST(DeltaLogDirectoryTest, EveryTornTailPrefixRecoversToItsCaptureBoundary) {
   const std::string dir = FreshDir("torn_src");
   const auto stream = KeyedStream(300, 101);
   ShardManager leader(ManagerOptions(), kConstraint, &kMetric, &kJones);
-  ReplicatedLog log(dir);
+  DeltaLog log(dir);
   ASSERT_TRUE(log.Open().ok());
 
   // expected[k] = per-shard state right after capture k (0-based).
@@ -327,7 +328,7 @@ TEST(ReplicatedLogTest, EveryTornTailPrefixRecoversToItsCaptureBoundary) {
                       scratch + "/" + segments[i].name);
       }
 
-      ReplicatedLog recovered(scratch);
+      DeltaLog recovered(scratch);
       ASSERT_TRUE(recovered.Open().ok()) << "recovery must never abort";
       const auto stats = recovered.recovery_stats();
       ASSERT_EQ(stats.recovered_entries, static_cast<int64_t>(torn));
@@ -351,11 +352,11 @@ TEST(ReplicatedLogTest, EveryTornTailPrefixRecoversToItsCaptureBoundary) {
 
 // After a torn-tail recovery the log must keep accepting captures — the
 // truncate-and-CONTINUE half of the contract.
-TEST(ReplicatedLogTest, CapturesContinueAfterTornTailRecovery) {
+TEST(DeltaLogDirectoryTest, CapturesContinueAfterTornTailRecovery) {
   const std::string dir = FreshDir("torn_continue");
   const auto stream = KeyedStream(240, 11);
   ShardManager leader(ManagerOptions(), kConstraint, &kMetric, &kJones);
-  ReplicatedLog log(dir);
+  DeltaLog log(dir);
   ASSERT_TRUE(log.Open().ok());
   for (size_t tranche = 0; tranche < 3; ++tranche) {
     for (size_t i = tranche * 60; i < (tranche + 1) * 60; ++i) {
@@ -370,7 +371,7 @@ TEST(ReplicatedLogTest, CapturesContinueAfterTornTailRecovery) {
   const std::string bytes = ReadAll(last);
   WriteRaw(last, bytes.substr(0, bytes.size() / 2));
 
-  ReplicatedLog recovered(dir);
+  DeltaLog recovered(dir);
   ASSERT_TRUE(recovered.Open().ok());
   ASSERT_EQ(recovered.recovery_stats().recovered_entries, 2);
 
@@ -392,10 +393,10 @@ TEST(ReplicatedLogTest, CapturesContinueAfterTornTailRecovery) {
 }
 
 // Follower-side appends: strict continuation, resync-from-base rules.
-TEST(ReplicatedLogTest, AppendFollowsContinuationRules) {
+TEST(DeltaLogDirectoryTest, AppendFollowsContinuationRules) {
   const std::string dir = FreshDir("appends");
   ShardManager leader(ManagerOptions(), kConstraint, &kMetric, &kJones);
-  ReplicatedLog source(FreshDir("appends_src"));
+  DeltaLog source(FreshDir("appends_src"));
   ASSERT_TRUE(source.Open().ok());
   const auto stream = KeyedStream(180, 3);
   for (size_t tranche = 0; tranche < 3; ++tranche) {
@@ -407,7 +408,7 @@ TEST(ReplicatedLogTest, AppendFollowsContinuationRules) {
   const auto entries = source.EntriesFrom(0, 0);
   ASSERT_EQ(entries.size(), 3u);
 
-  ReplicatedLog follower(dir);
+  DeltaLog follower(dir);
   ASSERT_TRUE(follower.Open().ok());
   // A delta with no base, and a gapped delta, are both out-of-order.
   EXPECT_EQ(follower.AppendDelta(1, 1, entries[1].payload).code(),
@@ -420,7 +421,7 @@ TEST(ReplicatedLogTest, AppendFollowsContinuationRules) {
   ASSERT_TRUE(follower.AppendDelta(1, 2, entries[2].payload).ok());
 
   // The follower's own disk now survives the follower's own kill.
-  ReplicatedLog reopened(dir);
+  DeltaLog reopened(dir);
   ASSERT_TRUE(reopened.Open().ok());
   EXPECT_EQ(reopened.recovery_stats().recovered_entries, 3);
   auto replayed = reopened.Replay(&kMetric, &kJones);
@@ -428,8 +429,8 @@ TEST(ReplicatedLogTest, AppendFollowsContinuationRules) {
   ExpectSameFleets(&leader, &replayed.value());
 }
 
-TEST(ReplicatedLogTest, EntriesFromServesTailOrFullResync) {
-  ReplicatedLog log(FreshDir("entries_from"));
+TEST(DeltaLogDirectoryTest, EntriesFromServesTailOrFullResync) {
+  DeltaLog log(FreshDir("entries_from"));
   ASSERT_TRUE(log.Open().ok());
   ShardManager leader(ManagerOptions(), kConstraint, &kMetric, &kJones);
   const auto stream = KeyedStream(120, 19);
@@ -451,6 +452,75 @@ TEST(ReplicatedLogTest, EntriesFromServesTailOrFullResync) {
     auto resync = log.EntriesFrom(position.first, position.second);
     ASSERT_EQ(resync.size(), 2u);
     EXPECT_EQ(resync[0].index, 0);
+  }
+}
+
+// The fleet captured into tests/fixtures/replog_v1 (a base and two deltas):
+// two tenants, one of them clean for the last capture.
+void CaptureFixtureFleet(DeltaLog* log, ShardManager* leader) {
+  const char* keys[] = {"tenant-a", "tenant-b"};
+  for (int tranche = 0; tranche < 3; ++tranche) {
+    for (int i = 0; i < 6; ++i) {
+      const int n = tranche * 6 + i;
+      const std::string key = keys[(n * 7 + tranche) % 3 == 0 ? 1 : 0];
+      if (tranche == 2 && key == "tenant-b") continue;
+      const Point p({0.5 * n + (n % 3), 0.25 * ((n * 5) % 11)}, n % 2);
+      ASSERT_TRUE(leader->Ingest(key, p).ok());
+    }
+    ASSERT_TRUE(log->Capture(leader).ok());
+  }
+}
+
+ShardManagerOptions FixtureOptions() {
+  ShardManagerOptions options;
+  options.window.window_size = 8;
+  options.window.delta = 1.0;
+  options.window.adaptive_range = true;
+  return options;
+}
+
+// Compatibility pin for the on-disk log: a directory written by the
+// standalone crash-safe log class (before the in-memory and on-disk logs
+// were merged) opens with all three entries, replays to the committed
+// CheckpointAll blob byte for byte, and capturing the same fleet today
+// writes the same MANIFEST and segment bytes.
+TEST(DeltaLogDirectoryTest, OpensAndRewritesCommittedLogBytes) {
+  const std::string fixture = std::string(FKC_FIXTURE_DIR) + "/replog_v1";
+  const std::string expected_fleet =
+      ReadAll(std::string(FKC_FIXTURE_DIR) + "/replog_v1_fleet.txt");
+  // Recovery may rewrite what it opens: work on a copy.
+  const std::string dir = FreshDir("fixture_copy");
+  fs::copy(fixture, dir);
+
+  DeltaLog log(dir);
+  ASSERT_TRUE(log.Open().ok());
+  EXPECT_EQ(log.recovery_stats().recovered_entries, 3);
+  EXPECT_EQ(log.recovery_stats().truncated_segments, 0);
+  EXPECT_EQ(log.recovery_stats().swept_files, 0);
+  EXPECT_FALSE(log.recovery_stats().manifest_rebuilt);
+  EXPECT_EQ(log.generation(), 1);
+  auto replayed = log.Replay(&kMetric, &kJones);
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  auto blob = replayed.value().CheckpointAll();
+  ASSERT_TRUE(blob.ok());
+  EXPECT_EQ(blob.value(), expected_fleet);
+
+  const std::string rewritten = FreshDir("fixture_rewrite");
+  DeltaLog writer(rewritten);
+  ASSERT_TRUE(writer.Open().ok());
+  ShardManager leader(FixtureOptions(), ColorConstraint({1, 1}), &kMetric,
+                      &kJones);
+  CaptureFixtureFleet(&writer, &leader);
+  std::vector<std::string> files;
+  ASSERT_TRUE(ListDirectoryFiles(fixture, &files).ok());
+  std::vector<std::string> written;
+  ASSERT_TRUE(ListDirectoryFiles(rewritten, &written).ok());
+  std::sort(files.begin(), files.end());
+  std::sort(written.begin(), written.end());
+  ASSERT_EQ(written, files);
+  for (const std::string& name : files) {
+    EXPECT_EQ(ReadAll(rewritten + "/" + name), ReadAll(fixture + "/" + name))
+        << name;
   }
 }
 
@@ -658,39 +728,6 @@ TEST(ShardManagerFaultTest, CheckpointFailureIsCountedAndAnnotated) {
   EXPECT_TRUE(manager.CheckpointAll().ok());
 }
 
-// Maintenance can capture into a ReplicatedLog (but never into two logs).
-TEST(ShardManagerFaultTest, MaintenanceCapturesIntoReplicatedLog) {
-  ReplicatedLog log(FreshDir("maintenance"));
-  ASSERT_TRUE(log.Open().ok());
-  ShardManager manager(ManagerOptions(), kConstraint, &kMetric, &kJones);
-  const auto stream = KeyedStream(60, 31);
-  for (const auto& kp : stream) {
-    ASSERT_TRUE(manager.Ingest(kp.key, kp.point).ok());
-  }
-
-  DeltaLog other;
-  MaintenanceOptions both;
-  both.delta_log = &other;
-  both.replicated_log = &log;
-  EXPECT_EQ(manager.StartMaintenance(both).code(),
-            StatusCode::kInvalidArgument);
-
-  MaintenanceOptions options;
-  options.cadence = std::chrono::milliseconds(5);
-  options.replicated_log = &log;
-  ASSERT_TRUE(manager.StartMaintenance(options).ok());
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (!log.has_base() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  manager.StopMaintenance();
-  ASSERT_TRUE(log.has_base());
-  auto replayed = log.Replay(&kMetric, &kJones);
-  ASSERT_TRUE(replayed.ok());
-  ExpectSameFleets(&manager, &replayed.value());
-}
-
 // --- Transport. ---
 
 #ifndef _WIN32
@@ -723,7 +760,7 @@ LogReceiver::StalenessBound AwaitConverged(LogReceiver* receiver,
 TEST(TransportTest, FollowerConvergesOverUnixSocketByteEqual) {
   const auto stream = KeyedStream(360, 131);
   ShardManager leader(ManagerOptions(), kConstraint, &kMetric, &kJones);
-  ReplicatedLog log(FreshDir("wire_leader"));
+  DeltaLog log(FreshDir("wire_leader"));
   ASSERT_TRUE(log.Open().ok());
 
   LogSender::Options sender_options;
@@ -785,7 +822,7 @@ TEST(TransportTest, FollowerConvergesOverUnixSocketByteEqual) {
 TEST(TransportTest, FaultInjectedFollowerStillConvergesByteEqual) {
   const auto stream = KeyedStream(360, 137);
   ShardManager leader(ManagerOptions(), kConstraint, &kMetric, &kJones);
-  ReplicatedLog log(FreshDir("faulty_leader"));
+  DeltaLog log(FreshDir("faulty_leader"));
   ASSERT_TRUE(log.Open().ok());
   // A first capture before the follower ever connects, so its initial sync
   // has a real base to fetch (and to lose to the fault schedule).
@@ -813,7 +850,7 @@ TEST(TransportTest, FaultInjectedFollowerStillConvergesByteEqual) {
   // The follower also persists locally, proving the replica's own disk
   // state survives a follower kill.
   const std::string follower_dir = FreshDir("faulty_follower");
-  ReplicatedLog follower_log(follower_dir);
+  DeltaLog follower_log(follower_dir);
   ASSERT_TRUE(follower_log.Open().ok());
   LogReceiver::Options receiver_options;
   receiver_options.unix_socket_path = sender_options.unix_socket_path;
@@ -857,7 +894,7 @@ TEST(TransportTest, FaultInjectedFollowerStillConvergesByteEqual) {
   sender.Stop();
 
   // ...including through the follower's own on-disk log after a "kill".
-  ReplicatedLog follower_reopened(follower_dir);
+  DeltaLog follower_reopened(follower_dir);
   ASSERT_TRUE(follower_reopened.Open().ok());
   auto follower_replayed = follower_reopened.Replay(&kMetric, &kJones);
   ASSERT_TRUE(follower_replayed.ok());
@@ -873,7 +910,7 @@ TEST(TransportTest, ThreeFaultInjectedFollowersAllConvergeByteEqual) {
   // checkpoint, each through its own drop/resync history.
   const auto stream = KeyedStream(360, 149);
   ShardManager leader(ManagerOptions(), kConstraint, &kMetric, &kJones);
-  ReplicatedLog log(FreshDir("fanout_leader"));
+  DeltaLog log(FreshDir("fanout_leader"));
   ASSERT_TRUE(log.Open().ok());
   for (size_t i = 0; i < 60; ++i) {
     ASSERT_TRUE(leader.Ingest(stream[i].key, stream[i].point).ok());
@@ -967,7 +1004,7 @@ TEST(TransportTest, ReceiverOutlivesAbsentLeaderAndBacksOff) {
 TEST(TransportTest, TcpLoopbackAlsoConverges) {
   const auto stream = KeyedStream(120, 139);
   ShardManager leader(ManagerOptions(), kConstraint, &kMetric, &kJones);
-  ReplicatedLog log(FreshDir("tcp_leader"));
+  DeltaLog log(FreshDir("tcp_leader"));
   ASSERT_TRUE(log.Open().ok());
   for (size_t i = 0; i < 120; ++i) {
     ASSERT_TRUE(leader.Ingest(stream[i].key, stream[i].point).ok());

@@ -430,6 +430,48 @@ TEST(ShardManagerTest, ApplyDeltaRejectsShardWithMismatchedConstraint) {
   ExpectSameAnswers(before, manager.QueryAll());
 }
 
+// A fleet blob that names one shard key twice is forged or corrupt: the
+// last segment must not silently win. Full and delta blobs share one
+// segment reader, so both paths reject it and leave the fleet untouched.
+TEST(ShardManagerTest, RepeatedShardKeyIsRejectedByRestoreAndApplyDelta) {
+  FairCenterSlidingWindow shard(Options(1).window, kConstraint, &kMetric,
+                                &kJones);
+  shard.Update(Point({1.0, 2.0}, 0));
+  std::ostringstream segment;
+  WriteCheckpointRaw(&segment, "tenant-b");
+  WriteCheckpointRaw(&segment, shard.SerializeState());
+  const std::string repeated = "2 " + segment.str() + segment.str();
+
+  serving::ShardManager manager(Options(1), kConstraint, &kMetric, &kJones);
+  ASSERT_TRUE(manager.Ingest("tenant-a", Point({1.0, 2.0}, 0)).ok());
+  const auto before = manager.QueryAll();
+
+  std::ostringstream full;
+  full << "fkc-shards-v2 ";
+  WriteSlidingWindowOptions(&full, Options(1).window);
+  full << "3 2 1 1 0 " << repeated;  // fleet constraint, no overrides
+  auto restored =
+      serving::ShardManager::Restore(full.str(), &kMetric, &kJones);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+
+  const std::string delta = "fkc-shards-delta-v2 3 2 1 1 0 " + repeated;
+  EXPECT_EQ(manager.ApplyDelta(delta).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(manager.shard_count(), 1u) << "a rejected delta changes nothing";
+  ExpectSameAnswers(before, manager.QueryAll());
+
+  // Sanity: the same blobs naming the key once are accepted.
+  const std::string once = "1 " + segment.str();
+  std::ostringstream full_once;
+  full_once << "fkc-shards-v2 ";
+  WriteSlidingWindowOptions(&full_once, Options(1).window);
+  full_once << "3 2 1 1 0 " << once;
+  EXPECT_TRUE(
+      serving::ShardManager::Restore(full_once.str(), &kMetric, &kJones).ok());
+  EXPECT_TRUE(manager.ApplyDelta("fkc-shards-delta-v2 3 2 1 1 0 " + once).ok());
+  EXPECT_EQ(manager.shard_count(), 2u);
+}
+
 // Writes the PR-2 era fkc-shards-v1 fleet layout (no override table) for
 // the shards of `manager`, byte-compatible with the old CheckpointAll.
 std::string BuildV1Checkpoint(serving::ShardManager* manager) {
