@@ -45,18 +45,25 @@ Status CheckpointReader::NextSize(size_t* out, size_t limit) {
   return Status::OK();
 }
 
-Status CheckpointReader::NextRaw(std::string* out, size_t limit) {
+Status CheckpointReader::NextRaw(std::string_view* out, size_t limit) {
   size_t len = 0;
   FKC_RETURN_IF_ERROR(NextSize(&len, limit));
   if (pos_ >= bytes_.size() || !IsSpace(bytes_[pos_])) {
     return Status::InvalidArgument("malformed raw segment");
   }
   ++pos_;  // the single separator after the length
-  if (pos_ + len > bytes_.size()) {
+  if (len > bytes_.size() - pos_) {
     return Status::InvalidArgument("truncated raw segment");
   }
-  out->assign(bytes_, pos_, len);
+  *out = std::string_view(bytes_).substr(pos_, len);
   pos_ += len;
+  return Status::OK();
+}
+
+Status CheckpointReader::NextRaw(std::string* out, size_t limit) {
+  std::string_view view;
+  FKC_RETURN_IF_ERROR(NextRaw(&view, limit));
+  out->assign(view);
   return Status::OK();
 }
 
@@ -66,6 +73,13 @@ void WriteCheckpointDouble(std::ostringstream* out, double value) {
 
 void WriteCheckpointRaw(std::ostringstream* out, const std::string& bytes) {
   *out << bytes.size() << ' ' << bytes << ' ';
+}
+
+void WriteCheckpointRaw(std::string* out, std::string_view bytes) {
+  *out += std::to_string(bytes.size());
+  *out += ' ';
+  out->append(bytes);
+  *out += ' ';
 }
 
 }  // namespace fkc

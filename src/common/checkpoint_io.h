@@ -1,14 +1,17 @@
-// Shared reader/writer for the text checkpoint formats (the core's
-// fkc-checkpoint-v1 and the serving layer's fkc-shards-v1): whitespace-
-// separated tokens, hex-float doubles for bit-exact round trips, and
-// length-prefixed raw byte segments. One parser for both formats so limit
-// and float-parsing semantics cannot drift apart.
+// Shared reader/writer for the text parts of the checkpoint formats: the
+// core window checkpoint's header (fkc-checkpoint-v2; all of the read-only
+// fkc-checkpoint-v1) and the serving layer's fleet, delta, spill-file and
+// log-segment framings. Whitespace-separated tokens, hex-float doubles for
+// bit-exact round trips, and length-prefixed raw byte segments, which carry
+// binary payloads such as the v2 window body opaquely. One parser for all
+// of them so limit and float-parsing semantics cannot drift apart.
 #ifndef FKC_COMMON_CHECKPOINT_IO_H_
 #define FKC_COMMON_CHECKPOINT_IO_H_
 
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "common/status.h"
 
@@ -38,6 +41,8 @@ class CheckpointReader {
   /// A length-prefixed raw byte segment: "<len> <len bytes>". The bytes may
   /// contain anything, including whitespace.
   Status NextRaw(std::string* out, size_t limit = 1u << 30);
+  /// The same segment as a view into the reader's bytes, without a copy.
+  Status NextRaw(std::string_view* out, size_t limit = 1u << 30);
 
  private:
   static bool IsSpace(char c) {
@@ -55,6 +60,8 @@ void WriteCheckpointDouble(std::ostringstream* out, double value);
 
 /// Writes a raw byte segment in the length-prefixed form NextRaw reads.
 void WriteCheckpointRaw(std::ostringstream* out, const std::string& bytes);
+/// The same segment, appended to a string.
+void WriteCheckpointRaw(std::string* out, std::string_view bytes);
 
 }  // namespace fkc
 

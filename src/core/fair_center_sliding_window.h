@@ -219,12 +219,16 @@ class FairCenterSlidingWindow {
 
   /// Checkpointing (stream-processor state save/restore): serializes the
   /// complete algorithm state — options, constraint, clocks, every guess
-  /// structure, and the adaptive-range tracker — into a self-describing
-  /// text format with exact (hex-float) coordinates. The metric and solver
-  /// are code, not state, and are re-supplied on restore.
+  /// structure, and the adaptive-range tracker — as fkc-checkpoint-v2: a
+  /// short text header (magic, options, caps) and a binary body holding one
+  /// table of the distinct stored points, with raw coordinate bits, that
+  /// the guess structures reference by index (layout in core/checkpoint.cc).
+  /// The metric and solver are code, not state, and are re-supplied on
+  /// restore.
   std::string SerializeState() const;
 
-  /// Reconstructs a window from SerializeState output. The restored window
+  /// Reconstructs a window from SerializeState output — fkc-checkpoint-v2,
+  /// or the text fkc-checkpoint-v1 of older builds. The restored window
   /// behaves identically to the original under any future Update/Query
   /// sequence. Returns kInvalidArgument on malformed or version-mismatched
   /// input.

@@ -15,8 +15,9 @@
 // deviations are registered with SetTenantObjective before the tenant's
 // first arrival, exactly like option overrides. The spill / delta /
 // replication paths are untouched by the objective: every shard blob is a
-// plain fkc-checkpoint-v1 window blob, and the fleet format's v3 objective
-// tables are the only record of which objective a tenant answers for.
+// plain window blob (fkc-checkpoint-v2; v1 blobs of older builds still
+// restore), and the fleet format's v3 objective tables are the only record
+// of which objective a tenant answers for.
 //
 // Multi-tenant hardening on top of the basic routing:
 //   * per-tenant options: a tenant key may carry its own SlidingWindowOptions

@@ -1,10 +1,21 @@
 // Checkpoint/restore tests: bit-exact round trips, behavioural equivalence
-// of original and restored windows under continued streaming, and rejection
-// of malformed input.
+// of original and restored windows under continued streaming, golden bytes
+// of the binary fkc-checkpoint-v2 format (and their conversion from the
+// read-only text fkc-checkpoint-v1), and rejection of malformed input in
+// either format.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <fstream>
+#include <limits>
+#include <sstream>
+#include <string_view>
+
+#include "common/checkpoint_io.h"
 #include "common/random.h"
 #include "core/fair_center_sliding_window.h"
+#include "core/options_io.h"
 #include "metric/metric.h"
 #include "sequential/jones_fair_center.h"
 
@@ -137,31 +148,97 @@ TEST(CheckpointTest, RejectsGarbage) {
   EXPECT_EQ(empty.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(CheckpointTest, RejectsTruncation) {
-  FairCenterSlidingWindow window = MakeWindow(true);
-  Rng rng(19);
-  FeedRandom(&window, 80, &rng);
-  const std::string bytes = window.SerializeState();
-  const std::string truncated = bytes.substr(0, bytes.size() / 2);
-  auto restored = FairCenterSlidingWindow::DeserializeState(truncated,
-                                                            &kMetric, &kJones);
-  EXPECT_FALSE(restored.ok());
-}
-
 TEST(CheckpointTest, RejectsVersionMismatch) {
   FairCenterSlidingWindow window = MakeWindow(true);
   std::string bytes = window.SerializeState();
-  bytes.replace(bytes.find("v1"), 2, "v9");
+  bytes.replace(bytes.find("v2"), 2, "v9");
   auto restored =
       FairCenterSlidingWindow::DeserializeState(bytes, &kMetric, &kJones);
   EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
 }
 
-// Truncation cannot alter interior tokens, so corruption of content a
-// restored window would feed into CHECK-guarded code — inconsistent point
-// dimensions, non-finite coordinates, aliasing guess exponents, counts far
-// beyond the blob — is covered by hand-built blobs: every one must fail
-// with InvalidArgument, never abort or over-allocate.
+// Every damaged blob must end in one of two ways: kInvalidArgument, or a
+// window that works — it answers Query, takes further arrivals, and
+// re-serializes to a blob that restores. Never an abort, and (under the
+// sanitizers) never an out-of-bounds read.
+void ExpectRejectedOrWorking(const std::string& bytes,
+                             const std::string& label) {
+  auto restored =
+      FairCenterSlidingWindow::DeserializeState(bytes, &kMetric, &kJones);
+  if (!restored.ok()) {
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument)
+        << label;
+    return;
+  }
+  FairCenterSlidingWindow& window = restored.value();
+  ASSERT_TRUE(window.Query().ok()) << label;
+  const size_t dim =
+      window.dimension() < 0 ? 2 : static_cast<size_t>(window.dimension());
+  Rng rng(29);
+  for (int i = 0; i < 3; ++i) {
+    window.Update(Coordinates(dim, rng.NextUniform(0, 200)),
+                  static_cast<int>(rng.NextBounded(2)));
+  }
+  ASSERT_TRUE(window.Query().ok()) << label;
+  EXPECT_TRUE(FairCenterSlidingWindow::DeserializeState(
+                  window.SerializeState(), &kMetric, &kJones)
+                  .ok())
+      << label;
+}
+
+// Offset of the binary body inside a v2 blob: after the text header (magic,
+// options, caps) and the body's length prefix.
+size_t BodyOffset(const std::string& blob) {
+  CheckpointReader reader(blob);
+  std::string magic;
+  SlidingWindowOptions options;
+  std::vector<int> caps;
+  std::string_view body;
+  EXPECT_TRUE(reader.NextToken(&magic).ok());
+  EXPECT_TRUE(ReadSlidingWindowOptions(&reader, &options).ok());
+  EXPECT_TRUE(ReadColorCaps(&reader, &caps).ok());
+  EXPECT_TRUE(reader.NextRaw(&body).ok());
+  return static_cast<size_t>(body.data() - blob.data());
+}
+
+TEST_P(CheckpointTest, EveryPrefixRejectsOrRestoresAWorkingWindow) {
+  FairCenterSlidingWindow window = MakeWindow(GetParam());
+  Rng rng(19);
+  FeedRandom(&window, 80, &rng);
+  const std::string bytes = window.SerializeState();
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    ExpectRejectedOrWorking(bytes.substr(0, len),
+                            "prefix of " + std::to_string(len) + " bytes");
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST_P(CheckpointTest, EveryBodyByteCorruptionRejectsOrRestoresAWorkingWindow) {
+  FairCenterSlidingWindow window = MakeWindow(GetParam());
+  Rng rng(19);
+  FeedRandom(&window, 80, &rng);
+  const std::string bytes = window.SerializeState();
+  const size_t body_end = bytes.size() - 1;  // the segment's trailing space
+  for (size_t pos = BodyOffset(bytes); pos < body_end; ++pos) {
+    // Low and high bit flips, and the all-ones flip (a zeroed byte turns
+    // into 0xff: sign bits, huge counts, out-of-table rows).
+    for (const unsigned char flip : {0x01, 0x80, 0xff}) {
+      std::string damaged = bytes;
+      damaged[pos] = static_cast<char>(damaged[pos] ^ flip);
+      ExpectRejectedOrWorking(damaged, "byte " + std::to_string(pos) +
+                                           " xor " + std::to_string(flip));
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+// --- The read-only text format (fkc-checkpoint-v1). ---
+//
+// Logs and spill files written by older builds hold v1 blobs. Corruption of
+// content a restored window would feed into CHECK-guarded code —
+// inconsistent point dimensions, non-finite coordinates, aliasing guess
+// exponents, counts far beyond the blob — is covered by hand-built blobs:
+// every one must fail with InvalidArgument, never abort or over-allocate.
 TEST(CheckpointTest, RejectsCorruptInteriorContent) {
   // Minimal adaptive blob: header, {2,1} constraint, now=3, next_id=4, one
   // last point, one estimator bucket, one guess holding one v-attractor.
@@ -292,6 +369,19 @@ TEST(CheckpointTest, RejectsForgedClocksAndIds) {
       header + "1 " + point + "1 0 5 " + "1 0 " + "1 " + point + "0 " +
       "0 0 0 ";
 
+  // v2 stores each distinct point once, keyed by id in arrival order, so a
+  // v1 blob whose copies cannot share one table is rejected: two different
+  // points under one id, or ids out of arrival order (id 5 at arrival 2,
+  // id 3 at arrival 3).
+  const std::string conflicting_copy_blob =
+      header + "1 " + point + "1 0 3 " + "1 0 " + "1 " +
+      "2 0x1p+6 0x1p+0 0 3 3 " + "0 " + "0 0 0 ";
+  const std::string ids_out_of_order_blob =
+      std::string("fkc-checkpoint-v1 10 0x1p+1 0x1p+0 0 1 "
+                  "0x0p+0 0x0p+0 1 1 2 2 1 3 9 ") +
+      "1 " + point + "1 0 3 " + "1 0 " + "2 " + "2 0x1p+6 0x1p+0 0 2 5 " +
+      "0 " + point + "0 " + "0 0 0 ";
+
   const struct {
     const char* label;
     std::string bytes;
@@ -303,6 +393,8 @@ TEST(CheckpointTest, RejectsForgedClocksAndIds) {
       {"zero-dimension point", zero_dim_blob},
       {"stored points without a last point", orphaned_points_blob},
       {"bucket witness beyond the clock", future_bucket_blob},
+      {"two different points under one id", conflicting_copy_blob},
+      {"ids out of arrival order", ids_out_of_order_blob},
   };
   for (const auto& c : kCases) {
     auto restored =
@@ -311,6 +403,345 @@ TEST(CheckpointTest, RejectsForgedClocksAndIds) {
     EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument)
         << c.label;
   }
+}
+
+// --- Hand-built binary blobs (fkc-checkpoint-v2). ---
+
+// Little-endian writer for hand-built v2 bodies.
+class V2Body {
+ public:
+  V2Body& U32(uint32_t v) { return Put(v, 4); }
+  V2Body& I32(int32_t v) { return U32(static_cast<uint32_t>(v)); }
+  V2Body& U64(uint64_t v) { return Put(v, 8); }
+  V2Body& I64(int64_t v) { return U64(static_cast<uint64_t>(v)); }
+  V2Body& F64(double v) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return U64(bits);
+  }
+  V2Body& Raw(const std::string& bytes) {
+    bytes_ += bytes;
+    return *this;
+  }
+  const std::string& bytes() const { return bytes_; }
+
+ private:
+  V2Body& Put(uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) bytes_ += static_cast<char>(v >> (8 * i));
+    return *this;
+  }
+  std::string bytes_;
+};
+
+struct V2Row {
+  std::vector<double> coords;
+  uint32_t color = 0;
+  int64_t arrival = 0;
+  uint64_t id = 0;
+};
+
+struct V2Entry {
+  uint32_t attractor = 0;
+  std::vector<uint32_t> reps;
+};
+
+std::string EncodeEntries(const std::vector<V2Entry>& entries) {
+  V2Body out;
+  out.U32(static_cast<uint32_t>(entries.size()));
+  for (const V2Entry& entry : entries) {
+    out.U32(entry.attractor).U32(static_cast<uint32_t>(entry.reps.size()));
+    for (uint32_t rep : entry.reps) out.U32(rep);
+  }
+  return out.bytes();
+}
+
+std::string EncodeRows(const std::vector<uint32_t>& rows) {
+  V2Body out;
+  out.U32(static_cast<uint32_t>(rows.size()));
+  for (uint32_t row : rows) out.U32(row);
+  return out.bytes();
+}
+
+// One guess: exponent, v-entries, v-orphans, c-entries, c-orphans.
+std::string EncodeGuess(int32_t exponent, const std::vector<V2Entry>& v,
+                        const std::vector<uint32_t>& v_orphans = {},
+                        const std::vector<V2Entry>& c = {},
+                        const std::vector<uint32_t>& c_orphans = {}) {
+  return V2Body().I32(exponent).bytes() + EncodeEntries(v) +
+         EncodeRows(v_orphans) + EncodeEntries(c) + EncodeRows(c_orphans);
+}
+
+constexpr uint32_t kNoRow = std::numeric_limits<uint32_t>::max();
+
+// The v2 twin of the minimal adaptive v1 blob above: {2,1} constraint,
+// now=3, next_id=4, one estimator bucket, a two-row table — `older`
+// (arrival/id 2) and `point` (arrival/id 3, also the last point) — and one
+// guess holding `point` as its only v-attractor. Cases override one field.
+struct V2Forgery {
+  int64_t now = 3;
+  uint64_t next_id = 4;
+  int64_t bucket_seen = 3;
+  uint32_t dim = 2;
+  std::vector<V2Row> rows = {{{64.0, 1.0}, 0, 2, 2}, {{1.0, 1.0}, 0, 3, 3}};
+  uint32_t last = 1;
+  uint32_t guess_count = 1;
+  std::string guesses = EncodeGuess(0, {{1, {}}});
+  std::string trailing;
+
+  std::string Blob() const {
+    V2Body body;
+    body.I64(now).U64(next_id).U32(1).I32(0).I64(bucket_seen);
+    body.U32(dim).U32(static_cast<uint32_t>(rows.size()));
+    for (const V2Row& row : rows) {
+      for (double x : row.coords) body.F64(x);
+      body.U32(row.color).I64(row.arrival).U64(row.id);
+    }
+    body.U32(last).U32(guess_count).Raw(guesses).Raw(trailing);
+    return "fkc-checkpoint-v2 10 0x1p+1 0x1p+0 0 1 0x0p+0 0x0p+0 1 1 2 2 1 " +
+           std::to_string(body.bytes().size()) + " " + body.bytes() + " ";
+  }
+};
+
+TEST(CheckpointV2Test, HandBuiltBlobsRestore) {
+  // A table row no list references restores but is not written back, so
+  // only the blobs that reference every row come back byte for byte.
+  const struct {
+    const char* label;
+    V2Forgery forgery;
+  } kCases[] = {
+      {"minimal, `older` unreferenced", {}},
+      {"two attractors in arrival order",
+       [] {
+         V2Forgery f;
+         f.guesses = EncodeGuess(0, {{0, {}}, {1, {}}});
+         return f;
+       }()},
+      // Representatives no older than their attractor, in either family:
+      // the attractor itself, or a later arrival.
+      {"v-representatives", [] {
+         V2Forgery f;
+         f.guesses = EncodeGuess(0, {{0, {0, 1}}});
+         return f;
+       }()},
+      {"c-representatives", [] {
+         V2Forgery f;
+         f.guesses = EncodeGuess(0, {}, {}, {{0, {0, 1}}});
+         return f;
+       }()},
+      {"orphans", [] {
+         V2Forgery f;
+         f.guesses = EncodeGuess(0, {{1, {}}}, {0}, {}, {0, 1});
+         return f;
+       }()},
+      {"empty window", [] {
+         V2Forgery f;
+         f.now = 0;
+         f.next_id = 1;
+         f.bucket_seen = 0;
+         f.dim = 0;
+         f.rows.clear();
+         f.last = kNoRow;
+         f.guess_count = 0;
+         f.guesses.clear();
+         return f;
+       }()},
+  };
+  for (const auto& c : kCases) {
+    const std::string blob = c.forgery.Blob();
+    auto restored =
+        FairCenterSlidingWindow::DeserializeState(blob, &kMetric, &kJones);
+    ASSERT_TRUE(restored.ok()) << c.label << ": "
+                               << restored.status().ToString();
+    if (&c != &kCases[0]) {
+      EXPECT_EQ(restored.value().SerializeState(), blob) << c.label;
+    }
+    ExpectRejectedOrWorking(blob, c.label);
+  }
+}
+
+// The v1 forgeries above, re-encoded in v2, plus what only the binary
+// format can get wrong: row references outside the table, table rows out
+// of order, counts the remaining bytes cannot hold, and references that
+// would copy far more coordinates than the body carries. Every one must
+// fail with InvalidArgument, never abort or over-allocate.
+TEST(CheckpointV2Test, RejectsForgedBlobs) {
+  auto with = [](auto edit) {
+    V2Forgery f;
+    edit(&f);
+    return f.Blob();
+  };
+  // One 4096-dimensional row referenced 1000 times: 16 kB of references
+  // would expand into 32 MB of copied coordinates.
+  const std::string blow_up = with([](V2Forgery* f) {
+    f->dim = 4096;
+    f->rows = {{std::vector<double>(4096, 1.0), 0, 3, 3}};
+    f->last = 0;
+    f->guesses = EncodeGuess(0, {{0, {}}}, std::vector<uint32_t>(1000, 0));
+  });
+  const struct {
+    const char* label;
+    std::string bytes;
+  } kCases[] = {
+      {"zero dimension", with([](V2Forgery* f) {
+         f->dim = 0;
+         for (V2Row& row : f->rows) row.coords.clear();
+       })},
+      // Three coordinates per row declared, two written: the rows misparse.
+      {"dimension disagrees with the rows",
+       with([](V2Forgery* f) { f->dim = 3; })},
+      {"nan coordinate", with([](V2Forgery* f) {
+         f->rows[1].coords[0] = std::numeric_limits<double>::quiet_NaN();
+       })},
+      {"infinite coordinate", with([](V2Forgery* f) {
+         f->rows[0].coords[1] = std::numeric_limits<double>::infinity();
+       })},
+      {"color out of range", with([](V2Forgery* f) { f->rows[1].color = 2; })},
+      {"color past INT_MAX",
+       with([](V2Forgery* f) { f->rows[1].color = 0x80000000u; })},
+      {"negative clock", with([](V2Forgery* f) { f->now = -1; })},
+      {"arrival beyond the clock",
+       with([](V2Forgery* f) { f->rows[1].arrival = 5; })},
+      {"negative arrival", with([](V2Forgery* f) {
+         f->rows[0].arrival = -1;
+       })},
+      {"id counter behind stored ids",
+       with([](V2Forgery* f) { f->next_id = 3; })},
+      {"bucket witness beyond the clock",
+       with([](V2Forgery* f) { f->bucket_seen = 5; })},
+      {"stored points without a last point",
+       with([](V2Forgery* f) { f->last = kNoRow; })},
+      {"v-entries out of arrival order", with([](V2Forgery* f) {
+         f->guesses = EncodeGuess(0, {{1, {}}, {0, {}}});
+       })},
+      {"c-entries out of arrival order", with([](V2Forgery* f) {
+         f->guesses = EncodeGuess(0, {{1, {}}}, {}, {{1, {}}, {0, {}}});
+       })},
+      {"v-entries with equal arrivals", with([](V2Forgery* f) {
+         f->guesses = EncodeGuess(0, {{0, {}}, {0, {}}});
+       })},
+      {"v-representative older than its attractor", with([](V2Forgery* f) {
+         f->guesses = EncodeGuess(0, {{1, {0}}});
+       })},
+      {"c-representative older than its attractor", with([](V2Forgery* f) {
+         f->guesses = EncodeGuess(0, {}, {}, {{1, {1, 0}}});
+       })},
+      {"duplicate exponent", with([](V2Forgery* f) {
+         f->guess_count = 2;
+         f->guesses = EncodeGuess(0, {{1, {}}}) + EncodeGuess(0, {{1, {}}});
+       })},
+      {"exponent out of range", with([](V2Forgery* f) {
+         f->guesses = EncodeGuess(1 << 20, {{1, {}}});
+       })},
+      {"last point outside the table",
+       with([](V2Forgery* f) { f->last = 2; })},
+      {"attractor outside the table", with([](V2Forgery* f) {
+         f->guesses = EncodeGuess(0, {{2, {}}});
+       })},
+      {"representative outside the table", with([](V2Forgery* f) {
+         f->guesses = EncodeGuess(0, {{1, {7}}});
+       })},
+      {"orphan outside the table", with([](V2Forgery* f) {
+         f->guesses = EncodeGuess(0, {{1, {}}}, {}, {}, {kNoRow - 1});
+       })},
+      {"table rows out of order", with([](V2Forgery* f) {
+         std::swap(f->rows[0], f->rows[1]);
+         f->last = 0;
+         f->guesses = EncodeGuess(0, {{0, {}}});
+       })},
+      {"table rows repeating an id",
+       with([](V2Forgery* f) { f->rows[0].id = 3; })},
+      {"table rows repeating an arrival",
+       with([](V2Forgery* f) { f->rows[0].arrival = 3; })},
+      // Counts far beyond the bytes left: must reject before resizing.
+      {"forged guess count",
+       with([](V2Forgery* f) { f->guess_count = 0x0fffffff; })},
+      {"forged orphan count", with([](V2Forgery* f) {
+         f->guesses = V2Body().I32(0).bytes() + EncodeEntries({{1, {}}}) +
+                      V2Body().U32(0x0fffffff).bytes();
+       })},
+      {"forged representative count", with([](V2Forgery* f) {
+         f->guesses =
+             V2Body().I32(0).U32(1).U32(1).U32(0xffffffffu).bytes();
+       })},
+      {"trailing bytes", with([](V2Forgery* f) { f->trailing = "x"; })},
+      {"reference blow-up", blow_up},
+  };
+  for (const auto& c : kCases) {
+    auto restored =
+        FairCenterSlidingWindow::DeserializeState(c.bytes, &kMetric, &kJones);
+    ASSERT_FALSE(restored.ok()) << c.label;
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument)
+        << c.label;
+  }
+  // A forged row count needs its own blob: the rows follow it.
+  V2Body body;
+  body.I64(3).U64(4).U32(0).U32(2).U32(0x0fffffff);
+  const std::string forged_rows =
+      "fkc-checkpoint-v2 10 0x1p+1 0x1p+0 0 1 0x0p+0 0x0p+0 1 1 2 2 1 " +
+      std::to_string(body.bytes().size()) + " " + body.bytes() + " ";
+  EXPECT_EQ(FairCenterSlidingWindow::DeserializeState(forged_rows, &kMetric,
+                                                      &kJones)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+// --- Golden bytes. ---
+
+std::string ReadFixture(const std::string& name) {
+  std::ifstream in(std::string(FKC_FIXTURE_DIR) + "/" + name,
+                   std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
+// tests/fixtures/window_v1.txt holds the text checkpoint the last v1 build
+// wrote for this stream, window_v2.bin the binary checkpoint of the same
+// window.
+FairCenterSlidingWindow GoldenStreamWindow() {
+  FairCenterSlidingWindow window = MakeWindow(true);
+  Rng rng(23);
+  FeedRandom(&window, 150, &rng);
+  return window;
+}
+
+void ExpectSameAnswer(FairCenterSlidingWindow* expected,
+                      FairCenterSlidingWindow* actual,
+                      const std::string& label) {
+  EXPECT_EQ(expected->Memory().ToString(), actual->Memory().ToString())
+      << label;
+  auto a = expected->Query();
+  auto b = actual->Query();
+  ASSERT_TRUE(a.ok() && b.ok()) << label;
+  EXPECT_EQ(a.value().radius, b.value().radius) << label;
+  ASSERT_EQ(a.value().centers.size(), b.value().centers.size()) << label;
+  for (size_t i = 0; i < a.value().centers.size(); ++i) {
+    EXPECT_EQ(a.value().centers[i].id, b.value().centers[i].id) << label;
+  }
+}
+
+TEST(CheckpointGoldenTest, V1FixtureConvertsToTheV2Golden) {
+  const std::string v1 = ReadFixture("window_v1.txt");
+  const std::string v2 = ReadFixture("window_v2.bin");
+  ASSERT_EQ(v1.rfind("fkc-checkpoint-v1 ", 0), 0u);
+  ASSERT_EQ(v2.rfind("fkc-checkpoint-v2 ", 0), 0u);
+
+  FairCenterSlidingWindow live = GoldenStreamWindow();
+  EXPECT_EQ(live.SerializeState(), v2);
+
+  auto from_v1 =
+      FairCenterSlidingWindow::DeserializeState(v1, &kMetric, &kJones);
+  ASSERT_TRUE(from_v1.ok()) << from_v1.status().ToString();
+  EXPECT_EQ(from_v1.value().SerializeState(), v2);
+
+  auto from_v2 =
+      FairCenterSlidingWindow::DeserializeState(v2, &kMetric, &kJones);
+  ASSERT_TRUE(from_v2.ok()) << from_v2.status().ToString();
+  EXPECT_EQ(from_v2.value().SerializeState(), v2);
+
+  ExpectSameAnswer(&live, &from_v1.value(), "restored from v1");
+  ExpectSameAnswer(&live, &from_v2.value(), "restored from v2");
 }
 
 }  // namespace

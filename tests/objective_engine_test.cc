@@ -162,7 +162,7 @@ TEST(KMedianQueryTest, SerializeRestoreIsByteEqualAndAnswersMatch) {
   for (const Point& p : RandomPoints(150, 19)) window.Update(p);
 
   const std::string blob = window.SerializeState();
-  ASSERT_EQ(blob.rfind("fkc-checkpoint-v1", 0), 0u)
+  ASSERT_EQ(blob.rfind("fkc-checkpoint-v2", 0), 0u)
       << "the window blob does not depend on the objective";
   auto restored =
       FairCenterSlidingWindow::DeserializeState(blob, &kMetric, &kJones);

@@ -5,9 +5,10 @@
 //                   truncates back to the last intact capture boundary
 //                   (never aborting). Every byte-truncation prefix of the
 //                   log recovers to a fleet byte-equal to the fleet as of
-//                   the corresponding capture, and a directory written
-//                   before the in-memory and on-disk logs became one class
-//                   still opens and replays byte-equal. (The capture and
+//                   the corresponding capture, and directories written by
+//                   older builds (text window blobs, before the in-memory
+//                   and on-disk logs became one class) still open and
+//                   replay byte-equal. (The capture and
 //                   replay contract shared with the in-memory log is
 //                   delta_log_test.cc's.)
 //   transport       a follower over a unix socket converges to a
@@ -455,8 +456,8 @@ TEST(DeltaLogDirectoryTest, EntriesFromServesTailOrFullResync) {
   }
 }
 
-// The fleet captured into tests/fixtures/replog_v1 (a base and two deltas):
-// two tenants, one of them clean for the last capture.
+// The fleet captured into tests/fixtures/replog_v{1,2} (a base and two
+// deltas): two tenants, one of them clean for the last capture.
 void CaptureFixtureFleet(DeltaLog* log, ShardManager* leader) {
   const char* keys[] = {"tenant-a", "tenant-b"};
   for (int tranche = 0; tranche < 3; ++tranche) {
@@ -479,31 +480,48 @@ ShardManagerOptions FixtureOptions() {
   return options;
 }
 
-// Compatibility pin for the on-disk log: a directory written by the
-// standalone crash-safe log class (before the in-memory and on-disk logs
-// were merged) opens with all three entries, replays to the committed
-// CheckpointAll blob byte for byte, and capturing the same fleet today
-// writes the same MANIFEST and segment bytes.
+// Compatibility pins for the on-disk log. A directory written before the
+// window blobs became binary (replog_v1: fkc-checkpoint-v1 shards, written
+// by the standalone crash-safe log class before the in-memory and on-disk
+// logs were merged) still opens with all three entries and replays to the
+// committed fleet, whose shards are rewritten as fkc-checkpoint-v2; so does
+// the v1 CheckpointAll blob of that fleet. Capturing the same fleet today
+// writes the committed replog_v2 MANIFEST and segment bytes, which replay
+// to the same fleet.
 TEST(DeltaLogDirectoryTest, OpensAndRewritesCommittedLogBytes) {
-  const std::string fixture = std::string(FKC_FIXTURE_DIR) + "/replog_v1";
+  const std::string v1_fixture = std::string(FKC_FIXTURE_DIR) + "/replog_v1";
+  const std::string v2_fixture = std::string(FKC_FIXTURE_DIR) + "/replog_v2";
   const std::string expected_fleet =
-      ReadAll(std::string(FKC_FIXTURE_DIR) + "/replog_v1_fleet.txt");
-  // Recovery may rewrite what it opens: work on a copy.
-  const std::string dir = FreshDir("fixture_copy");
-  fs::copy(fixture, dir);
+      ReadAll(std::string(FKC_FIXTURE_DIR) + "/replog_v2_fleet.bin");
+  auto replay_copy = [&](const std::string& fixture,
+                         const std::string& name) {
+    // Recovery may rewrite what it opens: work on a copy.
+    const std::string dir = FreshDir(name);
+    fs::copy(fixture, dir);
+    DeltaLog log(dir);
+    ASSERT_TRUE(log.Open().ok()) << fixture;
+    EXPECT_EQ(log.recovery_stats().recovered_entries, 3) << fixture;
+    EXPECT_EQ(log.recovery_stats().truncated_segments, 0) << fixture;
+    EXPECT_EQ(log.recovery_stats().swept_files, 0) << fixture;
+    EXPECT_FALSE(log.recovery_stats().manifest_rebuilt) << fixture;
+    EXPECT_EQ(log.generation(), 1) << fixture;
+    auto replayed = log.Replay(&kMetric, &kJones);
+    ASSERT_TRUE(replayed.ok()) << fixture << ": "
+                               << replayed.status().ToString();
+    auto blob = replayed.value().CheckpointAll();
+    ASSERT_TRUE(blob.ok());
+    EXPECT_EQ(blob.value(), expected_fleet) << fixture;
+  };
+  replay_copy(v1_fixture, "fixture_v1_copy");
+  replay_copy(v2_fixture, "fixture_v2_copy");
 
-  DeltaLog log(dir);
-  ASSERT_TRUE(log.Open().ok());
-  EXPECT_EQ(log.recovery_stats().recovered_entries, 3);
-  EXPECT_EQ(log.recovery_stats().truncated_segments, 0);
-  EXPECT_EQ(log.recovery_stats().swept_files, 0);
-  EXPECT_FALSE(log.recovery_stats().manifest_rebuilt);
-  EXPECT_EQ(log.generation(), 1);
-  auto replayed = log.Replay(&kMetric, &kJones);
-  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
-  auto blob = replayed.value().CheckpointAll();
-  ASSERT_TRUE(blob.ok());
-  EXPECT_EQ(blob.value(), expected_fleet);
+  auto v1_fleet = ShardManager::Restore(
+      ReadAll(std::string(FKC_FIXTURE_DIR) + "/replog_v1_fleet.txt"),
+      &kMetric, &kJones);
+  ASSERT_TRUE(v1_fleet.ok()) << v1_fleet.status().ToString();
+  auto rewritten_fleet = v1_fleet.value().CheckpointAll();
+  ASSERT_TRUE(rewritten_fleet.ok());
+  EXPECT_EQ(rewritten_fleet.value(), expected_fleet);
 
   const std::string rewritten = FreshDir("fixture_rewrite");
   DeltaLog writer(rewritten);
@@ -512,14 +530,15 @@ TEST(DeltaLogDirectoryTest, OpensAndRewritesCommittedLogBytes) {
                       &kJones);
   CaptureFixtureFleet(&writer, &leader);
   std::vector<std::string> files;
-  ASSERT_TRUE(ListDirectoryFiles(fixture, &files).ok());
+  ASSERT_TRUE(ListDirectoryFiles(v2_fixture, &files).ok());
   std::vector<std::string> written;
   ASSERT_TRUE(ListDirectoryFiles(rewritten, &written).ok());
   std::sort(files.begin(), files.end());
   std::sort(written.begin(), written.end());
   ASSERT_EQ(written, files);
   for (const std::string& name : files) {
-    EXPECT_EQ(ReadAll(rewritten + "/" + name), ReadAll(fixture + "/" + name))
+    EXPECT_EQ(ReadAll(rewritten + "/" + name),
+              ReadAll(v2_fixture + "/" + name))
         << name;
   }
 }
