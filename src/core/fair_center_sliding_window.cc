@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
+#include "common/string_util.h"
 #include "metric/coordinate_pool.h"
 #include "sequential/k_median.h"
 
@@ -68,6 +69,35 @@ Result<ObjectiveKind> ParseObjectiveTag(const std::string& tag) {
   return Status::InvalidArgument("unknown objective tag '" + tag + "'");
 }
 
+Status ValidateArrival(const Point& p, const ColorConstraint& constraint,
+                       int64_t pinned_dim) {
+  if (p.coords.empty()) {
+    return Status::InvalidArgument("arrival carries no coordinates");
+  }
+  for (double x : p.coords) {
+    if (!std::isfinite(x)) {
+      return Status::InvalidArgument("non-finite coordinate in arrival");
+    }
+  }
+  if (pinned_dim >= 0 && static_cast<int64_t>(p.dimension()) != pinned_dim) {
+    return Status::InvalidArgument(StrFormat(
+        "%zu-dimensional arrival for a window pinned to %lld dimensions",
+        p.dimension(), static_cast<long long>(pinned_dim)));
+  }
+  if (p.color < 0 || p.color >= constraint.ell()) {
+    return Status::InvalidArgument(
+        StrFormat("color %d outside the constraint's [0, %d) range", p.color,
+                  constraint.ell()));
+  }
+  // In-range colors with a zero cap are representable in checkpoints but
+  // can never host a center.
+  if (constraint.cap(p.color) < 1) {
+    return Status::InvalidArgument(
+        StrFormat("color %d has a zero cap and cannot be served", p.color));
+  }
+  return Status::OK();
+}
+
 double DeltaForEpsilon(double epsilon, double beta, double alpha) {
   FKC_CHECK_GT(epsilon, 0.0);
   return epsilon / ((1.0 + beta) * (1.0 + 2.0 * alpha));
@@ -110,8 +140,8 @@ FairCenterSlidingWindow::FairCenterSlidingWindow(SlidingWindowOptions options,
   }
 }
 
-void FairCenterSlidingWindow::Update(Coordinates coords, int color) {
-  Update(Point(std::move(coords), color));
+Status FairCenterSlidingWindow::Update(Coordinates coords, int color) {
+  return Update(Point(std::move(coords), color));
 }
 
 void FairCenterSlidingWindow::StampArrival(Point* p) {
@@ -119,8 +149,6 @@ void FairCenterSlidingWindow::StampArrival(Point* p) {
   ++state_epoch_;
   p->arrival = now_;
   p->id = next_id_++;
-  FKC_CHECK_GE(p->color, 0);
-  FKC_CHECK_LT(p->color, constraint_.ell());
 }
 
 ThreadPool* FairCenterSlidingWindow::Pool() {
@@ -181,7 +209,13 @@ void FairCenterSlidingWindow::UpdateGuesses(const Point& p) {
   }
 }
 
-void FairCenterSlidingWindow::Update(Point p) {
+Status FairCenterSlidingWindow::Update(Point p) {
+  FKC_RETURN_IF_ERROR(ValidateArrival(p, constraint_, dimension()));
+  Consume(std::move(p));
+  return Status::OK();
+}
+
+void FairCenterSlidingWindow::Consume(Point p) {
   StampArrival(&p);
 
   if (options_.adaptive_range) {
@@ -207,15 +241,31 @@ void FairCenterSlidingWindow::Update(Point p) {
   last_point_ = std::move(p);
 }
 
-void FairCenterSlidingWindow::UpdateBatch(std::vector<Point> batch) {
-  if (batch.empty()) return;
+Status FairCenterSlidingWindow::UpdateBatch(std::vector<Point> batch) {
+  // Drop the offenders, compacting the batch in place. In an empty window
+  // the first accepted arrival pins the dimension for the rest.
+  Status first_error;
+  int64_t dim = dimension();
+  size_t kept = 0;
+  for (Point& p : batch) {
+    Status status = ValidateArrival(p, constraint_, dim);
+    if (!status.ok()) {
+      if (first_error.ok()) first_error = std::move(status);
+      continue;
+    }
+    dim = static_cast<int64_t>(p.dimension());
+    if (&p != &batch[kept]) batch[kept] = std::move(p);
+    ++kept;
+  }
+  batch.resize(kept);
+  if (batch.empty()) return first_error;
   ThreadPool* pool = Pool();
   // Adaptive mode must step arrival by arrival (the guess set and estimator
-  // evolve between arrivals); Update itself fans the ladder out per step.
+  // evolve between arrivals); Consume itself fans the ladder out per step.
   // Sequential configurations take the same per-arrival path.
   if (options_.adaptive_range || pool == nullptr || guesses_.size() < 2) {
-    for (Point& p : batch) Update(std::move(p));
-    return;
+    for (Point& p : batch) Consume(std::move(p));
+    return first_error;
   }
 
   // Fixed-range parallel path: the ladder is static and observer-free, so
@@ -232,6 +282,7 @@ void FairCenterSlidingWindow::UpdateBatch(std::vector<Point> batch) {
     }
   });
   last_point_ = std::move(batch.back());
+  return first_error;
 }
 
 void FairCenterSlidingWindow::ReconcileAdaptiveRange() {

@@ -148,6 +148,14 @@ struct QueryPlan {
   QueryStats stats;
 };
 
+/// The arrival rules of every window: at least one coordinate, all finite
+/// (the checkpoint reader refuses others); a color in [0, constraint.ell())
+/// whose cap is at least 1 (the paper assumes positive k_i); and, once
+/// `pinned_dim` >= 0, exactly that many coordinates (the stored-point pools
+/// hold one dimension). kInvalidArgument names the first broken rule.
+Status ValidateArrival(const Point& p, const ColorConstraint& constraint,
+                       int64_t pinned_dim);
+
 /// Streaming clustering over a sliding window: the paper's fair-center
 /// algorithm, whose coreset also answers k-median queries.
 ///
@@ -157,24 +165,29 @@ struct QueryPlan {
 ///   auto solution = window.Query();
 class FairCenterSlidingWindow {
  public:
-  /// `metric` and `solver` must outlive the window. Every color that occurs
-  /// in the stream must have a cap >= 1 (the paper assumes positive k_i).
+  /// `metric` and `solver` must outlive the window. Arrivals of a color
+  /// whose cap is 0 are rejected by Update (see ValidateArrival).
   FairCenterSlidingWindow(SlidingWindowOptions options,
                           ColorConstraint constraint, const Metric* metric,
                           const FairCenterSolver* solver);
 
   /// Feeds the next stream point; arrival time and id are assigned
-  /// internally (one logical time step per call).
-  void Update(Coordinates coords, int color);
-  void Update(Point p);
+  /// internally (one logical time step per call). An arrival breaking
+  /// ValidateArrival's rules — the pinned dimension is dimension() — fails
+  /// with kInvalidArgument and is not consumed: the clock, the state and
+  /// the checkpoint bytes stay as they were.
+  Status Update(Coordinates coords, int color);
+  Status Update(Point p);
 
   /// Feeds a batch of stream points, equivalent to calling Update on each in
   /// order (bit-identical final state), but amortizing the parallel fan-out:
   /// in fixed-range mode every guess structure consumes the whole batch on
   /// its own thread; in adaptive mode arrivals are processed one step at a
   /// time (the guess set may shift between arrivals) with the ladder fanned
-  /// out per step.
-  void UpdateBatch(std::vector<Point> batch);
+  /// out per step. Invalid arrivals are dropped one by one, exactly as
+  /// Update would reject them, every valid one is consumed, and the status
+  /// is the first offender's.
+  Status UpdateBatch(std::vector<Point> batch);
 
   /// Computes a fair-center solution for the current window (Algorithm 3).
   /// Fails with kFailedPrecondition in fixed-range mode if the configured
@@ -262,8 +275,7 @@ class FairCenterSlidingWindow {
   /// Coordinate dimension this window is pinned to — the dimension of its
   /// most recent arrival, or -1 before the first one. The SoA pools (and
   /// the checkpoint reader's uniformity check) require every stored point
-  /// to share one dimension, so front-ends use this to reject mismatched
-  /// arrivals before they reach CHECK-guarded code.
+  /// to share one dimension, so Update rejects arrivals of any other.
   int64_t dimension() const {
     return last_point_.has_value()
                ? static_cast<int64_t>(last_point_->dimension())
@@ -295,6 +307,9 @@ class FairCenterSlidingWindow {
   /// Stamps arrival/id on `p` and advances the clock (the shared prologue of
   /// Update and UpdateBatch).
   void StampArrival(Point* p);
+
+  /// Update's body, for an arrival that already passed ValidateArrival.
+  void Consume(Point p);
 
   /// Runs one arrival through every guess structure — sequentially, or
   /// fanned out over the pool with adaptive-mode distance observations

@@ -1,7 +1,6 @@
 #include "serving/shard_manager.h"
 
 #include <algorithm>
-#include <cmath>
 #include <condition_variable>
 #include <sstream>
 #include <thread>
@@ -146,30 +145,28 @@ Status ReadFleetHeader(CheckpointReader* cursor, bool delta,
   return Status::OK();
 }
 
-// One decoded shard segment. `blob` is the verbatim window checkpoint,
-// which Restore hands to the spill store when it spills past its cap.
+// One decoded shard segment.
 struct FleetShard {
   std::string key;
-  std::string blob;
   std::unique_ptr<FairCenterSlidingWindow> window;
   ObjectiveKind kind = ObjectiveKind::kFairCenter;  ///< from the header
 };
 
-// Reads the next shard segment after `header`: the raw key and window
-// blob, the deserialized window, and the checks a forged blob could
-// otherwise slip past. `seen_keys` accumulates the keys read so far.
+// Reads the next shard segment after `header`: the raw key, the
+// deserialized window blob, and the checks a forged blob could otherwise
+// slip past. `seen_keys` accumulates the keys read so far.
 Status ReadFleetShard(CheckpointReader* cursor, const FleetHeader& header,
                       const Metric* metric, const FairCenterSolver* solver,
                       std::set<std::string>* seen_keys, FleetShard* shard) {
   const char* what = header.delta ? "delta" : "checkpoint";
+  std::string blob;
   FKC_RETURN_IF_ERROR(cursor->NextRaw(&shard->key, kMaxKeyBytes));
-  FKC_RETURN_IF_ERROR(cursor->NextRaw(&shard->blob));
-  auto window =
-      FairCenterSlidingWindow::DeserializeState(shard->blob, metric, solver);
+  FKC_RETURN_IF_ERROR(cursor->NextRaw(&blob));
+  auto window = FairCenterSlidingWindow::DeserializeState(blob, metric, solver);
   if (!window.ok()) return window.status();
   // An interior-corrupt or forged shard blob under a different constraint
-  // would restore fine and then CHECK-abort on its next in-range ingest
-  // (StampArrival checks color against the shard's own ell).
+  // would restore fine and then reject in-range arrivals the fleet accepts
+  // (the window checks colors against its own constraint).
   if (window.value().constraint().caps() != header.caps) {
     return Status::InvalidArgument(
         std::string("shard constraint does not match the fleet constraint "
@@ -270,10 +267,12 @@ ShardManager::ShardManager(ShardManagerOptions options,
 
 namespace {
 
-// Rewraps a backend failure with the operation and addressing context an
-// operator needs (which shard, which store, doing what) while preserving
-// the original code and the backend's own message (which names the path).
-Status AnnotateBackendFailure(const Status& inner, const std::string& context) {
+// Prefixes `context` to a failure's message, keeping its code: a backend
+// failure gains the operation and addressing context an operator needs
+// (which shard, which store, doing what) beside the backend's own message
+// (which names the path); IngestBatch's drop summary keeps the code of the
+// error it reports.
+Status Annotate(const Status& inner, const std::string& context) {
   const std::string message = context + ": " + inner.message();
   switch (inner.code()) {
     case StatusCode::kNotFound:
@@ -293,6 +292,14 @@ Status AnnotateBackendFailure(const Status& inner, const std::string& context) {
       break;
   }
   return Status::IoError(message);
+}
+
+// Serving's one rule beyond ValidateArrival: shard keys travel as raw
+// segments of the fleet checkpoint, which refuses keys this long.
+Status ValidateKey(const std::string& key) {
+  if (key.size() < kMaxKeyBytes) return Status::OK();
+  return Status::InvalidArgument(StrFormat(
+      "shard key of %zu bytes exceeds the checkpointable limit", key.size()));
 }
 
 }  // namespace
@@ -368,45 +375,6 @@ bool ShardManager::IsDirty(const Shard& shard) const {
                     : shard.spill_dirty;
 }
 
-Status ShardManager::ValidateArrival(const std::string& key, const Point& p,
-                                     int64_t pinned_dim) const {
-  if (key.size() >= kMaxKeyBytes) {
-    return Status::InvalidArgument(
-        StrFormat("shard key of %zu bytes exceeds the checkpointable limit",
-                  key.size()));
-  }
-  // The coordinate pools CHECK-abort on empty points and on dimension
-  // changes while points are stored, and the checkpoint reader rejects
-  // non-finite coordinates — so any of these, once ingested, would either
-  // kill the process or make CheckpointAll emit a blob Restore refuses
-  // (and a spilled shard permanently fail rehydration).
-  if (p.coords.empty()) {
-    return Status::InvalidArgument("arrival carries no coordinates");
-  }
-  for (double x : p.coords) {
-    if (!std::isfinite(x)) {
-      return Status::InvalidArgument("non-finite coordinate in arrival");
-    }
-  }
-  if (pinned_dim >= 0 && static_cast<int64_t>(p.dimension()) != pinned_dim) {
-    return Status::InvalidArgument(StrFormat(
-        "%zu-dimensional arrival for a shard pinned to %lld dimensions",
-        p.dimension(), static_cast<long long>(pinned_dim)));
-  }
-  if (p.color < 0 || p.color >= constraint_.ell()) {
-    return Status::InvalidArgument(
-        StrFormat("color %d outside the constraint's [0, %d) range", p.color,
-                  constraint_.ell()));
-  }
-  // In-range colors with a zero cap are representable in checkpoints but
-  // can never host a center; GuessStructure::Update CHECK-aborts on them.
-  if (constraint_.cap(p.color) < 1) {
-    return Status::InvalidArgument(
-        StrFormat("color %d has a zero cap and cannot be served", p.color));
-  }
-  return Status::OK();
-}
-
 int64_t ShardManager::PinnedDimensionLocked(const Stripe& stripe,
                                             const std::string& key) const {
   auto it = stripe.shards.find(key);
@@ -453,14 +421,15 @@ ShardManager::Shard* ShardManager::RouteLocked(Stripe& stripe,
   return shard;
 }
 
-Status ShardManager::EnsureLiveHeld(const std::string& key, Shard* shard) {
-  if (shard->live != nullptr) return Status::OK();
+Result<FairCenterSlidingWindow> ShardManager::LoadSpilled(
+    const std::string& key, const Shard& shard) {
   auto blob = options_.spill_store->Get(key);
   if (!blob.ok()) {
     rehydration_failures_.fetch_add(1, std::memory_order_relaxed);
-    return AnnotateBackendFailure(
-        blob.status(), "rehydrating shard '" + key + "' from the " +
-                           options_.spill_store->Name() + " spill store");
+    return Annotate(blob.status(), "rehydrating shard '" + key +
+                                       "' from the " +
+                                       options_.spill_store->Name() +
+                                       " spill store");
   }
   auto window =
       FairCenterSlidingWindow::DeserializeState(blob.value(), metric_, solver_);
@@ -468,21 +437,35 @@ Status ShardManager::EnsureLiveHeld(const std::string& key, Shard* shard) {
   // Same forged-blob guards as Restore/ApplyDelta: with a durable backend
   // the bytes come from a directory two fleets could share (or anyone
   // could write — the FNV checksum is integrity, not authentication). A
-  // shard under a different constraint would pass ValidateArrival yet
-  // CHECK-abort in StampArrival on its next ingest; a different dimension
-  // would feed mismatched points into the coordinate pools.
+  // shard under a different constraint, or of a different dimension,
+  // would reject arrivals the fleet validated, or answer for another
+  // fleet's points.
   if (window.value().constraint().caps() != constraint_.caps()) {
     return Status::InvalidArgument(
         "spilled shard's constraint does not match the fleet constraint");
   }
+  // A pinned dimension never changes again, so a caller committing the
+  // window under a later stripe hold cannot race this check.
+  int64_t pinned_dim;
+  {
+    std::shared_lock<std::shared_mutex> stripe_lock(StripeOf(key).mu);
+    pinned_dim = shard.dim;
+  }
+  if (pinned_dim >= 0 && window.value().dimension() >= 0 &&
+      window.value().dimension() != pinned_dim) {
+    return Status::InvalidArgument(
+        "spilled shard's dimension does not match its pinned dimension");
+  }
+  return window;
+}
+
+Status ShardManager::EnsureLiveHeld(const std::string& key, Shard* shard) {
+  if (shard->live != nullptr) return Status::OK();
+  auto window = LoadSpilled(key, *shard);
+  if (!window.ok()) return window.status();
   {
     Stripe& stripe = StripeOf(key);
     std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
-    if (shard->dim >= 0 && window.value().dimension() >= 0 &&
-        window.value().dimension() != shard->dim) {
-      return Status::InvalidArgument(
-          "spilled shard's dimension does not match its pinned dimension");
-    }
     shard->live =
         std::make_unique<FairCenterSlidingWindow>(std::move(window).value());
     if (shard->live->dimension() >= 0) shard->dim = shard->live->dimension();
@@ -501,6 +484,50 @@ Status ShardManager::EnsureLiveHeld(const std::string& key, Shard* shard) {
   // swept by the next GC.
   options_.spill_store->Erase(key);
   return Status::OK();
+}
+
+bool ShardManager::InstallLocked(Stripe& stripe, const std::string& key,
+                                 Shard* shard,
+                                 std::unique_ptr<FairCenterSlidingWindow> window,
+                                 ObjectiveKind kind) {
+  const bool was_live = shard->live != nullptr;
+  shard->kind = kind;
+  shard->live = std::move(window);
+  shard->dim = shard->live->dimension();
+  // The shard now matches a fleet blob's state exactly.
+  shard->clean_epoch = shard->live->state_epoch();
+  shard->spill_dirty = false;
+  if (!was_live) live_count_.fetch_add(1, std::memory_order_relaxed);
+  TouchLive(stripe, key, shard, clock_.load(std::memory_order_relaxed));
+  return was_live;
+}
+
+template <typename Fn>
+Status ShardManager::TouchLiveShard(const std::string& key, Fn&& fn) {
+  Stripe& stripe = StripeOf(key);
+  Shard* shard = nullptr;
+  {
+    std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
+    shard = RouteLocked(stripe, key, /*create_missing=*/false,
+                        clock_.load(std::memory_order_relaxed));
+    if (shard == nullptr) {
+      return Status::NotFound("no shard for key '" + key + "'");
+    }
+    ++shard->pins;
+    ++stripe.ops;
+  }
+  Status status;
+  {
+    std::lock_guard<std::mutex> shard_lock(shard->mu);
+    status = EnsureLiveHeld(key, shard);
+    if (status.ok()) fn(*shard);
+  }
+  {
+    std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
+    --shard->pins;
+  }
+  EnforceLiveCap(&key);
+  return status;
 }
 
 void ShardManager::TouchLive(Stripe& stripe, const std::string& key,
@@ -547,7 +574,7 @@ Result<ShardManager::SpillAttempt> ShardManager::TrySpillShard(
   Status put = options_.spill_store->Put(key, std::move(blob));
   if (!put.ok()) {
     spill_write_failures_.fetch_add(1, std::memory_order_relaxed);
-    return AnnotateBackendFailure(
+    return Annotate(
         put, "spilling shard '" + key + "' to the " +
                  options_.spill_store->Name() + " spill store");
   }
@@ -570,8 +597,8 @@ Result<ShardManager::SpillAttempt> ShardManager::TrySpillShard(
   return SpillAttempt::kSpilled;
 }
 
-void ShardManager::EnforceLiveCap(const std::string* exclude) {
-  if (options_.max_live_shards <= 0) return;
+Status ShardManager::EnforceLiveCap(const std::string* exclude) {
+  if (options_.max_live_shards <= 0) return Status::OK();
   // Best-effort loop: each round picks the fleet-wide LRU victim — the
   // minimum of the stripes' eligible LRU fronts, least recently touched
   // with ties broken by smaller key, the same deterministic global order
@@ -583,7 +610,7 @@ void ShardManager::EnforceLiveCap(const std::string* exclude) {
   for (;;) {
     if (live_count_.load(std::memory_order_relaxed) <=
         static_cast<size_t>(options_.max_live_shards)) {
-      return;
+      return Status::OK();
     }
     bool found = false;
     std::pair<int64_t, std::string> best;
@@ -601,14 +628,13 @@ void ShardManager::EnforceLiveCap(const std::string* exclude) {
         break;  // stripe fronts are sorted: the first eligible is its best
       }
     }
-    if (!found) return;  // everything left is excluded, pinned, or failed
+    // Everything left is excluded, pinned, or failed.
+    if (!found) return Status::OK();
     attempted.insert(best.second);
     auto spilled = TrySpillShard(best.second, /*idle_ttl=*/-1);
-    if (!spilled.ok()) {
-      // Spill backend down: the cap is enforced best-effort until the
-      // backend recovers. Nothing is lost.
-      return;
-    }
+    // Spill backend down: the cap is enforced best-effort until the backend
+    // recovers. Nothing is lost.
+    if (!spilled.ok()) return spilled.status();
   }
 }
 
@@ -663,34 +689,9 @@ void ShardManager::UnpinFleet(const std::vector<PinnedShard>& pinned) {
 }
 
 Status ShardManager::Ingest(const std::string& key, Point p) {
-  Stripe& stripe = StripeOf(key);
-  Shard* shard = nullptr;
-  {
-    std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
-    // Validate and route in ONE stripe critical section, and pin the
-    // dimension at routing time: two first arrivals racing on a fresh key
-    // with different dimensions must resolve to first-writer-wins, the
-    // loser rejected here instead of CHECK-aborting in the window.
-    FKC_RETURN_IF_ERROR(
-        ValidateArrival(key, p, PinnedDimensionLocked(stripe, key)));
-    const int64_t tick = clock_.fetch_add(1, std::memory_order_relaxed) + 1;
-    shard = RouteLocked(stripe, key, /*create_missing=*/true, tick);
-    shard->dim = static_cast<int64_t>(p.dimension());
-    ++shard->pins;
-    ++stripe.ops;
-  }
-  Status status;
-  {
-    std::lock_guard<std::mutex> shard_lock(shard->mu);
-    status = EnsureLiveHeld(key, shard);
-    if (status.ok()) shard->live->Update(std::move(p));
-  }
-  {
-    std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
-    --shard->pins;
-  }
-  EnforceLiveCap(&key);
-  return status;
+  std::vector<KeyedPoint> batch;
+  batch.push_back(KeyedPoint{key, std::move(p)});
+  return IngestBatch(std::move(batch));
 }
 
 Status ShardManager::IngestBatch(std::vector<KeyedPoint> batch) {
@@ -700,9 +701,8 @@ Status ShardManager::IngestBatch(std::vector<KeyedPoint> batch) {
   // base + i + 1 whichever thread groups it, so LRU order and TTL
   // bookkeeping are identical run to run (and to the serial build) no
   // matter how the per-stripe grouping below interleaves. The flip side:
-  // an arrival dropped by validation still consumes its tick (Ingest,
-  // which validates before ticking, consumes none) — documented in the
-  // header; the clock is an ordering device, not checkpointed state.
+  // an arrival dropped by validation still consumes its tick — documented
+  // in the header; the clock is an ordering device, not checkpointed state.
   const int64_t base = clock_.fetch_add(n, std::memory_order_relaxed);
 
   // One per-shard group: arrival order preserved within the key (the only
@@ -760,7 +760,8 @@ Status ShardManager::IngestBatch(std::vector<KeyedPoint> batch) {
       const int64_t pinned = git != sb.groups.end()
                                  ? git->second.dim
                                  : PinnedDimensionLocked(*sb.stripe, kp.key);
-      Status status = ValidateArrival(kp.key, kp.point, pinned);
+      Status status = ValidateKey(kp.key);
+      if (status.ok()) status = ValidateArrival(kp.point, constraint_, pinned);
       if (!status.ok()) {
         ++sb.dropped;
         if (sb.first_error_index < 0) {
@@ -799,21 +800,33 @@ Status ShardManager::IngestBatch(std::vector<KeyedPoint> batch) {
     std::lock_guard<std::mutex> shard_lock(group->shard->mu);
     group->status = EnsureLiveHeld(*group->key, group->shard);
     if (group->status.ok()) {
-      group->shard->live->UpdateBatch(std::move(group->points));
+      // Phase 2 applied the window's own rules against the shard's pinned
+      // dimension, so this fails only if a concurrent ApplyDelta swapped in
+      // a window of another dimension since: then it rejects every arrival
+      // of the group, as the accounting below assumes.
+      group->status = group->shard->live->UpdateBatch(std::move(group->points));
     }
   });
 
   // Phase 4: unpin per stripe and merge the accounting. The earliest
   // validation offender (by original batch position) wins the reported
-  // error; failed groups use the size recorded at grouping time — the
-  // points vector is unreliable after the std::move above.
+  // error, else the first failed group's; failed groups use the size
+  // recorded at grouping time — the points vector is unreliable after the
+  // std::move above.
   int64_t dropped = 0;
   Status first_error = Status::OK();
   int64_t first_error_index = n;
+  Status group_error;
   for (StripeBatch& sb : stripe_work) {
-    {
-      std::lock_guard<std::shared_mutex> stripe_lock(sb.stripe->mu);
-      for (auto& [key, group] : sb.groups) --group.shard->pins;
+    std::lock_guard<std::shared_mutex> stripe_lock(sb.stripe->mu);
+    for (auto& [key, group] : sb.groups) {
+      --group.shard->pins;
+      // A failed group was dropped whole (points are only consumed on
+      // success). Its code travels with it, so a backend failure stays a
+      // backend failure.
+      if (group.status.ok()) continue;
+      dropped += group.size;
+      if (group_error.ok()) group_error = group.status;
     }
     dropped += sb.dropped;
     if (sb.first_error_index >= 0 && sb.first_error_index < first_error_index) {
@@ -821,23 +834,15 @@ Status ShardManager::IngestBatch(std::vector<KeyedPoint> batch) {
       first_error_index = sb.first_error_index;
     }
   }
-  for (StripeBatch& sb : stripe_work) {
-    for (auto& [key, group] : sb.groups) {
-      if (!group.status.ok()) {
-        // Rehydration failed: the whole group was dropped (points were
-        // only consumed on success).
-        dropped += group.size;
-        if (first_error.ok()) first_error = group.status;
-      }
-    }
-  }
-  EnforceLiveCap(nullptr);
+  if (first_error.ok()) first_error = std::move(group_error);
+  // A batch feeding a single shard never spills that shard to make room.
+  EnforceLiveCap(work.size() == 1 ? work[0]->key : nullptr);
 
   if (dropped > 0) {
-    return Status::InvalidArgument(
-        StrFormat("dropped %lld of %lld arrivals; first error: %s",
-                  static_cast<long long>(dropped), static_cast<long long>(n),
-                  first_error.message().c_str()));
+    return Annotate(first_error,
+                    StrFormat("dropped %lld of %lld arrivals; first error",
+                              static_cast<long long>(dropped),
+                              static_cast<long long>(n)));
   }
   return Status::OK();
 }
@@ -846,9 +851,7 @@ Status ShardManager::SetTenantOptions(const std::string& key,
                                       SlidingWindowOptions options) {
   Stripe& stripe = StripeOf(key);
   std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
-  if (key.size() >= kMaxKeyBytes) {
-    return Status::InvalidArgument("tenant key exceeds the size limit");
-  }
+  FKC_RETURN_IF_ERROR(ValidateKey(key));
   FKC_RETURN_IF_ERROR(ValidateSlidingWindowOptions(options));
   if (stripe.shards.count(key) != 0) {
     return Status::FailedPrecondition(
@@ -875,9 +878,7 @@ Status ShardManager::SetTenantObjective(const std::string& key,
                                         ObjectiveKind objective) {
   Stripe& stripe = StripeOf(key);
   std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
-  if (key.size() >= kMaxKeyBytes) {
-    return Status::InvalidArgument("tenant key exceeds the size limit");
-  }
+  FKC_RETURN_IF_ERROR(ValidateKey(key));
   if (stripe.shards.count(key) != 0) {
     return Status::FailedPrecondition("shard '" + key +
                                       "' already exists; its objective is "
@@ -899,29 +900,11 @@ ObjectiveKind ShardManager::TenantObjective(const std::string& key) const {
 
 Result<ObjectiveSolution> ShardManager::Query(const std::string& key,
                                               QueryStats* stats) {
-  Stripe& stripe = StripeOf(key);
-  Shard* shard = nullptr;
-  {
-    std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
-    shard = RouteLocked(stripe, key, /*create_missing=*/false,
-                        clock_.load(std::memory_order_relaxed));
-    if (shard == nullptr) {
-      return Status::NotFound("no shard for key '" + key + "'");
-    }
-    ++shard->pins;
-    ++stripe.ops;
-  }
-  Result<ObjectiveSolution> result = [&]() -> Result<ObjectiveSolution> {
-    std::lock_guard<std::mutex> shard_lock(shard->mu);
-    FKC_RETURN_IF_ERROR(EnsureLiveHeld(key, shard));
-    return shard->live->Query(shard->kind, stats);
-  }();
-  {
-    std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
-    --shard->pins;
-  }
-  EnforceLiveCap(&key);
-  return result;
+  Result<ObjectiveSolution> answer = ObjectiveSolution{};
+  FKC_RETURN_IF_ERROR(TouchLiveShard(key, [&](Shard& shard) {
+    answer = shard.live->Query(shard.kind, stats);
+  }));
+  return answer;
 }
 
 std::vector<ShardAnswer> ShardManager::QueryAll() {
@@ -947,21 +930,14 @@ std::vector<ShardAnswer> ShardManager::QueryAll() {
           shard->live->Query(shard->kind, &answers[i].stats);
       return;
     }
-    // The blob read happens under the shard lock (a concurrent rehydration
-    // commits and erases the entry under the same lock); deserialization
-    // and the query run outside every manager lock. The shard's objective
-    // is captured beside the blob: ApplyDelta, the only post-creation
-    // writer of `kind`, swaps it under this same shard lock.
+    // The load happens under the shard lock (a concurrent rehydration
+    // commits and erases the entry under the same lock); the query runs
+    // outside every manager lock. The shard's objective is captured beside
+    // the window: ApplyDelta, the only post-creation writer of `kind`,
+    // swaps it under this same shard lock.
     const ObjectiveKind objective = shard->kind;
-    Result<std::string> blob = options_.spill_store->Get(answers[i].key);
+    auto window = LoadSpilled(answers[i].key, *shard);
     shard_lock.unlock();
-    if (!blob.ok()) {
-      answers[i].solution = blob.status();
-      return;
-    }
-    auto window = FairCenterSlidingWindow::DeserializeState(blob.value(),
-                                                            metric_, solver_);
-    blob = std::string();  // the deserialized window supersedes the bytes
     if (!window.ok()) {
       answers[i].solution = window.status();
       return;
@@ -1068,7 +1044,7 @@ Result<std::string> ShardManager::CheckpointSnapshot(bool dirty_only) {
       auto blob = options_.spill_store->Get(*entry.key);
       if (!blob.ok()) {
         checkpoint_failures_.fetch_add(1, std::memory_order_relaxed);
-        return AnnotateBackendFailure(
+        return Annotate(
             blob.status(),
             std::string(dirty_only ? "delta checkpoint" : "full checkpoint") +
                 " aborted reading spilled shard '" + *entry.key +
@@ -1143,7 +1119,6 @@ Status ShardManager::ApplyDelta(const std::string& bytes) {
     FleetShard segment;
     FKC_RETURN_IF_ERROR(ReadFleetShard(&cursor, header, metric_, solver_,
                                        &seen_keys, &segment));
-    segment.blob = std::string();  // the window supersedes the bytes
     staged.push_back(std::move(segment));
   }
 
@@ -1168,26 +1143,18 @@ Status ShardManager::ApplyDelta(const std::string& bytes) {
   // Swap each staged shard in under its own lock: per-shard atomicity (a
   // concurrent QueryAll may see a partially applied delta, never a torn
   // shard), and ingest to untouched tenants proceeds throughout.
-  for (auto& [key, blob, window, kind] : staged) {
+  for (auto& [key, window, kind] : staged) {
     Stripe& stripe = StripeOf(key);
     Shard* shard = nullptr;
     {
       std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
-      auto it = stripe.shards.find(key);
-      if (it == stripe.shards.end()) {
+      auto [it, fresh] = stripe.shards.try_emplace(key);
+      if (fresh) {
         // A tenant first seen in this delta: build the entry fully formed
-        // under the stripe lock (nobody can hold its shard lock yet).
-        it = stripe.shards.try_emplace(key).first;
-        Shard* fresh = &it->second;
-        fresh->kind = kind;
-        fresh->live = std::move(window);
-        fresh->dim = fresh->live->dimension();
-        // The shard now matches the leader's checkpointed state exactly.
-        fresh->clean_epoch = fresh->live->state_epoch();
-        fresh->spill_dirty = false;
-        live_count_.fetch_add(1, std::memory_order_relaxed);
-        TouchLive(stripe, it->first, fresh,
-                  clock_.load(std::memory_order_relaxed));
+        // under the stripe lock (nobody can hold its shard lock yet). A
+        // visible entry without a window or a spill entry would read as a
+        // spilled shard whose rehydration fails.
+        InstallLocked(stripe, it->first, &it->second, std::move(window), kind);
         continue;
       }
       shard = &it->second;
@@ -1197,16 +1164,9 @@ Status ShardManager::ApplyDelta(const std::string& bytes) {
     bool was_live;
     {
       std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
-      was_live = shard->live != nullptr;
       // An objective change for an existing tenant arrives only this way,
       // as a whole replacement state, never as a live mutation.
-      shard->kind = kind;
-      shard->live = std::move(window);
-      shard->dim = shard->live->dimension();
-      shard->clean_epoch = shard->live->state_epoch();
-      shard->spill_dirty = false;
-      if (!was_live) live_count_.fetch_add(1, std::memory_order_relaxed);
-      TouchLive(stripe, key, shard, clock_.load(std::memory_order_relaxed));
+      was_live = InstallLocked(stripe, key, shard, std::move(window), kind);
       --shard->pins;
     }
     if (!was_live) {
@@ -1236,8 +1196,8 @@ Result<ShardManager> ShardManager::Restore(
   options.objective = header.objective;
   options.window = header.window;
 
-  // Single-threaded throughout: the manager is not published to any other
-  // thread until Restore returns, so its members are mutated directly.
+  // The manager is not published to any other thread until Restore
+  // returns, so its override tables are filled directly.
   ShardManager manager(options, ColorConstraint(header.caps), metric, solver);
   for (auto& [key, opts] : header.overrides) {
     manager.StripeOf(key).overrides.emplace(key, std::move(opts));
@@ -1246,72 +1206,28 @@ Result<ShardManager> ShardManager::Restore(
     manager.StripeOf(key).objective_overrides.emplace(key, kind);
   }
 
-  // Verbatim blob segments of the currently-live shards, so enforcing the
-  // cap mid-restore hands the exact bytes just read to the spill store
-  // instead of re-serializing a window that was deserialized moments ago.
-  // Holds at most max_live_shards entries at any time.
-  std::map<std::string, std::string> verbatim;
   std::set<std::string> seen_keys;
   for (int64_t s = 0; s < header.shard_count; ++s) {
     FleetShard segment;
     FKC_RETURN_IF_ERROR(ReadFleetShard(&cursor, header, metric, solver,
                                        &seen_keys, &segment));
-    // Shards carry their mutex, so entries are built in place (the key is
-    // new: ReadFleetShard rejects repeats).
     Stripe& stripe = manager.StripeOf(segment.key);
-    const auto pos = stripe.shards.try_emplace(std::move(segment.key)).first;
-    Shard& shard = pos->second;
-    // The checkpoint's own table (default tag + overrides) assigns the
-    // objective; v1/v2 tables are implicitly all-fair-center.
-    shard.kind = segment.kind;
-    shard.live = std::move(segment.window);
-    shard.dim = shard.live->dimension();
-    shard.clean_epoch = shard.live->state_epoch();  // restored = checkpointed
-    stripe.live_lru.insert({shard.last_touch, pos->first});
-    manager.live_count_.fetch_add(1, std::memory_order_relaxed);
-    if (max_live_shards <= 0) continue;
-    verbatim.emplace(pos->first, std::move(segment.blob));
+    {
+      std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
+      // The key is new: ReadFleetShard rejects repeats. The checkpoint's
+      // own table (default tag + overrides) assigns the objective; v1/v2
+      // tables are implicitly all-fair-center.
+      const auto pos = stripe.shards.try_emplace(std::move(segment.key)).first;
+      manager.InstallLocked(stripe, pos->first, &pos->second,
+                            std::move(segment.window), segment.kind);
+    }
     // Enforce the cap as shards stream in, not after: a fleet far larger
     // than max_live_shards must never be fully resident at once — that is
-    // the exact condition the cap exists to prevent. All last_touch values
-    // are equal here, so the surviving set (the largest keys) matches what
-    // one sweep at the end would keep — the fleet-wide LRU victim is the
-    // minimum of the stripes' LRU fronts, exactly the order the unstriped
-    // index had.
-    while (manager.live_count_.load() >
-           static_cast<size_t>(max_live_shards)) {
-      Stripe* victim_stripe = nullptr;
-      for (const auto& candidate : manager.stripes_) {
-        if (candidate->live_lru.empty()) continue;
-        if (victim_stripe == nullptr ||
-            *candidate->live_lru.begin() <
-                *victim_stripe->live_lru.begin()) {
-          victim_stripe = candidate.get();
-        }
-      }
-      FKC_CHECK(victim_stripe != nullptr);
-      const auto victim = victim_stripe->live_lru.begin();
-      Shard& victim_shard =
-          victim_stripe->shards.find(victim->second)->second;
-      auto spilled = verbatim.find(victim->second);
-      // A spill backend that cannot even absorb the restore is fatal to
-      // the restore, not the process.
-      Status put = manager.options_.spill_store->Put(
-          victim->second, std::move(spilled->second));
-      if (!put.ok()) {
-        return AnnotateBackendFailure(
-            put, "restore-time spill of shard '" + victim->second +
-                     "' to the " + manager.options_.spill_store->Name() +
-                     " spill store");
-      }
-      verbatim.erase(spilled);
-      victim_shard.live.reset();
-      victim_shard.spill_dirty = false;  // restored = checkpointed = clean
-      victim_shard.clean_epoch = kNeverCheckpointed;
-      victim_stripe->live_lru.erase(victim);
-      manager.live_count_.fetch_sub(1, std::memory_order_relaxed);
-      manager.evictions_.fetch_add(1, std::memory_order_relaxed);
-    }
+    // the exact condition the cap exists to prevent. Every shard is
+    // touched at clock 0, so the survivors (the largest keys) match what
+    // one sweep at the end would keep. A spill store that cannot absorb
+    // the restore fails the restore, not the process.
+    FKC_RETURN_IF_ERROR(manager.EnforceLiveCap(nullptr));
   }
   return manager;
 }
@@ -1458,26 +1374,8 @@ std::vector<std::string> ShardManager::Keys() const {
 }
 
 FairCenterSlidingWindow* ShardManager::shard(const std::string& key) {
-  Stripe& stripe = StripeOf(key);
-  Shard* shard = nullptr;
-  {
-    std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
-    shard = RouteLocked(stripe, key, /*create_missing=*/false,
-                        clock_.load(std::memory_order_relaxed));
-    if (shard == nullptr) return nullptr;
-    ++shard->pins;
-    ++stripe.ops;
-  }
   FairCenterSlidingWindow* window = nullptr;
-  {
-    std::lock_guard<std::mutex> shard_lock(shard->mu);
-    if (EnsureLiveHeld(key, shard).ok()) window = shard->live.get();
-  }
-  {
-    std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
-    --shard->pins;
-  }
-  EnforceLiveCap(&key);
+  TouchLiveShard(key, [&](Shard& shard) { window = shard.live.get(); });
   return window;
 }
 

@@ -100,16 +100,22 @@
 // operation concurrent with ingest sees each shard's state at the moment
 // its lock is taken (per-shard atomicity, not a fleet-wide point in time).
 //
-// Malformed input is rejected, never fatal: oversized keys, out-of-range or
-// zero-cap colors, empty or non-finite coordinates, and dimension changes
-// within a shard's stream all fail with kInvalidArgument (dropping only the
-// offending arrivals) — each of those would otherwise CHECK-abort the
-// process downstream or poison the next checkpoint into one Restore
-// rejects. Corrupted or truncated checkpoint blobs (including shard blobs
-// whose embedded constraint disagrees with the fleet's) fail
-// Restore/ApplyDelta with a non-OK Status instead of aborting the process,
-// and a failing spill backend (disk full, checksum mismatch) surfaces as a
-// Status too — an unspillable shard simply stays live.
+// Each shard transition has one body: every arrival goes through
+// IngestBatch (Ingest is a batch of one), Query and shard() share one
+// touch, rehydration and QueryAll's ephemeral read share one checked spill
+// load, Restore and ApplyDelta share one install, and every path that may
+// exceed the live-shard cap calls EnforceLiveCap.
+//
+// Malformed input is rejected, never fatal. Arrivals follow the window's
+// own rules (core ValidateArrival), applied before routing against the
+// dimension each shard records, so a rejected arrival neither creates nor
+// rehydrates a shard; serving adds only the key-size rule. Offenders fail
+// with kInvalidArgument and only they are dropped. Corrupted or truncated
+// checkpoint blobs (including shard blobs whose embedded constraint
+// disagrees with the fleet's) fail Restore/ApplyDelta with a non-OK Status
+// instead of aborting the process, and a failing spill backend (disk full,
+// checksum mismatch) surfaces as a Status too, with the backend's code —
+// an unspillable shard simply stays live.
 #ifndef FKC_SERVING_SHARD_MANAGER_H_
 #define FKC_SERVING_SHARD_MANAGER_H_
 
@@ -236,11 +242,11 @@ struct MaintenanceOptions {
 /// these counters moving, then read the per-operation Status messages
 /// (which name the path/key and the operation) for the diagnosis.
 struct MaintenanceStats {
-  /// Spill-store Put failures (eviction sweeps, LRU-cap enforcement, and
-  /// restore-time cap spills). Each leaves the shard live and lossless.
+  /// Spill-store Put failures (eviction sweeps and LRU-cap enforcement,
+  /// including Restore's). Each leaves the shard live and lossless.
   int64_t spill_write_failures = 0;
-  /// Spill-store Get failures while rehydrating a spilled shard for a
-  /// touch (ingest / per-key query / shard()).
+  /// Spill-store Get failures while loading a spilled shard: a touch's
+  /// rehydration (ingest / per-key query / shard()) or a QueryAll read.
   int64_t rehydration_failures = 0;
   /// Fleet checkpoints (CheckpointAll / CheckpointDelta, including
   /// DeltaLog captures) abandoned because a spilled shard's
@@ -285,8 +291,7 @@ struct ShardAnswer {
 class ShardManager {
  public:
   /// `metric` and `solver` must outlive the manager; they are shared by all
-  /// shards (code, not state). Arrivals whose color has a zero cap are
-  /// rejected at ingest (a single window CHECK-aborts on them instead).
+  /// shards (code, not state).
   ShardManager(ShardManagerOptions options, ColorConstraint constraint,
                const Metric* metric, const FairCenterSolver* solver);
   ~ShardManager();  ///< stops the maintenance thread, if running
@@ -295,14 +300,14 @@ class ShardManager {
   ShardManager& operator=(ShardManager&& other) noexcept;
 
   /// Feeds one arrival to the shard of `key`, creating (or rehydrating) the
-  /// shard on first sight. Per-shard clocks are independent: each shard
-  /// sees its own arrivals as one logical time step each. Fails with
-  /// kInvalidArgument — consuming nothing — for an oversized key, an
-  /// out-of-range or zero-cap color, empty or non-finite coordinates, or a
-  /// dimension differing from the shard's earlier arrivals (the first
-  /// accepted arrival pins it); other tenants are unaffected. Holds only
-  /// `key`'s stripe lock for routing and `key`'s shard lock during the
-  /// window update.
+  /// shard on first sight: exactly IngestBatch of a one-arrival batch, so
+  /// it has the same per-shard state, statuses and clock. Per-shard clocks
+  /// are independent: each shard sees its own arrivals as one logical time
+  /// step each. Fails with kInvalidArgument — consuming nothing but its
+  /// fleet-clock tick — for an oversized key or an arrival the window's
+  /// rules reject (the first accepted arrival pins the shard's dimension);
+  /// a spill-store failure while rehydrating keeps its own code (e.g.
+  /// kIoError). Other tenants are unaffected.
   Status Ingest(const std::string& key, Point p);
 
   /// Routes a batch of keyed arrivals: partitions the batch by routing
@@ -311,15 +316,17 @@ class ShardManager {
   /// missing shards, and finally fans the per-shard groups out over the
   /// pool, each shard consuming its group through the core UpdateBatch
   /// engine. Produces the same per-shard state as calling Ingest per
-  /// arrival in order. Invalid arrivals (oversized key, out-of-range or
-  /// zero-cap color, empty/non-finite coordinates, dimension mismatch) are
-  /// dropped individually — every valid arrival in the batch is still
-  /// consumed — and reported through a kInvalidArgument status describing
-  /// the earliest offender (by batch position) and the drop count. Two
-  /// batches touching disjoint key sets contend at most on shared stripes
-  /// during the routing step, and not at all when their stripes are
-  /// disjoint. The fleet clock advances once per SUBMITTED batch arrival
-  /// (a dropped arrival still consumes its tick), keeping LRU/TTL
+  /// arrival in order. Invalid arrivals (oversized key, or one the window's
+  /// ValidateArrival rejects against the shard's pinned dimension) are
+  /// dropped individually before routing — every valid arrival in the
+  /// batch is still consumed — and so is every arrival of a shard whose
+  /// rehydration fails. The status reports the drop count ("dropped X of
+  /// N arrivals") and the earliest validation offender (by batch
+  /// position), else the first rehydration failure, with that error's own
+  /// code. Two batches touching disjoint key sets contend at most on
+  /// shared stripes during the routing step, and not at all when their
+  /// stripes are disjoint. The fleet clock advances once per SUBMITTED
+  /// arrival (a dropped arrival still consumes its tick), keeping LRU/TTL
   /// bookkeeping deterministic under concurrent grouping.
   Status IngestBatch(std::vector<KeyedPoint> batch);
 
@@ -367,8 +374,10 @@ class ShardManager {
   /// deserialization without changing their residency, so a fleet-wide
   /// dashboard query does not defeat eviction. Answers are ordered by key,
   /// deterministically; each answer reflects that shard's state at the
-  /// moment its lock was taken. A spilled shard whose blob fails to load
-  /// answers with that error.
+  /// moment its lock was taken. A spilled shard is loaded under its lock
+  /// through the same checks as a rehydration, and one whose blob fails to
+  /// load (a backend error, a corrupt blob, a foreign constraint or
+  /// dimension) answers with that error.
   std::vector<ShardAnswer> QueryAll();
 
   /// Spills every live shard whose last touch is more than `idle_ttl`
@@ -426,11 +435,13 @@ class ShardManager {
   /// Reconstructs a manager from CheckpointAll output — v3, v2, or the
   /// earliest v1 format (v1/v2 restore as all-fair-center, unchanged).
   /// The restored fleet answers every query identically and
-  /// behaves identically under any future ingest sequence. Shards come
-  /// back live until `max_live_shards` is reached; past the cap the
-  /// verbatim blob segment is handed to the spill store directly (never
-  /// deserialized-then-reserialized), so a fleet far larger than the cap
-  /// restores without ever being fully resident. `num_threads`,
+  /// behaves identically under any future ingest sequence. Every shard is
+  /// deserialized and installed live, and the live-shard cap is enforced
+  /// after each one, so a fleet far larger than `max_live_shards` restores
+  /// without ever being fully resident: the over-cap shards are
+  /// re-serialized into the spill store (for fkc-checkpoint-v2 segments
+  /// the same bytes as the blob carried), and a store that refuses them
+  /// fails the restore with its Status. `num_threads`,
   /// `num_stripes`, `max_live_shards`, and `spill_store` are
   /// execution/resource knobs supplied at restore time, like the metric
   /// and solver. Corrupted, truncated, or implausible blobs fail with
@@ -656,12 +667,6 @@ class ShardManager {
 
   /// Requires the shard's `mu` (reads the live window's epoch counter).
   bool IsDirty(const Shard& shard) const;
-  /// The offending-arrival checks shared by Ingest and IngestBatch:
-  /// everything the core engine would CHECK-abort on, or that the
-  /// checkpoint reader would later refuse to restore. `pinned_dim` is the
-  /// dimension the arrival must have (-1 = not pinned yet).
-  Status ValidateArrival(const std::string& key, const Point& p,
-                         int64_t pinned_dim) const;
   /// `key`'s pinned coordinate dimension, or -1 for unknown keys.
   /// Requires `stripe`'s lock.
   int64_t PinnedDimensionLocked(const Stripe& stripe,
@@ -681,10 +686,29 @@ class ShardManager {
   /// stripe lock if it needs the shard past the lookup.
   Shard* RouteLocked(Stripe& stripe, const std::string& key,
                      bool create_missing, int64_t touch);
+  /// The one checked read of a spilled shard: spill-store Get (a failure
+  /// counts as a rehydration failure), DeserializeState, then the
+  /// fleet-constraint and pinned-dimension checks. Caller holds the
+  /// shard's `mu` and NO stripe lock (reading `dim` takes it shared).
+  Result<FairCenterSlidingWindow> LoadSpilled(const std::string& key,
+                                              const Shard& shard);
   /// Rehydrates `key`'s shard if spilled. Caller holds the shard's `mu`
   /// and NO stripe lock; the residency commit takes the stripe lock
   /// internally. On success the shard is live.
   Status EnsureLiveHeld(const std::string& key, Shard* shard);
+  /// Makes `window` the live, checkpoint-clean state of `key`'s entry,
+  /// answering for `kind` and touched at the current clock (Restore and
+  /// ApplyDelta). Requires `stripe`'s lock, and the shard's `mu` once the
+  /// entry is visible to other threads. Returns whether it was live.
+  bool InstallLocked(Stripe& stripe, const std::string& key, Shard* shard,
+                     std::unique_ptr<FairCenterSlidingWindow> window,
+                     ObjectiveKind kind);
+  /// The single-key touch behind Query and shard(): routes `key` without
+  /// creating it (kNotFound), pins it, rehydrates it under its lock and
+  /// runs fn(shard) there, then unpins and enforces the live cap sparing
+  /// `key`. Returns the routing or rehydration error; fn runs only on OK.
+  template <typename Fn>
+  Status TouchLiveShard(const std::string& key, Fn&& fn);
   /// Sets a live shard's last_touch, keeping the stripe's LRU index in
   /// sync. Requires `stripe`'s lock.
   void TouchLive(Stripe& stripe, const std::string& key, Shard* shard,
@@ -699,9 +723,10 @@ class ShardManager {
   /// stripes' LRU fronts; ties broken by smaller key, deterministically —
   /// the same global order the unstriped index had) until the cap holds.
   /// `exclude` (may be null) is never spilled; pinned or lock-busy shards
-  /// are skipped (best-effort, like a failing spill backend). Caller must
-  /// hold NO manager lock.
-  void EnforceLiveCap(const std::string* exclude);
+  /// are skipped. A failing spill backend ends the round and its Status is
+  /// returned (Restore fails on it; the touch paths leave the cap to the
+  /// next enforcement). Caller must hold NO manager lock.
+  Status EnforceLiveCap(const std::string* exclude);
   /// Pins every current shard entry — all stripe locks held at once, taken
   /// in ascending index order — and returns the snapshot in deterministic
   /// (ascending key) order. When `overrides_out` / `objectives_out` are

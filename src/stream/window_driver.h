@@ -11,6 +11,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/logging.h"
 #include "core/fair_center_sliding_window.h"
 #include "matroid/color_constraint.h"
 #include "stream/metrics_recorder.h"
@@ -38,15 +39,17 @@ class DrivenAlgorithm {
   virtual bool IsBaseline() const = 0;
 };
 
-/// Adapter over a FairCenterSlidingWindow (any variant or preset).
+/// Adapter over a FairCenterSlidingWindow (any variant or preset). The
+/// baselines see every arrival, so an arrival the window rejects would
+/// silently skew the comparison: the adapter aborts on it instead.
 class StreamingAdapter final : public DrivenAlgorithm {
  public:
   StreamingAdapter(std::string name, FairCenterSlidingWindow* window)
       : name_(std::move(name)), window_(window) {}
 
-  void Update(const Point& p) override { window_->Update(p); }
+  void Update(const Point& p) override { FKC_CHECK_OK(window_->Update(p)); }
   void UpdateBatch(const std::vector<Point>& batch) override {
-    window_->UpdateBatch(batch);
+    FKC_CHECK_OK(window_->UpdateBatch(batch));
   }
   Result<FairCenterSolution> Query(QueryStats* stats) override {
     return window_->Query(stats);

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "core/fair_center_sliding_window.h"
@@ -148,14 +151,83 @@ TEST(EdgeCaseTest, LadderExtremeValues) {
 
 // --- Sliding window contract violations. ---
 
-TEST(EdgeCaseTest, WindowRejectsColorOutOfRange) {
+// Arrival content is user input: the window rejects a bad arrival with a
+// Status and consumes nothing — same clock, same checkpoint bytes — in
+// either mode and at any thread count, and a batch drops only its
+// offenders.
+TEST(EdgeCaseTest, WindowRejectsInvalidArrivalsWithStatus) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const ColorConstraint constraint({2, 0, 1});  // color 1 has a zero cap
+  const std::vector<Point> invalid = {
+      P({1.0, 2.0}, -1),      P({1.0, 2.0}, 3),    P({1.0, 2.0}, 1),
+      Point(Coordinates{}, 0), P({nan, 2.0}, 0),   P({inf, 2.0}, 0),
+      P({1.0, -inf}, 0),      P({1.0, 2.0, 3.0}, 0)};
+  Rng rng(31);
+  std::vector<Point> valid;
+  for (int i = 0; i < 60; ++i) {
+    valid.push_back(P({rng.NextUniform(0, 10), rng.NextUniform(0, 10)},
+                      i % 3 == 1 ? 2 : 0));
+  }
+  for (bool adaptive : {false, true}) {
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << "adaptive=" << adaptive
+                                      << " threads=" << threads);
+      SlidingWindowOptions options;
+      options.window_size = 25;
+      options.adaptive_range = adaptive;
+      options.d_min = 0.01;
+      options.d_max = 20.0;
+      options.num_threads = threads;
+      FairCenterSlidingWindow window(options, constraint, &kMetric, &kJones);
+      FairCenterSlidingWindow reference(options, constraint, &kMetric,
+                                        &kJones);
+      for (int i = 0; i < 30; ++i) {
+        ASSERT_TRUE(window.Update(valid[i]).ok());
+        ASSERT_TRUE(reference.Update(valid[i]).ok());
+      }
+      const std::string before = window.SerializeState();
+      for (const Point& p : invalid) {
+        EXPECT_EQ(window.Update(p).code(), StatusCode::kInvalidArgument)
+            << p.ToString();
+        EXPECT_EQ(window.now(), 30);
+        EXPECT_EQ(window.SerializeState(), before) << p.ToString();
+      }
+      EXPECT_EQ(window.UpdateBatch(invalid).code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(window.now(), 30);
+      EXPECT_EQ(window.SerializeState(), before);
+
+      // Offenders mixed into a batch: the valid arrivals land exactly as
+      // Update over the filtered stream would feed them.
+      std::vector<Point> mixed;
+      size_t next_invalid = 0;
+      for (int i = 30; i < 60; ++i) {
+        if (i % 3 == 0 && next_invalid < invalid.size()) {
+          mixed.push_back(invalid[next_invalid++]);
+        }
+        mixed.push_back(valid[i]);
+        ASSERT_TRUE(reference.Update(valid[i]).ok());
+      }
+      const Status status = window.UpdateBatch(mixed);
+      EXPECT_EQ(status, ValidateArrival(invalid[0], constraint, 2))
+          << "the batch reports its first offender";
+      EXPECT_EQ(window.now(), 60);
+      EXPECT_EQ(window.SerializeState(), reference.SerializeState());
+    }
+  }
+
+  // In an empty window, a batch's first accepted arrival pins the
+  // dimension for the rest of the batch.
   SlidingWindowOptions options;
   options.window_size = 10;
   options.adaptive_range = true;
-  FairCenterSlidingWindow window(options, ColorConstraint({1}), &kMetric,
-                                 &kJones);
-  EXPECT_DEATH(window.Update({1.0}, 1), "color");
-  EXPECT_DEATH(window.Update({1.0}, -1), "color");
+  FairCenterSlidingWindow fresh(options, constraint, &kMetric, &kJones);
+  EXPECT_EQ(fresh.UpdateBatch({P({1.0}, 0), P({1.0, 2.0}, 0), P({3.0}, 2)})
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(fresh.now(), 2);
+  EXPECT_EQ(fresh.dimension(), 1);
 }
 
 TEST(EdgeCaseTest, WindowRejectsBadOptions) {

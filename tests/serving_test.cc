@@ -15,6 +15,7 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/checkpoint_io.h"
@@ -271,6 +272,41 @@ TEST(ShardManagerTest, InvalidArrivalsAreRejectedNotFatal) {
   }
 }
 
+// Ingest is a one-arrival IngestBatch: fed the same keyed stream, with
+// offenders mixed in, either way gives the same shards, the same clock,
+// and the same residency under a live-shard cap.
+TEST(ShardManagerTest, IngestMatchesOneArrivalIngestBatch) {
+  serving::ShardManagerOptions options = Options(1);
+  options.max_live_shards = 2;
+  serving::ShardManager single(options, kConstraint, &kMetric, &kJones);
+  serving::ShardManager batched(options, kConstraint, &kMetric, &kJones);
+  auto stream = KeyedStream(150, 41);
+  stream.insert(stream.begin() + 10, {"tenant-a", Point({1.0, 1.0}, 3)});
+  stream.insert(stream.begin() + 70, {"tenant-b", Point({1.0}, 0)});
+  stream.insert(stream.begin() + 100, {"tenant-d", Point(Coordinates{}, 0)});
+  for (const auto& kp : stream) {
+    const int64_t before = single.clock();
+    const Status status = single.Ingest(kp.key, kp.point);
+    EXPECT_EQ(single.clock(), before + 1) << "valid or not, one tick";
+    EXPECT_EQ(batched.IngestBatch({kp}), status);
+  }
+  EXPECT_EQ(single.clock(), 153);
+  EXPECT_EQ(batched.clock(), single.clock());
+
+  EXPECT_EQ(single.EvictIdle(/*idle_ttl=*/0), batched.EvictIdle(0));
+  ASSERT_EQ(single.Keys(), batched.Keys());
+  for (const std::string& key : single.Keys()) {
+    EXPECT_EQ(std::as_const(single).shard(key) != nullptr,
+              std::as_const(batched).shard(key) != nullptr)
+        << key << " survives in one manager only";
+  }
+  for (const std::string& key : single.Keys()) {
+    EXPECT_EQ(single.shard(key)->SerializeState(),
+              batched.shard(key)->SerializeState())
+        << key;
+  }
+}
+
 // A NaN/Inf (or empty) coordinate used to be accepted at ingest although
 // DeserializeState rejects it — one poisoned arrival made CheckpointAll
 // emit a blob Restore refuses and a spilled shard permanently fail
@@ -311,8 +347,8 @@ TEST(ShardManagerTest, NonFiniteCoordinatesRejectedAndBlobsStayRestorable) {
 }
 
 // A color inside [0, ell) whose cap is zero is representable everywhere but
-// can never host a center — GuessStructure::Update CHECK-aborts on it, so
-// the front-end must reject it like any other invalid arrival.
+// can never host a center — the window's rules reject it, so the front-end
+// must reject it before routing like any other invalid arrival.
 TEST(ShardManagerTest, ZeroCapColorsAreRejectedNotFatal) {
   serving::ShardManager manager(Options(1), ColorConstraint({2, 0}), &kMetric,
                                 &kJones);
@@ -331,8 +367,8 @@ TEST(ShardManagerTest, ZeroCapColorsAreRejectedNotFatal) {
 }
 
 // The first accepted arrival pins a shard's coordinate dimension; a later
-// mismatch would CHECK-abort in the SoA distance kernels and poison the
-// checkpoint (DeserializeState requires one dimension per shard). Distinct
+// mismatch is rejected, since the SoA distance kernels and the checkpoint
+// (DeserializeState requires one dimension per shard) need one. Distinct
 // shards may still use distinct dimensions.
 TEST(ShardManagerTest, DimensionMismatchesAreRejectedPerShard) {
   serving::ShardManager manager(Options(1), kConstraint, &kMetric, &kJones);
@@ -389,9 +425,9 @@ std::string BuildFleetBlobWithShardCaps(std::vector<int> caps) {
 }
 
 // A forged or interior-corrupt blob whose shard was built under a different
-// constraint used to restore fine and then CHECK-abort on the shard's next
-// in-range ingest (StampArrival checks color against the shard's own ell).
-// Restore must reject the mismatch up front.
+// constraint would restore fine and then reject arrivals the fleet accepts
+// (the window checks colors against its own constraint). Restore must
+// reject the mismatch up front.
 TEST(ShardManagerTest, RestoreRejectsShardWithMismatchedConstraint) {
   auto mismatched = serving::ShardManager::Restore(
       BuildFleetBlobWithShardCaps({1}), &kMetric, &kJones);

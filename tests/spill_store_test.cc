@@ -317,9 +317,9 @@ TEST(SpillStoreTest, ManagerSurfacesCorruptSpillFilesAsStatuses) {
 }
 
 // A spill entry forged (or shared from another fleet's directory) under a
-// different constraint or dimension must fail rehydration with a Status —
-// the same guard Restore/ApplyDelta apply — never reach the CHECK-aborts
-// in StampArrival / the coordinate pools.
+// different constraint or dimension must fail every load with a Status —
+// the same guard Restore/ApplyDelta apply — whether a touch rehydrates it
+// or QueryAll reads it in passing; other shards keep answering.
 TEST(SpillStoreTest, RehydrationRejectsForeignConstraintOrDimension) {
   auto store = std::make_shared<InMemorySpillStore>();
   ShardManagerOptions with_store = Options(nullptr);
@@ -329,13 +329,24 @@ TEST(SpillStoreTest, RehydrationRejectsForeignConstraintOrDimension) {
   ASSERT_TRUE(manager.Ingest("live", Point({1.0, 2.0}, 0)).ok());
   EXPECT_EQ(manager.EvictIdle(/*idle_ttl=*/0), 1);
 
+  // QueryAll's answer for "t" must carry `code`; "live" still answers.
+  auto expect_query_all = [&](StatusCode code) {
+    const auto answers = manager.QueryAll();
+    ASSERT_EQ(answers.size(), 2u);
+    EXPECT_EQ(answers[0].key, "live");
+    EXPECT_TRUE(answers[0].solution.ok());
+    EXPECT_EQ(answers[1].key, "t");
+    EXPECT_EQ(answers[1].solution.status().code(), code);
+  };
+
   // Overwrite the spilled entry with a window built under a 1-color
-  // constraint: an ingest with color 1 or 2 would pass the manager's
-  // ValidateArrival yet CHECK-abort inside the foreign shard.
+  // constraint: an ingest with color 1 or 2 passes the fleet's checks yet
+  // the foreign shard would reject it.
   FairCenterSlidingWindow foreign(Options(nullptr).window, ColorConstraint({1}),
                                   &kMetric, &kJones);
   foreign.Update(Point({3.0, 4.0}, 0));
   ASSERT_TRUE(store->Put("t", foreign.SerializeState()).ok());
+  expect_query_all(StatusCode::kInvalidArgument);
   auto query = manager.Query("t");
   ASSERT_FALSE(query.ok());
   EXPECT_EQ(query.status().code(), StatusCode::kInvalidArgument);
@@ -348,6 +359,7 @@ TEST(SpillStoreTest, RehydrationRejectsForeignConstraintOrDimension) {
                                   &kMetric, &kJones);
   three_d.Update(Point({3.0, 4.0, 5.0}, 0));
   ASSERT_TRUE(store->Put("t", three_d.SerializeState()).ok());
+  expect_query_all(StatusCode::kInvalidArgument);
   EXPECT_EQ(manager.Query("t").status().code(), StatusCode::kInvalidArgument);
 
   // An honest blob rehydrates again.
@@ -355,12 +367,86 @@ TEST(SpillStoreTest, RehydrationRejectsForeignConstraintOrDimension) {
                                  &kMetric, &kJones);
   honest.Update(Point({1.0, 2.0}, 0));
   ASSERT_TRUE(store->Put("t", honest.SerializeState()).ok());
+  expect_query_all(StatusCode::kOk);
   EXPECT_TRUE(manager.Query("t").ok());
 }
 
-// Restore under a live-shard cap hands the over-cap shards' verbatim blob
-// segments to the spill store — the restored fleet stays bounded, answers
-// identically, and the store holds byte-exact core checkpoints.
+// An in-memory store whose Get or Put fails with kIoError while
+// `fail_gets` or `fail_puts` is set.
+class FlakyStore final : public SpillStore {
+ public:
+  Status Put(const std::string& key, std::string blob) override {
+    if (fail_puts) return Status::IoError("injected write failure");
+    return inner_.Put(key, std::move(blob));
+  }
+  Result<std::string> Get(const std::string& key) const override {
+    if (fail_gets) return Status::IoError("injected read failure");
+    return inner_.Get(key);
+  }
+  Status Erase(const std::string& key) override { return inner_.Erase(key); }
+  Result<int64_t> GarbageCollect(const std::set<std::string>& keep) override {
+    return inner_.GarbageCollect(keep);
+  }
+  Result<int64_t> Count() const override { return inner_.Count(); }
+  const char* Name() const override { return "flaky"; }
+
+  bool fail_gets = false;
+  bool fail_puts = false;
+
+ private:
+  InMemorySpillStore inner_;
+};
+
+// A spill-store read failure keeps its own code on both ingest paths (it is
+// a backend failure, not a bad argument), loses nothing, and is counted.
+TEST(SpillStoreTest, RehydrationReadFailureKeepsItsCodeOnBothIngestPaths) {
+  auto store = std::make_shared<FlakyStore>();
+  ShardManager manager(Options(store), kConstraint, &kMetric, &kJones);
+  ShardManager reference(Options(nullptr), kConstraint, &kMetric, &kJones);
+  for (ShardManager* m : {&manager, &reference}) {
+    ASSERT_TRUE(m->Ingest("t", Point({1.0, 2.0}, 0)).ok());
+    ASSERT_TRUE(m->Ingest("live", Point({1.0, 2.0}, 0)).ok());
+  }
+  ASSERT_EQ(manager.EvictIdle(/*idle_ttl=*/0), 1);
+  const std::string spilled = store->Get("t").ValueOr("");
+  ASSERT_FALSE(spilled.empty());
+
+  store->fail_gets = true;
+  const Status single = manager.Ingest("t", Point({3.0, 4.0}, 1));
+  EXPECT_EQ(single.code(), StatusCode::kIoError) << single.ToString();
+  EXPECT_NE(single.message().find("dropped 1 of 1"), std::string::npos);
+  EXPECT_NE(single.message().find("injected read failure"), std::string::npos);
+  EXPECT_EQ(manager.maintenance_stats().rehydration_failures, 1);
+
+  std::vector<KeyedPoint> batch = {{"t", Point({3.0, 4.0}, 1)},
+                                   {"live", Point({5.0, 6.0}, 2)}};
+  const Status batched = manager.IngestBatch(batch);
+  EXPECT_EQ(batched.code(), StatusCode::kIoError) << batched.ToString();
+  EXPECT_NE(batched.message().find("dropped 1 of 2"), std::string::npos);
+  EXPECT_EQ(manager.maintenance_stats().rehydration_failures, 2);
+  ASSERT_TRUE(reference.Ingest("live", Point({5.0, 6.0}, 2)).ok());
+
+  // The shard is intact: still spilled, its entry untouched.
+  store->fail_gets = false;
+  EXPECT_EQ(manager.spilled_shard_count(), 1u);
+  EXPECT_EQ(store->Get("t").ValueOr(""), spilled);
+
+  // And a retry lands as if nothing had failed.
+  ASSERT_TRUE(manager.IngestBatch(batch).ok());
+  ASSERT_TRUE(reference.IngestBatch(batch).ok());
+  EXPECT_EQ(manager.maintenance_stats().rehydration_failures, 2);
+  for (const std::string key : {"t", "live"}) {
+    ASSERT_NE(manager.shard(key), nullptr) << key;
+    EXPECT_EQ(manager.shard(key)->SerializeState(),
+              reference.shard(key)->SerializeState())
+        << key;
+  }
+}
+
+// Restore under a live-shard cap spills the over-cap shards as it goes —
+// the restored fleet stays bounded, answers identically, and the store
+// holds byte-exact core checkpoints: re-serializing a restored
+// fkc-checkpoint-v2 shard gives back the blob segment it came from.
 TEST(SpillStoreTest, RestoreSpillsVerbatimSegmentsPastTheCap) {
   ShardManager manager(Options(nullptr), kConstraint, &kMetric, &kJones);
   for (const auto& kp : KeyedStream(200, 79)) {
@@ -381,8 +467,8 @@ TEST(SpillStoreTest, RestoreSpillsVerbatimSegmentsPastTheCap) {
   ASSERT_TRUE(capped.ok()) << capped.status().ToString();
   EXPECT_EQ(capped.value().live_shard_count(), 1u);
   EXPECT_EQ(capped.value().spilled_shard_count(), 2u);
-  // Spilled state is the verbatim blob segment, not a re-serialization —
-  // byte-compare against the segments the checkpoint was built from.
+  // Spilled state is byte-equal to the blob segment the shard was read
+  // from — compare against the segments the checkpoint was built from.
   int spilled_checked = 0;
   for (const auto& [key, segment] : expected_segments) {
     auto stored = store->Get(key);
@@ -391,6 +477,17 @@ TEST(SpillStoreTest, RestoreSpillsVerbatimSegmentsPastTheCap) {
     ++spilled_checked;
   }
   EXPECT_EQ(spilled_checked, 2);
+
+  // A store that cannot absorb the over-cap shards fails the restore.
+  auto refusing = std::make_shared<FlakyStore>();
+  refusing->fail_puts = true;
+  auto failed = ShardManager::Restore(blob.value(), &kMetric, &kJones,
+                                      /*num_threads=*/1,
+                                      /*max_live_shards=*/1, refusing);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kIoError);
+  EXPECT_NE(failed.status().message().find("injected write failure"),
+            std::string::npos);
 
   // And the capped fleet answers exactly like the original.
   const auto expect = manager.QueryAll();
