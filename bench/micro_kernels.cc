@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark) for the hot kernels underneath the
-// figure experiments: distance evaluation (scalar vs batched), Gonzalez,
+// figure experiments: distance evaluation (scalar vs SoA kernels), Gonzalez,
 // matching, the sequential solvers, and the streaming update/query paths
 // (sequential vs batched vs parallel ladder).
 //
@@ -52,9 +52,9 @@ void BM_EuclideanDistance(benchmark::State& state) {
 }
 BENCHMARK(BM_EuclideanDistance)->Arg(3)->Arg(7)->Arg(54);
 
-// The update hot loop in its two guises: one arriving point scanned against
-// a stored attractor set, distance by distance through the virtual Distance
-// (scalar), versus one DistanceMany call (batched). Args: {dim, set size}.
+// The update hot loop's baseline: one arriving point scanned against a
+// stored attractor set, distance by distance through the virtual Distance.
+// Args: {dim, set size}.
 void BM_AttractorScanScalar(benchmark::State& state) {
   const EuclideanMetric concrete;
   const Metric& metric = concrete;  // force the virtual call, as Update does
@@ -73,29 +73,11 @@ BENCHMARK(BM_AttractorScanScalar)
     ->Args({3, 16})->Args({3, 128})->Args({7, 64})->Args({54, 64})
     ->Args({16, 64})->Args({16, 512})->Args({64, 64})->Args({64, 512});
 
-void BM_AttractorScanBatched(benchmark::State& state) {
-  const EuclideanMetric concrete;
-  const Metric& metric = concrete;
-  const int n = static_cast<int>(state.range(1));
-  const auto points = MakePoints(n + 1, static_cast<int>(state.range(0)));
-  std::vector<const Point*> ptrs(n);
-  for (int i = 0; i < n; ++i) ptrs[i] = &points[i + 1];
-  std::vector<double> out(n);
-  for (auto _ : state) {
-    metric.DistanceMany(points[0], ptrs.data(), n, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_AttractorScanBatched)
-    ->Args({3, 16})->Args({3, 128})->Args({7, 64})->Args({54, 64})
-    ->Args({16, 64})->Args({16, 512})->Args({64, 64})->Args({64, 512});
-
 // The same scan through the SoA coordinate pool, by kernel tier: the scalar
 // reference kernels (dim-major layout alone) versus whatever SIMD set
 // runtime dispatch picked (AVX-512 > AVX2 > scalar; cap with FKC_SIMD).
 // The d=16/d=64 ladders are the headline speedup comparison against
-// BM_AttractorScanBatched at identical args. Args: {dim, set size}.
+// BM_AttractorScanScalar at identical args. Args: {dim, set size}.
 void RunSoAScan(benchmark::State& state, const simd::KernelSet& kernels) {
   const int dim = static_cast<int>(state.range(0));
   const int n = static_cast<int>(state.range(1));
@@ -104,8 +86,11 @@ void RunSoAScan(benchmark::State& state, const simd::KernelSet& kernels) {
   for (int i = 0; i < n; ++i) pool.Append(points[i + 1]);
   std::vector<double> out(n);
   for (auto _ : state) {
-    kernels.euclidean(points[0].coords.data(), pool.Row(0), pool.stride(),
-                      pool.dim(), pool.size(), out.data());
+    pool.ForEachSpan([&](const CoordinatePool::Span& span) {
+      kernels.euclidean(points[0].coords.data(), span.data,
+                        CoordinatePool::kRowStride, pool.dim(), span.count,
+                        out.data() + span.first);
+    });
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * n);

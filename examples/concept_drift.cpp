@@ -60,8 +60,10 @@ int main() {
                    static_cast<int>(rng.NextBounded(2)));
       p.arrival = t;
       truth.Update(p);
-      sliding.Update(p);
-      insertion_only.Update(p);
+      if (!sliding.Update(p).ok() || !insertion_only.Update(p).ok()) {
+        std::fprintf(stderr, "update rejected\n");
+        return 1;
+      }
 
       if (i == regime_length - 1) {  // end of each regime
         auto sliding_result = sliding.Query();

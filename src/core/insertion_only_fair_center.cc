@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/logging.h"
+#include "core/fair_center_sliding_window.h"
 
 namespace fkc {
 
@@ -22,24 +23,22 @@ InsertionOnlyFairCenter::InsertionOnlyFairCenter(InsertionOnlyOptions options,
   FKC_CHECK_GT(constraint_.TotalK(), 0);
 }
 
-void InsertionOnlyFairCenter::Update(Coordinates coords, int color) {
-  Update(Point(std::move(coords), color));
+Status InsertionOnlyFairCenter::Update(Coordinates coords, int color) {
+  return Update(Point(std::move(coords), color));
 }
 
-void InsertionOnlyFairCenter::Update(Point p) {
+Status InsertionOnlyFairCenter::Update(Point p) {
+  FKC_RETURN_IF_ERROR(ValidateArrival(p, constraint_, dimension_));
+  dimension_ = static_cast<int64_t>(p.dimension());
   ++count_;
   p.arrival = count_;
   p.id = next_id_++;
-  FKC_CHECK_GE(p.color, 0);
-  FKC_CHECK_LT(p.color, constraint_.ell());
-  FKC_CHECK_GE(constraint_.cap(p.color), 1)
-      << "arriving point has a zero-cap color";
 
   if (buffering_) {
     // Exact duplicates (same location and color) are redundant for center
     // selection; dropping them keeps the buffer bounded by (k+1) * ell.
     for (const Point& q : buffer_) {
-      if (q.color == p.color && q.coords == p.coords) return;
+      if (q.color == p.color && q.coords == p.coords) return Status::OK();
     }
     buffer_.push_back(std::move(p));
 
@@ -59,13 +58,14 @@ void InsertionOnlyFairCenter::Update(Point p) {
     if (static_cast<int>(distinct.size()) >= constraint_.TotalK() + 2) {
       ActivateLadder();
     }
-    return;
+    return Status::OK();
   }
 
   for (auto& [exponent, state] : guesses_) {
     InsertIntoGuess(&state, ladder_.Value(exponent), p);
   }
   PruneAndExtend();
+  return Status::OK();
 }
 
 void InsertionOnlyFairCenter::ActivateLadder() {

@@ -48,15 +48,16 @@ struct InsertionOnlyOptions {
 /// One-pass insertion-only fair-center summary.
 class InsertionOnlyFairCenter {
  public:
-  /// `metric` and `solver` must outlive this object. Colors that occur in
-  /// the stream must have caps >= 1.
+  /// `metric` and `solver` must outlive this object.
   InsertionOnlyFairCenter(InsertionOnlyOptions options,
                           ColorConstraint constraint, const Metric* metric,
                           const FairCenterSolver* solver);
 
-  /// Consumes the next stream point.
-  void Update(Coordinates coords, int color);
-  void Update(Point p);
+  /// Consumes the next stream point. An arrival breaking ValidateArrival's
+  /// rules (the pinned dimension is that of the first accepted arrival)
+  /// fails with kInvalidArgument and is not consumed.
+  Status Update(Coordinates coords, int color);
+  Status Update(Point p);
 
   /// A fair-center solution for *all points seen so far*.
   Result<FairCenterSolution> Query();
@@ -104,6 +105,7 @@ class InsertionOnlyFairCenter {
 
   int64_t count_ = 0;
   uint64_t next_id_ = 1;
+  int64_t dimension_ = -1;  // of the accepted arrivals; -1 before the first
 };
 
 }  // namespace fkc

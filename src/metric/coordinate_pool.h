@@ -4,28 +4,32 @@
 // attractor set. With points stored as individual heap vectors (AoS), that
 // scan chases one pointer per pair; the SIMD kernels in simd_kernels.h
 // instead want the j-th coordinate of *every* stored point contiguous in
-// memory. A CoordinatePool provides exactly that: one dim-major buffer
-// where row d holds coordinate d of all stored points, padded to a SIMD
-// lane multiple so kernels may always load full vectors.
+// memory. A CoordinatePool provides exactly that, in a chain of fixed-size
+// blocks.
 //
-// Layout:   Row(d)[i] == coordinate d of the point at position i, rows are
-//           stride() doubles apart, stride() % kLaneAlign == 0, and
-//           Row(d)[size()..RoundUpToLanes(size())) is zero (safe over-read).
+// Layout:   a block is dim() rows of kRowStride doubles; row d holds
+//           coordinate d of kBlockLanes consecutive points, followed by one
+//           lane width of slack. A kernel scan that starts anywhere in a
+//           block and covers at most the rest of it therefore over-reads
+//           only into its own row (blocks are zeroed when linked).
+//           kRowStride is an odd number of cache lines, so consecutive rows
+//           never sit a 4 KiB multiple apart.
 //
 // Identity: a point is known only by its position, which counts from the
 //           oldest stored point: Append stores at position size(), and
 //           DropFront(n) removes positions [0, n), shifting every later
 //           position down by n. That mirrors an owner that appends in
 //           arrival order and only ever removes its oldest elements, so
-//           position i always tracks the owner's element i. DropFront is
-//           O(1): it advances a head offset into each row. The rows move
-//           back to offset 0 only when an Append finds no room past the
-//           tail and at least half of the used span has been dropped, so
-//           each dropped point costs O(dim) amortised.
+//           position i always tracks the owner's element i. Append fills the
+//           tail block or links a new one; DropFront advances a head inside
+//           the front block and frees the blocks it empties. A stored
+//           coordinate never moves.
 #ifndef FKC_METRIC_COORDINATE_POOL_H_
 #define FKC_METRIC_COORDINATE_POOL_H_
 
+#include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "metric/point.h"
@@ -34,75 +38,94 @@ namespace fkc {
 
 class CoordinatePool {
  public:
-  /// Kernels load this many doubles per vector (AVX-512 width); stride and
-  /// padding are aligned to it so every narrower kernel is covered too.
+  /// Kernels load this many doubles per vector (AVX-512 width); the row
+  /// slack is one such vector, so every narrower kernel is covered too.
   static constexpr size_t kLaneAlign = 8;
+  /// Points per block. Measured, not derived: a fleet pool (d = 3) holds
+  /// tens of points, and longer blocks spread its rows over more pages; a
+  /// covtype pool (d = 54) holds thousands, and shorter blocks make a cold
+  /// scan restart the prefetchers more often. 128 costs the least on both.
+  static constexpr size_t kBlockLanes = 128;
+  /// Distance between consecutive rows of a block.
+  static constexpr size_t kRowStride = kBlockLanes + kLaneAlign;
+
+  /// The live positions of one block: column i of `data` (rows kRowStride
+  /// doubles apart, each readable up to RoundUpToLanes(count) doubles) is
+  /// position first + i, for i in [0, count).
+  struct Span {
+    const double* data;
+    size_t first;
+    size_t count;
+  };
 
   /// An empty pool of dimension 0; ResetDim before the first Append.
   CoordinatePool() = default;
   explicit CoordinatePool(size_t dim) : dim_(dim) {}
 
-  /// A pool holding `points` at positions [0, points.size()), built in one
-  /// pass: the stride is sized once and the rows are filled one lane block
-  /// of points at a time. All points must share one dimension (FKC_CHECK);
-  /// an empty vector gives an empty pool of dimension 0.
+  /// A pool holding `points` at positions [0, points.size()). All points
+  /// must share one dimension (FKC_CHECK); an empty vector gives an empty
+  /// pool of dimension 0.
   static CoordinatePool FromPoints(const std::vector<Point>& points);
 
   /// Drops all points and re-dimensions the pool.
   void ResetDim(size_t dim);
 
-  /// Stores `coords` (dim() doubles) at position size(). Amortized O(dim):
-  /// one strided write per row, doubling growth.
+  /// Stores `coords` (dim() doubles) at position size(). O(dim), plus one
+  /// block allocation every kBlockLanes appends.
   void Append(const double* coords);
   void Append(const Point& p);
 
-  /// Removes positions [0, n); position n becomes position 0. O(1).
+  /// Removes positions [0, n); position n becomes position 0. O(1) unless
+  /// it empties a block, which it frees.
   void DropFront(size_t n);
 
-  void Clear();
+  void Clear() { ResetDim(dim_); }
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   size_t dim() const { return dim_; }
-  /// Distance between consecutive rows, a multiple of kLaneAlign (0 while
-  /// nothing was ever appended).
-  size_t stride() const { return stride_; }
 
-  /// Row d: coordinate d of points at positions [0, size()); entries
-  /// [size(), RoundUpToLanes(size())) are zero so kernels may over-read to
-  /// a lane boundary.
-  const double* Row(size_t d) const {
-    return data_.data() + d * stride_ + head_;
+  /// Coordinate d of the point at position pos.
+  double At(size_t pos, size_t d) const {
+    const size_t slot = head_ + pos;
+    return Block(slot / kBlockLanes)[d * kRowStride + slot % kBlockLanes];
   }
-  double At(size_t pos, size_t d) const { return Row(d)[pos]; }
 
-  /// Fails (FKC_CHECK) unless the offset, padding, and zero-fill
-  /// invariants all hold. Test / debug hook.
+  /// Calls f(Span) for every block holding live positions, oldest first.
+  template <typename F>
+  void ForEachSpan(F&& f) const {
+    size_t first = 0;
+    size_t offset = head_;
+    for (size_t b = 0; first < size_; ++b, offset = 0) {
+      const size_t count = std::min(kBlockLanes - offset, size_ - first);
+      f(Span{Block(b) + offset, first, count});
+      first += count;
+    }
+  }
+
+  /// Fails (FKC_CHECK) unless the head and block-count invariants hold.
+  /// Test / debug hook.
   void CheckInvariants() const;
 
  private:
-  /// Points a row can hold from offset 0 while keeping the lane over-read
-  /// of its last point inside the row.
-  size_t Capacity() const {
-    return stride_ == 0 ? 0 : stride_ - (kLaneAlign - 1);
+  /// Block b of the chain, b < BlockCount().
+  double* Block(size_t b) const {
+    return b == 0 ? front_.get() : rest_[b - 1].get();
   }
+  size_t BlockCount() const { return front_ ? rest_.size() + 1 : 0; }
 
-  /// Makes room for one more point past the tail: moves the rows back to
-  /// offset 0 when the dropped head is at least the live size, grows them
-  /// otherwise.
-  void MakeRoom();
-
-  /// Replaces the rows with zeroed rows of `stride` doubles (bumped off
-  /// 4 KiB multiples), keeping the first size_ points at offset 0.
-  void Reallocate(size_t stride);
+  /// Links a new, zeroed tail block.
+  void LinkBlock();
 
   size_t dim_ = 0;
-  size_t size_ = 0;    // live points
-  size_t head_ = 0;    // offset of position 0 in every row
-  size_t stride_ = 0;
-  // dim_ rows of stride_ doubles; [head_ + size_, stride_) of every row is
-  // zero. [0, head_) holds dropped points and is never read.
-  std::vector<double> data_;
+  size_t size_ = 0;  // live points
+  size_t head_ = 0;  // slot of position 0 in the front block
+  // Each block is dim_ * kRowStride doubles; slot s of the chain is lane
+  // s % kBlockLanes of block s / kBlockLanes. Block 0 is held apart from
+  // the others, so a one-block pool costs one allocation and a scan of it
+  // follows one pointer.
+  std::unique_ptr<double[]> front_;
+  std::vector<std::unique_ptr<double[]>> rest_;  // blocks 1, 2, ...
 };
 
 }  // namespace fkc

@@ -28,7 +28,7 @@ class CountingMetric final : public Metric {
   }
 
   /// Counts one evaluation per pair — exactly what the scalar loop would
-  /// count — while letting the inner metric keep its batched kernel.
+  /// count — while forwarding the batch to the inner metric.
   void DistanceMany(const Point& p, const Point* const* points, size_t count,
                     double* out) const override {
     count_.fetch_add(static_cast<int64_t>(count), std::memory_order_relaxed);

@@ -37,19 +37,27 @@ void Metric::DistanceSoAWithin(const Point& p, const CoordinatePool& pool,
 
 namespace {
 
-/// Shared prologue of the built-in SoA overrides: dimension check plus the
-/// raw kernel call (row 0 is the base of the dim-major buffer; rows are
-/// stride() apart and zero-padded to a lane multiple, so kernels may always
-/// load full vectors). `bound` is empty for an exact kernel and the bound
-/// for a bounded one.
-template <typename Kernel, typename... Bound>
+/// Shared body of the built-in SoA overrides: dimension check plus one raw
+/// kernel call per block of the pool, each writing at its block's offset in
+/// `out`. `cutoff` is empty for an exact kernel and the scan's cutoff for a
+/// bounded one.
+template <typename Kernel, typename... Cutoff>
 inline void RunSoAKernel(Kernel kernel, const Point& p,
                          const CoordinatePool& pool, double* out,
-                         Bound... bound) {
+                         Cutoff... cutoff) {
   if (pool.empty()) return;  // a never-filled pool has no dimension yet
   FKC_CHECK_EQ(p.coords.size(), pool.dim());
-  kernel(p.coords.data(), pool.Row(0), pool.stride(), pool.dim(), pool.size(),
-         bound..., out);
+  pool.ForEachSpan([&](const CoordinatePool::Span& span) {
+    kernel(p.coords.data(), span.data, CoordinatePool::kRowStride, pool.dim(),
+           span.count, cutoff..., out + span.first);
+  });
+}
+
+/// The cutoff of a bounded scan, computed once per scan. With dim <=
+/// kBoundCheckDims no block is ever tested, so it is not computed.
+double ScanCutoff(double (*cutoff)(double), double bound,
+                  const CoordinatePool& pool) {
+  return pool.dim() > simd::kBoundCheckDims ? cutoff(bound) : 0.0;
 }
 
 }  // namespace
@@ -62,7 +70,8 @@ void EuclideanMetric::DistanceSoA(const Point& p, const CoordinatePool& pool,
 void EuclideanMetric::DistanceSoAWithin(const Point& p,
                                         const CoordinatePool& pool,
                                         double bound, double* out) const {
-  RunSoAKernel(simd::ActiveKernels().euclidean_within, p, pool, out, bound);
+  RunSoAKernel(simd::ActiveKernels().euclidean_within, p, pool, out,
+               ScanCutoff(simd::SquaredDistanceCutoff, bound, pool));
 }
 
 void ManhattanMetric::DistanceSoA(const Point& p, const CoordinatePool& pool,
@@ -73,7 +82,8 @@ void ManhattanMetric::DistanceSoA(const Point& p, const CoordinatePool& pool,
 void ManhattanMetric::DistanceSoAWithin(const Point& p,
                                         const CoordinatePool& pool,
                                         double bound, double* out) const {
-  RunSoAKernel(simd::ActiveKernels().manhattan_within, p, pool, out, bound);
+  RunSoAKernel(simd::ActiveKernels().manhattan_within, p, pool, out,
+               ScanCutoff(simd::DistanceCutoff, bound, pool));
 }
 
 void ChebyshevMetric::DistanceSoA(const Point& p, const CoordinatePool& pool,
@@ -84,7 +94,8 @@ void ChebyshevMetric::DistanceSoA(const Point& p, const CoordinatePool& pool,
 void ChebyshevMetric::DistanceSoAWithin(const Point& p,
                                         const CoordinatePool& pool,
                                         double bound, double* out) const {
-  RunSoAKernel(simd::ActiveKernels().chebyshev_within, p, pool, out, bound);
+  RunSoAKernel(simd::ActiveKernels().chebyshev_within, p, pool, out,
+               ScanCutoff(simd::DistanceCutoff, bound, pool));
 }
 
 double EuclideanMetric::Distance(const Point& a, const Point& b) const {
@@ -114,108 +125,6 @@ double ChebyshevMetric::Distance(const Point& a, const Point& b) const {
     if (diff > best) best = diff;
   }
   return best;
-}
-
-void EuclideanMetric::DistanceMany(const Point& p, const Point* const* points,
-                                   size_t count, double* out) const {
-  const size_t dim = p.coords.size();
-  const double* a = p.coords.data();
-  size_t i = 0;
-  // Two pairs per iteration: independent accumulators break the dependency
-  // chain without reordering any pair's own summation.
-  for (; i + 2 <= count; i += 2) {
-    const Point& q0 = *points[i];
-    const Point& q1 = *points[i + 1];
-    FKC_CHECK_EQ(dim, q0.coords.size());
-    FKC_CHECK_EQ(dim, q1.coords.size());
-    const double* b0 = q0.coords.data();
-    const double* b1 = q1.coords.data();
-    double s0 = 0.0, s1 = 0.0;
-    for (size_t d = 0; d < dim; ++d) {
-      const double diff0 = a[d] - b0[d];
-      s0 += diff0 * diff0;
-      const double diff1 = a[d] - b1[d];
-      s1 += diff1 * diff1;
-    }
-    out[i] = std::sqrt(s0);
-    out[i + 1] = std::sqrt(s1);
-  }
-  for (; i < count; ++i) {
-    const Point& q = *points[i];
-    FKC_CHECK_EQ(dim, q.coords.size());
-    const double* b = q.coords.data();
-    double sum = 0.0;
-    for (size_t d = 0; d < dim; ++d) {
-      const double diff = a[d] - b[d];
-      sum += diff * diff;
-    }
-    out[i] = std::sqrt(sum);
-  }
-}
-
-void ManhattanMetric::DistanceMany(const Point& p, const Point* const* points,
-                                   size_t count, double* out) const {
-  const size_t dim = p.coords.size();
-  const double* a = p.coords.data();
-  size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const Point& q0 = *points[i];
-    const Point& q1 = *points[i + 1];
-    FKC_CHECK_EQ(dim, q0.coords.size());
-    FKC_CHECK_EQ(dim, q1.coords.size());
-    const double* b0 = q0.coords.data();
-    const double* b1 = q1.coords.data();
-    double s0 = 0.0, s1 = 0.0;
-    for (size_t d = 0; d < dim; ++d) {
-      s0 += std::fabs(a[d] - b0[d]);
-      s1 += std::fabs(a[d] - b1[d]);
-    }
-    out[i] = s0;
-    out[i + 1] = s1;
-  }
-  for (; i < count; ++i) {
-    const Point& q = *points[i];
-    FKC_CHECK_EQ(dim, q.coords.size());
-    const double* b = q.coords.data();
-    double sum = 0.0;
-    for (size_t d = 0; d < dim; ++d) sum += std::fabs(a[d] - b[d]);
-    out[i] = sum;
-  }
-}
-
-void ChebyshevMetric::DistanceMany(const Point& p, const Point* const* points,
-                                   size_t count, double* out) const {
-  const size_t dim = p.coords.size();
-  const double* a = p.coords.data();
-  size_t i = 0;
-  for (; i + 2 <= count; i += 2) {
-    const Point& q0 = *points[i];
-    const Point& q1 = *points[i + 1];
-    FKC_CHECK_EQ(dim, q0.coords.size());
-    FKC_CHECK_EQ(dim, q1.coords.size());
-    const double* b0 = q0.coords.data();
-    const double* b1 = q1.coords.data();
-    double m0 = 0.0, m1 = 0.0;
-    for (size_t d = 0; d < dim; ++d) {
-      const double diff0 = std::fabs(a[d] - b0[d]);
-      if (diff0 > m0) m0 = diff0;
-      const double diff1 = std::fabs(a[d] - b1[d]);
-      if (diff1 > m1) m1 = diff1;
-    }
-    out[i] = m0;
-    out[i + 1] = m1;
-  }
-  for (; i < count; ++i) {
-    const Point& q = *points[i];
-    FKC_CHECK_EQ(dim, q.coords.size());
-    const double* b = q.coords.data();
-    double best = 0.0;
-    for (size_t d = 0; d < dim; ++d) {
-      const double diff = std::fabs(a[d] - b[d]);
-      if (diff > best) best = diff;
-    }
-    out[i] = best;
-  }
 }
 
 double DistanceToSet(const Metric& metric, const Point& p,

@@ -24,21 +24,19 @@ class Metric {
   /// d(a, b). Points of differing dimensionality are a caller bug.
   virtual double Distance(const Point& a, const Point& b) const = 0;
 
-  /// Batched kernel for the streaming hot loop: out[i] = d(p, *points[i])
-  /// for i in [0, count). The base implementation is the scalar virtual
-  /// loop; concrete metrics override it with tight contiguous loops that pay
-  /// the virtual dispatch once per batch instead of once per pair.
+  /// Batched scan over scattered points: out[i] = d(p, *points[i]) for i in
+  /// [0, count). The library itself scans pools through DistanceSoA; this
+  /// scalar virtual loop remains as a seam for decorators.
   ///
   /// Contract: every out[i] must be bit-identical to Distance(p, *points[i])
-  /// — overrides may interleave pairs for instruction-level parallelism but
-  /// must keep each pair's accumulation order unchanged, so that batched and
-  /// scalar code paths produce exactly the same results.
+  /// — an override may interleave pairs but must keep each pair's
+  /// accumulation order unchanged.
   virtual void DistanceMany(const Point& p, const Point* const* points,
                             size_t count, double* out) const;
 
   /// Structure-of-arrays kernel for the streaming hot loop: out[i] = d(p,
   /// pool column i) for every dense position i in [0, pool.size()). The
-  /// dim-major, lane-padded CoordinatePool layout lets the built-in metrics
+  /// dim-major, block-chained CoordinatePool layout lets the built-in metrics
   /// dispatch to the vectorized kernels in simd_kernels.h; the base
   /// implementation gathers each column and calls Distance, so custom
   /// metrics stay correct without opting in — PROVIDED the metric depends on
@@ -72,8 +70,6 @@ class Metric {
 class EuclideanMetric final : public Metric {
  public:
   double Distance(const Point& a, const Point& b) const override;
-  void DistanceMany(const Point& p, const Point* const* points, size_t count,
-                    double* out) const override;
   void DistanceSoA(const Point& p, const CoordinatePool& pool,
                    double* out) const override;
   void DistanceSoAWithin(const Point& p, const CoordinatePool& pool,
@@ -85,8 +81,6 @@ class EuclideanMetric final : public Metric {
 class ManhattanMetric final : public Metric {
  public:
   double Distance(const Point& a, const Point& b) const override;
-  void DistanceMany(const Point& p, const Point* const* points, size_t count,
-                    double* out) const override;
   void DistanceSoA(const Point& p, const CoordinatePool& pool,
                    double* out) const override;
   void DistanceSoAWithin(const Point& p, const CoordinatePool& pool,
@@ -98,8 +92,6 @@ class ManhattanMetric final : public Metric {
 class ChebyshevMetric final : public Metric {
  public:
   double Distance(const Point& a, const Point& b) const override;
-  void DistanceMany(const Point& p, const Point* const* points, size_t count,
-                    double* out) const override;
   void DistanceSoA(const Point& p, const CoordinatePool& pool,
                    double* out) const override;
   void DistanceSoAWithin(const Point& p, const CoordinatePool& pool,

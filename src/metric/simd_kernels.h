@@ -4,8 +4,11 @@
 // Kernel contract — bit-identical lane-per-pair accumulation:
 //   out[i] = metric(query, column i of `data`) for i in [0, count), where
 //   `data` is a dim-major matrix (row d starts at data + d * stride) and
-//   every row is readable up to RoundUpToLanes(count) doubles (the
-//   CoordinatePool guarantees this via zeroed lane padding).
+//   every row is readable (not meaningful) up to RoundUpToLanes(count)
+//   doubles. Kernels store only the count live lanes. A CoordinatePool is
+//   scanned one block at a time: each block's live span ends at least one
+//   lane width before the end of its row (the row slack), so the contract
+//   holds wherever in the block the span starts.
 //
 // Each SIMD lane owns exactly one (query, point) pair and accumulates that
 // pair's terms over dimensions in ascending order — the same per-pair
@@ -18,10 +21,11 @@
 //
 // Bounded scans (the *_within kernels) serve callers that only need to know
 // which pairs lie within `bound`: out[i] is the exact distance wherever
-// d <= bound, and !(out[i] <= bound) everywhere else. The kernel abandons a
-// lane block once every live lane's running partial (sum of squares, sum of
-// absolute differences, or running max) is at or past a cutoff, testing
-// every kBoundCheckDims dimensions:
+// d <= bound, and !(out[i] <= bound) everywhere else. The caller turns the
+// bound into a cutoff once per scan, and the kernel abandons a lane block
+// once every live lane's running partial (sum of squares, sum of absolute
+// differences, or running max) is at or past the cutoff, testing every
+// kBoundCheckDims dimensions:
 //   - Euclidean: the smallest double s with fl(sqrt(s)) > bound;
 //   - Manhattan, Chebyshev: the smallest double past bound.
 // This is exact, not a heuristic. Every term is non-negative, and under
@@ -56,10 +60,12 @@ using DistanceKernel = void (*)(const double* query, const double* data,
                                 double* out);
 
 /// Bounded scan: out[i] is exact wherever the distance is <= bound, and
-/// !(out[i] <= bound) elsewhere; see the file comment.
+/// !(out[i] <= bound) elsewhere, given the bound's `cutoff`
+/// (SquaredDistanceCutoff for Euclidean, DistanceCutoff otherwise); see the
+/// file comment.
 using BoundedDistanceKernel = void (*)(const double* query, const double* data,
                                        size_t stride, size_t dim, size_t count,
-                                       double bound, double* out);
+                                       double cutoff, double* out);
 
 /// One exact and one bounded kernel per built-in metric, all of one vector
 /// width.
@@ -94,24 +100,11 @@ constexpr bool IsBoundCheckDim(size_t d, size_t dim) {
 }
 
 /// One kernel body serves both scans of a metric: `cutoff` is read only when
-/// kBounded, so the exact instantiation is the plain loop.
-using KernelBody = void (*)(const double* query, const double* data,
-                            size_t stride, size_t dim, size_t count,
-                            double cutoff, double* out);
-
-template <KernelBody kBody>
+/// bounded, so the exact instantiation is the plain loop.
+template <BoundedDistanceKernel kBody>
 void ExactScan(const double* query, const double* data, size_t stride,
                size_t dim, size_t count, double* out) {
   kBody(query, data, stride, dim, count, 0.0, out);
-}
-
-/// With dim <= kBoundCheckDims no block is ever tested, so the cutoff is
-/// not computed.
-template <KernelBody kBody, double (*kCutoff)(double)>
-void BoundedScan(const double* query, const double* data, size_t stride,
-                 size_t dim, size_t count, double bound, double* out) {
-  kBody(query, data, stride, dim, count,
-        dim > kBoundCheckDims ? kCutoff(bound) : 0.0, out);
 }
 
 /// Rows must be readable (not meaningful) up to this many doubles.

@@ -119,9 +119,9 @@ const KernelSet kAvx2Set = {
     ExactScan<EuclideanAvx2<false>>,
     ExactScan<ManhattanAvx2<false>>,
     ExactScan<ChebyshevAvx2<false>>,
-    BoundedScan<EuclideanAvx2<true>, SquaredDistanceCutoff>,
-    BoundedScan<ManhattanAvx2<true>, DistanceCutoff>,
-    BoundedScan<ChebyshevAvx2<true>, DistanceCutoff>};
+    EuclideanAvx2<true>,
+    ManhattanAvx2<true>,
+    ChebyshevAvx2<true>};
 
 }  // namespace
 

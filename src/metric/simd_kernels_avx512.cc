@@ -186,9 +186,9 @@ const KernelSet kAvx512Set = {
     ExactScan<EuclideanAvx512<false>>,
     ExactScan<ManhattanAvx512<false>>,
     ExactScan<ChebyshevAvx512<false>>,
-    BoundedScan<EuclideanAvx512<true>, SquaredDistanceCutoff>,
-    BoundedScan<ManhattanAvx512<true>, DistanceCutoff>,
-    BoundedScan<ChebyshevAvx512<true>, DistanceCutoff>};
+    EuclideanAvx512<true>,
+    ManhattanAvx512<true>,
+    ChebyshevAvx512<true>};
 
 }  // namespace
 

@@ -129,9 +129,9 @@ const KernelSet kScalarSet = {
     ExactScan<EuclideanScalar<false>>,
     ExactScan<ManhattanScalar<false>>,
     ExactScan<ChebyshevScalar<false>>,
-    BoundedScan<EuclideanScalar<true>, SquaredDistanceCutoff>,
-    BoundedScan<ManhattanScalar<true>, DistanceCutoff>,
-    BoundedScan<ChebyshevScalar<true>, DistanceCutoff>};
+    EuclideanScalar<true>,
+    ManhattanScalar<true>,
+    ChebyshevScalar<true>};
 
 bool CpuHasAvx2() {
 #if (defined(__GNUC__) || defined(__clang__)) && \

@@ -86,7 +86,7 @@ TEST(DeterminismTest, LiteAndInsertionOnlyIdenticalRuns) {
   auto run_insertion = [&]() {
     InsertionOnlyFairCenter summary(InsertionOnlyOptions{}, constraint,
                                     &kMetric, &kJones);
-    for (const Point& p : points) summary.Update(p);
+    for (const Point& p : points) EXPECT_TRUE(summary.Update(p).ok());
     auto result = summary.Query();
     EXPECT_TRUE(result.ok());
     return result.value().centers;

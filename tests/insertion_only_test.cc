@@ -1,10 +1,12 @@
 // Tests for the insertion-only streaming fair-center summary: buffering
 // semantics, prefix (never-forget) behaviour, guess death/doubling,
-// fairness, approximation quality against exact prefix optima, and memory
-// bounds independent of the stream length.
+// fairness, approximation quality against exact prefix optima, memory
+// bounds independent of the stream length, and Status rejection of invalid
+// arrivals.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/random.h"
 #include "core/insertion_only_fair_center.h"
@@ -163,9 +165,29 @@ TEST(InsertionOnlyTest, NeverForgetsPrefix) {
             10000.0);
 }
 
-TEST(InsertionOnlyTest, RejectsZeroCapArrival) {
+TEST(InsertionOnlyTest, RejectsInvalidArrivalsWithStatus) {
+  // Invalid arrivals fail Update with a Status and are not consumed; the
+  // summary goes on accepting valid ones.
   auto summary = Make(ColorConstraint({1, 0}));
-  EXPECT_DEATH(summary.Update({1.0}, 1), "zero-cap");
+  ASSERT_TRUE(summary.Update({1.0, 2.0}, 0).ok());
+  const auto rejected = [&](Coordinates coords, int color) {
+    return summary.Update(std::move(coords), color).code() ==
+           StatusCode::kInvalidArgument;
+  };
+  EXPECT_TRUE(rejected({1.0, 2.0}, 2)) << "color past the constraint";
+  EXPECT_TRUE(rejected({1.0, 2.0}, -1)) << "negative color";
+  EXPECT_TRUE(rejected({1.0, 2.0}, 1)) << "zero-cap color";
+  EXPECT_TRUE(rejected({}, 0)) << "empty arrival";
+  EXPECT_TRUE(rejected({1.0, std::nan("")}, 0)) << "NaN coordinate";
+  EXPECT_TRUE(rejected({std::numeric_limits<double>::infinity(), 2.0}, 0))
+      << "infinite coordinate";
+  EXPECT_TRUE(rejected({1.0, 2.0, 3.0}, 0)) << "dimension change";
+  EXPECT_EQ(summary.count(), 1);
+  ASSERT_TRUE(summary.Update({4.0, 6.0}, 0).ok());
+  EXPECT_EQ(summary.count(), 2);
+  auto result = summary.Query();
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result.value().centers.size(), 1u);
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 // simd_kernels.h), across awkward dimensions, counts that straddle vector
 // widths, and subnormal coordinates; every bounded kernel must be exact
 // within its bound and out of range beyond it; and the CoordinatePool must
-// hold its layout invariants under arbitrary append/drop-front churn and
-// after a bulk build.
+// hold its block invariants under arbitrary append/drop-front churn and
+// after a bulk build, never moving a stored coordinate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,6 +42,26 @@ CoordinatePool PoolOf(const std::vector<Point>& points, size_t dim) {
   return pool;
 }
 
+// Runs an exact kernel over every block of `pool`, as the built-in metrics
+// do: one call per block, writing at the block's offset in `out`.
+void ScanPool(simd::DistanceKernel kernel, const Point& query,
+              const CoordinatePool& pool, double* out) {
+  pool.ForEachSpan([&](const CoordinatePool::Span& span) {
+    kernel(query.coords.data(), span.data, CoordinatePool::kRowStride,
+           pool.dim(), span.count, out + span.first);
+  });
+}
+
+// The same for a bounded kernel, with the cutoff computed once per scan.
+void ScanPoolWithin(simd::BoundedDistanceKernel kernel, double cutoff,
+                    const Point& query, const CoordinatePool& pool,
+                    double* out) {
+  pool.ForEachSpan([&](const CoordinatePool::Span& span) {
+    kernel(query.coords.data(), span.data, CoordinatePool::kRowStride,
+           pool.dim(), span.count, cutoff, out + span.first);
+  });
+}
+
 // Runs `kernel` and the scalar reference over the same pool and requires the
 // outputs to be bit-identical (memcmp, not epsilon).
 void ExpectKernelMatchesScalar(simd::DistanceKernel kernel,
@@ -50,10 +70,8 @@ void ExpectKernelMatchesScalar(simd::DistanceKernel kernel,
                                const char* set_name, const char* metric_name) {
   const size_t count = pool.size();
   std::vector<double> got(count, -1.0), want(count, -1.0);
-  scalar_kernel(query.coords.data(), pool.Row(0), pool.stride(), pool.dim(),
-                count, want.data());
-  kernel(query.coords.data(), pool.Row(0), pool.stride(), pool.dim(), count,
-         got.data());
+  ScanPool(scalar_kernel, query, pool, want.data());
+  ScanPool(kernel, query, pool, got.data());
   for (size_t i = 0; i < count; ++i) {
     EXPECT_EQ(want[i], got[i])
         << set_name << "/" << metric_name << " diverged at pair " << i
@@ -63,17 +81,22 @@ void ExpectKernelMatchesScalar(simd::DistanceKernel kernel,
       << set_name << "/" << metric_name << " not bit-identical";
 }
 
-// One metric's exact and bounded kernels within a kernel set.
+// One metric's exact and bounded kernels within a kernel set, and the
+// cutoff its bounded kernel takes.
 struct MetricKernels {
   const char* name;
   simd::DistanceKernel exact;
   simd::BoundedDistanceKernel within;
+  double (*cutoff)(double);
 };
 
 std::vector<MetricKernels> KernelsOf(const simd::KernelSet& set) {
-  return {{"euclidean", set.euclidean, set.euclidean_within},
-          {"manhattan", set.manhattan, set.manhattan_within},
-          {"chebyshev", set.chebyshev, set.chebyshev_within}};
+  return {{"euclidean", set.euclidean, set.euclidean_within,
+           simd::SquaredDistanceCutoff},
+          {"manhattan", set.manhattan, set.manhattan_within,
+           simd::DistanceCutoff},
+          {"chebyshev", set.chebyshev, set.chebyshev_within,
+           simd::DistanceCutoff}};
 }
 
 // Runs the bounded kernel of metric `m` in `set` and checks its contract
@@ -87,11 +110,10 @@ size_t ExpectBoundedScanHonorsContract(const simd::KernelSet& set, size_t m,
   const MetricKernels kernels = KernelsOf(set)[m];
   const size_t count = pool.size();
   std::vector<double> exact(count, -1.0), got(count, -1.0);
-  KernelsOf(simd::ScalarKernels())[m].exact(query.coords.data(), pool.Row(0),
-                                            pool.stride(), pool.dim(), count,
-                                            exact.data());
-  kernels.within(query.coords.data(), pool.Row(0), pool.stride(), pool.dim(),
-                 count, bound, got.data());
+  ScanPool(KernelsOf(simd::ScalarKernels())[m].exact, query, pool,
+           exact.data());
+  ScanPoolWithin(kernels.within, kernels.cutoff(bound), query, pool,
+                 got.data());
   size_t abandoned = 0;
   for (size_t i = 0; i < count; ++i) {
     if (exact[i] <= bound) {
@@ -108,6 +130,30 @@ size_t ExpectBoundedScanHonorsContract(const simd::KernelSet& set, size_t m,
     if (std::memcmp(&exact[i], &got[i], sizeof(double)) != 0) ++abandoned;
   }
   return abandoned;
+}
+
+// Every compiled kernel set the running CPU supports.
+std::vector<const simd::KernelSet*> SupportedSets() {
+  std::vector<const simd::KernelSet*> sets;
+  for (const simd::KernelSet* set : simd::CompiledKernelSets()) {
+    if (simd::CpuSupports(*set)) sets.push_back(set);
+  }
+  return sets;
+}
+
+// The address of every stored coordinate, through the block spans: entry
+// pos * dim() + d is coordinate d of position pos.
+std::vector<const double*> CoordAddresses(const CoordinatePool& pool) {
+  std::vector<const double*> addresses(pool.size() * pool.dim());
+  pool.ForEachSpan([&](const CoordinatePool::Span& span) {
+    for (size_t i = 0; i < span.count; ++i) {
+      for (size_t d = 0; d < pool.dim(); ++d) {
+        addresses[(span.first + i) * pool.dim() + d] =
+            span.data + d * CoordinatePool::kRowStride + i;
+      }
+    }
+  });
+  return addresses;
 }
 
 TEST(SimdKernelTest, ScalarSetIsAlwaysPresentAndActiveIsSupported) {
@@ -295,9 +341,8 @@ TEST(SimdKernelTest, BoundedScansAreExactWithinTheBound) {
       const CoordinatePool pool = CoordinatePool::FromPoints(stored);
       for (size_t m = 0; m < 3; ++m) {
         std::vector<double> exact(n);
-        KernelsOf(simd::ScalarKernels())[m].exact(
-            query.coords.data(), pool.Row(0), pool.stride(), dim, n,
-            exact.data());
+        ScanPool(KernelsOf(simd::ScalarKernels())[m].exact, query, pool,
+                 exact.data());
         std::sort(exact.begin(), exact.end());
         const double median = exact[n / 2];
         for (const simd::KernelSet* set : simd::CompiledKernelSets()) {
@@ -364,112 +409,96 @@ TEST(SimdKernelTest, BoundedScanThroughMetrics) {
   }
 }
 
-// --- CoordinatePool invariants under churn. ---
+// --- CoordinatePool blocks under churn. ---
+
+constexpr size_t kB = CoordinatePool::kBlockLanes;
 
 TEST(CoordinatePoolTest, AppendDropFrontChurnAgainstMirror) {
   // Random Append/DropFront churn checked against a plain mirror deque
-  // after every operation: positions, coordinates, and the padding/stride
-  // invariants (via CheckInvariants) must all hold. The churn first grows
-  // the pool, then holds it near a steady size so the dropped head fills
-  // the rows and Append must move them back to offset 0.
+  // after every operation: positions, coordinates, and the block invariants
+  // (via CheckInvariants). The churn grows the pool past three blocks,
+  // drains it to empty, refills it, and then holds it near a steady size;
+  // drops of up to a block and a half cross block boundaries from every
+  // head offset.
   const size_t dim = 5;
   CoordinatePool pool(dim);
   Rng rng(99);
   std::deque<Coordinates> mirror;
-  int growths = 0, shifts_back = 0;
-
-  for (int step = 0; step < 3000; ++step) {
-    const bool growing = step < 400;
-    if (mirror.empty() || rng.NextBernoulli(growing ? 0.8 : 0.5)) {
-      Coordinates coords(dim);
-      for (size_t d = 0; d < dim; ++d) coords[d] = rng.NextUniform(-10, 10);
-      const size_t stride_before = pool.stride();
-      const double* row_before = pool.Row(0);
-      pool.Append(coords.data());
-      mirror.push_back(std::move(coords));
-      if (pool.stride() != stride_before) {
-        ++growths;
-      } else if (pool.Row(0) < row_before) {
-        ++shifts_back;
-      }
-    } else {
-      const size_t n = rng.NextBounded(std::min<size_t>(mirror.size(), 4) + 1);
-      pool.DropFront(n);
-      mirror.erase(mirror.begin(), mirror.begin() + static_cast<long>(n));
-    }
-
+  int step = 0;
+  const auto append = [&] {
+    Coordinates coords(dim);
+    for (size_t d = 0; d < dim; ++d) coords[d] = rng.NextUniform(-10, 10);
+    pool.Append(coords.data());
+    mirror.push_back(std::move(coords));
+  };
+  const auto drop = [&](size_t max_drop) {
+    const size_t n =
+        rng.NextBounded(std::min(mirror.size(), max_drop) + 1);
+    pool.DropFront(n);
+    mirror.erase(mirror.begin(), mirror.begin() + static_cast<long>(n));
+  };
+  const auto check = [&] {
+    ++step;
     pool.CheckInvariants();
-    ASSERT_EQ(pool.size(), mirror.size());
-    for (size_t d = 0; d < dim; ++d) {
-      const double* row = pool.Row(d);
-      for (size_t i = 0; i < mirror.size(); ++i) {
-        ASSERT_EQ(row[i], mirror[i][d]) << "step " << step;
-      }
-      for (size_t i = mirror.size(); i < simd::RoundUpToLanes(mirror.size());
-           ++i) {
-        ASSERT_EQ(row[i], 0.0) << "step " << step;
+    ASSERT_EQ(pool.size(), mirror.size()) << "step " << step;
+    for (size_t i = 0; i < mirror.size(); ++i) {
+      for (size_t d = 0; d < dim; ++d) {
+        ASSERT_EQ(pool.At(i, d), mirror[i][d]) << "step " << step;
       }
     }
+  };
+
+  while (mirror.size() < 3 * kB + 17) {
+    if (mirror.empty() || rng.NextBernoulli(0.8)) {
+      append();
+    } else {
+      drop(4);
+    }
+    check();
   }
-  EXPECT_GE(growths, 3);
-  EXPECT_GE(shifts_back, 3);
+  while (!mirror.empty()) {
+    drop(kB + kB / 2);
+    check();
+  }
+  EXPECT_TRUE(pool.empty());
+  // Refill, then hold the size between one and three blocks.
+  for (int i = 0; i < 4000; ++i) {
+    if (mirror.size() < kB ||
+        (mirror.size() < 3 * kB && rng.NextBernoulli(0.7))) {
+      append();
+    } else {
+      drop(i % 50 == 0 ? kB + kB / 2 : 4);
+    }
+    check();
+  }
 }
 
-TEST(CoordinatePoolTest, KernelsMatchScalarOnHeadShiftedPoolAtRowEnd) {
-  // A pool whose dropped head pushes the kernels' lane over-read to the very
-  // end of each row — and, on the last row, of the buffer, so an
-  // address-sanitized build catches any read past the padding contract.
-  Rng rng(314);
-  for (size_t dim : {1u, 3u, 8u, 54u}) {
-    CoordinatePool pool(dim);
-    std::deque<Point> stored;
-    // Fill until the tail reaches the last slot Append may use without
-    // moving the rows; nothing has been dropped yet, so Row(0) is the base.
-    while (pool.size() < 40 ||
-           pool.size() + CoordinatePool::kLaneAlign - 1 != pool.stride()) {
-      stored.push_back(RandomPoints(1, dim, &rng)[0]);
-      pool.Append(stored.back());
+TEST(CoordinatePoolTest, AppendNeverMovesStoredCoordinates) {
+  // A linked block never moves or grows: appends that fill blocks and link
+  // new ones, between drops that free old ones, leave the address of every
+  // stored coordinate as it was when the point was appended.
+  const size_t dim = 3;
+  CoordinatePool pool(dim);
+  Rng rng(17);
+  std::deque<const double*> expected;  // dim entries per live position
+  for (size_t step = 0; step < 4 * kB; ++step) {
+    Coordinates coords(dim);
+    for (size_t d = 0; d < dim; ++d) coords[d] = rng.NextUniform(-10, 10);
+    pool.Append(coords.data());
+    const std::vector<const double*> addresses = CoordAddresses(pool);
+    for (size_t d = 0; d < dim; ++d) {
+      const double* appended = addresses[(pool.size() - 1) * dim + d];
+      ASSERT_EQ(*appended, coords[d]);
+      expected.push_back(appended);
     }
-    const double* base = pool.Row(0);
-    // Keep a live size of 1 mod kLaneAlign: its lane round-up adds the
-    // most padding, exactly the row slack.
-    const size_t drop =
-        (pool.size() - 1) % CoordinatePool::kLaneAlign +
-        2 * CoordinatePool::kLaneAlign;
-    pool.DropFront(drop);
-    stored.erase(stored.begin(), stored.begin() + static_cast<long>(drop));
-    pool.CheckInvariants();
-    const size_t head = static_cast<size_t>(pool.Row(0) - base);
-    ASSERT_EQ(head, drop);
-    ASSERT_EQ(head + simd::RoundUpToLanes(pool.size()), pool.stride())
-        << "dim=" << dim;
-
-    const Point query = RandomPoints(1, dim, &rng)[0];
-    const auto& scalar = simd::ScalarKernels();
-    for (const simd::KernelSet* set : simd::CompiledKernelSets()) {
-      if (!simd::CpuSupports(*set)) continue;
-      ExpectKernelMatchesScalar(set->euclidean, scalar.euclidean, query, pool,
-                                set->name, "euclidean");
-      ExpectKernelMatchesScalar(set->manhattan, scalar.manhattan, query, pool,
-                                set->name, "manhattan");
-      ExpectKernelMatchesScalar(set->chebyshev, scalar.chebyshev, query, pool,
-                                set->name, "chebyshev");
+    for (size_t i = 0; i + dim < addresses.size(); ++i) {
+      ASSERT_EQ(addresses[i], expected[i])
+          << "step " << step << " moved position " << i / dim;
     }
-    // The bounded kernels read no further, whatever they abandon.
-    for (const simd::KernelSet* set : simd::CompiledKernelSets()) {
-      if (!simd::CpuSupports(*set)) continue;
-      for (size_t m = 0; m < 3; ++m) {
-        for (double bound : {0.0, 150.0, 1e300}) {
-          ExpectBoundedScanHonorsContract(*set, m, query, pool, bound);
-        }
-      }
-    }
-    // The dispatched SoA path agrees with the per-pair Distance.
-    const EuclideanMetric euclidean;
-    std::vector<double> out(pool.size(), -1.0);
-    euclidean.DistanceSoA(query, pool, out.data());
-    for (size_t i = 0; i < stored.size(); ++i) {
-      EXPECT_EQ(euclidean.Distance(query, stored[i]), out[i]) << "pair " << i;
+    if (step % 7 == 6) {
+      pool.DropFront(2);
+      expected.erase(expected.begin(),
+                     expected.begin() + static_cast<long>(2 * dim));
     }
   }
 }
@@ -477,21 +506,25 @@ TEST(CoordinatePoolTest, KernelsMatchScalarOnHeadShiftedPoolAtRowEnd) {
 TEST(CoordinatePoolTest, FromPointsHoldsInputAndAcceptsAppends) {
   const size_t dim = 5;
   Rng rng(61);
-  // 4089 points would size the stride to exactly 4 KiB; the alias bump
-  // must move it off.
-  for (size_t n : {0u, 1u, 7u, 8u, 9u, 4089u, 4096u}) {
+  for (size_t n : {size_t{0}, size_t{1}, kB - 1, kB, kB + 1, 2 * kB,
+                   3 * kB}) {
     const auto points = RandomPoints(n, dim, &rng);
     CoordinatePool pool = CoordinatePool::FromPoints(points);
     pool.CheckInvariants();
     ASSERT_EQ(pool.size(), n);
-    if (n > 0) {
-      EXPECT_NE(pool.stride() % (4096 / sizeof(double)), 0u) << "n=" << n;
-    }
     for (size_t i = 0; i < n; ++i) {
       for (size_t d = 0; d < dim; ++d) {
         ASSERT_EQ(pool.At(i, d), points[i].coords[d]) << "n=" << n;
       }
     }
+    // Full blocks, each span starting at a block boundary.
+    size_t spans = 0;
+    pool.ForEachSpan([&](const CoordinatePool::Span& span) {
+      EXPECT_EQ(span.first, spans * kB) << "n=" << n;
+      EXPECT_EQ(span.count, std::min(kB, n - span.first)) << "n=" << n;
+      ++spans;
+    });
+    EXPECT_EQ(spans, (n + kB - 1) / kB) << "n=" << n;
     // An empty input has no dimension to take; it is re-dimensioned first.
     if (n == 0) {
       EXPECT_EQ(pool.dim(), 0u);
@@ -511,21 +544,130 @@ TEST(CoordinatePoolTest, FromPointsHoldsInputAndAcceptsAppends) {
   }
 }
 
+TEST(CoordinatePoolTest, KernelsMatchDistanceOnMultiBlockPoolWithMidBlockHead) {
+  // Pools of three blocks and a partial fourth whose head sits inside the
+  // front block: at every compiled width, each exact kernel returns the
+  // per-pair Distance bit for bit, and each bounded kernel returns it bit
+  // for bit wherever it is within the bound (and out of range elsewhere).
+  const EuclideanMetric euclidean;
+  const ManhattanMetric manhattan;
+  const ChebyshevMetric chebyshev;
+  const Metric* metrics[] = {&euclidean, &manhattan, &chebyshev};
+  Rng rng(4242);
+  for (size_t dim : {1u, 3u, 5u, 54u}) {
+    for (size_t head : {size_t{1}, kB / 2 + 3, kB - 1}) {
+      std::vector<Point> stored = RandomPoints(3 * kB + 11, dim, &rng);
+      CoordinatePool pool(dim);
+      for (const Point& p : stored) pool.Append(p);
+      pool.DropFront(head);
+      stored.erase(stored.begin(), stored.begin() + static_cast<long>(head));
+      const Point query = RandomPoints(1, dim, &rng)[0];
+      const size_t n = stored.size();
+      for (size_t m = 0; m < 3; ++m) {
+        std::vector<double> want(n);
+        for (size_t i = 0; i < n; ++i) {
+          want[i] = metrics[m]->Distance(query, stored[i]);
+        }
+        std::vector<double> sorted = want;
+        std::sort(sorted.begin(), sorted.end());
+        for (const simd::KernelSet* set : SupportedSets()) {
+          const MetricKernels kernels = KernelsOf(*set)[m];
+          std::vector<double> got(n, -1.0);
+          ScanPool(kernels.exact, query, pool, got.data());
+          EXPECT_EQ(std::memcmp(want.data(), got.data(), n * sizeof(double)),
+                    0)
+              << set->name << "/" << kernels.name << " dim=" << dim
+              << " head=" << head;
+          for (double bound :
+               {0.0, sorted[n / 3], std::numeric_limits<double>::infinity()}) {
+            std::fill(got.begin(), got.end(), -1.0);
+            ScanPoolWithin(kernels.within, kernels.cutoff(bound), query, pool,
+                           got.data());
+            for (size_t i = 0; i < n; ++i) {
+              if (want[i] <= bound) {
+                ASSERT_EQ(std::memcmp(&want[i], &got[i], sizeof(double)), 0)
+                    << set->name << "/" << kernels.name << " pair " << i
+                    << " dim=" << dim << " head=" << head;
+              } else {
+                ASSERT_FALSE(got[i] <= bound)
+                    << set->name << "/" << kernels.name << " pair " << i;
+              }
+            }
+          }
+        }
+        // The dispatched metric entry points split the pool the same way.
+        std::vector<double> soa(n, -1.0);
+        metrics[m]->DistanceSoA(query, pool, soa.data());
+        EXPECT_EQ(std::memcmp(want.data(), soa.data(), n * sizeof(double)), 0)
+            << metrics[m]->Name() << " dim=" << dim << " head=" << head;
+      }
+    }
+  }
+}
+
+TEST(CoordinatePoolTest, KernelsMatchScalarOnHeadShiftedPoolAtRowEnd) {
+  // A one-block pool whose head leaves a live span of 9 points at the end
+  // of the block: the widest lane over-read of that span ends in the last
+  // lane width of each row — and, on the last row, of the block's
+  // allocation, so an address-sanitized build catches any read past the
+  // slack.
+  Rng rng(314);
+  for (size_t dim : {1u, 3u, 8u, 54u}) {
+    std::deque<Point> stored;
+    CoordinatePool pool(dim);
+    for (size_t i = 0; i < kB; ++i) {
+      stored.push_back(RandomPoints(1, dim, &rng)[0]);
+      pool.Append(stored.back());
+    }
+    const size_t drop = kB - 9;
+    pool.DropFront(drop);
+    stored.erase(stored.begin(), stored.begin() + static_cast<long>(drop));
+    pool.CheckInvariants();
+    size_t spans = 0;
+    pool.ForEachSpan([&](const CoordinatePool::Span& span) {
+      EXPECT_EQ(span.count, 9u);
+      ++spans;
+    });
+    ASSERT_EQ(spans, 1u);
+
+    const Point query = RandomPoints(1, dim, &rng)[0];
+    const auto& scalar = simd::ScalarKernels();
+    for (const simd::KernelSet* set : SupportedSets()) {
+      ExpectKernelMatchesScalar(set->euclidean, scalar.euclidean, query, pool,
+                                set->name, "euclidean");
+      ExpectKernelMatchesScalar(set->manhattan, scalar.manhattan, query, pool,
+                                set->name, "manhattan");
+      ExpectKernelMatchesScalar(set->chebyshev, scalar.chebyshev, query, pool,
+                                set->name, "chebyshev");
+      // The bounded kernels read no further, whatever they abandon.
+      for (size_t m = 0; m < 3; ++m) {
+        for (double bound : {0.0, 150.0, 1e300}) {
+          ExpectBoundedScanHonorsContract(*set, m, query, pool, bound);
+        }
+      }
+    }
+    // The dispatched SoA path agrees with the per-pair Distance.
+    const EuclideanMetric euclidean;
+    std::vector<double> out(pool.size(), -1.0);
+    euclidean.DistanceSoA(query, pool, out.data());
+    for (size_t i = 0; i < stored.size(); ++i) {
+      EXPECT_EQ(euclidean.Distance(query, stored[i]), out[i]) << "pair " << i;
+    }
+  }
+}
+
 TEST(CoordinatePoolTest, KernelsMatchScalarOnBulkBuiltPool) {
-  // Counts one below a lane multiple (the widest lane over-read) and one
-  // above (the over-read ends exactly at the row end, and on the last row
-  // at the buffer end), so an address-sanitized build catches any read
-  // past the tail.
+  // Counts one below a lane multiple (the widest lane over-read), one past
+  // a block and ragged multi-block pools.
   Rng rng(27);
   const auto& scalar = simd::ScalarKernels();
   for (size_t dim : {1u, 3u, 54u}) {
-    for (size_t n : {7u, 9u, 63u, 4095u}) {
+    for (size_t n : {size_t{7}, size_t{9}, size_t{63}, kB + 1, size_t{4095}}) {
       const auto stored = RandomPoints(n, dim, &rng);
       const CoordinatePool pool = CoordinatePool::FromPoints(stored);
       pool.CheckInvariants();
       const Point query = RandomPoints(1, dim, &rng)[0];
-      for (const simd::KernelSet* set : simd::CompiledKernelSets()) {
-        if (!simd::CpuSupports(*set)) continue;
+      for (const simd::KernelSet* set : SupportedSets()) {
         ExpectKernelMatchesScalar(set->euclidean, scalar.euclidean, query,
                                   pool, set->name, "euclidean");
         ExpectKernelMatchesScalar(set->manhattan, scalar.manhattan, query,
@@ -547,7 +689,7 @@ TEST(CoordinatePoolTest, KernelsMatchScalarOnBulkBuiltPool) {
 TEST(CoordinatePoolTest, ClearAndResetDim) {
   CoordinatePool pool(3);
   Rng rng(4);
-  for (const Point& p : RandomPoints(10, 3, &rng)) pool.Append(p);
+  for (const Point& p : RandomPoints(kB + 10, 3, &rng)) pool.Append(p);
   pool.Clear();
   EXPECT_EQ(pool.size(), 0u);
   pool.CheckInvariants();
@@ -565,18 +707,30 @@ TEST(CoordinatePoolTest, ClearAndResetDim) {
   EXPECT_EQ(pool.At(0, 5), wide[0].coords[5]);
 }
 
-TEST(CoordinatePoolTest, PaddingIsReadableToLaneBoundary) {
-  // The over-read contract the kernels rely on: every row must be readable
-  // (and zero) out to RoundUpToLanes(size()).
-  CoordinatePool pool(4);
+TEST(CoordinatePoolTest, SpansTileThePositionsInsideTheirRows) {
+  // The over-read contract the kernels rely on: the spans cover positions
+  // [0, size()) in order, only the first starts inside its block, and every
+  // span's rows are readable to its lane round-up without leaving the row.
   Rng rng(8);
-  for (const Point& p : RandomPoints(11, 4, &rng)) pool.Append(p);
-  ASSERT_GE(pool.stride(), simd::RoundUpToLanes(pool.size()));
-  for (size_t d = 0; d < pool.dim(); ++d) {
-    const double* row = pool.Row(d);
-    for (size_t i = pool.size(); i < simd::RoundUpToLanes(pool.size()); ++i) {
-      EXPECT_EQ(row[i], 0.0);
-    }
+  for (size_t dropped : {size_t{0}, size_t{5}, kB - 1, kB, kB + 3}) {
+    CoordinatePool pool(4);
+    for (const Point& p : RandomPoints(2 * kB + 11, 4, &rng)) pool.Append(p);
+    pool.DropFront(dropped);
+    size_t next = 0;
+    pool.ForEachSpan([&](const CoordinatePool::Span& span) {
+      const size_t offset = next == 0 ? dropped % kB : 0;
+      EXPECT_EQ(span.first, next) << "dropped=" << dropped;
+      EXPECT_GT(span.count, 0u);
+      EXPECT_LE(offset + simd::RoundUpToLanes(span.count),
+                CoordinatePool::kRowStride)
+          << "dropped=" << dropped;
+      for (size_t i = 0; i < span.count; ++i) {
+        EXPECT_EQ(span.data[2 * CoordinatePool::kRowStride + i],
+                  pool.At(span.first + i, 2));
+      }
+      next += span.count;
+    });
+    EXPECT_EQ(next, pool.size()) << "dropped=" << dropped;
   }
 }
 
