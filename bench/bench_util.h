@@ -12,9 +12,9 @@
 
 #include "common/logging.h"
 #include "datasets/registry.h"
-#include "matroid/color_constraint.h"
 #include "metric/aspect_ratio.h"
 #include "metric/metric.h"
+#include "sequential/color_constraint.h"
 #include "stream/window_driver.h"
 
 namespace fkc {

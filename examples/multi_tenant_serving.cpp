@@ -63,8 +63,8 @@
 #include "common/flags.h"
 #include "common/string_util.h"
 #include "datasets/phones_sim.h"
-#include "matroid/color_constraint.h"
 #include "metric/metric.h"
+#include "sequential/color_constraint.h"
 #include "sequential/jones_fair_center.h"
 #include "serving/delta_log.h"
 #include "serving/replication/fault_injector.h"

@@ -13,8 +13,8 @@
 #include "core/fair_center_sliding_window.h"
 #include "common/stopwatch.h"
 #include "datasets/phones_sim.h"
-#include "matroid/color_constraint.h"
 #include "metric/metric.h"
+#include "sequential/color_constraint.h"
 #include "sequential/jones_fair_center.h"
 #include "sequential/radius.h"
 #include "stream/reference_window.h"

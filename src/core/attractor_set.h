@@ -12,8 +12,8 @@
 #include <deque>
 #include <vector>
 
-#include "matroid/color_constraint.h"
 #include "metric/point.h"
+#include "sequential/color_constraint.h"
 
 namespace fkc {
 

@@ -32,8 +32,8 @@
 #include "core/guess_ladder.h"
 #include "core/guess_structure.h"
 #include "core/memory_footprint.h"
-#include "matroid/color_constraint.h"
 #include "metric/metric.h"
+#include "sequential/color_constraint.h"
 #include "sequential/fair_center_solver.h"
 #include "sequential/robust_fair_center.h"
 

@@ -19,10 +19,10 @@
 
 #include "core/attractor_set.h"
 #include "core/memory_footprint.h"
-#include "matroid/color_constraint.h"
 #include "metric/coordinate_pool.h"
 #include "metric/metric.h"
 #include "metric/point.h"
+#include "sequential/color_constraint.h"
 
 namespace fkc {
 

@@ -33,8 +33,8 @@
 #include "core/attractor_set.h"
 #include "core/guess_ladder.h"
 #include "core/memory_footprint.h"
-#include "matroid/color_constraint.h"
 #include "metric/metric.h"
+#include "sequential/color_constraint.h"
 #include "sequential/fair_center_solver.h"
 
 namespace fkc {

@@ -13,7 +13,7 @@
 #include "common/checkpoint_io.h"
 #include "common/status.h"
 #include "core/fair_center_sliding_window.h"
-#include "matroid/color_constraint.h"
+#include "sequential/color_constraint.h"
 
 namespace fkc {
 

@@ -1,14 +1,15 @@
 // Capacitated bipartite matching: right-side vertices (colors) accept up to
-// cap(i) matches. Used to assign cluster heads to color slots in both fair
-// center solvers. Implemented by expanding each color into cap(i) slots and
-// running Hopcroft–Karp — the total slot count is k, which is tiny.
+// cap(i) matches. Used to assign cluster heads to color slots in the Jones,
+// ChenEtAl and robust fair-center solvers. Implemented by expanding each
+// color into cap(i) slots and running Hopcroft–Karp — the total slot count is
+// k, which is tiny.
 #ifndef FKC_MATCHING_CAPACITATED_MATCHING_H_
 #define FKC_MATCHING_CAPACITATED_MATCHING_H_
 
 #include <vector>
 
 #include "matching/bipartite_graph.h"
-#include "matroid/color_constraint.h"
+#include "sequential/color_constraint.h"
 
 namespace fkc {
 

@@ -1,8 +1,8 @@
 // Hopcroft–Karp maximum bipartite matching, O(E sqrt(V)).
 //
-// This is the combinatorial engine behind the Jones et al. fair-center
-// algorithm (heads matched to color slots) and the partition-matroid
-// feasibility check of the Chen et al. matroid-center baseline.
+// This is the combinatorial engine behind every fair solver's head <-> color
+// matching (see capacitated_matching.h): the fairness constraint is a
+// partition matroid, and feasibility of one radius is a saturating matching.
 #ifndef FKC_MATCHING_HOPCROFT_KARP_H_
 #define FKC_MATCHING_HOPCROFT_KARP_H_
 

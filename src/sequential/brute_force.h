@@ -4,7 +4,7 @@
 #ifndef FKC_SEQUENTIAL_BRUTE_FORCE_H_
 #define FKC_SEQUENTIAL_BRUTE_FORCE_H_
 
-#include "matroid/color_constraint.h"
+#include "sequential/color_constraint.h"
 #include "sequential/fair_center_solver.h"
 
 namespace fkc {

@@ -4,10 +4,7 @@
 #include <cmath>
 #include <limits>
 
-#include "common/logging.h"
 #include "matching/capacitated_matching.h"
-#include "matroid/matroid_intersection.h"
-#include "matroid/partition_matroid.h"
 
 namespace fkc {
 namespace {
@@ -29,91 +26,8 @@ std::vector<int> GreedyHeads(const Metric& metric,
   return heads;
 }
 
-// View of `inner` restricted to a subset of its ground set; local element i
-// corresponds to global element global_ids[i].
-class SubsetMatroidView final : public Matroid {
- public:
-  SubsetMatroidView(const Matroid& inner, std::vector<int> global_ids)
-      : inner_(inner), global_ids_(std::move(global_ids)) {}
-
-  int GroundSize() const override {
-    return static_cast<int>(global_ids_.size());
-  }
-  bool IsIndependent(const std::vector<int>& elements) const override {
-    std::vector<int> globals;
-    globals.reserve(elements.size());
-    for (int e : elements) globals.push_back(global_ids_[e]);
-    return inner_.IsIndependent(globals);
-  }
-  int Rank() const override { return inner_.Rank(); }
-  std::string Name() const override { return "subset(" + inner_.Name() + ")"; }
-
- private:
-  const Matroid& inner_;
-  std::vector<int> global_ids_;
-};
-
-// Partition matroid with one unit-capacity part per ball.
-class BallPartitionMatroid final : public Matroid {
- public:
-  BallPartitionMatroid(std::vector<int> ball_of_element, int ball_count)
-      : ball_of_element_(std::move(ball_of_element)),
-        ball_count_(ball_count) {}
-
-  int GroundSize() const override {
-    return static_cast<int>(ball_of_element_.size());
-  }
-  bool IsIndependent(const std::vector<int>& elements) const override {
-    std::vector<bool> used(ball_count_, false);
-    for (int e : elements) {
-      const int ball = ball_of_element_[e];
-      if (used[ball]) return false;
-      used[ball] = true;
-    }
-    return true;
-  }
-  int Rank() const override { return ball_count_; }
-  std::string Name() const override { return "ball-partition"; }
-
- private:
-  std::vector<int> ball_of_element_;
-  int ball_count_;
-};
-
-// Tests one radius with the generic matroid-intersection machinery. On
-// success fills `centers` with one independent pick per ball.
-bool TryRadiusGeneric(const Metric& metric, const std::vector<Point>& points,
-                      const Matroid& matroid, double r,
-                      std::vector<Point>* centers) {
-  const std::vector<int> heads = GreedyHeads(metric, points, r);
-  if (static_cast<int>(heads.size()) > matroid.Rank()) return false;
-
-  // Eligible elements: points inside some head's r-ball (balls are disjoint
-  // because heads are > 2r apart).
-  std::vector<int> global_ids;
-  std::vector<int> ball_of_element;
-  for (size_t i = 0; i < points.size(); ++i) {
-    for (size_t h = 0; h < heads.size(); ++h) {
-      if (metric.Distance(points[i], points[heads[h]]) <= r) {
-        global_ids.push_back(static_cast<int>(i));
-        ball_of_element.push_back(static_cast<int>(h));
-        break;
-      }
-    }
-  }
-
-  const SubsetMatroidView restricted(matroid, global_ids);
-  const BallPartitionMatroid by_ball(ball_of_element,
-                                     static_cast<int>(heads.size()));
-  const std::vector<int> common = MaxCommonIndependentSet(restricted, by_ball);
-  if (common.size() != heads.size()) return false;
-
-  centers->clear();
-  for (int local : common) centers->push_back(points[global_ids[local]]);
-  return true;
-}
-
-// Partition-matroid fast path: head <-> color capacitated matching.
+// Tests one radius: heads, then a head <-> color capacitated matching. On
+// success fills `centers` with one center per head.
 bool TryRadiusFair(const Metric& metric, const std::vector<Point>& points,
                    const ColorConstraint& constraint, double r,
                    std::vector<Point>* centers) {
@@ -196,51 +110,34 @@ std::vector<double> CandidateRadii(const Metric& metric,
   return candidates;
 }
 
-// Shared binary-search driver. `try_radius(r, centers)` reports feasibility.
-template <typename TryFn>
+// Binary search for the smallest feasible candidate. `centers` always holds
+// the answer of the smallest radius found feasible so far.
 Result<FairCenterSolution> SearchRadius(const Metric& metric,
                                         const std::vector<Point>& points,
-                                        const std::vector<double>& candidates,
-                                        TryFn try_radius) {
-  std::vector<Point> centers;
-  if (!try_radius(candidates.back(), &centers)) {
+                                        const ColorConstraint& constraint,
+                                        const std::vector<double>& candidates) {
+  FairCenterSolution solution;
+  if (!TryRadiusFair(metric, points, constraint, candidates.back(),
+                     &solution.centers)) {
     return Status::Infeasible("no independent center set covers the input");
   }
   size_t lo = 0;
   size_t hi = candidates.size() - 1;  // known feasible
+  std::vector<Point> attempt;
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
-    std::vector<Point> attempt;
-    if (try_radius(candidates[mid], &attempt)) {
+    if (TryRadiusFair(metric, points, constraint, candidates[mid], &attempt)) {
       hi = mid;
+      solution.centers.swap(attempt);
     } else {
       lo = mid + 1;
     }
   }
-  std::vector<Point> final_centers;
-  FKC_CHECK(try_radius(candidates[lo], &final_centers));
-  FairCenterSolution solution;
-  solution.centers = std::move(final_centers);
   solution.radius = ClusteringRadius(metric, points, solution.centers);
   return solution;
 }
 
 }  // namespace
-
-Result<FairCenterSolution> SolveMatroidCenter(const Metric& metric,
-                                              const std::vector<Point>& points,
-                                              const Matroid& matroid,
-                                              const ChenOptions& options) {
-  if (points.empty()) return FairCenterSolution{};
-  FKC_CHECK_EQ(matroid.GroundSize(), static_cast<int>(points.size()));
-  const std::vector<double> candidates =
-      CandidateRadii(metric, points, options);
-  return SearchRadius(metric, points, candidates,
-                      [&](double r, std::vector<Point>* centers) {
-                        return TryRadiusGeneric(metric, points, matroid, r,
-                                                centers);
-                      });
-}
 
 Result<FairCenterSolution> ChenMatroidCenter::Solve(
     const Metric& metric, const std::vector<Point>& points,
@@ -257,11 +154,7 @@ Result<FairCenterSolution> ChenMatroidCenter::Solve(
   }
   const std::vector<double> candidates =
       CandidateRadii(metric, points, options_);
-  return SearchRadius(metric, points, candidates,
-                      [&](double r, std::vector<Point>* centers) {
-                        return TryRadiusFair(metric, points, constraint, r,
-                                             centers);
-                      });
+  return SearchRadius(metric, points, constraint, candidates);
 }
 
 }  // namespace fkc

@@ -1,17 +1,20 @@
-// Matroid center after Chen, Li, Liang & Wang (Algorithmica 2016) [10]: the
+// The matroid center of Chen, Li, Liang & Wang (Algorithmica 2016) [10]: the
 // first 3-approximation for center clustering under an arbitrary matroid
 // constraint, and the slower of the two sequential baselines in the paper's
 // evaluation (labelled ChenEtAl).
 //
-// Scheme, per candidate radius r:
+// The paper's fairness constraint is a partition matroid (at most k_i
+// centers of color i), and for it the matroid-intersection step of [10] is a
+// head <-> color matching. Scheme, per candidate radius r:
 //   1. Greedily extract heads: a maximal subset at pairwise distance > 2r
 //      (every point ends up within 2r of a head). If a radius-r solution
-//      exists, heads map injectively to its centers, so |heads| <= rank.
+//      exists, heads map injectively to its centers, so |heads| <= k.
 //   2. The balls B(head, r) are pairwise disjoint; a radius-r solution must
-//      contain one center inside each ball. Picking one point per ball that
-//      is independent in the input matroid is a matroid-intersection problem
-//      (input matroid x unit-capacity partition over balls); for the fair
-//      (partition) case it reduces to a head <-> color-slot matching.
+//      contain one center inside each ball. Each head may take any color
+//      present in its ball, and color i serves at most k_i heads: a
+//      capacitated head <-> color matching that must saturate the heads. The
+//      center of a matched (head, color) pair is the ball's nearest point of
+//      that color.
 //   3. On success every point is within 2r of a head and the head within r of
 //      its chosen center: radius <= 3r. On failure OPT > r.
 // The smallest admissible r is located by binary search over all pairwise
@@ -20,7 +23,6 @@
 #ifndef FKC_SEQUENTIAL_CHEN_MATROID_CENTER_H_
 #define FKC_SEQUENTIAL_CHEN_MATROID_CENTER_H_
 
-#include "matroid/matroid.h"
 #include "sequential/fair_center_solver.h"
 
 namespace fkc {
@@ -35,16 +37,7 @@ struct ChenOptions {
   double ladder_factor = 1.05;
 };
 
-/// Generic matroid-center: `matroid` is an independence oracle over indices
-/// into `points`. Returns kInfeasible when not even one independent center
-/// exists for a non-empty input.
-Result<FairCenterSolution> SolveMatroidCenter(const Metric& metric,
-                                              const std::vector<Point>& points,
-                                              const Matroid& matroid,
-                                              const ChenOptions& options = {});
-
-/// FairCenterSolver adapter: fair center as partition-matroid center, with
-/// the head <-> color matching fast path.
+/// FairCenterSolver adapter: fair center as partition-matroid center.
 class ChenMatroidCenter final : public FairCenterSolver {
  public:
   explicit ChenMatroidCenter(ChenOptions options = {}) : options_(options) {}

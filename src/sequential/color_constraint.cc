@@ -1,4 +1,4 @@
-#include "matroid/color_constraint.h"
+#include "sequential/color_constraint.h"
 
 #include <algorithm>
 #include <numeric>

@@ -1,8 +1,8 @@
 // The fairness constraint of the paper: at most k_i centers of color i, for
 // each of the ell colors. This is the single source of truth for feasibility
 // checks across sequential solvers, the sliding-window core, and the tests.
-#ifndef FKC_MATROID_COLOR_CONSTRAINT_H_
-#define FKC_MATROID_COLOR_CONSTRAINT_H_
+#ifndef FKC_SEQUENTIAL_COLOR_CONSTRAINT_H_
+#define FKC_SEQUENTIAL_COLOR_CONSTRAINT_H_
 
 #include <string>
 #include <vector>
@@ -53,4 +53,4 @@ class ColorConstraint {
 
 }  // namespace fkc
 
-#endif  // FKC_MATROID_COLOR_CONSTRAINT_H_
+#endif  // FKC_SEQUENTIAL_COLOR_CONSTRAINT_H_

@@ -9,9 +9,9 @@
 #include <vector>
 
 #include "common/status.h"
-#include "matroid/color_constraint.h"
 #include "metric/metric.h"
 #include "metric/point.h"
+#include "sequential/color_constraint.h"
 #include "sequential/radius.h"
 
 namespace fkc {

@@ -1,6 +1,6 @@
 // Gonzalez's greedy 2-approximation for unconstrained k-center [23]. Beyond
-// being a baseline, it is the head-selection engine inside the Jones and
-// Kleindessner fair solvers.
+// being a baseline, it is the head-selection engine inside the Jones fair
+// solver and the k-median seeding.
 #ifndef FKC_SEQUENTIAL_GONZALEZ_H_
 #define FKC_SEQUENTIAL_GONZALEZ_H_
 

@@ -24,7 +24,7 @@
 #ifndef FKC_SEQUENTIAL_ROBUST_FAIR_CENTER_H_
 #define FKC_SEQUENTIAL_ROBUST_FAIR_CENTER_H_
 
-#include "matroid/color_constraint.h"
+#include "sequential/color_constraint.h"
 #include "sequential/fair_center_solver.h"
 
 namespace fkc {

@@ -8,7 +8,7 @@
 #include <deque>
 
 #include "common/status.h"
-#include "matroid/color_constraint.h"
+#include "sequential/color_constraint.h"
 #include "sequential/fair_center_solver.h"
 
 namespace fkc {

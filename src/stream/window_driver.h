@@ -13,7 +13,7 @@
 
 #include "common/logging.h"
 #include "core/fair_center_sliding_window.h"
-#include "matroid/color_constraint.h"
+#include "sequential/color_constraint.h"
 #include "stream/metrics_recorder.h"
 #include "stream/reference_window.h"
 #include "stream/stream.h"

@@ -9,8 +9,8 @@
 #include "common/random.h"
 #include "core/fair_center_sliding_window.h"
 #include "core/guess_structure.h"
-#include "matroid/color_constraint.h"
 #include "metric/metric.h"
+#include "sequential/color_constraint.h"
 #include "sequential/jones_fair_center.h"
 
 namespace fkc {

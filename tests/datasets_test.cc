@@ -1,14 +1,17 @@
 // Tests for the dataset substrate: generator contracts (sizes, colors,
 // dimensionality, aspect-ratio bands, intrinsic dimension of rotated data),
-// the CSV loader, and the registry.
+// the CSV loader, and the registry. A doubling-dimension estimator, checked
+// here first, measures the intrinsic dimension.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <set>
 #include <string>
 
+#include "common/random.h"
 #include "datasets/blobs.h"
 #include "datasets/covtype_sim.h"
 #include "datasets/csv_loader.h"
@@ -17,7 +20,6 @@
 #include "datasets/registry.h"
 #include "datasets/rotated.h"
 #include "metric/aspect_ratio.h"
-#include "metric/doubling.h"
 #include "metric/metric.h"
 
 namespace fkc {
@@ -38,6 +40,122 @@ using datasets::RandomRotation;
 using datasets::RotateAndPad;
 
 const EuclideanMetric kMetric;
+
+Point P(std::initializer_list<double> coords) {
+  return Point(Coordinates(coords), 0);
+}
+
+// Greedily extracts an r-net of `points`: a subset N with pairwise distances
+// > r such that every point is within r of N.
+std::vector<Point> GreedyNet(const Metric& metric,
+                             const std::vector<Point>& points, double r) {
+  std::vector<Point> net;
+  for (const Point& p : points) {
+    if (DistanceToSet(metric, p, net) > r) net.push_back(p);
+  }
+  return net;
+}
+
+// Estimates the doubling dimension of `points` as log2 of the largest number
+// of (r/2)-net points inside one r-ball of the r-net, over `scales` dyadic
+// scales below the diameter. Exact doubling dimension is NP-hard; this
+// upper-bound-flavored estimate tracks the intrinsic dimension of the
+// synthetic datasets (Figures 4 and 5).
+double EstimateDoublingDimension(const Metric& metric,
+                                 const std::vector<Point>& points,
+                                 int scales = 6) {
+  if (points.size() < 2) return 0.0;
+  const double diameter = Diameter(metric, points);
+  if (diameter <= 0.0) return 0.0;
+
+  double worst_growth = 1.0;
+  double r = diameter / 2.0;
+  for (int s = 0; s < scales; ++s, r /= 2.0) {
+    const std::vector<Point> coarse = GreedyNet(metric, points, r);
+    const std::vector<Point> fine = GreedyNet(metric, points, r / 2.0);
+    // A doubling space packs at most 2^D points with pairwise distance > r/2
+    // into a ball of radius r.
+    for (const Point& center : coarse) {
+      int64_t inside = 0;
+      for (const Point& q : fine) {
+        if (metric.Distance(center, q) <= r) ++inside;
+      }
+      worst_growth = std::max(worst_growth, static_cast<double>(inside));
+    }
+    if (fine.size() == points.size()) break;  // finer scales are vacuous
+  }
+  return std::log2(worst_growth);
+}
+
+TEST(DoublingTest, GreedyNetCoversAndSeparates) {
+  Rng rng(5);
+  std::vector<Point> points;
+  for (int i = 0; i < 100; ++i) {
+    points.push_back(P({rng.NextUniform(0, 10), rng.NextUniform(0, 10)}));
+  }
+  const double r = 2.0;
+  const std::vector<Point> net = GreedyNet(kMetric, points, r);
+  // Coverage: every point within r of the net.
+  for (const Point& p : points) {
+    EXPECT_LE(DistanceToSet(kMetric, p, net), r);
+  }
+  // Separation: net points pairwise > r.
+  for (size_t i = 0; i < net.size(); ++i) {
+    for (size_t j = i + 1; j < net.size(); ++j) {
+      EXPECT_GT(kMetric.Distance(net[i], net[j]), r);
+    }
+  }
+}
+
+TEST(DoublingTest, LineHasLowDimension) {
+  std::vector<Point> points;
+  for (int i = 0; i < 200; ++i) points.push_back(P({static_cast<double>(i)}));
+  const double dim = EstimateDoublingDimension(kMetric, points);
+  EXPECT_LE(dim, 2.5);  // a line's doubling dimension is 1
+  EXPECT_GE(dim, 0.5);
+}
+
+TEST(DoublingTest, HigherAmbientDimensionDetected) {
+  Rng rng(9);
+  auto cube = [&](int d) {
+    std::vector<Point> points;
+    for (int i = 0; i < 300; ++i) {
+      Coordinates coords(d);
+      for (double& x : coords) x = rng.NextUniform(0, 1);
+      points.push_back(Point(coords, 0));
+    }
+    return EstimateDoublingDimension(kMetric, points);
+  };
+  const double dim1 = cube(1);
+  const double dim5 = cube(5);
+  EXPECT_GT(dim5, dim1 + 0.5) << "5-d cube must look higher-dimensional";
+}
+
+TEST(DoublingTest, RotationPreservesEstimate) {
+  // The estimator must depend on geometry only: padding + rotation keeps it.
+  Rng rng(13);
+  std::vector<Point> base;
+  for (int i = 0; i < 150; ++i) {
+    base.push_back(P({rng.NextUniform(0, 10), rng.NextUniform(0, 10)}));
+  }
+  const double base_dim = EstimateDoublingDimension(kMetric, base);
+
+  // Embed into 6 dims with an explicit rigid rotation that swaps into new
+  // axes, independent of the RotateAndPad under test below.
+  std::vector<Point> padded;
+  for (const Point& p : base) {
+    padded.push_back(P({0.0, p.coords[1], 0.0, p.coords[0], 0.0, 0.0}));
+  }
+  const double padded_dim = EstimateDoublingDimension(kMetric, padded);
+  EXPECT_NEAR(base_dim, padded_dim, 1e-9);
+}
+
+TEST(DoublingTest, DegenerateInputs) {
+  EXPECT_DOUBLE_EQ(EstimateDoublingDimension(kMetric, {}), 0.0);
+  EXPECT_DOUBLE_EQ(EstimateDoublingDimension(kMetric, {P({1})}), 0.0);
+  EXPECT_DOUBLE_EQ(
+      EstimateDoublingDimension(kMetric, {P({1}), P({1})}), 0.0);
+}
 
 TEST(BlobsTest, SizesColorsAndDimension) {
   BlobsOptions options;

@@ -10,7 +10,6 @@
 #include "metric/metric.h"
 #include "sequential/chen_matroid_center.h"
 #include "sequential/jones_fair_center.h"
-#include "sequential/kleindessner.h"
 
 namespace fkc {
 namespace {
@@ -98,11 +97,9 @@ TEST(DeterminismTest, SequentialSolversAreDeterministic) {
   const auto points = Stream(80, 13);
   const ColorConstraint constraint({2, 2, 1});
   const ChenMatroidCenter chen;
-  const KleindessnerFairCenter kleindessner;
 
   for (const FairCenterSolver* solver :
-       std::initializer_list<const FairCenterSolver*>{&kJones, &chen,
-                                                      &kleindessner}) {
+       std::initializer_list<const FairCenterSolver*>{&kJones, &chen}) {
     auto a = solver->Solve(kMetric, points, constraint);
     auto b = solver->Solve(kMetric, points, constraint);
     ASSERT_TRUE(a.ok()) << solver->Name();

@@ -11,13 +11,11 @@
 #include "common/random.h"
 #include "core/fair_center_sliding_window.h"
 #include "core/guess_ladder.h"
-#include "matroid/partition_matroid.h"
 #include "metric/metric.h"
 #include "sequential/brute_force.h"
 #include "sequential/chen_matroid_center.h"
 #include "sequential/gonzalez.h"
 #include "sequential/jones_fair_center.h"
-#include "sequential/kleindessner.h"
 #include "stream/window_driver.h"
 
 namespace fkc {
@@ -85,12 +83,10 @@ TEST(EdgeCaseTest, ChenSinglePoint) {
   EXPECT_DOUBLE_EQ(result.value().radius, 0.0);
 }
 
-TEST(EdgeCaseTest, ChenFairPathAndGenericMatroidPathBothThreeApprox) {
-  // The partition fast path and the matroid-intersection path accept the
-  // same guesses but pick different centers inside the accepted balls
-  // (nearest-per-color vs arbitrary independent choice), so their measured
-  // radii differ within the shared 3r envelope. Verify both against the
-  // exact optimum on random instances.
+TEST(EdgeCaseTest, ChenFairPathThreeApprox) {
+  // The head <-> color matching picks the nearest point of the matched color
+  // inside each accepted ball; the radius stays within the 3r envelope.
+  // Verify it against the exact optimum on random instances.
   Rng rng(11);
   for (int trial = 0; trial < 5; ++trial) {
     std::vector<Point> points;
@@ -104,26 +100,10 @@ TEST(EdgeCaseTest, ChenFairPathAndGenericMatroidPathBothThreeApprox) {
 
     const ChenMatroidCenter chen;
     auto fair = chen.Solve(kMetric, points, constraint);
-    const PartitionMatroid matroid =
-        PartitionMatroid::OverPoints(points, constraint);
-    auto generic = SolveMatroidCenter(kMetric, points, matroid);
     ASSERT_TRUE(fair.ok());
-    ASSERT_TRUE(generic.ok());
     EXPECT_LE(fair.value().radius, 3.0 * exact.value().radius + 1e-9)
         << "trial " << trial;
-    EXPECT_LE(generic.value().radius, 3.0 * exact.value().radius + 1e-9)
-        << "trial " << trial;
-    EXPECT_TRUE(constraint.IsFeasible(generic.value().centers));
   }
-}
-
-TEST(EdgeCaseTest, KleindessnerSingleSelectableColor) {
-  const KleindessnerFairCenter solver;
-  const std::vector<Point> points = {P({0}, 0), P({50}, 1), P({100}, 1)};
-  auto result = solver.Solve(kMetric, points, ColorConstraint({1, 0}));
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result.value().centers.size(), 1u);
-  EXPECT_EQ(result.value().centers[0].color, 0);
 }
 
 TEST(EdgeCaseTest, GonzalezBadFirstIndexDies) {

@@ -1,6 +1,6 @@
-// Tests for the sequential fair-center solvers (Jones, ChenEtAl,
-// Kleindessner, brute force): feasibility, approximation guarantees against
-// exact optima, matroid-generic behaviour, and edge cases.
+// Tests for the fairness constraint and the sequential fair-center solvers
+// (Jones, ChenEtAl, brute force): feasibility, approximation guarantees
+// against exact optima, and edge cases.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,14 +9,11 @@
 
 #include "common/random.h"
 #include "matching/capacitated_matching.h"
-#include "matroid/transversal.h"
-#include "matroid/uniform_matroid.h"
 #include "metric/metric.h"
 #include "sequential/brute_force.h"
 #include "sequential/chen_matroid_center.h"
 #include "sequential/gonzalez.h"
 #include "sequential/jones_fair_center.h"
-#include "sequential/kleindessner.h"
 #include "sequential/radius.h"
 
 namespace fkc {
@@ -27,6 +24,9 @@ const EuclideanMetric kMetric;
 Point P(std::initializer_list<double> coords, int color) {
   return Point(Coordinates(coords), color);
 }
+
+// One-dimensional shorthand.
+Point P(double x, int color) { return Point({x}, color); }
 
 std::vector<Point> RandomColored(int n, int dim, int ell, uint64_t seed,
                                  double side = 100.0) {
@@ -39,6 +39,74 @@ std::vector<Point> RandomColored(int n, int dim, int ell, uint64_t seed,
                         static_cast<int>(rng.NextBounded(ell)));
   }
   return points;
+}
+
+TEST(ColorConstraintTest, BasicAccessors) {
+  const ColorConstraint constraint({2, 0, 3});
+  EXPECT_EQ(constraint.ell(), 3);
+  EXPECT_EQ(constraint.TotalK(), 5);
+  EXPECT_EQ(constraint.cap(0), 2);
+  EXPECT_EQ(constraint.cap(1), 0);
+}
+
+TEST(ColorConstraintTest, UniformFactory) {
+  const ColorConstraint constraint = ColorConstraint::Uniform(7, 3);
+  EXPECT_EQ(constraint.ell(), 7);
+  EXPECT_EQ(constraint.TotalK(), 21);
+}
+
+TEST(ColorConstraintTest, FeasibilityChecksCapsAndRange) {
+  const ColorConstraint constraint({1, 2});
+  EXPECT_TRUE(constraint.IsFeasible({}));
+  EXPECT_TRUE(constraint.IsFeasible({P(0, 0), P(1, 1), P(2, 1)}));
+  EXPECT_FALSE(constraint.IsFeasible({P(0, 0), P(1, 0)}));  // cap 0 exceeded
+  EXPECT_FALSE(constraint.IsFeasible({P(0, 2)}));           // color range
+  EXPECT_FALSE(constraint.IsFeasible({P(0, -1)}));
+}
+
+TEST(ColorConstraintTest, ProportionalMatchesFrequencies) {
+  // 80 points of color 0, 20 of color 1; total_k = 10 -> caps 8 and 2.
+  std::vector<Point> points;
+  for (int i = 0; i < 80; ++i) points.push_back(P(i, 0));
+  for (int i = 0; i < 20; ++i) points.push_back(P(i, 1));
+  const ColorConstraint constraint =
+      ColorConstraint::Proportional(points, 2, 10);
+  EXPECT_EQ(constraint.TotalK(), 10);
+  EXPECT_EQ(constraint.cap(0), 8);
+  EXPECT_EQ(constraint.cap(1), 2);
+}
+
+TEST(ColorConstraintTest, ProportionalGuaranteesOccurringColors) {
+  // A very rare color still gets one slot when the budget allows.
+  std::vector<Point> points;
+  for (int i = 0; i < 1000; ++i) points.push_back(P(i, 0));
+  points.push_back(P(-1, 1));
+  const ColorConstraint constraint =
+      ColorConstraint::Proportional(points, 2, 14);
+  EXPECT_EQ(constraint.TotalK(), 14);
+  EXPECT_GE(constraint.cap(1), 1);
+}
+
+TEST(ColorConstraintTest, ProportionalPaperSetup) {
+  // The paper's configuration: sum k_i = 14 over 7 colors, proportional.
+  Rng rng(3);
+  std::vector<Point> points;
+  for (int i = 0; i < 7000; ++i) {
+    points.push_back(P(i, static_cast<int>(rng.NextBounded(7))));
+  }
+  const ColorConstraint constraint =
+      ColorConstraint::Proportional(points, 7, 14);
+  EXPECT_EQ(constraint.TotalK(), 14);
+  // Balanced colors: each gets k_i = 2 >= 2 centers (the paper chose 14 so
+  // that balanced proportions allow at least two centers per color).
+  for (int c = 0; c < 7; ++c) EXPECT_EQ(constraint.cap(c), 2);
+}
+
+TEST(ColorConstraintTest, CountColorsIgnoresOutOfRange) {
+  const ColorConstraint constraint({1, 1});
+  const auto counts = constraint.CountColors({P(0, 0), P(1, 0), P(2, 7)});
+  EXPECT_EQ(counts[0], 2);
+  EXPECT_EQ(counts[1], 0);
 }
 
 TEST(RadiusTest, EmptyWindowAndEmptyCenters) {
@@ -165,31 +233,6 @@ TEST(ChenTest, SolutionsAlwaysFeasible) {
   }
 }
 
-TEST(ChenTest, GenericMatroidUniformEqualsKCenter) {
-  // Matroid center under a uniform matroid is plain k-center: the 3-approx
-  // must hold against the exact optimum.
-  const auto points = RandomColored(12, 2, 1, 3);
-  const UniformMatroid matroid(3, static_cast<int>(points.size()));
-  auto chen = SolveMatroidCenter(kMetric, points, matroid);
-  auto exact = BruteForceKCenter(kMetric, points, 3);
-  ASSERT_TRUE(chen.ok());
-  ASSERT_TRUE(exact.ok());
-  EXPECT_LE(chen.value().radius, 3.0 * exact.value().radius + 1e-9);
-}
-
-TEST(ChenTest, GenericTransversalMatroid) {
-  // Centers must be matchable into 2 "facility licenses": left vertices
-  // 0..5 (points), licenses granted by index parity.
-  const auto points = RandomColored(6, 1, 1, 9);
-  BipartiteGraph graph(6, 2);
-  for (int i = 0; i < 6; ++i) graph.AddEdge(i, i % 2);
-  const TransversalMatroid matroid(std::move(graph));
-  auto result = SolveMatroidCenter(kMetric, points, matroid);
-  ASSERT_TRUE(result.ok());
-  EXPECT_LE(result.value().centers.size(), 2u);
-  EXPECT_TRUE(std::isfinite(result.value().radius));
-}
-
 TEST(ChenTest, LadderModeStaysClose) {
   // Force the geometric-ladder candidate mode and compare to exact mode.
   const auto points = RandomColored(50, 2, 2, 13);
@@ -206,30 +249,6 @@ TEST(ChenTest, LadderModeStaysClose) {
   ASSERT_TRUE(ladder.ok());
   EXPECT_LE(ladder.value().radius,
             1.2 * exact.value().radius + 1e-9);
-}
-
-TEST(KleindessnerTest, SolutionsAlwaysFeasible) {
-  const KleindessnerFairCenter solver;
-  for (uint64_t seed = 1; seed <= 10; ++seed) {
-    const auto points = RandomColored(60, 2, 3, seed);
-    const ColorConstraint constraint({2, 2, 2});
-    auto result = solver.Solve(kMetric, points, constraint);
-    ASSERT_TRUE(result.ok());
-    EXPECT_TRUE(constraint.IsFeasible(result.value().centers));
-  }
-}
-
-TEST(KleindessnerTest, ShiftsWhenBudgetExhausted) {
-  // Three far clusters, two of them purely color 0, caps {1, 2}: the greedy
-  // must shift at least one pick to color 1.
-  std::vector<Point> points;
-  for (int i = 0; i < 5; ++i) points.push_back(P({0.0 + i * 0.1}, 0));
-  for (int i = 0; i < 5; ++i) points.push_back(P({100.0 + i * 0.1}, 0));
-  for (int i = 0; i < 5; ++i) points.push_back(P({200.0 + i * 0.1}, 1));
-  const KleindessnerFairCenter solver;
-  auto result = solver.Solve(kMetric, points, ColorConstraint({1, 2}));
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(ColorConstraint({1, 2}).IsFeasible(result.value().centers));
 }
 
 // ---------------------------------------------------------------------------
@@ -271,21 +290,6 @@ TEST_P(SolverApproximationTest, ChenWithinThreeTimesOpt) {
       << "seed=" << c.seed;
 }
 
-TEST_P(SolverApproximationTest, KleindessnerWithinPublishedFactor) {
-  const ApproxCase& c = GetParam();
-  const auto points = RandomColored(c.n, 2, c.ell, c.seed);
-  const ColorConstraint constraint(c.caps);
-  auto exact = BruteForceFairCenter(kMetric, points, constraint);
-  ASSERT_TRUE(exact.ok());
-  const KleindessnerFairCenter solver;
-  auto approx = solver.Solve(kMetric, points, constraint);
-  ASSERT_TRUE(approx.ok());
-  // Published factor: 3 * 2^(ell-1) - 1.
-  const double factor = 3.0 * std::pow(2.0, c.ell - 1) - 1.0;
-  EXPECT_LE(approx.value().radius, factor * exact.value().radius + 1e-9)
-      << "seed=" << c.seed;
-}
-
 std::vector<ApproxCase> ApproxCases() {
   std::vector<ApproxCase> cases;
   uint64_t seed = 1;
@@ -294,6 +298,11 @@ std::vector<ApproxCase> ApproxCases() {
     cases.push_back({seed++, 14, 2, {2, 1}});
     cases.push_back({seed++, 12, 3, {1, 1, 1}});
     cases.push_back({seed++, 10, 4, {1, 1, 1, 1}});
+  }
+  // A zero cap disables a color: its points can only be served from afar.
+  for (int rep = 0; rep < 6; ++rep) {
+    cases.push_back({seed++, 12, 2, {0, 2}});
+    cases.push_back({seed++, 12, 3, {2, 0, 1}});
   }
   return cases;
 }

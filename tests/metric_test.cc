@@ -1,12 +1,11 @@
 // Tests for src/metric: point semantics, metric implementations and axioms,
-// distance extrema / aspect ratio, and the doubling-dimension estimator.
+// and distance extrema / aspect ratio.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/random.h"
 #include "metric/aspect_ratio.h"
-#include "metric/doubling.h"
 #include "metric/metric.h"
 #include "metric/point.h"
 
@@ -130,76 +129,6 @@ TEST(AspectRatioTest, DiameterBruteForce) {
   std::vector<Point> points = {P({0, 0}), P({1, 1}), P({-3, 4})};
   EXPECT_DOUBLE_EQ(Diameter(kEuclidean, points), 5.0);
   EXPECT_DOUBLE_EQ(Diameter(kEuclidean, {}), 0.0);
-}
-
-TEST(DoublingTest, GreedyNetCoversAndSeparates) {
-  Rng rng(5);
-  std::vector<Point> points;
-  for (int i = 0; i < 100; ++i) {
-    points.push_back(P({rng.NextUniform(0, 10), rng.NextUniform(0, 10)}));
-  }
-  const double r = 2.0;
-  const std::vector<Point> net = GreedyNet(kEuclidean, points, r);
-  // Coverage: every point within r of the net.
-  for (const Point& p : points) {
-    EXPECT_LE(DistanceToSet(kEuclidean, p, net), r);
-  }
-  // Separation: net points pairwise > r.
-  for (size_t i = 0; i < net.size(); ++i) {
-    for (size_t j = i + 1; j < net.size(); ++j) {
-      EXPECT_GT(kEuclidean.Distance(net[i], net[j]), r);
-    }
-  }
-}
-
-TEST(DoublingTest, LineHasLowDimension) {
-  std::vector<Point> points;
-  for (int i = 0; i < 200; ++i) points.push_back(P({static_cast<double>(i)}));
-  const double dim = EstimateDoublingDimension(kEuclidean, points);
-  EXPECT_LE(dim, 2.5);  // a line's doubling dimension is 1
-  EXPECT_GE(dim, 0.5);
-}
-
-TEST(DoublingTest, HigherAmbientDimensionDetected) {
-  Rng rng(9);
-  auto cube = [&](int d) {
-    std::vector<Point> points;
-    for (int i = 0; i < 300; ++i) {
-      Coordinates coords(d);
-      for (double& x : coords) x = rng.NextUniform(0, 1);
-      points.push_back(Point(coords, 0));
-    }
-    return EstimateDoublingDimension(kEuclidean, points);
-  };
-  const double dim1 = cube(1);
-  const double dim5 = cube(5);
-  EXPECT_GT(dim5, dim1 + 0.5) << "5-d cube must look higher-dimensional";
-}
-
-TEST(DoublingTest, RotationPreservesEstimate) {
-  // The estimator must depend on geometry only: padding + rotation keeps it.
-  Rng rng(13);
-  std::vector<Point> base;
-  for (int i = 0; i < 150; ++i) {
-    base.push_back(P({rng.NextUniform(0, 10), rng.NextUniform(0, 10)}));
-  }
-  const double base_dim = EstimateDoublingDimension(kEuclidean, base);
-
-  // Embed into 6 dims with an explicit rigid rotation (hand-rolled here to
-  // avoid depending on datasets/ in a metric test): swap into new axes.
-  std::vector<Point> padded;
-  for (const Point& p : base) {
-    padded.push_back(P({0.0, p.coords[1], 0.0, p.coords[0], 0.0, 0.0}));
-  }
-  const double padded_dim = EstimateDoublingDimension(kEuclidean, padded);
-  EXPECT_NEAR(base_dim, padded_dim, 1e-9);
-}
-
-TEST(DoublingTest, DegenerateInputs) {
-  EXPECT_DOUBLE_EQ(EstimateDoublingDimension(kEuclidean, {}), 0.0);
-  EXPECT_DOUBLE_EQ(EstimateDoublingDimension(kEuclidean, {P({1})}), 0.0);
-  EXPECT_DOUBLE_EQ(
-      EstimateDoublingDimension(kEuclidean, {P({1}), P({1})}), 0.0);
 }
 
 }  // namespace

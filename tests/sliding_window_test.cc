@@ -8,10 +8,10 @@
 
 #include "common/random.h"
 #include "core/fair_center_sliding_window.h"
-#include "matroid/color_constraint.h"
 #include "metric/aspect_ratio.h"
 #include "metric/metric.h"
 #include "sequential/brute_force.h"
+#include "sequential/color_constraint.h"
 #include "sequential/jones_fair_center.h"
 #include "sequential/radius.h"
 #include "stream/reference_window.h"

@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Fails on orphan library sources: files under src/ that nothing builds or uses.
+
+Two checks, both over the checkout whose root is given (default: the parent
+of this script's directory):
+
+  1. Every `src/**/*.cc` is named in the root `CMakeLists.txt`. A source
+     missing there is compiled by no target.
+  2. Every `src/**/*.h` is included by at least one other file in `src/`,
+     `tests/`, `bench/`, `examples/` or `perfbench/`. Quoted includes resolve
+     against `src/` (the library's include root) and against the including
+     file's own directory.
+
+Prints one line per offending file and exits 1 when any check fails.
+
+Usage:
+  python3 tools/check_src_layout.py [REPO_ROOT]
+"""
+
+import os
+import re
+import sys
+
+SCANNED_DIRS = ("src", "tests", "bench", "examples", "perfbench")
+SOURCE_SUFFIXES = (".h", ".cc", ".cpp")
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.MULTILINE)
+
+
+def files_under(root, top, suffixes):
+    """Repo-relative paths (with '/') of files under `top` with `suffixes`."""
+    found = []
+    for dirpath, dirnames, filenames in os.walk(os.path.join(root, top)):
+        dirnames.sort()
+        for name in sorted(filenames):
+            if name.endswith(suffixes):
+                path = os.path.join(dirpath, name)
+                found.append(os.path.relpath(path, root).replace(os.sep, "/"))
+    return found
+
+
+def unbuilt_sources(root):
+    """`src/**/*.cc` files that the root CMakeLists.txt does not name."""
+    with open(os.path.join(root, "CMakeLists.txt"), encoding="utf-8") as f:
+        named = set(re.findall(r"src/[\w/.-]+\.cc", f.read()))
+    return [cc for cc in files_under(root, "src", (".cc",)) if cc not in named]
+
+
+def unincluded_headers(root):
+    """`src/**/*.h` files that no other scanned file includes."""
+    included = set()
+    for top in SCANNED_DIRS:
+        for path in files_under(root, top, SOURCE_SUFFIXES):
+            with open(os.path.join(root, path), encoding="utf-8") as f:
+                targets = INCLUDE_RE.findall(f.read())
+            here = os.path.dirname(path)
+            for target in targets:
+                for candidate in ("src/" + target,
+                                  os.path.normpath(os.path.join(here, target))):
+                    candidate = candidate.replace(os.sep, "/")
+                    if candidate != path:
+                        included.add(candidate)
+    return [h for h in files_under(root, "src", (".h",)) if h not in included]
+
+
+def main(argv):
+    root = argv[1] if len(argv) > 1 else os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), os.pardir)
+    root = os.path.abspath(root)
+    failures = []
+    for cc in unbuilt_sources(root):
+        failures.append(f"{cc}: not listed in CMakeLists.txt")
+    for header in unincluded_headers(root):
+        failures.append(f"{header}: included by no file in "
+                        f"{', '.join(SCANNED_DIRS)}")
+    for line in failures:
+        print(line)
+    if failures:
+        return 1
+    print("src layout OK: every source is built and every header is included")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
