@@ -24,6 +24,7 @@
 #include "datasets/registry.h"
 #include "matching/capacitated_matching.h"
 #include "matching/hopcroft_karp.h"
+#include "metric/colored_pool.h"
 #include "metric/coordinate_pool.h"
 #include "metric/counting_metric.h"
 #include "metric/metric.h"
@@ -238,6 +239,64 @@ void BM_DenseGuessUpdate(benchmark::State& state) {
   state.SetLabel(simd::ActiveKernels().name);
 }
 BENCHMARK(BM_DenseGuessUpdate)->Unit(benchmark::kMicrosecond);
+
+// A query's coreset hand-off from that guess, filled with one covtype
+// window (W = 10000): most of its ~9,000 representatives are their own
+// c-attractor. Arg 0 is the copy-out a query used to pay: every
+// representative and orphan copied out as a heap Point, a pool built from
+// the copies, and the copies freed. Arg 1 is the gather the solver reads
+// now (GuessStructure::CoresetPool): self-represented attractors' columns
+// come from the dense c-pool, the rest from their stored Points.
+void BM_CoresetHandoff(benchmark::State& state) {
+  constexpr int64_t kWindow = 10000;
+  static const GuessStructure* const guess = [] {
+    const datasets::Dataset& dataset = CovtypeStream();
+    const EuclideanMetric metric;
+    auto* filled = new GuessStructure(
+        kDenseGamma, kDenseDelta, kWindow,
+        ColorConstraint::Proportional(dataset.points, dataset.ell, 14),
+        CoreVariant::kFull);
+    for (int64_t t = 1; t <= kWindow + 1000; ++t) {
+      Point p = dataset.points[static_cast<size_t>(t) % dataset.points.size()];
+      p.arrival = t;
+      p.id = static_cast<uint64_t>(t);
+      filled->Update(p, t, metric, nullptr);
+    }
+    return filled;
+  }();
+  const bool gather = state.range(0) != 0;
+  size_t points = 0;
+  for (auto _ : state) {
+    if (gather) {
+      const ColoredPool pool = guess->CoresetPool();
+      points = pool.size();
+      benchmark::DoNotOptimize(&pool);
+    } else {
+      std::vector<Point> copies;
+      for (const AttractorEntry& entry : guess->c_entries()) {
+        copies.insert(copies.end(), entry.representatives.begin(),
+                      entry.representatives.end());
+      }
+      copies.insert(copies.end(), guess->c_orphans().begin(),
+                    guess->c_orphans().end());
+      const CoordinatePool pool = CoordinatePool::FromPoints(copies);
+      points = copies.size();
+      benchmark::DoNotOptimize(&pool);
+    }
+  }
+  int64_t own = 0;
+  for (const AttractorEntry& entry : guess->c_entries()) {
+    for (const Point& rep : entry.representatives) {
+      own += rep.id == entry.attractor.id ? 1 : 0;
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(points));
+  state.counters["coreset_points"] = static_cast<double>(points);
+  state.counters["own_attractor_share"] =
+      static_cast<double>(own) / static_cast<double>(points);
+  state.SetLabel(gather ? "gather" : "copy-out+FromPoints+free");
+}
+BENCHMARK(BM_CoresetHandoff)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_Gonzalez(benchmark::State& state) {
   const EuclideanMetric metric;

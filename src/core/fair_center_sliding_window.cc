@@ -7,7 +7,6 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "metric/coordinate_pool.h"
 #include "sequential/k_median.h"
 
 namespace fkc {
@@ -334,16 +333,15 @@ bool FairCenterSlidingWindow::GuessPasses(const GuessStructure& guess) const {
   if (!guess.IsValid()) return false;
   const int k = constraint_.TotalK();
   const double threshold = 2.0 * guess.gamma();
-  const std::vector<Point> rv = guess.ValidationPoints();
+  const ColoredPool rv = guess.ValidationPool();
   if (rv.empty()) return true;
 
-  // Greedy 2*gamma cover over RV through the SoA kernels: a transient
-  // dim-major pool over the validation points, one vectorized row per
-  // selected center, min-accumulated into per-point cover distances. A point
-  // joins the cover exactly when the original scalar scan would have
-  // (min-over-centers compares the same bit-identical distances), so the
-  // accepted guess — and every determinism contract above it — is unchanged.
-  const CoordinatePool pool = CoordinatePool::FromPoints(rv);
+  // Greedy 2*gamma cover over RV through the SoA kernels: one vectorized
+  // row per selected center over the gathered pool, min-accumulated into
+  // per-point cover distances. A point joins the cover exactly when the
+  // original scalar scan would have (min-over-centers compares the same
+  // bit-identical distances), so the accepted guess — and every determinism
+  // contract above it — is unchanged.
   std::vector<double> cover_dist(rv.size(),
                                  std::numeric_limits<double>::infinity());
   std::vector<double> row(rv.size());
@@ -351,7 +349,7 @@ bool FairCenterSlidingWindow::GuessPasses(const GuessStructure& guess) const {
   for (size_t i = 0; i < rv.size(); ++i) {
     if (cover_dist[i] <= threshold) continue;  // already covered
     if (++cover_size > k) return false;
-    metric_->DistanceSoA(rv[i], pool, row.data());
+    metric_->DistanceSoA(rv.At(i), rv.coords, row.data());
     for (size_t j = 0; j < rv.size(); ++j) {
       cover_dist[j] = std::min(cover_dist[j], row[j]);
     }
@@ -385,7 +383,7 @@ Result<QueryPlan> FairCenterSlidingWindow::PlanQuery() {
   // recent point is an exact 1-point coreset.
   if (guesses_.empty()) {
     FKC_CHECK(last_point_.has_value());
-    plan.coreset.push_back(*last_point_);
+    plan.coreset = ColoredPool::FromPoints({*last_point_});
     plan.stats.coreset_size = 1;
     return plan;
   }
@@ -429,7 +427,7 @@ Result<QueryPlan> FairCenterSlidingWindow::PlanQuery() {
 
     if (chosen >= 0) {
       const GuessStructure& guess = *items[chosen];
-      plan.coreset = guess.CoresetPoints();
+      plan.coreset = guess.CoresetPool();
       plan.stats.guess = guess.gamma();
       plan.stats.coreset_size = static_cast<int64_t>(plan.coreset.size());
       plan.stats.guesses_inspected = inspected;
@@ -450,8 +448,8 @@ Result<QueryPlan> FairCenterSlidingWindow::PlanQuery() {
 
 Result<FairCenterSolution> FairCenterSlidingWindow::Query(QueryStats* stats) {
   return SolveOnPlan<FairCenterSolution>(
-      this, stats, [&](const std::vector<Point>& coreset) {
-        return solver_->Solve(*metric_, coreset, constraint_);
+      this, stats, [&](const ColoredPool& coreset) {
+        return solver_->SolvePool(*metric_, coreset, constraint_);
       });
 }
 
@@ -465,9 +463,9 @@ Result<ObjectiveSolution> FairCenterSlidingWindow::Query(
   }
   return SolveOnPlan<ObjectiveSolution>(
       this, stats,
-      [&](const std::vector<Point>& coreset) -> Result<ObjectiveSolution> {
-        KMedianSolution solved =
-            KMedianLocalSearch(*metric_, coreset, constraint_.TotalK());
+      [&](const ColoredPool& coreset) -> Result<ObjectiveSolution> {
+        KMedianSolution solved = KMedianLocalSearch(
+            *metric_, coreset.ToPoints(), constraint_.TotalK());
         return ObjectiveSolution{std::move(solved.centers), solved.cost};
       });
 }
@@ -475,9 +473,9 @@ Result<ObjectiveSolution> FairCenterSlidingWindow::Query(
 Result<RobustFairCenterSolution> FairCenterSlidingWindow::QueryRobust(
     int num_outliers, QueryStats* stats) {
   return SolveOnPlan<RobustFairCenterSolution>(
-      this, stats, [&](const std::vector<Point>& coreset) {
-        return SolveRobustFairCenter(*metric_, coreset, constraint_,
-                                     num_outliers);
+      this, stats, [&](const ColoredPool& coreset) {
+        return SolveRobustFairCenter(*metric_, coreset.ToPoints(),
+                                     constraint_, num_outliers);
       });
 }
 

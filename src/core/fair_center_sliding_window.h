@@ -32,6 +32,7 @@
 #include "core/guess_ladder.h"
 #include "core/guess_structure.h"
 #include "core/memory_footprint.h"
+#include "metric/colored_pool.h"
 #include "metric/metric.h"
 #include "sequential/color_constraint.h"
 #include "sequential/fair_center_solver.h"
@@ -140,9 +141,12 @@ struct QueryStats {
 /// shared plan, so every mode inherits the parallel ladder validation and
 /// the deterministic guess choice for free.
 struct QueryPlan {
-  /// R (full variant) or RV (Corollary-2 variant) of the selected guess;
-  /// empty for an empty window.
-  std::vector<Point> coreset;
+  /// R (full variant) or RV (Corollary-2 variant) of the selected guess,
+  /// gathered in one pass as the pool the solver reads
+  /// (FairCenterSolver::SolvePool; see GuessStructure::CoresetPool for the
+  /// order); empty for an empty window. Solvers that take Points read
+  /// coreset.ToPoints().
+  ColoredPool coreset;
   /// guess / coreset_size / guesses_inspected are populated; solver_millis
   /// stays 0 (no solver has run yet).
   QueryStats stats;

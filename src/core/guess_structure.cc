@@ -6,6 +6,39 @@
 #include "common/logging.h"
 
 namespace fkc {
+namespace {
+
+/// Appends `p` as a new attractor that is its own representative: one copy
+/// for each role.
+void PushAttractor(AttractorList* entries, const Point& p) {
+  AttractorEntry& entry = entries->emplace_back();
+  entry.attractor = p;
+  entry.representatives.push_back(p);
+}
+
+/// One family's representatives, entry by entry, then its orphans, as a
+/// pool. Position e of `attractors` is entries[e]'s attractor.
+ColoredPool GatherFamily(const AttractorList& entries,
+                         const std::vector<Point>& orphans,
+                         const CoordinatePool& attractors) {
+  ColoredPool::Builder builder(
+      static_cast<size_t>(CountRepresentatives(entries)) + orphans.size());
+  for (size_t e = 0; e < entries.size(); ++e) {
+    const AttractorEntry& entry = entries[e];
+    for (const Point& rep : entry.representatives) {
+      if (rep.id == entry.attractor.id) {
+        builder.Add(rep, attractors.Column(e));
+      } else {
+        builder.Add(rep);
+      }
+    }
+  }
+  for (const Point& p : orphans) builder.Add(p);
+  return std::move(builder).Build();
+}
+
+}  // namespace
+
 GuessStructure::GuessStructure(double gamma, double delta, int64_t window_size,
                                const ColorConstraint& constraint,
                                CoreVariant variant)
@@ -106,7 +139,7 @@ void GuessStructure::Update(const Point& p, int64_t now, const Metric& metric,
 
   if (v_target == -1) {
     // p becomes a new v-attractor and its own representative.
-    v_entries_.push_back(AttractorEntry{p, {p}});
+    PushAttractor(&v_entries_, p);
     AppendAttractorCoords(&v_pool_, p);
     Cleanup(now);
   } else {
@@ -158,7 +191,7 @@ void GuessStructure::Update(const Point& p, int64_t now, const Metric& metric,
     }
   }
   if (c_target == -1) {
-    c_entries_.push_back(AttractorEntry{p, {p}});
+    PushAttractor(&c_entries_, p);
     AppendAttractorCoords(&c_pool_, p);
   } else {
     AddRepresentativeWithCap(&c_entries_[c_target], p,
@@ -193,25 +226,13 @@ void GuessStructure::Cleanup(int64_t now) {
   }
 }
 
-std::vector<Point> GuessStructure::ValidationPoints() const {
-  std::vector<Point> rv;
-  for (const AttractorEntry& entry : v_entries_) {
-    rv.insert(rv.end(), entry.representatives.begin(),
-              entry.representatives.end());
-  }
-  rv.insert(rv.end(), v_orphans_.begin(), v_orphans_.end());
-  return rv;
+ColoredPool GuessStructure::ValidationPool() const {
+  return GatherFamily(v_entries_, v_orphans_, v_pool_);
 }
 
-std::vector<Point> GuessStructure::CoresetPoints() const {
-  if (variant_ == CoreVariant::kValidationOnly) return ValidationPoints();
-  std::vector<Point> r;
-  for (const AttractorEntry& entry : c_entries_) {
-    r.insert(r.end(), entry.representatives.begin(),
-             entry.representatives.end());
-  }
-  r.insert(r.end(), c_orphans_.begin(), c_orphans_.end());
-  return r;
+ColoredPool GuessStructure::CoresetPool() const {
+  if (variant_ == CoreVariant::kValidationOnly) return ValidationPool();
+  return GatherFamily(c_entries_, c_orphans_, c_pool_);
 }
 
 MemoryStats GuessStructure::Memory() const {
@@ -228,26 +249,28 @@ MemoryStats GuessStructure::Memory() const {
 
 void GuessStructure::ReplayInto(GuessStructure* sink, int64_t now,
                                 const Metric& metric) const {
-  std::vector<Point> stored;
+  std::vector<const Point*> stored;
   auto harvest = [&stored](const AttractorList& entries,
                            const std::vector<Point>& orphans) {
     for (const AttractorEntry& entry : entries) {
-      stored.push_back(entry.attractor);
-      stored.insert(stored.end(), entry.representatives.begin(),
-                    entry.representatives.end());
+      stored.push_back(&entry.attractor);
+      for (const Point& rep : entry.representatives) stored.push_back(&rep);
     }
-    stored.insert(stored.end(), orphans.begin(), orphans.end());
+    for (const Point& p : orphans) stored.push_back(&p);
   };
   harvest(v_entries_, v_orphans_);
   harvest(c_entries_, c_orphans_);
 
-  std::sort(stored.begin(), stored.end(),
-            [](const Point& a, const Point& b) { return a.arrival < b.arrival; });
+  // Equal arrivals mean one id, so one point: the order among them, and
+  // which copy is replayed, cannot show.
+  std::sort(stored.begin(), stored.end(), [](const Point* a, const Point* b) {
+    return a->arrival < b->arrival;
+  });
   uint64_t last_id = 0;
-  for (const Point& p : stored) {
-    if (p.id == last_id && last_id != 0) continue;  // attractor == its rep
-    last_id = p.id;
-    sink->Update(p, now, metric, nullptr);
+  for (const Point* p : stored) {
+    if (p->id == last_id && last_id != 0) continue;  // attractor == its rep
+    last_id = p->id;
+    sink->Update(*p, now, metric, nullptr);
   }
 }
 

@@ -19,6 +19,7 @@
 
 #include "core/attractor_set.h"
 #include "core/memory_footprint.h"
+#include "metric/colored_pool.h"
 #include "metric/coordinate_pool.h"
 #include "metric/metric.h"
 #include "metric/point.h"
@@ -77,12 +78,17 @@ class GuessStructure {
     return static_cast<int64_t>(c_entries_.size());
   }
 
-  /// RV: live representatives plus orphans.
-  std::vector<Point> ValidationPoints() const;
+  /// RV as one pool: each entry's representatives in entry order, then the
+  /// orphans. A representative that is its entry's own attractor (the same
+  /// id, so the same point) has its coordinates copied from that entry's
+  /// v_pool() column, which is dense; the others are read from their
+  /// stored Point.
+  ColoredPool ValidationPool() const;
 
-  /// R: coreset representatives plus orphans. In the kValidationOnly
-  /// variant this equals ValidationPoints() (Query runs A on RV there).
-  std::vector<Point> CoresetPoints() const;
+  /// R as one pool, in the same order and built the same way from the
+  /// c-family and c_pool(). In the kValidationOnly variant this equals
+  /// ValidationPool() (Query runs A on RV there).
+  ColoredPool CoresetPool() const;
 
   MemoryStats Memory() const;
 

@@ -23,28 +23,36 @@ void CoordinatePool::LinkBlock() {
   }
 }
 
-CoordinatePool CoordinatePool::FromPoints(const std::vector<Point>& points) {
-  CoordinatePool pool;
-  if (points.empty()) return pool;
-  const size_t n = points.size();
-  pool.dim_ = points[0].dimension();
-  // One lane width of points at a time: each row gets kLaneAlign contiguous
-  // stores (one cache line) while those points' coordinates stay in L1.
+CoordinatePool CoordinatePool::FromColumns(
+    size_t dim, const std::vector<ColumnRef>& columns) {
+  CoordinatePool pool(dim);
+  const size_t n = columns.size();
   for (size_t first = 0; first < n; first += kLaneAlign) {
     if (first % kBlockLanes == 0) pool.LinkBlock();
-    const size_t end = std::min(n, first + kLaneAlign);
-    for (size_t i = first; i < end; ++i) {
-      FKC_CHECK_EQ(points[i].dimension(), pool.dim_)
-          << "pool points must share one dimension";
-    }
+    const size_t width = std::min(n - first, kLaneAlign);
+    const ColumnRef* tile = columns.data() + first;
     double* lane = pool.Block(first / kBlockLanes) + first % kBlockLanes;
-    for (size_t d = 0; d < pool.dim_; ++d) {
+    for (size_t d = 0; d < dim; ++d) {
       double* row = lane + d * kRowStride;
-      for (size_t i = first; i < end; ++i) row[i - first] = points[i].coords[d];
+      for (size_t i = 0; i < width; ++i) {
+        row[i] = tile[i].data[d * tile[i].stride];
+      }
     }
   }
   pool.size_ = n;
   return pool;
+}
+
+CoordinatePool CoordinatePool::FromPoints(const std::vector<Point>& points) {
+  if (points.empty()) return CoordinatePool();
+  const size_t dim = points[0].dimension();
+  std::vector<ColumnRef> columns;
+  columns.reserve(points.size());
+  for (const Point& p : points) {
+    FKC_CHECK_EQ(p.dimension(), dim) << "pool points must share one dimension";
+    columns.push_back({p.coords.data(), 1});
+  }
+  return FromColumns(dim, columns);
 }
 
 void CoordinatePool::Append(const double* coords) {

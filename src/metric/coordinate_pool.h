@@ -58,11 +58,27 @@ class CoordinatePool {
     size_t count;
   };
 
+  /// Where a pool build reads one point's coordinates: coordinate d is
+  /// data[d * stride]. A Point's coordinates are {coords.data(), 1}; a
+  /// stored position of another pool is that pool's Column(pos).
+  struct ColumnRef {
+    const double* data;
+    size_t stride;
+  };
+
   /// An empty pool of dimension 0; ResetDim before the first Append.
   CoordinatePool() = default;
   explicit CoordinatePool(size_t dim) : dim_(dim) {}
 
-  /// A pool holding `points` at positions [0, points.size()). All points
+  /// A pool of dimension `dim` holding the point `columns[i]` refers to at
+  /// position i. The bulk builder: it writes one lane width of positions
+  /// at a time, so each row gets one cache line of contiguous stores while
+  /// those points' coordinates stay in L1, where one Append per point
+  /// would store a single double into every row.
+  static CoordinatePool FromColumns(size_t dim,
+                                    const std::vector<ColumnRef>& columns);
+
+  /// FromColumns over `points` at positions [0, points.size()). All points
   /// must share one dimension (FKC_CHECK); an empty vector gives an empty
   /// pool of dimension 0.
   static CoordinatePool FromPoints(const std::vector<Point>& points);
@@ -89,6 +105,13 @@ class CoordinatePool {
   double At(size_t pos, size_t d) const {
     const size_t slot = head_ + pos;
     return Block(slot / kBlockLanes)[d * kRowStride + slot % kBlockLanes];
+  }
+
+  /// The coordinates of position pos as a build source for FromColumns,
+  /// valid until the pool drops pos or is destroyed.
+  ColumnRef Column(size_t pos) const {
+    const size_t slot = head_ + pos;
+    return {Block(slot / kBlockLanes) + slot % kBlockLanes, kRowStride};
   }
 
   /// Calls f(Span) for every block holding live positions, oldest first.

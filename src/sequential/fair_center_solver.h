@@ -1,7 +1,9 @@
 // Abstract interface for sequential fair-center algorithms. The sliding
 // window Query procedure (Algorithm 3 of the paper) is parameterized by a
 // solver "A": the approximation of the streaming algorithm is alpha + epsilon
-// where alpha is the solver's guarantee.
+// where alpha is the solver's guarantee. A query hands the solver the
+// chosen guess's coreset as one ColoredPool (SolvePool); Solve over a
+// vector of Points is the entry point for every other caller.
 #ifndef FKC_SEQUENTIAL_FAIR_CENTER_SOLVER_H_
 #define FKC_SEQUENTIAL_FAIR_CENTER_SOLVER_H_
 
@@ -9,6 +11,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "metric/colored_pool.h"
 #include "metric/metric.h"
 #include "metric/point.h"
 #include "sequential/color_constraint.h"
@@ -29,6 +32,17 @@ class FairCenterSolver {
   virtual Result<FairCenterSolution> Solve(
       const Metric& metric, const std::vector<Point>& points,
       const ColorConstraint& constraint) const = 0;
+
+  /// Solve over a point set held as a ColoredPool, with the same answers
+  /// (bit for bit) and the same errors as Solve(metric, pool.ToPoints(),
+  /// constraint) — which is what this default runs, so a solver that
+  /// overrides only Solve (a decorator, say) stays correct and pays one
+  /// materialization. Solvers that read a pool natively override it.
+  virtual Result<FairCenterSolution> SolvePool(
+      const Metric& metric, const ColoredPool& pool,
+      const ColorConstraint& constraint) const {
+    return Solve(metric, pool.ToPoints(), constraint);
+  }
 
   /// Worst-case approximation factor of the algorithm (for documentation and
   /// for the delta = eps / ((1+beta)(1+2*alpha)) parameter rule).

@@ -6,18 +6,15 @@
 
 namespace fkc {
 
-GonzalezResult GonzalezKCenter(const Metric& metric,
-                               const std::vector<Point>& points,
-                               const CoordinatePool& pool, int k,
-                               int first_index,
+GonzalezResult GonzalezKCenter(const Metric& metric, const ColoredPool& pool,
+                               int k, int first_index,
                                const GonzalezHeadFn& on_head) {
   GonzalezResult result;
-  if (points.empty() || k <= 0) return result;
-  FKC_CHECK_EQ(pool.size(), points.size());
+  if (pool.empty() || k <= 0) return result;
   FKC_CHECK_GE(first_index, 0);
-  FKC_CHECK_LT(first_index, static_cast<int>(points.size()));
+  FKC_CHECK_LT(first_index, static_cast<int>(pool.size()));
 
-  const int n = static_cast<int>(points.size());
+  const int n = static_cast<int>(pool.size());
   const int heads_wanted = std::min(k, n);
 
   // nearest[i] = distance from point i to the current head set.
@@ -30,7 +27,7 @@ GonzalezResult GonzalezKCenter(const Metric& metric,
     result.head_indices.push_back(next_head);
     result.insertion_distances.push_back(next_distance);
 
-    metric.DistanceSoA(points[next_head], pool, row.data());
+    metric.DistanceSoA(pool.At(next_head), pool.coords, row.data());
     if (on_head) on_head(row.data());
     next_distance = 0.0;
     next_head = -1;
@@ -56,7 +53,7 @@ GonzalezResult GonzalezKCenter(const Metric& metric,
 GonzalezResult GonzalezKCenter(const Metric& metric,
                                const std::vector<Point>& points, int k,
                                int first_index) {
-  return GonzalezKCenter(metric, points, CoordinatePool::FromPoints(points), k,
+  return GonzalezKCenter(metric, ColoredPool::FromPoints(points), k,
                          first_index);
 }
 

@@ -7,7 +7,7 @@
 #include <functional>
 #include <vector>
 
-#include "metric/coordinate_pool.h"
+#include "metric/colored_pool.h"
 #include "metric/metric.h"
 #include "metric/point.h"
 
@@ -25,18 +25,16 @@ struct GonzalezResult {
   double coverage_radius = 0.0;
 };
 
-/// Sees each selected head's distance row, row[i] = d(head, points[i]),
-/// once per head in selection order.
+/// Sees each selected head's distance row, row[i] = d(head, point i), once
+/// per head in selection order.
 using GonzalezHeadFn = std::function<void(const double* row)>;
 
-/// Runs the farthest-point greedy starting from `first_index`, selecting
-/// min(k, n) heads. `pool` must hold `points` at the same positions (see
-/// CoordinatePool::FromPoints); each head costs one DistanceSoA scan over
-/// it, so O(n * k) distance evaluations in k kernel calls.
-GonzalezResult GonzalezKCenter(const Metric& metric,
-                               const std::vector<Point>& points,
-                               const CoordinatePool& pool, int k,
-                               int first_index = 0,
+/// Runs the farthest-point greedy over `pool` starting from `first_index`,
+/// selecting min(k, n) heads. Each head is read from the pool (At) and
+/// costs one DistanceSoA scan over its coordinates, so O(n * k) distance
+/// evaluations in k kernel calls.
+GonzalezResult GonzalezKCenter(const Metric& metric, const ColoredPool& pool,
+                               int k, int first_index = 0,
                                const GonzalezHeadFn& on_head = nullptr);
 
 /// The same greedy over a pool built from `points` for this call.

@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "matching/capacitated_matching.h"
-#include "metric/coordinate_pool.h"
 #include "sequential/gonzalez.h"
 
 namespace fkc {
@@ -23,11 +22,11 @@ struct ColorTable {
 };
 
 // Attempts to match the prefix of heads with insertion distance > 2*rho to
-// color slots using balls of radius rho. On success fills `centers`.
+// color slots using balls of radius rho. On success fills `centers` with
+// the pool index of each prefix head's center.
 bool TryRadius(double rho, const GonzalezResult& gonzalez,
                const ColorTable& table, const ColorConstraint& constraint,
-               const std::vector<Point>& points,
-               std::vector<Point>* centers) {
+               std::vector<int>* centers) {
   // Maximal prefix with delta_j > 2*rho; delta_0 = +inf so the prefix is
   // never empty.
   size_t prefix = 0;
@@ -54,7 +53,7 @@ bool TryRadius(double rho, const GonzalezResult& gonzalez,
     const int color = matching.assigned_color[h];
     const int point_index = table.nearest_index[h][color];
     FKC_CHECK_GE(point_index, 0);
-    centers->push_back(points[point_index]);
+    centers->push_back(point_index);
   }
   return true;
 }
@@ -75,24 +74,34 @@ Result<FairCenterSolution> JonesFairCenter::Solve(
                                      p.ToString());
     }
   }
+  return SolvePool(metric, ColoredPool::FromPoints(points), constraint);
+}
+
+Result<FairCenterSolution> JonesFairCenter::SolvePool(
+    const Metric& metric, const ColoredPool& pool,
+    const ColorConstraint& constraint) const {
+  if (pool.empty()) return FairCenterSolution{};
+  const int ell = constraint.ell();
+  for (size_t i = 0; i < pool.size(); ++i) {
+    if (pool.colors[i] < 0 || pool.colors[i] >= ell) {
+      return Status::InvalidArgument("point color out of range: " +
+                                     pool.At(i).ToString());
+    }
+  }
 
   const int k = constraint.TotalK();
   if (k <= 0) return Status::Infeasible("all color caps are zero");
 
-  // One pool per solve: Gonzalez scans it once per head, the color table
-  // is filled from those same rows, and the final radius scans it once per
-  // center.
-  const CoordinatePool pool = CoordinatePool::FromPoints(points);
-  const int ell = constraint.ell();
+  // Gonzalez scans the pool once per head, the color table is filled from
+  // those same rows, and the final radius scans it once per center.
   ColorTable table;
   const GonzalezResult gonzalez = GonzalezKCenter(
-      metric, points, pool, k, /*first_index=*/0,
-      [&](const double* row) {
+      metric, pool, k, /*first_index=*/0, [&](const double* row) {
         std::vector<double>& distance =
             table.nearest_distance.emplace_back(ell, kInf);
         std::vector<int>& index = table.nearest_index.emplace_back(ell, -1);
-        for (size_t i = 0; i < points.size(); ++i) {
-          const int c = points[i].color;
+        for (size_t i = 0; i < pool.size(); ++i) {
+          const int c = pool.colors[i];
           if (row[i] < distance[c]) {
             distance[c] = row[i];
             index[c] = static_cast<int>(i);
@@ -116,33 +125,30 @@ Result<FairCenterSolution> JonesFairCenter::Solve(
                    candidates.end());
 
   // Feasibility is monotone in rho: binary search for the smallest feasible
-  // candidate.
-  std::vector<Point> centers;
-  size_t lo = 0;
-  size_t hi = candidates.size();  // exclusive; candidates[hi-1] assumed tested
-  if (!TryRadius(candidates.back(), gonzalez, table, constraint, points,
-                 &centers)) {
+  // candidate. `best` always holds the centers of candidates[hi], the
+  // smallest radius found feasible so far.
+  std::vector<int> best;
+  if (!TryRadius(candidates.back(), gonzalez, table, constraint, &best)) {
     return Status::Infeasible(
         "no head can be matched to any color with spare capacity");
   }
-  hi = candidates.size() - 1;
+  std::vector<int> attempt;
+  size_t lo = 0;
+  size_t hi = candidates.size() - 1;
   while (lo < hi) {
     const size_t mid = lo + (hi - lo) / 2;
-    std::vector<Point> attempt;
-    if (TryRadius(candidates[mid], gonzalez, table, constraint, points,
-                  &attempt)) {
+    if (TryRadius(candidates[mid], gonzalez, table, constraint, &attempt)) {
       hi = mid;
+      best.swap(attempt);
     } else {
       lo = mid + 1;
     }
   }
-  std::vector<Point> final_centers;
-  FKC_CHECK(TryRadius(candidates[lo], gonzalez, table, constraint, points,
-                      &final_centers));
 
   FairCenterSolution solution;
-  solution.centers = std::move(final_centers);
-  solution.radius = PoolClusteringRadius(metric, pool, solution.centers);
+  solution.centers.reserve(best.size());
+  for (int index : best) solution.centers.push_back(pool.At(index));
+  solution.radius = PoolClusteringRadius(metric, pool.coords, solution.centers);
   return solution;
 }
 

@@ -23,6 +23,11 @@
 //      the full Gonzalez coverage radius) and the head within rho of its
 //      center, giving radius <= 2*OPT + rho* <= 3*OPT since rho* <= OPT.
 //
+// The solve reads its input as one ColoredPool (SolvePool): Gonzalez scans
+// the coordinates, the color table reads the color column, radius tests
+// work on point indices, and only the final centers become Points. Solve
+// over a vector validates it and builds that pool.
+//
 // Runtime: O(n*k) for Gonzalez, whose per-head distance rows also fill the
 // per-color distance table, plus
 // O((k*ell + k) log(k*ell)) matchings on k-vertex graphs — matching the
@@ -39,6 +44,9 @@ class JonesFairCenter final : public FairCenterSolver {
  public:
   Result<FairCenterSolution> Solve(
       const Metric& metric, const std::vector<Point>& points,
+      const ColorConstraint& constraint) const override;
+  Result<FairCenterSolution> SolvePool(
+      const Metric& metric, const ColoredPool& pool,
       const ColorConstraint& constraint) const override;
 
   double ApproximationFactor() const override { return 3.0; }

@@ -5,7 +5,7 @@
 #include <limits>
 
 #include "common/logging.h"
-#include "metric/coordinate_pool.h"
+#include "metric/colored_pool.h"
 #include "sequential/gonzalez.h"
 
 namespace fkc {
@@ -64,16 +64,16 @@ KMedianSolution KMedianLocalSearch(const Metric& metric,
   // Full pairwise distances through the SoA kernels: one bulk-built pool,
   // then one DistanceSoA row per point (bit-identical to per-pair Distance
   // by the kernel contract, so the solver is deterministic at any width).
-  const CoordinatePool pool = CoordinatePool::FromPoints(points);
+  const ColoredPool pool = ColoredPool::FromPoints(points);
   std::vector<double> dist(n * n);
   for (size_t i = 0; i < n; ++i) {
-    metric.DistanceSoA(points[i], pool, dist.data() + i * n);
+    metric.DistanceSoA(points[i], pool.coords, dist.data() + i * n);
   }
 
   // Gonzalez seeds: spread-out medoids make the local search start near a
   // good max-distance cover, which is also a decent sum-distance start.
   const GonzalezResult seeds =
-      GonzalezKCenter(metric, points, pool, static_cast<int>(kk));
+      GonzalezKCenter(metric, pool, static_cast<int>(kk));
   std::vector<int> centers(seeds.head_indices.begin(),
                            seeds.head_indices.end());
   std::sort(centers.begin(), centers.end());

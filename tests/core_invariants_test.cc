@@ -159,8 +159,8 @@ TEST_P(GuessStructureInvariantsTest, HoldAtEveryStep) {
     // the suffix younger than the oldest v-attractor.
     const bool valid = guess.IsValid();
     const int64_t threshold = valid ? 0 : OldestVAttractor(guess);
-    const std::vector<Point> rv = guess.ValidationPoints();
-    const std::vector<Point> r = guess.CoresetPoints();
+    const std::vector<Point> rv = guess.ValidationPool().ToPoints();
+    const std::vector<Point> r = guess.CoresetPool().ToPoints();
     for (const Point& q : window) {
       if (!valid && q.arrival < threshold) continue;
       ASSERT_LE(DistanceToSet(kMetric, q, rv), 4.0 * c.gamma + 1e-9)
@@ -264,8 +264,8 @@ TEST(GuessStructureTest, ReplayReproducesCoverage) {
   GuessStructure copy(5.0, 1.0, 50, constraint, CoreVariant::kFull);
   source.ReplayInto(&copy, t, kMetric);
   // Every point stored in the source is 4*gamma-covered in the copy's RV.
-  const std::vector<Point> rv = copy.ValidationPoints();
-  for (const Point& q : source.ValidationPoints()) {
+  const std::vector<Point> rv = copy.ValidationPool().ToPoints();
+  for (const Point& q : source.ValidationPool().ToPoints()) {
     EXPECT_LE(DistanceToSet(kMetric, q, rv), 4.0 * 5.0 + 1e-9);
   }
 }

@@ -568,5 +568,93 @@ TEST(SolverIdentityTest, PoolSolversMatchScalarReferenceBitForBit) {
   }
 }
 
+// Every field of every center, the radius, and the status, bit for bit.
+void ExpectSameResult(const Result<FairCenterSolution>& got,
+                      const Result<FairCenterSolution>& want) {
+  ASSERT_EQ(got.ok(), want.ok());
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code());
+    EXPECT_EQ(got.status().message(), want.status().message());
+    return;
+  }
+  ASSERT_EQ(got.value().centers.size(), want.value().centers.size());
+  for (size_t c = 0; c < want.value().centers.size(); ++c) {
+    const Point& g = got.value().centers[c];
+    const Point& w = want.value().centers[c];
+    EXPECT_EQ(g.id, w.id) << "center " << c;
+    EXPECT_EQ(g.coords, w.coords) << "center " << c;
+    EXPECT_EQ(g.color, w.color) << "center " << c;
+    EXPECT_EQ(g.arrival, w.arrival) << "center " << c;
+  }
+  EXPECT_EQ(got.value().radius, want.value().radius);
+}
+
+TEST(SolverIdentityTest, JonesSolvePoolMatchesSolveBitForBit) {
+  const JonesFairCenter jones;
+  const auto check = [&](const std::vector<Point>& points,
+                         const ColorConstraint& constraint) {
+    const ColoredPool pool = ColoredPool::FromPoints(points);
+    ASSERT_EQ(pool.size(), points.size());
+    const std::vector<Point> round_trip = pool.ToPoints();
+    for (size_t i = 0; i < points.size(); ++i) {
+      EXPECT_EQ(round_trip[i].coords, points[i].coords);
+      EXPECT_EQ(round_trip[i].id, points[i].id);
+    }
+    ExpectSameResult(jones.SolvePool(kMetric, pool, constraint),
+                     jones.Solve(kMetric, points, constraint));
+  };
+  const auto stamp = [](std::vector<Point> points) {
+    for (size_t i = 0; i < points.size(); ++i) {
+      points[i].arrival = static_cast<int64_t>(100 + i);
+      points[i].id = static_cast<uint64_t>(1 + i);
+    }
+    return points;
+  };
+
+  // Random inputs, including sizes around the pool's lane and block widths.
+  for (int n : {1, 7, 8, 9, 127, 128, 129, 400}) {
+    for (int dim : {1, 3, 54}) {
+      SCOPED_TRACE("random n=" + std::to_string(n) +
+                   " dim=" + std::to_string(dim));
+      check(stamp(RandomColored(n, dim, 3, 17 + n + dim)),
+            ColorConstraint({2, 1, 3}));
+    }
+  }
+  // Duplicates and distance ties at every dimension.
+  Rng rng(2718);
+  for (int n : {2, 16, 129}) {
+    for (int dim : {1, 3, 54}) {
+      SCOPED_TRACE("duplicates n=" + std::to_string(n) +
+                   " dim=" + std::to_string(dim));
+      check(DuplicateHeavy(n, dim, 3, &rng), ColorConstraint({2, 1, 3}));
+    }
+  }
+  // Equidistant ties: the corners of a square plus its center, and one
+  // point repeated.
+  check(stamp({P({0, 0}, 0), P({2, 0}, 1), P({0, 2}, 0), P({2, 2}, 1),
+               P({1, 1}, 0)}),
+        ColorConstraint({1, 1}));
+  check(stamp(std::vector<Point>(9, P({3, 3}, 1))), ColorConstraint({1, 2}));
+  // One point; one color.
+  check(stamp({P({4, 5, 6}, 0)}), ColorConstraint({1}));
+  check(stamp(RandomColored(50, 2, 1, 5)), ColorConstraint({4}));
+  // Zero caps: on some colors, and on all (kInfeasible both ways).
+  check(stamp(RandomColored(60, 2, 3, 6)), ColorConstraint({0, 2, 0}));
+  check(stamp(RandomColored(12, 2, 2, 8)), ColorConstraint({0, 0}));
+  // Empty input.
+  check({}, ColorConstraint({1}));
+}
+
+TEST(JonesTest, SolvePoolRejectsOutOfRangeColors) {
+  const JonesFairCenter solver;
+  for (int color : {-1, 2, 9}) {
+    const ColoredPool pool =
+        ColoredPool::FromPoints({P({0}, 0), P({1}, color), P({2}, 1)});
+    auto result = solver.SolvePool(kMetric, pool, ColorConstraint({1, 1}));
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << "color " << color;
+  }
+}
+
 }  // namespace
 }  // namespace fkc

@@ -30,7 +30,7 @@ std::vector<Point> RandomPoints(int n, int dim, uint64_t seed) {
 }
 
 TEST(GonzalezTest, EmptyAndDegenerateInputs) {
-  EXPECT_TRUE(GonzalezKCenter(kMetric, {}, 3).head_indices.empty());
+  EXPECT_TRUE(GonzalezKCenter(kMetric, std::vector<Point>{}, 3).head_indices.empty());
   EXPECT_TRUE(GonzalezKCenter(kMetric, {P({1})}, 0).head_indices.empty());
   const auto result = GonzalezKCenter(kMetric, {P({1})}, 5);
   EXPECT_EQ(result.head_indices.size(), 1u);

@@ -189,7 +189,8 @@ TEST(KMedianQueryTest, AnswerIsLocalSearchOnThePlannedCoreset) {
     auto plan = window.PlanQuery();
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
     const KMedianSolution expected =
-        KMedianLocalSearch(kMetric, plan.value().coreset, kConstraint.TotalK());
+        KMedianLocalSearch(kMetric, plan.value().coreset.ToPoints(),
+                           kConstraint.TotalK());
     QueryStats stats;
     auto answer = window.Query(ObjectiveKind::kKMedian, &stats);
     ExpectSameSolution(answer,

@@ -1,13 +1,16 @@
 // Behavioural contracts of Query (Algorithm 3) beyond quality: returned
 // centers are genuine active window points, the coreset-vs-window radius gap
 // obeys Lemma 2's (P2) bound, QueryStats fields are consistent, and the
-// chosen guess tracks the window's optimal scale.
+// chosen guess tracks the window's optimal scale. Query solves on the
+// gathered coreset pool exactly as Jones solves on its Points.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "common/random.h"
 #include "core/fair_center_sliding_window.h"
+#include "core/guess_structure.h"
 #include "metric/metric.h"
 #include "sequential/jones_fair_center.h"
 #include "sequential/radius.h"
@@ -149,6 +152,203 @@ TEST(QueryBehaviorTest, SmallerDeltaNeverWorseGuess) {
   ASSERT_TRUE(coarse.Query(&coarse_stats).ok());
   EXPECT_DOUBLE_EQ(fine_stats.guess, coarse_stats.guess);
   EXPECT_GE(fine_stats.coreset_size, coarse_stats.coreset_size);
+}
+
+// --- Solving on the gathered pool. ---
+
+void ExpectSamePoints(const std::vector<Point>& got,
+                      const std::vector<Point>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << "position " << i;
+    EXPECT_EQ(got[i].coords, want[i].coords) << "position " << i;
+    EXPECT_EQ(got[i].color, want[i].color) << "position " << i;
+    EXPECT_EQ(got[i].arrival, want[i].arrival) << "position " << i;
+  }
+}
+
+// Every field of every center, and the radius, bit for bit.
+void ExpectSameAnswer(const FairCenterSolution& got,
+                      const FairCenterSolution& want) {
+  ExpectSamePoints(got.centers, want.centers);
+  EXPECT_EQ(got.radius, want.radius);
+}
+
+// Clustered 3-D points with exact duplicates, so coresets hold attractors
+// that are their own representative, replaced representatives and orphans.
+Point ClusteredPoint(Rng* rng) {
+  const double cx = static_cast<double>(rng->NextBounded(4)) * 40.0;
+  Coordinates coords(3);
+  for (double& x : coords) {
+    x = rng->NextBernoulli(0.2) ? cx : cx + rng->NextUniform(0.0, 12.0);
+  }
+  return Point(std::move(coords), static_cast<int>(rng->NextBounded(3)));
+}
+
+// Query() against Jones on the plan's coreset as Points, at every 7th
+// arrival, plus the stats against the plan's.
+void ExpectQueryEqualsJonesOnPlan(FairCenterSlidingWindow* window,
+                                  const std::string& label) {
+  SCOPED_TRACE(label + " t=" + std::to_string(window->now()));
+  auto plan = window->PlanQuery();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  auto want = kJones.Solve(kMetric, plan.value().coreset.ToPoints(),
+                           window->constraint());
+  QueryStats stats;
+  auto got = window->Query(&stats);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ExpectSameAnswer(got.value(), want.value());
+  EXPECT_EQ(stats.guess, plan.value().stats.guess);
+  EXPECT_EQ(stats.coreset_size, plan.value().stats.coreset_size);
+  EXPECT_EQ(stats.coreset_size,
+            static_cast<int64_t>(plan.value().coreset.size()));
+  EXPECT_EQ(stats.guesses_inspected, plan.value().stats.guesses_inspected);
+}
+
+TEST(QueryBehaviorTest, QueryEqualsJonesOnPlannedCoresetPoints) {
+  const ColorConstraint constraint({2, 1, 2});
+  for (int mode = 0; mode < 3; ++mode) {
+    for (int threads : {1, 4}) {
+      SlidingWindowOptions options;
+      options.window_size = 120;
+      options.delta = 0.5;
+      options.num_threads = threads;
+      if (mode == 0) {
+        options.d_min = 1e-3;
+        options.d_max = 1e3;
+      } else {
+        options.adaptive_range = true;
+      }
+      if (mode == 2) options = ValidationOnlyOptions(options);
+      const std::string label = "mode=" + std::to_string(mode) +
+                                " threads=" + std::to_string(threads);
+      FairCenterSlidingWindow window(options, constraint, &kMetric, &kJones);
+      Rng rng(31 + static_cast<uint64_t>(mode));
+      for (int i = 0; i < 400; ++i) {
+        ASSERT_TRUE(window.Update(ClusteredPoint(&rng)).ok());
+        if (i % 7 == 3) ExpectQueryEqualsJonesOnPlan(&window, label);
+      }
+
+      // A restored window gathers from restored entries and rebuilt pools.
+      auto restored = FairCenterSlidingWindow::DeserializeState(
+          window.SerializeState(), &kMetric, &kJones);
+      ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+      for (int i = 0; i < 60; ++i) {
+        const Point p = ClusteredPoint(&rng);
+        ASSERT_TRUE(window.Update(p).ok());
+        ASSERT_TRUE(restored.value().Update(p).ok());
+        if (i % 7 != 3) continue;
+        ExpectQueryEqualsJonesOnPlan(&restored.value(), label + " restored");
+        auto original = window.Query();
+        auto copy = restored.value().Query();
+        ASSERT_TRUE(original.ok() && copy.ok());
+        ExpectSameAnswer(copy.value(), original.value());
+      }
+    }
+  }
+}
+
+TEST(QueryBehaviorTest, GatheredPoolsFollowEntryOrder) {
+  // The solver starts at index 0 and breaks ties by the lowest index, so the
+  // gathered order is part of the answer: each entry's representatives in
+  // entry order, then the orphans.
+  const auto walk = [](const AttractorList& entries,
+                       const std::vector<Point>& orphans) {
+    std::vector<Point> points;
+    for (const AttractorEntry& entry : entries) {
+      points.insert(points.end(), entry.representatives.begin(),
+                    entry.representatives.end());
+    }
+    points.insert(points.end(), orphans.begin(), orphans.end());
+    return points;
+  };
+  const ColorConstraint constraint({2, 1, 2});
+  for (CoreVariant variant :
+       {CoreVariant::kFull, CoreVariant::kValidationOnly}) {
+    GuessStructure guess(6.0, variant == CoreVariant::kFull ? 1.0 : 4.0, 90,
+                         constraint, variant);
+    Rng rng(77);
+    int64_t own_rep = 0;
+    int64_t other_rep = 0;
+    for (int64_t t = 1; t <= 600; ++t) {
+      Point p = ClusteredPoint(&rng);
+      p.arrival = t;
+      p.id = static_cast<uint64_t>(t);
+      guess.Update(p, t, kMetric, nullptr);
+      if (t % 11 != 0) continue;
+      SCOPED_TRACE("t=" + std::to_string(t));
+      ExpectSamePoints(guess.ValidationPool().ToPoints(),
+                       walk(guess.v_entries(), guess.v_orphans()));
+      const std::vector<Point> coreset = guess.CoresetPool().ToPoints();
+      if (variant == CoreVariant::kFull) {
+        ExpectSamePoints(coreset, walk(guess.c_entries(), guess.c_orphans()));
+      } else {
+        ExpectSamePoints(coreset, walk(guess.v_entries(), guess.v_orphans()));
+      }
+      const AttractorList& entries = variant == CoreVariant::kFull
+                                         ? guess.c_entries()
+                                         : guess.v_entries();
+      for (const AttractorEntry& entry : entries) {
+        for (const Point& rep : entry.representatives) {
+          ++(rep.id == entry.attractor.id ? own_rep : other_rep);
+        }
+      }
+    }
+    // Both coordinate sources (the attractor pool and the stored Point)
+    // were exercised.
+    EXPECT_GT(own_rep, 0);
+    EXPECT_GT(other_rep, 0);
+  }
+}
+
+TEST(QueryBehaviorTest, SolverOverridingOnlySolveGivesJonesAnswers) {
+  // The shape of a forwarding decorator that predates SolvePool: the
+  // default SolvePool materializes the pool and calls this Solve.
+  class ForwardingSolver final : public FairCenterSolver {
+   public:
+    Result<FairCenterSolution> Solve(
+        const Metric& metric, const std::vector<Point>& points,
+        const ColorConstraint& constraint) const override {
+      ++calls;
+      return kJones.Solve(metric, points, constraint);
+    }
+    double ApproximationFactor() const override { return 3.0; }
+    std::string Name() const override { return "forwarding"; }
+    mutable int calls = 0;
+  };
+  const ForwardingSolver forwarding;
+  const ColorConstraint constraint({2, 1, 2});
+  SlidingWindowOptions options;
+  options.window_size = 100;
+  options.adaptive_range = true;
+  FairCenterSlidingWindow plain(options, constraint, &kMetric, &kJones);
+  FairCenterSlidingWindow forwarded(options, constraint, &kMetric,
+                                    &forwarding);
+  Rng rng(5);
+  int queries = 0;
+  for (int i = 0; i < 300; ++i) {
+    const Point p = ClusteredPoint(&rng);
+    ASSERT_TRUE(plain.Update(p).ok());
+    ASSERT_TRUE(forwarded.Update(p).ok());
+    if (i % 13 != 0) continue;
+    ++queries;
+    QueryStats plain_stats, forwarded_stats;
+    auto want = plain.Query(&plain_stats);
+    auto got = forwarded.Query(&forwarded_stats);
+    ASSERT_TRUE(want.ok() && got.ok());
+    ExpectSameAnswer(got.value(), want.value());
+    EXPECT_EQ(forwarded_stats.guess, plain_stats.guess);
+    EXPECT_EQ(forwarded_stats.coreset_size, plain_stats.coreset_size);
+    EXPECT_EQ(forwarded_stats.guesses_inspected,
+              plain_stats.guesses_inspected);
+  }
+  EXPECT_EQ(forwarding.calls, queries);
+
+  // Out-of-range colors come back as kInvalidArgument through the adapter.
+  const ColoredPool bad = ColoredPool::FromPoints({Point({0.0}, 7)});
+  EXPECT_EQ(forwarding.SolvePool(kMetric, bad, constraint).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace
