@@ -344,14 +344,14 @@ bool FairCenterSlidingWindow::GuessPasses(const GuessStructure& guess) const {
   // contract above it — is unchanged.
   std::vector<double> cover_dist(rv.size(),
                                  std::numeric_limits<double>::infinity());
-  std::vector<double> row(rv.size());
+  std::vector<double> row(rv.slot_count());
   int cover_size = 0;
   for (size_t i = 0; i < rv.size(); ++i) {
     if (cover_dist[i] <= threshold) continue;  // already covered
     if (++cover_size > k) return false;
-    metric_->DistanceSoA(rv.At(i), rv.coords, row.data());
+    rv.DistanceRow(*metric_, rv.At(i), row.data());
     for (size_t j = 0; j < rv.size(); ++j) {
-      cover_dist[j] = std::min(cover_dist[j], row[j]);
+      cover_dist[j] = std::min(cover_dist[j], row[rv.slot(j)]);
     }
   }
   return true;

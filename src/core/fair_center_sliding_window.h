@@ -146,6 +146,11 @@ struct QueryPlan {
   /// (FairCenterSolver::SolvePool; see GuessStructure::CoresetPool for the
   /// order); empty for an empty window. Solvers that take Points read
   /// coreset.ToPoints().
+  ///
+  /// Lifetime: the pool may borrow the selected guess's attractor pool
+  /// instead of copying it, so it is valid only until the window's next
+  /// non-const call (Update, UpdateBatch, PlanQuery, Query, a restore
+  /// into it, or its destruction). Copy it out with ToPoints() to keep it.
   ColoredPool coreset;
   /// guess / coreset_size / guesses_inspected are populated; solver_millis
   /// stays 0 (no solver has run yet).
@@ -218,7 +223,8 @@ class FairCenterSlidingWindow {
   /// mutually independent — and deterministically selects the lowest passing
   /// guess. Returns an empty-coreset plan for an empty window and the latest
   /// point alone for an all-duplicates window. The result is bit-identical
-  /// to the sequential scan at any thread count.
+  /// to the sequential scan at any thread count. The plan's coreset may
+  /// borrow the window's storage (see QueryPlan::coreset for its lifetime).
   Result<QueryPlan> PlanQuery();
 
   /// Extension (paper's future-work direction): outlier-tolerant query.

@@ -17,17 +17,19 @@ void PushAttractor(AttractorList* entries, const Point& p) {
 }
 
 /// One family's representatives, entry by entry, then its orphans, as a
-/// pool. Position e of `attractors` is entries[e]'s attractor.
+/// pool. Position e of `attractors` is entries[e]'s attractor, so a
+/// representative that is its entry's own attractor is column e there.
 ColoredPool GatherFamily(const AttractorList& entries,
                          const std::vector<Point>& orphans,
                          const CoordinatePool& attractors) {
   ColoredPool::Builder builder(
-      static_cast<size_t>(CountRepresentatives(entries)) + orphans.size());
+      static_cast<size_t>(CountRepresentatives(entries)) + orphans.size(),
+      &attractors);
   for (size_t e = 0; e < entries.size(); ++e) {
     const AttractorEntry& entry = entries[e];
     for (const Point& rep : entry.representatives) {
       if (rep.id == entry.attractor.id) {
-        builder.Add(rep, attractors.Column(e));
+        builder.AddColumn(rep, e);
       } else {
         builder.Add(rep);
       }

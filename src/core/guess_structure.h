@@ -80,14 +80,18 @@ class GuessStructure {
 
   /// RV as one pool: each entry's representatives in entry order, then the
   /// orphans. A representative that is its entry's own attractor (the same
-  /// id, so the same point) has its coordinates copied from that entry's
-  /// v_pool() column, which is dense; the others are read from their
-  /// stored Point.
+  /// id, so the same point) is that entry's v_pool() column. When such
+  /// columns make up at least half of the pool, the pool borrows v_pool()
+  /// and copies only the other points' coordinates; otherwise it copies
+  /// every point's (ColoredPool::Builder::Build). A borrowing pool is valid
+  /// until the next non-const call on this structure.
   ColoredPool ValidationPool() const;
 
   /// R as one pool, in the same order and built the same way from the
-  /// c-family and c_pool(). In the kValidationOnly variant this equals
-  /// ValidationPool() (Query runs A on RV there).
+  /// c-family and c_pool(): on a dense guess most of R is self-represented
+  /// c-attractors, so the pool borrows c_pool() and copies only the
+  /// replaced representatives and orphans. In the kValidationOnly variant
+  /// this equals ValidationPool() (Query runs A on RV there).
   ColoredPool CoresetPool() const;
 
   MemoryStats Memory() const;

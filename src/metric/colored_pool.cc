@@ -5,10 +5,13 @@
 namespace fkc {
 
 Point ColoredPool::At(size_t i) const {
-  const CoordinatePool::ColumnRef column = coords.Column(i);
-  Coordinates c(coords.dim());
+  const size_t s = slot(i);
+  const size_t lent = borrowed_ != nullptr ? borrowed_->size() : 0;
+  const CoordinatePool::ColumnRef column =
+      s < lent ? borrowed_->Column(s) : own_.Column(s - lent);
+  Coordinates c(dim());
   for (size_t d = 0; d < c.size(); ++d) c[d] = column.data[d * column.stride];
-  return Point(std::move(c), colors[i], arrivals[i], ids[i]);
+  return Point(std::move(c), colors_[i], arrivals_[i], ids_[i]);
 }
 
 std::vector<Point> ColoredPool::ToPoints() const {
@@ -18,36 +21,74 @@ std::vector<Point> ColoredPool::ToPoints() const {
   return points;
 }
 
+void ColoredPool::DistanceRow(const Metric& metric, const Point& q,
+                              double* row) const {
+  size_t lent = 0;
+  if (borrowed_ != nullptr) {
+    metric.DistanceSoA(q, *borrowed_, row);
+    lent = borrowed_->size();
+  }
+  if (!own_.empty()) metric.DistanceSoA(q, own_, row + lent);
+}
+
 ColoredPool ColoredPool::FromPoints(const std::vector<Point>& points) {
   Builder builder(points.size());
   for (const Point& p : points) builder.Add(p);
   return std::move(builder).Build();
 }
 
-ColoredPool::Builder::Builder(size_t reserve) {
-  pool_.colors.reserve(reserve);
-  pool_.arrivals.reserve(reserve);
-  pool_.ids.reserve(reserve);
+ColoredPool::Builder::Builder(size_t reserve, const CoordinatePool* columns)
+    : columns_(columns) {
+  pool_.colors_.reserve(reserve);
+  pool_.arrivals_.reserve(reserve);
+  pool_.ids_.reserve(reserve);
+  pool_.slots_.reserve(reserve);
   sources_.reserve(reserve);
 }
 
-void ColoredPool::Builder::Add(const Point& p,
-                               CoordinatePool::ColumnRef source) {
+void ColoredPool::Builder::Add(const Point& p) {
   if (sources_.empty()) {
     dim_ = p.dimension();
   } else {
     FKC_CHECK_EQ(p.dimension(), dim_)
         << "pool points must share one dimension";
   }
-  pool_.colors.push_back(p.color);
-  pool_.arrivals.push_back(p.arrival);
-  pool_.ids.push_back(p.id);
-  sources_.push_back(source);
+  pool_.colors_.push_back(p.color);
+  pool_.arrivals_.push_back(p.arrival);
+  pool_.ids_.push_back(p.id);
+  pool_.slots_.push_back(kCopied);
+  sources_.push_back({p.coords.data(), 1});
+}
+
+void ColoredPool::Builder::AddColumn(const Point& p, size_t column) {
+  FKC_CHECK(columns_ != nullptr);
+  FKC_CHECK_LT(column, columns_->size());
+  FKC_CHECK_EQ(p.dimension(), columns_->dim());
+  Add(p);
+  pool_.slots_.back() = static_cast<uint32_t>(column);
+  sources_.back() = columns_->Column(column);
+  ++column_count_;
 }
 
 ColoredPool ColoredPool::Builder::Build() && {
+  const size_t n = sources_.size();
+  std::vector<uint32_t>& slots = pool_.slots_;
+  if (column_count_ == 0 || 2 * column_count_ < n) {
+    for (size_t i = 0; i < n; ++i) slots[i] = static_cast<uint32_t>(i);
+  } else {
+    // Borrow: the copied positions' sources move to the front of sources_,
+    // in position order, and take the slots after the borrowed columns.
+    pool_.borrowed_ = columns_;
+    size_t copied = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (slots[i] != kCopied) continue;
+      slots[i] = static_cast<uint32_t>(columns_->size() + copied);
+      sources_[copied++] = sources_[i];
+    }
+    sources_.resize(copied);
+  }
   if (!sources_.empty()) {
-    pool_.coords = CoordinatePool::FromColumns(dim_, sources_);
+    pool_.own_ = CoordinatePool::FromColumns(dim_, sources_);
   }
   return std::move(pool_);
 }

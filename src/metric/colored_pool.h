@@ -2,66 +2,118 @@
 // sequential fair-center solvers.
 //
 // The head <-> color matching of Jones et al. reads a point set's
-// coordinates (through Metric::DistanceSoA), its colors and its indices;
-// only the final centers need whole Points. A ColoredPool holds exactly
-// that: a CoordinatePool plus color, arrival and id columns, position i of
-// each describing point i. A window query gathers one straight from the
-// chosen guess (GuessStructure::CoresetPool), with no Point copied on the
-// way.
+// coordinates (through distance rows), its colors and its indices; only the
+// final centers need whole Points. A ColoredPool holds exactly that: color,
+// arrival and id columns, position i of each describing point i, and the
+// coordinates of every position in some CoordinatePool column.
+//
+// Slots: the coordinates live in slots. A pool either owns them all (slot i
+// is position i), or borrows another structure's CoordinatePool and owns
+// only the positions that are not among its columns. A borrowing pool's
+// slots are the borrowed columns first, then its own; a borrowed column
+// need not be a point of the set. A window query borrows the chosen
+// guess's dense c-attractor pool this way (GuessStructure::CoresetPool),
+// so the solver reads the coreset's self-represented attractors where the
+// guess stores them.
+//
+// Solvers read a pool through DistanceRow, which fills one distance per
+// slot, and visit the points in position order: point i's distance is
+// row[slot(i)]. Ties therefore break as they would on a copy of the
+// points, and a slot that is no point of the set is never read.
 #ifndef FKC_METRIC_COLORED_POOL_H_
 #define FKC_METRIC_COLORED_POOL_H_
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "metric/coordinate_pool.h"
+#include "metric/metric.h"
 #include "metric/point.h"
 
 namespace fkc {
 
-/// Point i of the set is coordinates column i of `coords` with colors[i],
-/// arrivals[i] and ids[i]; all four have size() positions.
-struct ColoredPool {
+class ColoredPool {
+ public:
   class Builder;
 
-  CoordinatePool coords;
-  std::vector<int> colors;
-  std::vector<int64_t> arrivals;
-  std::vector<uint64_t> ids;
+  /// `points` at positions [0, points.size()), copied; slot i is position
+  /// i. All points must share one dimension (FKC_CHECK).
+  static ColoredPool FromPoints(const std::vector<Point>& points);
 
-  size_t size() const { return colors.size(); }
-  bool empty() const { return colors.empty(); }
+  size_t size() const { return colors_.size(); }
+  bool empty() const { return colors_.empty(); }
+  size_t dim() const {
+    return borrowed_ != nullptr ? borrowed_->dim() : own_.dim();
+  }
+
+  int color(size_t i) const { return colors_[i]; }
 
   /// Point i, materialized.
   Point At(size_t i) const;
 
-  /// Every point in position order; bit-identical to the vector the pool
+  /// Every point in position order; bit-identical to the points the pool
   /// was built from.
   std::vector<Point> ToPoints() const;
 
-  /// `points` at positions [0, points.size()). All points must share one
-  /// dimension (FKC_CHECK).
-  static ColoredPool FromPoints(const std::vector<Point>& points);
+  /// The length of a distance row: slot_count() >= size().
+  size_t slot_count() const {
+    return (borrowed_ != nullptr ? borrowed_->size() : 0) + own_.size();
+  }
+  /// The slot of position i.
+  size_t slot(size_t i) const { return slots_[i]; }
+
+  /// row[s] = metric distance from `q` to the coordinates in slot s, for
+  /// every s in [0, slot_count()): one DistanceSoA over the borrowed pool
+  /// and one over the owned one, so a CountingMetric counts every slot,
+  /// including borrowed columns that are no point of the set.
+  void DistanceRow(const Metric& metric, const Point& q, double* row) const;
+
+  /// The borrowed pool, or nullptr when the pool owns all its slots.
+  const CoordinatePool* borrowed() const { return borrowed_; }
+  /// Positions whose coordinates the pool copied into its own slots.
+  size_t copied() const { return own_.size(); }
+
+ private:
+  const CoordinatePool* borrowed_ = nullptr;  // slots [0, borrowed_->size())
+  CoordinatePool own_;                        // the slots after them
+  std::vector<int> colors_;
+  std::vector<int64_t> arrivals_;
+  std::vector<uint64_t> ids_;
+  std::vector<uint32_t> slots_;  // position -> slot
 };
 
-/// Collects the points of a ColoredPool in position order, then writes all
-/// their coordinates with one CoordinatePool::FromColumns pass.
+/// Collects the points of a ColoredPool in position order, then lays out
+/// their coordinates at Build.
 class ColoredPool::Builder {
  public:
-  /// `reserve`: the expected point count.
-  explicit Builder(size_t reserve);
+  /// `reserve`: the expected point count. `columns`, when given, is the
+  /// pool AddColumn refers to; it must outlive Build, and a pool that
+  /// borrows it must not outlive the next change to it.
+  explicit Builder(size_t reserve, const CoordinatePool* columns = nullptr);
 
-  /// Appends `p` at the next position. Its coordinates are read from
-  /// `source` at Build time, so `source` must hold exactly p's coordinates
-  /// and stay valid until then; the default is p's own.
-  void Add(const Point& p, CoordinatePool::ColumnRef source);
-  void Add(const Point& p) { Add(p, {p.coords.data(), 1}); }
+  /// Appends `p` at the next position; its coordinates are copied at
+  /// Build, so `p` must stay valid until then.
+  void Add(const Point& p);
+  /// Appends `p`, whose coordinates are column `column` of the `columns`
+  /// pool, at the next position.
+  void AddColumn(const Point& p, size_t column);
 
+  /// Borrows `columns` when column positions make up at least half of the
+  /// pool, and copies every position otherwise: a borrowing pool costs a
+  /// second kernel call per row and scans the columns that are no point
+  /// of the set, which only pays when most positions need no copy.
   ColoredPool Build() &&;
 
  private:
-  ColoredPool pool_;
+  // The slot of a position Build copies, until Build assigns it one.
+  static constexpr uint32_t kCopied = std::numeric_limits<uint32_t>::max();
+
+  ColoredPool pool_;  // its slots_ hold each column position's column
+  const CoordinatePool* columns_;
   size_t dim_ = 0;
+  size_t column_count_ = 0;
+  // Per position: where its coordinates are read from if copied.
   std::vector<CoordinatePool::ColumnRef> sources_;
 };
 

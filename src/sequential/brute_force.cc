@@ -6,7 +6,7 @@
 #include <limits>
 
 #include "common/logging.h"
-#include "metric/coordinate_pool.h"
+#include "metric/colored_pool.h"
 
 namespace fkc {
 namespace {
@@ -63,7 +63,7 @@ Result<FairCenterSolution> BruteForceFairCenter(
 
   // Cartesian product of per-color combinations via recursion over colors;
   // every candidate is scored against one pool built here.
-  const CoordinatePool coords = CoordinatePool::FromPoints(points);
+  const ColoredPool coords = ColoredPool::FromPoints(points);
   FairCenterSolution best;
   best.radius = std::numeric_limits<double>::infinity();
   std::vector<int> chosen;

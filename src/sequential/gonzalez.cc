@@ -19,7 +19,7 @@ GonzalezResult GonzalezKCenter(const Metric& metric, const ColoredPool& pool,
 
   // nearest[i] = distance from point i to the current head set.
   std::vector<double> nearest(n, std::numeric_limits<double>::infinity());
-  std::vector<double> row(n);
+  std::vector<double> row(pool.slot_count());
 
   int next_head = first_index;
   double next_distance = std::numeric_limits<double>::infinity();
@@ -27,12 +27,13 @@ GonzalezResult GonzalezKCenter(const Metric& metric, const ColoredPool& pool,
     result.head_indices.push_back(next_head);
     result.insertion_distances.push_back(next_distance);
 
-    metric.DistanceSoA(pool.At(next_head), pool.coords, row.data());
+    pool.DistanceRow(metric, pool.At(next_head), row.data());
     if (on_head) on_head(row.data());
     next_distance = 0.0;
     next_head = -1;
     for (int i = 0; i < n; ++i) {
-      if (row[i] < nearest[i]) nearest[i] = row[i];
+      const double d = row[pool.slot(i)];
+      if (d < nearest[i]) nearest[i] = d;
       if (nearest[i] > next_distance) {
         next_distance = nearest[i];
         next_head = i;

@@ -25,14 +25,16 @@ struct GonzalezResult {
   double coverage_radius = 0.0;
 };
 
-/// Sees each selected head's distance row, row[i] = d(head, point i), once
-/// per head in selection order.
+/// Sees each selected head's distance row as ColoredPool::DistanceRow
+/// fills it, once per head in selection order: d(head, point i) is
+/// row[pool.slot(i)].
 using GonzalezHeadFn = std::function<void(const double* row)>;
 
 /// Runs the farthest-point greedy over `pool` starting from `first_index`,
 /// selecting min(k, n) heads. Each head is read from the pool (At) and
-/// costs one DistanceSoA scan over its coordinates, so O(n * k) distance
-/// evaluations in k kernel calls.
+/// costs one DistanceRow, so O(n * k) distance evaluations in at most 2k
+/// kernel calls. Points are visited in position order, so ties go to the
+/// lowest index whatever the pool's slot order.
 GonzalezResult GonzalezKCenter(const Metric& metric, const ColoredPool& pool,
                                int k, int first_index = 0,
                                const GonzalezHeadFn& on_head = nullptr);

@@ -83,7 +83,7 @@ Result<FairCenterSolution> JonesFairCenter::SolvePool(
   if (pool.empty()) return FairCenterSolution{};
   const int ell = constraint.ell();
   for (size_t i = 0; i < pool.size(); ++i) {
-    if (pool.colors[i] < 0 || pool.colors[i] >= ell) {
+    if (pool.color(i) < 0 || pool.color(i) >= ell) {
       return Status::InvalidArgument("point color out of range: " +
                                      pool.At(i).ToString());
     }
@@ -101,9 +101,10 @@ Result<FairCenterSolution> JonesFairCenter::SolvePool(
             table.nearest_distance.emplace_back(ell, kInf);
         std::vector<int>& index = table.nearest_index.emplace_back(ell, -1);
         for (size_t i = 0; i < pool.size(); ++i) {
-          const int c = pool.colors[i];
-          if (row[i] < distance[c]) {
-            distance[c] = row[i];
+          const int c = pool.color(i);
+          const double d = row[pool.slot(i)];
+          if (d < distance[c]) {
+            distance[c] = d;
             index[c] = static_cast<int>(i);
           }
         }
@@ -148,7 +149,7 @@ Result<FairCenterSolution> JonesFairCenter::SolvePool(
   FairCenterSolution solution;
   solution.centers.reserve(best.size());
   for (int index : best) solution.centers.push_back(pool.At(index));
-  solution.radius = PoolClusteringRadius(metric, pool.coords, solution.centers);
+  solution.radius = PoolClusteringRadius(metric, pool, solution.centers);
   return solution;
 }
 

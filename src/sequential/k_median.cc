@@ -62,12 +62,13 @@ KMedianSolution KMedianLocalSearch(const Metric& metric,
   const size_t kk = std::min<size_t>(static_cast<size_t>(k), n);
 
   // Full pairwise distances through the SoA kernels: one bulk-built pool,
-  // then one DistanceSoA row per point (bit-identical to per-pair Distance
-  // by the kernel contract, so the solver is deterministic at any width).
+  // then one distance row per point (bit-identical to per-pair Distance by
+  // the kernel contract, so the solver is deterministic at any width). A
+  // FromPoints pool's slot i is point i.
   const ColoredPool pool = ColoredPool::FromPoints(points);
   std::vector<double> dist(n * n);
   for (size_t i = 0; i < n; ++i) {
-    metric.DistanceSoA(points[i], pool.coords, dist.data() + i * n);
+    pool.DistanceRow(metric, points[i], dist.data() + i * n);
   }
 
   // Gonzalez seeds: spread-out medoids make the local search start near a

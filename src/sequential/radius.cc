@@ -9,21 +9,21 @@ namespace fkc {
 
 double ClusteringRadius(const Metric& metric, const std::vector<Point>& window,
                         const std::vector<Point>& centers) {
-  return PoolClusteringRadius(metric, CoordinatePool::FromPoints(window),
+  return PoolClusteringRadius(metric, ColoredPool::FromPoints(window),
                               centers);
 }
 
-double PoolClusteringRadius(const Metric& metric, const CoordinatePool& window,
+double PoolClusteringRadius(const Metric& metric, const ColoredPool& window,
                             const std::vector<Point>& centers) {
   if (window.empty()) return 0.0;
   if (centers.empty()) return std::numeric_limits<double>::infinity();
   std::vector<double> nearest(window.size(),
                               std::numeric_limits<double>::infinity());
-  std::vector<double> row(window.size());
+  std::vector<double> row(window.slot_count());
   for (const Point& center : centers) {
-    metric.DistanceSoA(center, window, row.data());
-    for (size_t i = 0; i < row.size(); ++i) {
-      nearest[i] = std::min(nearest[i], row[i]);
+    window.DistanceRow(metric, center, row.data());
+    for (size_t i = 0; i < nearest.size(); ++i) {
+      nearest[i] = std::min(nearest[i], row[window.slot(i)]);
     }
   }
   double worst = 0.0;

@@ -5,7 +5,7 @@
 
 #include <vector>
 
-#include "metric/coordinate_pool.h"
+#include "metric/colored_pool.h"
 #include "metric/metric.h"
 #include "metric/point.h"
 
@@ -16,9 +16,9 @@ namespace fkc {
 double ClusteringRadius(const Metric& metric, const std::vector<Point>& window,
                         const std::vector<Point>& centers);
 
-/// ClusteringRadius over a window already held in a pool: one DistanceSoA
-/// scan per center, min-accumulated per point, then the max.
-double PoolClusteringRadius(const Metric& metric, const CoordinatePool& window,
+/// ClusteringRadius over a window already held in a pool: one DistanceRow
+/// per center, min-accumulated per point, then the max.
+double PoolClusteringRadius(const Metric& metric, const ColoredPool& window,
                             const std::vector<Point>& centers);
 
 /// For each window point, the index of its closest center (ties to the

@@ -2,7 +2,8 @@
 // centers are genuine active window points, the coreset-vs-window radius gap
 // obeys Lemma 2's (P2) bound, QueryStats fields are consistent, and the
 // chosen guess tracks the window's optimal scale. Query solves on the
-// gathered coreset pool exactly as Jones solves on its Points.
+// gathered coreset pool exactly as Jones solves on its Points, and a pool
+// that borrows a guess's attractor columns answers as a copy of it would.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include "core/fair_center_sliding_window.h"
 #include "core/guess_structure.h"
 #include "metric/metric.h"
+#include "sequential/gonzalez.h"
 #include "sequential/jones_fair_center.h"
 #include "sequential/radius.h"
 #include "stream/reference_window.h"
@@ -300,6 +302,181 @@ TEST(QueryBehaviorTest, GatheredPoolsFollowEntryOrder) {
     EXPECT_GT(own_rep, 0);
     EXPECT_GT(other_rep, 0);
   }
+}
+
+// --- Borrowed attractor columns. ---
+
+// A pool of the same points that owns every slot.
+ColoredPool CopiedPool(const ColoredPool& pool) {
+  return ColoredPool::FromPoints(pool.ToPoints());
+}
+
+void ExpectSameGonzalez(const GonzalezResult& got, const GonzalezResult& want) {
+  EXPECT_EQ(got.head_indices, want.head_indices);
+  EXPECT_EQ(got.insertion_distances, want.insertion_distances);
+  EXPECT_EQ(got.coverage_radius, want.coverage_radius);
+}
+
+// A borrowing pool and a copying pool of the same points answer the same:
+// every point, every Gonzalez head, every Jones answer, bit for bit.
+void ExpectBorrowedEqualsCopied(const ColoredPool& pool,
+                                const ColorConstraint& constraint) {
+  const ColoredPool copied = CopiedPool(pool);
+  ASSERT_EQ(copied.borrowed(), nullptr);
+  ASSERT_EQ(copied.size(), pool.size());
+  for (size_t i = 0; i < pool.size(); ++i) {
+    ExpectSamePoints({pool.At(i)}, {copied.At(i)});
+  }
+  ExpectSamePoints(pool.ToPoints(), copied.ToPoints());
+  for (int k : {1, 3, constraint.TotalK()}) {
+    for (int first : {0, static_cast<int>(pool.size()) - 1}) {
+      ExpectSameGonzalez(GonzalezKCenter(kMetric, pool, k, first),
+                         GonzalezKCenter(kMetric, copied, k, first));
+    }
+  }
+  auto got = kJones.SolvePool(kMetric, pool, constraint);
+  auto want = kJones.SolvePool(kMetric, copied, constraint);
+  ASSERT_TRUE(got.ok() && want.ok());
+  ExpectSameAnswer(got.value(), want.value());
+}
+
+TEST(QueryBehaviorTest, BorrowedColumnsOutsideTheSetNeverCount) {
+  // A d = 54 attractor pool whose head sits mid-block after DropFront, so
+  // the borrowed scans start inside its front block. Every fifth column is
+  // far from everything and is no point of the set: were it read as one,
+  // it would become a Gonzalez head and set the radius. Every seventh
+  // column is spread wider, so Gonzalez heads and nearest points come from
+  // among them, and follows an exact duplicate that the pool copies: the
+  // duplicate has the lower position but the later slot, so ties must go
+  // to it.
+  constexpr size_t kDim = 54;
+  Rng rng(4);
+  const auto random_point = [&](double scale, int64_t id) {
+    Coordinates coords(kDim);
+    for (double& x : coords) x = rng.NextUniform(0.0, scale);
+    return Point(std::move(coords), static_cast<int>(rng.NextBounded(3)), id,
+                 static_cast<uint64_t>(id));
+  };
+  CoordinatePool columns(kDim);
+  std::vector<Point> stored;
+  for (int64_t id = 0; id < 300; ++id) {
+    stored.push_back(random_point(
+        id % 5 == 4 ? 1e6 : (id % 7 == 0 ? 40.0 : 10.0), id));
+    columns.Append(stored.back());
+  }
+  constexpr size_t kDropped = 37;
+  columns.DropFront(kDropped);
+  stored.erase(stored.begin(), stored.begin() + kDropped);
+
+  const ColorConstraint constraint({2, 1, 2});
+  ColoredPool::Builder builder(stored.size(), &columns);
+  std::vector<Point> in_set;
+  for (size_t e = 0; e < stored.size(); ++e) {
+    if (stored[e].id % 5 == 4) continue;
+    if (stored[e].id % 7 == 0) {
+      Point duplicate = stored[e];
+      duplicate.id += 1000;
+      in_set.push_back(duplicate);
+      builder.Add(in_set.back());
+    }
+    builder.AddColumn(stored[e], e);
+    in_set.push_back(stored[e]);
+    if (e % 11 == 0) {  // a point held apart from the columns
+      in_set.push_back(random_point(10.0, 2000 + static_cast<int64_t>(e)));
+      builder.Add(in_set.back());
+    }
+  }
+  const ColoredPool pool = std::move(builder).Build();
+  ASSERT_EQ(pool.borrowed(), &columns);
+  ASSERT_GT(pool.slot_count(), pool.size());
+  ExpectSamePoints(pool.ToPoints(), in_set);
+  ExpectBorrowedEqualsCopied(pool, constraint);
+  auto solution = kJones.SolvePool(kMetric, pool, constraint);
+  ASSERT_TRUE(solution.ok());
+  EXPECT_LT(solution.value().radius, 1e3);
+}
+
+TEST(QueryBehaviorTest, BuildCopiesWhenFewPositionsAreColumns) {
+  CoordinatePool columns(1);
+  const Point a({1.0}, 0, 1, 1);
+  const Point b({2.0}, 1, 2, 2);
+  const Point c({3.0}, 0, 3, 3);
+  columns.Append(a);
+  ColoredPool::Builder builder(3, &columns);
+  builder.AddColumn(a, 0);
+  builder.Add(b);
+  builder.Add(c);
+  const ColoredPool pool = std::move(builder).Build();
+  EXPECT_EQ(pool.borrowed(), nullptr);
+  EXPECT_EQ(pool.copied(), 3u);
+  EXPECT_EQ(pool.slot_count(), 3u);
+  EXPECT_EQ(pool.At(0).coords, a.coords);
+}
+
+TEST(QueryBehaviorTest, DenseCoresetPoolCopiesOnlyOtherPoints) {
+  // A dense d = 54 guess: most c-representatives are their own attractor.
+  // Near-copies of recent points add replaced representatives, and a cap of
+  // one per color evicts attractors from their own representative sets;
+  // expiry drops the c-pool's head into the middle of a block.
+  constexpr size_t kDim = 54;
+  const ColorConstraint constraint({1, 1, 1});
+  GuessStructure guess(40.0, 0.5, 300, constraint, CoreVariant::kFull);
+  Rng rng(23);
+  std::vector<Point> recent;
+  int borrowed = 0;
+  int mid_block = 0;
+  int evicted = 0;
+  for (int64_t t = 1; t <= 1200; ++t) {
+    Coordinates coords(kDim);
+    if (!recent.empty() && rng.NextBernoulli(0.15)) {
+      coords = recent[rng.NextBounded(recent.size())].coords;
+      coords[rng.NextBounded(kDim)] += rng.NextUniform(0.0, 0.1);
+    } else {
+      for (double& x : coords) x = rng.NextUniform(0.0, 20.0);
+    }
+    Point p(std::move(coords), static_cast<int>(rng.NextBounded(3)), t,
+            static_cast<uint64_t>(t));
+    recent.push_back(p);
+    if (recent.size() > 20) recent.erase(recent.begin());
+    guess.Update(p, t, kMetric, nullptr);
+    if (t % 50 != 0) continue;
+    SCOPED_TRACE("t=" + std::to_string(t));
+
+    size_t own = 0;
+    int evicted_now = 0;
+    for (const AttractorEntry& entry : guess.c_entries()) {
+      bool self = false;
+      for (const Point& rep : entry.representatives) {
+        self = self || rep.id == entry.attractor.id;
+      }
+      own += self ? 1 : 0;
+      evicted_now += self ? 0 : 1;
+    }
+    const ColoredPool pool = guess.CoresetPool();
+    ASSERT_GT(pool.size(), 0u);
+    if (2 * own < pool.size()) {
+      EXPECT_EQ(pool.borrowed(), nullptr);
+      EXPECT_EQ(pool.copied(), pool.size());
+      continue;
+    }
+    ++borrowed;
+    EXPECT_EQ(pool.borrowed(), &guess.c_pool());
+    EXPECT_EQ(pool.copied(), pool.size() - own);
+    EXPECT_EQ(pool.slot_count(), pool.size() - own + guess.c_pool().size());
+    size_t front_count = 0;
+    guess.c_pool().ForEachSpan([&](const CoordinatePool::Span& span) {
+      if (span.first == 0) front_count = span.count;
+    });
+    if (front_count < CoordinatePool::kBlockLanes &&
+        front_count < guess.c_pool().size()) {
+      ++mid_block;
+    }
+    evicted += evicted_now;
+    ExpectBorrowedEqualsCopied(pool, constraint);
+  }
+  EXPECT_GT(borrowed, 0);
+  EXPECT_GT(mid_block, 0);
+  EXPECT_GT(evicted, 0);
 }
 
 TEST(QueryBehaviorTest, SolverOverridingOnlySolveGivesJonesAnswers) {
