@@ -1,10 +1,10 @@
 // Shared reader/writer for the text parts of the checkpoint formats: the
-// core window checkpoint's header (fkc-checkpoint-v2; all of the read-only
-// fkc-checkpoint-v1) and the serving layer's fleet, delta, spill-file and
-// log-segment framings. Whitespace-separated tokens, hex-float doubles for
-// bit-exact round trips, and length-prefixed raw byte segments, which carry
-// binary payloads such as the v2 window body opaquely. One parser for all
-// of them so limit and float-parsing semantics cannot drift apart.
+// core window checkpoint's header (fkc-checkpoint-v2) and the serving
+// layer's fleet, delta, spill-file and log-segment framings.
+// Whitespace-separated tokens, hex-float doubles for bit-exact round trips,
+// and length-prefixed raw byte segments, which carry binary payloads such as
+// the v2 window body opaquely. One parser for all of them so limit and
+// float-parsing semantics cannot drift apart.
 #ifndef FKC_COMMON_CHECKPOINT_IO_H_
 #define FKC_COMMON_CHECKPOINT_IO_H_
 
@@ -29,10 +29,6 @@ class CheckpointReader {
   Status NextInt(int64_t* out);
   Status NextDouble(double* out);  ///< strtod semantics: %a hex floats exact
 
-  /// A non-negative count bounded by `limit` (rejects implausible sizes
-  /// before any allocation).
-  Status NextSize(size_t* out, size_t limit = 1u << 28);
-
   /// Bytes left to read. Every serialized element occupies at least one
   /// byte, so readers use this to bound element counts before resizing —
   /// a forged count in a tiny blob must fail, not allocate gigabytes.
@@ -49,6 +45,9 @@ class CheckpointReader {
     return c == ' ' || c == '\n' || c == '\t' || c == '\r';
   }
   void SkipSpace();
+  /// A non-negative count bounded by `limit` (rejects implausible sizes
+  /// before any allocation): a raw segment's length.
+  Status NextSize(size_t* out, size_t limit);
 
   const std::string& bytes_;
   size_t pos_ = 0;

@@ -21,13 +21,9 @@
 // The guesses store overlapping copies of the same arrivals, so each
 // distinct point is written (and validated) once and referenced by index.
 //
-// fkc-checkpoint-v1 (read only, for logs and spill files of older builds):
-// whitespace-separated tokens with hex-float coordinates, every stored copy
-// written in full.
-//
-// Both readers validate everything they read before constructing, through
-// the same point and entry checks: a corrupted or adversarial blob must
-// surface as kInvalidArgument, never as a CHECK abort downstream.
+// The reader validates everything it reads before constructing: a
+// corrupted or adversarial blob must surface as kInvalidArgument, never as
+// a CHECK abort downstream.
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -44,7 +40,6 @@
 namespace fkc {
 namespace {
 
-constexpr const char* kMagicV1 = "fkc-checkpoint-v1";
 constexpr const char* kMagicV2 = "fkc-checkpoint-v2";
 
 /// Row reference meaning "no point" (the last point of an empty window).
@@ -148,21 +143,18 @@ class BodyReader {
   Status status_;
 };
 
-// --- Validation shared by both readers. ---
+// --- Validation. ---
 
 // Per-point validation context: `ell` bounds the color (an out-of-range
-// color would index out of the constraint's cap table), and `dim` pins the
-// coordinate dimension — every point must agree, or the coordinate pools
-// abort on Append.
+// color would index out of the constraint's cap table).
 struct PointBounds {
   int64_t ell = 0;
-  int64_t dim = -1;  ///< -1 until the first v1 point is read
-  int64_t now = 0;   ///< restored clock; stored arrivals may not exceed it
+  int64_t now = 0;  ///< restored clock; stored arrivals may not exceed it
   std::optional<uint64_t> max_id;  ///< largest id read; next_id must exceed it
 };
 
-// One stored point as a reader sees it: a parsed v1 Point, or a row of the
-// v2 table, whose coordinates live in the table's flat array.
+// One row of the point table, whose coordinates live in the table's flat
+// array. Every row has the table's dimension by layout.
 struct PointFields {
   const double* coords;
   size_t dim;
@@ -177,10 +169,6 @@ Status CheckPoint(const PointFields& p, PointBounds* bounds) {
   // would hit the same abort while rebuilding the pools.
   if (p.dim == 0) {
     return Status::InvalidArgument("zero-dimension point in checkpoint");
-  }
-  if (bounds->dim < 0) bounds->dim = static_cast<int64_t>(p.dim);
-  if (static_cast<int64_t>(p.dim) != bounds->dim) {
-    return Status::InvalidArgument("inconsistent point dimension");
   }
   for (size_t d = 0; d < p.dim; ++d) {
     if (!std::isfinite(p.coords[d])) {
@@ -224,9 +212,9 @@ Status CheckEntries(const AttractorList& entries) {
 
 // --- The point table. ---
 
-/// Calls `visit` on every stored copy, in the order the v2 writer
-/// references them: per guess, the v-entries (attractor, then its
-/// representatives), v-orphans, c-entries, c-orphans.
+/// Calls `visit` on every stored copy, in the order the writer references
+/// them: per guess, the v-entries (attractor, then its representatives),
+/// v-orphans, c-entries, c-orphans.
 template <typename Visit>
 void ForEachStoredPoint(const std::map<int, GuessStructure>& guesses,
                         Visit&& visit) {
@@ -265,7 +253,8 @@ bool SameContent(const Point& a, const Point& b) {
 /// Fails when the copies cannot share one table: two copies of one id that
 /// differ, or ids out of arrival order. No honest window holds either (a
 /// point's id and arrival are issued together, and every stored copy is a
-/// copy of an arrival); a v1 blob can forge both.
+/// copy of an arrival), and the reader rejects both as table rows out of
+/// order.
 Status BuildPointTable(const std::optional<Point>& last,
                        const std::map<int, GuessStructure>& guesses,
                        PointTable* table) {
@@ -305,7 +294,7 @@ Status BuildPointTable(const std::optional<Point>& last,
   return Status::OK();
 }
 
-// --- Decoded state, filled by either reader and installed by one routine. ---
+// --- Decoded state, filled by the reader, installed by DeserializeState. ---
 
 struct DecodedGuess {
   int64_t exponent = 0;
@@ -321,9 +310,9 @@ struct DecodedState {
   std::vector<DecodedGuess> guesses;
 };
 
-// --- v2 reader. ---
+// --- Reader. ---
 
-// The v2 point table as read: row r's coordinates are
+// The point table as read: row r's coordinates are
 // coords[r * dim, (r + 1) * dim). Rows are copied out into the restored
 // lists, so they are kept flat rather than as Points.
 struct RowTable {
@@ -353,7 +342,6 @@ Status ReadTableRows(BodyReader* body, PointBounds* bounds, RowTable* table) {
   }
   const uint32_t count = body->Count(8 * static_cast<size_t>(dim) + 20);
   FKC_RETURN_IF_ERROR(body->status());
-  bounds->dim = dim;
   table->dim = dim;
   table->coords.resize(static_cast<size_t>(count) * dim);
   table->rows.resize(count);
@@ -412,8 +400,8 @@ Status ReadEntryList(BodyReader* body, RowTable* table, AttractorList* out) {
   return Status::OK();
 }
 
-Status ReadBodyV2(std::string_view bytes, bool adaptive, PointBounds* bounds,
-                  DecodedState* state) {
+Status ReadBody(std::string_view bytes, bool adaptive, PointBounds* bounds,
+                DecodedState* state) {
   BodyReader body(bytes);
   state->now = body.I64();
   state->next_id = body.U64();
@@ -449,103 +437,6 @@ Status ReadBodyV2(std::string_view bytes, bool adaptive, PointBounds* bounds,
   FKC_RETURN_IF_ERROR(body.status());
   if (body.Remaining() != 0) {
     return Status::InvalidArgument("trailing bytes in checkpoint body");
-  }
-  return Status::OK();
-}
-
-// --- v1 reader (read only). ---
-
-Status NextPointV1(CheckpointReader* reader, PointBounds* bounds, Point* out) {
-  // Every serialized coordinate occupies at least one byte, so the
-  // remaining blob length bounds any honest dimension — a forged count in
-  // a tiny blob fails before allocating.
-  size_t dim = 0;
-  FKC_RETURN_IF_ERROR(reader->NextSize(
-      &dim, std::min<size_t>(kMaxDimension, reader->Remaining())));
-  out->coords.resize(dim);
-  for (double& x : out->coords) FKC_RETURN_IF_ERROR(reader->NextDouble(&x));
-  int64_t color = 0, arrival = 0, id = 0;
-  FKC_RETURN_IF_ERROR(reader->NextInt(&color));
-  FKC_RETURN_IF_ERROR(reader->NextInt(&arrival));
-  FKC_RETURN_IF_ERROR(reader->NextInt(&id));
-  // Ids are issued from next_id_; a negative one would alias to a huge
-  // uint64 after the cast and collide with future arrivals.
-  if (id < 0) {
-    return Status::InvalidArgument("negative point id in checkpoint");
-  }
-  // Clamped, not narrowed: CheckPoint rejects it against ell either way.
-  out->color = static_cast<int>(
-      std::clamp<int64_t>(color, -1, std::numeric_limits<int>::max()));
-  out->arrival = arrival;
-  out->id = static_cast<uint64_t>(id);
-  return CheckPoint({out->coords.data(), out->coords.size(), out->color,
-                     out->arrival, out->id},
-                    bounds);
-}
-
-Status NextPointsV1(CheckpointReader* reader, PointBounds* bounds,
-                    std::vector<Point>* out) {
-  size_t count = 0;
-  FKC_RETURN_IF_ERROR(reader->NextSize(&count, reader->Remaining()));
-  out->resize(count);
-  for (Point& p : *out) FKC_RETURN_IF_ERROR(NextPointV1(reader, bounds, &p));
-  return Status::OK();
-}
-
-Status NextEntriesV1(CheckpointReader* reader, PointBounds* bounds,
-                     AttractorList* out) {
-  size_t count = 0;
-  FKC_RETURN_IF_ERROR(reader->NextSize(&count, reader->Remaining()));
-  for (size_t i = 0; i < count; ++i) {
-    AttractorEntry& entry = out->emplace_back();
-    FKC_RETURN_IF_ERROR(NextPointV1(reader, bounds, &entry.attractor));
-    FKC_RETURN_IF_ERROR(
-        NextPointsV1(reader, bounds, &entry.representatives));
-  }
-  return Status::OK();
-}
-
-Status ReadBodyV1(CheckpointReader* reader, bool adaptive,
-                  PointBounds* bounds, DecodedState* state) {
-  int64_t next_id = 0;
-  FKC_RETURN_IF_ERROR(reader->NextInt(&state->now));
-  FKC_RETURN_IF_ERROR(reader->NextInt(&next_id));
-  if (state->now < 0) {
-    return Status::InvalidArgument("negative clock in checkpoint");
-  }
-  if (next_id < 0) {
-    return Status::InvalidArgument("negative id counter in checkpoint");
-  }
-  state->next_id = static_cast<uint64_t>(next_id);
-  bounds->now = state->now;
-
-  int64_t has_last = 0;
-  FKC_RETURN_IF_ERROR(reader->NextInt(&has_last));
-  if (has_last != 0) {
-    Point last;
-    FKC_RETURN_IF_ERROR(NextPointV1(reader, bounds, &last));
-    state->last = std::move(last);
-  }
-
-  if (adaptive) {
-    size_t count = 0;
-    FKC_RETURN_IF_ERROR(reader->NextSize(&count, reader->Remaining()));
-    state->buckets.resize(count);
-    for (auto& [exponent, seen] : state->buckets) {
-      FKC_RETURN_IF_ERROR(reader->NextInt(&exponent));
-      FKC_RETURN_IF_ERROR(reader->NextInt(&seen));
-    }
-  }
-
-  size_t guess_count = 0;
-  FKC_RETURN_IF_ERROR(reader->NextSize(&guess_count, reader->Remaining()));
-  state->guesses.resize(guess_count);
-  for (DecodedGuess& guess : state->guesses) {
-    FKC_RETURN_IF_ERROR(reader->NextInt(&guess.exponent));
-    FKC_RETURN_IF_ERROR(NextEntriesV1(reader, bounds, &guess.v_entries));
-    FKC_RETURN_IF_ERROR(NextPointsV1(reader, bounds, &guess.v_orphans));
-    FKC_RETURN_IF_ERROR(NextEntriesV1(reader, bounds, &guess.c_entries));
-    FKC_RETURN_IF_ERROR(NextPointsV1(reader, bounds, &guess.c_orphans));
   }
   return Status::OK();
 }
@@ -633,8 +524,12 @@ Result<FairCenterSlidingWindow> FairCenterSlidingWindow::DeserializeState(
   CheckpointReader reader(bytes);
   std::string magic;
   FKC_RETURN_IF_ERROR(reader.NextToken(&magic));
-  const bool v2 = magic == kMagicV2;
-  if (!v2 && magic != kMagicV1) {
+  if (magic == "fkc-checkpoint-v1") {
+    return Status::InvalidArgument(
+        "fkc-checkpoint-v1 is a retired format; re-checkpoint with a build "
+        "that reads it");
+  }
+  if (magic != kMagicV2) {
     return Status::InvalidArgument("not an fkc checkpoint (bad magic '" +
                                    magic + "')");
   }
@@ -647,15 +542,9 @@ Result<FairCenterSlidingWindow> FairCenterSlidingWindow::DeserializeState(
   PointBounds bounds;
   bounds.ell = static_cast<int64_t>(caps.size());
   DecodedState state;
-  if (v2) {
-    std::string_view body;
-    FKC_RETURN_IF_ERROR(reader.NextRaw(&body));
-    FKC_RETURN_IF_ERROR(
-        ReadBodyV2(body, options.adaptive_range, &bounds, &state));
-  } else {
-    FKC_RETURN_IF_ERROR(
-        ReadBodyV1(&reader, options.adaptive_range, &bounds, &state));
-  }
+  std::string_view body;
+  FKC_RETURN_IF_ERROR(reader.NextRaw(&body));
+  FKC_RETURN_IF_ERROR(ReadBody(body, options.adaptive_range, &bounds, &state));
 
   FairCenterSlidingWindow window(options, ColorConstraint(std::move(caps)),
                                  metric, solver);
@@ -722,13 +611,6 @@ Result<FairCenterSlidingWindow> FairCenterSlidingWindow::DeserializeState(
   if (!window.last_point_.has_value() && bounds.max_id.has_value()) {
     return Status::InvalidArgument(
         "stored points without a last point in checkpoint");
-  }
-  // A v1 blob writes every copy in full; the v2 writer needs them to share
-  // one table, which the v2 reader guarantees by construction.
-  if (!v2) {
-    PointTable table;
-    FKC_RETURN_IF_ERROR(
-        BuildPointTable(window.last_point_, window.guesses_, &table));
   }
   return window;
 }

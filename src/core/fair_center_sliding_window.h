@@ -250,11 +250,11 @@ class FairCenterSlidingWindow {
   /// restore.
   std::string SerializeState() const;
 
-  /// Reconstructs a window from SerializeState output — fkc-checkpoint-v2,
-  /// or the text fkc-checkpoint-v1 of older builds. The restored window
-  /// behaves identically to the original under any future Update/Query
-  /// sequence. Returns kInvalidArgument on malformed or version-mismatched
-  /// input.
+  /// Reconstructs a window from SerializeState output (fkc-checkpoint-v2).
+  /// The restored window behaves identically to the original under any
+  /// future Update/Query sequence. Returns kInvalidArgument on malformed or
+  /// version-mismatched input, including the retired text
+  /// fkc-checkpoint-v1.
   static Result<FairCenterSlidingWindow> DeserializeState(
       const std::string& bytes, const Metric* metric,
       const FairCenterSolver* solver);

@@ -1,9 +1,9 @@
 // Checkpoint I/O and validation for SlidingWindowOptions and the objective
-// tag, shared by the core window checkpoint's text header (fkc-checkpoint-v2,
-// and the read-only v1) and the serving layer's fleet formats
-// (fkc-shards-v1/v2/v3 and the incremental deltas): one writer, one reader,
-// and one validator, so the field order, the hex-float encoding, and the
-// notion of "plausible options" cannot drift between layers.
+// tag, shared by the core window checkpoint's text header (fkc-checkpoint-v2)
+// and the serving layer's fleet formats (fkc-shards-v2/v3 and the
+// incremental deltas): one writer, one reader, and one validator, so the
+// field order, the hex-float encoding, and the notion of "plausible
+// options" cannot drift between layers.
 #ifndef FKC_CORE_OPTIONS_IO_H_
 #define FKC_CORE_OPTIONS_IO_H_
 

@@ -16,13 +16,13 @@ namespace fkc {
 namespace serving {
 namespace {
 
-// Full-fleet formats: v1 (PR 2, template + constraint + shards) is still
-// accepted by Restore; v2 adds the per-tenant override table; v3 adds the
-// fleet-default objective tag and the per-tenant objective table right
-// after the magic. Writers emit v2 / delta-v2 bytes whenever the whole
-// fleet runs default fair-center — byte-identical to pre-objective builds —
-// and switch to v3 as soon as any other objective is involved.
-constexpr const char* kMagicV1 = "fkc-shards-v1";
+// Full-fleet formats: v2 is the template, the constraint, the per-tenant
+// override table and the shards; v3 adds the fleet-default objective tag
+// and the per-tenant objective table right after the magic. The retired v1
+// (no override table) is rejected by name. Writers emit v2 / delta-v2 bytes
+// whenever the whole fleet runs default fair-center — byte-identical to
+// pre-objective builds — and switch to v3 as soon as any other objective is
+// involved.
 constexpr const char* kMagicV2 = "fkc-shards-v2";
 constexpr const char* kMagicV3 = "fkc-shards-v3";
 constexpr const char* kDeltaMagic = "fkc-shards-delta-v2";
@@ -90,7 +90,7 @@ void WriteObjectiveOverrides(std::ostringstream* out,
 // Everything a fleet blob carries ahead of its shard segments.
 struct FleetHeader {
   bool delta = false;
-  /// v1/v2 blobs predate the objective layer: all-fair-center.
+  /// v2 blobs predate the objective layer: all-fair-center.
   ObjectiveKind objective = ObjectiveKind::kFairCenter;
   SlidingWindowOptions window;  ///< the shard template (full blobs only)
   std::vector<int> caps;
@@ -99,7 +99,7 @@ struct FleetHeader {
   int64_t shard_count = 0;
 };
 
-// Reads a full (v1/v2/v3) or delta (v2/v3) fleet header, up to and
+// Reads a full (v2/v3) or delta (v2/v3) fleet header, up to and
 // including the plausibility-checked shard count.
 Status ReadFleetHeader(CheckpointReader* cursor, bool delta,
                        FleetHeader* header) {
@@ -109,8 +109,12 @@ Status ReadFleetHeader(CheckpointReader* cursor, bool delta,
   FKC_RETURN_IF_ERROR(cursor->NextToken(&magic));
   const bool v3 = magic == (delta ? kDeltaMagicV3 : kMagicV3);
   const bool v2 = magic == (delta ? kDeltaMagic : kMagicV2);
-  const bool v1 = !delta && magic == kMagicV1;
-  if (!v3 && !v2 && !v1) {
+  if (!delta && magic == "fkc-shards-v1") {
+    return Status::InvalidArgument(
+        "fkc-shards-v1 is a retired format; re-checkpoint with a build that "
+        "reads it");
+  }
+  if (!v3 && !v2) {
     return Status::InvalidArgument(std::string("not an fkc shard ") + what +
                                    " (bad magic '" + magic + "')");
   }
@@ -122,16 +126,14 @@ Status ReadFleetHeader(CheckpointReader* cursor, bool delta,
     FKC_RETURN_IF_ERROR(ReadSlidingWindowOptions(cursor, &header->window));
   }
   FKC_RETURN_IF_ERROR(ReadColorCaps(cursor, &header->caps));
-  if (!v1) {
-    FKC_RETURN_IF_ERROR(ReadKeyedTable(
-        cursor, "override",
-        [](CheckpointReader* in, SlidingWindowOptions* options) {
-          FKC_RETURN_IF_ERROR(ReadSlidingWindowOptions(in, options));
-          options->num_threads = 1;
-          return Status::OK();
-        },
-        &header->overrides));
-  }
+  FKC_RETURN_IF_ERROR(ReadKeyedTable(
+      cursor, "override",
+      [](CheckpointReader* in, SlidingWindowOptions* options) {
+        FKC_RETURN_IF_ERROR(ReadSlidingWindowOptions(in, options));
+        options->num_threads = 1;
+        return Status::OK();
+      },
+      &header->overrides));
   if (v3) {
     FKC_RETURN_IF_ERROR(ReadKeyedTable(cursor, "objective-override",
                                        ReadObjectiveTag, &header->objectives));
@@ -1215,7 +1217,7 @@ Result<ShardManager> ShardManager::Restore(
     {
       std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
       // The key is new: ReadFleetShard rejects repeats. The checkpoint's
-      // own table (default tag + overrides) assigns the objective; v1/v2
+      // own table (default tag + overrides) assigns the objective; v2
       // tables are implicitly all-fair-center.
       const auto pos = stripe.shards.try_emplace(std::move(segment.key)).first;
       manager.InstallLocked(stripe, pos->first, &pos->second,

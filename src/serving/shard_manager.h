@@ -15,9 +15,9 @@
 // deviations are registered with SetTenantObjective before the tenant's
 // first arrival, exactly like option overrides. The spill / delta /
 // replication paths are untouched by the objective: every shard blob is a
-// plain window blob (fkc-checkpoint-v2; v1 blobs of older builds still
-// restore), and the fleet format's v3 objective tables are the only record
-// of which objective a tenant answers for.
+// plain window blob (fkc-checkpoint-v2), and the fleet format's v3
+// objective tables are the only record of which objective a tenant answers
+// for.
 //
 // Multi-tenant hardening on top of the basic routing:
 //   * per-tenant options: a tenant key may carry its own SlidingWindowOptions
@@ -38,8 +38,8 @@
 //     tenant runs the default fair-center objective (so pure fair-center
 //     fleets stay byte-identical to pre-objective builds) and fkc-shards-v3
 //     — v2 plus the objective tag and per-tenant objective table — as soon
-//     as any other objective is involved; Restore accepts v1/v2/v3 blobs
-//     (v1/v2 restore unchanged, as all-fair-center). DeltaLog
+//     as any other objective is involved; Restore accepts v2/v3 blobs
+//     (v2 restores unchanged, as all-fair-center). DeltaLog
 //     (serving/delta_log.h) turns the delta stream into a replayable,
 //     self-compacting log, held in memory or, given a directory, also
 //     published crash-safely to disk.
@@ -432,8 +432,9 @@ class ShardManager {
   /// atomicity), never a torn shard.
   Status ApplyDelta(const std::string& bytes);
 
-  /// Reconstructs a manager from CheckpointAll output — v3, v2, or the
-  /// earliest v1 format (v1/v2 restore as all-fair-center, unchanged).
+  /// Reconstructs a manager from CheckpointAll output — v3 or v2 (v2
+  /// restores as all-fair-center, unchanged). The retired fkc-shards-v1 and
+  /// fleets of fkc-checkpoint-v1 window blobs fail with kInvalidArgument.
   /// The restored fleet answers every query identically and
   /// behaves identically under any future ingest sequence. Every shard is
   /// deserialized and installed live, and the live-shard cap is enforced

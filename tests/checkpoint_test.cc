@@ -1,8 +1,7 @@
 // Checkpoint/restore tests: bit-exact round trips, behavioural equivalence
 // of original and restored windows under continued streaming, golden bytes
-// of the binary fkc-checkpoint-v2 format (and their conversion from the
-// read-only text fkc-checkpoint-v1), and rejection of malformed input in
-// either format.
+// of the binary fkc-checkpoint-v2 format, rejection of malformed input, and
+// rejection of the retired text fkc-checkpoint-v1.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -155,6 +154,8 @@ TEST(CheckpointTest, RejectsVersionMismatch) {
   auto restored =
       FairCenterSlidingWindow::DeserializeState(bytes, &kMetric, &kJones);
   EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(restored.status().message().find("bad magic"), std::string::npos)
+      << restored.status().ToString();
 }
 
 // Every damaged blob must end in one of two ways: kInvalidArgument, or a
@@ -232,179 +233,6 @@ TEST_P(CheckpointTest, EveryBodyByteCorruptionRejectsOrRestoresAWorkingWindow) {
   }
 }
 
-// --- The read-only text format (fkc-checkpoint-v1). ---
-//
-// Logs and spill files written by older builds hold v1 blobs. Corruption of
-// content a restored window would feed into CHECK-guarded code —
-// inconsistent point dimensions, non-finite coordinates, aliasing guess
-// exponents, counts far beyond the blob — is covered by hand-built blobs:
-// every one must fail with InvalidArgument, never abort or over-allocate.
-TEST(CheckpointTest, RejectsCorruptInteriorContent) {
-  // Minimal adaptive blob: header, {2,1} constraint, now=3, next_id=4, one
-  // last point, one estimator bucket, one guess holding one v-attractor.
-  const std::string header = "fkc-checkpoint-v1 10 0x1p+1 0x1p+0 0 1 "
-                             "0x0p+0 0x0p+0 1 1 2 2 1 3 4 ";
-  const std::string point = "2 0x1p+0 0x1p+0 0 3 3 ";
-  // Arrival 2 (id 2, and a twin with id 1), far enough from `point` to be
-  // another attractor.
-  const std::string older = "2 0x1p+6 0x1p+0 0 2 2 ";
-  const std::string older_twin = "2 0x1p+7 0x1p+0 0 2 1 ";
-  const std::string buckets = "1 0 3 ";
-  auto blob = [&](const std::string& guesses) {
-    return header + "1 " + point + buckets + guesses;
-  };
-  const std::string good_guess =
-      std::string("1 0 ") + "1 " + point + "0 " + "0 0 0 ";
-  ASSERT_TRUE(FairCenterSlidingWindow::DeserializeState(blob(good_guess),
-                                                        &kMetric, &kJones)
-                  .ok());
-  // The same two attractors in arrival order restore fine.
-  ASSERT_TRUE(FairCenterSlidingWindow::DeserializeState(
-                  blob(std::string("1 0 ") + "2 " + older + "0 " + point +
-                       "0 " + "0 0 0 "),
-                  &kMetric, &kJones)
-                  .ok());
-  // So do representatives no older than their attractor, in either family:
-  // the attractor itself, or a later arrival.
-  for (const std::string& reps :
-       {"1 " + point, "1 " + older, "2 " + older + point}) {
-    ASSERT_TRUE(FairCenterSlidingWindow::DeserializeState(
-                    blob(std::string("1 0 ") + "1 " + older + reps + "0 " +
-                         "0 0 "),
-                    &kMetric, &kJones)
-                    .ok())
-        << "v reps " << reps;
-    ASSERT_TRUE(FairCenterSlidingWindow::DeserializeState(
-                    blob(std::string("1 0 ") + "0 0 " + "1 " + older + reps +
-                         "0 "),
-                    &kMetric, &kJones)
-                    .ok())
-        << "c reps " << reps;
-  }
-
-  const struct {
-    const char* label;
-    std::string guesses;
-  } kCases[] = {
-      // The attractor's dimension disagrees with the last point's.
-      {"inconsistent dim",
-       std::string("1 0 ") + "1 " + "1 0x1p+0 0 3 3 " + "0 " + "0 0 0 "},
-      {"nan coordinate",
-       std::string("1 0 ") + "1 " + "2 nan 0x1p+0 0 3 3 " + "0 " + "0 0 0 "},
-      {"color out of range",
-       std::string("1 0 ") + "1 " + "2 0x1p+0 0x1p+0 5 3 3 " + "0 " +
-           "0 0 0 "},
-      // Orphan count far beyond the blob: must reject before resizing.
-      {"forged point count",
-       std::string("1 0 ") + "1 " + point + "268435455 " + "0 0 0 "},
-      // 2^32 + 3 would alias to exponent 3 after an unchecked narrowing.
-      {"aliasing exponent",
-       std::string("1 4294967299 ") + "1 " + point + "0 " + "0 0 0 "},
-      {"duplicate exponent",
-       std::string("2 0 ") + "1 " + point + "0 " + "0 0 0 " + "0 " + "1 " +
-           point + "0 " + "0 0 0 "},
-      // Entries must ascend strictly by attractor arrival: the restored
-      // coordinate pools expire by dropping their front.
-      {"v-entries out of arrival order",
-       std::string("1 0 ") + "2 " + point + "0 " + older + "0 " + "0 0 0 "},
-      {"c-entries out of arrival order",
-       std::string("1 0 ") + "1 " + point + "0 " + "0 " + "2 " + point +
-           "0 " + older + "0 " + "0 "},
-      {"v-entries with equal arrivals",
-       std::string("1 0 ") + "2 " + older + "0 " + older_twin + "0 " +
-           "0 0 0 "},
-      // A representative never arrives before its attractor: the expiry
-      // watermark reads only each list's front attractor.
-      {"v-representative older than its attractor",
-       std::string("1 0 ") + "1 " + point + "1 " + older + "0 " + "0 0 "},
-      {"c-representative older than its attractor",
-       std::string("1 0 ") + "0 0 " + "1 " + point + "1 " + older + "0 "},
-      {"older representative behind a newer one",
-       std::string("1 0 ") + "0 0 " + "1 " + point + "2 " + point + older +
-           "0 "},
-  };
-  for (const auto& c : kCases) {
-    auto restored = FairCenterSlidingWindow::DeserializeState(
-        blob(c.guesses), &kMetric, &kJones);
-    ASSERT_FALSE(restored.ok()) << c.label;
-    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument)
-        << c.label;
-  }
-}
-
-// Forged ids and clocks used to pass validation: a negative id aliased to a
-// huge uint64 (colliding with future arrivals), an arrival beyond the
-// restored clock never expired, and an id counter at or below a stored id
-// would re-issue ids that SamePoint treats as identity. All must reject.
-TEST(CheckpointTest, RejectsForgedClocksAndIds) {
-  // Same minimal adaptive layout as above, with the clock fields and the
-  // stored point's "<arrival> <id>" injectable.
-  auto blob = [](const char* now_and_next, const char* arrival_and_id) {
-    const std::string point =
-        std::string("2 0x1p+0 0x1p+0 0 ") + arrival_and_id + " ";
-    return std::string("fkc-checkpoint-v1 10 0x1p+1 0x1p+0 0 1 "
-                       "0x0p+0 0x0p+0 1 1 2 2 1 ") +
-           now_and_next + " 1 " + point + "1 0 3 " + "1 0 " + "1 " + point +
-           "0 " + "0 0 0 ";
-  };
-  ASSERT_TRUE(FairCenterSlidingWindow::DeserializeState(blob("3 4", "3 3"),
-                                                        &kMetric, &kJones)
-                  .ok());
-
-  // Two forgeries no honest writer can produce, each of which used to
-  // CHECK-abort after restore: a zero-dimension point aborts the pool
-  // rebuild, and stored points without a last point leave the dimension
-  // pin unset so a mismatched ingest reaches the SoA kernels.
-  const std::string header = "fkc-checkpoint-v1 10 0x1p+1 0x1p+0 0 1 "
-                             "0x0p+0 0x0p+0 1 1 2 2 1 3 4 ";
-  const std::string point = "2 0x1p+0 0x1p+0 0 3 3 ";
-  const std::string zero_dim_blob = header + "1 " + "0 0 3 3 " + "1 0 3 " +
-                                    "1 0 " + "1 " + "0 0 3 3 " + "0 " +
-                                    "0 0 0 ";
-  const std::string orphaned_points_blob =
-      header + "0 " + "1 0 3 " + "1 0 " + "1 " + point + "0 " + "0 0 0 ";
-  // An estimator bucket witnessed at t=5 in a window whose clock is 3: the
-  // bucket would never expire and permanently inflate the adaptive range.
-  const std::string future_bucket_blob =
-      header + "1 " + point + "1 0 5 " + "1 0 " + "1 " + point + "0 " +
-      "0 0 0 ";
-
-  // v2 stores each distinct point once, keyed by id in arrival order, so a
-  // v1 blob whose copies cannot share one table is rejected: two different
-  // points under one id, or ids out of arrival order (id 5 at arrival 2,
-  // id 3 at arrival 3).
-  const std::string conflicting_copy_blob =
-      header + "1 " + point + "1 0 3 " + "1 0 " + "1 " +
-      "2 0x1p+6 0x1p+0 0 3 3 " + "0 " + "0 0 0 ";
-  const std::string ids_out_of_order_blob =
-      std::string("fkc-checkpoint-v1 10 0x1p+1 0x1p+0 0 1 "
-                  "0x0p+0 0x0p+0 1 1 2 2 1 3 9 ") +
-      "1 " + point + "1 0 3 " + "1 0 " + "2 " + "2 0x1p+6 0x1p+0 0 2 5 " +
-      "0 " + point + "0 " + "0 0 0 ";
-
-  const struct {
-    const char* label;
-    std::string bytes;
-  } kCases[] = {
-      {"negative id counter", blob("3 -1", "3 3")},
-      {"negative point id", blob("3 4", "3 -7")},
-      {"arrival beyond the clock", blob("3 4", "5 3")},
-      {"id counter behind stored ids", blob("3 3", "3 3")},
-      {"zero-dimension point", zero_dim_blob},
-      {"stored points without a last point", orphaned_points_blob},
-      {"bucket witness beyond the clock", future_bucket_blob},
-      {"two different points under one id", conflicting_copy_blob},
-      {"ids out of arrival order", ids_out_of_order_blob},
-  };
-  for (const auto& c : kCases) {
-    auto restored =
-        FairCenterSlidingWindow::DeserializeState(c.bytes, &kMetric, &kJones);
-    ASSERT_FALSE(restored.ok()) << c.label;
-    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument)
-        << c.label;
-  }
-}
-
 // --- Hand-built binary blobs (fkc-checkpoint-v2). ---
 
 // Little-endian writer for hand-built v2 bodies.
@@ -473,10 +301,10 @@ std::string EncodeGuess(int32_t exponent, const std::vector<V2Entry>& v,
 
 constexpr uint32_t kNoRow = std::numeric_limits<uint32_t>::max();
 
-// The v2 twin of the minimal adaptive v1 blob above: {2,1} constraint,
-// now=3, next_id=4, one estimator bucket, a two-row table — `older`
-// (arrival/id 2) and `point` (arrival/id 3, also the last point) — and one
-// guess holding `point` as its only v-attractor. Cases override one field.
+// A minimal adaptive blob: {2,1} constraint, now=3, next_id=4, one
+// estimator bucket, a two-row table — `older` (arrival/id 2) and `point`
+// (arrival/id 3, also the last point) — and one guess holding `point` as its
+// only v-attractor. Cases override one field.
 struct V2Forgery {
   int64_t now = 3;
   uint64_t next_id = 4;
@@ -559,11 +387,14 @@ TEST(CheckpointV2Test, HandBuiltBlobsRestore) {
   }
 }
 
-// The v1 forgeries above, re-encoded in v2, plus what only the binary
-// format can get wrong: row references outside the table, table rows out
-// of order, counts the remaining bytes cannot hold, and references that
-// would copy far more coordinates than the body carries. Every one must
-// fail with InvalidArgument, never abort or over-allocate.
+// Forged content a restored window would feed into CHECK-guarded code or
+// mistake for identity — non-finite coordinates, out-of-range colors,
+// future arrivals and witnesses, id counters behind stored ids, entries out
+// of arrival order, aliasing guess exponents — plus row references outside
+// the table, table rows out of order or repeating an id, counts the
+// remaining bytes cannot hold, and references that would copy far more
+// coordinates than the body carries. Every one must fail with
+// InvalidArgument, never abort or over-allocate.
 TEST(CheckpointV2Test, RejectsForgedBlobs) {
   auto with = [](auto edit) {
     V2Forgery f;
@@ -696,9 +527,9 @@ std::string ReadFixture(const std::string& name) {
   return bytes.str();
 }
 
-// tests/fixtures/window_v1.txt holds the text checkpoint the last v1 build
-// wrote for this stream, window_v2.bin the binary checkpoint of the same
-// window.
+// tests/fixtures/window_v2.bin holds the binary checkpoint of this stream's
+// window; window_v1.txt the text checkpoint the last v1 build wrote for it,
+// kept as a pin that the retired format is rejected.
 FairCenterSlidingWindow GoldenStreamWindow() {
   FairCenterSlidingWindow window = MakeWindow(true);
   Rng rng(23);
@@ -721,27 +552,32 @@ void ExpectSameAnswer(FairCenterSlidingWindow* expected,
   }
 }
 
-TEST(CheckpointGoldenTest, V1FixtureConvertsToTheV2Golden) {
-  const std::string v1 = ReadFixture("window_v1.txt");
+TEST(CheckpointGoldenTest, LiveAndRestoredWindowsWriteTheV2Golden) {
   const std::string v2 = ReadFixture("window_v2.bin");
-  ASSERT_EQ(v1.rfind("fkc-checkpoint-v1 ", 0), 0u);
   ASSERT_EQ(v2.rfind("fkc-checkpoint-v2 ", 0), 0u);
 
   FairCenterSlidingWindow live = GoldenStreamWindow();
   EXPECT_EQ(live.SerializeState(), v2);
 
-  auto from_v1 =
-      FairCenterSlidingWindow::DeserializeState(v1, &kMetric, &kJones);
-  ASSERT_TRUE(from_v1.ok()) << from_v1.status().ToString();
-  EXPECT_EQ(from_v1.value().SerializeState(), v2);
-
   auto from_v2 =
       FairCenterSlidingWindow::DeserializeState(v2, &kMetric, &kJones);
   ASSERT_TRUE(from_v2.ok()) << from_v2.status().ToString();
   EXPECT_EQ(from_v2.value().SerializeState(), v2);
-
-  ExpectSameAnswer(&live, &from_v1.value(), "restored from v1");
   ExpectSameAnswer(&live, &from_v2.value(), "restored from v2");
+}
+
+// The text format wrote every stored copy in full, so one id could carry
+// two different points; it is retired, and its fixture must fail cleanly.
+TEST(CheckpointGoldenTest, RetiredV1FixtureIsRejected) {
+  const std::string v1 = ReadFixture("window_v1.txt");
+  ASSERT_EQ(v1.rfind("fkc-checkpoint-v1 ", 0), 0u);
+  auto from_v1 =
+      FairCenterSlidingWindow::DeserializeState(v1, &kMetric, &kJones);
+  ASSERT_FALSE(from_v1.ok());
+  EXPECT_EQ(from_v1.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(from_v1.status().message().find("fkc-checkpoint-v1"),
+            std::string::npos)
+      << from_v1.status().ToString();
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 // aborting (dropping only the offenders), per-tenant option overrides apply
 // at creation and survive checkpoints, TTL/LRU eviction is transparent
 // (spilled shards answer identically and rehydrate bit-exactly), delta
-// checkpoints reproduce the full-checkpoint fleet, v1 blobs still restore,
+// checkpoints reproduce the full-checkpoint fleet, retired v1 blobs reject,
 // and no truncation of any blob can crash the process.
 #include <gtest/gtest.h>
 
@@ -508,8 +508,8 @@ TEST(ShardManagerTest, RepeatedShardKeyIsRejectedByRestoreAndApplyDelta) {
   EXPECT_EQ(manager.shard_count(), 2u);
 }
 
-// Writes the PR-2 era fkc-shards-v1 fleet layout (no override table) for
-// the shards of `manager`, byte-compatible with the old CheckpointAll.
+// Writes the retired fkc-shards-v1 fleet layout (no override table) for
+// the shards of `manager`, byte-compatible with the last build that wrote it.
 std::string BuildV1Checkpoint(serving::ShardManager* manager) {
   std::ostringstream out;
   out << "fkc-shards-v1 ";
@@ -534,8 +534,9 @@ std::string BuildV1Checkpoint(serving::ShardManager* manager) {
   return out.str();
 }
 
-// Fleet blobs written before the v2 format (PR 2) must keep restoring.
-TEST(ShardManagerTest, RestoreAcceptsV1Blobs) {
+// The v1 fleet format is retired: Restore rejects it by name, even when its
+// shard blobs are current.
+TEST(ShardManagerTest, RestoreRejectsRetiredV1Fleet) {
   const auto stream = KeyedStream(200, 29);
   serving::ShardManager manager(Options(1), kConstraint, &kMetric, &kJones);
   for (const auto& kp : stream) {
@@ -544,12 +545,14 @@ TEST(ShardManagerTest, RestoreAcceptsV1Blobs) {
 
   auto restored = serving::ShardManager::Restore(BuildV1Checkpoint(&manager),
                                                  &kMetric, &kJones);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored.value().shard_count(), manager.shard_count());
-  ExpectSameAnswers(manager.QueryAll(), restored.value().QueryAll());
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(restored.status().message().find("fkc-shards-v1"),
+            std::string::npos)
+      << restored.status().ToString();
 
-  // And the v1 fleet re-checkpoints as v2 without losing anything.
-  auto v2 = serving::ShardManager::Restore(MustCheckpoint(&restored.value()),
+  // The same fleet written today restores.
+  auto v2 = serving::ShardManager::Restore(MustCheckpoint(&manager),
                                            &kMetric, &kJones);
   ASSERT_TRUE(v2.ok()) << v2.status().ToString();
   ExpectSameAnswers(manager.QueryAll(), v2.value().QueryAll());

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Fails on orphan library sources: files under src/ that nothing builds or uses.
+"""Fails on orphan files: library sources nothing builds or uses, and test
+fixtures no test names.
 
-Two checks, both over the checkout whose root is given (default: the parent
+Three checks, all over the checkout whose root is given (default: the parent
 of this script's directory):
 
   1. Every `src/**/*.cc` is named in the root `CMakeLists.txt`. A source
@@ -10,6 +11,9 @@ of this script's directory):
      `tests/`, `bench/`, `examples/` or `perfbench/`. Quoted includes resolve
      against `src/` (the library's include root) and against the including
      file's own directory.
+  3. Every top-level entry of `tests/fixtures/` (a file or a directory) is
+     named, as a whole word, by at least one file in `tests/` outside
+     `tests/fixtures/`. A fixture nothing names pins nothing.
 
 Prints one line per offending file and exits 1 when any check fails.
 
@@ -22,6 +26,7 @@ import re
 import sys
 
 SCANNED_DIRS = ("src", "tests", "bench", "examples", "perfbench")
+FIXTURE_DIR = "tests/fixtures"
 SOURCE_SUFFIXES = (".h", ".cc", ".cpp")
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"', re.MULTILINE)
 
@@ -62,6 +67,25 @@ def unincluded_headers(root):
     return [h for h in files_under(root, "src", (".h",)) if h not in included]
 
 
+def unnamed_fixtures(root):
+    """Top-level `tests/fixtures/` entries that no file in `tests/` names."""
+    fixtures = os.path.join(root, FIXTURE_DIR)
+    if not os.path.isdir(fixtures):
+        return []
+    texts = []
+    for path in files_under(root, "tests", ("",)):  # every file
+        if not path.startswith(FIXTURE_DIR + "/"):
+            with open(os.path.join(root, path), encoding="utf-8",
+                      errors="replace") as f:
+                texts.append(f.read())
+    unnamed = []
+    for entry in sorted(os.listdir(fixtures)):
+        word = re.compile(r"(?<![\w.-])" + re.escape(entry) + r"(?![\w.-])")
+        if not any(word.search(text) for text in texts):
+            unnamed.append(FIXTURE_DIR + "/" + entry)
+    return unnamed
+
+
 def main(argv):
     root = argv[1] if len(argv) > 1 else os.path.join(
         os.path.dirname(os.path.abspath(__file__)), os.pardir)
@@ -72,11 +96,14 @@ def main(argv):
     for header in unincluded_headers(root):
         failures.append(f"{header}: included by no file in "
                         f"{', '.join(SCANNED_DIRS)}")
+    for fixture in unnamed_fixtures(root):
+        failures.append(f"{fixture}: named by no file in tests/")
     for line in failures:
         print(line)
     if failures:
         return 1
-    print("src layout OK: every source is built and every header is included")
+    print("src layout OK: every source is built, every header is included "
+          "and every fixture is named")
     return 0
 
 
