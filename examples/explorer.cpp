@@ -13,7 +13,6 @@
 #include "common/flags.h"
 #include "common/logging.h"
 #include "core/fair_center_sliding_window.h"
-#include "core/insertion_only_fair_center.h"
 #include "datasets/csv_loader.h"
 #include "datasets/registry.h"
 #include "metric/aspect_ratio.h"

@@ -16,6 +16,10 @@ namespace {
 // one call; 64 exponents cover any double-representable distance range.
 constexpr int kMaxUpwardExtensions = 64;
 
+// Adaptive mode keeps this many guess exponents above the largest witnessed
+// scale, so Query rarely has to extend the ladder on demand.
+constexpr int kAdaptiveSlackExponents = 1;
+
 // Buffers the distances one guess structure evaluates during a parallel
 // ladder step, for deterministic replay into the estimator after the join.
 class RecordingObserver final : public DistanceObserver {
@@ -291,7 +295,7 @@ void FairCenterSlidingWindow::ReconcileAdaptiveRange() {
   // while guesses below the smallest witnessed distance are all invalid and
   // pure overhead.
   const int lo = estimator_->MinExponent();
-  const int hi = estimator_->MaxExponent() + options_.adaptive_slack_exponents;
+  const int hi = estimator_->MaxExponent() + kAdaptiveSlackExponents;
 
   // Retire guesses that left the range (the memory savings the paper
   // attributes to OursOblivious).

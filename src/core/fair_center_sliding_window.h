@@ -66,10 +66,6 @@ struct SlidingWindowOptions {
   double d_min = 0.0;
   double d_max = 0.0;
 
-  /// Adaptive mode: extra guess exponents kept on both ends of the
-  /// estimated range as a safety margin.
-  int adaptive_slack_exponents = 1;
-
   /// Adaptive mode: seed freshly instantiated guess structures by replaying
   /// the stored points of the nearest existing guess, so a newly witnessed
   /// scale does not start blind to the current window. Disable only for

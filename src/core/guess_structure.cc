@@ -143,7 +143,7 @@ void GuessStructure::Update(const Point& p, int64_t now, const Metric& metric,
     // p becomes a new v-attractor and its own representative.
     PushAttractor(&v_entries_, p);
     AppendAttractorCoords(&v_pool_, p);
-    Cleanup(now);
+    Cleanup();
   } else {
     AttractorEntry& entry = v_entries_[v_target];
     if (variant_ == CoreVariant::kFull) {
@@ -201,8 +201,7 @@ void GuessStructure::Update(const Point& p, int64_t now, const Metric& metric,
   }
 }
 
-void GuessStructure::Cleanup(int64_t now) {
-  (void)now;
+void GuessStructure::Cleanup() {
   const int k = constraint_.TotalK();
 
   // Line 1-2: with k+2 v-attractors, evict the oldest — entry 0, as entries

@@ -129,7 +129,7 @@ class GuessStructure {
   int64_t expiry_sweeps() const { return expiry_sweeps_; }
 
  private:
-  void Cleanup(int64_t now);
+  void Cleanup();
 
   /// Resets the expiry watermark to the exact minimum stored arrival
   /// (INT64_MAX when nothing is stored), reading only each family's front

@@ -3,14 +3,6 @@
 #include <cmath>
 
 namespace fkc {
-namespace {
-
-// Safety bound on the adaptive slack: the core's own upward-extension guard
-// is 64 exponents, so anything past ~1024 in a checkpoint is corruption,
-// not configuration.
-constexpr int64_t kMaxSlackExponents = 1024;
-
-}  // namespace
 
 Status ReadColorCaps(CheckpointReader* reader, std::vector<int>* caps) {
   int64_t ell = 0;
@@ -55,10 +47,6 @@ Status ValidateSlidingWindowOptions(const SlidingWindowOptions& options) {
   if (variant < 0 || variant > 1) {
     return Status::InvalidArgument("unknown core variant");
   }
-  if (options.adaptive_slack_exponents < 0 ||
-      options.adaptive_slack_exponents > kMaxSlackExponents) {
-    return Status::InvalidArgument("implausible adaptive_slack_exponents");
-  }
   if (!options.adaptive_range) {
     if (!std::isfinite(options.d_min) || !std::isfinite(options.d_max) ||
         options.d_min <= 0.0 || options.d_max < options.d_min) {
@@ -87,8 +75,8 @@ void WriteSlidingWindowOptions(std::ostringstream* out,
        << (options.adaptive_range ? 1 : 0) << ' ';
   WriteCheckpointDouble(out, options.d_min);
   WriteCheckpointDouble(out, options.d_max);
-  *out << options.adaptive_slack_exponents << ' '
-       << (options.warm_start_new_guesses ? 1 : 0) << ' ';
+  // The adaptive slack is fixed at one exponent; the token keeps the bytes.
+  *out << 1 << ' ' << (options.warm_start_new_guesses ? 1 : 0) << ' ';
 }
 
 Status ReadSlidingWindowOptions(CheckpointReader* reader,
@@ -108,11 +96,9 @@ Status ReadSlidingWindowOptions(CheckpointReader* reader,
   }
   out->variant = static_cast<CoreVariant>(variant);
   out->adaptive_range = adaptive != 0;
-  if (slack < 0 || slack > kMaxSlackExponents) {
-    return Status::InvalidArgument(
-        "implausible adaptive_slack_exponents in checkpoint");
+  if (slack != 1) {
+    return Status::InvalidArgument("adaptive slack other than 1 in checkpoint");
   }
-  out->adaptive_slack_exponents = static_cast<int>(slack);
   out->warm_start_new_guesses = warm != 0;
   return ValidateSlidingWindowOptions(*out);
 }
@@ -125,7 +111,6 @@ bool SameCheckpointedOptions(const SlidingWindowOptions& a,
          a.delta == b.delta && a.variant == b.variant &&
          a.adaptive_range == b.adaptive_range && a.d_min == b.d_min &&
          a.d_max == b.d_max &&
-         a.adaptive_slack_exponents == b.adaptive_slack_exponents &&
          a.warm_start_new_guesses == b.warm_start_new_guesses;
 }
 

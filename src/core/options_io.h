@@ -42,16 +42,18 @@ void WriteColorCaps(std::ostringstream* out, const ColorConstraint& c);
 /// Rejects options that a FairCenterSlidingWindow cannot be built from —
 /// the exact set the constructor would otherwise abort on via CHECK
 /// (window_size >= 1, finite delta > 0, finite beta > 0 for the guess
-/// ladder, variant in range, adaptive_slack_exponents in [0, 1024], and in
-/// fixed-range mode finite bounds with 0 < d_min <= d_max). Checkpoint
-/// readers run this before constructing anything, so a corrupted or
-/// adversarial blob surfaces as kInvalidArgument instead of a process
-/// abort. num_threads is an execution knob and is not validated.
+/// ladder, variant in range, and in fixed-range mode finite bounds with
+/// 0 < d_min <= d_max). Checkpoint readers run this before constructing
+/// anything, so a corrupted or adversarial blob surfaces as kInvalidArgument
+/// instead of a process abort. num_threads is an execution knob and is not
+/// validated.
 Status ValidateSlidingWindowOptions(const SlidingWindowOptions& options);
 
 /// Writes the checkpointed option fields in the fixed field order
-/// (window_size, beta, delta, variant, adaptive_range, d_min, d_max,
-/// adaptive_slack_exponents, warm_start_new_guesses), hex-float doubles.
+/// (window_size, beta, delta, variant, adaptive_range, d_min, d_max, the
+/// adaptive slack, warm_start_new_guesses), hex-float doubles. The slack is
+/// always the token 1: adaptive mode keeps one guess exponent above the
+/// estimated range, and readers reject any other value.
 /// num_threads is deliberately excluded: results are bit-identical at any
 /// thread count, so it is not state.
 void WriteSlidingWindowOptions(std::ostringstream* out,

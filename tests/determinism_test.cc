@@ -5,7 +5,6 @@
 
 #include "common/random.h"
 #include "core/fair_center_sliding_window.h"
-#include "core/insertion_only_fair_center.h"
 #include "datasets/registry.h"
 #include "metric/metric.h"
 #include "sequential/chen_matroid_center.h"
@@ -65,7 +64,7 @@ TEST(DeterminismTest, SlidingWindowIdenticalRuns) {
   EXPECT_TRUE(SameCenters(first.second, second.second));
 }
 
-TEST(DeterminismTest, LiteAndInsertionOnlyIdenticalRuns) {
+TEST(DeterminismTest, LiteIdenticalRuns) {
   const ColorConstraint constraint({2, 2, 1});  // streams emit 3 colors
   const auto points = Stream(200, 11);
 
@@ -81,16 +80,6 @@ TEST(DeterminismTest, LiteAndInsertionOnlyIdenticalRuns) {
     return result.value().centers;
   };
   EXPECT_TRUE(SameCenters(run_lite(), run_lite()));
-
-  auto run_insertion = [&]() {
-    InsertionOnlyFairCenter summary(InsertionOnlyOptions{}, constraint,
-                                    &kMetric, &kJones);
-    for (const Point& p : points) EXPECT_TRUE(summary.Update(p).ok());
-    auto result = summary.Query();
-    EXPECT_TRUE(result.ok());
-    return result.value().centers;
-  };
-  EXPECT_TRUE(SameCenters(run_insertion(), run_insertion()));
 }
 
 TEST(DeterminismTest, SequentialSolversAreDeterministic) {

@@ -521,8 +521,7 @@ std::string BuildV1Checkpoint(serving::ShardManager* manager) {
       << ' ';
   WriteCheckpointDouble(&out, w.d_min);
   WriteCheckpointDouble(&out, w.d_max);
-  out << w.adaptive_slack_exponents << ' '
-      << (w.warm_start_new_guesses ? 1 : 0) << ' ';
+  out << 1 << ' ' << (w.warm_start_new_guesses ? 1 : 0) << ' ';
   out << manager->constraint().ell() << ' ';
   for (int cap : manager->constraint().caps()) out << cap << ' ';
   const auto keys = manager->Keys();
@@ -558,9 +557,9 @@ TEST(ShardManagerTest, RestoreRejectsRetiredV1Fleet) {
   ExpectSameAnswers(manager.QueryAll(), v2.value().QueryAll());
 }
 
-// The satellite bugfix: implausible options in a blob (the adaptive slack
-// read used to be narrowed to int unchecked; window_size / delta / beta
-// were not validated at all) must fail with InvalidArgument, never abort.
+// Implausible options in a blob (a slack other than 1, or a window_size /
+// delta / beta the constructor would abort on) must fail with
+// InvalidArgument, never abort.
 TEST(ShardManagerTest, RestoreRejectsImplausibleOptions) {
   // Field order: window_size beta delta variant adaptive d_min d_max slack
   // warm, then the constraint. Each case corrupts one field of an
@@ -575,6 +574,7 @@ TEST(ShardManagerTest, RestoreRejectsImplausibleOptions) {
       {"nan beta", "60 nan 0x1p+0 0 1 0x0p+0 0x0p+0 1 1"},
       {"bad variant", "60 0x1p+1 0x1p+0 9 1 0x0p+0 0x0p+0 1 1"},
       {"huge slack", "60 0x1p+1 0x1p+0 0 1 0x0p+0 0x0p+0 99999999999 1"},
+      {"slack other than 1", "60 0x1p+1 0x1p+0 0 1 0x0p+0 0x0p+0 0 1"},
       {"bad fixed range", "60 0x1p+1 0x1p+0 0 0 0x0p+0 0x0p+0 1 1"},
       // Per-field-plausible combo whose guess ladder would hold ~1e21
       // rungs: tiny beta, astronomical d_min..d_max span. Building it
