@@ -13,7 +13,7 @@
 //                 [--contention_client_pause_ms=10] [--contention_query_pause_ms=10]
 //                 [--contention_delta=1.0] [--contention_threads=2]
 //                 [--zipf_s=1.1] [--zipf_tenants=0] [--create_every=256]
-//                 [--stripes=0] [--objective=fair-center]
+//                 [--objective=fair-center]
 //                 [--burst_every=0] [--burst_size=0] [--cross_tenants=4]
 //                 [--spill_dir=<tmp>] [--out=BENCH_shard_scaling.json]
 //
@@ -32,19 +32,17 @@
 // threads ingesting hot tenant shards, a population of cold spilled
 // tenants, a background thread running continuous QueryAll fleet scans,
 // and a maintenance thread running eviction-sweep ticks. The schedule runs
-// in several configurations: striped routing (the manager's own locking),
-// every call wrapped in one external global mutex (the old
-// single-internal-mutex serving layer), a single-stripe manager (isolating
-// what the striping itself buys — this needs real cores to show up), a
-// --zipf_s skewed entry where every client draws keys from one shared
-// heavy-tailed tenant population, and a --create_every create-heavy entry
-// whose key generations rotate mid-run so shard creation stays on the
-// measured path. Each fleet scan pays a store read + full state
+// in several configurations: the manager's own locking (one map lock plus
+// per-shard locks), every call wrapped in one external global mutex (the
+// old single-internal-mutex serving layer), a --zipf_s skewed entry where
+// every client draws keys from one shared heavy-tailed tenant population,
+// and a --create_every create-heavy entry whose key generations rotate
+// mid-run so shard creation stays on the measured path. Each fleet scan pays a store read + full state
 // deserialization per cold tenant, so it costs real time: under the global
 // mutex that whole scan runs with every hot client blocked, while
 // per-shard locking absorbs it into the clients' think time (measurable
-// even on a single-core host); the striping and work-sharing wins on top
-// need a multi-core runner.
+// even on a single-core host); the work-sharing win on top needs a
+// multi-core runner.
 //
 // After contention, the CROSS-OBJECTIVE scenario: the same keyed stream is
 // replayed into three fleets — default fair-center, default k-median, and a
@@ -418,17 +416,17 @@ struct ShardedContentionOptions {
   /// owns key "client-c", fully disjoint). s > 0 switches to a shared
   /// heavy-tailed tenant population: each client draws every arrival's key
   /// from Zipf(s) over `zipf_tenants` ranks (deterministically, seeded per
-  /// client), so hot tenants — and their routing stripes — are shared
-  /// across clients. Measures the striped map under realistic hot-key
-  /// popularity instead of perfectly spread routing.
+  /// client), so hot tenants are shared across clients. Measures the
+  /// per-shard locks under realistic hot-key popularity instead of
+  /// perfectly spread routing.
   double zipf_s = 0.0;
   /// Tenant population for the Zipf schedule; 0 = 4 * client_threads.
   int64_t zipf_tenants = 0;
   /// Create-heavy churn: every this many arrivals, a client rotates to a
   /// fresh never-seen key generation (key "client-c-gN" or a fresh Zipf
-  /// rank namespace), so shard CREATION — the routing-layer write path the
-  /// stripes exist to spread — stays on the hot path instead of happening
-  /// once at warm-up. 0 = keys are stable for the whole run.
+  /// rank namespace), so shard CREATION — the exclusive map-lock write
+  /// path — stays on the hot path instead of happening once at warm-up.
+  /// 0 = keys are stable for the whole run.
   int64_t create_every = 0;
 };
 
@@ -443,13 +441,9 @@ struct ShardedContentionReport {
   int64_t updates = 0;
   int64_t query_rounds = 0;       ///< completed background QueryAll rounds
   int64_t maintenance_ticks = 0;  ///< completed background sweeps
-  int stripes = 0;                ///< manager's resolved routing-stripe count
   /// Pool iterations claimed while another fan-out was concurrently in
   /// flight (ThreadPool work sharing). Volatile, like query_rounds.
   int64_t pool_steals = 0;
-  /// Fraction of routing ops landing on the single busiest stripe — 1/N is
-  /// perfectly spread, ~1.0 is one hot stripe. Volatile under concurrency.
-  double stripe_hot_ratio = 0.0;
   /// Wall time from releasing the clients to the last client finishing,
   /// with the background threads running throughout.
   double update_seconds = 0.0;
@@ -477,10 +471,10 @@ ShardedContentionReport RunShardedContention(
 
   // The key schedule. Classic mode: client c owns "client-c", fully
   // disjoint. Zipf mode (zipf_s > 0): every arrival's key is a rank drawn
-  // from a shared heavy-tailed tenant population, so hot tenants — and
-  // their routing stripes — are contended across clients. create_every
-  // rotates either schedule to a fresh key generation mid-run, keeping
-  // shard creation on the measured path.
+  // from a shared heavy-tailed tenant population, so hot tenants are
+  // contended across clients. create_every rotates either schedule to a
+  // fresh key generation mid-run, keeping shard creation on the measured
+  // path.
   const int64_t zipf_tenants =
       options.zipf_s > 0.0
           ? (options.zipf_tenants > 0
@@ -667,16 +661,7 @@ ShardedContentionReport RunShardedContention(
   report.maintenance_ticks = maintenance_ticks.load();
   report.shards = static_cast<int>(manager->shard_count()) -
                   static_cast<int>(options.idle_tenants);
-  report.stripes = manager->num_stripes();
   report.pool_steals = manager->pool_shared_claims();
-  const std::vector<int64_t> stripe_ops = manager->StripeOps();
-  int64_t hottest = 0, total_ops = 0;
-  for (int64_t ops : stripe_ops) {
-    hottest = std::max(hottest, ops);
-    total_ops += ops;
-  }
-  report.stripe_hot_ratio =
-      total_ops > 0 ? static_cast<double>(hottest) / total_ops : 0.0;
   return report;
 }
 
@@ -750,7 +735,6 @@ int main(int argc, char** argv) {
   double zipf_s = 1.1;
   int64_t zipf_tenants = 0;
   int64_t create_every = 256;
-  int64_t stripes = 0;
   std::string objective = "fair-center";
   int64_t burst_every = 0;
   int64_t burst_size = 0;
@@ -808,9 +792,6 @@ int main(int argc, char** argv) {
   flags.AddInt64("create_every", &create_every,
                  "arrivals between key-generation rotations in the "
                  "create-heavy contention entry (0 = skip it)");
-  flags.AddInt64("stripes", &stripes,
-                 "routing stripes for every manager (0 = auto; rounded up "
-                 "to a power of two)");
   flags.AddString("objective", &objective,
                   "fleet-default clustering objective of the shard-count "
                   "sweep: fair-center or k-median");
@@ -869,7 +850,6 @@ int main(int argc, char** argv) {
     options.window.delta = delta;
     options.window.adaptive_range = true;
     options.num_threads = num_threads;
-    options.num_stripes = static_cast<int>(stripes);
     fkc::serving::ShardManager manager(options, prepared.constraint, &metric,
                                        &jones);
 
@@ -923,7 +903,6 @@ int main(int argc, char** argv) {
     churn_options.window.delta = delta;
     churn_options.window.adaptive_range = true;
     churn_options.num_threads = num_threads;
-    churn_options.num_stripes = static_cast<int>(stripes);
     churn_options.max_live_shards = churn_cap;
     churn_options.spill_store = std::move(store);
     fkc::serving::ShardManager manager(churn_options, prepared.constraint,
@@ -949,15 +928,14 @@ int main(int argc, char** argv) {
   }
 
   // --- Contention scenarios. The same paced-clients schedule runs in
-  // several configurations: striped routing vs the emulated single global
-  // mutex vs a single-stripe manager (isolating what the striping itself
-  // buys), plus a Zipf-skewed entry (shared heavy-tailed tenants — hot
-  // stripes) and a create-heavy entry (key generations rotating mid-run,
-  // so shard creation stays on the measured path). `contention_threads`
-  // gives the manager a pool the concurrent IngestBatch callers and
-  // QueryAll rounds interleave on (work sharing). ---
-  fkc::ShardedContentionReport contention, contention_global,
-      contention_single_stripe, contention_zipf, contention_create;
+  // several configurations: per-shard locking vs the emulated single
+  // global mutex, plus a Zipf-skewed entry (shared heavy-tailed tenants)
+  // and a create-heavy entry (key generations rotating mid-run, so shard
+  // creation stays on the measured path). `contention_threads` gives the
+  // manager a pool the concurrent IngestBatch callers and QueryAll rounds
+  // interleave on (work sharing). ---
+  fkc::ShardedContentionReport contention, contention_global, contention_zipf,
+      contention_create;
   if (contention_clients > 0) {
     // The contention runs replay prefixes of the same prepared dataset, so
     // fit the scenario to the stream: the cold setup may take at most half
@@ -993,7 +971,6 @@ int main(int argc, char** argv) {
         static_cast<long long>(contention_threads));
     struct ContentionConfig {
       bool global_mutex = false;
-      int num_stripes = 0;  // 0 = the --stripes flag (itself 0 = auto)
       double zipf_s = 0.0;
       int64_t create_every = 0;
     };
@@ -1003,9 +980,6 @@ int main(int argc, char** argv) {
       options.window.delta = contention_delta;
       options.window.adaptive_range = true;
       options.num_threads = static_cast<int>(contention_threads);
-      options.num_stripes = config.num_stripes != 0
-                                ? config.num_stripes
-                                : static_cast<int>(stripes);
       fkc::serving::ShardManager manager(options, prepared.constraint,
                                          &metric, &jones);
       auto stream = fkc::datasets::MakeStream(prepared.dataset);
@@ -1028,18 +1002,16 @@ int main(int argc, char** argv) {
                                const fkc::ShardedContentionReport& r) {
       std::printf(
           "#   %-16s %10.0f updates/s (%lld query rounds, %lld ticks, "
-          "%d stripes, hot %.2f, steals %lld)\n",
+          "steals %lld)\n",
           label, r.UpdatesPerSecond(),
           static_cast<long long>(r.query_rounds),
-          static_cast<long long>(r.maintenance_ticks), r.stripes,
-          r.stripe_hot_ratio, static_cast<long long>(r.pool_steals));
+          static_cast<long long>(r.maintenance_ticks),
+          static_cast<long long>(r.pool_steals));
     };
     contention_global = run_contention({/*global_mutex=*/true});
     print_contention("global mutex:", contention_global);
-    contention_single_stripe = run_contention({false, /*num_stripes=*/1});
-    print_contention("single stripe:", contention_single_stripe);
     contention = run_contention({});
-    print_contention("striped:", contention);
+    print_contention("per shard:", contention);
     if (zipf_s > 0.0) {
       ContentionConfig config;
       config.zipf_s = zipf_s;
@@ -1057,13 +1029,7 @@ int main(int argc, char** argv) {
             ? contention.UpdatesPerSecond() /
                   contention_global.UpdatesPerSecond()
             : 0.0;
-    const double stripe_speedup =
-        contention_single_stripe.UpdatesPerSecond() > 0.0
-            ? contention.UpdatesPerSecond() /
-                  contention_single_stripe.UpdatesPerSecond()
-            : 0.0;
-    std::printf("#   striped vs global %.2fx, vs single stripe %.2fx\n",
-                speedup, stripe_speedup);
+    std::printf("#   per shard vs global %.2fx\n", speedup);
   }
 
   // --- Cross-objective scenario: the same keyed stream into a fair-center
@@ -1088,7 +1054,6 @@ int main(int argc, char** argv) {
       options.window.delta = delta;
       options.window.adaptive_range = true;
       options.num_threads = num_threads;
-      options.num_stripes = static_cast<int>(stripes);
       fkc::serving::ShardManager manager(options, prepared.constraint,
                                          &metric, &jones);
       std::vector<std::string> keys;
@@ -1181,20 +1146,13 @@ int main(int argc, char** argv) {
             ? contention.UpdatesPerSecond() /
                   contention_global.UpdatesPerSecond()
             : 0.0;
-    const double stripe_speedup =
-        contention_single_stripe.UpdatesPerSecond() > 0.0
-            ? contention.UpdatesPerSecond() /
-                  contention_single_stripe.UpdatesPerSecond()
-            : 0.0;
     auto write_contention = [&out](const char* name,
                                    const fkc::ShardedContentionReport& r) {
       out << "    \"" << name << "\": {\"updates\": " << r.updates
           << ", \"updates_per_s\": "
           << fkc::StrFormat("%.1f", r.UpdatesPerSecond())
-          << ", \"shards\": " << r.shards << ", \"stripes\": " << r.stripes
+          << ", \"shards\": " << r.shards
           << ", \"pool_steals\": " << r.pool_steals
-          << ", \"stripe_hot_ratio\": "
-          << fkc::StrFormat("%.3f", r.stripe_hot_ratio)
           << ", \"query_rounds\": " << r.query_rounds
           << ", \"maintenance_ticks\": " << r.maintenance_ticks << "}";
     };
@@ -1210,8 +1168,6 @@ int main(int argc, char** argv) {
         << ", \"create_every\": " << create_every << ",\n";
     write_contention("global_mutex", contention_global);
     out << ",\n";
-    write_contention("single_stripe", contention_single_stripe);
-    out << ",\n";
     write_contention("per_shard", contention);
     if (zipf_s > 0.0) {
       out << ",\n";
@@ -1222,8 +1178,7 @@ int main(int argc, char** argv) {
       write_contention("create_heavy", contention_create);
     }
     out << ",\n    \"speedup\": " << fkc::StrFormat("%.2f", speedup)
-        << ",\n    \"stripe_speedup\": "
-        << fkc::StrFormat("%.2f", stripe_speedup) << "\n  }";
+        << "\n  }";
   }
   if (!cross_results.empty()) {
     out << ",\n  \"cross_objective\": {\"tenants\": " << cross_tenants

@@ -26,13 +26,10 @@
 //      answers identically,
 //   8. serve concurrent clients: one ingest thread per tenant plus a
 //      dashboard thread running QueryAll rounds, all against one manager
-//      at once (striped routing + per-shard locking mean the tenants
-//      never contend with each other and the dashboard never stalls
-//      ingest) — then verify the concurrently-built fleet checkpoints
-//      byte-identically to a serially-built one. --stripes picks the
-//      routing-stripe count (0 = auto-size to the hardware); like
-//      --threads it is an execution knob — answers and checkpoint bytes
-//      are identical at every value,
+//      at once (one brief map lock for routing plus per-shard locks mean
+//      the tenants never contend on window work and the dashboard never
+//      stalls ingest) — then verify the concurrently-built fleet
+//      checkpoints byte-identically to a serially-built one,
 //   9. survive a SIGKILL: the leader captures every tranche into a
 //      directory-backed DeltaLog while a LogSender streams it over a unix
 //      socket to a fault-injected follower (frames dropped, corrupted,
@@ -46,7 +43,7 @@
 // from whatever that kill left on disk — torn tail included — and
 // verifies the recovered fleet.
 //
-//   multi_tenant_serving [--tenants=4] [--threads=0] [--stripes=0]
+//   multi_tenant_serving [--tenants=4] [--threads=0]
 //                        [--batch=32] [--window=1000] [--points=12000]
 //                        [--spill_dir=<tmp>] [--replication_log_dir=<tmp>]
 //                        [--replication_only] [--recover_only]
@@ -337,7 +334,6 @@ int RunReplicationPhase(const std::string& log_dir,
 int main(int argc, char** argv) {
   int64_t tenants = 4;
   int64_t threads = 0;  // all hardware threads
-  int64_t stripes = 0;  // auto-size the routing stripes
   int64_t batch = 32;
   int64_t window = 1000;
   int64_t points = 12000;
@@ -350,9 +346,6 @@ int main(int argc, char** argv) {
   fkc::FlagParser flags;
   flags.AddInt64("tenants", &tenants, "number of tenant shards");
   fkc::AddThreadsFlag(&flags, &threads);
-  flags.AddInt64("stripes", &stripes,
-                 "routing stripes of the shard map (0 = auto; rounded up "
-                 "to a power of two)");
   flags.AddInt64("batch", &batch, "keyed arrivals per IngestBatch");
   flags.AddInt64("window", &window, "per-tenant window size");
   flags.AddInt64("points", &points, "total arrivals across all tenants");
@@ -416,7 +409,6 @@ int main(int argc, char** argv) {
   options.window.delta = 1.0;
   options.window.adaptive_range = true;  // tenant scales unknown a priori
   options.num_threads = fkc::ResolveThreadCount(threads);
-  options.num_stripes = static_cast<int>(stripes);
   fkc::serving::ShardManager manager(options, constraint, &metric, &jones);
 
   std::vector<std::string> keys;
@@ -736,9 +728,8 @@ int main(int argc, char** argv) {
                                     live_blob.value() == serial_blob.value();
   std::printf(
       "\nconcurrent serving: %zu client threads + %lld dashboard scans "
-      "against one manager (%d routing stripes); checkpoint %s a serially "
-      "built fleet's\n",
-      keys.size(), static_cast<long long>(scans.load()), live.num_stripes(),
+      "against one manager; checkpoint %s a serially built fleet's\n",
+      keys.size(), static_cast<long long>(scans.load()),
       concurrent_identical ? "MATCHES" : "DIFFERS FROM (bug!)");
   if (!concurrent_identical) return 1;
 

@@ -203,12 +203,14 @@ class FairCenterSlidingWindow {
   /// (`value` is the radius, as Query above), or the deterministic k-median
   /// local search with k = constraint().TotalK().
   ///
-  /// Honesty caveat for k-median, documented rather than hidden (same
-  /// policy as QueryRobust): `value` is the k-median cost ON THE CORESET.
-  /// Each coreset point stands for up to cap same-colored window points
-  /// within delta*gamma of it, so the window cost differs by at most
-  /// |W| * delta * gamma-hat; the centers are genuine window points. Color
-  /// caps do not constrain the k-median centers — only their sum k is used.
+  /// Caveat for k-median: `value` is the k-median cost of the UNWEIGHTED
+  /// coreset, not of the window. The coreset keeps representatives but not
+  /// how many window points each one stands for, and a k-median cost is a
+  /// sum over points, so `value` can fall far below the window cost of the
+  /// same centers (7-30x below on drifting-cluster streams) and no bound
+  /// in |W| * delta * gamma-hat holds. The centers are genuine window
+  /// points. Color caps do not constrain the k-median centers — only their
+  /// sum k is used.
   Result<ObjectiveSolution> Query(ObjectiveKind objective,
                                   QueryStats* stats = nullptr);
 

@@ -1,6 +1,5 @@
 #include "serving/shard_manager.h"
 
-#include <algorithm>
 #include <condition_variable>
 #include <sstream>
 #include <thread>
@@ -220,18 +219,6 @@ class ShardManager::FleetPin {
   const std::vector<PinnedShard>* pinned_;
 };
 
-int ShardManager::ResolveStripeCount(int requested) {
-  // Auto scales past the core count so hash collisions between concurrently
-  // hot keys are rare even with every hardware thread routing at once.
-  int64_t n = requested <= 0
-                  ? static_cast<int64_t>(4) * ThreadPool::HardwareThreads()
-                  : requested;
-  if (n > 256) n = 256;
-  int resolved = 1;
-  while (resolved < n) resolved <<= 1;  // round UP; 256 is itself a power
-  return resolved;
-}
-
 ShardManager::ShardManager(ShardManagerOptions options,
                            ColorConstraint constraint, const Metric* metric,
                            const FairCenterSolver* solver)
@@ -239,6 +226,7 @@ ShardManager::ShardManager(ShardManagerOptions options,
       constraint_(std::move(constraint)),
       metric_(metric),
       solver_(solver),
+      routing_(std::make_unique<Routing>()),
       gc_mu_(std::make_unique<std::mutex>()),
       maintenance_admin_mu_(std::make_unique<std::mutex>()) {
   FKC_CHECK(metric_ != nullptr);
@@ -249,14 +237,6 @@ ShardManager::ShardManager(ShardManagerOptions options,
   options_.window.num_threads = 1;
   if (options_.spill_store == nullptr) {
     options_.spill_store = std::make_shared<InMemorySpillStore>();
-  }
-  // Stripe count is fixed for the manager's lifetime (StripeOf must be a
-  // pure function of the key); the resolved value is written back so
-  // options().num_stripes reports what actually runs.
-  options_.num_stripes = ResolveStripeCount(options_.num_stripes);
-  stripes_.reserve(options_.num_stripes);
-  for (int i = 0; i < options_.num_stripes; ++i) {
-    stripes_.push_back(std::make_unique<Stripe>());
   }
   // Resolve and build the pool eagerly: concurrent fan-outs must never race
   // a lazy construction. num_threads = 0 on a single-core host resolves to
@@ -313,7 +293,7 @@ ShardManager::ShardManager(ShardManager&& other) noexcept
       constraint_(std::move(other.constraint_)),
       metric_(other.metric_),
       solver_(other.solver_),
-      stripes_(std::move(other.stripes_)),
+      routing_(std::move(other.routing_)),
       gc_mu_(std::move(other.gc_mu_)),
       live_count_(other.live_count_.load()),
       pool_(std::move(other.pool_)),
@@ -344,7 +324,7 @@ ShardManager& ShardManager::operator=(ShardManager&& other) noexcept {
   constraint_ = std::move(other.constraint_);
   metric_ = other.metric_;
   solver_ = other.solver_;
-  stripes_ = std::move(other.stripes_);
+  routing_ = std::move(other.routing_);
   gc_mu_ = std::move(other.gc_mu_);
   live_count_.store(other.live_count_.load());
   pool_ = std::move(other.pool_);
@@ -365,56 +345,40 @@ ShardManager& ShardManager::operator=(ShardManager&& other) noexcept {
   return *this;
 }
 
-ShardManager::Stripe& ShardManager::StripeOf(const std::string& key) const {
-  // The stripe count is a power of two fixed at construction, so routing is
-  // a hash + mask — no lock, no modulo.
-  const size_t h = std::hash<std::string>{}(key);
-  return *stripes_[h & (stripes_.size() - 1)];
-}
-
 bool ShardManager::IsDirty(const Shard& shard) const {
   return shard.live ? shard.live->state_epoch() != shard.clean_epoch
                     : shard.spill_dirty;
 }
 
-int64_t ShardManager::PinnedDimensionLocked(const Stripe& stripe,
-                                            const std::string& key) const {
-  auto it = stripe.shards.find(key);
-  return it == stripe.shards.end() ? -1 : it->second.dim;
-}
-
-SlidingWindowOptions ShardManager::OptionsForKey(const Stripe& stripe,
-                                                 const std::string& key) const {
-  auto it = stripe.overrides.find(key);
+SlidingWindowOptions ShardManager::OptionsForKey(const std::string& key) const {
+  auto it = routing_->overrides.find(key);
   SlidingWindowOptions options =
-      it == stripe.overrides.end() ? options_.window : it->second;
+      it == routing_->overrides.end() ? options_.window : it->second;
   options.num_threads = 1;
   return options;
 }
 
-ObjectiveKind ShardManager::ObjectiveForKey(const Stripe& stripe,
-                                            const std::string& key) const {
-  auto it = stripe.objective_overrides.find(key);
-  return it == stripe.objective_overrides.end() ? options_.objective
-                                                : it->second;
+ObjectiveKind ShardManager::ObjectiveForKey(const std::string& key) const {
+  auto it = routing_->objective_overrides.find(key);
+  return it == routing_->objective_overrides.end() ? options_.objective
+                                                   : it->second;
 }
 
-ShardManager::Shard* ShardManager::RouteLocked(Stripe& stripe,
-                                               const std::string& key,
+ShardManager::Shard* ShardManager::RouteLocked(const std::string& key,
                                                bool create_missing,
                                                int64_t touch) {
-  auto it = stripe.shards.find(key);
-  if (it == stripe.shards.end()) {
+  auto it = routing_->shards.find(key);
+  if (it == routing_->shards.end()) {
     if (!create_missing) return nullptr;
-    it = stripe.shards.try_emplace(key).first;
-    it->second.kind = ObjectiveForKey(stripe, key);
+    it = routing_->shards.try_emplace(key).first;
+    it->second.kind = ObjectiveForKey(key);
     it->second.live = std::make_unique<FairCenterSlidingWindow>(
-        OptionsForKey(stripe, key), constraint_, metric_, solver_);
+        OptionsForKey(key), constraint_, metric_, solver_);
     live_count_.fetch_add(1, std::memory_order_relaxed);
   }
   Shard* shard = &it->second;
   if (shard->live != nullptr) {
-    TouchLive(stripe, it->first, shard, touch);
+    TouchLive(it->first, shard, touch);
   } else {
     // Spilled: refresh last_touch only — the LRU index tracks live shards.
     // If a later rehydration commits, it inserts this value.
@@ -447,10 +411,10 @@ Result<FairCenterSlidingWindow> ShardManager::LoadSpilled(
         "spilled shard's constraint does not match the fleet constraint");
   }
   // A pinned dimension never changes again, so a caller committing the
-  // window under a later stripe hold cannot race this check.
+  // window under a later map-lock hold cannot race this check.
   int64_t pinned_dim;
   {
-    std::shared_lock<std::shared_mutex> stripe_lock(StripeOf(key).mu);
+    std::shared_lock<std::shared_mutex> map_lock(routing_->mu);
     pinned_dim = shard.dim;
   }
   if (pinned_dim >= 0 && window.value().dimension() >= 0 &&
@@ -466,8 +430,7 @@ Status ShardManager::EnsureLiveHeld(const std::string& key, Shard* shard) {
   auto window = LoadSpilled(key, *shard);
   if (!window.ok()) return window.status();
   {
-    Stripe& stripe = StripeOf(key);
-    std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
+    std::lock_guard<std::shared_mutex> map_lock(routing_->mu);
     shard->live =
         std::make_unique<FairCenterSlidingWindow>(std::move(window).value());
     if (shard->live->dimension() >= 0) shard->dim = shard->live->dimension();
@@ -478,7 +441,7 @@ Status ShardManager::EnsureLiveHeld(const std::string& key, Shard* shard) {
     shard->spill_dirty = false;
     live_count_.fetch_add(1, std::memory_order_relaxed);
     rehydrations_.fetch_add(1, std::memory_order_relaxed);
-    stripe.live_lru.insert({shard->last_touch, key});
+    routing_->live_lru.insert({shard->last_touch, key});
   }
   // Best-effort, still under the shard lock (so a concurrent QueryAll
   // cannot read a half-erased entry): a failed erase only leaves a stale
@@ -488,8 +451,7 @@ Status ShardManager::EnsureLiveHeld(const std::string& key, Shard* shard) {
   return Status::OK();
 }
 
-bool ShardManager::InstallLocked(Stripe& stripe, const std::string& key,
-                                 Shard* shard,
+bool ShardManager::InstallLocked(const std::string& key, Shard* shard,
                                  std::unique_ptr<FairCenterSlidingWindow> window,
                                  ObjectiveKind kind) {
   const bool was_live = shard->live != nullptr;
@@ -500,23 +462,21 @@ bool ShardManager::InstallLocked(Stripe& stripe, const std::string& key,
   shard->clean_epoch = shard->live->state_epoch();
   shard->spill_dirty = false;
   if (!was_live) live_count_.fetch_add(1, std::memory_order_relaxed);
-  TouchLive(stripe, key, shard, clock_.load(std::memory_order_relaxed));
+  TouchLive(key, shard, clock_.load(std::memory_order_relaxed));
   return was_live;
 }
 
 template <typename Fn>
 Status ShardManager::TouchLiveShard(const std::string& key, Fn&& fn) {
-  Stripe& stripe = StripeOf(key);
   Shard* shard = nullptr;
   {
-    std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
-    shard = RouteLocked(stripe, key, /*create_missing=*/false,
+    std::lock_guard<std::shared_mutex> map_lock(routing_->mu);
+    shard = RouteLocked(key, /*create_missing=*/false,
                         clock_.load(std::memory_order_relaxed));
     if (shard == nullptr) {
       return Status::NotFound("no shard for key '" + key + "'");
     }
     ++shard->pins;
-    ++stripe.ops;
   }
   Status status;
   {
@@ -525,47 +485,46 @@ Status ShardManager::TouchLiveShard(const std::string& key, Fn&& fn) {
     if (status.ok()) fn(*shard);
   }
   {
-    std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
+    std::lock_guard<std::shared_mutex> map_lock(routing_->mu);
     --shard->pins;
   }
   EnforceLiveCap(&key);
   return status;
 }
 
-void ShardManager::TouchLive(Stripe& stripe, const std::string& key,
-                             Shard* shard, int64_t touch) {
+void ShardManager::TouchLive(const std::string& key, Shard* shard,
+                             int64_t touch) {
   // The erase is a no-op for a shard that just became live (its old
   // last_touch was removed from the index when it spilled, or never
   // inserted for a brand-new shard).
-  stripe.live_lru.erase({shard->last_touch, key});
+  routing_->live_lru.erase({shard->last_touch, key});
   shard->last_touch = touch;
-  stripe.live_lru.insert({touch, key});
+  routing_->live_lru.insert({touch, key});
 }
 
 Result<ShardManager::SpillAttempt> ShardManager::TrySpillShard(
     const std::string& key, int64_t idle_ttl) {
-  Stripe& stripe = StripeOf(key);
-  std::unique_lock<std::shared_mutex> stripe_lock(stripe.mu);
-  auto it = stripe.shards.find(key);
-  if (it == stripe.shards.end()) return SpillAttempt::kSkipped;
+  std::unique_lock<std::shared_mutex> map_lock(routing_->mu);
+  auto it = routing_->shards.find(key);
+  if (it == routing_->shards.end()) return SpillAttempt::kSkipped;
   Shard* shard = &it->second;
   if (shard->live == nullptr || shard->pins > 0) return SpillAttempt::kSkipped;
-  // Re-check idleness under the stripe lock: the shard may have been
+  // Re-check idleness under the map lock: the shard may have been
   // touched between the caller's candidate snapshot and now.
   if (idle_ttl >= 0 &&
       clock_.load(std::memory_order_relaxed) - shard->last_touch <= idle_ttl) {
     return SpillAttempt::kSkipped;
   }
-  // Only ever try_lock a shard mutex under a stripe lock (lock-order
+  // Only ever try_lock a shard mutex under the map lock (lock-order
   // protocol): a busy shard is mid-ingest or mid-query — skip it, the
   // next sweep catches it.
   std::unique_lock<std::mutex> shard_lock(shard->mu, std::try_to_lock);
   if (!shard_lock.owns_lock()) return SpillAttempt::kSkipped;
   const bool dirty = IsDirty(*shard);
   FairCenterSlidingWindow* window = shard->live.get();
-  stripe_lock.unlock();
+  map_lock.unlock();
 
-  // Serialize and write outside the stripe lock (the shard lock keeps the
+  // Serialize and write outside the map lock (the shard lock keeps the
   // window stable). The GC mutex spans the write and the commit so a
   // concurrent GarbageCollectSpill, whose keep-set predates this spill,
   // can never reap the blob just written.
@@ -581,19 +540,19 @@ Result<ShardManager::SpillAttempt> ShardManager::TrySpillShard(
                  options_.spill_store->Name() + " spill store");
   }
 
-  stripe_lock.lock();
+  map_lock.lock();
   if (shard->pins > 0) {
     // A fleet read pinned the shard while the blob was being written; the
     // reader expects live shards to stay live, so abort the spill and drop
     // the just-written entry (best-effort — GC would sweep it anyway).
-    stripe_lock.unlock();
+    map_lock.unlock();
     options_.spill_store->Erase(key);
     return SpillAttempt::kSkipped;
   }
   shard->spill_dirty = dirty;
   shard->live.reset();
   shard->clean_epoch = kNeverCheckpointed;
-  stripe.live_lru.erase({shard->last_touch, key});
+  routing_->live_lru.erase({shard->last_touch, key});
   live_count_.fetch_sub(1, std::memory_order_relaxed);
   evictions_.fetch_add(1, std::memory_order_relaxed);
   return SpillAttempt::kSpilled;
@@ -601,13 +560,12 @@ Result<ShardManager::SpillAttempt> ShardManager::TrySpillShard(
 
 Status ShardManager::EnforceLiveCap(const std::string* exclude) {
   if (options_.max_live_shards <= 0) return Status::OK();
-  // Best-effort loop: each round picks the fleet-wide LRU victim — the
-  // minimum of the stripes' eligible LRU fronts, least recently touched
-  // with ties broken by smaller key, the same deterministic global order
-  // the unstriped index had — and attempts the spill without any lock
-  // held. Victims whose attempt failed are not retried, so the loop always
-  // terminates; pinned shards are skipped but stay eligible for later
-  // rounds (their pin is transient).
+  // Best-effort loop: each round picks the LRU victim — the front of the
+  // live index, least recently touched with ties broken by smaller key —
+  // and attempts the spill without any lock held. Victims whose attempt
+  // failed are not retried, so the loop always terminates; pinned shards
+  // are skipped but stay eligible for later rounds (their pin is
+  // transient).
   std::set<std::string> attempted;
   for (;;) {
     if (live_count_.load(std::memory_order_relaxed) <=
@@ -615,25 +573,22 @@ Status ShardManager::EnforceLiveCap(const std::string* exclude) {
       return Status::OK();
     }
     bool found = false;
-    std::pair<int64_t, std::string> best;
-    for (const auto& stripe : stripes_) {
-      std::shared_lock<std::shared_mutex> stripe_lock(stripe->mu);
-      for (const auto& entry : stripe->live_lru) {
-        const std::string& key = entry.second;
+    std::string victim;
+    {
+      std::shared_lock<std::shared_mutex> map_lock(routing_->mu);
+      for (const auto& [touch, key] : routing_->live_lru) {
         if (exclude != nullptr && key == *exclude) continue;
         if (attempted.count(key) != 0) continue;
-        if (stripe->shards.find(key)->second.pins > 0) continue;
-        if (!found || entry < best) {
-          best = entry;
-          found = true;
-        }
-        break;  // stripe fronts are sorted: the first eligible is its best
+        if (routing_->shards.find(key)->second.pins > 0) continue;
+        victim = key;
+        found = true;
+        break;
       }
     }
     // Everything left is excluded, pinned, or failed.
     if (!found) return Status::OK();
-    attempted.insert(best.second);
-    auto spilled = TrySpillShard(best.second, /*idle_ttl=*/-1);
+    attempted.insert(victim);
+    auto spilled = TrySpillShard(victim, /*idle_ttl=*/-1);
     // Spill backend down: the cap is enforced best-effort until the backend
     // recovers. Nothing is lost.
     if (!spilled.ok()) return spilled.status();
@@ -643,51 +598,36 @@ Status ShardManager::EnforceLiveCap(const std::string* exclude) {
 std::vector<ShardManager::PinnedShard> ShardManager::PinFleet(
     std::map<std::string, SlidingWindowOptions>* overrides_out,
     std::map<std::string, ObjectiveKind>* objectives_out) {
-  // All stripe locks at once, taken in ascending index order (the one
-  // sanctioned multi-stripe acquisition), so the snapshot is a consistent
-  // cut of the routing layer: every shard that existed before the call is
-  // pinned, and the override table travels with exactly that shard set.
-  std::vector<std::unique_lock<std::shared_mutex>> held;
-  held.reserve(stripes_.size());
-  for (const auto& stripe : stripes_) held.emplace_back(stripe->mu);
+  // One hold, so the snapshot is a consistent cut of the routing state:
+  // every shard that existed before the call is pinned, and the override
+  // tables travel with exactly that shard set. The map iterates in
+  // ascending key order, which checkpoint byte-equality rests on.
+  std::lock_guard<std::shared_mutex> map_lock(routing_->mu);
   std::vector<PinnedShard> pinned;
-  size_t total = 0;
-  for (const auto& stripe : stripes_) total += stripe->shards.size();
-  pinned.reserve(total);
-  if (overrides_out != nullptr) overrides_out->clear();
-  if (objectives_out != nullptr) objectives_out->clear();
-  for (const auto& stripe : stripes_) {
-    for (auto& [key, shard] : stripe->shards) {
-      ++shard.pins;
-      pinned.push_back(PinnedShard{&key, &shard, stripe.get()});
-    }
-    if (overrides_out != nullptr) {
-      overrides_out->insert(stripe->overrides.begin(),
-                            stripe->overrides.end());
-    }
-    if (objectives_out != nullptr) {
-      objectives_out->insert(stripe->objective_overrides.begin(),
-                             stripe->objective_overrides.end());
-    }
+  pinned.reserve(routing_->shards.size());
+  for (auto& [key, shard] : routing_->shards) {
+    ++shard.pins;
+    pinned.push_back(PinnedShard{&key, &shard});
   }
-  held.clear();  // release every stripe before the (possibly long) visit
-  // Ascending key order across stripes — the exact order the unstriped map
-  // yielded, which checkpoint byte-equality at every stripe count rests on.
-  std::sort(pinned.begin(), pinned.end(),
-            [](const PinnedShard& a, const PinnedShard& b) {
-              return *a.key < *b.key;
-            });
+  if (overrides_out != nullptr) *overrides_out = routing_->overrides;
+  if (objectives_out != nullptr) {
+    *objectives_out = routing_->objective_overrides;
+  }
   return pinned;
 }
 
 void ShardManager::UnpinFleet(const std::vector<PinnedShard>& pinned) {
   if (pinned.empty()) return;
-  // Same ascending all-stripes hold as PinFleet; one acquisition per
-  // stripe instead of one per shard.
-  std::vector<std::unique_lock<std::shared_mutex>> held;
-  held.reserve(stripes_.size());
-  for (const auto& stripe : stripes_) held.emplace_back(stripe->mu);
+  std::lock_guard<std::shared_mutex> map_lock(routing_->mu);
   for (const PinnedShard& entry : pinned) --entry.shard->pins;
+}
+
+std::vector<const ShardManager::Shard*> ShardManager::ShardSnapshot() const {
+  std::shared_lock<std::shared_mutex> map_lock(routing_->mu);
+  std::vector<const Shard*> snapshot;
+  snapshot.reserve(routing_->shards.size());
+  for (const auto& [key, shard] : routing_->shards) snapshot.push_back(&shard);
+  return snapshot;
 }
 
 Status ShardManager::Ingest(const std::string& key, Point p) {
@@ -700,11 +640,11 @@ Status ShardManager::IngestBatch(std::vector<KeyedPoint> batch) {
   if (batch.empty()) return Status::OK();
   const int64_t n = static_cast<int64_t>(batch.size());
   // Reserve the whole batch's clock range up front: arrival i owns tick
-  // base + i + 1 whichever thread groups it, so LRU order and TTL
-  // bookkeeping are identical run to run (and to the serial build) no
-  // matter how the per-stripe grouping below interleaves. The flip side:
-  // an arrival dropped by validation still consumes its tick — documented
-  // in the header; the clock is an ordering device, not checkpointed state.
+  // base + i + 1, so LRU order and TTL bookkeeping are identical run to
+  // run (and to the serial build) however concurrent batches interleave.
+  // The flip side: an arrival dropped by validation still consumes its
+  // tick — documented in the header; the clock is an ordering device, not
+  // checkpointed state.
   const int64_t base = clock_.fetch_add(n, std::memory_order_relaxed);
 
   // One per-shard group: arrival order preserved within the key (the only
@@ -712,91 +652,67 @@ Status ShardManager::IngestBatch(std::vector<KeyedPoint> batch) {
   // is unobservable).
   struct Group {
     const std::string* key = nullptr;
-    std::vector<Point> points;
-    int64_t size = 0;        ///< recorded at grouping, BEFORE any move
-    int64_t last_clock = 0;  ///< manager clock at the group's last arrival
-    int64_t dim = -1;        ///< dimension pinned by the first accepted point
-    Shard* shard = nullptr;
-    Status status;  ///< the group's ingest outcome
-  };
-  // Per-stripe slice of the batch; groups/validates under only its own
-  // stripe's lock, so disjoint stripes never serialize on each other.
-  struct StripeBatch {
-    Stripe* stripe = nullptr;
-    std::vector<int64_t> indices;  ///< into batch, ascending
-    std::map<std::string, Group> groups;
-    int64_t dropped = 0;
-    Status first_error;
-    int64_t first_error_index = -1;  ///< original batch position
+    std::vector<int64_t> indices;  ///< batch positions, ascending
+    std::vector<Point> points;     ///< the accepted arrivals, in order
+    int64_t size = 0;              ///< accepted count, recorded BEFORE the move
+    Shard* shard = nullptr;        ///< null when no arrival was accepted
+    Status status;                 ///< the group's ingest outcome
   };
 
-  // Phase 1: partition by stripe, lock-free (StripeOf is a pure hash).
-  const size_t mask = stripes_.size() - 1;
-  std::vector<std::vector<int64_t>> indices_by_stripe(stripes_.size());
-  for (int64_t i = 0; i < n; ++i) {
-    indices_by_stripe[std::hash<std::string>{}(batch[i].key) & mask]
-        .push_back(i);
-  }
-  std::vector<StripeBatch> stripe_work;
-  for (size_t s = 0; s < stripes_.size(); ++s) {
-    if (indices_by_stripe[s].empty()) continue;
-    StripeBatch sb;
-    sb.stripe = stripes_[s].get();
-    sb.indices = std::move(indices_by_stripe[s]);
-    stripe_work.push_back(std::move(sb));
+  // Phase 1: group batch positions by key. It allocates and reads no
+  // shared state, so it runs before, not under, the exclusive map lock.
+  std::map<std::string, Group> groups;
+  for (int64_t i = 0; i < n; ++i) groups[batch[i].key].indices.push_back(i);
+  for (auto& [key, group] : groups) {
+    group.key = &key;
+    group.points.reserve(group.indices.size());
   }
 
-  // Phase 2: group + validate + route + pin WITHIN each stripe,
-  // concurrently over the pool. Each task holds exactly its own stripe's
-  // lock; validation and dimension pinning happen in the same critical
-  // section that creates the shard, so a racing batch on the same fresh
-  // key validates against the dimension pinned here.
-  auto group_stripe = [&](int64_t w) {
-    StripeBatch& sb = stripe_work[w];
-    std::lock_guard<std::shared_mutex> stripe_lock(sb.stripe->mu);
-    for (int64_t i : sb.indices) {
-      KeyedPoint& kp = batch[i];
-      // For a key already accepted earlier in this batch the group carries
-      // the pinned dimension (a brand-new shard has none on record yet).
-      auto git = sb.groups.find(kp.key);
-      const int64_t pinned = git != sb.groups.end()
-                                 ? git->second.dim
-                                 : PinnedDimensionLocked(*sb.stripe, kp.key);
-      Status status = ValidateKey(kp.key);
-      if (status.ok()) status = ValidateArrival(kp.point, constraint_, pinned);
-      if (!status.ok()) {
-        ++sb.dropped;
-        if (sb.first_error_index < 0) {
-          sb.first_error = std::move(status);
-          sb.first_error_index = i;
+  // Phase 2: validate + route + pin under one map-lock hold. Validation
+  // and dimension pinning happen in the same critical section that creates
+  // the shard, so a racing batch on the same fresh key validates against
+  // the dimension pinned here. A key's arrivals are validated in order
+  // against its pinned dimension, then against the first accepted one's.
+  int64_t dropped = 0;
+  Status first_error;
+  int64_t first_error_index = n;  ///< batch position of the earliest offender
+  std::vector<Group*> work;
+  work.reserve(groups.size());
+  {
+    std::lock_guard<std::shared_mutex> map_lock(routing_->mu);
+    for (auto& [key, group] : groups) {
+      auto it = routing_->shards.find(key);
+      int64_t dim = it == routing_->shards.end() ? -1 : it->second.dim;
+      int64_t last_clock = 0;
+      for (int64_t i : group.indices) {
+        Status status = ValidateKey(key);
+        if (status.ok()) {
+          status = ValidateArrival(batch[i].point, constraint_, dim);
         }
-        continue;
+        if (!status.ok()) {
+          ++dropped;
+          if (i < first_error_index) {
+            first_error = std::move(status);
+            first_error_index = i;
+          }
+          continue;
+        }
+        dim = static_cast<int64_t>(batch[i].point.dimension());
+        group.points.push_back(std::move(batch[i].point));
+        last_clock = base + i + 1;
       }
-      if (git == sb.groups.end()) git = sb.groups.try_emplace(kp.key).first;
-      Group& group = git->second;
-      group.dim = static_cast<int64_t>(kp.point.dimension());
-      group.points.push_back(std::move(kp.point));
-      ++group.size;
-      group.last_clock = base + i + 1;
-    }
-    for (auto& [key, group] : sb.groups) {
-      group.key = &key;
-      group.shard = RouteLocked(*sb.stripe, key, /*create_missing=*/true,
-                                group.last_clock);
-      group.shard->dim = group.dim;
+      if (group.points.empty()) continue;
+      group.size = static_cast<int64_t>(group.points.size());
+      group.shard = RouteLocked(key, /*create_missing=*/true, last_clock);
+      group.shard->dim = dim;
       ++group.shard->pins;
+      work.push_back(&group);
     }
-    sb.stripe->ops += static_cast<int64_t>(sb.groups.size());
-  };
-  FanOut(static_cast<int64_t>(stripe_work.size()), group_stripe);
+  }
 
   // Phase 3: fan the per-shard groups out over the pool. Each task blocks
   // only on its own shard's lock (held by nobody else routing a disjoint
   // key set).
-  std::vector<Group*> work;
-  for (StripeBatch& sb : stripe_work) {
-    for (auto& [key, group] : sb.groups) work.push_back(&group);
-  }
   FanOut(static_cast<int64_t>(work.size()), [&](int64_t i) {
     Group* group = work[i];
     std::lock_guard<std::mutex> shard_lock(group->shard->mu);
@@ -810,30 +726,21 @@ Status ShardManager::IngestBatch(std::vector<KeyedPoint> batch) {
     }
   });
 
-  // Phase 4: unpin per stripe and merge the accounting. The earliest
-  // validation offender (by original batch position) wins the reported
-  // error, else the first failed group's; failed groups use the size
-  // recorded at grouping time — the points vector is unreliable after the
-  // std::move above.
-  int64_t dropped = 0;
-  Status first_error = Status::OK();
-  int64_t first_error_index = n;
+  // Phase 4: unpin and merge the accounting. The earliest validation
+  // offender (by batch position) wins the reported error, else the first
+  // failed group's; failed groups use the size recorded at routing time —
+  // the points vector is unreliable after the std::move above.
   Status group_error;
-  for (StripeBatch& sb : stripe_work) {
-    std::lock_guard<std::shared_mutex> stripe_lock(sb.stripe->mu);
-    for (auto& [key, group] : sb.groups) {
-      --group.shard->pins;
+  {
+    std::lock_guard<std::shared_mutex> map_lock(routing_->mu);
+    for (Group* group : work) {
+      --group->shard->pins;
       // A failed group was dropped whole (points are only consumed on
       // success). Its code travels with it, so a backend failure stays a
       // backend failure.
-      if (group.status.ok()) continue;
-      dropped += group.size;
-      if (group_error.ok()) group_error = group.status;
-    }
-    dropped += sb.dropped;
-    if (sb.first_error_index >= 0 && sb.first_error_index < first_error_index) {
-      first_error = std::move(sb.first_error);
-      first_error_index = sb.first_error_index;
+      if (group->status.ok()) continue;
+      dropped += group->size;
+      if (group_error.ok()) group_error = group->status;
     }
   }
   if (first_error.ok()) first_error = std::move(group_error);
@@ -851,53 +758,49 @@ Status ShardManager::IngestBatch(std::vector<KeyedPoint> batch) {
 
 Status ShardManager::SetTenantOptions(const std::string& key,
                                       SlidingWindowOptions options) {
-  Stripe& stripe = StripeOf(key);
-  std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
+  std::lock_guard<std::shared_mutex> map_lock(routing_->mu);
   FKC_RETURN_IF_ERROR(ValidateKey(key));
   FKC_RETURN_IF_ERROR(ValidateSlidingWindowOptions(options));
-  if (stripe.shards.count(key) != 0) {
+  if (routing_->shards.count(key) != 0) {
     return Status::FailedPrecondition(
         "shard '" + key + "' already exists; options are fixed at creation");
   }
   options.num_threads = 1;
   if (SameCheckpointedOptions(options, options_.window)) {
-    stripe.overrides.erase(key);  // identical to the template: no store
+    routing_->overrides.erase(key);  // identical to the template: no store
   } else {
-    stripe.overrides[key] = options;
+    routing_->overrides[key] = options;
   }
   return Status::OK();
 }
 
 const SlidingWindowOptions* ShardManager::TenantOptions(
     const std::string& key) const {
-  Stripe& stripe = StripeOf(key);
-  std::shared_lock<std::shared_mutex> stripe_lock(stripe.mu);
-  auto it = stripe.overrides.find(key);
-  return it == stripe.overrides.end() ? nullptr : &it->second;
+  std::shared_lock<std::shared_mutex> map_lock(routing_->mu);
+  auto it = routing_->overrides.find(key);
+  return it == routing_->overrides.end() ? nullptr : &it->second;
 }
 
 Status ShardManager::SetTenantObjective(const std::string& key,
                                         ObjectiveKind objective) {
-  Stripe& stripe = StripeOf(key);
-  std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
+  std::lock_guard<std::shared_mutex> map_lock(routing_->mu);
   FKC_RETURN_IF_ERROR(ValidateKey(key));
-  if (stripe.shards.count(key) != 0) {
+  if (routing_->shards.count(key) != 0) {
     return Status::FailedPrecondition("shard '" + key +
                                       "' already exists; its objective is "
                                       "fixed at creation");
   }
   if (objective == options_.objective) {
-    stripe.objective_overrides.erase(key);  // same as the default: no store
+    routing_->objective_overrides.erase(key);  // same as the default
   } else {
-    stripe.objective_overrides[key] = objective;
+    routing_->objective_overrides[key] = objective;
   }
   return Status::OK();
 }
 
 ObjectiveKind ShardManager::TenantObjective(const std::string& key) const {
-  Stripe& stripe = StripeOf(key);
-  std::shared_lock<std::shared_mutex> stripe_lock(stripe.mu);
-  return ObjectiveForKey(stripe, key);
+  std::shared_lock<std::shared_mutex> map_lock(routing_->mu);
+  return ObjectiveForKey(key);
 }
 
 Result<ObjectiveSolution> ShardManager::Query(const std::string& key,
@@ -910,8 +813,8 @@ Result<ObjectiveSolution> ShardManager::Query(const std::string& key,
 }
 
 std::vector<ShardAnswer> ShardManager::QueryAll() {
-  // Epoch snapshot: pin the current shard set under one all-stripes
-  // acquisition, then answer shard by shard under per-shard locks only —
+  // Epoch snapshot: pin the current shard set under one map-lock hold,
+  // then answer shard by shard under per-shard locks only —
   // ingest to unrelated shards proceeds throughout the round.
   std::vector<PinnedShard> pinned = PinFleet();
   FleetPin unpin(this, &pinned);
@@ -953,24 +856,22 @@ std::vector<ShardAnswer> ShardManager::QueryAll() {
 int64_t ShardManager::EvictIdle(int64_t idle_ttl, Status* spill_status) {
   if (spill_status != nullptr) *spill_status = Status::OK();
   if (idle_ttl < 0) return 0;
-  // Each stripe's LRU index orders its live shards by last_touch, so the
-  // idle ones are exactly its prefix — snapshot those per stripe (one
-  // stripe lock at a time), merge into the global (touch, key) order the
-  // unstriped sweep had, then spill without any lock held. TrySpillShard
-  // re-checks idleness (and pins, and the lock) per victim, so a candidate
-  // touched after the snapshot is simply skipped.
+  // The LRU index orders live shards by (last_touch, key), so the idle
+  // ones are exactly its prefix — snapshot those, then spill without any
+  // lock held. TrySpillShard re-checks idleness (and pins, and the lock)
+  // per victim, so a candidate touched after the snapshot is simply
+  // skipped.
   const int64_t now = clock_.load(std::memory_order_relaxed);
-  std::vector<std::pair<int64_t, std::string>> candidates;
-  for (const auto& stripe : stripes_) {
-    std::shared_lock<std::shared_mutex> stripe_lock(stripe->mu);
-    for (const auto& [touch, key] : stripe->live_lru) {
+  std::vector<std::string> candidates;
+  {
+    std::shared_lock<std::shared_mutex> map_lock(routing_->mu);
+    for (const auto& [touch, key] : routing_->live_lru) {
       if (now - touch <= idle_ttl) break;
-      candidates.emplace_back(touch, key);
+      candidates.push_back(key);
     }
   }
-  std::sort(candidates.begin(), candidates.end());
   int64_t evicted = 0;
-  for (const auto& [touch, key] : candidates) {
+  for (const std::string& key : candidates) {
     auto attempt = TrySpillShard(key, idle_ttl);
     if (!attempt.ok()) {
       // Backend down: stop the sweep, leave the remaining shards live.
@@ -983,11 +884,10 @@ int64_t ShardManager::EvictIdle(int64_t idle_ttl, Status* spill_status) {
 }
 
 Result<std::string> ShardManager::CheckpointSnapshot(bool dirty_only) {
-  // Pin set and override table under ONE all-stripes acquisition, so the
-  // table travels with the shard set it was snapshotted beside. The merged
-  // override map and the key-sorted pin vector reproduce exactly the
-  // iteration order of the unstriped (or serially built) fleet — the
-  // byte-equality contract at every stripe count.
+  // Pin set and override tables under ONE map-lock hold, so the tables
+  // travel with the shard set they were snapshotted beside. Both iterate
+  // in ascending key order, as a serially built fleet's do — the
+  // byte-equality contract under concurrent building.
   std::map<std::string, SlidingWindowOptions> overrides;
   std::map<std::string, ObjectiveKind> objectives;
   std::vector<PinnedShard> pinned = PinFleet(&overrides, &objectives);
@@ -1009,8 +909,8 @@ Result<std::string> ShardManager::CheckpointSnapshot(bool dirty_only) {
   }
   if (!dirty_only) {
     // The window template (needed to spawn shards for keys first seen
-    // after a restore). num_threads, num_stripes, max_live_shards, and the
-    // spill store are execution/resource knobs and are deliberately
+    // after a restore). num_threads, max_live_shards, and the spill store
+    // are execution/resource knobs and are deliberately
     // excluded, like in the core checkpoint.
     WriteSlidingWindowOptions(&out, options_.window);
   }
@@ -1083,15 +983,8 @@ Result<std::string> ShardManager::CheckpointDelta() {
 }
 
 size_t ShardManager::dirty_shard_count() const {
-  // Shard map entries are never erased, so the snapshot stays valid after
-  // the stripe locks are dropped; dirtiness is then read per shard lock.
-  std::vector<const Shard*> snapshot;
-  for (const auto& stripe : stripes_) {
-    std::shared_lock<std::shared_mutex> stripe_lock(stripe->mu);
-    for (const auto& [key, shard] : stripe->shards) snapshot.push_back(&shard);
-  }
   size_t dirty = 0;
-  for (const Shard* shard : snapshot) {
+  for (const Shard* shard : ShardSnapshot()) {
     std::lock_guard<std::mutex> shard_lock(shard->mu);
     if (IsDirty(*shard)) ++dirty;
   }
@@ -1125,38 +1018,25 @@ Status ShardManager::ApplyDelta(const std::string& bytes) {
   }
 
   {
-    // Replace the override tables (options AND objectives) as one unit:
-    // all stripe locks, ascending, then scatter the merged tables into the
-    // per-stripe slices.
-    std::vector<std::unique_lock<std::shared_mutex>> held;
-    held.reserve(stripes_.size());
-    for (const auto& stripe : stripes_) held.emplace_back(stripe->mu);
-    for (const auto& stripe : stripes_) {
-      stripe->overrides.clear();
-      stripe->objective_overrides.clear();
-    }
-    for (auto& [key, opts] : header.overrides) {
-      StripeOf(key).overrides.emplace(key, std::move(opts));
-    }
-    for (const auto& [key, kind] : header.objectives) {
-      StripeOf(key).objective_overrides.emplace(key, kind);
-    }
+    // Replace the override tables (options AND objectives) as one unit.
+    std::lock_guard<std::shared_mutex> map_lock(routing_->mu);
+    routing_->overrides = std::move(header.overrides);
+    routing_->objective_overrides = std::move(header.objectives);
   }
   // Swap each staged shard in under its own lock: per-shard atomicity (a
   // concurrent QueryAll may see a partially applied delta, never a torn
   // shard), and ingest to untouched tenants proceeds throughout.
   for (auto& [key, window, kind] : staged) {
-    Stripe& stripe = StripeOf(key);
     Shard* shard = nullptr;
     {
-      std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
-      auto [it, fresh] = stripe.shards.try_emplace(key);
+      std::lock_guard<std::shared_mutex> map_lock(routing_->mu);
+      auto [it, fresh] = routing_->shards.try_emplace(key);
       if (fresh) {
         // A tenant first seen in this delta: build the entry fully formed
-        // under the stripe lock (nobody can hold its shard lock yet). A
+        // under the map lock (nobody can hold its shard lock yet). A
         // visible entry without a window or a spill entry would read as a
         // spilled shard whose rehydration fails.
-        InstallLocked(stripe, it->first, &it->second, std::move(window), kind);
+        InstallLocked(it->first, &it->second, std::move(window), kind);
         continue;
       }
       shard = &it->second;
@@ -1165,10 +1045,10 @@ Status ShardManager::ApplyDelta(const std::string& bytes) {
     std::lock_guard<std::mutex> shard_lock(shard->mu);
     bool was_live;
     {
-      std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
+      std::lock_guard<std::shared_mutex> map_lock(routing_->mu);
       // An objective change for an existing tenant arrives only this way,
       // as a whole replacement state, never as a live mutation.
-      was_live = InstallLocked(stripe, key, shard, std::move(window), kind);
+      was_live = InstallLocked(key, shard, std::move(window), kind);
       --shard->pins;
     }
     if (!was_live) {
@@ -1185,42 +1065,33 @@ Status ShardManager::ApplyDelta(const std::string& bytes) {
 Result<ShardManager> ShardManager::Restore(
     const std::string& bytes, const Metric* metric,
     const FairCenterSolver* solver, int num_threads, int64_t max_live_shards,
-    std::shared_ptr<SpillStore> spill_store, int num_stripes) {
+    std::shared_ptr<SpillStore> spill_store) {
   CheckpointReader cursor(bytes);
   FleetHeader header;
   FKC_RETURN_IF_ERROR(ReadFleetHeader(&cursor, /*delta=*/false, &header));
 
   ShardManagerOptions options;
   options.num_threads = num_threads;
-  options.num_stripes = num_stripes;
   options.max_live_shards = max_live_shards;
   options.spill_store = std::move(spill_store);
   options.objective = header.objective;
   options.window = header.window;
 
-  // The manager is not published to any other thread until Restore
-  // returns, so its override tables are filled directly.
   ShardManager manager(options, ColorConstraint(header.caps), metric, solver);
-  for (auto& [key, opts] : header.overrides) {
-    manager.StripeOf(key).overrides.emplace(key, std::move(opts));
-  }
-  for (const auto& [key, kind] : header.objectives) {
-    manager.StripeOf(key).objective_overrides.emplace(key, kind);
-  }
+  Routing& routing = *manager.routing_;
 
   std::set<std::string> seen_keys;
   for (int64_t s = 0; s < header.shard_count; ++s) {
     FleetShard segment;
     FKC_RETURN_IF_ERROR(ReadFleetShard(&cursor, header, metric, solver,
                                        &seen_keys, &segment));
-    Stripe& stripe = manager.StripeOf(segment.key);
     {
-      std::lock_guard<std::shared_mutex> stripe_lock(stripe.mu);
+      std::lock_guard<std::shared_mutex> map_lock(routing.mu);
       // The key is new: ReadFleetShard rejects repeats. The checkpoint's
       // own table (default tag + overrides) assigns the objective; v2
       // tables are implicitly all-fair-center.
-      const auto pos = stripe.shards.try_emplace(std::move(segment.key)).first;
-      manager.InstallLocked(stripe, pos->first, &pos->second,
+      const auto pos = routing.shards.try_emplace(std::move(segment.key)).first;
+      manager.InstallLocked(pos->first, &pos->second,
                             std::move(segment.window), segment.kind);
     }
     // Enforce the cap as shards stream in, not after: a fleet far larger
@@ -1231,6 +1102,11 @@ Result<ShardManager> ShardManager::Restore(
     // the restore fails the restore, not the process.
     FKC_RETURN_IF_ERROR(manager.EnforceLiveCap(nullptr));
   }
+  // The manager is not published to any other thread until Restore
+  // returns, so its override tables are filled directly — after the shard
+  // segments, whose objectives ReadFleetShard looks up in `header`.
+  routing.overrides = std::move(header.overrides);
+  routing.objective_overrides = std::move(header.objectives);
   return manager;
 }
 
@@ -1350,15 +1226,15 @@ MaintenanceTickReport ShardManager::RunMaintenanceTick(
 }
 
 Result<int64_t> ShardManager::GarbageCollectSpill() {
-  // The GC mutex is taken BEFORE any stripe lock (lock-order protocol) and
+  // The GC mutex is taken BEFORE the map lock (lock-order protocol) and
   // held across the whole sweep: no spill can commit between the keep-set
   // snapshot below and the store's delete pass, so the keep-set can never
   // under-approximate and reap a freshly spilled blob.
   std::lock_guard<std::mutex> gc(*gc_mu_);
   std::set<std::string> spilled;
-  for (const auto& stripe : stripes_) {
-    std::shared_lock<std::shared_mutex> stripe_lock(stripe->mu);
-    for (const auto& [key, shard] : stripe->shards) {
+  {
+    std::shared_lock<std::shared_mutex> map_lock(routing_->mu);
+    for (const auto& [key, shard] : routing_->shards) {
       if (!shard.live) spilled.insert(key);
     }
   }
@@ -1366,12 +1242,10 @@ Result<int64_t> ShardManager::GarbageCollectSpill() {
 }
 
 std::vector<std::string> ShardManager::Keys() const {
+  std::shared_lock<std::shared_mutex> map_lock(routing_->mu);
   std::vector<std::string> keys;
-  for (const auto& stripe : stripes_) {
-    std::shared_lock<std::shared_mutex> stripe_lock(stripe->mu);
-    for (const auto& [key, shard] : stripe->shards) keys.push_back(key);
-  }
-  std::sort(keys.begin(), keys.end());
+  keys.reserve(routing_->shards.size());
+  for (const auto& [key, shard] : routing_->shards) keys.push_back(key);
   return keys;
 }
 
@@ -1383,19 +1257,14 @@ FairCenterSlidingWindow* ShardManager::shard(const std::string& key) {
 
 const FairCenterSlidingWindow* ShardManager::shard(
     const std::string& key) const {
-  Stripe& stripe = StripeOf(key);
-  std::shared_lock<std::shared_mutex> stripe_lock(stripe.mu);
-  auto it = stripe.shards.find(key);
-  return it == stripe.shards.end() ? nullptr : it->second.live.get();
+  std::shared_lock<std::shared_mutex> map_lock(routing_->mu);
+  auto it = routing_->shards.find(key);
+  return it == routing_->shards.end() ? nullptr : it->second.live.get();
 }
 
 size_t ShardManager::shard_count() const {
-  size_t total = 0;
-  for (const auto& stripe : stripes_) {
-    std::shared_lock<std::shared_mutex> stripe_lock(stripe->mu);
-    total += stripe->shards.size();
-  }
-  return total;
+  std::shared_lock<std::shared_mutex> map_lock(routing_->mu);
+  return routing_->shards.size();
 }
 
 size_t ShardManager::live_shard_count() const {
@@ -1410,28 +1279,6 @@ size_t ShardManager::spilled_shard_count() const {
   return total > live ? total - live : 0;
 }
 
-std::vector<int64_t> ShardManager::StripeOps() const {
-  std::vector<int64_t> ops;
-  ops.reserve(stripes_.size());
-  for (const auto& stripe : stripes_) {
-    std::shared_lock<std::shared_mutex> stripe_lock(stripe->mu);
-    ops.push_back(stripe->ops);
-  }
-  return ops;
-}
-
-std::vector<int64_t> ShardManager::StripePins() const {
-  std::vector<int64_t> pins;
-  pins.reserve(stripes_.size());
-  for (const auto& stripe : stripes_) {
-    std::shared_lock<std::shared_mutex> stripe_lock(stripe->mu);
-    int64_t total = 0;
-    for (const auto& [key, shard] : stripe->shards) total += shard.pins;
-    pins.push_back(total);
-  }
-  return pins;
-}
-
 void ShardManager::FanOut(int64_t count,
                           const std::function<void(int64_t)>& fn) {
   ThreadPool* pool = Pool();
@@ -1443,15 +1290,8 @@ void ShardManager::FanOut(int64_t count,
 }
 
 MemoryStats ShardManager::TotalMemory() const {
-  // Same stable-entry snapshot as dirty_shard_count: collect under the
-  // stripe locks, read each shard under its own.
-  std::vector<const Shard*> snapshot;
-  for (const auto& stripe : stripes_) {
-    std::shared_lock<std::shared_mutex> stripe_lock(stripe->mu);
-    for (const auto& [key, shard] : stripe->shards) snapshot.push_back(&shard);
-  }
   MemoryStats stats;
-  for (const Shard* shard : snapshot) {
+  for (const Shard* shard : ShardSnapshot()) {
     std::lock_guard<std::mutex> shard_lock(shard->mu);
     if (shard->live) stats += shard->live->Memory();
   }

@@ -48,53 +48,45 @@
 //     of caller-driven; StopMaintenance() (also run by the destructor)
 //     joins it cleanly.
 //
-// Concurrency model (striped routing + per-shard locks). The manager
+// Concurrency model (one map lock + per-shard locks). The manager
 // serializes nothing behind one big mutex; instead:
 //
-//   * The routing layer is split into N hash-partitioned STRIPES. Each
-//     stripe owns its slice of the shard map, its slice of the per-tenant
-//     override tables (options and objectives), its own LRU index of live
-//     shards, and the pin counts of its shards — all guarded by that
-//     stripe's reader-writer lock (std::shared_mutex), held only for map
-//     lookups and bookkeeping mutations (plus shard construction), never
-//     across a window update, a query, a (de)serialization, or spill-store
-//     IO. Pure lookups (TenantOptions, Keys, counts, memory/pin gauges,
-//     eviction candidate scans) take it SHARED and run concurrently;
-//     anything that mutates stripe state — routing (it bumps LRU/ops and
-//     pins), creation, residency commits, override registration — takes it
-//     EXCLUSIVE. Ingest and shard creation on keys in different stripes
-//     never touch the same lock. The fleet-wide clock and the lifetime
-//     counters are plain atomics.
+//   * One ROUTING STATE holds the shard map, the per-tenant override
+//     tables (options and objectives), the LRU index of live shards, and
+//     the shards' pin counts, all guarded by one reader-writer lock (the
+//     MAP LOCK, a std::shared_mutex). It is held only for map lookups and
+//     bookkeeping mutations (plus shard construction), never across a
+//     window update, a query, a (de)serialization, or spill-store IO.
+//     Pure lookups (TenantOptions, Keys, counts, memory gauges, eviction
+//     candidate scans) take it SHARED and run concurrently; anything that
+//     mutates routing state — routing (it bumps LRU and pins), creation,
+//     residency commits, override registration — takes it EXCLUSIVE. The
+//     fleet-wide clock and the lifetime counters are plain atomics.
 //   * Each shard owns a PER-SHARD mutex guarding its window's contents and
 //     its dirty-tracking state. Ingest and per-key queries touch only the
-//     shards they route to, so two tenants never contend.
+//     shards they route to, so two tenants never contend on window work.
 //   * Fleet-wide reads (QueryAll, CheckpointAll, CheckpointDelta) take
-//     EPOCH-SNAPSHOT semantics: they acquire ALL stripe locks in ascending
-//     index order, collect a stable key-ordered vector of shard refs
-//     pinned against eviction via a per-shard refcount (and, for
-//     checkpoints, snapshot the override table beside it), release every
-//     stripe, then visit shards one at a time under their own locks. The
-//     all-stripes hold covers bookkeeping only, so it is brief; the fleet
-//     scan itself blocks ingest to one shard at a time, never the fleet.
-//     Checkpoint bytes are identical at EVERY stripe count (including 1):
-//     shards and overrides are always emitted in ascending key order, so a
-//     striped fleet checkpoints byte-equal to a serially built one.
+//     EPOCH-SNAPSHOT semantics: one map-lock hold collects the key-ordered
+//     shard set, pins it against eviction via a per-shard refcount (and,
+//     for checkpoints, copies the override tables beside it), then shards
+//     are visited one at a time under their own locks. The hold covers
+//     bookkeeping only, so it is brief; the fleet scan itself blocks ingest
+//     to one shard at a time, never the fleet. Shards and overrides are
+//     always emitted in ascending key order, so a fleet built by racing
+//     clients checkpoints byte-equal to a serially built one.
 //   * Eviction (EvictIdle and the LRU cap) try-locks its victims and
 //     SKIPS busy or pinned shards instead of stalling the world; a spill
 //     re-checks the pin count after writing to the store and aborts if a
 //     reader pinned the shard in the meantime, so rehydration stays
 //     bit-exact and the staged-commit checkpoint invariants hold.
 //
-//   Lock order: a per-shard mutex is only ever acquired blocking while no
-//   stripe lock is held (shared or exclusive); a stripe lock may be
-//   acquired while holding a shard lock (residency commits); multiple
-//   stripe locks are only ever taken in ascending stripe-index order;
-//   under a stripe lock, shard mutexes are only try_lock'ed (eviction).
-//   Shared and exclusive modes of one stripe's lock rank identically in
-//   the order — the mode changes contention, not the hierarchy. Spill-
-//   store writes and GC are additionally serialized by a GC mutex so a
-//   sweep can never reap a blob spilled after it snapshotted the keep-set.
-//   Full order: shard mu -> gc_mu_ -> stripe mu (ascending).
+//   Lock order: shard mu -> gc_mu_ -> map lock. A per-shard mutex is only
+//   ever acquired blocking while the map lock is not held (in either
+//   mode); the map lock may be acquired while holding a shard lock
+//   (residency commits); under the map lock, shard mutexes are only
+//   try_lock'ed (eviction). Spill-store writes and GC are serialized by
+//   gc_mu_ so a sweep can never reap a blob spilled after it snapshotted
+//   the keep-set.
 //
 // Compound caller sequences are still not atomic, and a fleet-wide
 // operation concurrent with ingest sees each shard's state at the moment
@@ -168,14 +160,6 @@ struct ShardManagerOptions {
   /// part of the checkpoint. Independent of EXTERNAL concurrency: any
   /// number of client threads may call the manager at num_threads = 1.
   int num_threads = 1;
-
-  /// Routing stripes of the shard map (see the file comment). 0 = auto
-  /// (scaled to the hardware concurrency); anything else is rounded UP to
-  /// the next power of two (for mask-based key hashing) and clamped to
-  /// [1, 256]. An execution knob like num_threads: per-shard state,
-  /// checkpoint bytes, and answers are identical at every stripe count —
-  /// only contention changes. Not checkpointed.
-  int num_stripes = 0;
 
   /// Upper bound on simultaneously live (in-memory) shards; 0 = unlimited.
   /// When a create or rehydration would exceed it, the least-recently
@@ -278,10 +262,10 @@ struct ShardAnswer {
 ///
 /// Thread-safety: every public method is safe to call from any number of
 /// threads concurrently, including while the background maintenance thread
-/// runs. Ingest and per-key queries contend only on their key's routing
-/// stripe and the shards they route to (striped two-level locking — see
-/// the file comment); QueryAll and the checkpoint family are epoch
-/// snapshots that lock shards one at a time.
+/// runs. Ingest and per-key queries contend only on the brief map-lock
+/// hold of their routing step and on the shards they route to (two-level
+/// locking — see the file comment); QueryAll and the checkpoint family are
+/// epoch snapshots that lock shards one at a time.
 /// Compound caller sequences are not atomic, and pointers returned by
 /// shard() are not protected by any lock once returned — do not retain
 /// them across other manager calls, and do not use the non-const shard()
@@ -310,12 +294,12 @@ class ShardManager {
   /// kIoError). Other tenants are unaffected.
   Status Ingest(const std::string& key, Point p);
 
-  /// Routes a batch of keyed arrivals: partitions the batch by routing
-  /// stripe (lock-free), then groups by key WITHIN each stripe concurrently
-  /// over the pool (preserving per-key arrival order), creates/rehydrates
-  /// missing shards, and finally fans the per-shard groups out over the
-  /// pool, each shard consuming its group through the core UpdateBatch
-  /// engine. Produces the same per-shard state as calling Ingest per
+  /// Routes a batch of keyed arrivals: groups it by key (lock-free,
+  /// preserving per-key arrival order), validates and routes the groups
+  /// under one map-lock hold, creates/rehydrates missing shards, and fans
+  /// the per-shard groups out over the pool, each shard consuming its
+  /// group through the core UpdateBatch engine. Produces the same
+  /// per-shard state as calling Ingest per
   /// arrival in order. Invalid arrivals (oversized key, or one the window's
   /// ValidateArrival rejects against the shard's pinned dimension) are
   /// dropped individually before routing — every valid arrival in the
@@ -323,11 +307,10 @@ class ShardManager {
   /// rehydration fails. The status reports the drop count ("dropped X of
   /// N arrivals") and the earliest validation offender (by batch
   /// position), else the first rehydration failure, with that error's own
-  /// code. Two batches touching disjoint key sets contend at most on
-  /// shared stripes during the routing step, and not at all when their
-  /// stripes are disjoint. The fleet clock advances once per SUBMITTED
-  /// arrival (a dropped arrival still consumes its tick), keeping LRU/TTL
-  /// bookkeeping deterministic under concurrent grouping.
+  /// code. Two batches touching disjoint key sets contend only on the map
+  /// lock during the routing step. The fleet clock advances once per
+  /// SUBMITTED arrival (a dropped arrival still consumes its tick), keeping
+  /// LRU/TTL bookkeeping deterministic under concurrent batches.
   Status IngestBatch(std::vector<KeyedPoint> batch);
 
   /// Registers per-tenant options applied when `key`'s shard is created;
@@ -368,7 +351,7 @@ class ShardManager {
   /// Queries every shard — live and spilled — multiplexed over the pool
   /// (each shard's query pipeline runs sequentially inside its task).
   /// An epoch snapshot: the shard set is collected (and pinned against
-  /// eviction) under the stripe locks, then each shard is visited under
+  /// eviction) under the map lock, then each shard is visited under
   /// its own lock — ingest to unrelated shards never waits on a
   /// fleet-wide query round. Spilled shards are answered from an ephemeral
   /// deserialization without changing their residency, so a fleet-wide
@@ -401,10 +384,10 @@ class ShardManager {
   /// when the whole fleet is default fair-center (byte-identical to
   /// pre-objective builds) and v3 otherwise. An epoch snapshot like
   /// QueryAll: the shard
-  /// set (and override table) is pinned under the stripe locks — all
-  /// stripes held at once, acquired in ascending index order — then
+  /// set (and override table) is pinned under one map-lock hold, then
   /// serialized one shard lock at a time in ascending key order, so the
-  /// bytes are identical at every stripe count; shards created after the
+  /// bytes do not depend on how concurrent callers interleaved; shards
+  /// created after the
   /// snapshot stay dirty for the next checkpoint, and arrivals landing on
   /// a shard after its segment was captured leave it dirty (the
   /// epoch-based clean mark records the captured state, not the latest).
@@ -443,7 +426,7 @@ class ShardManager {
   /// re-serialized into the spill store (for fkc-checkpoint-v2 segments
   /// the same bytes as the blob carried), and a store that refuses them
   /// fails the restore with its Status. `num_threads`,
-  /// `num_stripes`, `max_live_shards`, and `spill_store` are
+  /// `max_live_shards`, and `spill_store` are
   /// execution/resource knobs supplied at restore time, like the metric
   /// and solver. Corrupted, truncated, or implausible blobs fail with
   /// kInvalidArgument, never a process abort.
@@ -451,7 +434,7 @@ class ShardManager {
       const std::string& bytes, const Metric* metric,
       const FairCenterSolver* solver, int num_threads = 1,
       int64_t max_live_shards = 0,
-      std::shared_ptr<SpillStore> spill_store = nullptr, int num_stripes = 0);
+      std::shared_ptr<SpillStore> spill_store = nullptr);
 
   // --- Background maintenance. ---
 
@@ -501,7 +484,7 @@ class ShardManager {
   Result<int64_t> GarbageCollectSpill();
 
   /// Shard keys — live and spilled — in deterministic (lexicographic)
-  /// order, merged across stripes.
+  /// order.
   std::vector<std::string> Keys() const;
 
   /// Direct access to one shard, transparently rehydrating it if spilled
@@ -549,17 +532,6 @@ class ShardManager {
     return stats;
   }
 
-  /// Resolved routing-stripe count (a power of two, >= 1).
-  int num_stripes() const { return static_cast<int>(stripes_.size()); }
-  /// Routing operations (single-shard routes + batch groups) served per
-  /// stripe since construction, index-aligned with the stripes. A load /
-  /// skew gauge for benches: under Zipf-skewed keys the hot tenant's
-  /// stripe dominates. Volatile under concurrency — never gate on it.
-  std::vector<int64_t> StripeOps() const;
-  /// Current pin totals per stripe (sum of Shard::pins). Quiescent
-  /// managers must report all zeros — fleet snapshots unpin on every exit
-  /// path; exposed so tests can assert exactly that.
-  std::vector<int64_t> StripePins() const;
   /// Iterations the shared pool's workers claimed while another fan-out
   /// was concurrently in flight (ThreadPool::shared_claims; 0 without a
   /// pool). Volatile — a work-sharing gauge, not a counter to gate on.
@@ -576,30 +548,24 @@ class ShardManager {
   const ColorConstraint& constraint() const { return constraint_; }
   SpillStore* spill_store() const { return options_.spill_store.get(); }
 
-  /// The stripe-count convention: 0 means "auto" (4x the hardware
-  /// concurrency), anything else is taken as requested; the result is then
-  /// rounded up to a power of two and clamped to [1, 256].
-  static int ResolveStripeCount(int requested);
-
  private:
   /// One tenant's slot: a live window, or (live == nullptr) its serialized
   /// state parked in the spill store under the tenant key. Entries are
-  /// never removed from their stripe's shard map (eviction only drops the
-  /// live window), so Shard* pointers are stable for the manager's
-  /// lifetime.
+  /// never removed from the shard map (eviction only drops the live
+  /// window), so Shard* pointers are stable for the manager's lifetime.
   ///
   /// Field guards:
   ///   * `mu` (the per-shard lock) guards the contents of `live` (every
   ///     Update/Query/SerializeState call), `spill_dirty`, and
   ///     `clean_epoch`.
-  ///   * The owning stripe's lock (exclusive) guards `pins`, `last_touch`,
-  ///     `dim`, and `kind`.
+  ///   * The map lock (exclusive) guards `pins`, `last_touch`, `dim`, and
+  ///     `kind`.
   ///   * The `live` POINTER itself (residency) changes only with BOTH the
-  ///     stripe lock and `mu` held, so either lock suffices to read it.
+  ///     map lock and `mu` held, so either lock suffices to read it.
   struct Shard {
-    /// Per-shard lock. Blocking-acquired only while no stripe lock is
-    /// held; try_lock'ed under the stripe lock by eviction. Mutable so
-    /// const fleet accessors can lock shards they only read.
+    /// Per-shard lock. Blocking-acquired only while the map lock is not
+    /// held; try_lock'ed under the map lock by eviction. Mutable so const
+    /// fleet accessors can lock shards they only read.
     mutable std::mutex mu;
     std::unique_ptr<FairCenterSlidingWindow> live;  ///< null when spilled
     /// The objective this shard's queries answer for. Fixed when the entry
@@ -611,7 +577,7 @@ class ShardManager {
     /// kNeverCheckpointed marks dirty-since-birth (or since a dirty spill
     /// was rehydrated, which resets the window's epoch counter).
     int64_t clean_epoch = kNeverCheckpointed;
-    /// In-flight operations holding a reference (stripe lock). A pinned
+    /// In-flight operations holding a reference (map lock). A pinned
     /// shard is never spilled: the spill path re-checks after its store
     /// write and aborts. Pins do not block rehydration.
     int pins = 0;
@@ -622,32 +588,29 @@ class ShardManager {
     int64_t dim = -1;
   };
 
-  /// One hash partition of the routing layer (see the file comment). All
-  /// fields are guarded by `mu` — shared mode suffices for pure reads,
-  /// every mutation holds it exclusive. Held in unique_ptrs so Stripe
-  /// addresses are stable and the manager stays movable.
-  struct Stripe {
+  /// The routing state (see the file comment). Every field is guarded by
+  /// `mu`, the map lock — shared mode suffices for pure reads, every
+  /// mutation holds it exclusive. Heap-allocated so the manager stays
+  /// movable.
+  struct Routing {
     mutable std::shared_mutex mu;
     /// Shards keyed by tenant id; std::map for deterministic iteration AND
     /// stable Shard addresses (entries are never erased).
     std::map<std::string, Shard> shards;
-    /// This stripe's slice of the per-tenant option overrides.
+    /// Per-tenant option overrides.
     std::map<std::string, SlidingWindowOptions> overrides;
-    /// This stripe's slice of the per-tenant objective overrides (tenants
-    /// deviating from options_.objective).
+    /// Per-tenant objective overrides (tenants deviating from
+    /// options_.objective).
     std::map<std::string, ObjectiveKind> objective_overrides;
-    /// (last_touch, key) of this stripe's live shards: the stripe-local
-    /// LRU victim is begin(); the fleet-wide victim is the minimum of the
-    /// stripes' fronts, preserving the global deterministic order.
+    /// (last_touch, key) of the live shards: begin() is the LRU victim,
+    /// least recently touched with ties broken by smaller key.
     std::set<std::pair<int64_t, std::string>> live_lru;
-    int64_t ops = 0;  ///< routing operations served (load/skew gauge)
   };
 
   /// One pinned entry of an epoch snapshot (QueryAll / checkpoints).
   struct PinnedShard {
     const std::string* key = nullptr;  ///< stable: map keys are never erased
     Shard* shard = nullptr;
-    Stripe* stripe = nullptr;  ///< owner, for the unpin pass
   };
 
   /// Unpins a snapshot on scope exit, whatever the exit path.
@@ -662,46 +625,36 @@ class ShardManager {
 
   static constexpr int64_t kNeverCheckpointed = -1;
 
-  /// `key`'s routing stripe (stable hash partition; stripe count is fixed
-  /// at construction).
-  Stripe& StripeOf(const std::string& key) const;
-
   /// Requires the shard's `mu` (reads the live window's epoch counter).
   bool IsDirty(const Shard& shard) const;
-  /// `key`'s pinned coordinate dimension, or -1 for unknown keys.
-  /// Requires `stripe`'s lock.
-  int64_t PinnedDimensionLocked(const Stripe& stripe,
-                                const std::string& key) const;
-  /// Template or override for `key`, num_threads forced to 1. Requires
-  /// `stripe`'s lock (reads the stripe's override slice).
-  SlidingWindowOptions OptionsForKey(const Stripe& stripe,
-                                     const std::string& key) const;
+  /// Template or override for `key`, num_threads forced to 1. Requires the
+  /// map lock.
+  SlidingWindowOptions OptionsForKey(const std::string& key) const;
   /// Fleet default or registered objective override for `key`. Requires
-  /// `stripe`'s lock (shared suffices).
-  ObjectiveKind ObjectiveForKey(const Stripe& stripe,
-                                const std::string& key) const;
-  /// Routing step of every single-shard operation. Requires `stripe`'s
-  /// lock: finds `key`'s entry (creating a live one when `create_missing`),
-  /// and refreshes its last_touch to `touch`. Returns nullptr for an
-  /// unknown key when not creating. The caller pins before releasing the
-  /// stripe lock if it needs the shard past the lookup.
-  Shard* RouteLocked(Stripe& stripe, const std::string& key,
-                     bool create_missing, int64_t touch);
+  /// the map lock (shared suffices).
+  ObjectiveKind ObjectiveForKey(const std::string& key) const;
+  /// Routing step of every single-shard operation. Requires the map lock
+  /// (exclusive): finds `key`'s entry (creating a live one when
+  /// `create_missing`), and refreshes its last_touch to `touch`. Returns
+  /// nullptr for an unknown key when not creating. The caller pins before
+  /// releasing the map lock if it needs the shard past the lookup.
+  Shard* RouteLocked(const std::string& key, bool create_missing,
+                     int64_t touch);
   /// The one checked read of a spilled shard: spill-store Get (a failure
   /// counts as a rehydration failure), DeserializeState, then the
   /// fleet-constraint and pinned-dimension checks. Caller holds the
-  /// shard's `mu` and NO stripe lock (reading `dim` takes it shared).
+  /// shard's `mu` and not the map lock (reading `dim` takes it shared).
   Result<FairCenterSlidingWindow> LoadSpilled(const std::string& key,
                                               const Shard& shard);
   /// Rehydrates `key`'s shard if spilled. Caller holds the shard's `mu`
-  /// and NO stripe lock; the residency commit takes the stripe lock
+  /// and not the map lock; the residency commit takes the map lock
   /// internally. On success the shard is live.
   Status EnsureLiveHeld(const std::string& key, Shard* shard);
   /// Makes `window` the live, checkpoint-clean state of `key`'s entry,
   /// answering for `kind` and touched at the current clock (Restore and
-  /// ApplyDelta). Requires `stripe`'s lock, and the shard's `mu` once the
+  /// ApplyDelta). Requires the map lock, and the shard's `mu` once the
   /// entry is visible to other threads. Returns whether it was live.
-  bool InstallLocked(Stripe& stripe, const std::string& key, Shard* shard,
+  bool InstallLocked(const std::string& key, Shard* shard,
                      std::unique_ptr<FairCenterSlidingWindow> window,
                      ObjectiveKind kind);
   /// The single-key touch behind Query and shard(): routes `key` without
@@ -710,34 +663,35 @@ class ShardManager {
   /// `key`. Returns the routing or rehydration error; fn runs only on OK.
   template <typename Fn>
   Status TouchLiveShard(const std::string& key, Fn&& fn);
-  /// Sets a live shard's last_touch, keeping the stripe's LRU index in
-  /// sync. Requires `stripe`'s lock.
-  void TouchLive(Stripe& stripe, const std::string& key, Shard* shard,
-                 int64_t touch);
+  /// Sets a live shard's last_touch, keeping the LRU index in sync.
+  /// Requires the map lock (exclusive).
+  void TouchLive(const std::string& key, Shard* shard, int64_t touch);
   /// Attempts to spill `key`'s live shard right now, without blocking:
   /// kSkipped when the shard is unknown, already spilled, pinned, its lock
-  /// is busy, or (idle_ttl >= 0) it is no longer idle by the time the
-  /// stripe lock is held; a backend failure is returned as a Status and
-  /// leaves the shard live. Caller must hold NO manager lock.
+  /// is busy, or (idle_ttl >= 0) it is no longer idle by the time the map
+  /// lock is held; a backend failure is returned as a Status and leaves
+  /// the shard live. Caller must hold NO manager lock.
   Result<SpillAttempt> TrySpillShard(const std::string& key, int64_t idle_ttl);
-  /// Spills least-recently-touched live shards (fleet-wide minimum of the
-  /// stripes' LRU fronts; ties broken by smaller key, deterministically —
-  /// the same global order the unstriped index had) until the cap holds.
-  /// `exclude` (may be null) is never spilled; pinned or lock-busy shards
-  /// are skipped. A failing spill backend ends the round and its Status is
-  /// returned (Restore fails on it; the touch paths leave the cap to the
-  /// next enforcement). Caller must hold NO manager lock.
+  /// Spills least-recently-touched live shards (LRU order; ties broken by
+  /// smaller key, deterministically) until the cap holds. `exclude` (may
+  /// be null) is never spilled; pinned or lock-busy shards are skipped. A
+  /// failing spill backend ends the round and its Status is returned
+  /// (Restore fails on it; the touch paths leave the cap to the next
+  /// enforcement). Caller must hold NO manager lock.
   Status EnforceLiveCap(const std::string* exclude);
-  /// Pins every current shard entry — all stripe locks held at once, taken
-  /// in ascending index order — and returns the snapshot in deterministic
-  /// (ascending key) order. When `overrides_out` / `objectives_out` are
-  /// non-null, the merged override tables are copied out under the same
-  /// hold, so they travel with the exact shard set they were snapshotted
-  /// beside.
+  /// Pins every current shard entry under one map-lock hold and returns
+  /// the snapshot in ascending key order. When `overrides_out` /
+  /// `objectives_out` are non-null, the override tables are copied out
+  /// under the same hold, so they travel with the exact shard set they
+  /// were snapshotted beside.
   std::vector<PinnedShard> PinFleet(
       std::map<std::string, SlidingWindowOptions>* overrides_out = nullptr,
       std::map<std::string, ObjectiveKind>* objectives_out = nullptr);
   void UnpinFleet(const std::vector<PinnedShard>& pinned);
+  /// Every shard entry, collected under the map lock (shared) for the
+  /// gauges that then read each shard under its own lock. Entries are
+  /// never erased, so the pointers outlive the hold.
+  std::vector<const Shard*> ShardSnapshot() const;
   /// Shared body of CheckpointAll / CheckpointDelta (`dirty_only`).
   Result<std::string> CheckpointSnapshot(bool dirty_only);
   /// Runs fn(0..count) over the pool, or inline without one (or for a
@@ -754,16 +708,15 @@ class ShardManager {
   const Metric* metric_;
   const FairCenterSolver* solver_;
 
-  /// The routing stripes (see file comment); stripe count is a power of
-  /// two fixed at construction, so StripeOf is a hash + mask.
-  std::vector<std::unique_ptr<Stripe>> stripes_;
+  /// The shard map and its bookkeeping, under the map lock.
+  std::unique_ptr<Routing> routing_;
 
   /// Serializes spill-store writes against GarbageCollectSpill's keep-set
-  /// snapshot + sweep (lock order: shard mu -> gc_mu_ -> stripe mu).
+  /// snapshot + sweep (lock order: shard mu -> gc_mu_ -> map lock).
   std::unique_ptr<std::mutex> gc_mu_;
 
-  /// Live (resident) shards across all stripes; mutated only under the
-  /// owning stripe's lock but read lock-free by the cap check.
+  /// Live (resident) shards; mutated only under the map lock but read
+  /// lock-free by the cap check.
   std::atomic<size_t> live_count_{0};
 
   /// Shared pool (nullptr when the effective size is 1), created eagerly

@@ -110,8 +110,8 @@ TEST(ThreadPoolTest, ZeroResolvesToHardwareConcurrency) {
 // Work sharing: many external threads submit overlapping ParallelFor calls
 // to ONE pool. Every iteration of every job still runs exactly once, every
 // call returns only after its own job is complete, and the pool survives
-// the churn — the scenario the striped serving layer creates when multiple
-// client batches fan out concurrently.
+// the churn — the scenario the serving layer creates when multiple client
+// batches fan out concurrently over its shared pool.
 TEST(ThreadPoolTest, ConcurrentCallersShareWorkers) {
   ThreadPool pool(3);
   constexpr int kCallers = 6;

@@ -3,7 +3,7 @@
 // whichever objective it answers for; a k-median answer is the local search
 // on the planned coreset. Fair-center fleets keep emitting byte-identical
 // fkc-shards-v2 checkpoints (pre-objective builds restore them); mixed
-// fleets round-trip through fkc-shards-v3 byte-equal at any stripe count;
+// fleets round-trip through fkc-shards-v3 byte-equal;
 // spilled shards answer like live ones under either objective; forged
 // objective tags and foreign shard blobs are rejected with a Status, never
 // an abort; SetTenantObjective is creation-time-only; and the deterministic
@@ -55,12 +55,11 @@ std::vector<serving::KeyedPoint> KeyedStream(int n, uint64_t seed) {
   return stream;
 }
 
-serving::ShardManagerOptions Options(int num_stripes = 0) {
+serving::ShardManagerOptions Options() {
   serving::ShardManagerOptions options;
   options.window.window_size = 60;
   options.window.delta = 1.0;
   options.window.adaptive_range = true;
-  options.num_stripes = num_stripes;
   return options;
 }
 
@@ -218,42 +217,35 @@ TEST(ObjectiveFleetTest, PureFairCenterFleetStaysOnV2Bytes) {
       << "restore -> re-checkpoint must be byte-equal";
 }
 
-TEST(ObjectiveFleetTest, MixedFleetRoundTripsByteEqualAtEveryStripeCount) {
-  for (int stripes : {1, 4, 16}) {
-    serving::ShardManager manager(Options(stripes), kConstraint, &kMetric,
-                                  &kJones);
-    ASSERT_TRUE(
-        manager.SetTenantObjective("tenant-b", ObjectiveKind::kKMedian).ok());
-    ASSERT_TRUE(
-        manager.SetTenantObjective("tenant-d", ObjectiveKind::kKMedian).ok());
-    ASSERT_TRUE(manager.IngestBatch(KeyedStream(200, 31)).ok());
-    const std::string blob = MustCheckpoint(&manager);
-    EXPECT_EQ(blob.rfind("fkc-shards-v3", 0), 0u) << stripes << " stripes";
+TEST(ObjectiveFleetTest, MixedFleetRoundTripsByteEqual) {
+  serving::ShardManager manager(Options(), kConstraint, &kMetric, &kJones);
+  ASSERT_TRUE(
+      manager.SetTenantObjective("tenant-b", ObjectiveKind::kKMedian).ok());
+  ASSERT_TRUE(
+      manager.SetTenantObjective("tenant-d", ObjectiveKind::kKMedian).ok());
+  ASSERT_TRUE(manager.IngestBatch(KeyedStream(200, 31)).ok());
+  const std::string blob = MustCheckpoint(&manager);
+  EXPECT_EQ(blob.rfind("fkc-shards-v3", 0), 0u);
 
-    auto restored = serving::ShardManager::Restore(
-        blob, &kMetric, &kJones, /*num_threads=*/1, /*max_live_shards=*/0,
-        /*spill_store=*/nullptr, stripes);
-    ASSERT_TRUE(restored.ok())
-        << stripes << " stripes: " << restored.status().ToString();
-    EXPECT_EQ(MustCheckpoint(&restored.value()), blob) << stripes
-                                                       << " stripes";
-    EXPECT_EQ(restored.value().TenantObjective("tenant-a"),
-              ObjectiveKind::kFairCenter);
-    EXPECT_EQ(restored.value().TenantObjective("tenant-b"),
-              ObjectiveKind::kKMedian);
+  auto restored = serving::ShardManager::Restore(blob, &kMetric, &kJones);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(MustCheckpoint(&restored.value()), blob);
+  EXPECT_EQ(restored.value().TenantObjective("tenant-a"),
+            ObjectiveKind::kFairCenter);
+  EXPECT_EQ(restored.value().TenantObjective("tenant-b"),
+            ObjectiveKind::kKMedian);
 
-    // The restored mixed fleet answers exactly like the original, each
-    // tenant under its own objective.
-    auto before = manager.QueryAll();
-    auto after = restored.value().QueryAll();
-    ASSERT_EQ(before.size(), after.size());
-    for (size_t i = 0; i < before.size(); ++i) {
-      ASSERT_TRUE(before[i].solution.ok());
-      ASSERT_TRUE(after[i].solution.ok());
-      EXPECT_EQ(before[i].key, after[i].key);
-      EXPECT_EQ(before[i].solution.value().value,
-                after[i].solution.value().value);
-    }
+  // The restored mixed fleet answers exactly like the original, each
+  // tenant under its own objective.
+  auto before = manager.QueryAll();
+  auto after = restored.value().QueryAll();
+  ASSERT_EQ(before.size(), after.size());
+  for (size_t i = 0; i < before.size(); ++i) {
+    ASSERT_TRUE(before[i].solution.ok());
+    ASSERT_TRUE(after[i].solution.ok());
+    EXPECT_EQ(before[i].key, after[i].key);
+    EXPECT_EQ(before[i].solution.value().value,
+              after[i].solution.value().value);
   }
 }
 

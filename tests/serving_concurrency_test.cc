@@ -69,6 +69,22 @@ std::string MustCheckpoint(serving::ShardManager* manager) {
   return blob.ValueOr("");
 }
 
+// A leaked pin exempts its shard from eviction forever, so in a quiescent
+// fleet EvictIdle(0) must spill every shard. Each shard is first made live
+// by a Query; then one rejected arrival advances the fleet clock (a dropped
+// arrival still consumes its tick) without touching any shard, so none
+// counts as touched at the current clock.
+void ExpectEveryShardEvictable(serving::ShardManager* manager) {
+  for (const std::string& key : manager->Keys()) {
+    ASSERT_TRUE(manager->Query(key).ok()) << key;
+  }
+  const Status rejected = manager->Ingest("clock-tick", Point({0.0}, -1));
+  ASSERT_EQ(rejected.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(manager->EvictIdle(/*idle_ttl=*/0),
+            static_cast<int64_t>(manager->shard_count()));
+  EXPECT_EQ(manager->live_shard_count(), 0u);
+}
+
 bool SameSolution(const ObjectiveSolution& a, const ObjectiveSolution& b) {
   if (a.value != b.value || a.centers.size() != b.centers.size()) {
     return false;
@@ -189,6 +205,7 @@ TEST(ServingConcurrencyTest, StressEqualsSeriallyBuiltFleet) {
                              serial_answers[i].solution.value()))
         << "diverged on " << serial_answers[i].key;
   }
+  ExpectEveryShardEvictable(&concurrent);
 }
 
 // Single-point Ingest from many threads, same contract as the batched
@@ -227,16 +244,13 @@ TEST(ServingConcurrencyTest, ConcurrentIngestMatchesSerial) {
   EXPECT_EQ(MustCheckpoint(&concurrent), MustCheckpoint(&serial));
 }
 
-// --- Cross-stripe stress: striping must be invisible in the bytes. ------
+// --- Scattered-batch stress: multi-key batches race fleet snapshots. ---
 
-// Racing clients whose key sets deliberately span every stripe (client c
-// owns keys k with k % kClients == c, so each of its batches scatters
-// across stripes), plus a thread hammering CheckpointAll mid-flight, at
-// several stripe counts including the degenerate 1. The final checkpoint
-// must be byte-equal to a serially built single-stripe fleet, and every
-// stripe's pin count must be back to zero once the dust settles — a leaked
-// pin would exempt a shard from eviction forever.
-TEST(ServingConcurrencyTest, CrossStripeStressByteEqualAtEveryStripeCount) {
+// Racing clients whose every batch carries one point for each of several
+// keys (client c owns keys k with k % kClients == c), plus a thread
+// hammering CheckpointAll mid-flight. The final checkpoint must be
+// byte-equal to a serially built fleet, and no snapshot may leak a pin.
+TEST(ServingConcurrencyTest, ScatteredBatchStressByteEqualToSerial) {
   constexpr int kClients = 4;
   constexpr int kKeys = 24;
   constexpr int kRounds = 120;  // arrivals per key
@@ -248,66 +262,49 @@ TEST(ServingConcurrencyTest, CrossStripeStressByteEqualAtEveryStripeCount) {
   }
   auto key_name = [](int k) { return "xkey-" + std::to_string(k); };
 
-  serving::ShardManagerOptions serial_options = Options(1);
-  serial_options.num_stripes = 1;
-  serving::ShardManager serial(serial_options, kConstraint, &kMetric,
-                               &kJones);
+  serving::ShardManager serial(Options(1), kConstraint, &kMetric, &kJones);
   for (int k = 0; k < kKeys; ++k) {
     for (const Point& p : arrivals[static_cast<size_t>(k)]) {
       ASSERT_TRUE(serial.Ingest(key_name(k), p).ok());
     }
   }
-  const std::string reference = MustCheckpoint(&serial);
 
-  for (int stripe_count : {1, 4, 16}) {
-    serving::ShardManagerOptions options = Options(2);
-    options.num_stripes = stripe_count;
-    serving::ShardManager manager(options, kConstraint, &kMetric, &kJones);
-    ASSERT_EQ(manager.num_stripes(), stripe_count);
+  serving::ShardManager manager(Options(2), kConstraint, &kMetric, &kJones);
+  // Fleet snapshots race the multi-key ingest; every mid-flight checkpoint
+  // must at least be well-formed (a torn pin or a lock taken out of order
+  // would deadlock or fail here).
+  std::atomic<bool> done{false};
+  std::thread checkpointer([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      auto blob = manager.CheckpointAll();
+      ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+      std::this_thread::yield();
+    }
+  });
 
-    // Fleet snapshots race the cross-stripe ingest; every mid-flight
-    // checkpoint must at least be well-formed (a torn pin or a stripe
-    // acquired out of order would deadlock or fail here).
-    std::atomic<bool> done{false};
-    std::thread checkpointer([&] {
-      while (!done.load(std::memory_order_relaxed)) {
-        auto blob = manager.CheckpointAll();
-        ASSERT_TRUE(blob.ok()) << blob.status().ToString();
-        std::this_thread::yield();
+  std::vector<std::thread> clients;
+  clients.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int r = 0; r < kRounds; ++r) {
+        // One point for every owned key: a single batch that the grouping
+        // phase must split per key and fan out.
+        std::vector<serving::KeyedPoint> batch;
+        for (int k = c; k < kKeys; k += kClients) {
+          batch.push_back({key_name(k), arrivals[static_cast<size_t>(k)]
+                                                [static_cast<size_t>(r)]});
+        }
+        const Status status = manager.IngestBatch(std::move(batch));
+        ASSERT_TRUE(status.ok()) << status.ToString();
       }
     });
-
-    std::vector<std::thread> clients;
-    clients.reserve(kClients);
-    for (int c = 0; c < kClients; ++c) {
-      clients.emplace_back([&, c] {
-        for (int r = 0; r < kRounds; ++r) {
-          // One point for every owned key: a single batch that the striped
-          // grouping phase must scatter across stripes and reassemble.
-          std::vector<serving::KeyedPoint> batch;
-          for (int k = c; k < kKeys; k += kClients) {
-            batch.push_back({key_name(k),
-                             arrivals[static_cast<size_t>(k)]
-                                     [static_cast<size_t>(r)]});
-          }
-          const Status status = manager.IngestBatch(std::move(batch));
-          ASSERT_TRUE(status.ok()) << status.ToString();
-        }
-      });
-    }
-    for (std::thread& client : clients) client.join();
-    done.store(true, std::memory_order_relaxed);
-    checkpointer.join();
-
-    const std::vector<int64_t> pins = manager.StripePins();
-    ASSERT_EQ(pins.size(), static_cast<size_t>(stripe_count));
-    for (size_t s = 0; s < pins.size(); ++s) {
-      EXPECT_EQ(pins[s], 0) << "leaked pin in stripe " << s;
-    }
-
-    EXPECT_EQ(MustCheckpoint(&manager), reference)
-        << "diverged at num_stripes=" << stripe_count;
   }
+  for (std::thread& client : clients) client.join();
+  done.store(true, std::memory_order_relaxed);
+  checkpointer.join();
+
+  EXPECT_EQ(MustCheckpoint(&manager), MustCheckpoint(&serial));
+  ExpectEveryShardEvictable(&manager);
 }
 
 // --- Shutdown races. ---------------------------------------------------

@@ -18,14 +18,12 @@ Two input formats are auto-detected:
   the throughput fields (updates_per_s, queries_per_s) can additionally
   be compared with --max-walltime-regression. Every dict child of the
   contention scenario becomes an entry (contention/global_mutex,
-  contention/single_stripe, contention/per_shard, contention/zipf,
-  contention/create_heavy, ...); `updates` and `shards` are deterministic
-  counters, updates_per_s rides the wall-time axis, and the volatile
-  fields — query_rounds / maintenance_ticks (background threads complete
-  as many rounds as the clock allows), speedup / stripe_speedup (ratios
-  of two wall times), pool_steals / stripe_hot_ratio (scheduling-order
-  gauges), stripes (host-dependent when auto) — are excluded from
-  comparison entirely. The cross_objective scenario's dict children
+  contention/per_shard, contention/zipf, contention/create_heavy, ...);
+  `updates` and `shards` are deterministic counters, updates_per_s rides
+  the wall-time axis, and the volatile fields — query_rounds /
+  maintenance_ticks (background threads complete as many rounds as the
+  clock allows), speedup (a ratio of two wall times), pool_steals (a
+  scheduling-order gauge) — are excluded from comparison entirely. The cross_objective scenario's dict children
   (cross_objective/fair_center, cross_objective/k_median,
   cross_objective/mixed) flatten the same way: objective_value_sum,
   memory_points, checkpoint_bytes, bursts, updates, and shards are
@@ -83,9 +81,8 @@ THROUGHPUT_FIELDS = ("updates_per_s", "queries_per_s")
 
 # Contention-scenario fields that are neither deterministic counters nor
 # gateable throughputs: background threads complete as many rounds/ticks as
-# the wall clock lets them, the speedups are ratios of two wall times,
-# pool_steals / stripe_hot_ratio depend on scheduling order, and the stripe
-# count is host-dependent when the bench runs with --stripes=0 (auto).
+# the wall clock lets them, the speedup is a ratio of two wall times, and
+# pool_steals depends on scheduling order.
 # Replication fields ride the same axis: how many frames a leader sends
 # (heartbeats included), how often a follower has to resync, and how many
 # entries a recovery adopts all depend on connection timing and where the
@@ -94,10 +91,7 @@ VOLATILE_FIELDS = (
     "query_rounds",
     "maintenance_ticks",
     "speedup",
-    "stripe_speedup",
     "pool_steals",
-    "stripe_hot_ratio",
-    "stripes",
     "frames_sent",
     "resyncs",
     "recovered_entries",
@@ -140,8 +134,8 @@ def flatten_shard_scaling(data):
                 if isinstance(v, (int, float))
             }
     contention = data.get("contention", {})
-    # Every dict child is a contention run (global_mutex, single_stripe,
-    # per_shard, zipf, create_heavy, and whatever future modes appear);
+    # Every dict child is a contention run (global_mutex, per_shard, zipf,
+    # create_heavy, and whatever future modes appear);
     # scalar children (speedups, host facts) are header fields, not runs.
     for mode in sorted(contention):
         sub = contention[mode]
