@@ -32,6 +32,7 @@
 #include "sequential/chen_matroid_center.h"
 #include "sequential/gonzalez.h"
 #include "sequential/jones_fair_center.h"
+#include "sequential/radius.h"
 
 namespace fkc {
 namespace {
@@ -240,15 +241,9 @@ void BM_DenseGuessUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_DenseGuessUpdate)->Unit(benchmark::kMicrosecond);
 
-// A query's coreset hand-off from that guess, filled with one covtype
-// window (W = 10000): most of its ~9,900 representatives are their own
-// c-attractor. Arg 0 is the copy-out a query used to pay: every
-// representative and orphan copied out as a heap Point, a pool built from
-// the copies, and the copies freed. Arg 1 is the pool the solver reads now
-// (GuessStructure::CoresetPool): it borrows the dense c-pool for the
-// self-represented attractors and copies only the other points
-// (`copied_points`).
-void BM_CoresetHandoff(benchmark::State& state) {
+// That guess, filled with one covtype window (W = 10000): most of its ~9,900
+// coreset representatives are their own c-attractor. Built once per process.
+const GuessStructure& CovtypeDenseGuess() {
   constexpr int64_t kWindow = 10000;
   static const GuessStructure* const guess = [] {
     const datasets::Dataset& dataset = CovtypeStream();
@@ -265,6 +260,17 @@ void BM_CoresetHandoff(benchmark::State& state) {
     }
     return filled;
   }();
+  return *guess;
+}
+
+// A query's coreset hand-off from that guess. Arg 0 is the copy-out a query
+// used to pay: every representative and orphan copied out as a heap Point,
+// a pool built from the copies, and the copies freed. Arg 1 is the pool the
+// solver reads now (GuessStructure::CoresetPool): it borrows the dense
+// c-pool for the self-represented attractors and copies only the other
+// points (`copied_points`).
+void BM_CoresetHandoff(benchmark::State& state) {
+  const GuessStructure* const guess = &CovtypeDenseGuess();
   const bool borrow = state.range(0) != 0;
   size_t points = 0;
   size_t copied = 0;
@@ -303,6 +309,55 @@ void BM_CoresetHandoff(benchmark::State& state) {
                         : "copy-out+FromPoints+free");
 }
 BENCHMARK(BM_CoresetHandoff)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// The last step of a covtype query's Jones solve: the radius of Jones's
+// centers over that guess's coreset pool (PoolClusteringRadius), which
+// reads the ~9,900-point, d = 54 pool once per tile of centers.
+void BM_CoresetRadius(benchmark::State& state) {
+  const EuclideanMetric metric;
+  const datasets::Dataset& dataset = CovtypeStream();
+  const ColoredPool pool = CovtypeDenseGuess().CoresetPool();
+  auto solution = JonesFairCenter().SolvePool(
+      metric, pool,
+      ColorConstraint::Proportional(dataset.points, dataset.ell, 14));
+  FKC_CHECK(solution.ok()) << solution.status().ToString();
+  const std::vector<Point>& centers = solution.value().centers;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(PoolClusteringRadius(metric, pool, centers));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(centers.size() * pool.size()));
+  state.counters["coreset_points"] = static_cast<double>(pool.size());
+  state.counters["centers"] = static_cast<double>(centers.size());
+  state.SetLabel(simd::ActiveKernels().name);
+}
+BENCHMARK(BM_CoresetRadius)->Unit(benchmark::kMillisecond);
+
+// One tile scan of `rows` queries over a 10,000-point pool: per pair, a
+// tile of 4 or 8 rows reads the pool's blocks once where rows = 1 reads
+// them once per query. Args: {dim, rows}.
+void BM_DistanceSoATile(benchmark::State& state) {
+  const EuclideanMetric concrete;
+  const Metric& metric = concrete;
+  const int dim = static_cast<int>(state.range(0));
+  const size_t rows = static_cast<size_t>(state.range(1));
+  const CoordinatePool pool =
+      CoordinatePool::FromPoints(MakePoints(10000, dim));
+  const auto queries = MakePoints(static_cast<int>(rows), dim);
+  std::vector<double> out(rows * pool.size());
+  for (auto _ : state) {
+    metric.DistanceSoATile(queries.data(), rows, pool, pool.size(),
+                           out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(rows * pool.size()));
+  state.SetLabel(simd::ActiveKernels().name);
+}
+BENCHMARK(BM_DistanceSoATile)
+    ->ArgsProduct({{3, 54}, {1, 4, 8}})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_Gonzalez(benchmark::State& state) {
   const EuclideanMetric metric;

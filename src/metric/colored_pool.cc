@@ -31,6 +31,22 @@ void ColoredPool::DistanceRow(const Metric& metric, const Point& q,
   if (!own_.empty()) metric.DistanceSoA(q, own_, row + lent);
 }
 
+void ColoredPool::DistanceRows(const Metric& metric,
+                               const std::vector<Point>& centers,
+                               double* out) const {
+  const size_t stride = slot_count();
+  size_t lent = 0;
+  if (borrowed_ != nullptr) {
+    metric.DistanceSoATile(centers.data(), centers.size(), *borrowed_, stride,
+                           out);
+    lent = borrowed_->size();
+  }
+  if (!own_.empty()) {
+    metric.DistanceSoATile(centers.data(), centers.size(), own_, stride,
+                           out + lent);
+  }
+}
+
 ColoredPool ColoredPool::FromPoints(const std::vector<Point>& points) {
   Builder builder(points.size());
   for (const Point& p : points) builder.Add(p);

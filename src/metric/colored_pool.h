@@ -19,7 +19,10 @@
 // Solvers read a pool through DistanceRow, which fills one distance per
 // slot, and visit the points in position order: point i's distance is
 // row[slot(i)]. Ties therefore break as they would on a copy of the
-// points, and a slot that is no point of the set is never read.
+// points, and a slot that is no point of the set is never read. A caller
+// with all its rows known up front (the final radius, a distance matrix)
+// reads them through DistanceRows, which reads each pool once for a tile of
+// rows rather than once per row.
 #ifndef FKC_METRIC_COLORED_POOL_H_
 #define FKC_METRIC_COLORED_POOL_H_
 
@@ -68,6 +71,14 @@ class ColoredPool {
   /// and one over the owned one, so a CountingMetric counts every slot,
   /// including borrowed columns that are no point of the set.
   void DistanceRow(const Metric& metric, const Point& q, double* row) const;
+
+  /// DistanceRow for every center at once: row c, at out + c *
+  /// slot_count(), is DistanceRow(metric, centers[c]) bit for bit. One
+  /// DistanceSoATile over the borrowed pool and one over the owned one, so
+  /// the pool's blocks are read once per tile of centers, not once per
+  /// center.
+  void DistanceRows(const Metric& metric, const std::vector<Point>& centers,
+                    double* out) const;
 
   /// The borrowed pool, or nullptr when the pool owns all its slots.
   const CoordinatePool* borrowed() const { return borrowed_; }

@@ -55,6 +55,16 @@ class CountingMetric final : public Metric {
     inner_->DistanceSoAWithin(p, pool, bound, out);
   }
 
+  /// A tile scan counts like one DistanceSoA per row, and forwards the tile
+  /// so counted runs take the inner metric's tiled path.
+  void DistanceSoATile(const Point* rows, size_t row_count,
+                       const CoordinatePool& pool, size_t out_stride,
+                       double* out) const override {
+    count_.fetch_add(static_cast<int64_t>(row_count * pool.size()),
+                     std::memory_order_relaxed);
+    inner_->DistanceSoATile(rows, row_count, pool, out_stride, out);
+  }
+
   std::string Name() const override {
     return "counting(" + inner_->Name() + ")";
   }

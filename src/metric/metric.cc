@@ -1,5 +1,6 @@
 #include "metric/metric.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -35,6 +36,14 @@ void Metric::DistanceSoAWithin(const Point& p, const CoordinatePool& pool,
   DistanceSoA(p, pool, out);
 }
 
+void Metric::DistanceSoATile(const Point* rows, size_t row_count,
+                             const CoordinatePool& pool, size_t out_stride,
+                             double* out) const {
+  for (size_t r = 0; r < row_count; ++r) {
+    DistanceSoA(rows[r], pool, out + r * out_stride);
+  }
+}
+
 namespace {
 
 /// Shared body of the built-in SoA overrides: dimension check plus one raw
@@ -51,6 +60,27 @@ inline void RunSoAKernel(Kernel kernel, const Point& p,
     kernel(p.coords.data(), span.data, CoordinatePool::kRowStride, pool.dim(),
            span.count, cutoff..., out + span.first);
   });
+}
+
+/// Shared body of the built-in tile overrides: kMaxTileRows rows at a time,
+/// one kernel call per block of the pool for all of them.
+void RunTileKernel(simd::TileKernel kernel, const Point* rows,
+                   size_t row_count, const CoordinatePool& pool,
+                   size_t out_stride, double* out) {
+  if (pool.empty()) return;  // a never-filled pool has no dimension yet
+  const double* queries[simd::kMaxTileRows];
+  for (size_t first = 0; first < row_count; first += simd::kMaxTileRows) {
+    const size_t tile = std::min(simd::kMaxTileRows, row_count - first);
+    for (size_t r = 0; r < tile; ++r) {
+      FKC_CHECK_EQ(rows[first + r].coords.size(), pool.dim());
+      queries[r] = rows[first + r].coords.data();
+    }
+    double* tile_out = out + first * out_stride;
+    pool.ForEachSpan([&](const CoordinatePool::Span& span) {
+      kernel(queries, tile, span.data, CoordinatePool::kRowStride, pool.dim(),
+             span.count, out_stride, tile_out + span.first);
+    });
+  }
 }
 
 /// The cutoff of a bounded scan, computed once per scan. With dim <=
@@ -74,6 +104,13 @@ void EuclideanMetric::DistanceSoAWithin(const Point& p,
                ScanCutoff(simd::SquaredDistanceCutoff, bound, pool));
 }
 
+void EuclideanMetric::DistanceSoATile(const Point* rows, size_t row_count,
+                                      const CoordinatePool& pool,
+                                      size_t out_stride, double* out) const {
+  RunTileKernel(simd::ActiveKernels().euclidean_tile, rows, row_count, pool,
+                out_stride, out);
+}
+
 void ManhattanMetric::DistanceSoA(const Point& p, const CoordinatePool& pool,
                                   double* out) const {
   RunSoAKernel(simd::ActiveKernels().manhattan, p, pool, out);
@@ -86,6 +123,13 @@ void ManhattanMetric::DistanceSoAWithin(const Point& p,
                ScanCutoff(simd::DistanceCutoff, bound, pool));
 }
 
+void ManhattanMetric::DistanceSoATile(const Point* rows, size_t row_count,
+                                      const CoordinatePool& pool,
+                                      size_t out_stride, double* out) const {
+  RunTileKernel(simd::ActiveKernels().manhattan_tile, rows, row_count, pool,
+                out_stride, out);
+}
+
 void ChebyshevMetric::DistanceSoA(const Point& p, const CoordinatePool& pool,
                                   double* out) const {
   RunSoAKernel(simd::ActiveKernels().chebyshev, p, pool, out);
@@ -96,6 +140,13 @@ void ChebyshevMetric::DistanceSoAWithin(const Point& p,
                                         double bound, double* out) const {
   RunSoAKernel(simd::ActiveKernels().chebyshev_within, p, pool, out,
                ScanCutoff(simd::DistanceCutoff, bound, pool));
+}
+
+void ChebyshevMetric::DistanceSoATile(const Point* rows, size_t row_count,
+                                      const CoordinatePool& pool,
+                                      size_t out_stride, double* out) const {
+  RunTileKernel(simd::ActiveKernels().chebyshev_tile, rows, row_count, pool,
+                out_stride, out);
 }
 
 double EuclideanMetric::Distance(const Point& a, const Point& b) const {

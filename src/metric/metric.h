@@ -63,6 +63,17 @@ class Metric {
   virtual void DistanceSoAWithin(const Point& p, const CoordinatePool& pool,
                                  double bound, double* out) const;
 
+  /// Multi-row SoA scan: row r of `out` (at out + r * out_stride, with
+  /// out_stride >= pool.size()) is DistanceSoA(rows[r], pool), bit for bit,
+  /// for r in [0, row_count). The base implementation is that loop, so
+  /// every decorator and custom metric stays correct without opting in.
+  /// The built-in metrics dispatch to the tile kernels in simd_kernels.h,
+  /// which read each pool block once for a tile of rows instead of once per
+  /// row.
+  virtual void DistanceSoATile(const Point* rows, size_t row_count,
+                               const CoordinatePool& pool, size_t out_stride,
+                               double* out) const;
+
   virtual std::string Name() const = 0;
 };
 
@@ -74,6 +85,9 @@ class EuclideanMetric final : public Metric {
                    double* out) const override;
   void DistanceSoAWithin(const Point& p, const CoordinatePool& pool,
                          double bound, double* out) const override;
+  void DistanceSoATile(const Point* rows, size_t row_count,
+                       const CoordinatePool& pool, size_t out_stride,
+                       double* out) const override;
   std::string Name() const override { return "euclidean"; }
 };
 
@@ -85,6 +99,9 @@ class ManhattanMetric final : public Metric {
                    double* out) const override;
   void DistanceSoAWithin(const Point& p, const CoordinatePool& pool,
                          double bound, double* out) const override;
+  void DistanceSoATile(const Point* rows, size_t row_count,
+                       const CoordinatePool& pool, size_t out_stride,
+                       double* out) const override;
   std::string Name() const override { return "manhattan"; }
 };
 
@@ -96,6 +113,9 @@ class ChebyshevMetric final : public Metric {
                    double* out) const override;
   void DistanceSoAWithin(const Point& p, const CoordinatePool& pool,
                          double bound, double* out) const override;
+  void DistanceSoATile(const Point* rows, size_t row_count,
+                       const CoordinatePool& pool, size_t out_stride,
+                       double* out) const override;
   std::string Name() const override { return "chebyshev"; }
 };
 

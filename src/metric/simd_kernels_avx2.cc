@@ -9,7 +9,10 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <utility>
 
 namespace fkc {
 namespace simd {
@@ -49,79 +52,138 @@ inline void StoreLanes(double* out, size_t i0, size_t count, __m256d v) {
   }
 }
 
-template <bool kBounded>
-void EuclideanAvx2(const double* query, const double* data, size_t stride,
-                   size_t dim, size_t count, double cutoff, double* out) {
+// One policy per metric: a pair's per-dimension term and its final step.
+// Every kernel below applies them in ascending dimension order, one pair
+// per lane.
+struct EuclideanTerm {
+  static __m256d Step(__m256d acc, __m256d qd, __m256d pts) {
+    const __m256d diff = _mm256_sub_pd(qd, pts);
+    return _mm256_add_pd(acc, _mm256_mul_pd(diff, diff));
+  }
+  static __m256d Finish(__m256d acc) { return _mm256_sqrt_pd(acc); }
+};
+
+struct ManhattanTerm {
+  static __m256d Step(__m256d acc, __m256d qd, __m256d pts) {
+    return _mm256_add_pd(acc, Abs(_mm256_sub_pd(qd, pts)));
+  }
+  static __m256d Finish(__m256d acc) { return acc; }
+};
+
+// max(diff, best): returns `best` when equal or unordered, matching the
+// scalar `if (diff > best) best = diff`.
+struct ChebyshevTerm {
+  static __m256d Step(__m256d best, __m256d qd, __m256d pts) {
+    return _mm256_max_pd(Abs(_mm256_sub_pd(qd, pts)), best);
+  }
+  static __m256d Finish(__m256d best) { return best; }
+};
+
+// One query against every column, one vector of pairs at a time.
+template <typename Term, bool kBounded>
+void ScanAvx2(const double* query, const double* data, size_t stride,
+              size_t dim, size_t count, double cutoff, double* out) {
   const __m256d cut = _mm256_set1_pd(cutoff);
   for (size_t i = 0; i < count; i += kLanes) {
     const int dead = 0xF & ~LiveLanes(i, count);
     __m256d acc = _mm256_setzero_pd();
     for (size_t d = 0; d < dim; ++d) {
-      const __m256d qd = _mm256_set1_pd(query[d]);
-      const __m256d pts = _mm256_loadu_pd(data + d * stride + i);
-      const __m256d diff = _mm256_sub_pd(qd, pts);
-      acc = _mm256_add_pd(acc, _mm256_mul_pd(diff, diff));
+      acc = Term::Step(acc, _mm256_set1_pd(query[d]),
+                       _mm256_loadu_pd(data + d * stride + i));
       if constexpr (kBounded) {
         if (IsBoundCheckDim(d, dim) &&
             (PastCutoff(acc, cut) | dead) == 0xF) break;
       }
     }
-    StoreLanes(out, i, count, _mm256_sqrt_pd(acc));
+    StoreLanes(out, i, count, Term::Finish(acc));
   }
 }
 
-template <bool kBounded>
-void ManhattanAvx2(const double* query, const double* data, size_t stride,
-                   size_t dim, size_t count, double cutoff, double* out) {
-  const __m256d cut = _mm256_set1_pd(cutoff);
-  for (size_t i = 0; i < count; i += kLanes) {
-    const int dead = 0xF & ~LiveLanes(i, count);
-    __m256d acc = _mm256_setzero_pd();
+constexpr size_t kTileRows = 4;
+
+// kRows queries against every column: 8-lane chunks (2 * kRows
+// accumulators, which with the two row vectors fill the 16 registers)
+// while they fit, then masked 4-lane chunks. Each row load serves all kRows
+// queries.
+template <typename Term, size_t kRows>
+void TileRowsAvx2(const double* const* queries, const double* data,
+                  size_t stride, size_t dim, size_t count, size_t out_stride,
+                  double* out) {
+  size_t i = 0;
+  for (; i + 2 * kLanes <= count; i += 2 * kLanes) {
+    __m256d acc0[kRows];
+    __m256d acc1[kRows];
+    for (size_t r = 0; r < kRows; ++r) {
+      acc0[r] = _mm256_setzero_pd();
+      acc1[r] = _mm256_setzero_pd();
+    }
     for (size_t d = 0; d < dim; ++d) {
-      const __m256d qd = _mm256_set1_pd(query[d]);
-      const __m256d pts = _mm256_loadu_pd(data + d * stride + i);
-      acc = _mm256_add_pd(acc, Abs(_mm256_sub_pd(qd, pts)));
-      if constexpr (kBounded) {
-        if (IsBoundCheckDim(d, dim) &&
-            (PastCutoff(acc, cut) | dead) == 0xF) break;
+      const double* row = data + d * stride + i;
+      const __m256d pts0 = _mm256_loadu_pd(row);
+      const __m256d pts1 = _mm256_loadu_pd(row + kLanes);
+      for (size_t r = 0; r < kRows; ++r) {
+        const __m256d qd = _mm256_set1_pd(queries[r][d]);
+        acc0[r] = Term::Step(acc0[r], qd, pts0);
+        acc1[r] = Term::Step(acc1[r], qd, pts1);
       }
     }
-    StoreLanes(out, i, count, acc);
+    for (size_t r = 0; r < kRows; ++r) {
+      _mm256_storeu_pd(out + r * out_stride + i, Term::Finish(acc0[r]));
+      _mm256_storeu_pd(out + r * out_stride + i + kLanes,
+                       Term::Finish(acc1[r]));
+    }
+  }
+  for (; i < count; i += kLanes) {
+    __m256d acc[kRows];
+    for (size_t r = 0; r < kRows; ++r) acc[r] = _mm256_setzero_pd();
+    for (size_t d = 0; d < dim; ++d) {
+      const __m256d pts = _mm256_loadu_pd(data + d * stride + i);
+      for (size_t r = 0; r < kRows; ++r) {
+        acc[r] = Term::Step(acc[r], _mm256_set1_pd(queries[r][d]), pts);
+      }
+    }
+    for (size_t r = 0; r < kRows; ++r) {
+      StoreLanes(out + r * out_stride, i, count, Term::Finish(acc[r]));
+    }
   }
 }
 
-template <bool kBounded>
-void ChebyshevAvx2(const double* query, const double* data, size_t stride,
-                   size_t dim, size_t count, double cutoff, double* out) {
-  const __m256d cut = _mm256_set1_pd(cutoff);
-  for (size_t i = 0; i < count; i += kLanes) {
-    const int dead = 0xF & ~LiveLanes(i, count);
-    __m256d best = _mm256_setzero_pd();
-    for (size_t d = 0; d < dim; ++d) {
-      const __m256d qd = _mm256_set1_pd(query[d]);
-      const __m256d pts = _mm256_loadu_pd(data + d * stride + i);
-      const __m256d diff = Abs(_mm256_sub_pd(qd, pts));
-      // max(diff, best): returns `best` when equal or unordered, matching
-      // the scalar `if (diff > best) best = diff`.
-      best = _mm256_max_pd(diff, best);
-      if constexpr (kBounded) {
-        if (IsBoundCheckDim(d, dim) &&
-            (PastCutoff(best, cut) | dead) == 0xF) break;
-      }
-    }
-    StoreLanes(out, i, count, best);
+using TileBody = void (*)(const double* const* queries, const double* data,
+                          size_t stride, size_t dim, size_t count,
+                          size_t out_stride, double* out);
+
+template <typename Term, size_t... kIndex>
+constexpr std::array<TileBody, sizeof...(kIndex)> TileBodies(
+    std::index_sequence<kIndex...>) {
+  return {&TileRowsAvx2<Term, kIndex + 1>...};
+}
+
+template <typename Term>
+void TileAvx2(const double* const* queries, size_t rows, const double* data,
+              size_t stride, size_t dim, size_t count, size_t out_stride,
+              double* out) {
+  static constexpr std::array<TileBody, kTileRows> kBodies =
+      TileBodies<Term>(std::make_index_sequence<kTileRows>());
+  for (size_t first = 0; first < rows; first += kTileRows) {
+    kBodies[std::min(kTileRows, rows - first) - 1](
+        queries + first, data, stride, dim, count, out_stride,
+        out + first * out_stride);
   }
 }
 
 const KernelSet kAvx2Set = {
     "avx2",
     kLanes,
-    ExactScan<EuclideanAvx2<false>>,
-    ExactScan<ManhattanAvx2<false>>,
-    ExactScan<ChebyshevAvx2<false>>,
-    EuclideanAvx2<true>,
-    ManhattanAvx2<true>,
-    ChebyshevAvx2<true>};
+    kTileRows,
+    ExactScan<ScanAvx2<EuclideanTerm, false>>,
+    ExactScan<ScanAvx2<ManhattanTerm, false>>,
+    ExactScan<ScanAvx2<ChebyshevTerm, false>>,
+    ScanAvx2<EuclideanTerm, true>,
+    ScanAvx2<ManhattanTerm, true>,
+    ScanAvx2<ChebyshevTerm, true>,
+    TileAvx2<EuclideanTerm>,
+    TileAvx2<ManhattanTerm>,
+    TileAvx2<ChebyshevTerm>};
 
 }  // namespace
 

@@ -9,8 +9,11 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <utility>
 
 namespace fkc {
 namespace simd {
@@ -52,54 +55,41 @@ inline void StoreLanes(double* out, size_t i0, size_t count, __m512d v) {
   }
 }
 
-template <bool kBounded>
-void EuclideanAvx512(const double* query, const double* data, size_t stride,
-                     size_t dim, size_t count, double cutoff, double* out) {
-  const __m512d cut = _mm512_set1_pd(cutoff);
-  // Two vectors (16 pairs) per dim pass: amortizes the query broadcast and
-  // keeps two independent accumulation chains in flight, which matters at
-  // high dim where a single add chain leaves the FPU idle. Each lane still
-  // owns exactly one pair with ascending-dim accumulation — unrolling
-  // changes which pairs run together, never any pair's rounding.
-  size_t i = 0;
-  for (; i + 2 * kLanes <= count; i += 2 * kLanes) {
-    __m512d acc0 = _mm512_setzero_pd();
-    __m512d acc1 = _mm512_setzero_pd();
-    for (size_t d = 0; d < dim; ++d) {
-      const __m512d qd = _mm512_set1_pd(query[d]);
-      const double* row = data + d * stride + i;
-      const __m512d diff0 = _mm512_sub_pd(qd, _mm512_loadu_pd(row));
-      const __m512d diff1 = _mm512_sub_pd(qd, _mm512_loadu_pd(row + kLanes));
-      acc0 = _mm512_add_pd(acc0, _mm512_mul_pd(diff0, diff0));
-      acc1 = _mm512_add_pd(acc1, _mm512_mul_pd(diff1, diff1));
-      if constexpr (kBounded) {
-        if (IsBoundCheckDim(d, dim) &&
-            (PastCutoff(acc0, cut) & PastCutoff(acc1, cut)) == 0xFF) break;
-      }
-    }
-    _mm512_storeu_pd(out + i, _mm512_sqrt_pd(acc0));
-    _mm512_storeu_pd(out + i + kLanes, _mm512_sqrt_pd(acc1));
+// One policy per metric: a pair's per-dimension term and its final step.
+// Every kernel below applies them in ascending dimension order, one pair
+// per lane.
+struct EuclideanTerm {
+  static __m512d Step(__m512d acc, __m512d qd, __m512d pts) {
+    const __m512d diff = _mm512_sub_pd(qd, pts);
+    return _mm512_add_pd(acc, _mm512_mul_pd(diff, diff));
   }
-  for (; i < count; i += kLanes) {
-    const __mmask8 dead = static_cast<__mmask8>(~LiveLanes(i, count));
-    __m512d acc = _mm512_setzero_pd();
-    for (size_t d = 0; d < dim; ++d) {
-      const __m512d qd = _mm512_set1_pd(query[d]);
-      const __m512d pts = _mm512_loadu_pd(data + d * stride + i);
-      const __m512d diff = _mm512_sub_pd(qd, pts);
-      acc = _mm512_add_pd(acc, _mm512_mul_pd(diff, diff));
-      if constexpr (kBounded) {
-        if (IsBoundCheckDim(d, dim) &&
-            (PastCutoff(acc, cut) | dead) == 0xFF) break;
-      }
-    }
-    StoreLanes(out, i, count, _mm512_sqrt_pd(acc));
-  }
-}
+  static __m512d Finish(__m512d acc) { return _mm512_sqrt_pd(acc); }
+};
 
-template <bool kBounded>
-void ManhattanAvx512(const double* query, const double* data, size_t stride,
-                     size_t dim, size_t count, double cutoff, double* out) {
+struct ManhattanTerm {
+  static __m512d Step(__m512d acc, __m512d qd, __m512d pts) {
+    return _mm512_add_pd(acc, Abs(_mm512_sub_pd(qd, pts)));
+  }
+  static __m512d Finish(__m512d acc) { return acc; }
+};
+
+// max(diff, best): returns `best` when equal or unordered, matching the
+// scalar `if (diff > best) best = diff`.
+struct ChebyshevTerm {
+  static __m512d Step(__m512d best, __m512d qd, __m512d pts) {
+    return _mm512_max_pd(Abs(_mm512_sub_pd(qd, pts)), best);
+  }
+  static __m512d Finish(__m512d best) { return best; }
+};
+
+// One query against every column. Two vectors (16 pairs) per dim pass:
+// amortizes the query broadcast and keeps two independent accumulation
+// chains in flight, which matters at high dim where a single add chain
+// leaves the FPU idle. Unrolling changes which pairs run together, never
+// any pair's rounding.
+template <typename Term, bool kBounded>
+void ScanAvx512(const double* query, const double* data, size_t stride,
+                size_t dim, size_t count, double cutoff, double* out) {
   const __m512d cut = _mm512_set1_pd(cutoff);
   size_t i = 0;
   for (; i + 2 * kLanes <= count; i += 2 * kLanes) {
@@ -108,87 +98,115 @@ void ManhattanAvx512(const double* query, const double* data, size_t stride,
     for (size_t d = 0; d < dim; ++d) {
       const __m512d qd = _mm512_set1_pd(query[d]);
       const double* row = data + d * stride + i;
-      acc0 = _mm512_add_pd(
-          acc0, Abs(_mm512_sub_pd(qd, _mm512_loadu_pd(row))));
-      acc1 = _mm512_add_pd(
-          acc1,
-          Abs(_mm512_sub_pd(qd, _mm512_loadu_pd(row + kLanes))));
+      acc0 = Term::Step(acc0, qd, _mm512_loadu_pd(row));
+      acc1 = Term::Step(acc1, qd, _mm512_loadu_pd(row + kLanes));
       if constexpr (kBounded) {
         if (IsBoundCheckDim(d, dim) &&
             (PastCutoff(acc0, cut) & PastCutoff(acc1, cut)) == 0xFF) break;
       }
     }
-    _mm512_storeu_pd(out + i, acc0);
-    _mm512_storeu_pd(out + i + kLanes, acc1);
+    _mm512_storeu_pd(out + i, Term::Finish(acc0));
+    _mm512_storeu_pd(out + i + kLanes, Term::Finish(acc1));
   }
   for (; i < count; i += kLanes) {
     const __mmask8 dead = static_cast<__mmask8>(~LiveLanes(i, count));
     __m512d acc = _mm512_setzero_pd();
     for (size_t d = 0; d < dim; ++d) {
-      const __m512d qd = _mm512_set1_pd(query[d]);
-      const __m512d pts = _mm512_loadu_pd(data + d * stride + i);
-      acc = _mm512_add_pd(acc, Abs(_mm512_sub_pd(qd, pts)));
+      acc = Term::Step(acc, _mm512_set1_pd(query[d]),
+                       _mm512_loadu_pd(data + d * stride + i));
       if constexpr (kBounded) {
         if (IsBoundCheckDim(d, dim) &&
             (PastCutoff(acc, cut) | dead) == 0xFF) break;
       }
     }
-    StoreLanes(out, i, count, acc);
+    StoreLanes(out, i, count, Term::Finish(acc));
   }
 }
 
-template <bool kBounded>
-void ChebyshevAvx512(const double* query, const double* data, size_t stride,
-                     size_t dim, size_t count, double cutoff, double* out) {
-  const __m512d cut = _mm512_set1_pd(cutoff);
+constexpr size_t kTileRows = 8;
+
+// kRows queries against every column: 16-lane chunks (2 * kRows
+// accumulators) while they fit, then masked 8-lane chunks. Each row load
+// serves all kRows queries.
+template <typename Term, size_t kRows>
+void TileRowsAvx512(const double* const* queries, const double* data,
+                    size_t stride, size_t dim, size_t count, size_t out_stride,
+                    double* out) {
   size_t i = 0;
   for (; i + 2 * kLanes <= count; i += 2 * kLanes) {
-    __m512d best0 = _mm512_setzero_pd();
-    __m512d best1 = _mm512_setzero_pd();
+    __m512d acc0[kRows];
+    __m512d acc1[kRows];
+    for (size_t r = 0; r < kRows; ++r) {
+      acc0[r] = _mm512_setzero_pd();
+      acc1[r] = _mm512_setzero_pd();
+    }
     for (size_t d = 0; d < dim; ++d) {
-      const __m512d qd = _mm512_set1_pd(query[d]);
       const double* row = data + d * stride + i;
-      // max(diff, best): returns `best` when equal or unordered, matching
-      // the scalar `if (diff > best) best = diff`.
-      best0 = _mm512_max_pd(
-          Abs(_mm512_sub_pd(qd, _mm512_loadu_pd(row))), best0);
-      best1 = _mm512_max_pd(
-          Abs(_mm512_sub_pd(qd, _mm512_loadu_pd(row + kLanes))),
-          best1);
-      if constexpr (kBounded) {
-        if (IsBoundCheckDim(d, dim) &&
-            (PastCutoff(best0, cut) & PastCutoff(best1, cut)) == 0xFF) break;
+      const __m512d pts0 = _mm512_loadu_pd(row);
+      const __m512d pts1 = _mm512_loadu_pd(row + kLanes);
+      for (size_t r = 0; r < kRows; ++r) {
+        const __m512d qd = _mm512_set1_pd(queries[r][d]);
+        acc0[r] = Term::Step(acc0[r], qd, pts0);
+        acc1[r] = Term::Step(acc1[r], qd, pts1);
       }
     }
-    _mm512_storeu_pd(out + i, best0);
-    _mm512_storeu_pd(out + i + kLanes, best1);
+    for (size_t r = 0; r < kRows; ++r) {
+      _mm512_storeu_pd(out + r * out_stride + i, Term::Finish(acc0[r]));
+      _mm512_storeu_pd(out + r * out_stride + i + kLanes,
+                       Term::Finish(acc1[r]));
+    }
   }
   for (; i < count; i += kLanes) {
-    const __mmask8 dead = static_cast<__mmask8>(~LiveLanes(i, count));
-    __m512d best = _mm512_setzero_pd();
+    __m512d acc[kRows];
+    for (size_t r = 0; r < kRows; ++r) acc[r] = _mm512_setzero_pd();
     for (size_t d = 0; d < dim; ++d) {
-      const __m512d qd = _mm512_set1_pd(query[d]);
       const __m512d pts = _mm512_loadu_pd(data + d * stride + i);
-      const __m512d diff = Abs(_mm512_sub_pd(qd, pts));
-      best = _mm512_max_pd(diff, best);
-      if constexpr (kBounded) {
-        if (IsBoundCheckDim(d, dim) &&
-            (PastCutoff(best, cut) | dead) == 0xFF) break;
+      for (size_t r = 0; r < kRows; ++r) {
+        acc[r] = Term::Step(acc[r], _mm512_set1_pd(queries[r][d]), pts);
       }
     }
-    StoreLanes(out, i, count, best);
+    for (size_t r = 0; r < kRows; ++r) {
+      StoreLanes(out + r * out_stride, i, count, Term::Finish(acc[r]));
+    }
+  }
+}
+
+using TileBody = void (*)(const double* const* queries, const double* data,
+                          size_t stride, size_t dim, size_t count,
+                          size_t out_stride, double* out);
+
+template <typename Term, size_t... kIndex>
+constexpr std::array<TileBody, sizeof...(kIndex)> TileBodies(
+    std::index_sequence<kIndex...>) {
+  return {&TileRowsAvx512<Term, kIndex + 1>...};
+}
+
+template <typename Term>
+void TileAvx512(const double* const* queries, size_t rows, const double* data,
+                size_t stride, size_t dim, size_t count, size_t out_stride,
+                double* out) {
+  static constexpr std::array<TileBody, kTileRows> kBodies =
+      TileBodies<Term>(std::make_index_sequence<kTileRows>());
+  for (size_t first = 0; first < rows; first += kTileRows) {
+    kBodies[std::min(kTileRows, rows - first) - 1](
+        queries + first, data, stride, dim, count, out_stride,
+        out + first * out_stride);
   }
 }
 
 const KernelSet kAvx512Set = {
     "avx512",
     kLanes,
-    ExactScan<EuclideanAvx512<false>>,
-    ExactScan<ManhattanAvx512<false>>,
-    ExactScan<ChebyshevAvx512<false>>,
-    EuclideanAvx512<true>,
-    ManhattanAvx512<true>,
-    ChebyshevAvx512<true>};
+    kTileRows,
+    ExactScan<ScanAvx512<EuclideanTerm, false>>,
+    ExactScan<ScanAvx512<ManhattanTerm, false>>,
+    ExactScan<ScanAvx512<ChebyshevTerm, false>>,
+    ScanAvx512<EuclideanTerm, true>,
+    ScanAvx512<ManhattanTerm, true>,
+    ScanAvx512<ChebyshevTerm, true>,
+    TileAvx512<EuclideanTerm>,
+    TileAvx512<ManhattanTerm>,
+    TileAvx512<ChebyshevTerm>};
 
 }  // namespace
 

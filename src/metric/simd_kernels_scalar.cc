@@ -45,9 +45,33 @@ inline bool AllPastCutoff(const double* partial, size_t n, double cutoff) {
   return true;
 }
 
-template <bool kBounded>
-void EuclideanScalar(const double* query, const double* data, size_t stride,
-                     size_t dim, size_t count, double cutoff, double* out) {
+// One policy per metric: a pair's per-dimension term and its final step.
+struct EuclideanTerm {
+  static double Step(double acc, double qd, double x) {
+    const double diff = qd - x;
+    return acc + diff * diff;
+  }
+  static double Finish(double acc) { return std::sqrt(acc); }
+};
+
+struct ManhattanTerm {
+  static double Step(double acc, double qd, double x) {
+    return acc + std::fabs(qd - x);
+  }
+  static double Finish(double acc) { return acc; }
+};
+
+struct ChebyshevTerm {
+  static double Step(double best, double qd, double x) {
+    const double diff = std::fabs(qd - x);
+    return diff > best ? diff : best;
+  }
+  static double Finish(double best) { return best; }
+};
+
+template <typename Term, bool kBounded>
+void ScanScalar(const double* query, const double* data, size_t stride,
+                size_t dim, size_t count, double cutoff, double* out) {
   const size_t block = ScalarBlock<kBounded>(count);
   for (size_t first = 0; first < count; first += block) {
     const size_t n = std::min(block, count - first);
@@ -56,57 +80,44 @@ void EuclideanScalar(const double* query, const double* data, size_t stride,
     for (size_t d = 0; d < dim; ++d) {
       const double* row = data + d * stride + first;
       const double qd = query[d];
-      for (size_t i = 0; i < n; ++i) {
-        const double diff = qd - row[i];
-        acc[i] += diff * diff;
-      }
+      for (size_t i = 0; i < n; ++i) acc[i] = Term::Step(acc[i], qd, row[i]);
       if constexpr (kBounded) {
         if (IsBoundCheckDim(d, dim) && AllPastCutoff(acc, n, cutoff)) break;
       }
     }
-    for (size_t i = 0; i < n; ++i) acc[i] = std::sqrt(acc[i]);
+    for (size_t i = 0; i < n; ++i) acc[i] = Term::Finish(acc[i]);
   }
 }
 
-template <bool kBounded>
-void ManhattanScalar(const double* query, const double* data, size_t stride,
-                     size_t dim, size_t count, double cutoff, double* out) {
-  const size_t block = ScalarBlock<kBounded>(count);
-  for (size_t first = 0; first < count; first += block) {
-    const size_t n = std::min(block, count - first);
-    double* acc = out + first;
-    std::fill(acc, acc + n, 0.0);
+// The dimension-outer traversal of the single-row scan, with every query
+// of the tile applied to row d while it is in L1: each output row carries
+// its pairs' running sums, in ascending dimension order.
+constexpr size_t kScalarTileRows = kMaxTileRows;
+
+template <typename Term>
+void TileScalar(const double* const* queries, size_t rows, const double* data,
+                size_t stride, size_t dim, size_t count, size_t out_stride,
+                double* out) {
+  for (size_t first = 0; first < rows; first += kScalarTileRows) {
+    const size_t tile = std::min(kScalarTileRows, rows - first);
+    double* tile_out = out + first * out_stride;
+    for (size_t r = 0; r < tile; ++r) {
+      std::fill(tile_out + r * out_stride, tile_out + r * out_stride + count,
+                0.0);
+    }
     for (size_t d = 0; d < dim; ++d) {
-      const double* row = data + d * stride + first;
-      const double qd = query[d];
-      for (size_t i = 0; i < n; ++i) {
-        acc[i] += std::fabs(qd - row[i]);
-      }
-      if constexpr (kBounded) {
-        if (IsBoundCheckDim(d, dim) && AllPastCutoff(acc, n, cutoff)) break;
+      const double* row = data + d * stride;
+      for (size_t r = 0; r < tile; ++r) {
+        const double qd = queries[first + r][d];
+        double* acc = tile_out + r * out_stride;
+        for (size_t i = 0; i < count; ++i) {
+          acc[i] = Term::Step(acc[i], qd, row[i]);
+        }
       }
     }
-  }
-}
-
-template <bool kBounded>
-void ChebyshevScalar(const double* query, const double* data, size_t stride,
-                     size_t dim, size_t count, double cutoff, double* out) {
-  const size_t block = ScalarBlock<kBounded>(count);
-  for (size_t first = 0; first < count; first += block) {
-    const size_t n = std::min(block, count - first);
-    double* best = out + first;
-    std::fill(best, best + n, 0.0);
-    for (size_t d = 0; d < dim; ++d) {
-      const double* row = data + d * stride + first;
-      const double qd = query[d];
-      for (size_t i = 0; i < n; ++i) {
-        const double diff = std::fabs(qd - row[i]);
-        if (diff > best[i]) best[i] = diff;
-      }
-      if constexpr (kBounded) {
-        if (IsBoundCheckDim(d, dim) && AllPastCutoff(best, n, cutoff)) break;
-      }
+    for (size_t r = 0; r < tile; ++r) {
+      double* acc = tile_out + r * out_stride;
+      for (size_t i = 0; i < count; ++i) acc[i] = Term::Finish(acc[i]);
     }
   }
 }
@@ -126,12 +137,16 @@ double DoubleOf(uint64_t bits) {
 const KernelSet kScalarSet = {
     "scalar",
     1,
-    ExactScan<EuclideanScalar<false>>,
-    ExactScan<ManhattanScalar<false>>,
-    ExactScan<ChebyshevScalar<false>>,
-    EuclideanScalar<true>,
-    ManhattanScalar<true>,
-    ChebyshevScalar<true>};
+    kScalarTileRows,
+    ExactScan<ScanScalar<EuclideanTerm, false>>,
+    ExactScan<ScanScalar<ManhattanTerm, false>>,
+    ExactScan<ScanScalar<ChebyshevTerm, false>>,
+    ScanScalar<EuclideanTerm, true>,
+    ScanScalar<ManhattanTerm, true>,
+    ScanScalar<ChebyshevTerm, true>,
+    TileScalar<EuclideanTerm>,
+    TileScalar<ManhattanTerm>,
+    TileScalar<ChebyshevTerm>};
 
 bool CpuHasAvx2() {
 #if (defined(__GNUC__) || defined(__clang__)) && \

@@ -62,14 +62,13 @@ KMedianSolution KMedianLocalSearch(const Metric& metric,
   const size_t kk = std::min<size_t>(static_cast<size_t>(k), n);
 
   // Full pairwise distances through the SoA kernels: one bulk-built pool,
-  // then one distance row per point (bit-identical to per-pair Distance by
-  // the kernel contract, so the solver is deterministic at any width). A
+  // then every point's distance row from one DistanceRows, which reads the
+  // pool once per tile of rows (bit-identical to per-pair Distance by the
+  // kernel contract, so the solver is deterministic at any width). A
   // FromPoints pool's slot i is point i.
   const ColoredPool pool = ColoredPool::FromPoints(points);
   std::vector<double> dist(n * n);
-  for (size_t i = 0; i < n; ++i) {
-    pool.DistanceRow(metric, points[i], dist.data() + i * n);
-  }
+  pool.DistanceRows(metric, points, dist.data());
 
   // Gonzalez seeds: spread-out medoids make the local search start near a
   // good max-distance cover, which is also a decent sum-distance start.

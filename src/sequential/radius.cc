@@ -17,17 +17,18 @@ double PoolClusteringRadius(const Metric& metric, const ColoredPool& window,
                             const std::vector<Point>& centers) {
   if (window.empty()) return 0.0;
   if (centers.empty()) return std::numeric_limits<double>::infinity();
-  std::vector<double> nearest(window.size(),
-                              std::numeric_limits<double>::infinity());
-  std::vector<double> row(window.slot_count());
-  for (const Point& center : centers) {
-    window.DistanceRow(metric, center, row.data());
-    for (size_t i = 0; i < nearest.size(); ++i) {
-      nearest[i] = std::min(nearest[i], row[window.slot(i)]);
-    }
-  }
+  const size_t stride = window.slot_count();
+  std::vector<double> rows(centers.size() * stride);
+  window.DistanceRows(metric, centers, rows.data());
   double worst = 0.0;
-  for (double d : nearest) worst = std::max(worst, d);
+  for (size_t i = 0; i < window.size(); ++i) {
+    const double* column = rows.data() + window.slot(i);
+    double nearest = std::numeric_limits<double>::infinity();
+    for (size_t c = 0; c < centers.size(); ++c) {
+      nearest = std::min(nearest, column[c * stride]);
+    }
+    worst = std::max(worst, nearest);
+  }
   return worst;
 }
 

@@ -16,8 +16,10 @@ namespace fkc {
 double ClusteringRadius(const Metric& metric, const std::vector<Point>& window,
                         const std::vector<Point>& centers);
 
-/// ClusteringRadius over a window already held in a pool: one DistanceRow
-/// per center, min-accumulated per point, then the max.
+/// ClusteringRadius over a window already held in a pool: one
+/// ColoredPool::DistanceRows for all centers (one tiled pass over the pool
+/// per tile of centers, not one pass per center), min-accumulated per point
+/// in center order, then the max.
 double PoolClusteringRadius(const Metric& metric, const ColoredPool& window,
                             const std::vector<Point>& centers);
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 
 #include "common/random.h"
@@ -394,6 +395,108 @@ TEST(QueryBehaviorTest, BorrowedColumnsOutsideTheSetNeverCount) {
   auto solution = kJones.SolvePool(kMetric, pool, constraint);
   ASSERT_TRUE(solution.ok());
   EXPECT_LT(solution.value().radius, 1e3);
+}
+
+// A pool that borrows a d = 54 column pool whose head sits mid-block after
+// DropFront, with every third position copied rather than borrowed. `pool`
+// holds the address of `columns`, so the struct is not copyable.
+struct BorrowingPool {
+  CoordinatePool columns{54};
+  std::vector<Point> points;
+  ColoredPool pool;
+
+  BorrowingPool(const BorrowingPool&) = delete;
+  BorrowingPool& operator=(const BorrowingPool&) = delete;
+  explicit BorrowingPool(uint64_t seed) {
+    Rng rng(seed);
+    const auto random_point = [&](int64_t id) {
+      Coordinates coords(columns.dim());
+      for (double& x : coords) x = rng.NextUniform(0.0, 10.0);
+      return Point(std::move(coords), static_cast<int>(rng.NextBounded(3)),
+                   id, static_cast<uint64_t>(id));
+    };
+    std::vector<Point> stored;
+    for (int64_t id = 0; id < 300; ++id) {
+      stored.push_back(random_point(id));
+      columns.Append(stored.back());
+    }
+    constexpr size_t kDropped = 37;
+    columns.DropFront(kDropped);
+    stored.erase(stored.begin(), stored.begin() + kDropped);
+    ColoredPool::Builder builder(stored.size(), &columns);
+    points.reserve(stored.size());
+    for (size_t e = 0; e < stored.size(); ++e) {
+      if (e % 3 == 0) {
+        points.push_back(random_point(1000 + static_cast<int64_t>(e)));
+        builder.Add(points.back());
+      } else {
+        points.push_back(stored[e]);
+        builder.AddColumn(stored[e], e);
+      }
+    }
+    pool = std::move(builder).Build();
+  }
+};
+
+TEST(QueryBehaviorTest, DistanceRowsOnBorrowingPoolEqualsDistanceRow) {
+  const BorrowingPool borrowing(12);
+  const ColoredPool& pool = borrowing.pool;
+  ASSERT_EQ(pool.borrowed(), &borrowing.columns);
+  ASSERT_GT(pool.copied(), 0u);
+  // More centers than any tile, some of them points of the pool.
+  std::vector<Point> centers;
+  for (size_t i = 0; i < 19; ++i) centers.push_back(pool.At(i * 13));
+  const EuclideanMetric euclidean;
+  const ManhattanMetric manhattan;
+  const ChebyshevMetric chebyshev;
+  const Metric* metrics[] = {&euclidean, &manhattan, &chebyshev};
+  for (const Metric* metric : metrics) {
+    const size_t stride = pool.slot_count();
+    std::vector<double> rows(centers.size() * stride, -1.0);
+    pool.DistanceRows(*metric, centers, rows.data());
+    std::vector<double> row(stride);
+    for (size_t c = 0; c < centers.size(); ++c) {
+      pool.DistanceRow(*metric, centers[c], row.data());
+      ASSERT_EQ(0, std::memcmp(row.data(), rows.data() + c * stride,
+                               stride * sizeof(double)))
+          << metric->Name() << " center " << c;
+    }
+  }
+}
+
+TEST(QueryBehaviorTest, MetricOverridingOnlyDistanceSoAGetsTheBaseTileLoop) {
+  // A decorator that overrides DistanceSoA but not DistanceSoATile: the
+  // base tile scans it one row at a time, once per pool, with the same
+  // rows and radius as the built-in tile.
+  class SoAOnly final : public Metric {
+   public:
+    double Distance(const Point& a, const Point& b) const override {
+      return kMetric.Distance(a, b);
+    }
+    void DistanceSoA(const Point& p, const CoordinatePool& pool,
+                     double* out) const override {
+      ++soa_calls;
+      kMetric.DistanceSoA(p, pool, out);
+    }
+    std::string Name() const override { return "soa-only"; }
+    mutable int soa_calls = 0;
+  };
+  const BorrowingPool borrowing(13);
+  const ColoredPool& pool = borrowing.pool;
+  const SoAOnly soa_only;
+  const std::vector<Point> centers = {pool.At(0), pool.At(5), pool.At(77)};
+  const size_t stride = pool.slot_count();
+  std::vector<double> got(centers.size() * stride, -1.0);
+  std::vector<double> want(centers.size() * stride, -2.0);
+  pool.DistanceRows(soa_only, centers, got.data());
+  EXPECT_EQ(soa_only.soa_calls, 2 * static_cast<int>(centers.size()));
+  pool.DistanceRows(kMetric, centers, want.data());
+  EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                           got.size() * sizeof(double)));
+  EXPECT_EQ(PoolClusteringRadius(soa_only, pool, centers),
+            PoolClusteringRadius(kMetric, pool, centers));
+  EXPECT_EQ(PoolClusteringRadius(kMetric, pool, centers),
+            ClusteringRadius(kMetric, borrowing.points, centers));
 }
 
 TEST(QueryBehaviorTest, BuildCopiesWhenFewPositionsAreColumns) {

@@ -2,10 +2,11 @@
 // compiled SIMD kernel set must reproduce the scalar reference — and the
 // virtual per-pair Distance — bit for bit (lane-per-pair contract, see
 // simd_kernels.h), across awkward dimensions, counts that straddle vector
-// widths, and subnormal coordinates; every bounded kernel must be exact
-// within its bound and out of range beyond it; and the CoordinatePool must
-// hold its block invariants under arbitrary append/drop-front churn and
-// after a bulk build, never moving a stored coordinate.
+// widths, and subnormal coordinates; every tile kernel must reproduce its
+// set's single-row kernel for every row count; every bounded kernel must be
+// exact within its bound and out of range beyond it; and the CoordinatePool
+// must hold its block invariants under arbitrary append/drop-front churn
+// and after a bulk build, never moving a stored coordinate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include <cstring>
 #include <deque>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -88,15 +90,28 @@ struct MetricKernels {
   simd::DistanceKernel exact;
   simd::BoundedDistanceKernel within;
   double (*cutoff)(double);
+  simd::TileKernel tile;
 };
 
 std::vector<MetricKernels> KernelsOf(const simd::KernelSet& set) {
   return {{"euclidean", set.euclidean, set.euclidean_within,
-           simd::SquaredDistanceCutoff},
+           simd::SquaredDistanceCutoff, set.euclidean_tile},
           {"manhattan", set.manhattan, set.manhattan_within,
-           simd::DistanceCutoff},
+           simd::DistanceCutoff, set.manhattan_tile},
           {"chebyshev", set.chebyshev, set.chebyshev_within,
-           simd::DistanceCutoff}};
+           simd::DistanceCutoff, set.chebyshev_tile}};
+}
+
+// Runs a tile kernel over every block of `pool` for all `queries` at once,
+// as the built-in metrics do: row r of `out` starts at out + r * out_stride.
+void ScanPoolTile(simd::TileKernel kernel, const std::vector<Point>& queries,
+                  const CoordinatePool& pool, size_t out_stride, double* out) {
+  std::vector<const double*> rows;
+  for (const Point& q : queries) rows.push_back(q.coords.data());
+  pool.ForEachSpan([&](const CoordinatePool::Span& span) {
+    kernel(rows.data(), rows.size(), span.data, CoordinatePool::kRowStride,
+           pool.dim(), span.count, out_stride, out + span.first);
+  });
 }
 
 // Runs the bounded kernel of metric `m` in `set` and checks its contract
@@ -139,6 +154,56 @@ std::vector<const simd::KernelSet*> SupportedSets() {
     if (simd::CpuSupports(*set)) sets.push_back(set);
   }
   return sets;
+}
+
+// The widest tile of any supported set, plus one: every row count up to
+// this runs a full tile and a remainder tile on some set.
+size_t TileRowsPlusOne() {
+  size_t rows = 0;
+  for (const simd::KernelSet* set : SupportedSets()) {
+    rows = std::max(rows, set->tile_rows);
+  }
+  return rows + 1;
+}
+
+// For every supported set and metric, and every row count in [1, rows]:
+// the tile kernel over the first `rows` queries returns, row by row, the
+// set's single-row kernel bit for bit, and writes nothing past the pool's
+// columns in any output row.
+void ExpectTilesMatchSingleRows(const std::vector<Point>& queries,
+                                const CoordinatePool& pool,
+                                const std::string& where) {
+  constexpr double kUnwritten = -7.0;
+  const size_t n = pool.size();
+  const size_t stride = n + 3;
+  for (const simd::KernelSet* set : SupportedSets()) {
+    for (const MetricKernels& kernels : KernelsOf(*set)) {
+      std::vector<std::vector<double>> single(queries.size());
+      for (size_t r = 0; r < queries.size(); ++r) {
+        single[r].assign(n, -1.0);
+        ScanPool(kernels.exact, queries[r], pool, single[r].data());
+      }
+      for (size_t rows = 1; rows <= queries.size(); ++rows) {
+        const std::vector<Point> tile(queries.begin(),
+                                      queries.begin() + rows);
+        std::vector<double> got(rows * stride, kUnwritten);
+        ScanPoolTile(kernels.tile, tile, pool, stride, got.data());
+        for (size_t r = 0; r < rows; ++r) {
+          EXPECT_EQ(std::memcmp(single[r].data(), got.data() + r * stride,
+                                n * sizeof(double)),
+                    0)
+              << set->name << "/" << kernels.name << " row " << r << " of "
+              << rows << " diverged (dim=" << pool.dim() << ", count=" << n
+              << where << ")";
+          for (size_t i = n; i < stride; ++i) {
+            EXPECT_EQ(got[r * stride + i], kUnwritten)
+                << set->name << "/" << kernels.name << " row " << r
+                << " wrote past the pool (count=" << n << where << ")";
+          }
+        }
+      }
+    }
+  }
 }
 
 // The address of every stored coordinate, through the block spans: entry
@@ -286,6 +351,163 @@ TEST(SimdKernelTest, CountingMetricCountsOnePerPairOnSoA) {
   EXPECT_EQ(counting.count(), 34);
   for (size_t i = 0; i < stored.size(); ++i) {
     EXPECT_EQ(inner.Distance(query, stored[i]), out[i]);
+  }
+}
+
+TEST(SimdKernelTest, TileKernelsMatchSingleRowKernelsBitForBit) {
+  // Row counts from 1 to one past the widest tile (a remainder tile on
+  // every set), counts around the lane widths and the block edge.
+  const size_t counts[] = {1,  2,  3,  4,   5,   7,   8,   9,
+                           15, 16, 17, 31,  33,  127, 128, 129, 300};
+  Rng rng(2718);
+  for (size_t dim : {1u, 3u, 54u}) {
+    for (size_t count : counts) {
+      const auto pool = PoolOf(RandomPoints(count, dim, &rng), dim);
+      ExpectTilesMatchSingleRows(RandomPoints(TileRowsPlusOne(), dim, &rng),
+                                 pool, "");
+    }
+  }
+}
+
+TEST(SimdKernelTest, TileKernelsMatchOnMidBlockHead) {
+  // A multi-block pool whose head sits inside the front block after
+  // DropFront, and a one-block pool whose live span is the last 9 lanes of
+  // the block: the widest over-read of each tile reaches the end of the
+  // row slack (and, on the last row, of the block's allocation).
+  constexpr size_t kLanes = CoordinatePool::kBlockLanes;
+  Rng rng(1618);
+  for (size_t dim : {1u, 3u, 54u}) {
+    for (size_t head : {size_t{1}, kLanes / 2 + 3, kLanes - 1}) {
+      CoordinatePool pool = PoolOf(RandomPoints(3 * kLanes + 11, dim, &rng),
+                                   dim);
+      pool.DropFront(head);
+      ExpectTilesMatchSingleRows(RandomPoints(TileRowsPlusOne(), dim, &rng),
+                                 pool, ", head=" + std::to_string(head));
+    }
+    CoordinatePool tail = PoolOf(RandomPoints(kLanes, dim, &rng), dim);
+    tail.DropFront(kLanes - 9);
+    ExpectTilesMatchSingleRows(RandomPoints(TileRowsPlusOne(), dim, &rng),
+                               tail, ", 9-lane tail");
+  }
+}
+
+TEST(SimdKernelTest, TileKernelsOnSubnormalDuplicateAndEmptyInputs) {
+  const size_t dim = 7;
+  Rng rng(99);
+  // Subnormal differences: no flush to zero, the same rounding as one row.
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const auto subnormal = [&](size_t count) {
+    std::vector<Point> points;
+    for (size_t i = 0; i < count; ++i) {
+      Coordinates coords(dim);
+      for (double& x : coords) {
+        x = static_cast<double>(rng.NextBounded(1000)) * tiny;
+      }
+      points.emplace_back(std::move(coords), 0);
+    }
+    return points;
+  };
+  ExpectTilesMatchSingleRows(subnormal(TileRowsPlusOne()),
+                             PoolOf(subnormal(21), dim), ", subnormal");
+
+  // Duplicates: repeated queries, and queries stored in the pool (whose
+  // distance must come back exactly 0).
+  std::vector<Point> stored = RandomPoints(40, dim, &rng);
+  std::vector<Point> queries = {stored[3], stored[3], stored[17]};
+  while (queries.size() < TileRowsPlusOne()) queries.push_back(stored[39]);
+  stored.push_back(stored[3]);
+  const CoordinatePool pool = PoolOf(stored, dim);
+  ExpectTilesMatchSingleRows(queries, pool, ", duplicates");
+  const EuclideanMetric euclidean;
+  std::vector<double> out(queries.size() * pool.size(), -1.0);
+  euclidean.DistanceSoATile(queries.data(), queries.size(), pool, pool.size(),
+                            out.data());
+  EXPECT_EQ(out[3], 0.0);
+  EXPECT_EQ(out[pool.size() - 1], 0.0);
+  EXPECT_EQ(out[pool.size() + 3], 0.0);
+
+  // An empty pool: the kernels and every metric write nothing.
+  const CoordinatePool empty(dim);
+  for (const simd::KernelSet* set : SupportedSets()) {
+    for (const MetricKernels& kernels : KernelsOf(*set)) {
+      double sentinel = -7.0;
+      ScanPoolTile(kernels.tile, queries, empty, 0, &sentinel);
+      const double* row = queries[0].coords.data();
+      kernels.tile(&row, 1, nullptr, CoordinatePool::kRowStride, dim, 0, 0,
+                   &sentinel);
+      EXPECT_EQ(sentinel, -7.0) << set->name << "/" << kernels.name;
+    }
+  }
+  const ManhattanMetric manhattan;
+  const ChebyshevMetric chebyshev;
+  const Metric* metrics[] = {&euclidean, &manhattan, &chebyshev};
+  for (const Metric* metric : metrics) {
+    double sentinel = -7.0;
+    metric->DistanceSoATile(queries.data(), queries.size(), empty, 0,
+                            &sentinel);
+    EXPECT_EQ(sentinel, -7.0) << metric->Name();
+  }
+}
+
+TEST(SimdKernelTest, DistanceSoATileMatchesVirtualDistanceBitForBit) {
+  // Through the dispatched metrics, with more rows than any tile (the
+  // metric hands the kernel kMaxTileRows at a time) over a multi-block pool
+  // with a mid-block head, into rows longer than the pool.
+  const EuclideanMetric euclidean;
+  const ManhattanMetric manhattan;
+  const ChebyshevMetric chebyshev;
+  const Metric* metrics[] = {&euclidean, &manhattan, &chebyshev};
+  Rng rng(57);
+  for (size_t dim : {1u, 3u, 54u}) {
+    std::vector<Point> stored = RandomPoints(300, dim, &rng);
+    CoordinatePool pool = PoolOf(stored, dim);
+    pool.DropFront(37);
+    stored.erase(stored.begin(), stored.begin() + 37);
+    const auto queries = RandomPoints(2 * simd::kMaxTileRows + 1, dim, &rng);
+    const size_t stride = pool.size() + 5;
+    for (const Metric* metric : metrics) {
+      std::vector<double> out(queries.size() * stride, -1.0);
+      metric->DistanceSoATile(queries.data(), queries.size(), pool, stride,
+                              out.data());
+      for (size_t r = 0; r < queries.size(); ++r) {
+        for (size_t i = 0; i < stored.size(); ++i) {
+          ASSERT_EQ(metric->Distance(queries[r], stored[i]),
+                    out[r * stride + i])
+              << metric->Name() << " dim=" << dim << " row " << r
+              << " pair " << i;
+        }
+        for (size_t i = stored.size(); i < stride; ++i) {
+          ASSERT_EQ(out[r * stride + i], -1.0) << metric->Name();
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, CountingMetricCountsEveryPairOnTile) {
+  const EuclideanMetric inner;
+  CountingMetric counting(&inner);
+  Rng rng(6);
+  const auto stored = RandomPoints(17, 4, &rng);
+  const auto pool = PoolOf(stored, 4);
+  const auto queries = RandomPoints(5, 4, &rng);
+  std::vector<double> out(queries.size() * stored.size());
+  counting.DistanceSoATile(queries.data(), queries.size(), pool,
+                           stored.size(), out.data());
+  EXPECT_EQ(counting.count(), 5 * 17);
+  counting.DistanceSoATile(queries.data(), 2, pool, stored.size(),
+                           out.data());
+  EXPECT_EQ(counting.count(), 7 * 17);
+  counting.DistanceSoATile(queries.data(), queries.size(),
+                           CoordinatePool(4), 0, out.data());
+  EXPECT_EQ(counting.count(), 7 * 17);
+  counting.DistanceSoATile(queries.data(), queries.size(), pool,
+                           stored.size(), out.data());
+  for (size_t r = 0; r < queries.size(); ++r) {
+    for (size_t i = 0; i < stored.size(); ++i) {
+      EXPECT_EQ(inner.Distance(queries[r], stored[i]),
+                out[r * stored.size() + i]);
+    }
   }
 }
 

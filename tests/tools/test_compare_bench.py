@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""Tests for tools/compare_bench.py's handling of bench entries that one
+side of a comparison lacks.
+
+Run directly (python3 tests/tools/test_compare_bench.py) or through ctest
+(compare_bench_test). Each case writes small base/head JSON files in both
+formats the tool reads (google-benchmark and shard_scaling) and runs the
+tool as the CI walltime steps do:
+
+  * an entry dropped from the head run fails without a declaration, and
+    also when the head's committed BENCH file still lists it;
+  * an entry dropped from the head run and from its committed BENCH file
+    (--declared-baseline) passes as [removed];
+  * entries new in the head run pass.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import unittest
+
+TESTS_TOOLS_DIR = os.path.dirname(os.path.abspath(__file__))
+REPO_ROOT = os.path.dirname(os.path.dirname(TESTS_TOOLS_DIR))
+COMPARE = os.path.join(REPO_ROOT, "tools", "compare_bench.py")
+
+
+def micro(*names):
+    """A google-benchmark JSON run holding `names`, each with a real_time
+    and a stable counter."""
+    return {"benchmarks": [
+        {"name": name, "run_type": "iteration", "real_time": 100.0,
+         "distance_calls_total": 42.0}
+        for name in names]}
+
+
+def shard(*modes):
+    """A shard_scaling JSON run whose contention scenario holds `modes`."""
+    return {"bench": "shard_scaling", "contention": {
+        mode: {"updates": 1000, "updates_per_s": 5.0e5} for mode in modes}}
+
+
+class CompareBenchRemovalTest(unittest.TestCase):
+    def setUp(self):
+        self.dir = tempfile.TemporaryDirectory()
+        self.addCleanup(self.dir.cleanup)
+
+    def write(self, name, data):
+        path = os.path.join(self.dir.name, name)
+        with open(path, "w") as f:
+            json.dump(data, f)
+        return path
+
+    def compare(self, base, head, declared=None):
+        """Runs the tool like the CI walltime steps; returns (code, out)."""
+        args = [sys.executable, COMPARE, self.write("base.json", base),
+                self.write("head.json", head),
+                "--max-walltime-regression", "0.25", "--walltime-only"]
+        if declared is not None:
+            args += ["--declared-baseline",
+                     self.write("declared.json", declared)]
+        done = subprocess.run(args, capture_output=True, text=True,
+                              check=False)
+        return done.returncode, done.stdout + done.stderr
+
+    def cases(self):
+        """(format, make, kept entry, dropped entry, entry name)."""
+        return [("micro", micro, "BM_Kept", "BM_Dropped", "BM_Dropped"),
+                ("shard", shard, "per_shard", "single_stripe",
+                 "contention/single_stripe")]
+
+    def test_dropped_entry_fails_without_declaration(self):
+        for fmt, make, kept, dropped, name in self.cases():
+            with self.subTest(fmt):
+                code, out = self.compare(make(kept, dropped), make(kept))
+                self.assertEqual(code, 1, out)
+                self.assertIn(f"{name}: present in baseline but missing", out)
+                # The committed results still list it: lost coverage.
+                code, out = self.compare(make(kept, dropped), make(kept),
+                                         declared=make(kept, dropped))
+                self.assertEqual(code, 1, out)
+                self.assertIn(f"{name}: present in baseline but missing", out)
+
+    def test_declared_removal_passes(self):
+        for fmt, make, kept, dropped, name in self.cases():
+            with self.subTest(fmt):
+                code, out = self.compare(make(kept, dropped), make(kept),
+                                         declared=make(kept))
+                self.assertEqual(code, 0, out)
+                self.assertIn(f"[removed] {name}", out)
+
+    def test_new_entries_pass(self):
+        for fmt, make, kept, dropped, name in self.cases():
+            with self.subTest(fmt):
+                code, out = self.compare(make(kept), make(kept, dropped))
+                self.assertEqual(code, 0, out)
+                code, out = self.compare(make(kept), make(kept, dropped),
+                                         declared=make(kept, dropped))
+                self.assertEqual(code, 0, out)
+
+
+if __name__ == "__main__":
+    unittest.main()

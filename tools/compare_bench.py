@@ -40,7 +40,8 @@ Usage:
   python3 tools/compare_bench.py base_shard.json head_shard.json \
       --max-walltime-regression 0.25 --walltime-only
   python3 tools/compare_bench.py base_micro.json head_micro.json \
-      --max-walltime-regression 0.25 --walltime-only
+      --max-walltime-regression 0.25 --walltime-only \
+      --declared-baseline BENCH_micro_kernels.json
 
 Exit code 1 when any compared counter moved by more than --max-regression
 relative to the baseline, any throughput fell by more than
@@ -48,6 +49,12 @@ relative to the baseline, any throughput fell by more than
 disappeared from the new run (dropped coverage hides regressions).
 New benchmarks absent from the baseline are reported but pass: they become
 baseline on the next regeneration.
+
+--declared-baseline PATH names the new commit's committed BENCH_*.json. A
+baseline entry missing from the new run then passes as [removed] when PATH
+lacks it too: the commit deleted the entry and regenerated its committed
+results without it, which declares the deletion. An entry still in PATH
+but missing from the run fails as before (lost coverage).
 
 --exact-prefixes names counter prefixes held to ZERO tolerance regardless of
 --max-regression. The CI perf job uses it to assert that a run on the
@@ -182,6 +189,10 @@ def main():
                         help="compare only throughput fields (for paired "
                              "base-vs-head runs whose counters may differ "
                              "by design)")
+    parser.add_argument("--declared-baseline", default=None,
+                        help="the new commit's committed BENCH_*.json: a "
+                             "baseline entry missing from the new run passes "
+                             "as removed when this file lacks it too")
     args = parser.parse_args()
     exact_prefixes = tuple(p for p in args.exact_prefixes.split(",") if p)
 
@@ -191,6 +202,13 @@ def main():
         print(f"error: format mismatch ({base_format} vs {new_format})",
               file=sys.stderr)
         return 1
+    declared = None
+    if args.declared_baseline is not None:
+        declared_format, declared = load(args.declared_baseline)
+        if declared_format != base_format:
+            print(f"error: format mismatch ({base_format} vs declared "
+                  f"{declared_format})", file=sys.stderr)
+            return 1
     if args.walltime_only and args.max_walltime_regression is None:
         print("error: --walltime-only requires --max-walltime-regression",
               file=sys.stderr)
@@ -263,6 +281,10 @@ def main():
         if not base_counters and not base_walltimes:
             continue  # timing-only entry: nothing stable to compare
         if name not in fresh:
+            if declared is not None and name not in declared:
+                print(f"[removed] {name}: deleted, and absent from "
+                      f"{args.declared_baseline}")
+                continue
             failures.append(f"{name}: present in baseline but missing from "
                             "the new run (dropped bench coverage)")
             continue
