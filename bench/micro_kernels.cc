@@ -7,14 +7,23 @@
 //
 // --threads (default: hardware concurrency) sets the thread count of the
 // *_Parallel benchmarks.
+//
+// The binary replaces the global operator new with a counting one, so the
+// update and hand-off benches can report heap allocations per operation
+// (`allocs_per_*`). The count is per thread, and each bench reads it on its
+// own thread around the calls it measures. Each figure covers a fixed run
+// of operations outside the timed loop, so it depends on the stream only,
+// not on how many iterations timing took.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <new>
 #include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
@@ -33,6 +42,27 @@
 #include "sequential/gonzalez.h"
 #include "sequential/jones_fair_center.h"
 #include "sequential/radius.h"
+
+namespace {
+
+// operator new calls made by this thread so far.
+thread_local int64_t t_allocations = 0;
+
+}  // namespace
+
+// Out of line, so the compiler does not pair an inlined free() with the
+// new-expressions it sees and warn of a mismatch.
+__attribute__((noinline)) void* operator new(std::size_t size) {
+  ++t_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace fkc {
 namespace {
@@ -211,10 +241,29 @@ void BM_BoundedCScan(benchmark::State& state) {
 }
 BENCHMARK(BM_BoundedCScan)->Args({9000, 0})->Args({9000, 1});
 
+// A guess structure driven without a window, as a window drives it: each
+// arrival is added to the arena once, and the arena's Sweep runs after each
+// update.
+struct DrivenGuess {
+  DrivenGuess(double gamma, double delta, int64_t window,
+              const ColorConstraint& constraint)
+      : guess(gamma, delta, window, constraint, CoreVariant::kFull) {}
+
+  void Feed(const Point& p, const Metric& metric) {
+    guess.Update(arena.Add(p), p.arrival, arena, metric, nullptr);
+    arena.Sweep([this](const auto& mark) { guess.ForEachSlot(mark); },
+                [this](const std::vector<Slot>& map) { guess.RemapSlots(map); });
+  }
+
+  PointArena arena;
+  GuessStructure guess;
+};
+
 // One arrival into that guess with W = 10000, where nearly every window
 // point is its own c-attractor: the bounded c-scan over ~9,000 attractors
 // and, once the window is full, the expiry of the oldest entry (an O(1)
 // pop) and a watermark reset that reads only the fronts and the orphans.
+// `allocs_per_arrival` counts the heap allocations of the update itself.
 void BM_DenseGuessUpdate(benchmark::State& state) {
   constexpr int64_t kWindow = 10000;
   const datasets::Dataset& dataset = CovtypeStream();
@@ -222,45 +271,86 @@ void BM_DenseGuessUpdate(benchmark::State& state) {
   const EuclideanMetric metric;
   const ColorConstraint constraint =
       ColorConstraint::Proportional(dataset.points, dataset.ell, 14);
-  GuessStructure guess(kDenseGamma, kDenseDelta, kWindow, constraint,
-                       CoreVariant::kFull);
+  DrivenGuess driven(kDenseGamma, kDenseDelta, kWindow, constraint);
   int64_t t = 0;
+  int64_t allocations = 0;
   const auto feed = [&] {
     Point p = dataset.points[t % stream];
     ++t;
     p.arrival = t;
     p.id = static_cast<uint64_t>(t);
-    guess.Update(p, t, metric, nullptr);
+    const int64_t before = t_allocations;
+    driven.Feed(p, metric);
+    allocations += t_allocations - before;
   };
   while (t < kWindow + 1000) feed();  // full window, expiry in steady state
+  constexpr int64_t kCounted = 5000;
+  allocations = 0;
+  for (int64_t i = 0; i < kCounted; ++i) feed();
+  state.counters["allocs_per_arrival"] =
+      static_cast<double>(allocations) / static_cast<double>(kCounted);
   for (auto _ : state) feed();
   state.SetItemsProcessed(state.iterations());
   state.counters["c_attractors"] =
-      static_cast<double>(guess.c_attractor_count());
+      static_cast<double>(driven.guess.c_attractor_count());
   state.SetLabel(simd::ActiveKernels().name);
 }
 BENCHMARK(BM_DenseGuessUpdate)->Unit(benchmark::kMicrosecond);
 
+// One phones window at the serving fleet's settings (adaptive range,
+// W = 2000, delta = 1, sum k_i = 14), one Update per arrival in steady
+// state. `allocs_per_arrival` counts the allocations inside Update; the
+// arriving Point is built before the call and moved in.
+void BM_FleetWindowUpdate(benchmark::State& state) {
+  const EuclideanMetric metric;
+  const JonesFairCenter jones;
+  static const bench::PreparedDataset* const prepared =
+      new bench::PreparedDataset(bench::Prepare("phones", 60000, metric));
+  const std::vector<Point>& points = prepared->dataset.points;
+  SlidingWindowOptions options;
+  options.window_size = 2000;
+  options.delta = 1.0;
+  options.adaptive_range = true;
+  FairCenterSlidingWindow window(options, prepared->constraint, &metric,
+                                 &jones);
+  size_t cursor = 0;
+  int64_t allocations = 0;
+  const auto feed = [&] {
+    Point p = points[cursor++ % points.size()];
+    const int64_t before = t_allocations;
+    FKC_CHECK_OK(window.Update(std::move(p)));
+    allocations += t_allocations - before;
+  };
+  for (int i = 0; i < 3 * options.window_size; ++i) feed();
+  constexpr int64_t kCounted = 4000;
+  allocations = 0;
+  for (int64_t i = 0; i < kCounted; ++i) feed();
+  state.counters["allocs_per_arrival"] =
+      static_cast<double>(allocations) / static_cast<double>(kCounted);
+  for (auto _ : state) feed();
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_FleetWindowUpdate)->Unit(benchmark::kMicrosecond);
+
 // That guess, filled with one covtype window (W = 10000): most of its ~9,900
 // coreset representatives are their own c-attractor. Built once per process.
-const GuessStructure& CovtypeDenseGuess() {
+const DrivenGuess& CovtypeDenseGuess() {
   constexpr int64_t kWindow = 10000;
-  static const GuessStructure* const guess = [] {
+  static const DrivenGuess* const driven = [] {
     const datasets::Dataset& dataset = CovtypeStream();
     const EuclideanMetric metric;
-    auto* filled = new GuessStructure(
+    auto* filled = new DrivenGuess(
         kDenseGamma, kDenseDelta, kWindow,
-        ColorConstraint::Proportional(dataset.points, dataset.ell, 14),
-        CoreVariant::kFull);
+        ColorConstraint::Proportional(dataset.points, dataset.ell, 14));
     for (int64_t t = 1; t <= kWindow + 1000; ++t) {
       Point p = dataset.points[static_cast<size_t>(t) % dataset.points.size()];
       p.arrival = t;
       p.id = static_cast<uint64_t>(t);
-      filled->Update(p, t, metric, nullptr);
+      filled->Feed(p, metric);
     }
     return filled;
   }();
-  return *guess;
+  return *driven;
 }
 
 // A query's coreset hand-off from that guess. Arg 0 is the copy-out a query
@@ -268,43 +358,50 @@ const GuessStructure& CovtypeDenseGuess() {
 // a pool built from the copies, and the copies freed. Arg 1 is the pool the
 // solver reads now (GuessStructure::CoresetPool): it borrows the dense
 // c-pool for the self-represented attractors and copies only the other
-// points (`copied_points`).
+// points (`copied_points`) out of the arena.
 void BM_CoresetHandoff(benchmark::State& state) {
-  const GuessStructure* const guess = &CovtypeDenseGuess();
+  const DrivenGuess& driven = CovtypeDenseGuess();
+  const GuessStructure* const guess = &driven.guess;
+  const PointArena& arena = driven.arena;
   const bool borrow = state.range(0) != 0;
   size_t points = 0;
   size_t copied = 0;
-  for (auto _ : state) {
+  const auto hand_off = [&] {
     if (borrow) {
-      const ColoredPool pool = guess->CoresetPool();
+      const ColoredPool pool = guess->CoresetPool(arena);
       points = pool.size();
       copied = pool.copied();
       benchmark::DoNotOptimize(&pool);
     } else {
       std::vector<Point> copies;
-      for (const AttractorEntry& entry : guess->c_entries()) {
-        copies.insert(copies.end(), entry.representatives.begin(),
-                      entry.representatives.end());
+      const AttractorList& entries = guess->c_entries();
+      for (size_t e = 0; e < entries.size(); ++e) {
+        entries.ForEachRep(
+            e, [&](Slot s) { copies.push_back(arena.ToPoint(s)); });
       }
-      copies.insert(copies.end(), guess->c_orphans().begin(),
-                    guess->c_orphans().end());
+      for (Slot s : guess->c_orphans()) copies.push_back(arena.ToPoint(s));
       const CoordinatePool pool = CoordinatePool::FromPoints(copies);
       points = copies.size();
       copied = points;
       benchmark::DoNotOptimize(&pool);
     }
-  }
+  };
+  const int64_t allocations_before = t_allocations;
+  hand_off();
+  const int64_t allocations = t_allocations - allocations_before;
+  for (auto _ : state) hand_off();
   int64_t own = 0;
-  for (const AttractorEntry& entry : guess->c_entries()) {
-    for (const Point& rep : entry.representatives) {
-      own += rep.id == entry.attractor.id ? 1 : 0;
-    }
+  const AttractorList& entries = guess->c_entries();
+  for (size_t e = 0; e < entries.size(); ++e) {
+    entries.ForEachRep(
+        e, [&](Slot s) { own += s == entries.attractor(e) ? 1 : 0; });
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(points));
   state.counters["coreset_points"] = static_cast<double>(points);
   state.counters["copied_points"] = static_cast<double>(copied);
   state.counters["own_attractor_share"] =
       static_cast<double>(own) / static_cast<double>(points);
+  state.counters["allocs_per_query"] = static_cast<double>(allocations);
   state.SetLabel(borrow ? "borrow c-pool+copy others"
                         : "copy-out+FromPoints+free");
 }
@@ -316,7 +413,8 @@ BENCHMARK(BM_CoresetHandoff)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 void BM_CoresetRadius(benchmark::State& state) {
   const EuclideanMetric metric;
   const datasets::Dataset& dataset = CovtypeStream();
-  const ColoredPool pool = CovtypeDenseGuess().CoresetPool();
+  const ColoredPool pool =
+      CovtypeDenseGuess().guess.CoresetPool(CovtypeDenseGuess().arena);
   auto solution = JonesFairCenter().SolvePool(
       metric, pool,
       ColorConstraint::Proportional(dataset.points, dataset.ell, 14));

@@ -18,8 +18,11 @@
 //     (u32 attractor row, u32 representative count, u32 rows...), a point
 //     list a u32 count of u32 rows.
 //
-// The guesses store overlapping copies of the same arrivals, so each
-// distinct point is written (and validated) once and referenced by index.
+// The guesses reference overlapping subsets of the window's arena, so each
+// distinct point is written (and validated) once and referenced by index:
+// the writer dumps the referenced arena rows in slot order, which is
+// arrival order, and the reader fills the restored window's arena straight
+// from the table, so a row index is a slot.
 //
 // The reader validates everything it reads before constructing: a
 // corrupted or adversarial blob must surface as kInvalidArgument, never as
@@ -42,11 +45,19 @@ namespace {
 
 constexpr const char* kMagicV2 = "fkc-checkpoint-v2";
 
-/// Row reference meaning "no point" (the last point of an empty window).
-constexpr uint32_t kNoRow = std::numeric_limits<uint32_t>::max();
+/// Row reference meaning "no point" (the last point of an empty window);
+/// the arena's "no slot", since a row index is a slot.
+constexpr uint32_t kNoRow = PointArena::kNoSlot;
 
 /// Upper bound on a plausible point dimension.
 constexpr size_t kMaxDimension = 1u << 20;
+
+/// Restore copies each attractor's coordinates into its guess's coordinate
+/// pool, so a row referenced as the attractor of many families costs dim
+/// coordinates per reference while the reference costs 8 body bytes. This
+/// budget keeps those copies linear in the body length. Honest windows copy
+/// well under one coordinate per body byte.
+constexpr size_t kMaxCopiedCoordsPerBodyByte = 16;
 
 // --- Binary body primitives: fixed-width little-endian, via memcpy. ---
 
@@ -153,8 +164,8 @@ struct PointBounds {
   std::optional<uint64_t> max_id;  ///< largest id read; next_id must exceed it
 };
 
-// One row of the point table, whose coordinates live in the table's flat
-// array. Every row has the table's dimension by layout.
+// One row of the point table as read, before it joins the arena. Every row
+// has the table's dimension by layout.
 struct PointFields {
   const double* coords;
   size_t dim;
@@ -187,110 +198,27 @@ Status CheckPoint(const PointFields& p, PointBounds* bounds) {
   return Status::OK();
 }
 
-Status CheckEntries(const AttractorList& entries) {
+Status CheckEntries(const AttractorList& entries, const PointArena& arena) {
   for (size_t i = 0; i < entries.size(); ++i) {
-    const AttractorEntry& entry = entries[i];
+    const int64_t arrival = arena.arrival(entries.attractor(i));
     // Every writer appends entries in arrival order and removes only the
     // oldest, and the restored coordinate pools expire by dropping their
     // front: entries out of order would desynchronize pool and entries.
-    if (i > 0 && entry.attractor.arrival <= entries[i - 1].attractor.arrival) {
+    if (i > 0 && arrival <= arena.arrival(entries.attractor(i - 1))) {
       return Status::InvalidArgument(
           "attractor entries not ascending by arrival in checkpoint");
     }
     // A representative is its attractor or a later arrival attracted to it.
     // The expiry watermark reads only each list's front attractor, so an
     // older representative would be missed by expiry.
-    for (const Point& rep : entry.representatives) {
-      if (rep.arrival < entry.attractor.arrival) {
-        return Status::InvalidArgument(
-            "representative older than its attractor in checkpoint");
-      }
+    bool older = false;
+    entries.ForEachRep(
+        i, [&](Slot rep) { older = older || arena.arrival(rep) < arrival; });
+    if (older) {
+      return Status::InvalidArgument(
+          "representative older than its attractor in checkpoint");
     }
   }
-  return Status::OK();
-}
-
-// --- The point table. ---
-
-/// Calls `visit` on every stored copy, in the order the writer references
-/// them: per guess, the v-entries (attractor, then its representatives),
-/// v-orphans, c-entries, c-orphans.
-template <typename Visit>
-void ForEachStoredPoint(const std::map<int, GuessStructure>& guesses,
-                        Visit&& visit) {
-  auto entries = [&visit](const AttractorList& list) {
-    for (const AttractorEntry& entry : list) {
-      visit(entry.attractor);
-      for (const Point& rep : entry.representatives) visit(rep);
-    }
-  };
-  auto points = [&visit](const std::vector<Point>& list) {
-    for (const Point& p : list) visit(p);
-  };
-  for (const auto& [exponent, guess] : guesses) {
-    entries(guess.v_entries());
-    points(guess.v_orphans());
-    entries(guess.c_entries());
-    points(guess.c_orphans());
-  }
-}
-
-/// Distinct points of a window, one per id, ascending by id and arrival,
-/// with the row of every stored copy in ForEachStoredPoint order.
-struct PointTable {
-  std::vector<const Point*> rows;
-  std::vector<uint32_t> copy_rows;
-  uint32_t last_row = kNoRow;
-};
-
-bool SameContent(const Point& a, const Point& b) {
-  return a.color == b.color && a.arrival == b.arrival &&
-         a.coords.size() == b.coords.size() &&
-         std::memcmp(a.coords.data(), b.coords.data(),
-                     a.coords.size() * sizeof(double)) == 0;
-}
-
-/// Fails when the copies cannot share one table: two copies of one id that
-/// differ, or ids out of arrival order. No honest window holds either (a
-/// point's id and arrival are issued together, and every stored copy is a
-/// copy of an arrival), and the reader rejects both as table rows out of
-/// order.
-Status BuildPointTable(const std::optional<Point>& last,
-                       const std::map<int, GuessStructure>& guesses,
-                       PointTable* table) {
-  std::vector<const Point*> copies;
-  if (last.has_value()) copies.push_back(&*last);
-  ForEachStoredPoint(guesses, [&copies](const Point& p) {
-    copies.push_back(&p);
-  });
-  std::vector<std::pair<uint64_t, uint32_t>> by_id(copies.size());
-  for (size_t i = 0; i < copies.size(); ++i) {
-    by_id[i] = {copies[i]->id, static_cast<uint32_t>(i)};
-  }
-  std::sort(by_id.begin(), by_id.end());
-
-  std::vector<uint32_t> rows_of_copies(copies.size());
-  table->rows.clear();
-  for (const auto& [id, copy] : by_id) {
-    const Point& p = *copies[copy];
-    if (!table->rows.empty() && table->rows.back()->id == id) {
-      if (!SameContent(*table->rows.back(), p)) {
-        return Status::InvalidArgument(
-            "two different points share one id in checkpoint");
-      }
-    } else {
-      if (!table->rows.empty() && table->rows.back()->arrival >= p.arrival) {
-        return Status::InvalidArgument(
-            "point ids not in arrival order in checkpoint");
-      }
-      table->rows.push_back(&p);
-    }
-    rows_of_copies[copy] = static_cast<uint32_t>(table->rows.size() - 1);
-  }
-  const size_t first_stored = last.has_value() ? 1 : 0;
-  table->last_row = last.has_value() ? rows_of_copies[0] : kNoRow;
-  table->copy_rows.assign(rows_of_copies.begin() + first_stored,
-                          rows_of_copies.end());
   return Status::OK();
 }
 
@@ -299,103 +227,122 @@ Status BuildPointTable(const std::optional<Point>& last,
 struct DecodedGuess {
   int64_t exponent = 0;
   AttractorList v_entries, c_entries;
-  std::vector<Point> v_orphans, c_orphans;
+  std::vector<Slot> v_orphans, c_orphans;
 };
 
 struct DecodedState {
   int64_t now = 0;
   uint64_t next_id = 0;
-  std::optional<Point> last;
+  PointArena arena;
+  Slot last = kNoRow;
   std::vector<std::pair<int64_t, int64_t>> buckets;
   std::vector<DecodedGuess> guesses;
 };
 
 // --- Reader. ---
 
-// The point table as read: row r's coordinates are
-// coords[r * dim, (r + 1) * dim). Rows are copied out into the restored
-// lists, so they are kept flat rather than as Points.
-struct RowTable {
-  struct Row {
-    int color;
-    int64_t arrival;
-    uint64_t id;
-  };
-  size_t dim = 0;
-  std::vector<double> coords;
-  std::vector<Row> rows;
-  /// How many coordinates references may still copy out of the table. A
-  /// reference costs 4 body bytes but copies its row's coordinates, so a
-  /// forged body of a few huge rows referenced many times would expand
-  /// quadratically; the budget keeps restore memory linear in the body
-  /// length. Honest windows copy each point a few times (well under one
-  /// coordinate per body byte), far below the cap.
-  size_t copy_budget = 0;
-};
-
-constexpr size_t kMaxCopiedCoordsPerBodyByte = 16;
-
-Status ReadTableRows(BodyReader* body, PointBounds* bounds, RowTable* table) {
+Status ReadTableRows(BodyReader* body, PointBounds* bounds,
+                     PointArena* arena) {
   const uint32_t dim = body->U32();
   if (dim > kMaxDimension) {
     return Status::InvalidArgument("implausible point dimension");
   }
   const uint32_t count = body->Count(8 * static_cast<size_t>(dim) + 20);
   FKC_RETURN_IF_ERROR(body->status());
-  table->dim = dim;
-  table->coords.resize(static_cast<size_t>(count) * dim);
-  table->rows.resize(count);
+  arena->Reset(dim, count);
+  std::vector<double> coords(dim);
   for (uint32_t r = 0; r < count; ++r) {
-    double* coords = table->coords.data() + static_cast<size_t>(r) * dim;
-    for (uint32_t d = 0; d < dim; ++d) coords[d] = body->F64();
-    RowTable::Row& row = table->rows[r];
+    for (double& x : coords) x = body->F64();
     // Saturated, not wrapped: CheckPoint rejects it against ell either way.
-    row.color = static_cast<int>(std::min<uint32_t>(
-        body->U32(), std::numeric_limits<int>::max()));
-    row.arrival = body->I64();
-    row.id = body->U64();
-    FKC_RETURN_IF_ERROR(CheckPoint(
-        {coords, dim, row.color, row.arrival, row.id}, bounds));
+    const int color = static_cast<int>(
+        std::min<uint32_t>(body->U32(), std::numeric_limits<int>::max()));
+    const int64_t arrival = body->I64();
+    const uint64_t id = body->U64();
+    FKC_RETURN_IF_ERROR(
+        CheckPoint({coords.data(), dim, color, arrival, id}, bounds));
     // One row per distinct point, in the order ids and arrivals are
     // issued: a repeated id would make two rows claim one identity.
-    if (r > 0 && (row.arrival <= table->rows[r - 1].arrival ||
-                  row.id <= table->rows[r - 1].id)) {
+    if (r > 0 && (arrival <= arena->arrival(r - 1) || id <= arena->id(r - 1))) {
       return Status::InvalidArgument(
           "point table rows not ascending by arrival and id");
     }
+    arena->Add(coords.data(), dim, color, arrival, id);
   }
   return body->status();
 }
 
-Status CopyRow(uint32_t r, RowTable* table, Point* out) {
-  if (r >= table->rows.size()) {
-    return Status::InvalidArgument("point row outside the table");
-  }
-  if (table->dim > table->copy_budget) {
-    return Status::InvalidArgument(
-        "implausible point references in checkpoint");
-  }
-  table->copy_budget -= table->dim;
-  const double* coords = table->coords.data() + r * table->dim;
-  out->coords.assign(coords, coords + table->dim);
-  out->color = table->rows[r].color;
-  out->arrival = table->rows[r].arrival;
-  out->id = table->rows[r].id;
-  return Status::OK();
-}
+/// The structural rule of one family of one guess: a row is at most one
+/// entry's attractor, and at most one representative or orphan. Each
+/// arrival enters a family once, as a new attractor that is its own
+/// representative or as one entry's representative. Expiry and Cleanup
+/// only move a representative to the orphans or drop it, and the swap and
+/// cap eviction only drop one, so no honest family references a row twice
+/// in either role. Marks are stamped with the family's number, so the
+/// check costs one pass over the references.
+///
+/// The rule is per family, so it does not stop one row from being the
+/// attractor of every family: each attractor reference is also charged
+/// its dimension against the copy budget (kMaxCopiedCoordsPerBodyByte).
+class FamilyRefs {
+ public:
+  FamilyRefs(size_t rows, size_t dim, size_t copy_budget)
+      : attractor_(rows, 0), member_(rows, 0), dim_(dim),
+        copy_budget_(copy_budget) {}
 
-Status ReadRowList(BodyReader* body, RowTable* table,
-                   std::vector<Point>* out) {
+  void NextFamily() { ++family_; }
+
+  Status Attractor(Slot row) {
+    FKC_RETURN_IF_ERROR(Mark(row, &attractor_));
+    if (dim_ > copy_budget_) {
+      return Status::InvalidArgument(
+          "implausible attractor references in checkpoint");
+    }
+    copy_budget_ -= dim_;
+    return Status::OK();
+  }
+  Status Member(Slot row) { return Mark(row, &member_); }
+
+ private:
+  Status Mark(Slot row, std::vector<uint32_t>* marks) {
+    if (row >= marks->size()) {
+      return Status::InvalidArgument("point row outside the table");
+    }
+    if ((*marks)[row] == family_) {
+      return Status::InvalidArgument(
+          "point row referenced twice in one family in checkpoint");
+    }
+    (*marks)[row] = family_;
+    return Status::OK();
+  }
+
+  uint32_t family_ = 0;
+  std::vector<uint32_t> attractor_, member_;
+  size_t dim_;
+  size_t copy_budget_;  ///< coordinates restore may still copy
+};
+
+Status ReadRowList(BodyReader* body, FamilyRefs* refs,
+                   std::vector<Slot>* out) {
   out->resize(body->Count(4));
-  for (Point& p : *out) FKC_RETURN_IF_ERROR(CopyRow(body->U32(), table, &p));
+  for (Slot& row : *out) {
+    row = body->U32();
+    FKC_RETURN_IF_ERROR(refs->Member(row));
+  }
   return Status::OK();
 }
 
-Status ReadEntryList(BodyReader* body, RowTable* table, AttractorList* out) {
-  out->resize(body->Count(8));
-  for (AttractorEntry& entry : *out) {
-    FKC_RETURN_IF_ERROR(CopyRow(body->U32(), table, &entry.attractor));
-    FKC_RETURN_IF_ERROR(ReadRowList(body, table, &entry.representatives));
+Status ReadEntryList(BodyReader* body, FamilyRefs* refs, AttractorList* out) {
+  const uint32_t count = body->Count(8);
+  for (uint32_t e = 0; e < count; ++e) {
+    const Slot attractor = body->U32();
+    FKC_RETURN_IF_ERROR(refs->Attractor(attractor));
+    out->Push(attractor);
+    const uint32_t reps = body->Count(4);
+    for (uint32_t r = 0; r < reps; ++r) {
+      const Slot rep = body->U32();
+      FKC_RETURN_IF_ERROR(refs->Member(rep));
+      out->AppendRep(e, rep);
+    }
   }
   return Status::OK();
 }
@@ -418,21 +365,23 @@ Status ReadBody(std::string_view bytes, bool adaptive, PointBounds* bounds,
     }
   }
 
-  RowTable table;
-  table.copy_budget = kMaxCopiedCoordsPerBodyByte * bytes.size();
-  FKC_RETURN_IF_ERROR(ReadTableRows(&body, bounds, &table));
-  const uint32_t last = body.U32();
-  if (last != kNoRow) {
-    FKC_RETURN_IF_ERROR(CopyRow(last, &table, &state->last.emplace()));
+  FKC_RETURN_IF_ERROR(ReadTableRows(&body, bounds, &state->arena));
+  state->last = body.U32();
+  if (state->last != kNoRow && state->last >= state->arena.size()) {
+    return Status::InvalidArgument("point row outside the table");
   }
 
+  FamilyRefs refs(state->arena.size(), state->arena.dim(),
+                  kMaxCopiedCoordsPerBodyByte * bytes.size());
   state->guesses.resize(body.Count(20));
   for (DecodedGuess& guess : state->guesses) {
     guess.exponent = body.I32();
-    FKC_RETURN_IF_ERROR(ReadEntryList(&body, &table, &guess.v_entries));
-    FKC_RETURN_IF_ERROR(ReadRowList(&body, &table, &guess.v_orphans));
-    FKC_RETURN_IF_ERROR(ReadEntryList(&body, &table, &guess.c_entries));
-    FKC_RETURN_IF_ERROR(ReadRowList(&body, &table, &guess.c_orphans));
+    refs.NextFamily();
+    FKC_RETURN_IF_ERROR(ReadEntryList(&body, &refs, &guess.v_entries));
+    FKC_RETURN_IF_ERROR(ReadRowList(&body, &refs, &guess.v_orphans));
+    refs.NextFamily();
+    FKC_RETURN_IF_ERROR(ReadEntryList(&body, &refs, &guess.c_entries));
+    FKC_RETURN_IF_ERROR(ReadRowList(&body, &refs, &guess.c_orphans));
   }
   FKC_RETURN_IF_ERROR(body.status());
   if (body.Remaining() != 0) {
@@ -449,22 +398,28 @@ std::string FairCenterSlidingWindow::SerializeState() const {
   WriteSlidingWindowOptions(&header, options_);
   WriteColorCaps(&header, constraint_);
 
-  PointTable table;
-  // Every reader-accepted and every streamed state shares one table.
-  FKC_CHECK_OK(BuildPointTable(last_point_, guesses_, &table));
-  const size_t dim = table.rows.empty() ? 0 : table.rows[0]->dimension();
+  // The table: the arena rows the last point and the guesses reference, in
+  // slot order, so rows[s] is slot s's row.
+  const std::vector<Slot> rows = NumberReferencedRows();
+  const uint32_t row_count = static_cast<uint32_t>(
+      rows.size() - std::count(rows.begin(), rows.end(), kNoRow));
+  const size_t dim = row_count == 0 ? 0 : arena_.dim();
+
   const auto buckets = options_.adaptive_range
                            ? estimator_->DumpBuckets()
                            : std::vector<std::pair<int, int64_t>>{};
-  size_t entries = 0;
-  for (const auto& [exponent, guess] : guesses_) {
-    entries += guess.v_entries().size() + guess.c_entries().size();
-  }
+  const MemoryStats memory = Memory();
+  // Each entry writes a representative count besides its references, and
+  // TotalPoints counts every reference: attractors, representatives and
+  // orphans.
+  const size_t entries =
+      static_cast<size_t>(memory.v_attractors + memory.c_attractors);
+  const size_t references = static_cast<size_t>(memory.TotalPoints());
   // Fixed-width fields only, so the length is known before writing.
   const size_t body_size =
       16 + (options_.adaptive_range ? 4 + 12 * buckets.size() : 0) + 8 +
-      table.rows.size() * (8 * dim + 20) + 8 + 20 * guesses_.size() +
-      4 * (entries + table.copy_rows.size());
+      row_count * (8 * dim + 20) + 8 + 20 * guesses_.size() +
+      4 * (entries + references);
 
   std::string body(body_size, '\0');
   BodyWriter out(&body);
@@ -478,30 +433,28 @@ std::string FairCenterSlidingWindow::SerializeState() const {
     }
   }
   out.U32(static_cast<uint32_t>(dim));
-  out.U32(static_cast<uint32_t>(table.rows.size()));
-  for (const Point* p : table.rows) {
-    for (double x : p->coords) out.F64(x);
-    out.U32(static_cast<uint32_t>(p->color));
-    out.I64(p->arrival);
-    out.U64(p->id);
+  out.U32(row_count);
+  for (Slot s = 0; s < rows.size(); ++s) {
+    if (rows[s] == kNoRow) continue;
+    const double* coords = arena_.coords(s);
+    for (size_t d = 0; d < dim; ++d) out.F64(coords[d]);
+    out.U32(static_cast<uint32_t>(arena_.color(s)));
+    out.I64(arena_.arrival(s));
+    out.U64(arena_.id(s));
   }
-  out.U32(table.last_row);
+  out.U32(last_slot_ == PointArena::kNoSlot ? kNoRow : rows[last_slot_]);
 
-  // Same walk as ForEachStoredPoint, so copy_rows is consumed in order.
-  size_t copy = 0;
   auto write_entries = [&](const AttractorList& list) {
     out.U32(static_cast<uint32_t>(list.size()));
-    for (const AttractorEntry& entry : list) {
-      out.U32(table.copy_rows[copy++]);
-      out.U32(static_cast<uint32_t>(entry.representatives.size()));
-      for (size_t r = 0; r < entry.representatives.size(); ++r) {
-        out.U32(table.copy_rows[copy++]);
-      }
+    for (size_t e = 0; e < list.size(); ++e) {
+      out.U32(rows[list.attractor(e)]);
+      out.U32(list.rep_count(e));
+      list.ForEachRep(e, [&](Slot rep) { out.U32(rows[rep]); });
     }
   };
-  auto write_points = [&](const std::vector<Point>& list) {
+  auto write_points = [&](const std::vector<Slot>& list) {
     out.U32(static_cast<uint32_t>(list.size()));
-    for (size_t i = 0; i < list.size(); ++i) out.U32(table.copy_rows[copy++]);
+    for (Slot s : list) out.U32(rows[s]);
   };
   out.U32(static_cast<uint32_t>(guesses_.size()));
   for (const auto& [exponent, guess] : guesses_) {
@@ -550,7 +503,8 @@ Result<FairCenterSlidingWindow> FairCenterSlidingWindow::DeserializeState(
                                  metric, solver);
   window.now_ = state.now;
   window.next_id_ = state.next_id;
-  window.last_point_ = std::move(state.last);
+  window.arena_ = std::move(state.arena);
+  window.last_slot_ = state.last;
 
   if (options.adaptive_range) {
     std::vector<std::pair<int, int64_t>> buckets;
@@ -583,15 +537,15 @@ Result<FairCenterSlidingWindow> FairCenterSlidingWindow::DeserializeState(
     if (!std::isfinite(gamma) || gamma <= 0.0) {
       return Status::InvalidArgument("guess exponent out of range");
     }
-    FKC_RETURN_IF_ERROR(CheckEntries(decoded.v_entries));
-    FKC_RETURN_IF_ERROR(CheckEntries(decoded.c_entries));
+    FKC_RETURN_IF_ERROR(CheckEntries(decoded.v_entries, window.arena_));
+    FKC_RETURN_IF_ERROR(CheckEntries(decoded.c_entries, window.arena_));
 
     GuessStructure guess(gamma, options.delta, options.window_size,
                          window.constraint_, options.variant);
-    guess.RestoreState(std::move(decoded.v_entries),
-                       std::move(decoded.v_orphans),
-                       std::move(decoded.c_entries),
-                       std::move(decoded.c_orphans));
+    guess.RestoreState(
+        std::move(decoded.v_entries), std::move(decoded.v_orphans),
+        std::move(decoded.c_entries), std::move(decoded.c_orphans),
+        window.arena_);
     if (!window.guesses_
              .emplace(static_cast<int>(exponent), std::move(guess))
              .second) {
@@ -605,10 +559,10 @@ Result<FairCenterSlidingWindow> FairCenterSlidingWindow::DeserializeState(
     return Status::InvalidArgument(
         "id counter behind stored point ids in checkpoint");
   }
-  // last_point_ is set on every Update and never cleared, so stored points
+  // last_slot_ is set on every Update and never cleared, so stored points
   // without it occur only in forged blobs — and would leave dimension()
   // unpinned (-1) while the pools hold points of a fixed dimension.
-  if (!window.last_point_.has_value() && bounds.max_id.has_value()) {
+  if (window.last_slot_ == PointArena::kNoSlot && bounds.max_id.has_value()) {
     return Status::InvalidArgument(
         "stored points without a last point in checkpoint");
   }

@@ -147,11 +147,34 @@ Status FairCenterSlidingWindow::Update(Coordinates coords, int color) {
   return Update(Point(std::move(coords), color));
 }
 
-void FairCenterSlidingWindow::StampArrival(Point* p) {
+Slot FairCenterSlidingWindow::StampArrival(Point* p) {
   ++now_;
   ++state_epoch_;
   p->arrival = now_;
   p->id = next_id_++;
+  return arena_.Add(*p);
+}
+
+std::vector<Slot> FairCenterSlidingWindow::NumberReferencedRows() const {
+  std::vector<Slot> rows(arena_.size(), PointArena::kNoSlot);
+  ForEachReferencedSlot([&rows](Slot s) { rows[s] = 0; });
+  Slot rank = 0;
+  for (Slot& row : rows) {
+    if (row != PointArena::kNoSlot) row = rank++;
+  }
+  return rows;
+}
+
+void FairCenterSlidingWindow::SweepArena() {
+  arena_.Sweep([this](const auto& mark) { ForEachReferencedSlot(mark); },
+               [this](const std::vector<Slot>& map) {
+                 for (auto& [exponent, guess] : guesses_) {
+                   guess.RemapSlots(map);
+                 }
+                 if (last_slot_ != PointArena::kNoSlot) {
+                   last_slot_ = map[last_slot_];
+                 }
+               });
 }
 
 ThreadPool* FairCenterSlidingWindow::Pool() {
@@ -169,7 +192,7 @@ ThreadPool* FairCenterSlidingWindow::Pool() {
   return pool_.get();
 }
 
-void FairCenterSlidingWindow::UpdateGuesses(const Point& p) {
+void FairCenterSlidingWindow::UpdateGuesses(Slot p) {
   // Only the topmost guess feeds the estimator: the range tracker consults
   // just its smallest and largest live buckets, and the top guess's
   // attractors span the window's coarsest scales while d(p, prev) witnesses
@@ -184,7 +207,7 @@ void FairCenterSlidingWindow::UpdateGuesses(const Point& p) {
           (options_.adaptive_range && exponent == top_exponent)
               ? estimator_.get()
               : nullptr;
-      guess.Update(p, now_, *metric_, observer);
+      guess.Update(p, now_, arena_, *metric_, observer);
     }
     return;
   }
@@ -203,7 +226,7 @@ void FairCenterSlidingWindow::UpdateGuesses(const Point& p) {
             (options_.adaptive_range && items[i].first == top_exponent)
                 ? &recorders[i]
                 : nullptr;
-        items[i].second->Update(p, now_, *metric_, observer);
+        items[i].second->Update(p, now_, arena_, *metric_, observer);
       });
   if (options_.adaptive_range) {
     for (size_t i = 0; i < items.size(); ++i) {  // ascending exponent order
@@ -215,24 +238,26 @@ void FairCenterSlidingWindow::UpdateGuesses(const Point& p) {
 Status FairCenterSlidingWindow::Update(Point p) {
   FKC_RETURN_IF_ERROR(ValidateArrival(p, constraint_, dimension()));
   Consume(std::move(p));
+  SweepArena();
   return Status::OK();
 }
 
 void FairCenterSlidingWindow::Consume(Point p) {
-  StampArrival(&p);
+  const Slot slot = StampArrival(&p);
 
   if (options_.adaptive_range) {
     estimator_->BeginStep(now_);
-    if (last_point_.has_value() &&
-        IsActive(*last_point_, now_, options_.window_size)) {
-      estimator_->ObserveDistance(metric_->Distance(p, *last_point_));
+    if (last_slot_ != PointArena::kNoSlot &&
+        arena_.IsActive(last_slot_, now_, options_.window_size)) {
+      arena_.CopyTo(last_slot_, &previous_);
+      estimator_->ObserveDistance(metric_->Distance(p, previous_));
     }
     // Create structures for any newly witnessed scale before inserting p, so
     // that p itself lands in them.
     ReconcileAdaptiveRange();
   }
 
-  UpdateGuesses(p);
+  UpdateGuesses(slot);
 
   if (options_.adaptive_range) {
     // Distances observed against stored attractors may have widened the
@@ -241,7 +266,7 @@ void FairCenterSlidingWindow::Consume(Point p) {
     ReconcileAdaptiveRange();
   }
 
-  last_point_ = std::move(p);
+  last_slot_ = slot;
 }
 
 Status FairCenterSlidingWindow::UpdateBatch(std::vector<Point> batch) {
@@ -268,23 +293,28 @@ Status FairCenterSlidingWindow::UpdateBatch(std::vector<Point> batch) {
   // Sequential configurations take the same per-arrival path.
   if (options_.adaptive_range || pool == nullptr || guesses_.size() < 2) {
     for (Point& p : batch) Consume(std::move(p));
+    SweepArena();
     return first_error;
   }
 
   // Fixed-range parallel path: the ladder is static and observer-free, so
   // each guess structure can consume the entire batch on its own task —
   // one fan-out per batch instead of one per arrival. Equivalent to the
-  // sequential interleaving because guesses share no state.
-  for (Point& p : batch) StampArrival(&p);
+  // sequential interleaving because guesses share no mutable state: the
+  // whole batch is in the arena before the fan-out, which only reads it.
+  std::vector<Slot> slots;
+  slots.reserve(batch.size());
+  for (Point& p : batch) slots.push_back(StampArrival(&p));
   std::vector<GuessStructure*> items;
   items.reserve(guesses_.size());
   for (auto& [exponent, guess] : guesses_) items.push_back(&guess);
   pool->ParallelFor(static_cast<int64_t>(items.size()), [&](int64_t i) {
-    for (const Point& p : batch) {
-      items[i]->Update(p, p.arrival, *metric_, nullptr);
+    for (Slot p : slots) {
+      items[i]->Update(p, arena_.arrival(p), arena_, *metric_, nullptr);
     }
   });
-  last_point_ = std::move(batch.back());
+  last_slot_ = slots.back();
+  SweepArena();
   return first_error;
 }
 
@@ -329,7 +359,7 @@ void FairCenterSlidingWindow::CreateGuess(int exponent) {
       donor = &guess;
     }
   }
-  if (donor != nullptr) donor->ReplayInto(&fresh, now_, *metric_);
+  if (donor != nullptr) donor->ReplayInto(&fresh, now_, arena_, *metric_);
   guesses_.emplace(exponent, std::move(fresh));
 }
 
@@ -337,7 +367,7 @@ bool FairCenterSlidingWindow::GuessPasses(const GuessStructure& guess) const {
   if (!guess.IsValid()) return false;
   const int k = constraint_.TotalK();
   const double threshold = 2.0 * guess.gamma();
-  const ColoredPool rv = guess.ValidationPool();
+  const ColoredPool rv = guess.ValidationPool(arena_);
   if (rv.empty()) return true;
 
   // Greedy 2*gamma cover over RV through the SoA kernels: one vectorized
@@ -364,14 +394,14 @@ bool FairCenterSlidingWindow::GuessPasses(const GuessStructure& guess) const {
 void FairCenterSlidingWindow::ExpireAllGuesses() {
   ThreadPool* pool = Pool();
   if (pool == nullptr || guesses_.size() < 2) {
-    for (auto& [exponent, guess] : guesses_) guess.ExpireOnly(now_);
+    for (auto& [exponent, guess] : guesses_) guess.ExpireOnly(now_, arena_);
     return;
   }
   std::vector<GuessStructure*> items;
   items.reserve(guesses_.size());
   for (auto& [exponent, guess] : guesses_) items.push_back(&guess);
   pool->ParallelFor(static_cast<int64_t>(items.size()),
-                    [&](int64_t i) { items[i]->ExpireOnly(now_); });
+                    [&](int64_t i) { items[i]->ExpireOnly(now_, arena_); });
 }
 
 Result<QueryPlan> FairCenterSlidingWindow::PlanQuery() {
@@ -386,8 +416,8 @@ Result<QueryPlan> FairCenterSlidingWindow::PlanQuery() {
   // was ever witnessed, i.e. all active points share one location — the most
   // recent point is an exact 1-point coreset.
   if (guesses_.empty()) {
-    FKC_CHECK(last_point_.has_value());
-    plan.coreset = ColoredPool::FromPoints({*last_point_});
+    FKC_CHECK_NE(last_slot_, PointArena::kNoSlot);
+    plan.coreset = ColoredPool::FromPoints({arena_.ToPoint(last_slot_)});
     plan.stats.coreset_size = 1;
     return plan;
   }
@@ -431,7 +461,7 @@ Result<QueryPlan> FairCenterSlidingWindow::PlanQuery() {
 
     if (chosen >= 0) {
       const GuessStructure& guess = *items[chosen];
-      plan.coreset = guess.CoresetPool();
+      plan.coreset = guess.CoresetPool(arena_);
       plan.stats.guess = guess.gamma();
       plan.stats.coreset_size = static_cast<int64_t>(plan.coreset.size());
       plan.stats.guesses_inspected = inspected;

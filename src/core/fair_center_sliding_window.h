@@ -22,7 +22,6 @@
 
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,6 +31,7 @@
 #include "core/guess_ladder.h"
 #include "core/guess_structure.h"
 #include "core/memory_footprint.h"
+#include "core/point_arena.h"
 #include "metric/colored_pool.h"
 #include "metric/metric.h"
 #include "sequential/color_constraint.h"
@@ -244,6 +244,7 @@ class FairCenterSlidingWindow {
   /// short text header (magic, options, caps) and a binary body holding one
   /// table of the distinct stored points, with raw coordinate bits, that
   /// the guess structures reference by index (layout in core/checkpoint.cc).
+  /// The table is the arena's referenced rows in slot order.
   /// The metric and solver are code, not state, and are re-supplied on
   /// restore.
   std::string SerializeState() const;
@@ -285,13 +286,17 @@ class FairCenterSlidingWindow {
   /// the checkpoint reader's uniformity check) require every stored point
   /// to share one dimension, so Update rejects arrivals of any other.
   int64_t dimension() const {
-    return last_point_.has_value()
-               ? static_cast<int64_t>(last_point_->dimension())
+    return last_slot_ != PointArena::kNoSlot
+               ? static_cast<int64_t>(arena_.dim())
                : -1;
   }
 
   const SlidingWindowOptions& options() const { return options_; }
   const ColorConstraint& constraint() const { return constraint_; }
+
+  /// The stored arrivals the guesses reference (test and diagnostic hook).
+  /// Between sweeps it also holds rows no guess references any more.
+  const PointArena& arena() const { return arena_; }
 
  private:
   /// Expires stale points in every guess structure, fanned out over the pool
@@ -312,19 +317,40 @@ class FairCenterSlidingWindow {
   /// cover with at most k centers.
   bool GuessPasses(const GuessStructure& guess) const;
 
-  /// Stamps arrival/id on `p` and advances the clock (the shared prologue of
-  /// Update and UpdateBatch).
-  void StampArrival(Point* p);
+  /// Stamps arrival/id on `p`, advances the clock and adds `p` to the
+  /// arena (the shared prologue of Update and UpdateBatch); returns its
+  /// slot.
+  Slot StampArrival(Point* p);
 
   /// Update's body, for an arrival that already passed ValidateArrival.
   void Consume(Point p);
 
-  /// Runs one arrival through every guess structure — sequentially, or
-  /// fanned out over the pool with adaptive-mode distance observations
-  /// recorded per guess and replayed into the estimator in ascending
-  /// exponent order, so the estimator state is bit-identical to the
-  /// sequential path at any thread count.
-  void UpdateGuesses(const Point& p);
+  /// Runs the arrival in slot `p` through every guess structure —
+  /// sequentially, or fanned out over the pool with adaptive-mode distance
+  /// observations recorded per guess and replayed into the estimator in
+  /// ascending exponent order, so the estimator state is bit-identical to
+  /// the sequential path at any thread count.
+  void UpdateGuesses(Slot p);
+
+  /// The arena's Sweep (core/point_arena.h): once due, keeps only the rows
+  /// the guesses and the last point reference and renumbers every stored
+  /// slot. Runs only at the end of Update and UpdateBatch, after every
+  /// fan-out has joined, so no removal path touches the arena, slot numbers
+  /// depend only on the sequence of calls (not on the thread count), and
+  /// rows stay within a constant factor of the distinct stored points.
+  void SweepArena();
+
+  /// Calls f(slot) for the last point's slot and every slot a guess holds.
+  template <typename F>
+  void ForEachReferencedSlot(F&& f) const {
+    if (last_slot_ != PointArena::kNoSlot) f(last_slot_);
+    for (const auto& [exponent, guess] : guesses_) guess.ForEachSlot(f);
+  }
+
+  /// Maps each arena slot that the last point or a guess references to its
+  /// rank among those slots, and every other slot to kNoSlot: the rows a
+  /// checkpoint writes, with their row numbers.
+  std::vector<Slot> NumberReferencedRows() const;
 
   /// The lazily created pool behind the parallel engine; nullptr while the
   /// configuration is sequential.
@@ -352,9 +378,15 @@ class FairCenterSlidingWindow {
   /// resolving before construction avoids building a pool just to learn a
   /// single-core host needs none.
   int pool_threads_ = -1;
-  /// Most recent arrival: bootstraps the estimator and serves as the
-  /// fallback solution when the window holds a single distinct location.
-  std::optional<Point> last_point_;
+  /// One row per stored arrival; the guesses and last_slot_ hold its slots.
+  PointArena arena_;
+  /// The most recent arrival's row, kNoSlot while there is none. It
+  /// bootstraps the estimator and serves as the fallback solution when the
+  /// window holds a single distinct location.
+  Slot last_slot_ = PointArena::kNoSlot;
+  /// Scratch for that row as a Point while the estimator measures
+  /// d(p, previous arrival); overwritten before each use.
+  Point previous_;
 };
 
 /// perfbench/ still names the window by the interface it once implemented;

@@ -8,34 +8,39 @@
 namespace fkc {
 namespace {
 
-/// Appends `p` as a new attractor that is its own representative: one copy
+/// Appends `p` as a new attractor that is its own representative: one slot
 /// for each role.
-void PushAttractor(AttractorList* entries, const Point& p) {
-  AttractorEntry& entry = entries->emplace_back();
-  entry.attractor = p;
-  entry.representatives.push_back(p);
+void PushAttractor(AttractorList* entries, Slot p) {
+  entries->Push(p);
+  entries->AppendRep(entries->size() - 1, p);
 }
 
 /// One family's representatives, entry by entry, then its orphans, as a
 /// pool. Position e of `attractors` is entries[e]'s attractor, so a
 /// representative that is its entry's own attractor is column e there.
 ColoredPool GatherFamily(const AttractorList& entries,
-                         const std::vector<Point>& orphans,
-                         const CoordinatePool& attractors) {
+                         const std::vector<Slot>& orphans,
+                         const CoordinatePool& attractors,
+                         const PointArena& arena) {
   ColoredPool::Builder builder(
-      static_cast<size_t>(CountRepresentatives(entries)) + orphans.size(),
+      static_cast<size_t>(entries.total_reps()) + orphans.size(),
       &attractors);
+  const auto add = [&](Slot s) {
+    builder.Add(arena.coords(s), arena.dim(), arena.color(s), arena.arrival(s),
+                arena.id(s));
+  };
   for (size_t e = 0; e < entries.size(); ++e) {
-    const AttractorEntry& entry = entries[e];
-    for (const Point& rep : entry.representatives) {
-      if (rep.id == entry.attractor.id) {
-        builder.AddColumn(rep, e);
+    const Slot attractor = entries.attractor(e);
+    entries.ForEachRep(e, [&](Slot rep) {
+      if (rep == attractor) {
+        builder.AddColumn(e, arena.color(rep), arena.arrival(rep),
+                          arena.id(rep));
       } else {
-        builder.Add(rep);
+        add(rep);
       }
-    }
+    });
   }
-  for (const Point& p : orphans) builder.Add(p);
+  for (Slot s : orphans) add(s);
   return std::move(builder).Build();
 }
 
@@ -54,7 +59,7 @@ GuessStructure::GuessStructure(double gamma, double delta, int64_t window_size,
   FKC_CHECK_GT(window_size, 0);
 }
 
-void GuessStructure::ExpireOnly(int64_t now) {
+void GuessStructure::ExpireOnly(int64_t now, const PointArena& arena) {
   // Batch-level expiry dedup: when even the oldest stored point is still
   // active, every IsActive test below would pass and the sweep would change
   // nothing — skip it. Exact, not heuristic: the watermark is a lower bound
@@ -63,57 +68,81 @@ void GuessStructure::ExpireOnly(int64_t now) {
   ++expiry_sweeps_;
   // The pools mirror the entry lists by position; the expired attractors
   // are the oldest, so the pools drop the prefix ExpireEntries popped.
-  v_pool_.DropFront(ExpireEntries(&v_entries_, &v_orphans_, now, window_size_));
-  ExpirePoints(&v_orphans_, now, window_size_);
-  c_pool_.DropFront(ExpireEntries(&c_entries_, &c_orphans_, now, window_size_));
-  ExpirePoints(&c_orphans_, now, window_size_);
-  RecomputeOldestArrival();
+  v_pool_.DropFront(
+      ExpireEntries(&v_entries_, &v_orphans_, now, window_size_, arena));
+  ExpirePoints(&v_orphans_, now, window_size_, arena);
+  c_pool_.DropFront(
+      ExpireEntries(&c_entries_, &c_orphans_, now, window_size_, arena));
+  ExpirePoints(&c_orphans_, now, window_size_, arena);
+  RecomputeOldestArrival(arena);
 }
 
 void GuessStructure::AppendAttractorCoords(CoordinatePool* pool,
-                                           const Point& p) {
-  if (pool->empty() && pool->dim() != p.dimension()) {
-    pool->ResetDim(p.dimension());
-  }
-  pool->Append(p);
+                                           const PointArena& arena, Slot p) {
+  if (pool->empty() && pool->dim() != arena.dim()) pool->ResetDim(arena.dim());
+  pool->Append(arena.coords(p));
 }
 
-void GuessStructure::RebuildPools() {
-  v_pool_.Clear();
-  c_pool_.Clear();
-  for (const AttractorEntry& entry : v_entries_) {
-    AppendAttractorCoords(&v_pool_, entry.attractor);
-  }
-  for (const AttractorEntry& entry : c_entries_) {
-    AppendAttractorCoords(&c_pool_, entry.attractor);
-  }
+void GuessStructure::RebuildPools(const PointArena& arena) {
+  const auto rebuild = [&arena](const AttractorList& entries) {
+    std::vector<CoordinatePool::ColumnRef> columns(entries.size());
+    for (size_t e = 0; e < entries.size(); ++e) {
+      columns[e] = {arena.coords(entries.attractor(e)), 1};
+    }
+    return columns.empty() ? CoordinatePool()
+                           : CoordinatePool::FromColumns(arena.dim(), columns);
+  };
+  v_pool_ = rebuild(v_entries_);
+  c_pool_ = rebuild(c_entries_);
 }
 
-void GuessStructure::RecomputeOldestArrival() {
+void GuessStructure::RestoreState(AttractorList v_entries,
+                                  std::vector<Slot> v_orphans,
+                                  AttractorList c_entries,
+                                  std::vector<Slot> c_orphans,
+                                  const PointArena& arena) {
+  v_entries_ = std::move(v_entries);
+  v_orphans_ = std::move(v_orphans);
+  c_entries_ = std::move(c_entries);
+  c_orphans_ = std::move(c_orphans);
+  RebuildPools(arena);
+  RecomputeOldestArrival(arena);
+}
+
+void GuessStructure::RemapSlots(const std::vector<Slot>& map) {
+  v_entries_.RemapSlots(map);
+  c_entries_.RemapSlots(map);
+  for (Slot& s : v_orphans_) s = map[s];
+  for (Slot& s : c_orphans_) s = map[s];
+}
+
+void GuessStructure::RecomputeOldestArrival(const PointArena& arena) {
   // Entries ascend by attractor arrival and every representative arrives no
   // earlier than its attractor, so a family's oldest entry-held point is its
   // front attractor; only the orphans need a full scan.
   int64_t oldest = INT64_MAX;
-  auto scan = [&oldest](const AttractorList& entries,
-                        const std::vector<Point>& orphans) {
+  auto scan = [&](const AttractorList& entries,
+                  const std::vector<Slot>& orphans) {
     if (!entries.empty()) {
-      oldest = std::min(oldest, entries.front().attractor.arrival);
+      oldest = std::min(oldest, arena.arrival(entries.attractor(0)));
     }
-    for (const Point& p : orphans) oldest = std::min(oldest, p.arrival);
+    for (Slot s : orphans) oldest = std::min(oldest, arena.arrival(s));
   };
   scan(v_entries_, v_orphans_);
   scan(c_entries_, c_orphans_);
   oldest_arrival_ = oldest;
 }
 
-void GuessStructure::Update(const Point& p, int64_t now, const Metric& metric,
-                            DistanceObserver* observer) {
-  FKC_CHECK_GE(constraint_.cap(p.color), 1)
+void GuessStructure::Update(Slot p, int64_t now, const PointArena& arena,
+                            const Metric& metric, DistanceObserver* observer) {
+  const int color = arena.color(p);
+  FKC_CHECK_GE(constraint_.cap(color), 1)
       << "arriving point has a zero-cap color; the paper requires k_i >= 1";
-  ExpireOnly(now);
+  ExpireOnly(now, arena);
   // p lands in the validation family below whatever branch is taken; keep
   // the expiry watermark a valid lower bound (replay feeds old arrivals).
-  oldest_arrival_ = std::min(oldest_arrival_, p.arrival);
+  oldest_arrival_ = std::min(oldest_arrival_, arena.arrival(p));
+  arena.CopyTo(p, &probe_);
 
   // --- Validation phase: assign p to a v-attractor (lines 1-10). ---
   // One SoA kernel call over the dim-major attractor pool evaluates every
@@ -124,7 +153,7 @@ void GuessStructure::Update(const Point& p, int64_t now, const Metric& metric,
   // per-pair early-exit scan.
   const size_t nv = v_entries_.size();
   scratch_dists_.resize(nv);
-  metric.DistanceSoA(p, v_pool_, scratch_dists_.data());
+  metric.DistanceSoA(probe_, v_pool_, scratch_dists_.data());
   if (observer != nullptr) {
     for (size_t i = 0; i < nv; ++i) {
       observer->ObserveDistance(scratch_dists_[i]);
@@ -142,32 +171,31 @@ void GuessStructure::Update(const Point& p, int64_t now, const Metric& metric,
   if (v_target == -1) {
     // p becomes a new v-attractor and its own representative.
     PushAttractor(&v_entries_, p);
-    AppendAttractorCoords(&v_pool_, p);
-    Cleanup();
+    AppendAttractorCoords(&v_pool_, arena, p);
+    Cleanup(arena);
   } else {
-    AttractorEntry& entry = v_entries_[v_target];
     if (variant_ == CoreVariant::kFull) {
       // Single representative: replace by the newcomer (line 10). The old
       // representative leaves RV entirely — it is superseded, not orphaned.
-      entry.representatives.assign(1, p);
+      v_entries_.ReplaceReps(v_target, p);
     } else {
       // Corollary 2: maintain a maximal independent set of the most recent
       // attracted points. To mirror the coreset balancing rule, re-target to
       // the eligible attractor with the fewest same-color representatives
       // (the batched distances are already in hand — no re-evaluation).
       int best = v_target;
-      int best_count = CountColor(entry, p.color);
+      int best_count = CountColor(v_entries_, v_target, color, arena);
       for (size_t i = v_target + 1; i < nv; ++i) {
         if (scratch_dists_[i] <= 2.0 * gamma_) {
-          const int count = CountColor(v_entries_[i], p.color);
+          const int count = CountColor(v_entries_, i, color, arena);
           if (count < best_count) {
             best_count = count;
             best = static_cast<int>(i);
           }
         }
       }
-      AddRepresentativeWithCap(&v_entries_[best], p,
-                               constraint_.cap(p.color));
+      AddRepresentativeWithCap(&v_entries_, best, p, constraint_.cap(color),
+                               arena);
     }
   }
 
@@ -180,12 +208,13 @@ void GuessStructure::Update(const Point& p, int64_t now, const Metric& metric,
   const double c_threshold = delta_ * gamma_ / 2.0;
   const size_t nc = c_entries_.size();
   scratch_dists_.resize(nc);
-  metric.DistanceSoAWithin(p, c_pool_, c_threshold, scratch_dists_.data());
+  metric.DistanceSoAWithin(probe_, c_pool_, c_threshold,
+                           scratch_dists_.data());
   int c_target = -1;
   int c_target_count = std::numeric_limits<int>::max();
   for (size_t i = 0; i < nc; ++i) {
     if (scratch_dists_[i] <= c_threshold) {
-      const int count = CountColor(c_entries_[i], p.color);
+      const int count = CountColor(c_entries_, i, color, arena);
       if (count < c_target_count) {
         c_target_count = count;
         c_target = static_cast<int>(i);
@@ -194,46 +223,43 @@ void GuessStructure::Update(const Point& p, int64_t now, const Metric& metric,
   }
   if (c_target == -1) {
     PushAttractor(&c_entries_, p);
-    AppendAttractorCoords(&c_pool_, p);
+    AppendAttractorCoords(&c_pool_, arena, p);
   } else {
-    AddRepresentativeWithCap(&c_entries_[c_target], p,
-                             constraint_.cap(p.color));
+    AddRepresentativeWithCap(&c_entries_, c_target, p, constraint_.cap(color),
+                             arena);
   }
 }
 
-void GuessStructure::Cleanup() {
+void GuessStructure::Cleanup(const PointArena& arena) {
   const int k = constraint_.TotalK();
 
   // Line 1-2: with k+2 v-attractors, evict the oldest — entry 0, as entries
   // ascend by arrival; its representatives survive as orphans (subject to
   // the threshold below).
   if (static_cast<int>(v_entries_.size()) == k + 2) {
-    for (Point& rep : v_entries_.front().representatives) {
-      v_orphans_.push_back(std::move(rep));
-    }
+    v_entries_.PopFront([this](Slot rep) { v_orphans_.push_back(rep); });
     v_pool_.DropFront(1);
-    v_entries_.pop_front();
   }
 
   // Lines 3-5: with k+1 v-attractors the guess is invalid until the oldest
   // of them expires; points older than that are useless and are dropped
   // from A, RV, and R.
   if (static_cast<int>(v_entries_.size()) == k + 1) {
-    const int64_t threshold = v_entries_.front().attractor.arrival;
-    DropPointsOlderThan(&v_orphans_, threshold);
+    const int64_t threshold = arena.arrival(v_entries_.attractor(0));
+    DropPointsOlderThan(&v_orphans_, threshold, arena);
     c_pool_.DropFront(
-        DropEntriesOlderThan(&c_entries_, &c_orphans_, threshold));
-    DropPointsOlderThan(&c_orphans_, threshold);
+        DropEntriesOlderThan(&c_entries_, &c_orphans_, threshold, arena));
+    DropPointsOlderThan(&c_orphans_, threshold, arena);
   }
 }
 
-ColoredPool GuessStructure::ValidationPool() const {
-  return GatherFamily(v_entries_, v_orphans_, v_pool_);
+ColoredPool GuessStructure::ValidationPool(const PointArena& arena) const {
+  return GatherFamily(v_entries_, v_orphans_, v_pool_, arena);
 }
 
-ColoredPool GuessStructure::CoresetPool() const {
-  if (variant_ == CoreVariant::kValidationOnly) return ValidationPool();
-  return GatherFamily(c_entries_, c_orphans_, c_pool_);
+ColoredPool GuessStructure::CoresetPool(const PointArena& arena) const {
+  if (variant_ == CoreVariant::kValidationOnly) return ValidationPool(arena);
+  return GatherFamily(c_entries_, c_orphans_, c_pool_, arena);
 }
 
 MemoryStats GuessStructure::Memory() const {
@@ -241,38 +267,25 @@ MemoryStats GuessStructure::Memory() const {
   stats.guesses = 1;
   stats.v_attractors = static_cast<int64_t>(v_entries_.size());
   stats.v_representatives =
-      CountRepresentatives(v_entries_) + static_cast<int64_t>(v_orphans_.size());
+      v_entries_.total_reps() + static_cast<int64_t>(v_orphans_.size());
   stats.c_attractors = static_cast<int64_t>(c_entries_.size());
   stats.c_representatives =
-      CountRepresentatives(c_entries_) + static_cast<int64_t>(c_orphans_.size());
+      c_entries_.total_reps() + static_cast<int64_t>(c_orphans_.size());
   return stats;
 }
 
 void GuessStructure::ReplayInto(GuessStructure* sink, int64_t now,
+                                const PointArena& arena,
                                 const Metric& metric) const {
-  std::vector<const Point*> stored;
-  auto harvest = [&stored](const AttractorList& entries,
-                           const std::vector<Point>& orphans) {
-    for (const AttractorEntry& entry : entries) {
-      stored.push_back(&entry.attractor);
-      for (const Point& rep : entry.representatives) stored.push_back(&rep);
-    }
-    for (const Point& p : orphans) stored.push_back(&p);
-  };
-  harvest(v_entries_, v_orphans_);
-  harvest(c_entries_, c_orphans_);
-
-  // Equal arrivals mean one id, so one point: the order among them, and
-  // which copy is replayed, cannot show.
-  std::sort(stored.begin(), stored.end(), [](const Point* a, const Point* b) {
-    return a->arrival < b->arrival;
-  });
-  uint64_t last_id = 0;
-  for (const Point* p : stored) {
-    if (p->id == last_id && last_id != 0) continue;  // attractor == its rep
-    last_id = p->id;
-    sink->Update(*p, now, metric, nullptr);
-  }
+  std::vector<Slot> stored;
+  stored.reserve(static_cast<size_t>(Memory().TotalPoints()));
+  ForEachSlot([&stored](Slot s) { stored.push_back(s); });
+  // Slots ascend with arrival, and one slot is one point: an attractor
+  // that is its own representative, or a point held in both families, is
+  // replayed once.
+  std::sort(stored.begin(), stored.end());
+  stored.erase(std::unique(stored.begin(), stored.end()), stored.end());
+  for (Slot s : stored) sink->Update(s, now, arena, metric, nullptr);
 }
 
 }  // namespace fkc

@@ -11,6 +11,12 @@
 //
 // The Corollary-2 variant (kValidationOnly) drops the coreset family and
 // upgrades each v-representative to a maximal independent set.
+//
+// Points are slots of the window's PointArena (core/point_arena.h), which
+// holds each arrival once; every method that reads a point takes the arena
+// as an argument, so a structure holds no pointer into its window and stays
+// movable. Only the attractors' coordinates are copied, into the dim-major
+// pools the distance kernels scan.
 #ifndef FKC_CORE_GUESS_STRUCTURE_H_
 #define FKC_CORE_GUESS_STRUCTURE_H_
 
@@ -19,6 +25,7 @@
 
 #include "core/attractor_set.h"
 #include "core/memory_footprint.h"
+#include "core/point_arena.h"
 #include "metric/colored_pool.h"
 #include "metric/coordinate_pool.h"
 #include "metric/metric.h"
@@ -51,10 +58,11 @@ class GuessStructure {
   GuessStructure(double gamma, double delta, int64_t window_size,
                  const ColorConstraint& constraint, CoreVariant variant);
 
-  /// Algorithm 1 body for this guess: expiry, v-assignment (with Cleanup on
-  /// new v-attractors), c-assignment. `observer` may be null.
-  void Update(const Point& p, int64_t now, const Metric& metric,
-              DistanceObserver* observer);
+  /// Algorithm 1 body for this guess, for the arrival in `arena` row `p`:
+  /// expiry, v-assignment (with Cleanup on new v-attractors), c-assignment.
+  /// `observer` may be null.
+  void Update(Slot p, int64_t now, const PointArena& arena,
+              const Metric& metric, DistanceObserver* observer);
 
   /// Removes expired points without inserting (used before queries that may
   /// happen after the structure stopped receiving updates). Cheap when
@@ -62,7 +70,7 @@ class GuessStructure {
   /// sweep would be a no-op and skips it, so per-arrival calls inside a
   /// batch degenerate to one actual sweep per expiry event (batch-level
   /// expiry dedup) with bit-identical state.
-  void ExpireOnly(int64_t now);
+  void ExpireOnly(int64_t now, const PointArena& arena);
 
   double gamma() const { return gamma_; }
 
@@ -85,65 +93,74 @@ class GuessStructure {
   /// and copies only the other points' coordinates; otherwise it copies
   /// every point's (ColoredPool::Builder::Build). A borrowing pool is valid
   /// until the next non-const call on this structure.
-  ColoredPool ValidationPool() const;
+  ColoredPool ValidationPool(const PointArena& arena) const;
 
   /// R as one pool, in the same order and built the same way from the
   /// c-family and c_pool(): on a dense guess most of R is self-represented
   /// c-attractors, so the pool borrows c_pool() and copies only the
   /// replaced representatives and orphans. In the kValidationOnly variant
   /// this equals ValidationPool() (Query runs A on RV there).
-  ColoredPool CoresetPool() const;
+  ColoredPool CoresetPool(const PointArena& arena) const;
 
   MemoryStats Memory() const;
 
   /// Replays every currently stored point (attractors and representatives,
-  /// sorted by arrival) into `sink` via its Update. Used to warm up freshly
-  /// instantiated guesses in the adaptive-range variant.
-  void ReplayInto(GuessStructure* sink, int64_t now,
+  /// each distinct point once, in arrival order) into `sink` via its
+  /// Update. Used to warm up freshly instantiated guesses in the
+  /// adaptive-range variant.
+  void ReplayInto(GuessStructure* sink, int64_t now, const PointArena& arena,
                   const Metric& metric) const;
 
   /// Introspection for tests, invariant checks, and diagnostics.
   const AttractorList& v_entries() const { return v_entries_; }
   const AttractorList& c_entries() const { return c_entries_; }
-  const std::vector<Point>& v_orphans() const { return v_orphans_; }
-  const std::vector<Point>& c_orphans() const { return c_orphans_; }
+  const std::vector<Slot>& v_orphans() const { return v_orphans_; }
+  const std::vector<Slot>& c_orphans() const { return c_orphans_; }
   const CoordinatePool& v_pool() const { return v_pool_; }
   const CoordinatePool& c_pool() const { return c_pool_; }
+
+  /// Calls f(slot) on every stored reference: per family, each entry's
+  /// attractor and representatives, then the orphans; v before c.
+  template <typename F>
+  void ForEachSlot(F&& f) const {
+    v_entries_.ForEachSlot(f);
+    for (Slot s : v_orphans_) f(s);
+    c_entries_.ForEachSlot(f);
+    for (Slot s : c_orphans_) f(s);
+  }
+
+  /// Rewrites every stored slot s as map[s] (after PointArena::Compact).
+  void RemapSlots(const std::vector<Slot>& map);
 
   /// Overwrites the stored sets verbatim — checkpoint restore only
   /// (core/checkpoint.cc); the caller is responsible for state validity,
   /// including entries strictly ascending by attractor arrival and no
   /// representative arriving before its attractor.
-  void RestoreState(AttractorList v_entries, std::vector<Point> v_orphans,
-                    AttractorList c_entries, std::vector<Point> c_orphans) {
-    v_entries_ = std::move(v_entries);
-    v_orphans_ = std::move(v_orphans);
-    c_entries_ = std::move(c_entries);
-    c_orphans_ = std::move(c_orphans);
-    RebuildPools();
-    RecomputeOldestArrival();
-  }
+  void RestoreState(AttractorList v_entries, std::vector<Slot> v_orphans,
+                    AttractorList c_entries, std::vector<Slot> c_orphans,
+                    const PointArena& arena);
 
   /// Number of expiry sweeps actually executed (skipped no-op calls are not
   /// counted). Diagnostic only — never serialized, no effect on state.
   int64_t expiry_sweeps() const { return expiry_sweeps_; }
 
  private:
-  void Cleanup();
+  void Cleanup(const PointArena& arena);
 
   /// Resets the expiry watermark to the exact minimum stored arrival
   /// (INT64_MAX when nothing is stored), reading only each family's front
   /// attractor and its orphans: see oldest_arrival_.
-  void RecomputeOldestArrival();
+  void RecomputeOldestArrival(const PointArena& arena);
 
-  /// Appends `p` to `pool`, (re)dimensioning an empty pool first so the
-  /// first attractor of a stream fixes the pool's dimension.
-  static void AppendAttractorCoords(CoordinatePool* pool, const Point& p);
+  /// Appends row `p`'s coordinates to `pool`, (re)dimensioning an empty
+  /// pool first so the first attractor of a stream fixes its dimension.
+  static void AppendAttractorCoords(CoordinatePool* pool,
+                                    const PointArena& arena, Slot p);
 
   /// Rebuilds both pools from the entry lists (checkpoint restore — the
   /// only mutation path where incremental maintenance has nothing to work
   /// from).
-  void RebuildPools();
+  void RebuildPools(const PointArena& arena);
 
   double gamma_;
   double delta_;
@@ -151,16 +168,16 @@ class GuessStructure {
   ColorConstraint constraint_;
   CoreVariant variant_;
 
-  // Entry lists (deques): entries ascend strictly by attractor arrival and
+  // Entry lists: entries ascend strictly by attractor arrival and
   // leave only oldest-first (expiry, Cleanup), so every removal pops a
   // prefix in O(1) per entry — an expiry costs what leaves, not what stays.
   // Validation family. In kFull each entry holds exactly one representative.
   AttractorList v_entries_;
-  std::vector<Point> v_orphans_;
+  std::vector<Slot> v_orphans_;
 
   // Coreset family (kFull only).
   AttractorList c_entries_;
-  std::vector<Point> c_orphans_;
+  std::vector<Slot> c_orphans_;
 
   // Dim-major mirrors of the attractor coordinates (pool position i ==
   // entries[i]), feeding the vectorized Metric::DistanceSoA scans (the
@@ -170,10 +187,12 @@ class GuessStructure {
   CoordinatePool v_pool_;
   CoordinatePool c_pool_;
 
-  // Reusable scratch for the batched attractor scans (transient — never
-  // serialized). Kept per-structure so ladder updates can run in parallel
-  // without sharing buffers.
+  // Reusable scratch for the batched attractor scans, and the arriving
+  // point as the metric reads it (transient — never serialized). Kept
+  // per-structure so ladder updates can run in parallel without sharing
+  // buffers.
   std::vector<double> scratch_dists_;
+  Point probe_;
 
   // Expiry watermark: a lower bound on the arrival of every stored point.
   // While it proves all stored points active, ExpireOnly is O(1). Removals

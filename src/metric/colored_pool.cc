@@ -63,26 +63,37 @@ ColoredPool::Builder::Builder(size_t reserve, const CoordinatePool* columns)
 }
 
 void ColoredPool::Builder::Add(const Point& p) {
+  Add(p.coords.data(), p.dimension(), p.color, p.arrival, p.id);
+}
+
+void ColoredPool::Builder::Add(const double* coords, size_t dim, int color,
+                               int64_t arrival, uint64_t id) {
   if (sources_.empty()) {
-    dim_ = p.dimension();
+    dim_ = dim;
   } else {
-    FKC_CHECK_EQ(p.dimension(), dim_)
-        << "pool points must share one dimension";
+    FKC_CHECK_EQ(dim, dim_) << "pool points must share one dimension";
   }
-  pool_.colors_.push_back(p.color);
-  pool_.arrivals_.push_back(p.arrival);
-  pool_.ids_.push_back(p.id);
+  pool_.colors_.push_back(color);
+  pool_.arrivals_.push_back(arrival);
+  pool_.ids_.push_back(id);
   pool_.slots_.push_back(kCopied);
-  sources_.push_back({p.coords.data(), 1});
+  sources_.push_back({coords, 1});
 }
 
 void ColoredPool::Builder::AddColumn(const Point& p, size_t column) {
   FKC_CHECK(columns_ != nullptr);
-  FKC_CHECK_LT(column, columns_->size());
   FKC_CHECK_EQ(p.dimension(), columns_->dim());
-  Add(p);
+  AddColumn(column, p.color, p.arrival, p.id);
+}
+
+void ColoredPool::Builder::AddColumn(size_t column, int color,
+                                     int64_t arrival, uint64_t id) {
+  FKC_CHECK(columns_ != nullptr);
+  FKC_CHECK_LT(column, columns_->size());
+  const CoordinatePool::ColumnRef source = columns_->Column(column);
+  Add(source.data, columns_->dim(), color, arrival, id);
   pool_.slots_.back() = static_cast<uint32_t>(column);
-  sources_.back() = columns_->Column(column);
+  sources_.back() = source;
   ++column_count_;
 }
 

@@ -106,9 +106,15 @@ class ColoredPool::Builder {
   /// Appends `p` at the next position; its coordinates are copied at
   /// Build, so `p` must stay valid until then.
   void Add(const Point& p);
+  /// Appends the point whose `dim` coordinates start at `coords` (read at
+  /// Build) and whose fields are the rest.
+  void Add(const double* coords, size_t dim, int color, int64_t arrival,
+           uint64_t id);
   /// Appends `p`, whose coordinates are column `column` of the `columns`
   /// pool, at the next position.
   void AddColumn(const Point& p, size_t column);
+  /// AddColumn for a point given by its fields.
+  void AddColumn(size_t column, int color, int64_t arrival, uint64_t id);
 
   /// Borrows `columns` when column positions make up at least half of the
   /// pool, and copies every position otherwise: a borrowing pool costs a

@@ -40,16 +40,24 @@ struct Point {
 /// Identity (same stream slot), not geometric equality.
 inline bool SamePoint(const Point& a, const Point& b) { return a.id == b.id; }
 
-/// Number of remaining steps during which `p` belongs to the window of size
-/// `window_size` at time `now`: TTL(p) = max(0, n - (now - t(p))).
-inline int64_t TimeToLive(const Point& p, int64_t now, int64_t window_size) {
-  int64_t ttl = window_size - (now - p.arrival);
+/// Number of remaining steps during which a point that arrived at time
+/// `arrival` belongs to the window of size `window_size` at time `now`:
+/// TTL(p) = max(0, n - (now - t(p))).
+inline int64_t TimeToLive(int64_t arrival, int64_t now, int64_t window_size) {
+  int64_t ttl = window_size - (now - arrival);
   return ttl > 0 ? ttl : 0;
 }
+inline int64_t TimeToLive(const Point& p, int64_t now, int64_t window_size) {
+  return TimeToLive(p.arrival, now, window_size);
+}
 
-/// True when `p` still belongs to the window of size `window_size` at `now`.
+/// True when a point that arrived at time `arrival` still belongs to the
+/// window of size `window_size` at `now`.
+inline bool IsActive(int64_t arrival, int64_t now, int64_t window_size) {
+  return TimeToLive(arrival, now, window_size) > 0;
+}
 inline bool IsActive(const Point& p, int64_t now, int64_t window_size) {
-  return TimeToLive(p, now, window_size) > 0;
+  return IsActive(p.arrival, now, window_size);
 }
 
 }  // namespace fkc

@@ -361,6 +361,13 @@ TEST(CheckpointV2Test, HandBuiltBlobsRestore) {
          f.guesses = EncodeGuess(0, {{1, {}}}, {0}, {}, {0, 1});
          return f;
        }()},
+      // The structural rule is per family: one row may be an attractor and
+      // a representative in each.
+      {"one row in both families", [] {
+         V2Forgery f;
+         f.guesses = EncodeGuess(0, {{0, {0, 1}}}, {}, {{0, {0, 1}}});
+         return f;
+       }()},
       {"empty window", [] {
          V2Forgery f;
          f.now = 0;
@@ -392,22 +399,38 @@ TEST(CheckpointV2Test, HandBuiltBlobsRestore) {
 // future arrivals and witnesses, id counters behind stored ids, entries out
 // of arrival order, aliasing guess exponents — plus row references outside
 // the table, table rows out of order or repeating an id, counts the
-// remaining bytes cannot hold, and references that would copy far more
-// coordinates than the body carries. Every one must fail with
-// InvalidArgument, never abort or over-allocate.
+// remaining bytes cannot hold, a row referenced twice in one role of one
+// family, and attractor references whose pool copies outgrow the body.
+// Every one must fail with InvalidArgument, never abort or over-allocate.
 TEST(CheckpointV2Test, RejectsForgedBlobs) {
   auto with = [](auto edit) {
     V2Forgery f;
     edit(&f);
     return f.Blob();
   };
-  // One 4096-dimensional row referenced 1000 times: 16 kB of references
-  // would expand into 32 MB of copied coordinates.
+  // One 4096-dimensional row referenced 1000 times as a v-orphan. A
+  // reader that copied a row per reference would expand 16 kB of
+  // references into 32 MB of coordinates; no honest family holds a row
+  // twice as a representative or orphan.
   const std::string blow_up = with([](V2Forgery* f) {
     f->dim = 4096;
     f->rows = {{std::vector<double>(4096, 1.0), 0, 3, 3}};
     f->last = 0;
     f->guesses = EncodeGuess(0, {{0, {}}}, std::vector<uint32_t>(1000, 0));
+  });
+  // The same 4096-dimensional row as the attractor of both families of
+  // 1000 guesses. The per-family rule allows it, but restore copies every
+  // attractor into its guess's coordinate pool, and each pool takes a
+  // 128-lane block: 36 bytes per guess would ask for about 9 GB.
+  const std::string shared_attractor = with([](V2Forgery* f) {
+    f->dim = 4096;
+    f->rows = {{std::vector<double>(4096, 1.0), 0, 3, 3}};
+    f->last = 0;
+    f->guess_count = 1000;
+    f->guesses.clear();
+    for (int32_t e = 0; e < 1000; ++e) {
+      f->guesses += EncodeGuess(e, {{0, {}}}, {}, {{0, {}}});
+    }
   });
   const struct {
     const char* label;
@@ -496,6 +519,15 @@ TEST(CheckpointV2Test, RejectsForgedBlobs) {
        })},
       {"trailing bytes", with([](V2Forgery* f) { f->trailing = "x"; })},
       {"reference blow-up", blow_up},
+      {"one row attracting every family", shared_attractor},
+      {"row representing two entries of one family", with([](V2Forgery* f) {
+         f->guesses = EncodeGuess(0, {{0, {1}}, {1, {1}}});
+       })},
+      {"row both representative and orphan of one family",
+       with([](V2Forgery* f) { f->guesses = EncodeGuess(0, {{1, {1}}}, {1}); })},
+      {"row attracting two entries of one family", with([](V2Forgery* f) {
+         f->guesses = EncodeGuess(0, {}, {}, {{0, {}}, {0, {}}});
+       })},
   };
   for (const auto& c : kCases) {
     auto restored =

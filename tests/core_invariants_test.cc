@@ -31,12 +31,22 @@ class GuessStructureInvariantsTest
     : public ::testing::TestWithParam<InvariantCase> {};
 
 // Minimum arrival among v-attractors (the Cleanup threshold).
-int64_t OldestVAttractor(const GuessStructure& guess) {
+int64_t OldestVAttractor(const GuessStructure& guess,
+                         const PointArena& arena) {
   int64_t oldest = std::numeric_limits<int64_t>::max();
-  for (const AttractorEntry& entry : guess.v_entries()) {
-    oldest = std::min(oldest, entry.attractor.arrival);
+  const AttractorList& entries = guess.v_entries();
+  for (size_t e = 0; e < entries.size(); ++e) {
+    oldest = std::min(oldest, arena.arrival(entries.attractor(e)));
   }
   return oldest;
+}
+
+// The representatives of entry e as Points.
+std::vector<Point> RepPoints(const AttractorList& entries, size_t e,
+                             const PointArena& arena) {
+  std::vector<Point> reps;
+  entries.ForEachRep(e, [&](Slot s) { reps.push_back(arena.ToPoint(s)); });
+  return reps;
 }
 
 // The coordinate pools expire by dropping their front, which mirrors the
@@ -45,9 +55,10 @@ int64_t OldestVAttractor(const GuessStructure& guess) {
 // no representative arrives before its attractor: checks both orders, and
 // that pool position i holds entries[i]'s attractor.
 ::testing::AssertionResult EntriesOrderedAndMirrored(
-    const GuessStructure& guess) {
-  const auto check = [](const char* family, const AttractorList& entries,
-                        const CoordinatePool& pool)
+    const GuessStructure& guess, const PointArena& arena) {
+  const auto check = [&arena](const char* family,
+                              const AttractorList& entries,
+                              const CoordinatePool& pool)
       -> ::testing::AssertionResult {
     if (pool.size() != entries.size()) {
       return ::testing::AssertionFailure()
@@ -55,21 +66,22 @@ int64_t OldestVAttractor(const GuessStructure& guess) {
              << entries.size() << " entries";
     }
     for (size_t i = 0; i < entries.size(); ++i) {
+      const Point attractor = arena.ToPoint(entries.attractor(i));
       if (i > 0 &&
-          entries[i].attractor.arrival <= entries[i - 1].attractor.arrival) {
+          attractor.arrival <= arena.arrival(entries.attractor(i - 1))) {
         return ::testing::AssertionFailure()
                << family << " entries out of arrival order at " << i;
       }
-      for (const Point& rep : entries[i].representatives) {
-        if (rep.arrival < entries[i].attractor.arrival) {
+      for (const Point& rep : RepPoints(entries, i, arena)) {
+        if (rep.arrival < attractor.arrival) {
           return ::testing::AssertionFailure()
                  << family << " entry " << i << " holds a representative ("
                  << rep.arrival << ") older than its attractor ("
-                 << entries[i].attractor.arrival << ")";
+                 << attractor.arrival << ")";
         }
       }
       for (size_t d = 0; d < pool.dim(); ++d) {
-        if (pool.At(i, d) != entries[i].attractor.coords[d]) {
+        if (pool.At(i, d) != attractor.coords[d]) {
           return ::testing::AssertionFailure()
                  << family << " pool position " << i << " is not entry " << i;
         }
@@ -88,6 +100,7 @@ TEST_P(GuessStructureInvariantsTest, HoldAtEveryStep) {
   const int k = constraint.TotalK();
   GuessStructure guess(c.gamma, c.delta, c.window_size, constraint,
                        c.variant);
+  PointArena arena;
 
   std::deque<Point> window;
   Rng rng(c.seed);
@@ -100,67 +113,70 @@ TEST_P(GuessStructureInvariantsTest, HoldAtEveryStep) {
     if (static_cast<int64_t>(window.size()) > c.window_size) {
       window.pop_front();
     }
-    guess.Update(p, t, kMetric, nullptr);
+    guess.Update(arena.Add(p), t, arena, kMetric, nullptr);
 
     // --- Structural invariants. ---
-    ASSERT_TRUE(EntriesOrderedAndMirrored(guess)) << "t=" << t;
+    ASSERT_TRUE(EntriesOrderedAndMirrored(guess, arena)) << "t=" << t;
     // |AV| <= k + 1 after every update.
     ASSERT_LE(guess.v_attractor_count(), k + 1);
     // v-attractors pairwise > 2*gamma.
-    const auto& v = guess.v_entries();
+    const AttractorList& v = guess.v_entries();
     for (size_t i = 0; i < v.size(); ++i) {
       for (size_t j = i + 1; j < v.size(); ++j) {
-        ASSERT_GT(kMetric.Distance(v[i].attractor, v[j].attractor),
+        ASSERT_GT(kMetric.Distance(arena.ToPoint(v.attractor(i)),
+                                   arena.ToPoint(v.attractor(j))),
                   2.0 * c.gamma);
       }
     }
     // c-attractors pairwise > delta*gamma/2.
-    const auto& ca = guess.c_entries();
+    const AttractorList& ca = guess.c_entries();
     for (size_t i = 0; i < ca.size(); ++i) {
       for (size_t j = i + 1; j < ca.size(); ++j) {
-        ASSERT_GT(kMetric.Distance(ca[i].attractor, ca[j].attractor),
+        ASSERT_GT(kMetric.Distance(arena.ToPoint(ca.attractor(i)),
+                                   arena.ToPoint(ca.attractor(j))),
                   c.delta * c.gamma / 2.0);
       }
     }
     // Every stored point is active; representatives sit within attraction
     // radius of their attractor; per-color caps are respected.
-    for (const AttractorEntry& entry : v) {
-      ASSERT_TRUE(IsActive(entry.attractor, t, c.window_size));
-      for (const Point& rep : entry.representatives) {
+    for (size_t e = 0; e < v.size(); ++e) {
+      const Point attractor = arena.ToPoint(v.attractor(e));
+      ASSERT_TRUE(IsActive(attractor, t, c.window_size));
+      for (const Point& rep : RepPoints(v, e, arena)) {
         ASSERT_TRUE(IsActive(rep, t, c.window_size));
-        ASSERT_LE(kMetric.Distance(rep, entry.attractor),
-                  2.0 * c.gamma + 1e-12);
+        ASSERT_LE(kMetric.Distance(rep, attractor), 2.0 * c.gamma + 1e-12);
       }
       for (int color = 0; color < c.colors; ++color) {
-        ASSERT_LE(CountColor(entry, color),
+        ASSERT_LE(CountColor(v, e, color, arena),
                   c.variant == CoreVariant::kFull ? 1 : constraint.cap(color));
       }
     }
-    for (const AttractorEntry& entry : ca) {
-      ASSERT_TRUE(IsActive(entry.attractor, t, c.window_size));
-      for (const Point& rep : entry.representatives) {
+    for (size_t e = 0; e < ca.size(); ++e) {
+      const Point attractor = arena.ToPoint(ca.attractor(e));
+      ASSERT_TRUE(IsActive(attractor, t, c.window_size));
+      for (const Point& rep : RepPoints(ca, e, arena)) {
         ASSERT_TRUE(IsActive(rep, t, c.window_size));
-        ASSERT_LE(kMetric.Distance(rep, entry.attractor),
+        ASSERT_LE(kMetric.Distance(rep, attractor),
                   c.delta * c.gamma / 2.0 + 1e-12);
       }
       for (int color = 0; color < c.colors; ++color) {
-        ASSERT_LE(CountColor(entry, color), constraint.cap(color));
+        ASSERT_LE(CountColor(ca, e, color, arena), constraint.cap(color));
       }
     }
-    for (const Point& orphan : guess.v_orphans()) {
-      ASSERT_TRUE(IsActive(orphan, t, c.window_size));
+    for (Slot orphan : guess.v_orphans()) {
+      ASSERT_TRUE(arena.IsActive(orphan, t, c.window_size));
     }
-    for (const Point& orphan : guess.c_orphans()) {
-      ASSERT_TRUE(IsActive(orphan, t, c.window_size));
+    for (Slot orphan : guess.c_orphans()) {
+      ASSERT_TRUE(arena.IsActive(orphan, t, c.window_size));
     }
 
     // --- Lemma 1 coverage. ---
     // Relevant points: the whole window when the guess is valid, otherwise
     // the suffix younger than the oldest v-attractor.
     const bool valid = guess.IsValid();
-    const int64_t threshold = valid ? 0 : OldestVAttractor(guess);
-    const std::vector<Point> rv = guess.ValidationPool().ToPoints();
-    const std::vector<Point> r = guess.CoresetPool().ToPoints();
+    const int64_t threshold = valid ? 0 : OldestVAttractor(guess, arena);
+    const std::vector<Point> rv = guess.ValidationPool(arena).ToPoints();
+    const std::vector<Point> r = guess.CoresetPool(arena).ToPoints();
     for (const Point& q : window) {
       if (!valid && q.arrival < threshold) continue;
       ASSERT_LE(DistanceToSet(kMetric, q, rv), 4.0 * c.gamma + 1e-9)
@@ -175,7 +191,7 @@ TEST_P(GuessStructureInvariantsTest, HoldAtEveryStep) {
     const MemoryStats memory = guess.Memory();
     ASSERT_EQ(memory.v_attractors, static_cast<int64_t>(v.size()));
     ASSERT_EQ(memory.v_representatives,
-              CountRepresentatives(v) +
+              v.total_reps() +
                   static_cast<int64_t>(guess.v_orphans().size()));
   }
 }
@@ -202,10 +218,9 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(GuessStructureTest, RejectsZeroCapArrival) {
   const ColorConstraint constraint({1, 0});
   GuessStructure guess(1.0, 0.5, 10, constraint, CoreVariant::kFull);
-  Point p({0.0}, 1);
-  p.arrival = 1;
-  p.id = 1;
-  EXPECT_DEATH(guess.Update(p, 1, kMetric, nullptr), "zero-cap color");
+  PointArena arena;
+  const Slot p = arena.Add(Point({0.0}, 1, 1, 1));
+  EXPECT_DEATH(guess.Update(p, 1, arena, kMetric, nullptr), "zero-cap color");
 }
 
 TEST(GuessStructureTest, ValidityFlipsWithScale) {
@@ -214,12 +229,12 @@ TEST(GuessStructureTest, ValidityFlipsWithScale) {
   const ColorConstraint constraint({1});
   GuessStructure small(1.0, 0.5, 100, constraint, CoreVariant::kFull);
   GuessStructure large(100.0, 0.5, 100, constraint, CoreVariant::kFull);
+  PointArena arena;
   for (int64_t t = 1; t <= 5; ++t) {
-    Point p({10.0 * static_cast<double>(t)}, 0);
-    p.arrival = t;
-    p.id = static_cast<uint64_t>(t);
-    small.Update(p, t, kMetric, nullptr);
-    large.Update(p, t, kMetric, nullptr);
+    const Slot p = arena.Add(Point({10.0 * static_cast<double>(t)}, 0, t,
+                                   static_cast<uint64_t>(t)));
+    small.Update(p, t, arena, kMetric, nullptr);
+    large.Update(p, t, arena, kMetric, nullptr);
   }
   EXPECT_FALSE(small.IsValid());
   EXPECT_TRUE(large.IsValid());
@@ -230,13 +245,12 @@ TEST(GuessStructureTest, ValidityRecoversAfterExpiry) {
   // expires, validity returns.
   const ColorConstraint constraint({1});
   GuessStructure guess(1.0, 0.5, 4, constraint, CoreVariant::kFull);
+  PointArena arena;
   int64_t t = 0;
   auto feed = [&](double x) {
     ++t;
-    Point p({x}, 0);
-    p.arrival = t;
-    p.id = static_cast<uint64_t>(t);
-    guess.Update(p, t, kMetric, nullptr);
+    const Slot p = arena.Add(Point({x}, 0, t, static_cast<uint64_t>(t)));
+    guess.Update(p, t, arena, kMetric, nullptr);
   };
   feed(0.0);
   feed(100.0);
@@ -252,6 +266,7 @@ TEST(GuessStructureTest, ReplayReproducesCoverage) {
   // gamma must preserve the RV coverage property for the replayed points.
   const ColorConstraint constraint({2, 2});
   GuessStructure source(5.0, 1.0, 50, constraint, CoreVariant::kFull);
+  PointArena arena;
   Rng rng(7);
   int64_t t = 0;
   for (; t < 40;) {
@@ -259,13 +274,13 @@ TEST(GuessStructureTest, ReplayReproducesCoverage) {
     Point p({rng.NextUniform(0, 30)}, static_cast<int>(rng.NextBounded(2)));
     p.arrival = t;
     p.id = static_cast<uint64_t>(t);
-    source.Update(p, t, kMetric, nullptr);
+    source.Update(arena.Add(p), t, arena, kMetric, nullptr);
   }
   GuessStructure copy(5.0, 1.0, 50, constraint, CoreVariant::kFull);
-  source.ReplayInto(&copy, t, kMetric);
+  source.ReplayInto(&copy, t, arena, kMetric);
   // Every point stored in the source is 4*gamma-covered in the copy's RV.
-  const std::vector<Point> rv = copy.ValidationPool().ToPoints();
-  for (const Point& q : source.ValidationPool().ToPoints()) {
+  const std::vector<Point> rv = copy.ValidationPool(arena).ToPoints();
+  for (const Point& q : source.ValidationPool(arena).ToPoints()) {
     EXPECT_LE(DistanceToSet(kMetric, q, rv), 4.0 * 5.0 + 1e-9);
   }
 }
@@ -280,6 +295,7 @@ TEST(GuessStructureTest, WarmStartedGuessesKeepPoolsInArrivalOrder) {
     const ColorConstraint constraint({2, 2});
     const int64_t window = 40;
     GuessStructure source(4.0, 1.0, window, constraint, variant);
+    PointArena arena;
     std::vector<GuessStructure> copies;
     Rng rng(17);
     for (int64_t t = 1; t <= 5 * window; ++t) {
@@ -287,19 +303,20 @@ TEST(GuessStructureTest, WarmStartedGuessesKeepPoolsInArrivalOrder) {
         // A neighbouring rung of a beta = 2 ladder, below and above.
         const double gamma = copies.size() % 2 == 0 ? 4.0 / 3.0 : 12.0;
         copies.emplace_back(gamma, 1.0, window, constraint, variant);
-        source.ReplayInto(&copies.back(), t - 1, kMetric);
-        ASSERT_TRUE(EntriesOrderedAndMirrored(copies.back()))
+        source.ReplayInto(&copies.back(), t - 1, arena, kMetric);
+        ASSERT_TRUE(EntriesOrderedAndMirrored(copies.back(), arena))
             << "replay at " << t;
       }
       Point p({rng.NextUniform(0, 40), rng.NextUniform(0, 40)},
               static_cast<int>(rng.NextBounded(2)));
       p.arrival = t;
       p.id = static_cast<uint64_t>(t);
-      source.Update(p, t, kMetric, nullptr);
-      ASSERT_TRUE(EntriesOrderedAndMirrored(source)) << "t=" << t;
+      const Slot slot = arena.Add(p);
+      source.Update(slot, t, arena, kMetric, nullptr);
+      ASSERT_TRUE(EntriesOrderedAndMirrored(source, arena)) << "t=" << t;
       for (GuessStructure& copy : copies) {
-        copy.Update(p, t, kMetric, nullptr);
-        ASSERT_TRUE(EntriesOrderedAndMirrored(copy))
+        copy.Update(slot, t, arena, kMetric, nullptr);
+        ASSERT_TRUE(EntriesOrderedAndMirrored(copy, arena))
             << "gamma=" << copy.gamma() << " t=" << t;
       }
     }

@@ -256,14 +256,15 @@ TEST(QueryBehaviorTest, GatheredPoolsFollowEntryOrder) {
   // The solver starts at index 0 and breaks ties by the lowest index, so the
   // gathered order is part of the answer: each entry's representatives in
   // entry order, then the orphans.
-  const auto walk = [](const AttractorList& entries,
-                       const std::vector<Point>& orphans) {
+  PointArena arena;
+  const auto walk = [&arena](const AttractorList& entries,
+                             const std::vector<Slot>& orphans) {
     std::vector<Point> points;
-    for (const AttractorEntry& entry : entries) {
-      points.insert(points.end(), entry.representatives.begin(),
-                    entry.representatives.end());
+    for (size_t e = 0; e < entries.size(); ++e) {
+      entries.ForEachRep(e,
+                         [&](Slot s) { points.push_back(arena.ToPoint(s)); });
     }
-    points.insert(points.end(), orphans.begin(), orphans.end());
+    for (Slot s : orphans) points.push_back(arena.ToPoint(s));
     return points;
   };
   const ColorConstraint constraint({2, 1, 2});
@@ -278,12 +279,12 @@ TEST(QueryBehaviorTest, GatheredPoolsFollowEntryOrder) {
       Point p = ClusteredPoint(&rng);
       p.arrival = t;
       p.id = static_cast<uint64_t>(t);
-      guess.Update(p, t, kMetric, nullptr);
+      guess.Update(arena.Add(p), t, arena, kMetric, nullptr);
       if (t % 11 != 0) continue;
       SCOPED_TRACE("t=" + std::to_string(t));
-      ExpectSamePoints(guess.ValidationPool().ToPoints(),
+      ExpectSamePoints(guess.ValidationPool(arena).ToPoints(),
                        walk(guess.v_entries(), guess.v_orphans()));
-      const std::vector<Point> coreset = guess.CoresetPool().ToPoints();
+      const std::vector<Point> coreset = guess.CoresetPool(arena).ToPoints();
       if (variant == CoreVariant::kFull) {
         ExpectSamePoints(coreset, walk(guess.c_entries(), guess.c_orphans()));
       } else {
@@ -292,10 +293,11 @@ TEST(QueryBehaviorTest, GatheredPoolsFollowEntryOrder) {
       const AttractorList& entries = variant == CoreVariant::kFull
                                          ? guess.c_entries()
                                          : guess.v_entries();
-      for (const AttractorEntry& entry : entries) {
-        for (const Point& rep : entry.representatives) {
-          ++(rep.id == entry.attractor.id ? own_rep : other_rep);
-        }
+      for (size_t e = 0; e < entries.size(); ++e) {
+        entries.ForEachRep(e, [&](Slot rep) {
+          ++(arena.id(rep) == arena.id(entries.attractor(e)) ? own_rep
+                                                              : other_rep);
+        });
       }
     }
     // Both coordinate sources (the attractor pool and the stored Point)
@@ -524,6 +526,7 @@ TEST(QueryBehaviorTest, DenseCoresetPoolCopiesOnlyOtherPoints) {
   constexpr size_t kDim = 54;
   const ColorConstraint constraint({1, 1, 1});
   GuessStructure guess(40.0, 0.5, 300, constraint, CoreVariant::kFull);
+  PointArena arena;
   Rng rng(23);
   std::vector<Point> recent;
   int borrowed = 0;
@@ -541,21 +544,22 @@ TEST(QueryBehaviorTest, DenseCoresetPoolCopiesOnlyOtherPoints) {
             static_cast<uint64_t>(t));
     recent.push_back(p);
     if (recent.size() > 20) recent.erase(recent.begin());
-    guess.Update(p, t, kMetric, nullptr);
+    guess.Update(arena.Add(p), t, arena, kMetric, nullptr);
     if (t % 50 != 0) continue;
     SCOPED_TRACE("t=" + std::to_string(t));
 
     size_t own = 0;
     int evicted_now = 0;
-    for (const AttractorEntry& entry : guess.c_entries()) {
+    const AttractorList& entries = guess.c_entries();
+    for (size_t e = 0; e < entries.size(); ++e) {
       bool self = false;
-      for (const Point& rep : entry.representatives) {
-        self = self || rep.id == entry.attractor.id;
-      }
+      entries.ForEachRep(e, [&](Slot rep) {
+        self = self || arena.id(rep) == arena.id(entries.attractor(e));
+      });
       own += self ? 1 : 0;
       evicted_now += self ? 0 : 1;
     }
-    const ColoredPool pool = guess.CoresetPool();
+    const ColoredPool pool = guess.CoresetPool(arena);
     ASSERT_GT(pool.size(), 0u);
     if (2 * own < pool.size()) {
       EXPECT_EQ(pool.borrowed(), nullptr);

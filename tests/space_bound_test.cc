@@ -21,6 +21,7 @@ MemoryStats DriveGuess(double gamma, double delta, int64_t window, int ell,
   const ColorConstraint constraint(std::vector<int>(ell, cap));
   GuessStructure guess(gamma, delta, window, constraint,
                        CoreVariant::kFull);
+  PointArena arena;
   Rng rng(seed);
   MemoryStats peak;
   for (int64_t t = 1; t <= steps; ++t) {
@@ -28,7 +29,7 @@ MemoryStats DriveGuess(double gamma, double delta, int64_t window, int ell,
             static_cast<int>(rng.NextBounded(ell)));
     p.arrival = t;
     p.id = static_cast<uint64_t>(t);
-    guess.Update(p, t, kMetric, nullptr);
+    guess.Update(arena.Add(p), t, arena, kMetric, nullptr);
     const MemoryStats now = guess.Memory();
     if (now.TotalPoints() > peak.TotalPoints()) peak = now;
   }

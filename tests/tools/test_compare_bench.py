@@ -12,6 +12,10 @@ tool as the CI walltime steps do:
   * an entry dropped from the head run and from its committed BENCH file
     (--declared-baseline) passes as [removed];
   * entries new in the head run pass.
+
+It also checks the perf job's exact counter gate: an `allocs_per_*`
+counter is a stable counter, so --exact-prefixes holds it to zero
+tolerance.
 """
 
 import json
@@ -98,6 +102,32 @@ class CompareBenchRemovalTest(unittest.TestCase):
                 code, out = self.compare(make(kept), make(kept, dropped),
                                          declared=make(kept, dropped))
                 self.assertEqual(code, 0, out)
+
+
+class CompareBenchExactCounterTest(unittest.TestCase):
+    def run_tool(self, base_allocs, head_allocs):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for name, allocs in (("base", base_allocs), ("head", head_allocs)):
+                path = os.path.join(tmp, name + ".json")
+                with open(path, "w") as f:
+                    json.dump({"benchmarks": [
+                        {"name": "BM_Update", "run_type": "iteration",
+                         "real_time": 100.0,
+                         "allocs_per_arrival": allocs}]}, f)
+                paths.append(path)
+            done = subprocess.run(
+                [sys.executable, COMPARE, *paths,
+                 "--exact-prefixes", "allocs_per_"],
+                capture_output=True, text=True, check=False)
+            return done.returncode, done.stdout + done.stderr
+
+    def test_allocation_counters_compare_exactly(self):
+        code, out = self.run_tool(0.25, 0.25)
+        self.assertEqual(code, 0, out)
+        self.assertIn("BM_Update/allocs_per_arrival", out)
+        code, out = self.run_tool(0.25, 0.26)
+        self.assertEqual(code, 1, out)
 
 
 if __name__ == "__main__":

@@ -73,13 +73,15 @@ import json
 import sys
 
 # Counter-name prefixes considered machine-independent (google-benchmark
-# entries).
+# entries). The allocs_per_* counters count heap allocations over a fixed
+# run of operations, so they depend on the stream only.
 STABLE_PREFIXES = (
     "distance_calls",
     "expiry_sweeps",
     "guesses_inspected",
     "coreset_size",
     "kmedian",
+    "allocs_per",
 )
 
 # shard_scaling fields: higher-is-better throughputs (wall time axis) vs
