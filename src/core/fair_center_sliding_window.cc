@@ -30,7 +30,7 @@ class RecordingObserver final : public DistanceObserver {
   std::vector<double> observed;
 };
 
-// The shared back half of every query mode: selects the coreset through
+// The shared back half of both query modes: selects the coreset through
 // PlanQuery, then runs `solve` on it, timed into `stats->solver_millis`. An
 // empty window answers with an empty solution without running the solver.
 template <typename Solution, typename Solve>
@@ -501,15 +501,6 @@ Result<ObjectiveSolution> FairCenterSlidingWindow::Query(
         KMedianSolution solved = KMedianLocalSearch(
             *metric_, coreset.ToPoints(), constraint_.TotalK());
         return ObjectiveSolution{std::move(solved.centers), solved.cost};
-      });
-}
-
-Result<RobustFairCenterSolution> FairCenterSlidingWindow::QueryRobust(
-    int num_outliers, QueryStats* stats) {
-  return SolveOnPlan<RobustFairCenterSolution>(
-      this, stats, [&](const ColoredPool& coreset) {
-        return SolveRobustFairCenter(*metric_, coreset.ToPoints(),
-                                     constraint_, num_outliers);
       });
 }
 

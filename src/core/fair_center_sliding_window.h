@@ -36,7 +36,6 @@
 #include "metric/metric.h"
 #include "sequential/color_constraint.h"
 #include "sequential/fair_center_solver.h"
-#include "sequential/robust_fair_center.h"
 
 namespace fkc {
 
@@ -133,9 +132,9 @@ struct QueryStats {
 
 /// The resolved front half of a query (Algorithm 3's guess selection): the
 /// coreset to hand to a sequential solver plus the selection diagnostics.
-/// Query, QueryRobust, and any future query mode run their solver on one
-/// shared plan, so every mode inherits the parallel ladder validation and
-/// the deterministic guess choice for free.
+/// Query (the fair-center solver) and Query(ObjectiveKind) (either
+/// objective) run their solver on one shared plan, so both inherit the
+/// parallel ladder validation and the deterministic guess choice.
 struct QueryPlan {
   /// R (full variant) or RV (Corollary-2 variant) of the selected guess,
   /// gathered in one pass as the pool the solver reads
@@ -224,19 +223,6 @@ class FairCenterSlidingWindow {
   /// to the sequential scan at any thread count. The plan's coreset may
   /// borrow the window's storage (see QueryPlan::coreset for its lifetime).
   Result<QueryPlan> PlanQuery();
-
-  /// Extension (paper's future-work direction): outlier-tolerant query.
-  /// Selects the coreset exactly as Query does, then runs the robust
-  /// bicriteria solver on it with budget `num_outliers`.
-  ///
-  /// Heuristic caveat, documented rather than hidden: coreset points carry
-  /// implicit multiplicity (each stands for up to k_i same-color window
-  /// points within delta*gamma), so discarding one coreset point can
-  /// correspond to discarding several window points. The returned center set
-  /// is always cap-feasible; the outlier accounting is exact only on the
-  /// coreset.
-  Result<RobustFairCenterSolution> QueryRobust(int num_outliers,
-                                               QueryStats* stats = nullptr);
 
   /// Checkpointing (stream-processor state save/restore): serializes the
   /// complete algorithm state — options, constraint, clocks, every guess

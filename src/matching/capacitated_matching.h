@@ -1,6 +1,6 @@
 // Capacitated bipartite matching: right-side vertices (colors) accept up to
-// cap(i) matches. Used to assign cluster heads to color slots in the Jones,
-// ChenEtAl and robust fair-center solvers. Implemented by expanding each
+// cap(i) matches. Used to assign cluster heads to color slots in the Jones
+// and ChenEtAl fair-center solvers. Implemented by expanding each
 // color into cap(i) slots and running Hopcroft–Karp — the total slot count is
 // k, which is tiny.
 #ifndef FKC_MATCHING_CAPACITATED_MATCHING_H_

@@ -36,12 +36,7 @@ Result<FairCenterSolution> BruteForceFairCenter(
   if (points.empty()) return FairCenterSolution{};
   FKC_CHECK_LE(points.size(), 64u)
       << "brute force is exponential; keep test instances tiny";
-  for (const Point& p : points) {
-    if (p.color < 0 || p.color >= constraint.ell()) {
-      return Status::InvalidArgument("point color out of range: " +
-                                     p.ToString());
-    }
-  }
+  FKC_RETURN_IF_ERROR(constraint.CheckSolverInput(points));
 
   // Pools per color, and the per-color take = min(cap, available): adding a
   // center never increases the radius, so optimal solutions of maximal

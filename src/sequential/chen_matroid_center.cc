@@ -143,12 +143,7 @@ Result<FairCenterSolution> ChenMatroidCenter::Solve(
     const Metric& metric, const std::vector<Point>& points,
     const ColorConstraint& constraint) const {
   if (points.empty()) return FairCenterSolution{};
-  for (const Point& p : points) {
-    if (p.color < 0 || p.color >= constraint.ell()) {
-      return Status::InvalidArgument("point color out of range: " +
-                                     p.ToString());
-    }
-  }
+  FKC_RETURN_IF_ERROR(constraint.CheckSolverInput(points));
   if (constraint.TotalK() <= 0) {
     return Status::Infeasible("all color caps are zero");
   }

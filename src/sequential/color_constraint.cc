@@ -77,6 +77,21 @@ bool ColorConstraint::IsFeasible(const std::vector<Point>& points) const {
   return true;
 }
 
+Status ColorConstraint::CheckSolverInput(
+    const std::vector<Point>& points) const {
+  for (const Point& p : points) {
+    if (p.color < 0 || p.color >= ell()) {
+      return Status::InvalidArgument("point color out of range: " +
+                                     p.ToString());
+    }
+    if (p.dimension() != points[0].dimension()) {
+      return Status::InvalidArgument("points of mixed dimension: " +
+                                     p.ToString());
+    }
+  }
+  return Status::OK();
+}
+
 std::vector<int> ColorConstraint::CountColors(
     const std::vector<Point>& points) const {
   std::vector<int> counts(caps_.size(), 0);

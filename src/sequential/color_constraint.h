@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "metric/point.h"
 
 namespace fkc {
@@ -40,6 +41,11 @@ class ColorConstraint {
   /// True when `points`, interpreted as a center set, respects every cap.
   /// Points with colors outside [0, ell) make the set infeasible.
   bool IsFeasible(const std::vector<Point>& points) const;
+
+  /// OK when `points` is valid input to a sequential solver: every color in
+  /// [0, ell) and one dimension throughout. kInvalidArgument names the
+  /// first offending point.
+  Status CheckSolverInput(const std::vector<Point>& points) const;
 
   /// Per-color counts of `points`; colors outside range are dropped.
   std::vector<int> CountColors(const std::vector<Point>& points) const;

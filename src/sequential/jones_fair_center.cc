@@ -64,16 +64,7 @@ Result<FairCenterSolution> JonesFairCenter::Solve(
     const Metric& metric, const std::vector<Point>& points,
     const ColorConstraint& constraint) const {
   if (points.empty()) return FairCenterSolution{};
-  for (const Point& p : points) {
-    if (p.color < 0 || p.color >= constraint.ell()) {
-      return Status::InvalidArgument("point color out of range: " +
-                                     p.ToString());
-    }
-    if (p.dimension() != points[0].dimension()) {
-      return Status::InvalidArgument("points of mixed dimension: " +
-                                     p.ToString());
-    }
-  }
+  FKC_RETURN_IF_ERROR(constraint.CheckSolverInput(points));
   return SolvePool(metric, ColoredPool::FromPoints(points), constraint);
 }
 

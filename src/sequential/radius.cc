@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "common/logging.h"
-
 namespace fkc {
 
 double ClusteringRadius(const Metric& metric, const std::vector<Point>& window,
@@ -30,27 +28,6 @@ double PoolClusteringRadius(const Metric& metric, const ColoredPool& window,
     worst = std::max(worst, nearest);
   }
   return worst;
-}
-
-std::vector<int> AssignToCenters(const Metric& metric,
-                                 const std::vector<Point>& window,
-                                 const std::vector<Point>& centers) {
-  FKC_CHECK(!centers.empty());
-  std::vector<int> assignment;
-  assignment.reserve(window.size());
-  for (const Point& p : window) {
-    int best = 0;
-    double best_distance = metric.Distance(p, centers[0]);
-    for (size_t c = 1; c < centers.size(); ++c) {
-      const double d = metric.Distance(p, centers[c]);
-      if (d < best_distance) {
-        best_distance = d;
-        best = static_cast<int>(c);
-      }
-    }
-    assignment.push_back(best);
-  }
-  return assignment;
 }
 
 }  // namespace fkc

@@ -23,12 +23,6 @@ double ClusteringRadius(const Metric& metric, const std::vector<Point>& window,
 double PoolClusteringRadius(const Metric& metric, const ColoredPool& window,
                             const std::vector<Point>& centers);
 
-/// For each window point, the index of its closest center (ties to the
-/// lowest index). Requires a non-empty center set.
-std::vector<int> AssignToCenters(const Metric& metric,
-                                 const std::vector<Point>& window,
-                                 const std::vector<Point>& centers);
-
 /// A fair-center solution: the chosen centers and their radius over the
 /// point set they were computed for.
 struct FairCenterSolution {

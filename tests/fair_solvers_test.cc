@@ -114,12 +114,10 @@ TEST(RadiusTest, EmptyWindowAndEmptyCenters) {
   EXPECT_TRUE(std::isinf(ClusteringRadius(kMetric, {P({0}, 0)}, {})));
 }
 
-TEST(RadiusTest, KnownRadiusAndAssignment) {
+TEST(RadiusTest, KnownRadius) {
   const std::vector<Point> window = {P({0}, 0), P({4}, 0), P({10}, 0)};
   const std::vector<Point> centers = {P({0}, 0), P({10}, 0)};
   EXPECT_DOUBLE_EQ(ClusteringRadius(kMetric, window, centers), 4.0);
-  EXPECT_EQ(AssignToCenters(kMetric, window, centers),
-            (std::vector<int>{0, 0, 1}));
 }
 
 TEST(BruteForceTest, FindsExactOptimum) {
@@ -130,6 +128,12 @@ TEST(BruteForceTest, FindsExactOptimum) {
   ASSERT_TRUE(result.ok());
   // One center near each pair, e.g. {0 (c0), 11 (c1)} -> radius 1.
   EXPECT_DOUBLE_EQ(result.value().radius, 1.0);
+}
+
+TEST(BruteForceTest, RejectsMixedDimensions) {
+  auto result = BruteForceFairCenter(kMetric, {P({0, 0}, 0), P({1}, 1)},
+                                     ColorConstraint({1, 1}));
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(BruteForceTest, InfeasibleWhenAllCapsZero) {
@@ -220,6 +224,13 @@ TEST(ChenTest, EmptyInput) {
   auto result = solver.Solve(kMetric, {}, ColorConstraint({1}));
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result.value().centers.empty());
+}
+
+TEST(ChenTest, RejectsMixedDimensions) {
+  const ChenMatroidCenter solver;
+  auto result = solver.Solve(kMetric, {P({0, 0}, 0), P({1}, 1)},
+                             ColorConstraint({1, 1}));
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ChenTest, SolutionsAlwaysFeasible) {

@@ -1,4 +1,4 @@
-// The parallel query pipeline's contract: PlanQuery / Query / QueryRobust
+// The parallel query pipeline's contract: PlanQuery and both Query modes
 // are bit-identical to the sequential scan at any thread count — the
 // solution, every deterministic QueryStats field, and the serialized state
 // all match byte for byte — and the batch-level expiry dedup never changes
@@ -131,21 +131,21 @@ TEST(ParallelQueryTest, QueryStatsMatchSequentialSemantics) {
   EXPECT_EQ(seq_stats.guesses_inspected, par_stats.guesses_inspected);
 }
 
-// Query and QueryRobust run the same plan: identical selection diagnostics
-// on identical state.
-TEST(ParallelQueryTest, QueryAndQueryRobustShareOnePlan) {
+// Query and the k-median Query run the same plan: identical selection
+// diagnostics on identical state.
+TEST(ParallelQueryTest, QueryAndKMedianQueryShareOnePlan) {
   const auto points = Stream(250, 41);
   const ColorConstraint constraint({2, 1, 1});
   FairCenterSlidingWindow window(Options(/*adaptive=*/true, 4), constraint,
                                  &kMetric, &kJones);
   for (const Point& p : points) window.Update(p);
 
-  QueryStats query_stats, robust_stats;
+  QueryStats query_stats, kmedian_stats;
   ASSERT_TRUE(window.Query(&query_stats).ok());
-  ASSERT_TRUE(window.QueryRobust(2, &robust_stats).ok());
-  EXPECT_EQ(query_stats.guess, robust_stats.guess);
-  EXPECT_EQ(query_stats.coreset_size, robust_stats.coreset_size);
-  EXPECT_EQ(query_stats.guesses_inspected, robust_stats.guesses_inspected);
+  ASSERT_TRUE(window.Query(ObjectiveKind::kKMedian, &kmedian_stats).ok());
+  EXPECT_EQ(query_stats.guess, kmedian_stats.guess);
+  EXPECT_EQ(query_stats.coreset_size, kmedian_stats.coreset_size);
+  EXPECT_EQ(query_stats.guesses_inspected, kmedian_stats.guesses_inspected);
 }
 
 TEST(ParallelQueryTest, PlanQueryOnEmptyWindowIsEmpty) {

@@ -15,7 +15,8 @@ tool as the CI walltime steps do:
 
 It also checks the perf job's exact counter gate: an `allocs_per_*`
 counter is a stable counter, so --exact-prefixes holds it to zero
-tolerance.
+tolerance; and that a run with --benchmark_repetitions compares on each
+entry's median real_time, while a single-run file compares as before.
 """
 
 import json
@@ -128,6 +129,70 @@ class CompareBenchExactCounterTest(unittest.TestCase):
         self.assertIn("BM_Update/allocs_per_arrival", out)
         code, out = self.run_tool(0.25, 0.26)
         self.assertEqual(code, 1, out)
+
+
+def repeated(real_times, counter=42.0):
+    """A google-benchmark --benchmark_repetitions run of BM_Update: one
+    iteration entry per real time (only the first carries `counter`; later
+    repetitions carry a different value), plus the aggregate entries the
+    library appends."""
+    entries = [
+        {"name": "BM_Update", "run_type": "iteration", "real_time": t,
+         "distance_calls_total": counter if i == 0 else counter + 1.0}
+        for i, t in enumerate(real_times)]
+    entries += [
+        {"name": "BM_Update_" + stat, "run_type": "aggregate",
+         "aggregate_name": stat, "real_time": 1.0e9}
+        for stat in ("mean", "median", "stddev")]
+    return {"benchmarks": entries}
+
+
+class CompareBenchRepetitionTest(unittest.TestCase):
+    def run_tool(self, base, head, *flags):
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = []
+            for name, data in (("base", base), ("head", head)):
+                path = os.path.join(tmp, name + ".json")
+                with open(path, "w") as f:
+                    json.dump(data, f)
+                paths.append(path)
+            done = subprocess.run(
+                [sys.executable, COMPARE, *paths, *flags],
+                capture_output=True, text=True, check=False)
+            return done.returncode, done.stdout + done.stderr
+
+    def walltime(self, base, head):
+        return self.run_tool(base, head, "--max-walltime-regression", "0.25",
+                             "--walltime-only")
+
+    def test_repetitions_compare_on_the_median(self):
+        base = repeated([100.0, 100.0, 100.0, 100.0, 100.0])
+        # The last repetition (300) and the mean (163) are both >25% slower;
+        # the median (110) is not.
+        code, out = self.walltime(base, repeated([100.0, 200.0, 110.0, 105.0,
+                                                  300.0]))
+        self.assertEqual(code, 0, out)
+        self.assertIn("BM_Update/real_time: 100 -> 110", out)
+        # A median 30% slower fails even though two repetitions are fast.
+        code, out = self.walltime(base, repeated([100.0, 130.0, 130.0, 90.0,
+                                                  140.0]))
+        self.assertEqual(code, 1, out)
+        self.assertIn("BM_Update/real_time: slowed 30.0%", out)
+
+    def test_repetitions_keep_the_first_counters(self):
+        code, out = self.run_tool(repeated([100.0, 100.0]),
+                                  repeated([100.0, 100.0]),
+                                  "--exact-prefixes", "distance_calls")
+        self.assertEqual(code, 0, out)
+        self.assertIn("BM_Update/distance_calls_total: 42 -> 42", out)
+
+    def test_single_run_compares_as_before(self):
+        code, out = self.walltime(repeated([100.0]), repeated([120.0]))
+        self.assertEqual(code, 0, out)
+        self.assertIn("BM_Update/real_time: 100 -> 120", out)
+        code, out = self.walltime(repeated([100.0]), repeated([130.0]))
+        self.assertEqual(code, 1, out)
+        self.assertIn("BM_Update/real_time: slowed 30.0%", out)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,9 @@ Two input formats are auto-detected:
   arrival, query selection diagnostics). Nanosecond timings are
   machine-dependent and ignored against the committed baseline (recorded
   on a different box than CI), but a PAIRED base-vs-head run on the same
-  runner may gate real_time with --max-walltime-regression.
+  runner may gate real_time with --max-walltime-regression. A run with
+  --benchmark_repetitions=N is compared on each entry's median real_time
+  over its N repetitions, with the first repetition's counters.
 
 * shard_scaling JSON (bench/shard_scaling, a top-level "bench" key):
   deterministic counters (updates, queries, memory points, evictions,
@@ -70,6 +72,7 @@ perf job keeps gating counters at its existing 0%/20% tolerances.
 
 import argparse
 import json
+import statistics
 import sys
 
 # Counter-name prefixes considered machine-independent (google-benchmark
@@ -117,11 +120,24 @@ def stable_counters(entry):
 
 
 def load_google_benchmark(data):
-    return {
-        entry["name"]: entry
-        for entry in data.get("benchmarks", [])
-        if entry.get("run_type", "iteration") == "iteration"
-    }
+    """google-benchmark JSON -> {name: entry} over the iteration entries.
+    A run with --benchmark_repetitions=N holds N iteration entries per name;
+    they fold into one: the first repetition's entry (its counters) with
+    real_time set to the median over the repetitions, so one slow
+    repetition cannot trip the walltime gate. A single-run entry loads
+    unchanged."""
+    repetitions = {}
+    for entry in data.get("benchmarks", []):
+        if entry.get("run_type", "iteration") == "iteration":
+            repetitions.setdefault(entry["name"], []).append(entry)
+    entries = {}
+    for name, runs in repetitions.items():
+        entry = runs[0]
+        if len(runs) > 1 and "real_time" in entry:
+            entry = dict(entry, real_time=statistics.median(
+                float(run["real_time"]) for run in runs))
+        entries[name] = entry
+    return entries
 
 
 def flatten_shard_scaling(data):
