@@ -407,9 +407,41 @@ void BM_CoresetHandoff(benchmark::State& state) {
 }
 BENCHMARK(BM_CoresetHandoff)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// The last step of a covtype query's Jones solve: the radius of Jones's
-// centers over that guess's coreset pool (PoolClusteringRadius), which
-// reads the ~9,900-point, d = 54 pool once per tile of centers.
+// A covtype query's Jones solve (SolvePool) on that guess's coreset pool.
+// `rows_per_solve` counts the solve's passes over the pool: the distance
+// pairs a CountingMetric sees over the pool's slot count, i.e. one per
+// Gonzalez head the traversal computes before its stop rule fires, plus one
+// per center that is not a head. It depends only on the data, so CI
+// compares it scalar vs SIMD at 0%.
+void BM_CoresetSolve(benchmark::State& state) {
+  const EuclideanMetric metric;
+  const datasets::Dataset& dataset = CovtypeStream();
+  const ColoredPool pool =
+      CovtypeDenseGuess().guess.CoresetPool(CovtypeDenseGuess().arena);
+  const ColorConstraint constraint =
+      ColorConstraint::Proportional(dataset.points, dataset.ell, 14);
+  const JonesFairCenter jones;
+  CountingMetric counting(&metric);
+  auto counted = jones.SolvePool(counting, pool, constraint);
+  FKC_CHECK(counted.ok()) << counted.status().ToString();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(jones.SolvePool(metric, pool, constraint));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["coreset_points"] = static_cast<double>(pool.size());
+  state.counters["rows_per_solve"] =
+      static_cast<double>(counting.count()) /
+      static_cast<double>(pool.slot_count());
+  state.SetLabel(simd::ActiveKernels().name);
+}
+BENCHMARK(BM_CoresetSolve)->Unit(benchmark::kMillisecond);
+
+// The radius of Jones's centers over that guess's coreset pool through
+// PoolClusteringRadius: one DistanceSoATile pass over the ~9,900-point,
+// d = 54 pool per tile of centers. A Jones solve no longer ends with this
+// pass (it reuses the distance rows of centers that are Gonzalez heads and
+// tiles only the others); the bench times the tile kernel at the coreset's
+// shape.
 void BM_CoresetRadius(benchmark::State& state) {
   const EuclideanMetric metric;
   const datasets::Dataset& dataset = CovtypeStream();

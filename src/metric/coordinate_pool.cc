@@ -27,6 +27,8 @@ CoordinatePool CoordinatePool::FromColumns(
     size_t dim, const std::vector<ColumnRef>& columns) {
   CoordinatePool pool(dim);
   const size_t n = columns.size();
+  const size_t blocks = (n + kBlockLanes - 1) / kBlockLanes;
+  if (blocks > 1) pool.rest_.reserve(blocks - 1);
   for (size_t first = 0; first < n; first += kLaneAlign) {
     if (first % kBlockLanes == 0) pool.LinkBlock();
     const size_t width = std::min(n - first, kLaneAlign);

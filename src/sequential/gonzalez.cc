@@ -1,5 +1,6 @@
 #include "sequential/gonzalez.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/logging.h"
@@ -8,7 +9,7 @@ namespace fkc {
 
 GonzalezResult GonzalezKCenter(const Metric& metric, const ColoredPool& pool,
                                int k, int first_index,
-                               const GonzalezHeadFn& on_head) {
+                               const GonzalezHeadFn& on_head, double* rows) {
   GonzalezResult result;
   if (pool.empty() || k <= 0) return result;
   FKC_CHECK_GE(first_index, 0);
@@ -16,10 +17,11 @@ GonzalezResult GonzalezKCenter(const Metric& metric, const ColoredPool& pool,
 
   const int n = static_cast<int>(pool.size());
   const int heads_wanted = std::min(k, n);
+  const size_t stride = pool.slot_count();
 
   // nearest[i] = distance from point i to the current head set.
   std::vector<double> nearest(n, std::numeric_limits<double>::infinity());
-  std::vector<double> row(pool.slot_count());
+  std::vector<double> own_row(rows == nullptr ? stride : 0);
 
   int next_head = first_index;
   double next_distance = std::numeric_limits<double>::infinity();
@@ -27,8 +29,8 @@ GonzalezResult GonzalezKCenter(const Metric& metric, const ColoredPool& pool,
     result.head_indices.push_back(next_head);
     result.insertion_distances.push_back(next_distance);
 
-    pool.DistanceRow(metric, pool.At(next_head), row.data());
-    if (on_head) on_head(row.data());
+    double* const row = rows != nullptr ? rows + j * stride : own_row.data();
+    pool.DistanceRow(metric, pool.At(next_head), row);
     next_distance = 0.0;
     next_head = -1;
     for (int i = 0; i < n; ++i) {
@@ -39,15 +41,11 @@ GonzalezResult GonzalezKCenter(const Metric& metric, const ColoredPool& pool,
         next_head = i;
       }
     }
-    if (next_head == -1) {
-      // All points coincide with the selected heads.
-      next_distance = 0.0;
-      break;
-    }
+    if (on_head && !on_head(row, next_distance)) break;
+    if (next_head == -1) break;  // all points coincide with the heads
   }
 
-  result.coverage_radius =
-      result.head_indices.empty() ? 0.0 : next_distance;
+  result.coverage_radius = next_distance;
   return result;
 }
 

@@ -27,17 +27,28 @@ struct GonzalezResult {
 
 /// Sees each selected head's distance row as ColoredPool::DistanceRow
 /// fills it, once per head in selection order: d(head, point i) is
-/// row[pool.slot(i)].
-using GonzalezHeadFn = std::function<void(const double* row)>;
+/// row[pool.slot(i)]. It is called after the row has updated every point's
+/// distance to the head set, so `next_distance` is the insertion distance
+/// the next head would have: the coverage radius of the heads so far, 0 when
+/// every point coincides with one of them. Returning false ends the
+/// traversal after this head, with the heads so far as the result and
+/// `next_distance` as its coverage radius.
+using GonzalezHeadFn =
+    std::function<bool(const double* row, double next_distance)>;
 
 /// Runs the farthest-point greedy over `pool` starting from `first_index`,
-/// selecting min(k, n) heads. Each head is read from the pool (At) and
-/// costs one DistanceRow, so O(n * k) distance evaluations in at most 2k
-/// kernel calls. Points are visited in position order, so ties go to the
-/// lowest index whatever the pool's slot order.
+/// selecting min(k, n) heads unless `on_head` ends it sooner. Each head is
+/// read from the pool (At) and costs one DistanceRow, so O(n * k) distance
+/// evaluations in at most 2k kernel calls. Points are visited in position
+/// order, so ties go to the lowest index whatever the pool's slot order.
+/// `rows`, when given, has room for min(k, n) rows of pool.slot_count()
+/// doubles, and head j's row is written at rows + j * slot_count() and left
+/// there for the caller; otherwise one buffer of the traversal's own holds
+/// each row in turn.
 GonzalezResult GonzalezKCenter(const Metric& metric, const ColoredPool& pool,
                                int k, int first_index = 0,
-                               const GonzalezHeadFn& on_head = nullptr);
+                               const GonzalezHeadFn& on_head = nullptr,
+                               double* rows = nullptr);
 
 /// The same greedy over a pool built from `points` for this call.
 GonzalezResult GonzalezKCenter(const Metric& metric,

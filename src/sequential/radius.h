@@ -18,10 +18,19 @@ double ClusteringRadius(const Metric& metric, const std::vector<Point>& window,
 
 /// ClusteringRadius over a window already held in a pool: one
 /// ColoredPool::DistanceRows for all centers (one tiled pass over the pool
-/// per tile of centers, not one pass per center), min-accumulated per point
-/// in center order, then the max.
+/// per tile of centers, not one pass per center), then
+/// ClusteringRadiusFromRows.
 double PoolClusteringRadius(const Metric& metric, const ColoredPool& window,
                             const std::vector<Point>& centers);
+
+/// The radius of centers whose distance rows are already known:
+/// rows[c][window.slot(i)] is d(center c, point i), as
+/// ColoredPool::DistanceRow fills it. Min-accumulated per point in center
+/// order, then the max; +inf for a non-empty window with no rows. The Jones
+/// solver passes the rows its traversal kept for centers that are heads, so
+/// its final radius reads the pool only for centers that are not.
+double ClusteringRadiusFromRows(const ColoredPool& window,
+                                const std::vector<const double*>& rows);
 
 /// A fair-center solution: the chosen centers and their radius over the
 /// point set they were computed for.

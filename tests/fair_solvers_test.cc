@@ -9,6 +9,7 @@
 
 #include "common/random.h"
 #include "matching/capacitated_matching.h"
+#include "metric/counting_metric.h"
 #include "metric/metric.h"
 #include "sequential/brute_force.h"
 #include "sequential/chen_matroid_center.h"
@@ -654,6 +655,170 @@ TEST(SolverIdentityTest, JonesSolvePoolMatchesSolveBitForBit) {
   check(stamp(RandomColored(12, 2, 2, 8)), ColorConstraint({0, 0}));
   // Empty input.
   check({}, ColorConstraint({1}));
+}
+
+// ---------------------------------------------------------------------------
+// The stop rule. Jones ends its Gonzalez traversal once delta_j/2 is
+// infeasible and the largest candidate so far is feasible, and takes the
+// final radius from the rows it kept; ScalarJones always runs all k heads
+// and scans the pool once per center. Both must give the same answer.
+
+// `clusters` tight clusters far apart: cluster centers in [0, 1000)^dim,
+// points within 1 of theirs, all coordinates times `scale`. Cluster c's
+// points take color c % ell, except a `mixed` share colored at random, so a
+// color with more clusters than its cap pushes the fair radius up to the
+// cluster spacing and the traversal can stop once its heads have reached
+// the clusters. Ids are input indices.
+std::vector<Point> Clustered(int n, int dim, int clusters, int ell,
+                             double scale, double mixed, Rng* rng) {
+  std::vector<Coordinates> centers(clusters, Coordinates(dim));
+  for (Coordinates& center : centers) {
+    for (double& x : center) x = rng->NextUniform(0, 1000);
+  }
+  std::vector<Point> points;
+  for (int i = 0; i < n; ++i) {
+    const int cluster = static_cast<int>(rng->NextBounded(clusters));
+    const int color = rng->NextBernoulli(mixed)
+                          ? static_cast<int>(rng->NextBounded(ell))
+                          : cluster % ell;
+    Coordinates coords(dim);
+    for (int d = 0; d < dim; ++d) {
+      coords[d] = (centers[cluster][d] + rng->NextUniform(-1, 1)) * scale;
+    }
+    points.emplace_back(std::move(coords), color, i, static_cast<uint64_t>(i));
+  }
+  return points;
+}
+
+TEST(SolverIdentityTest, JonesStopRuleMatchesFullTraversal) {
+  // Overrides DistanceSoA but not DistanceSoATile: head rows come from the
+  // override, and the tile for centers that are not heads takes the base
+  // loop over it.
+  class SoAOnly final : public Metric {
+   public:
+    double Distance(const Point& a, const Point& b) const override {
+      return inner_.Distance(a, b);
+    }
+    void DistanceSoA(const Point& p, const CoordinatePool& pool,
+                     double* out) const override {
+      inner_.DistanceSoA(p, pool, out);
+    }
+    std::string Name() const override { return "soa-only"; }
+
+   private:
+    ManhattanMetric inner_;
+  };
+  const EuclideanMetric euclidean;
+  const ManhattanMetric manhattan;
+  const ChebyshevMetric chebyshev;
+  const SoAOnly soa_only;
+  const std::vector<const Metric*> metrics = {&euclidean, &manhattan,
+                                              &chebyshev, &soa_only};
+  const JonesFairCenter jones;
+  int cases = 0;
+  int stopped = 0;
+  const auto check = [&](const Metric& metric,
+                         const std::vector<Point>& points,
+                         const ColorConstraint& constraint) {
+    SCOPED_TRACE(metric.Name() + " n=" + std::to_string(points.size()) +
+                 " dim=" + std::to_string(points[0].dimension()) +
+                 " k=" + std::to_string(constraint.TotalK()));
+    const Result<FairCenterSolution> want =
+        ScalarJones(metric, points, constraint);
+    ExpectSameResult(jones.Solve(metric, points, constraint), want);
+    CountingMetric counting(&metric);
+    ExpectSameResult(jones.Solve(counting, points, constraint), want);
+    const int64_t full =
+        static_cast<int64_t>(std::min<size_t>(constraint.TotalK(),
+                                              points.size())) *
+        static_cast<int64_t>(points.size());
+    ++cases;
+    if (counting.count() < full) ++stopped;
+  };
+
+  const std::vector<ColorConstraint> constraints = {
+      ColorConstraint({2, 1, 3}), ColorConstraint({1, 4, 1}),
+      ColorConstraint({0, 3, 2}), ColorConstraint::Uniform(7, 2)};
+  Rng rng(3141);
+  // Clustered pools, where the stop fires, at ordinary coordinates and near
+  // 1e150. Near 1e-310 the distances within a cluster are subnormal, where
+  // halving may be inexact, so the traversal must not stop on them (at
+  // scale 1e-310 the cluster spacing stays normal; at 1e-313 every distance
+  // is subnormal, and Euclidean's squares underflow to 0).
+  for (double scale : {1.0, 1e147, 1e-310, 1e-313}) {
+    const int stopped_before = stopped;
+    for (int dim : {1, 3, 54}) {
+      for (int n : {40, 300}) {
+        for (const ColorConstraint& constraint : constraints) {
+          const int clusters = 2 + static_cast<int>(rng.NextBounded(10));
+          const auto points =
+              Clustered(n, dim, clusters, constraint.ell(), scale, 0.1, &rng);
+          for (const Metric* metric : metrics) check(*metric, points, constraint);
+        }
+      }
+    }
+    if (scale >= 1.0) {
+      EXPECT_GT(stopped - stopped_before, 0) << "scale " << scale;
+    }
+  }
+  // Duplicates and distance ties; fewer points than heads; one point
+  // repeated.
+  for (int dim : {1, 3, 54}) {
+    for (int n : {2, 5, 13, 64, 129}) {
+      const auto points = DuplicateHeavy(n, dim, 7, &rng);
+      check(euclidean, points, ColorConstraint::Uniform(7, 2));
+      check(soa_only, points, ColorConstraint::Uniform(7, 2));
+    }
+  }
+  // Found by a search over 1-D multiples of the smallest subnormal u, where
+  // halving an odd multiple rounds to even. After three heads the next
+  // insertion distance 10u halves exactly to 5u, and 5u is infeasible, but
+  // head 2's 21u halved to 10u, so that head leaves the prefix only at 11u,
+  // which is no candidate. Stopping there would answer 16u with one center;
+  // the full traversal finds 15u (a distance from head 3) with two. Only a
+  // guard on every breakpoint, not just the last, keeps the answer.
+  const double u = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> xs = {21, 27, 0, 53, 46, 31};
+  const std::vector<int> colors = {1, 1, 1, 2, 0, 1};
+  std::vector<Point> subnormal;
+  for (size_t i = 0; i < xs.size(); ++i) {
+    subnormal.push_back(P(xs[i] * u, colors[i]));
+  }
+  check(manhattan, subnormal, ColorConstraint({2, 1, 1}));
+  check(euclidean, std::vector<Point>(9, P({3, 3}, 1)),
+        ColorConstraint({1, 2}));
+  check(chebyshev, std::vector<Point>(30, P({1, 2, 3}, 0)),
+        ColorConstraint({3, 2}));
+  EXPECT_GT(stopped, 0);
+  EXPECT_LT(stopped, cases);
+
+  // Zero caps on every color, or on every color present: kInfeasible.
+  const auto points = Clustered(50, 3, 4, 1, 1.0, 0.0, &rng);
+  EXPECT_EQ(jones.Solve(euclidean, points, ColorConstraint({0, 0})).status()
+                .code(),
+            StatusCode::kInfeasible);
+  EXPECT_EQ(jones.Solve(euclidean, points, ColorConstraint({0, 2})).status()
+                .code(),
+            StatusCode::kInfeasible);
+}
+
+TEST(JonesTest, StopRuleReadsThePoolFewerThanKTimes) {
+  // Six one-color clusters, two of each color, and one center allowed per
+  // color except color 2: once heads have reached every cluster, delta/2
+  // is the cluster width and two color-0 heads compete for one slot, so
+  // the traversal stops well before k = 14.
+  Rng rng(99);
+  const auto points = Clustered(600, 3, 6, 3, 1.0, 0.0, &rng);
+  const ColorConstraint constraint({1, 1, 12});
+  const EuclideanMetric euclidean;
+  CountingMetric counting(&euclidean);
+  const JonesFairCenter jones;
+  auto got = jones.Solve(counting, points, constraint);
+  ASSERT_TRUE(got.ok());
+  ExpectSameResult(got, ScalarJones(euclidean, points, constraint));
+  EXPECT_LT(counting.count(),
+            static_cast<int64_t>(constraint.TotalK()) *
+                static_cast<int64_t>(points.size()));
 }
 
 TEST(JonesTest, SolvePoolRejectsOutOfRangeColors) {

@@ -13,9 +13,9 @@ tool as the CI walltime steps do:
     (--declared-baseline) passes as [removed];
   * entries new in the head run pass.
 
-It also checks the perf job's exact counter gate: an `allocs_per_*`
-counter is a stable counter, so --exact-prefixes holds it to zero
-tolerance; and that a run with --benchmark_repetitions compares on each
+It also checks the perf job's exact counter gate: `allocs_per_*` and
+`rows_per_solve` counters are stable counters, so --exact-prefixes holds
+them to zero tolerance; and that a run with --benchmark_repetitions compares on each
 entry's median real_time, while a single-run file compares as before.
 """
 
@@ -106,28 +106,34 @@ class CompareBenchRemovalTest(unittest.TestCase):
 
 
 class CompareBenchExactCounterTest(unittest.TestCase):
-    def run_tool(self, base_allocs, head_allocs):
+    def run_tool(self, counter, base_value, head_value):
         with tempfile.TemporaryDirectory() as tmp:
             paths = []
-            for name, allocs in (("base", base_allocs), ("head", head_allocs)):
+            for name, value in (("base", base_value), ("head", head_value)):
                 path = os.path.join(tmp, name + ".json")
                 with open(path, "w") as f:
                     json.dump({"benchmarks": [
                         {"name": "BM_Update", "run_type": "iteration",
-                         "real_time": 100.0,
-                         "allocs_per_arrival": allocs}]}, f)
+                         "real_time": 100.0, counter: value}]}, f)
                 paths.append(path)
             done = subprocess.run(
                 [sys.executable, COMPARE, *paths,
-                 "--exact-prefixes", "allocs_per_"],
+                 "--exact-prefixes", "allocs_per_,rows_per_solve"],
                 capture_output=True, text=True, check=False)
             return done.returncode, done.stdout + done.stderr
 
     def test_allocation_counters_compare_exactly(self):
-        code, out = self.run_tool(0.25, 0.25)
+        code, out = self.run_tool("allocs_per_arrival", 0.25, 0.25)
         self.assertEqual(code, 0, out)
         self.assertIn("BM_Update/allocs_per_arrival", out)
-        code, out = self.run_tool(0.25, 0.26)
+        code, out = self.run_tool("allocs_per_arrival", 0.25, 0.26)
+        self.assertEqual(code, 1, out)
+
+    def test_rows_per_solve_compares_exactly(self):
+        code, out = self.run_tool("rows_per_solve", 8.0, 8.0)
+        self.assertEqual(code, 0, out)
+        self.assertIn("BM_Update/rows_per_solve", out)
+        code, out = self.run_tool("rows_per_solve", 8.0, 9.0)
         self.assertEqual(code, 1, out)
 
 

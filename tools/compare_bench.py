@@ -77,7 +77,8 @@ import sys
 
 # Counter-name prefixes considered machine-independent (google-benchmark
 # entries). The allocs_per_* counters count heap allocations over a fixed
-# run of operations, so they depend on the stream only.
+# run of operations, so they depend on the stream only; rows_per_solve
+# counts the pool passes of one solve on fixed data.
 STABLE_PREFIXES = (
     "distance_calls",
     "expiry_sweeps",
@@ -85,6 +86,7 @@ STABLE_PREFIXES = (
     "coreset_size",
     "kmedian",
     "allocs_per",
+    "rows_per_solve",
 )
 
 # shard_scaling fields: higher-is-better throughputs (wall time axis) vs
