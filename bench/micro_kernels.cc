@@ -29,6 +29,7 @@
 #include "common/thread_pool.h"
 #include "core/fair_center_sliding_window.h"
 #include "core/guess_structure.h"
+#include "core/pivot_index.h"
 #include "datasets/blobs.h"
 #include "datasets/registry.h"
 #include "matching/capacitated_matching.h"
@@ -352,6 +353,104 @@ const DrivenGuess& CovtypeDenseGuess() {
   }();
   return *driven;
 }
+
+// The c-phase range query of that guess (every c-attractor within
+// delta * gamma / 2 of an arrival) over the first n columns of its c-pool,
+// for 64 covtype arrivals that are not in it. Arg 1 picks the bounded scan
+// of every column (0), as BM_BoundedCScan times it, or the pivot index (1,
+// core/pivot_index.h): the arrival's 8 pivot distances, the bucket rows the
+// bound keeps, and a bounded exact check of each candidate, read from the
+// arena in blocks as GuessStructure::Update does. The index pays off from
+// a few hundred columns on (PivotIndex::kBuildColumns).
+// `candidates_per_arrival` counts the columns that get an exact check and
+// `exact_pairs_per_arrival` the pairs a CountingMetric sees per arrival
+// (the pivot row and the candidates); both depend on the data only.
+// Args: {columns, indexed}.
+void BM_CPhaseIndex(benchmark::State& state) {
+  const DrivenGuess& driven = CovtypeDenseGuess();
+  const CoordinatePool& c_pool = driven.guess.c_pool();
+  const AttractorList& entries = driven.guess.c_entries();
+  const size_t n =
+      std::min(static_cast<size_t>(state.range(0)), c_pool.size());
+  const bool indexed = state.range(1) != 0;
+  std::vector<CoordinatePool::ColumnRef> columns(n);
+  for (size_t i = 0; i < n; ++i) columns[i] = c_pool.Column(i);
+  const CoordinatePool pool =
+      CoordinatePool::FromColumns(c_pool.dim(), columns);
+  const std::vector<Point>& points = CovtypeStream().points;
+  constexpr size_t kQueries = 64;
+  constexpr size_t kFirstQuery = 20000;  // past the guess's window
+  const double range = kDenseDelta * kDenseGamma / 2.0;
+  std::vector<double> out(n);
+  CoordinatePool verify(c_pool.dim());
+  // In-range columns of one arrival, and the candidates it checked.
+  const auto query = [&](const Metric& metric, PivotIndex* index,
+                         const Point& p, size_t* checked) {
+    if (index == nullptr) {
+      metric.DistanceSoAWithin(p, pool, range, out.data());
+      *checked = n;
+      return std::count_if(out.begin(), out.end(),
+                           [range](double d) { return d <= range; });
+    }
+    FKC_CHECK(index->Probe(p));
+    const std::vector<size_t>& candidates = index->Candidates();
+    std::ptrdiff_t in_range = 0;
+    for (size_t first = 0; first < candidates.size();
+         first += CoordinatePool::kBlockLanes) {
+      const size_t count =
+          std::min(CoordinatePool::kBlockLanes, candidates.size() - first);
+      columns.clear();
+      for (size_t k = first; k < first + count; ++k) {
+        columns.push_back(
+            {driven.arena.coords(entries.attractor(candidates[k])), 1});
+      }
+      verify.Assign(columns);
+      metric.DistanceSoAWithin(p, verify, range, out.data());
+      in_range += std::count_if(out.begin(), out.begin() + count,
+                                [range](double d) { return d <= range; });
+    }
+    *checked = candidates.size();
+    return in_range;
+  };
+
+  const EuclideanMetric metric;
+  CountingMetric counting(&metric);
+  PivotIndex counted_index;
+  FKC_CHECK(counted_index.Build(counting, pool, range));
+  counting.Reset();
+  int64_t checked_total = 0;
+  for (size_t q = 0; q < kQueries; ++q) {
+    size_t scan_checked = 0;
+    size_t checked = 0;
+    const Point& p = points[kFirstQuery + q];
+    const auto scanned = query(metric, nullptr, p, &scan_checked);
+    FKC_CHECK_EQ(query(counting, indexed ? &counted_index : nullptr, p,
+                       &checked),
+                 scanned);
+    checked_total += static_cast<int64_t>(checked);
+  }
+  state.counters["candidates_per_arrival"] =
+      static_cast<double>(checked_total) / kQueries;
+  state.counters["exact_pairs_per_arrival"] =
+      static_cast<double>(counting.count()) / kQueries;
+
+  PivotIndex index;
+  FKC_CHECK(index.Build(metric, pool, range));
+  size_t q = 0;
+  for (auto _ : state) {
+    size_t checked = 0;
+    benchmark::DoNotOptimize(query(metric, indexed ? &index : nullptr,
+                                   points[kFirstQuery + q], &checked));
+    q = (q + 1) % kQueries;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(std::string(simd::ActiveKernels().name) +
+                 (indexed ? "/index" : "/bounded"));
+}
+BENCHMARK(BM_CPhaseIndex)
+    ->Args({256, 0})->Args({256, 1})
+    ->Args({1024, 0})->Args({1024, 1})
+    ->Args({9000, 0})->Args({9000, 1});
 
 // A query's coreset hand-off from that guess. Arg 0 is the copy-out a query
 // used to pay: every representative and orphan copied out as a heap Point,

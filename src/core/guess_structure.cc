@@ -71,8 +71,7 @@ void GuessStructure::ExpireOnly(int64_t now, const PointArena& arena) {
   v_pool_.DropFront(
       ExpireEntries(&v_entries_, &v_orphans_, now, window_size_, arena));
   ExpirePoints(&v_orphans_, now, window_size_, arena);
-  c_pool_.DropFront(
-      ExpireEntries(&c_entries_, &c_orphans_, now, window_size_, arena));
+  DropCFront(ExpireEntries(&c_entries_, &c_orphans_, now, window_size_, arena));
   ExpirePoints(&c_orphans_, now, window_size_, arena);
   RecomputeOldestArrival(arena);
 }
@@ -94,6 +93,17 @@ void GuessStructure::RebuildPools(const PointArena& arena) {
   };
   v_pool_ = rebuild(v_entries_);
   c_pool_ = rebuild(c_entries_);
+  c_index_.Clear();
+}
+
+void GuessStructure::DropCFront(size_t n) {
+  c_pool_.DropFront(n);
+  if (!c_index_.built()) return;
+  if (c_pool_.size() < PivotIndex::kTeardownColumns) {
+    c_index_.Clear();
+  } else {
+    c_index_.DropFront(n);
+  }
 }
 
 void GuessStructure::RestoreState(AttractorList v_entries,
@@ -202,28 +212,65 @@ void GuessStructure::Update(Slot p, int64_t now, const PointArena& arena,
   // --- Coreset phase: assign p to a c-attractor (lines 11-20). ---
   if (variant_ != CoreVariant::kFull) return;
 
-  // Only the attractors within c_threshold matter here, so the bounded scan
-  // may stop reading a column once it is provably out of range; the
-  // in-range distances — the only ones tested below — are exact.
+  // Only the attractors within c_threshold matter here: the pivot index
+  // proves most of a large pool out of range without a distance, and the
+  // bounded scans may stop reading a column once it is provably out of
+  // range. The in-range distances — the only ones tested — are exact, so
+  // both paths pick the same attractor.
   const double c_threshold = delta_ * gamma_ / 2.0;
   const size_t nc = c_entries_.size();
-  scratch_dists_.resize(nc);
-  metric.DistanceSoAWithin(probe_, c_pool_, c_threshold,
-                           scratch_dists_.data());
+  if (!c_index_.built() && nc >= PivotIndex::kBuildColumns) {
+    c_index_.Build(metric, c_pool_, c_threshold);
+  }
   int c_target = -1;
   int c_target_count = std::numeric_limits<int>::max();
-  for (size_t i = 0; i < nc; ++i) {
-    if (scratch_dists_[i] <= c_threshold) {
-      const int count = CountColor(c_entries_, i, color, arena);
-      if (count < c_target_count) {
-        c_target_count = count;
-        c_target = static_cast<int>(i);
+  // Fewest same-colored representatives, first position on ties. The rule
+  // is a minimum over (count, position), so the index may pass in-range
+  // positions in any order and still pick what the scan picks.
+  const auto consider = [&](size_t i) {
+    const int count = CountColor(c_entries_, i, color, arena);
+    if (count < c_target_count ||
+        (count == c_target_count && static_cast<int>(i) < c_target)) {
+      c_target_count = count;
+      c_target = static_cast<int>(i);
+    }
+  };
+  if (c_index_.built() && c_index_.Probe(probe_)) {
+    // The candidates' exact distances, one pool block of them at a time,
+    // so verify_pool_ holds one block for good.
+    const std::vector<size_t>& candidates = c_index_.Candidates();
+    if (verify_pool_.dim() != arena.dim()) verify_pool_.ResetDim(arena.dim());
+    scratch_dists_.resize(CoordinatePool::kBlockLanes);
+    for (size_t first = 0; first < candidates.size();
+         first += CoordinatePool::kBlockLanes) {
+      const size_t count =
+          std::min(CoordinatePool::kBlockLanes, candidates.size() - first);
+      verify_columns_.clear();
+      for (size_t k = first; k < first + count; ++k) {
+        verify_columns_.push_back(
+            {arena.coords(c_entries_.attractor(candidates[k])), 1});
       }
+      verify_pool_.Assign(verify_columns_);
+      metric.DistanceSoAWithin(probe_, verify_pool_, c_threshold,
+                               scratch_dists_.data());
+      for (size_t k = 0; k < count; ++k) {
+        if (scratch_dists_[k] <= c_threshold) consider(candidates[first + k]);
+      }
+    }
+  } else {
+    scratch_dists_.resize(nc);
+    metric.DistanceSoAWithin(probe_, c_pool_, c_threshold,
+                             scratch_dists_.data());
+    for (size_t i = 0; i < nc; ++i) {
+      if (scratch_dists_[i] <= c_threshold) consider(i);
     }
   }
   if (c_target == -1) {
     PushAttractor(&c_entries_, p);
     AppendAttractorCoords(&c_pool_, arena, p);
+    // The probe's row, when the index was built: a new attractor's pivot
+    // distances are the arrival's.
+    if (c_index_.built()) c_index_.Append();
   } else {
     AddRepresentativeWithCap(&c_entries_, c_target, p, constraint_.cap(color),
                              arena);
@@ -247,7 +294,7 @@ void GuessStructure::Cleanup(const PointArena& arena) {
   if (static_cast<int>(v_entries_.size()) == k + 1) {
     const int64_t threshold = arena.arrival(v_entries_.attractor(0));
     DropPointsOlderThan(&v_orphans_, threshold, arena);
-    c_pool_.DropFront(
+    DropCFront(
         DropEntriesOlderThan(&c_entries_, &c_orphans_, threshold, arena));
     DropPointsOlderThan(&c_orphans_, threshold, arena);
   }

@@ -25,6 +25,7 @@
 
 #include "core/attractor_set.h"
 #include "core/memory_footprint.h"
+#include "core/pivot_index.h"
 #include "core/point_arena.h"
 #include "metric/colored_pool.h"
 #include "metric/coordinate_pool.h"
@@ -118,6 +119,7 @@ class GuessStructure {
   const std::vector<Slot>& c_orphans() const { return c_orphans_; }
   const CoordinatePool& v_pool() const { return v_pool_; }
   const CoordinatePool& c_pool() const { return c_pool_; }
+  const PivotIndex& c_index() const { return c_index_; }
 
   /// Calls f(slot) on every stored reference: per family, each entry's
   /// attractor and representatives, then the orphans; v before c.
@@ -159,8 +161,13 @@ class GuessStructure {
 
   /// Rebuilds both pools from the entry lists (checkpoint restore — the
   /// only mutation path where incremental maintenance has nothing to work
-  /// from).
+  /// from), and drops the pivot index.
   void RebuildPools(const PointArena& arena);
+
+  /// Drops c_pool_'s first n positions, after the c-family popped its n
+  /// oldest entries, and keeps c_index_ in step (or drops it, once the pool
+  /// is below PivotIndex::kTeardownColumns).
+  void DropCFront(size_t n);
 
   double gamma_;
   double delta_;
@@ -181,11 +188,31 @@ class GuessStructure {
 
   // Dim-major mirrors of the attractor coordinates (pool position i ==
   // entries[i]), feeding the vectorized Metric::DistanceSoA scans (the
-  // c-phase uses the bounded DistanceSoAWithin). Every entry removal pops a
-  // prefix, and the pools follow it with an O(1) DropFront of the popped
-  // count. Derived state — rebuilt on restore, never serialized.
+  // c-phase uses the bounded DistanceSoAWithin or the pivot index). Every
+  // entry removal pops a prefix, and the pools follow it with an O(1)
+  // DropFront of the popped count. Derived state — rebuilt on restore,
+  // never serialized.
   CoordinatePool v_pool_;
   CoordinatePool c_pool_;
+
+  // Pivot index over c_pool_ (core/pivot_index.h), in step with it by
+  // position. Derived state like the pools, and lazy: the c-phase builds
+  // it once the pool reaches PivotIndex::kBuildColumns columns under a
+  // metric that states its rounding error (Metric::RoundingError), and
+  // DropCFront drops it below a quarter of that; a restore drops it too.
+  // While it is built, an arrival computes its kPivots pivot distances,
+  // and only the candidates the index returns get an exact distance, in
+  // verify_pool_; otherwise the c-phase scans the whole pool. Either way
+  // the c-phase sees the exact distance of every c-attractor in range and
+  // decides the same. The Distance pairs it computes, and so a
+  // CountingMetric's count, depend on when the index was built and on
+  // which pivots it picked; a restored window rebuilds it from the pool it
+  // then holds, so it may count different pairs than the window it was
+  // saved from, never decide differently. Matching counts would need the
+  // pivots in the checkpoint.
+  PivotIndex c_index_;
+  CoordinatePool verify_pool_;
+  std::vector<CoordinatePool::ColumnRef> verify_columns_;
 
   // Reusable scratch for the batched attractor scans, and the arriving
   // point as the metric reads it (transient — never serialized). Kept

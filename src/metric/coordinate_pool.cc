@@ -12,37 +12,72 @@ void CoordinatePool::ResetDim(size_t dim) {
   head_ = 0;
   front_.reset();
   rest_.clear();
+  spare_.reset();
 }
 
 void CoordinatePool::LinkBlock() {
-  std::unique_ptr<double[]> block(new double[dim_ * kRowStride]());
+  std::unique_ptr<double[]> block;
+  if (spare_ != nullptr) {
+    block = std::move(spare_);
+    std::fill_n(block.get(), dim_ * kRowStride, 0.0);
+  } else {
+    block.reset(new double[dim_ * kRowStride]());
+  }
   if (front_ == nullptr) {
     front_ = std::move(block);
   } else {
+    // The list keeps its capacity through DropFront; starting it at four
+    // entries spares a pool that grows a few blocks two reallocations.
+    if (rest_.capacity() == 0) rest_.reserve(4);
     rest_.push_back(std::move(block));
   }
 }
 
-CoordinatePool CoordinatePool::FromColumns(
-    size_t dim, const std::vector<ColumnRef>& columns) {
-  CoordinatePool pool(dim);
+void CoordinatePool::WriteColumns(const std::vector<ColumnRef>& columns) {
   const size_t n = columns.size();
-  const size_t blocks = (n + kBlockLanes - 1) / kBlockLanes;
-  if (blocks > 1) pool.rest_.reserve(blocks - 1);
   for (size_t first = 0; first < n; first += kLaneAlign) {
-    if (first % kBlockLanes == 0) pool.LinkBlock();
+    if (first % kBlockLanes == 0 && first / kBlockLanes == BlockCount()) {
+      LinkBlock();
+    }
     const size_t width = std::min(n - first, kLaneAlign);
     const ColumnRef* tile = columns.data() + first;
-    double* lane = pool.Block(first / kBlockLanes) + first % kBlockLanes;
-    for (size_t d = 0; d < dim; ++d) {
+    double* lane = Block(first / kBlockLanes) + first % kBlockLanes;
+    for (size_t d = 0; d < dim_; ++d) {
       double* row = lane + d * kRowStride;
       for (size_t i = 0; i < width; ++i) {
         row[i] = tile[i].data[d * tile[i].stride];
       }
     }
   }
-  pool.size_ = n;
+  size_ = n;
+}
+
+CoordinatePool CoordinatePool::FromColumns(
+    size_t dim, const std::vector<ColumnRef>& columns) {
+  CoordinatePool pool(dim);
+  const size_t blocks = (columns.size() + kBlockLanes - 1) / kBlockLanes;
+  if (blocks > 1) pool.rest_.reserve(blocks - 1);
+  pool.WriteColumns(columns);
   return pool;
+}
+
+void CoordinatePool::Assign(const std::vector<ColumnRef>& columns) {
+  FKC_CHECK_GT(dim_, 0u) << "ResetDim before Assign";
+  // Unlink the blocks past the ones the new points fill, tail first.
+  const size_t blocks = (columns.size() + kBlockLanes - 1) / kBlockLanes;
+  while (BlockCount() > blocks) {
+    std::unique_ptr<double[]> last;
+    if (rest_.empty()) {
+      last = std::move(front_);
+    } else {
+      last = std::move(rest_.back());
+      rest_.pop_back();
+    }
+    if (spare_ == nullptr) spare_ = std::move(last);
+  }
+  head_ = 0;
+  size_ = 0;
+  WriteColumns(columns);
 }
 
 CoordinatePool CoordinatePool::FromPoints(const std::vector<Point>& points) {
@@ -78,7 +113,9 @@ void CoordinatePool::DropFront(size_t n) {
   const size_t freed = head_ / kBlockLanes;
   if (freed == 0) return;
   head_ -= freed * kBlockLanes;
-  // Block `freed` becomes the front; the blocks before it are freed.
+  // Block `freed` becomes the front; block freed - 1 becomes the spare and
+  // the blocks before it are freed.
+  spare_ = freed == 1 ? std::move(front_) : std::move(rest_[freed - 2]);
   front_ = freed <= rest_.size() ? std::move(rest_[freed - 1]) : nullptr;
   rest_.erase(rest_.begin(),
               rest_.begin() + static_cast<long>(std::min(freed, rest_.size())));

@@ -11,7 +11,9 @@
 //           coordinate d of kBlockLanes consecutive points, followed by one
 //           lane width of slack. A kernel scan that starts anywhere in a
 //           block and covers at most the rest of it therefore over-reads
-//           only into its own row (blocks are zeroed when linked).
+//           only into its own row (a block is zeroed when linked, and
+//           Assign leaves the pool's own earlier values past its new
+//           points: readable doubles either way).
 //           kRowStride is an odd number of cache lines, so consecutive rows
 //           never sit a 4 KiB multiple apart.
 //
@@ -22,7 +24,9 @@
 //           arrival order and only ever removes its oldest elements, so
 //           position i always tracks the owner's element i. Append fills the
 //           tail block or links a new one; DropFront advances a head inside
-//           the front block and frees the blocks it empties. A stored
+//           the front block and frees the blocks it empties, except the
+//           last, which it keeps as a spare for the next link: a pool that
+//           appends and drops at one pace stops allocating. A stored
 //           coordinate never moves.
 #ifndef FKC_METRIC_COORDINATE_POOL_H_
 #define FKC_METRIC_COORDINATE_POOL_H_
@@ -78,6 +82,12 @@ class CoordinatePool {
   static CoordinatePool FromColumns(size_t dim,
                                     const std::vector<ColumnRef>& columns);
 
+  /// Replaces the pool's points with the ones `columns` refers to, at
+  /// positions [0, columns.size()), in the pool's own dimension: FromColumns
+  /// into the blocks the pool already holds, so a scratch pool refilled
+  /// every call allocates only when it grows. Keeps the spare block.
+  void Assign(const std::vector<ColumnRef>& columns);
+
   /// FromColumns over `points` at positions [0, points.size()). All points
   /// must share one dimension (FKC_CHECK); an empty vector gives an empty
   /// pool of dimension 0.
@@ -92,7 +102,8 @@ class CoordinatePool {
   void Append(const Point& p);
 
   /// Removes positions [0, n); position n becomes position 0. O(1) unless
-  /// it empties a block, which it frees.
+  /// it empties blocks: it keeps the last one as the spare and frees the
+  /// others.
   void DropFront(size_t n);
 
   void Clear() { ResetDim(dim_); }
@@ -137,8 +148,12 @@ class CoordinatePool {
   }
   size_t BlockCount() const { return front_ ? rest_.size() + 1 : 0; }
 
-  /// Links a new, zeroed tail block.
+  /// Links a zeroed tail block: the spare if there is one, else a new one.
   void LinkBlock();
+
+  /// Writes the points `columns` refers to at positions [0, n) of an empty
+  /// pool, linking blocks past the ones it holds (FromColumns, Assign).
+  void WriteColumns(const std::vector<ColumnRef>& columns);
 
   size_t dim_ = 0;
   size_t size_ = 0;  // live points
@@ -149,6 +164,8 @@ class CoordinatePool {
   // follows one pointer.
   std::unique_ptr<double[]> front_;
   std::vector<std::unique_ptr<double[]>> rest_;  // blocks 1, 2, ...
+  // The last block DropFront emptied, unlinked; LinkBlock reuses it.
+  std::unique_ptr<double[]> spare_;
 };
 
 }  // namespace fkc

@@ -65,6 +65,11 @@ class CountingMetric final : public Metric {
     inner_->DistanceSoATile(rows, row_count, pool, out_stride, out);
   }
 
+  /// Counting changes no distance, so the inner metric's error holds.
+  std::optional<DistanceError> RoundingError(size_t dim) const override {
+    return inner_->RoundingError(dim);
+  }
+
   std::string Name() const override {
     return "counting(" + inner_->Name() + ")";
   }

@@ -44,7 +44,15 @@ void Metric::DistanceSoATile(const Point* rows, size_t row_count,
   }
 }
 
+std::optional<DistanceError> Metric::RoundingError(size_t /*dim*/) const {
+  return std::nullopt;
+}
+
 namespace {
+
+/// The unit roundoff of double: fl(x op y) = (x op y)(1 + e), |e| <= kUnit,
+/// for an op whose exact result is a normal double.
+constexpr double kUnit = 0x1p-53;
 
 /// Shared body of the built-in SoA overrides: dimension check plus one raw
 /// kernel call per block of the pool, each writing at its block's offset in
@@ -147,6 +155,35 @@ void ChebyshevMetric::DistanceSoATile(const Point* rows, size_t row_count,
                                       size_t out_stride, double* out) const {
   RunTileKernel(simd::ActiveKernels().chebyshev_tile, rows, row_count, pool,
                 out_stride, out);
+}
+
+// The rounding errors below follow the scalar loops of Distance, which the
+// SoA kernels reproduce bit for bit. Coordinates are finite, and a finite
+// result means no step overflowed. A difference fl(x - y) is
+// (x - y)(1 + e): a difference in the subnormal range is exact, so no
+// absolute error enters there, nor in a sum of non-negative terms. With
+// (1 + kUnit)^m - 1 <= 2 m kUnit for m kUnit <= 1/2:
+//   - Manhattan: every term and the sum carry n factors (1 + e), so the
+//     relative error is at most 2 n kUnit;
+//   - Chebyshev: the max is exact, so only the difference rounds: kUnit;
+//   - Euclidean: a square fl(z * z) = z^2 (1 + e) + h with |h| <= 2^-1075
+//     (underflow). The sum of squares is then S(1 + t) + H with
+//     |t| <= 2 (n + 2) kUnit and |H| <= 2 n 2^-1075, and
+//     |sqrt(a + b) - sqrt(a)| <= sqrt(|b|) gives, after the final sqrt,
+//     a relative error of (n + 4) kUnit and an absolute one below
+//     sqrt(n) 2^-536.
+std::optional<DistanceError> EuclideanMetric::RoundingError(size_t dim) const {
+  const double n = static_cast<double>(dim);
+  return DistanceError{(n + 4.0) * kUnit, std::sqrt(n) * 0x1p-536};
+}
+
+std::optional<DistanceError> ManhattanMetric::RoundingError(size_t dim) const {
+  return DistanceError{2.0 * static_cast<double>(dim) * kUnit, 0.0};
+}
+
+std::optional<DistanceError> ChebyshevMetric::RoundingError(
+    size_t /*dim*/) const {
+  return DistanceError{kUnit, 0.0};
 }
 
 double EuclideanMetric::Distance(const Point& a, const Point& b) const {

@@ -5,6 +5,7 @@
 #define FKC_METRIC_METRIC_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,13 @@
 namespace fkc {
 
 class CoordinatePool;
+
+/// A metric's statement of how far its computed distances may stray from
+/// the exact ones (Metric::RoundingError).
+struct DistanceError {
+  double relative;
+  double absolute;
+};
 
 /// Distance oracle over Points. Implementations must satisfy the metric
 /// axioms (identity, symmetry, triangle inequality) — the approximation
@@ -74,6 +82,15 @@ class Metric {
                                const CoordinatePool& pool, size_t out_stride,
                                double* out) const;
 
+  /// The rounding error of this metric's computed distances between points
+  /// of dimension `dim`: whenever a computed Distance(a, b) (and so any SoA
+  /// value, which is bit-identical to it) is finite, it lies within
+  /// relative * d + absolute of the exact distance d of a and b, and the
+  /// exact distance is a metric. Filters that prune by the triangle
+  /// inequality (core/pivot_index.h) need this to stay exact; the base
+  /// returns nullopt, and a metric that states nothing is never filtered.
+  virtual std::optional<DistanceError> RoundingError(size_t dim) const;
+
   virtual std::string Name() const = 0;
 };
 
@@ -88,6 +105,7 @@ class EuclideanMetric final : public Metric {
   void DistanceSoATile(const Point* rows, size_t row_count,
                        const CoordinatePool& pool, size_t out_stride,
                        double* out) const override;
+  std::optional<DistanceError> RoundingError(size_t dim) const override;
   std::string Name() const override { return "euclidean"; }
 };
 
@@ -102,6 +120,7 @@ class ManhattanMetric final : public Metric {
   void DistanceSoATile(const Point* rows, size_t row_count,
                        const CoordinatePool& pool, size_t out_stride,
                        double* out) const override;
+  std::optional<DistanceError> RoundingError(size_t dim) const override;
   std::string Name() const override { return "manhattan"; }
 };
 
@@ -116,6 +135,7 @@ class ChebyshevMetric final : public Metric {
   void DistanceSoATile(const Point* rows, size_t row_count,
                        const CoordinatePool& pool, size_t out_stride,
                        double* out) const override;
+  std::optional<DistanceError> RoundingError(size_t dim) const override;
   std::string Name() const override { return "chebyshev"; }
 };
 

@@ -19,35 +19,16 @@
 #include "metric/coordinate_pool.h"
 #include "metric/metric.h"
 #include "sequential/jones_fair_center.h"
+#include "exact_scan_metric.h"
 
 namespace fkc {
 namespace {
 
-// Forwards every scan to `inner` but leaves DistanceSoAWithin to the base
-// class, which answers it with the exact DistanceSoA.
-class ExactScanMetric final : public Metric {
- public:
-  explicit ExactScanMetric(const Metric* inner) : inner_(inner) {}
-  double Distance(const Point& a, const Point& b) const override {
-    return inner_->Distance(a, b);
-  }
-  void DistanceMany(const Point& p, const Point* const* points, size_t count,
-                    double* out) const override {
-    inner_->DistanceMany(p, points, count, out);
-  }
-  void DistanceSoA(const Point& p, const CoordinatePool& pool,
-                   double* out) const override {
-    inner_->DistanceSoA(p, pool, out);
-  }
-  std::string Name() const override { return inner_->Name(); }
-
- private:
-  const Metric* inner_;
-};
-
 // Forwards every scan to `inner` unchanged, bounded ones included, and
 // counts the columns a bounded scan returned with a value other than the
-// exact distance: proof that the run really abandoned some columns.
+// exact distance: proof that the run really abandoned some columns. It
+// states no rounding error, so its windows never build a pivot index and
+// every c-phase runs the bounded scan (pivot_index_test covers the index).
 class AbandonProbeMetric final : public Metric {
  public:
   explicit AbandonProbeMetric(const Metric* inner) : inner_(inner) {}

@@ -908,6 +908,61 @@ TEST(CoordinatePoolTest, KernelsMatchScalarOnBulkBuiltPool) {
   }
 }
 
+TEST(CoordinatePoolTest, SpareBlockComesBackZeroed) {
+  // DropFront keeps the block it empties; the next link reuses it, zeroed,
+  // so the row slack past the live lanes reads 0 as in a new block, not
+  // the coordinates the block held before.
+  CoordinatePool pool(2);
+  Rng rng(6);
+  for (const Point& p : RandomPoints(2 * kB, 2, &rng)) pool.Append(p);
+  pool.DropFront(kB);  // the full front block becomes the spare
+  const auto more = RandomPoints(3, 2, &rng);
+  for (const Point& p : more) pool.Append(p);  // links the spare
+  pool.CheckInvariants();
+  ASSERT_EQ(pool.size(), kB + 3);
+  for (size_t i = 0; i < more.size(); ++i) {
+    EXPECT_EQ(pool.At(kB + i, 1), more[i].coords[1]);
+  }
+  size_t spans = 0;
+  pool.ForEachSpan([&](const CoordinatePool::Span& span) {
+    if (++spans < 2) return;
+    ASSERT_EQ(span.count, 3u);
+    for (size_t d = 0; d < 2; ++d) {
+      for (size_t i = 3; i < simd::RoundUpToLanes(3); ++i) {
+        EXPECT_EQ(span.data[d * CoordinatePool::kRowStride + i], 0.0);
+      }
+    }
+  });
+  EXPECT_EQ(spans, 2u);
+}
+
+TEST(CoordinatePoolTest, AssignRefillsLikeFromColumns) {
+  // Assign over a pool of any shape holds exactly what FromColumns builds
+  // from the same columns, strided ones included.
+  Rng rng(8);
+  const size_t dim = 4;
+  const CoordinatePool source =
+      CoordinatePool::FromPoints(RandomPoints(3 * kB, dim, &rng));
+  CoordinatePool pool(dim);
+  for (const Point& p : RandomPoints(2 * kB + 5, dim, &rng)) pool.Append(p);
+  pool.DropFront(7);
+  for (size_t n : {size_t{10}, 3 * kB, kB, size_t{1}, kB + 1}) {
+    std::vector<CoordinatePool::ColumnRef> columns;
+    for (size_t i = 0; i < n; ++i) {
+      columns.push_back(source.Column(3 * kB - 1 - i));
+    }
+    pool.Assign(columns);
+    pool.CheckInvariants();
+    const CoordinatePool want = CoordinatePool::FromColumns(dim, columns);
+    ASSERT_EQ(pool.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t d = 0; d < dim; ++d) {
+        ASSERT_EQ(pool.At(i, d), want.At(i, d)) << "n=" << n << " i=" << i;
+      }
+    }
+  }
+}
+
 TEST(CoordinatePoolTest, ClearAndResetDim) {
   CoordinatePool pool(3);
   Rng rng(4);

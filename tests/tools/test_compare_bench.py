@@ -13,10 +13,13 @@ tool as the CI walltime steps do:
     (--declared-baseline) passes as [removed];
   * entries new in the head run pass.
 
-It also checks the perf job's exact counter gate: `allocs_per_*` and
-`rows_per_solve` counters are stable counters, so --exact-prefixes holds
-them to zero tolerance; and that a run with --benchmark_repetitions compares on each
-entry's median real_time, while a single-run file compares as before.
+It also checks the perf job's exact counter gate: `allocs_per_*`,
+`rows_per_solve` and the pivot index's `candidates_per_*` and
+`exact_pairs_per_*` counters are stable counters, so --exact-prefixes holds
+them to zero tolerance, and a prefix of no stable counter is an error
+rather than a gate that compares nothing; and that a run with
+--benchmark_repetitions compares on each entry's median real_time, while a
+single-run file compares as before.
 """
 
 import json
@@ -106,7 +109,8 @@ class CompareBenchRemovalTest(unittest.TestCase):
 
 
 class CompareBenchExactCounterTest(unittest.TestCase):
-    def run_tool(self, counter, base_value, head_value):
+    def run_tool(self, counter, base_value, head_value,
+                 prefixes="allocs_per_,rows_per_solve"):
         with tempfile.TemporaryDirectory() as tmp:
             paths = []
             for name, value in (("base", base_value), ("head", head_value)):
@@ -118,7 +122,7 @@ class CompareBenchExactCounterTest(unittest.TestCase):
                 paths.append(path)
             done = subprocess.run(
                 [sys.executable, COMPARE, *paths,
-                 "--exact-prefixes", "allocs_per_,rows_per_solve"],
+                 "--exact-prefixes", prefixes],
                 capture_output=True, text=True, check=False)
             return done.returncode, done.stdout + done.stderr
 
@@ -134,6 +138,26 @@ class CompareBenchExactCounterTest(unittest.TestCase):
         self.assertEqual(code, 0, out)
         self.assertIn("BM_Update/rows_per_solve", out)
         code, out = self.run_tool("rows_per_solve", 8.0, 9.0)
+        self.assertEqual(code, 1, out)
+
+    def test_pivot_index_counters_compare_exactly(self):
+        code, out = self.run_tool("exact_pairs_per_arrival", 64.0, 64.0,
+                                  "candidates_per_,exact_pairs_per_")
+        self.assertEqual(code, 0, out)
+        self.assertIn("BM_Update/exact_pairs_per_arrival", out)
+        code, out = self.run_tool("candidates_per_arrival", 56.0, 57.0,
+                                  "candidates_per_,exact_pairs_per_")
+        self.assertEqual(code, 1, out)
+
+    def test_unstable_exact_prefix_is_an_error(self):
+        # A counter outside STABLE_PREFIXES is never compared, so an exact
+        # gate on it would pass whatever the run did.
+        code, out = self.run_tool("in_range_per_scan", 0.15, 0.99,
+                                  "in_range_per_scan")
+        self.assertEqual(code, 1, out)
+        self.assertIn("not a stable counter prefix", out)
+        code, out = self.run_tool("allocs_per_arrival", 0.25, 0.25,
+                                  "allocs")
         self.assertEqual(code, 1, out)
 
 

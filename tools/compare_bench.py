@@ -62,7 +62,9 @@ but missing from the run fails as before (lost coverage).
 --max-regression. The CI perf job uses it to assert that a run on the
 SoA/SIMD distance path performs exactly the same distance evaluations as a
 scalar run (FKC_SIMD=scalar): kernel width must change wall time only, never
-any algorithmic counter.
+any algorithmic counter. Only stable counters are compared at all, so each
+prefix must extend one of STABLE_PREFIXES; any other prefix is an error, not
+a gate that silently checks nothing.
 
 --walltime-only skips the counter comparison entirely: the paired
 before/after job compares commits whose counters may differ by design (the
@@ -78,7 +80,9 @@ import sys
 # Counter-name prefixes considered machine-independent (google-benchmark
 # entries). The allocs_per_* counters count heap allocations over a fixed
 # run of operations, so they depend on the stream only; rows_per_solve
-# counts the pool passes of one solve on fixed data.
+# counts the pool passes of one solve on fixed data, and the pivot index's
+# candidates_per_arrival and exact_pairs_per_arrival the columns and pairs
+# of fixed range queries.
 STABLE_PREFIXES = (
     "distance_calls",
     "expiry_sweeps",
@@ -87,6 +91,8 @@ STABLE_PREFIXES = (
     "kmedian",
     "allocs_per",
     "rows_per_solve",
+    "candidates_per",
+    "exact_pairs_per",
 )
 
 # shard_scaling fields: higher-is-better throughputs (wall time axis) vs
@@ -215,6 +221,12 @@ def main():
                              "as removed when this file lacks it too")
     args = parser.parse_args()
     exact_prefixes = tuple(p for p in args.exact_prefixes.split(",") if p)
+    unstable = [p for p in exact_prefixes if not p.startswith(STABLE_PREFIXES)]
+    if unstable:
+        print(f"error: --exact-prefixes {', '.join(unstable)}: not a stable "
+              f"counter prefix (one of {', '.join(STABLE_PREFIXES)}), so "
+              "nothing would be compared", file=sys.stderr)
+        return 1
 
     base_format, baseline = load(args.baseline)
     new_format, fresh = load(args.new)
