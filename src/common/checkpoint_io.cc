@@ -76,10 +76,8 @@ void WriteCheckpointRaw(std::ostringstream* out, const std::string& bytes) {
 }
 
 void WriteCheckpointRaw(std::string* out, std::string_view bytes) {
-  *out += std::to_string(bytes.size());
-  *out += ' ';
-  out->append(bytes);
-  *out += ' ';
+  WriteCheckpointRaw(out, bytes.size(),
+                     [bytes](std::string* body) { body->append(bytes); });
 }
 
 }  // namespace fkc

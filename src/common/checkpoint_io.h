@@ -13,6 +13,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/logging.h"
 #include "common/status.h"
 
 namespace fkc {
@@ -61,6 +62,19 @@ void WriteCheckpointDouble(std::ostringstream* out, double value);
 void WriteCheckpointRaw(std::ostringstream* out, const std::string& bytes);
 /// The same segment, appended to a string.
 void WriteCheckpointRaw(std::string* out, std::string_view bytes);
+/// The same segment, whose `size` bytes `fill(out)` appends to `out` in
+/// place (FKC_CHECKed), so a large segment is written once, into the
+/// string that holds it, with no buffer to copy from.
+template <typename Fill>
+void WriteCheckpointRaw(std::string* out, size_t size, Fill&& fill) {
+  *out += std::to_string(size);
+  *out += ' ';
+  out->reserve(out->size() + size + 1);
+  const size_t start = out->size();
+  fill(out);
+  FKC_CHECK_EQ(out->size() - start, size);
+  *out += ' ';
+}
 
 }  // namespace fkc
 

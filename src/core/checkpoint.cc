@@ -61,7 +61,19 @@ constexpr size_t kMaxCopiedCoordsPerBodyByte = 16;
 
 // --- Binary body primitives: fixed-width little-endian, via memcpy. ---
 
-/// Fills a buffer sized up front to the exact body length.
+/// True when doubles are stored little-endian, so the body's coordinate
+/// bytes are their in-memory bytes.
+constexpr bool kLittleEndianHost =
+#if defined(__BYTE_ORDER__) && defined(__ORDER_LITTLE_ENDIAN__)
+    __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__;
+#else
+    false;
+#endif
+
+/// Appends to the checkpoint string, which is reserved up front to hold the
+/// whole body (WriteCheckpointRaw's in-place form), so each byte is written
+/// once. Fields gather in a small staging buffer, so the string sees one
+/// append per few kilobytes; Finish appends what is left.
 class BodyWriter {
  public:
   explicit BodyWriter(std::string* out) : out_(out) {}
@@ -75,22 +87,45 @@ class BodyWriter {
     std::memcpy(&bits, &value, sizeof(bits));
     U64(bits);
   }
-  size_t written() const { return pos_; }
+  /// `n` doubles' raw bits: one bounds check and one block copy on a
+  /// little-endian host, one field at a time elsewhere.
+  void F64s(const double* values, size_t n) {
+    if constexpr (kLittleEndianHost) {
+      Bytes(reinterpret_cast<const char*>(values), n * sizeof(double));
+    } else {
+      for (size_t i = 0; i < n; ++i) F64(values[i]);
+    }
+  }
+  void Finish() {
+    out_->append(staged_, used_);
+    used_ = 0;
+  }
 
  private:
   template <size_t N>
   void Put(uint64_t value) {
-    FKC_CHECK_LE(pos_ + N, out_->size());
-    unsigned char buf[N];
+    char buf[N];
     for (size_t i = 0; i < N; ++i) {
-      buf[i] = static_cast<unsigned char>(value >> (8 * i));
+      buf[i] = static_cast<char>(value >> (8 * i));
     }
-    std::memcpy(&(*out_)[pos_], buf, N);
-    pos_ += N;
+    Bytes(buf, N);
+  }
+
+  void Bytes(const char* bytes, size_t n) {
+    if (used_ + n > sizeof(staged_)) {
+      Finish();
+      if (n > sizeof(staged_)) {
+        out_->append(bytes, n);
+        return;
+      }
+    }
+    std::memcpy(staged_ + used_, bytes, n);
+    used_ += n;
   }
 
   std::string* out_;
-  size_t pos_ = 0;
+  char staged_[4096];
+  size_t used_ = 0;
 };
 
 /// Reads with a sticky error: once a read runs past the end (or a count
@@ -421,53 +456,51 @@ std::string FairCenterSlidingWindow::SerializeState() const {
       row_count * (8 * dim + 20) + 8 + 20 * guesses_.size() +
       4 * (entries + references);
 
-  std::string body(body_size, '\0');
-  BodyWriter out(&body);
-  out.I64(now_);
-  out.U64(next_id_);
-  if (options_.adaptive_range) {
-    out.U32(static_cast<uint32_t>(buckets.size()));
-    for (const auto& [exponent, seen] : buckets) {
-      out.I32(exponent);
-      out.I64(seen);
-    }
-  }
-  out.U32(static_cast<uint32_t>(dim));
-  out.U32(row_count);
-  for (Slot s = 0; s < rows.size(); ++s) {
-    if (rows[s] == kNoRow) continue;
-    const double* coords = arena_.coords(s);
-    for (size_t d = 0; d < dim; ++d) out.F64(coords[d]);
-    out.U32(static_cast<uint32_t>(arena_.color(s)));
-    out.I64(arena_.arrival(s));
-    out.U64(arena_.id(s));
-  }
-  out.U32(last_slot_ == PointArena::kNoSlot ? kNoRow : rows[last_slot_]);
-
-  auto write_entries = [&](const AttractorList& list) {
-    out.U32(static_cast<uint32_t>(list.size()));
-    for (size_t e = 0; e < list.size(); ++e) {
-      out.U32(rows[list.attractor(e)]);
-      out.U32(list.rep_count(e));
-      list.ForEachRep(e, [&](Slot rep) { out.U32(rows[rep]); });
-    }
-  };
-  auto write_points = [&](const std::vector<Slot>& list) {
-    out.U32(static_cast<uint32_t>(list.size()));
-    for (Slot s : list) out.U32(rows[s]);
-  };
-  out.U32(static_cast<uint32_t>(guesses_.size()));
-  for (const auto& [exponent, guess] : guesses_) {
-    out.I32(exponent);
-    write_entries(guess.v_entries());
-    write_points(guess.v_orphans());
-    write_entries(guess.c_entries());
-    write_points(guess.c_orphans());
-  }
-  FKC_CHECK_EQ(out.written(), body_size);
-
   std::string bytes = header.str();
-  WriteCheckpointRaw(&bytes, body);
+  WriteCheckpointRaw(&bytes, body_size, [&](std::string* body) {
+    BodyWriter out(body);
+    out.I64(now_);
+    out.U64(next_id_);
+    if (options_.adaptive_range) {
+      out.U32(static_cast<uint32_t>(buckets.size()));
+      for (const auto& [exponent, seen] : buckets) {
+        out.I32(exponent);
+        out.I64(seen);
+      }
+    }
+    out.U32(static_cast<uint32_t>(dim));
+    out.U32(row_count);
+    for (Slot s = 0; s < rows.size(); ++s) {
+      if (rows[s] == kNoRow) continue;
+      out.F64s(arena_.coords(s), dim);
+      out.U32(static_cast<uint32_t>(arena_.color(s)));
+      out.I64(arena_.arrival(s));
+      out.U64(arena_.id(s));
+    }
+    out.U32(last_slot_ == PointArena::kNoSlot ? kNoRow : rows[last_slot_]);
+
+    auto write_entries = [&](const AttractorList& list) {
+      out.U32(static_cast<uint32_t>(list.size()));
+      for (size_t e = 0; e < list.size(); ++e) {
+        out.U32(rows[list.attractor(e)]);
+        out.U32(list.rep_count(e));
+        list.ForEachRep(e, [&](Slot rep) { out.U32(rows[rep]); });
+      }
+    };
+    auto write_points = [&](const std::vector<Slot>& list) {
+      out.U32(static_cast<uint32_t>(list.size()));
+      for (Slot s : list) out.U32(rows[s]);
+    };
+    out.U32(static_cast<uint32_t>(guesses_.size()));
+    for (const auto& [exponent, guess] : guesses_) {
+      out.I32(exponent);
+      write_entries(guess.v_entries());
+      write_points(guess.v_orphans());
+      write_entries(guess.c_entries());
+      write_points(guess.c_orphans());
+    }
+    out.Finish();
+  });
   return bytes;
 }
 

@@ -1,5 +1,7 @@
 #include "core/distance_estimator.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace fkc {
@@ -11,39 +13,33 @@ WindowDistanceEstimator::WindowDistanceEstimator(const GuessLadder& ladder,
 }
 
 void WindowDistanceEstimator::ObserveDistance(double distance) {
-  if (distance <= 0.0) return;
+  if (!(distance > 0.0)) return;
   const int exponent = ladder_.FloorExponent(distance);
   auto [it, inserted] = last_seen_.try_emplace(exponent, now_);
   if (!inserted) it->second = now_;
+  oldest_seen_ = std::min(oldest_seen_, now_);
 }
 
 void WindowDistanceEstimator::EvictStale() const {
   // A witness observed at time T involved two points alive at T, which both
   // expire by T + window_size at the latest.
+  const int64_t horizon = now_ - window_size_;
+  if (oldest_seen_ > horizon) return;
+  oldest_seen_ = INT64_MAX;
   for (auto it = last_seen_.begin(); it != last_seen_.end();) {
-    if (it->second <= now_ - window_size_) {
+    if (it->second <= horizon) {
       it = last_seen_.erase(it);
     } else {
+      oldest_seen_ = std::min(oldest_seen_, it->second);
       ++it;
     }
   }
 }
 
-bool WindowDistanceEstimator::HasRange() const {
+std::optional<std::pair<int, int>> WindowDistanceEstimator::Range() const {
   EvictStale();
-  return !last_seen_.empty();
-}
-
-int WindowDistanceEstimator::MinExponent() const {
-  EvictStale();
-  FKC_CHECK(!last_seen_.empty());
-  return last_seen_.begin()->first;
-}
-
-int WindowDistanceEstimator::MaxExponent() const {
-  EvictStale();
-  FKC_CHECK(!last_seen_.empty());
-  return last_seen_.rbegin()->first;
+  if (last_seen_.empty()) return std::nullopt;
+  return std::make_pair(last_seen_.begin()->first, last_seen_.rbegin()->first);
 }
 
 int64_t WindowDistanceEstimator::LiveBuckets() const {
@@ -60,7 +56,11 @@ std::vector<std::pair<int, int64_t>> WindowDistanceEstimator::DumpBuckets()
 void WindowDistanceEstimator::RestoreBuckets(
     const std::vector<std::pair<int, int64_t>>& buckets, int64_t now) {
   last_seen_.clear();
-  for (const auto& [exponent, seen] : buckets) last_seen_[exponent] = seen;
+  oldest_seen_ = INT64_MAX;
+  for (const auto& [exponent, seen] : buckets) {
+    last_seen_[exponent] = seen;
+    oldest_seen_ = std::min(oldest_seen_, seen);
+  }
   now_ = now;
 }
 

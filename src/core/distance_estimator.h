@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -46,17 +47,14 @@ class WindowDistanceEstimator final : public DistanceObserver {
   void BeginStep(int64_t now) { now_ = now; }
 
   /// Records one distance between two points active at the current step.
-  /// Zero distances are ignored (they carry no scale information).
+  /// Zero and NaN distances are ignored (they carry no scale information);
+  /// +inf lands in the ladder's InfiniteExponent() bucket.
   void ObserveDistance(double distance) override;
 
-  /// True once at least one non-zero distance has ever been observed within
-  /// the current window.
-  bool HasRange() const;
-
-  /// Smallest / largest witnessed exponent among live buckets. Call only
-  /// when HasRange().
-  int MinExponent() const;
-  int MaxExponent() const;
+  /// The smallest and largest witnessed exponents among live buckets, or
+  /// nullopt when no non-zero distance was observed within the current
+  /// window.
+  std::optional<std::pair<int, int>> Range() const;
 
   /// Number of live buckets (diagnostics).
   int64_t LiveBuckets() const;
@@ -67,7 +65,9 @@ class WindowDistanceEstimator final : public DistanceObserver {
                       int64_t now);
 
  private:
-  /// Removes buckets whose last witness left the window.
+  /// Removes buckets whose last witness left the window. O(1) while the
+  /// watermark proves every bucket live; otherwise one pass over the
+  /// buckets, which also resets the watermark.
   void EvictStale() const;
 
   GuessLadder ladder_;
@@ -75,6 +75,10 @@ class WindowDistanceEstimator final : public DistanceObserver {
   int64_t now_ = 0;
   /// exponent -> last observation time.
   mutable std::map<int, int64_t> last_seen_;
+  /// A lower bound on every bucket's last observation time (INT64_MAX when
+  /// there are none). Observations only raise a bucket's time, so it stays
+  /// a bound until an eviction pass or a restore recomputes it exactly.
+  mutable int64_t oldest_seen_ = INT64_MAX;
 };
 
 }  // namespace fkc

@@ -192,7 +192,7 @@ ThreadPool* FairCenterSlidingWindow::Pool() {
   return pool_.get();
 }
 
-void FairCenterSlidingWindow::UpdateGuesses(Slot p) {
+void FairCenterSlidingWindow::UpdateGuesses(Slot p, const Point& probe) {
   // Only the topmost guess feeds the estimator: the range tracker consults
   // just its smallest and largest live buckets, and the top guess's
   // attractors span the window's coarsest scales while d(p, prev) witnesses
@@ -207,7 +207,7 @@ void FairCenterSlidingWindow::UpdateGuesses(Slot p) {
           (options_.adaptive_range && exponent == top_exponent)
               ? estimator_.get()
               : nullptr;
-      guess.Update(p, now_, arena_, *metric_, observer);
+      guess.Update(p, probe, now_, arena_, *metric_, observer);
     }
     return;
   }
@@ -226,7 +226,7 @@ void FairCenterSlidingWindow::UpdateGuesses(Slot p) {
             (options_.adaptive_range && items[i].first == top_exponent)
                 ? &recorders[i]
                 : nullptr;
-        items[i].second->Update(p, now_, arena_, *metric_, observer);
+        items[i].second->Update(p, probe, now_, arena_, *metric_, observer);
       });
   if (options_.adaptive_range) {
     for (size_t i = 0; i < items.size(); ++i) {  // ascending exponent order
@@ -257,7 +257,7 @@ void FairCenterSlidingWindow::Consume(Point p) {
     ReconcileAdaptiveRange();
   }
 
-  UpdateGuesses(slot);
+  UpdateGuesses(slot, p);
 
   if (options_.adaptive_range) {
     // Distances observed against stored attractors may have widened the
@@ -309,8 +309,9 @@ Status FairCenterSlidingWindow::UpdateBatch(std::vector<Point> batch) {
   items.reserve(guesses_.size());
   for (auto& [exponent, guess] : guesses_) items.push_back(&guess);
   pool->ParallelFor(static_cast<int64_t>(items.size()), [&](int64_t i) {
-    for (Slot p : slots) {
-      items[i]->Update(p, arena_.arrival(p), arena_, *metric_, nullptr);
+    for (size_t j = 0; j < slots.size(); ++j) {
+      items[i]->Update(slots[j], batch[j], batch[j].arrival, arena_, *metric_,
+                       nullptr);
     }
   });
   last_slot_ = slots.back();
@@ -319,13 +320,25 @@ Status FairCenterSlidingWindow::UpdateBatch(std::vector<Point> batch) {
 }
 
 void FairCenterSlidingWindow::ReconcileAdaptiveRange() {
-  if (!estimator_->HasRange()) return;
+  const auto range = estimator_->Range();
+  if (!range.has_value()) return;
   // Slack only above: Query must find a guess with gamma >= diameter / 2, so
   // headroom over the largest witnessed scale avoids on-demand extension,
   // while guesses below the smallest witnessed distance are all invalid and
-  // pure overhead.
-  const int lo = estimator_->MinExponent();
-  const int hi = estimator_->MaxExponent() + kAdaptiveSlackExponents;
+  // pure overhead. No guess is infinite: an infinite witness has none to
+  // hold it, and PlanQuery refuses to answer while it is live.
+  const int lo = range->first;
+  const int hi = std::min(range->second + kAdaptiveSlackExponents,
+                          ladder_.InfiniteExponent() - 1);
+  // Nearly every arrival leaves the range as it was: the ladder already is
+  // exactly [lo, hi] (distinct exponents, so the ends and the count prove
+  // it), and the loops below would change nothing.
+  if (!guesses_.empty() && guesses_.begin()->first == lo &&
+      guesses_.rbegin()->first == hi &&
+      static_cast<int64_t>(guesses_.size()) ==
+          static_cast<int64_t>(hi) - lo + 1) {
+    return;
+  }
 
   // Retire guesses that left the range (the memory savings the paper
   // attributes to OursOblivious).
@@ -412,8 +425,18 @@ Result<QueryPlan> FairCenterSlidingWindow::PlanQuery() {
   // guesses (idempotent otherwise).
   ExpireAllGuesses();
 
+  // A live infinite witness: two window points lie farther apart than any
+  // double, so no guess can cover the window and no radius is finite.
+  if (options_.adaptive_range) {
+    const auto range = estimator_->Range();
+    if (range.has_value() && range->second >= ladder_.InfiniteExponent()) {
+      return Status::OutOfRange(
+          "the window holds two points whose distance overflows to +inf");
+    }
+  }
+
   // Degenerate window: no structure exists only when no positive distance
-  // was ever witnessed, i.e. all active points share one location — the most
+  // was witnessed, i.e. all active points share one location — the most
   // recent point is an exact 1-point coreset.
   if (guesses_.empty()) {
     FKC_CHECK_NE(last_slot_, PointArena::kNoSlot);
@@ -471,6 +494,7 @@ Result<QueryPlan> FairCenterSlidingWindow::PlanQuery() {
     // abrupt diameter growth: extend the ladder upward and retry.
     if (!options_.adaptive_range || attempt >= kMaxUpwardExtensions) break;
     const int top = guesses_.rbegin()->first;
+    if (top + 1 >= ladder_.InfiniteExponent()) break;
     CreateGuess(top + 1);
     // Only the new top guess needs scanning next round, but re-scanning the
     // (few) existing guesses keeps the loop simple.

@@ -195,7 +195,9 @@ class FairCenterSlidingWindow {
 
   /// Computes a fair-center solution for the current window (Algorithm 3).
   /// Fails with kFailedPrecondition in fixed-range mode if the configured
-  /// [d_min, d_max] does not cover the data.
+  /// [d_min, d_max] does not cover the data, and with kOutOfRange in
+  /// adaptive mode while the range estimator holds a witness of a distance
+  /// that overflows to +inf (no finite guess can cover the window).
   Result<FairCenterSolution> Query(QueryStats* stats = nullptr);
 
   /// Answers for `objective` on the same coreset: the fair-center solver
@@ -311,12 +313,12 @@ class FairCenterSlidingWindow {
   /// Update's body, for an arrival that already passed ValidateArrival.
   void Consume(Point p);
 
-  /// Runs the arrival in slot `p` through every guess structure —
-  /// sequentially, or fanned out over the pool with adaptive-mode distance
-  /// observations recorded per guess and replayed into the estimator in
-  /// ascending exponent order, so the estimator state is bit-identical to
-  /// the sequential path at any thread count.
-  void UpdateGuesses(Slot p);
+  /// Runs the arrival in slot `p`, read once as `probe`, through every
+  /// guess structure — sequentially, or fanned out over the pool with
+  /// adaptive-mode distance observations recorded per guess and replayed
+  /// into the estimator in ascending exponent order, so the estimator state
+  /// is bit-identical to the sequential path at any thread count.
+  void UpdateGuesses(Slot p, const Point& probe);
 
   /// The arena's Sweep (core/point_arena.h): once due, keeps only the rows
   /// the guesses and the last point reference and renumbers every stored

@@ -21,8 +21,14 @@ class GuessLadder {
   /// gamma_i = (1+beta)^i.
   double Value(int exponent) const;
 
-  /// Largest i with (1+beta)^i <= value; value must be positive.
+  /// Largest i with (1+beta)^i <= value; value must be positive (not NaN).
+  /// Total on the doubles: a finite value never maps past the last exponent
+  /// with a finite guess, and +inf maps to InfiniteExponent().
   int FloorExponent(double value) const;
+
+  /// The first exponent whose guess (1+beta)^i overflows to +inf: the
+  /// bucket of an infinite distance, which no finite guess can hold.
+  int InfiniteExponent() const { return infinite_exponent_; }
 
   /// Smallest i with (1+beta)^i >= value; value must be positive.
   int CeilExponent(double value) const;
@@ -34,6 +40,7 @@ class GuessLadder {
  private:
   double beta_;
   double log_base_;  // log(1 + beta)
+  int infinite_exponent_;
 };
 
 }  // namespace fkc

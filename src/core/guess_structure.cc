@@ -59,6 +59,11 @@ GuessStructure::GuessStructure(double gamma, double delta, int64_t window_size,
   FKC_CHECK_GT(window_size, 0);
 }
 
+double* GuessStructure::Scratch(size_t n) {
+  if (scratch_dists_.size() < n) scratch_dists_.resize(n);
+  return scratch_dists_.data();
+}
+
 void GuessStructure::ExpireOnly(int64_t now, const PointArena& arena) {
   // Batch-level expiry dedup: when even the oldest stored point is still
   // active, every IsActive test below would pass and the sweep would change
@@ -143,16 +148,14 @@ void GuessStructure::RecomputeOldestArrival(const PointArena& arena) {
   oldest_arrival_ = oldest;
 }
 
-void GuessStructure::Update(Slot p, int64_t now, const PointArena& arena,
-                            const Metric& metric, DistanceObserver* observer) {
-  const int color = arena.color(p);
-  FKC_CHECK_GE(constraint_.cap(color), 1)
-      << "arriving point has a zero-cap color; the paper requires k_i >= 1";
+void GuessStructure::Update(Slot p, const Point& probe, int64_t now,
+                            const PointArena& arena, const Metric& metric,
+                            DistanceObserver* observer) {
+  const int color = probe.color;
   ExpireOnly(now, arena);
   // p lands in the validation family below whatever branch is taken; keep
   // the expiry watermark a valid lower bound (replay feeds old arrivals).
   oldest_arrival_ = std::min(oldest_arrival_, arena.arrival(p));
-  arena.CopyTo(p, &probe_);
 
   // --- Validation phase: assign p to a v-attractor (lines 1-10). ---
   // One SoA kernel call over the dim-major attractor pool evaluates every
@@ -162,17 +165,16 @@ void GuessStructure::Update(Slot p, int64_t now, const PointArena& arena,
   // CountingMetric totals are correspondingly a constant higher than a
   // per-pair early-exit scan.
   const size_t nv = v_entries_.size();
-  scratch_dists_.resize(nv);
-  metric.DistanceSoA(probe_, v_pool_, scratch_dists_.data());
+  double* dists = Scratch(nv);
+  metric.DistanceSoA(probe, v_pool_, dists);
   if (observer != nullptr) {
-    for (size_t i = 0; i < nv; ++i) {
-      observer->ObserveDistance(scratch_dists_[i]);
-    }
+    for (size_t i = 0; i < nv; ++i) observer->ObserveDistance(dists[i]);
   }
+  const double v_threshold = 2.0 * gamma_;
   // The paper picks an arbitrary element of EV and the first works.
   int v_target = -1;
   for (size_t i = 0; i < nv; ++i) {
-    if (scratch_dists_[i] <= 2.0 * gamma_) {
+    if (dists[i] <= v_threshold) {
       v_target = static_cast<int>(i);
       break;
     }
@@ -196,7 +198,7 @@ void GuessStructure::Update(Slot p, int64_t now, const PointArena& arena,
       int best = v_target;
       int best_count = CountColor(v_entries_, v_target, color, arena);
       for (size_t i = v_target + 1; i < nv; ++i) {
-        if (scratch_dists_[i] <= 2.0 * gamma_) {
+        if (dists[i] <= v_threshold) {
           const int count = CountColor(v_entries_, i, color, arena);
           if (count < best_count) {
             best_count = count;
@@ -235,12 +237,12 @@ void GuessStructure::Update(Slot p, int64_t now, const PointArena& arena,
       c_target = static_cast<int>(i);
     }
   };
-  if (c_index_.built() && c_index_.Probe(probe_)) {
+  if (c_index_.built() && c_index_.Probe(probe)) {
     // The candidates' exact distances, one pool block of them at a time,
     // so verify_pool_ holds one block for good.
     const std::vector<size_t>& candidates = c_index_.Candidates();
     if (verify_pool_.dim() != arena.dim()) verify_pool_.ResetDim(arena.dim());
-    scratch_dists_.resize(CoordinatePool::kBlockLanes);
+    dists = Scratch(CoordinatePool::kBlockLanes);
     for (size_t first = 0; first < candidates.size();
          first += CoordinatePool::kBlockLanes) {
       const size_t count =
@@ -251,18 +253,16 @@ void GuessStructure::Update(Slot p, int64_t now, const PointArena& arena,
             {arena.coords(c_entries_.attractor(candidates[k])), 1});
       }
       verify_pool_.Assign(verify_columns_);
-      metric.DistanceSoAWithin(probe_, verify_pool_, c_threshold,
-                               scratch_dists_.data());
+      metric.DistanceSoAWithin(probe, verify_pool_, c_threshold, dists);
       for (size_t k = 0; k < count; ++k) {
-        if (scratch_dists_[k] <= c_threshold) consider(candidates[first + k]);
+        if (dists[k] <= c_threshold) consider(candidates[first + k]);
       }
     }
   } else {
-    scratch_dists_.resize(nc);
-    metric.DistanceSoAWithin(probe_, c_pool_, c_threshold,
-                             scratch_dists_.data());
+    dists = Scratch(nc);
+    metric.DistanceSoAWithin(probe, c_pool_, c_threshold, dists);
     for (size_t i = 0; i < nc; ++i) {
-      if (scratch_dists_[i] <= c_threshold) consider(i);
+      if (dists[i] <= c_threshold) consider(i);
     }
   }
   if (c_target == -1) {
@@ -332,7 +332,11 @@ void GuessStructure::ReplayInto(GuessStructure* sink, int64_t now,
   // replayed once.
   std::sort(stored.begin(), stored.end());
   stored.erase(std::unique(stored.begin(), stored.end()), stored.end());
-  for (Slot s : stored) sink->Update(s, now, arena, metric, nullptr);
+  Point probe;
+  for (Slot s : stored) {
+    arena.CopyTo(s, &probe);
+    sink->Update(s, probe, now, arena, metric, nullptr);
+  }
 }
 
 }  // namespace fkc

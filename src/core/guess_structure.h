@@ -61,8 +61,11 @@ class GuessStructure {
 
   /// Algorithm 1 body for this guess, for the arrival in `arena` row `p`:
   /// expiry, v-assignment (with Cleanup on new v-attractors), c-assignment.
-  /// `observer` may be null.
-  void Update(Slot p, int64_t now, const PointArena& arena,
+  /// `probe` is that row as a Point (its coordinates and color), read once
+  /// per arrival by the caller and shared by every guess; the caller has
+  /// also checked the arrival (a color with a positive cap, the arena's
+  /// dimension). `observer` may be null.
+  void Update(Slot p, const Point& probe, int64_t now, const PointArena& arena,
               const Metric& metric, DistanceObserver* observer);
 
   /// Removes expired points without inserting (used before queries that may
@@ -107,8 +110,8 @@ class GuessStructure {
 
   /// Replays every currently stored point (attractors and representatives,
   /// each distinct point once, in arrival order) into `sink` via its
-  /// Update. Used to warm up freshly instantiated guesses in the
-  /// adaptive-range variant.
+  /// Update, reading each point's row into one probe. Used to warm up
+  /// freshly instantiated guesses in the adaptive-range variant.
   void ReplayInto(GuessStructure* sink, int64_t now, const PointArena& arena,
                   const Metric& metric) const;
 
@@ -148,6 +151,9 @@ class GuessStructure {
 
  private:
   void Cleanup(const PointArena& arena);
+
+  /// scratch_dists_ with room for n distances.
+  double* Scratch(size_t n);
 
   /// Resets the expiry watermark to the exact minimum stored arrival
   /// (INT64_MAX when nothing is stored), reading only each family's front
@@ -214,12 +220,11 @@ class GuessStructure {
   CoordinatePool verify_pool_;
   std::vector<CoordinatePool::ColumnRef> verify_columns_;
 
-  // Reusable scratch for the batched attractor scans, and the arriving
-  // point as the metric reads it (transient — never serialized). Kept
+  // Reusable scratch for the batched attractor scans (transient — never
+  // serialized). It only grows, so a scan never zero-fills it. Kept
   // per-structure so ladder updates can run in parallel without sharing
   // buffers.
   std::vector<double> scratch_dists_;
-  Point probe_;
 
   // Expiry watermark: a lower bound on the arrival of every stored point.
   // While it proves all stored points active, ExpireOnly is O(1). Removals

@@ -114,6 +114,56 @@ INSTANTIATE_TEST_SUITE_P(Modes, CheckpointTest, ::testing::Bool(),
                            return info.param ? "adaptive" : "fixed";
                          });
 
+TEST(CheckpointTest, AdaptiveRestoreMatchesStepByStep) {
+  // An adaptive window's derived state (the range estimator's eviction
+  // watermark, the pools, the expiry watermarks) is rebuilt on restore, not
+  // read. Step by step, a window restored from the previous step's blob
+  // must write the live window's bytes after the same step, whether the
+  // step is an arrival or a query. 1-D walks whose steps straddle the
+  // ladder's buckets make some queries extend the ladder upward (k = 1
+  // on odd seeds); even seeds mix two colors.
+  int64_t extensions = 0;
+  for (uint64_t seed = 1; seed <= 80; ++seed) {
+    Rng rng(seed);
+    SlidingWindowOptions options;
+    options.window_size = 6;
+    options.delta = 1.0;
+    options.adaptive_range = true;
+    const int colors = seed % 2 == 1 ? 1 : 2;
+    FairCenterSlidingWindow live(options,
+                                 ColorConstraint(std::vector<int>(colors, 1)),
+                                 &kMetric, &kJones);
+    double x = 0.0;
+    for (int t = 0; t < 120; ++t) {
+      const double step =
+          2.9 * std::pow(3.0, static_cast<double>(rng.NextBounded(2)));
+      x += rng.NextBounded(2) != 0 ? step : -0.5 * step;
+      const int color = static_cast<int>(rng.NextBounded(colors));
+      for (const bool query : {false, true}) {
+        auto restored = FairCenterSlidingWindow::DeserializeState(
+            live.SerializeState(), &kMetric, &kJones);
+        ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+        if (query) {
+          const int64_t guesses = live.Memory().guesses;
+          const auto a = live.Query();
+          const auto b = restored.value().Query();
+          ASSERT_EQ(a.ok(), b.ok());
+          if (a.ok()) {
+            EXPECT_EQ(a.value().radius, b.value().radius);
+          }
+          extensions += live.Memory().guesses > guesses;
+        } else {
+          ASSERT_TRUE(live.Update({x}, color).ok());
+          ASSERT_TRUE(restored.value().Update({x}, color).ok());
+        }
+        ASSERT_EQ(restored.value().SerializeState(), live.SerializeState())
+            << "seed " << seed << " t " << t << (query ? " query" : "");
+      }
+    }
+  }
+  EXPECT_GT(extensions, 0) << "no query extended the ladder";
+}
+
 TEST(CheckpointTest, LiteVariantRoundTrips) {
   FairCenterSlidingWindow window =
       MakeWindow(true, CoreVariant::kValidationOnly);

@@ -113,7 +113,7 @@ TEST_P(GuessStructureInvariantsTest, HoldAtEveryStep) {
     if (static_cast<int64_t>(window.size()) > c.window_size) {
       window.pop_front();
     }
-    guess.Update(arena.Add(p), t, arena, kMetric, nullptr);
+    guess.Update(arena.Add(p), p, t, arena, kMetric, nullptr);
 
     // --- Structural invariants. ---
     ASSERT_TRUE(EntriesOrderedAndMirrored(guess, arena)) << "t=" << t;
@@ -215,12 +215,21 @@ INSTANTIATE_TEST_SUITE_P(
       return "case" + std::to_string(info.param.seed);
     });
 
-TEST(GuessStructureTest, RejectsZeroCapArrival) {
+TEST(GuessStructureTest, ZeroCapArrivalNeverReachesAGuess) {
+  // The window checks each arrival once, before any guess sees it, and a
+  // guess does not check the cap again: a zero-cap color is rejected with
+  // a Status and leaves the state as it was.
   const ColorConstraint constraint({1, 0});
-  GuessStructure guess(1.0, 0.5, 10, constraint, CoreVariant::kFull);
-  PointArena arena;
-  const Slot p = arena.Add(Point({0.0}, 1, 1, 1));
-  EXPECT_DEATH(guess.Update(p, 1, arena, kMetric, nullptr), "zero-cap color");
+  SlidingWindowOptions options;
+  options.window_size = 10;
+  options.d_min = 0.5;
+  options.d_max = 10.0;
+  const JonesFairCenter jones;
+  FairCenterSlidingWindow window(options, constraint, &kMetric, &jones);
+  ASSERT_TRUE(window.Update({0.0}, 0).ok());
+  const std::string before = window.SerializeState();
+  EXPECT_EQ(window.Update({1.0}, 1).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(window.SerializeState(), before);
 }
 
 TEST(GuessStructureTest, ValidityFlipsWithScale) {
@@ -233,8 +242,8 @@ TEST(GuessStructureTest, ValidityFlipsWithScale) {
   for (int64_t t = 1; t <= 5; ++t) {
     const Slot p = arena.Add(Point({10.0 * static_cast<double>(t)}, 0, t,
                                    static_cast<uint64_t>(t)));
-    small.Update(p, t, arena, kMetric, nullptr);
-    large.Update(p, t, arena, kMetric, nullptr);
+    small.Update(p, arena.ToPoint(p), t, arena, kMetric, nullptr);
+    large.Update(p, arena.ToPoint(p), t, arena, kMetric, nullptr);
   }
   EXPECT_FALSE(small.IsValid());
   EXPECT_TRUE(large.IsValid());
@@ -250,7 +259,7 @@ TEST(GuessStructureTest, ValidityRecoversAfterExpiry) {
   auto feed = [&](double x) {
     ++t;
     const Slot p = arena.Add(Point({x}, 0, t, static_cast<uint64_t>(t)));
-    guess.Update(p, t, arena, kMetric, nullptr);
+    guess.Update(p, arena.ToPoint(p), t, arena, kMetric, nullptr);
   };
   feed(0.0);
   feed(100.0);
@@ -274,7 +283,7 @@ TEST(GuessStructureTest, ReplayReproducesCoverage) {
     Point p({rng.NextUniform(0, 30)}, static_cast<int>(rng.NextBounded(2)));
     p.arrival = t;
     p.id = static_cast<uint64_t>(t);
-    source.Update(arena.Add(p), t, arena, kMetric, nullptr);
+    source.Update(arena.Add(p), p, t, arena, kMetric, nullptr);
   }
   GuessStructure copy(5.0, 1.0, 50, constraint, CoreVariant::kFull);
   source.ReplayInto(&copy, t, arena, kMetric);
@@ -312,10 +321,10 @@ TEST(GuessStructureTest, WarmStartedGuessesKeepPoolsInArrivalOrder) {
       p.arrival = t;
       p.id = static_cast<uint64_t>(t);
       const Slot slot = arena.Add(p);
-      source.Update(slot, t, arena, kMetric, nullptr);
+      source.Update(slot, p, t, arena, kMetric, nullptr);
       ASSERT_TRUE(EntriesOrderedAndMirrored(source, arena)) << "t=" << t;
       for (GuessStructure& copy : copies) {
-        copy.Update(slot, t, arena, kMetric, nullptr);
+        copy.Update(slot, p, t, arena, kMetric, nullptr);
         ASSERT_TRUE(EntriesOrderedAndMirrored(copy, arena))
             << "gamma=" << copy.gamma() << " t=" << t;
       }

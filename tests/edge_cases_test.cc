@@ -11,6 +11,7 @@
 #include "common/random.h"
 #include "core/fair_center_sliding_window.h"
 #include "core/guess_ladder.h"
+#include "datasets/registry.h"
 #include "metric/metric.h"
 #include "sequential/brute_force.h"
 #include "sequential/chen_matroid_center.h"
@@ -311,6 +312,59 @@ TEST(EdgeCaseTest, DriverRequiresAlgorithms) {
   run.stream_length = 5;
   run.num_queries = 1;
   EXPECT_DEATH(driver.Run(&stream, run), "algorithms");
+}
+
+TEST(EdgeCaseTest, OverflowingDistancesNeitherHangNorAnswerACoincidentWindow) {
+  // Phones coordinates scaled by 1e154 overflow nearly every squared
+  // distance to +inf; scaled by 1e150 they stay finite but come within a
+  // factor of 1e12 of DBL_MAX. Either used to stall the adaptive ladder in
+  // GuessLadder::FloorExponent. A window must take all 2,000 arrivals,
+  // sequentially and through UpdateBatch on 4 threads, and a query must
+  // either fail or answer from a guess: never with the one-point coreset
+  // of a window whose points all coincide.
+  auto made = datasets::MakeDataset("phones", 2000, /*seed=*/3);
+  ASSERT_TRUE(made.ok());
+  const ColorConstraint constraint =
+      ColorConstraint::Proportional(made.value().points, made.value().ell, 14);
+  for (double scale : {1e150, 1e154}) {
+    std::vector<Point> points = made.value().points;
+    for (Point& p : points) {
+      for (double& x : p.coords) x *= scale;
+    }
+    for (int threads : {1, 4}) {
+      SlidingWindowOptions options;
+      options.window_size = 500;
+      options.adaptive_range = true;
+      options.num_threads = threads;
+      FairCenterSlidingWindow window(options, constraint, &kMetric, &kJones);
+      for (size_t first = 0; first < points.size(); first += 250) {
+        const std::vector<Point> chunk(
+            points.begin() + static_cast<std::ptrdiff_t>(first),
+            points.begin() + static_cast<std::ptrdiff_t>(first + 250));
+        if (threads == 1) {
+          for (const Point& p : chunk) ASSERT_TRUE(window.Update(p).ok());
+        } else {
+          ASSERT_TRUE(window.UpdateBatch(chunk).ok());
+        }
+        QueryStats stats;
+        const auto answer = window.Query(&stats);
+        if (answer.ok()) {
+          EXPECT_GT(stats.guesses_inspected, 0)
+              << "scale " << scale << " after " << window.now();
+        }
+        // At 1e154 the window has witnessed +inf distances, which no radius
+        // can cover: every query fails.
+        if (scale == 1e154) {
+          EXPECT_EQ(answer.status().code(), StatusCode::kOutOfRange);
+        }
+      }
+      EXPECT_EQ(window.now(), 2000);
+      const auto restored = FairCenterSlidingWindow::DeserializeState(
+          window.SerializeState(), &kMetric, &kJones);
+      ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+      EXPECT_EQ(restored.value().SerializeState(), window.SerializeState());
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/random.h"
 #include "core/guess_ladder.h"
@@ -49,6 +50,24 @@ TEST(GuessLadderTest, FloorCeilConsistentOnRandomValues) {
       EXPECT_LE(floor_e, ceil_e);
       EXPECT_LE(ceil_e - floor_e, 1);
     }
+  }
+}
+
+TEST(GuessLadderTest, FloorExponentIsTotalOnHugeAndInfiniteValues) {
+  // The last finite guess, then the first infinite one: a finite value
+  // never maps past the former, and +inf maps to the latter (the search
+  // once climbed forever there, the tolerance having overflowed to +inf).
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  for (double beta : {2.0, 0.5, 1e-3}) {
+    const GuessLadder ladder(beta);
+    const int top = ladder.InfiniteExponent();
+    EXPECT_TRUE(std::isinf(ladder.Value(top))) << beta;
+    EXPECT_FALSE(std::isinf(ladder.Value(top - 1))) << beta;
+    EXPECT_EQ(ladder.FloorExponent(kInf), top) << beta;
+    EXPECT_EQ(ladder.FloorExponent(kMax), top - 1) << beta;
+    EXPECT_LE(ladder.FloorExponent(0.5 * kMax), top - 1) << beta;
+    EXPECT_EQ(ladder.CeilExponent(kInf), top) << beta;
   }
 }
 

@@ -224,7 +224,7 @@ struct DrivenGuess {
       : guess(gamma, delta, window, constraint, CoreVariant::kFull) {}
 
   void Feed(const Point& p, const Metric& metric) {
-    guess.Update(arena.Add(p), p.arrival, arena, metric, nullptr);
+    guess.Update(arena.Add(p), p, p.arrival, arena, metric, nullptr);
     arena.Sweep([this](const auto& mark) { guess.ForEachSlot(mark); },
                 [this](const std::vector<Slot>& map) { guess.RemapSlots(map); });
   }

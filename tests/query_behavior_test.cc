@@ -279,7 +279,7 @@ TEST(QueryBehaviorTest, GatheredPoolsFollowEntryOrder) {
       Point p = ClusteredPoint(&rng);
       p.arrival = t;
       p.id = static_cast<uint64_t>(t);
-      guess.Update(arena.Add(p), t, arena, kMetric, nullptr);
+      guess.Update(arena.Add(p), p, t, arena, kMetric, nullptr);
       if (t % 11 != 0) continue;
       SCOPED_TRACE("t=" + std::to_string(t));
       ExpectSamePoints(guess.ValidationPool(arena).ToPoints(),
@@ -544,7 +544,7 @@ TEST(QueryBehaviorTest, DenseCoresetPoolCopiesOnlyOtherPoints) {
             static_cast<uint64_t>(t));
     recent.push_back(p);
     if (recent.size() > 20) recent.erase(recent.begin());
-    guess.Update(arena.Add(p), t, arena, kMetric, nullptr);
+    guess.Update(arena.Add(p), p, t, arena, kMetric, nullptr);
     if (t % 50 != 0) continue;
     SCOPED_TRACE("t=" + std::to_string(t));
 

@@ -597,6 +597,23 @@ TEST(ShardManagerTest, RestoreRejectsImplausibleOptions) {
   ASSERT_FALSE(zero_caps.ok());
 }
 
+// A blob's caps are bounded only by their type: a fleet with a large cap and
+// no shards restores, and the first ingest for a new tenant builds a window
+// from those caps and answers.
+TEST(ShardManagerTest, RestoredLargeCapServesANewTenant) {
+  auto restored = serving::ShardManager::Restore(
+      "fkc-shards-v2 60 0x1p+1 0x1p+0 0 1 0x0p+0 0x0p+0 1 1 2 65535 1 0 0 ",
+      &kMetric, &kJones);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  for (int t = 0; t < 20; ++t) {
+    ASSERT_TRUE(restored.value()
+                    .Ingest("tenant-new", Point({static_cast<double>(t)},
+                                                t % 2))
+                    .ok());
+  }
+  EXPECT_TRUE(restored.value().Query("tenant-new").ok());
+}
+
 // The fuzz loop of the acceptance criterion: truncating a fleet blob (or a
 // delta) at every byte offset must never crash — each prefix either fails
 // with a non-OK status or (when only trailing separators were cut) restores

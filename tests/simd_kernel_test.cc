@@ -631,6 +631,61 @@ TEST(SimdKernelTest, BoundedScanThroughMetrics) {
   }
 }
 
+TEST(SimdKernelTest, RangeTestEqualsTheExactScan) {
+  // Through the active kernel set (CI runs this binary at each FKC_SIMD
+  // width): for every built-in metric, DistanceSoAWithin's range test
+  // agrees with the exact scan's, and in-range distances are bit-identical.
+  // The pool holds the query itself, points a subnormal step from it,
+  // points whose squared distances overflow to +inf and random ones; the bounds
+  // are 0, subnormal, +inf, DBL_MAX and exactly some columns' distances.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const EuclideanMetric euclidean;
+  const ManhattanMetric manhattan;
+  const ChebyshevMetric chebyshev;
+  const Metric* metrics[] = {&euclidean, &manhattan, &chebyshev};
+  Rng rng(1729);
+  for (size_t dim : {1u, 3u, 4u, 5u, 54u}) {
+    std::vector<Point> stored = RandomPoints(37, dim, &rng);
+    const Point query = RandomPoints(1, dim, &rng)[0];
+    stored[3] = query;
+    for (size_t i : {5u, 20u}) {
+      stored[i] = query;
+      stored[i].coords[0] =
+          std::nextafter(query.coords[0], i == 5 ? kInf : -kInf);
+    }
+    for (size_t i : {9u, 30u, 31u}) {
+      for (double& x : stored[i].coords) x = i == 9 ? 1e300 : -1e300;
+    }
+    const CoordinatePool pool = CoordinatePool::FromPoints(stored);
+    for (const Metric* metric : metrics) {
+      std::vector<double> exact(stored.size());
+      metric->DistanceSoA(query, pool, exact.data());
+      if (metric == &euclidean) {
+        ASSERT_EQ(exact[9], kInf);
+      }
+      std::vector<double> bounds = {0.0,
+                                    std::numeric_limits<double>::denorm_min(),
+                                    1e-310,
+                                    kInf,
+                                    std::numeric_limits<double>::max()};
+      for (size_t i : {0u, 5u, 11u, 20u, 36u}) bounds.push_back(exact[i]);
+      for (double bound : bounds) {
+        std::vector<double> got(stored.size(), -1.0);
+        metric->DistanceSoAWithin(query, pool, bound, got.data());
+        for (size_t i = 0; i < stored.size(); ++i) {
+          ASSERT_EQ(got[i] <= bound, exact[i] <= bound)
+              << metric->Name() << " dim " << dim << " bound " << bound
+              << " column " << i << ": " << got[i] << " vs " << exact[i];
+          if (exact[i] <= bound) {
+            ASSERT_EQ(std::memcmp(&got[i], &exact[i], sizeof(double)), 0)
+                << metric->Name() << " dim " << dim << " column " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
 // --- CoordinatePool blocks under churn. ---
 
 constexpr size_t kB = CoordinatePool::kBlockLanes;

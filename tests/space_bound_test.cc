@@ -29,7 +29,7 @@ MemoryStats DriveGuess(double gamma, double delta, int64_t window, int ell,
             static_cast<int>(rng.NextBounded(ell)));
     p.arrival = t;
     p.id = static_cast<uint64_t>(t);
-    guess.Update(arena.Add(p), t, arena, kMetric, nullptr);
+    guess.Update(arena.Add(p), p, t, arena, kMetric, nullptr);
     const MemoryStats now = guess.Memory();
     if (now.TotalPoints() > peak.TotalPoints()) peak = now;
   }
