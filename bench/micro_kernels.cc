@@ -535,6 +535,33 @@ void BM_CoresetSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_CoresetSolve)->Unit(benchmark::kMillisecond);
 
+// What a covtype query's `query_ms_p50` times past PlanQuery's validity
+// checks: the coreset hand-off from that guess (CoresetPool) and the Jones
+// solve on it. `rows_per_solve` is BM_CoresetSolve's exact pass count.
+void BM_CoresetQuery(benchmark::State& state) {
+  const EuclideanMetric metric;
+  const datasets::Dataset& dataset = CovtypeStream();
+  const DrivenGuess& driven = CovtypeDenseGuess();
+  const ColorConstraint constraint =
+      ColorConstraint::Proportional(dataset.points, dataset.ell, 14);
+  const JonesFairCenter jones;
+  CountingMetric counting(&metric);
+  const ColoredPool counted_pool = driven.guess.CoresetPool(driven.arena);
+  FKC_CHECK(jones.SolvePool(counting, counted_pool, constraint).ok());
+  for (auto _ : state) {
+    const ColoredPool pool = driven.guess.CoresetPool(driven.arena);
+    benchmark::DoNotOptimize(jones.SolvePool(metric, pool, constraint));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["coreset_points"] =
+      static_cast<double>(counted_pool.size());
+  state.counters["rows_per_solve"] =
+      static_cast<double>(counting.count()) /
+      static_cast<double>(counted_pool.slot_count());
+  state.SetLabel(simd::ActiveKernels().name);
+}
+BENCHMARK(BM_CoresetQuery)->Unit(benchmark::kMillisecond);
+
 // The radius of Jones's centers over that guess's coreset pool through
 // PoolClusteringRadius: one DistanceSoATile pass over the ~9,900-point,
 // d = 54 pool per tile of centers. A Jones solve no longer ends with this
@@ -639,6 +666,23 @@ void BM_JonesSolver(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_JonesSolver)->Range(256, 4096)->Complexity(benchmark::oN);
+
+// The Jones solve at a fleet query's shape: a pool of a few hundred d = 3
+// points with caps 7 x 2, where the fixed costs of the solve (the radius
+// tests and the final matching) weigh as much as its passes. Arg: points.
+void BM_JonesSmallPool(benchmark::State& state) {
+  const EuclideanMetric metric;
+  const ColoredPool pool = ColoredPool::FromPoints(
+      MakePoints(static_cast<int>(state.range(0)), 3, 7));
+  const ColorConstraint constraint = ColorConstraint::Uniform(7, 2);
+  const JonesFairCenter solver;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(solver.SolvePool(metric, pool, constraint));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(simd::ActiveKernels().name);
+}
+BENCHMARK(BM_JonesSmallPool)->Arg(220)->Unit(benchmark::kMicrosecond);
 
 // The solver at the shape of a covtype query coreset (~9.9k points, d=54),
 // where the per-head SoA scans dominate. Args: {n, dim}.

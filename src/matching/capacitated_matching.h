@@ -1,14 +1,17 @@
 // Capacitated bipartite matching: right-side vertices (colors) accept up to
 // cap(i) matches. Used to assign cluster heads to color slots in the Jones
-// and ChenEtAl fair-center solvers. Implemented by expanding each
-// color into cap(i) slots and running Hopcroft–Karp — the total slot count is
-// k, which is tiny.
+// and ChenEtAl fair-center solvers. It runs Hopcroft–Karp on the graph that
+// expands each color into cap(i) slots, without building that graph: a
+// head's neighbors are read off its allowed colors, in list order and then
+// slot order, which is the order the expanded BipartiteGraph would list
+// them. The result is therefore the one MaximumBipartiteMatching gives on
+// that graph (tests/matching_test.cc checks it), and a call allocates only
+// its per-head and per-slot arrays.
 #ifndef FKC_MATCHING_CAPACITATED_MATCHING_H_
 #define FKC_MATCHING_CAPACITATED_MATCHING_H_
 
 #include <vector>
 
-#include "matching/bipartite_graph.h"
 #include "sequential/color_constraint.h"
 
 namespace fkc {

@@ -22,13 +22,21 @@ std::vector<Point> ColoredPool::ToPoints() const {
 }
 
 void ColoredPool::DistanceRow(const Metric& metric, const Point& q,
-                              double* row) const {
-  size_t lent = 0;
-  if (borrowed_ != nullptr) {
-    metric.DistanceSoA(q, *borrowed_, row);
-    lent = borrowed_->size();
+                              double* row, ScanOrder order) const {
+  const size_t lent = borrowed_ != nullptr ? borrowed_->size() : 0;
+  const auto scan_borrowed = [&] {
+    if (lent != 0) metric.DistanceSoAOrdered(q, *borrowed_, order, row);
+  };
+  const auto scan_own = [&] {
+    if (!own_.empty()) metric.DistanceSoAOrdered(q, own_, order, row + lent);
+  };
+  if (order == ScanOrder::kForward) {
+    scan_borrowed();
+    scan_own();
+  } else {
+    scan_own();
+    scan_borrowed();
   }
-  if (!own_.empty()) metric.DistanceSoA(q, own_, row + lent);
 }
 
 void ColoredPool::DistanceRows(const Metric& metric,
@@ -54,7 +62,7 @@ ColoredPool ColoredPool::FromPoints(const std::vector<Point>& points) {
 }
 
 ColoredPool::Builder::Builder(size_t reserve, const CoordinatePool* columns)
-    : columns_(columns) {
+    : columns_(columns), lent_(columns != nullptr ? columns->size() : 0) {
   pool_.colors_.reserve(reserve);
   pool_.arrivals_.reserve(reserve);
   pool_.ids_.reserve(reserve);
@@ -73,10 +81,7 @@ void ColoredPool::Builder::Add(const double* coords, size_t dim, int color,
   } else {
     FKC_CHECK_EQ(dim, dim_) << "pool points must share one dimension";
   }
-  pool_.colors_.push_back(color);
-  pool_.arrivals_.push_back(arrival);
-  pool_.ids_.push_back(id);
-  pool_.slots_.push_back(kCopied);
+  Push(static_cast<uint32_t>(lent_ + sources_.size()), color, arrival, id);
   sources_.push_back({coords, 1});
 }
 
@@ -88,31 +93,48 @@ void ColoredPool::Builder::AddColumn(const Point& p, size_t column) {
 
 void ColoredPool::Builder::AddColumn(size_t column, int color,
                                      int64_t arrival, uint64_t id) {
-  FKC_CHECK(columns_ != nullptr);
-  FKC_CHECK_LT(column, columns_->size());
-  const CoordinatePool::ColumnRef source = columns_->Column(column);
-  Add(source.data, columns_->dim(), color, arrival, id);
-  pool_.slots_.back() = static_cast<uint32_t>(column);
-  sources_.back() = source;
-  ++column_count_;
+  FKC_CHECK_LT(column, lent_);
+  Push(static_cast<uint32_t>(column), color, arrival, id);
+}
+
+void ColoredPool::Builder::Push(uint32_t slot, int color, int64_t arrival,
+                                uint64_t id) {
+  pool_.colors_.push_back(color);
+  pool_.arrivals_.push_back(arrival);
+  pool_.ids_.push_back(id);
+  pool_.slots_.push_back(slot);
 }
 
 ColoredPool ColoredPool::Builder::Build() && {
-  const size_t n = sources_.size();
-  std::vector<uint32_t>& slots = pool_.slots_;
-  if (column_count_ == 0 || 2 * column_count_ < n) {
-    for (size_t i = 0; i < n; ++i) slots[i] = static_cast<uint32_t>(i);
-  } else {
-    // Borrow: the copied positions' sources move to the front of sources_,
-    // in position order, and take the slots after the borrowed columns.
-    pool_.borrowed_ = columns_;
-    size_t copied = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (slots[i] != kCopied) continue;
-      slots[i] = static_cast<uint32_t>(columns_->size() + copied);
-      sources_[copied++] = sources_[i];
+  const size_t n = pool_.slots_.size();
+  const size_t column_count = n - sources_.size();
+  if (column_count == 0) {
+    // Nothing to borrow: the own slots start at 0.
+    if (lent_ != 0) {
+      for (uint32_t& slot : pool_.slots_) slot -= static_cast<uint32_t>(lent_);
     }
-    sources_.resize(copied);
+  } else {
+    if (!sources_.empty()) {
+      FKC_CHECK_EQ(dim_, columns_->dim()) << "pool points must share one "
+                                             "dimension";
+    }
+    dim_ = columns_->dim();
+    if (2 * column_count >= n) {
+      // Borrow: every slot is in place, and sources_ holds the copied
+      // positions' coordinates in slot order.
+      pool_.borrowed_ = columns_;
+    } else {
+      // Copy every position: slot i becomes position i. Spread sources_
+      // in place, last position first: the copy a position reads sits at
+      // its index or below, where no later write reaches.
+      sources_.resize(n);
+      for (size_t i = n; i-- > 0;) {
+        const uint32_t slot = pool_.slots_[i];
+        sources_[i] =
+            slot < lent_ ? columns_->Column(slot) : sources_[slot - lent_];
+        pool_.slots_[i] = static_cast<uint32_t>(i);
+      }
+    }
   }
   if (!sources_.empty()) {
     pool_.own_ = CoordinatePool::FromColumns(dim_, sources_);

@@ -17,17 +17,16 @@
 // guess stores them.
 //
 // Solvers read a pool through DistanceRow, which fills one distance per
-// slot, and visit the points in position order: point i's distance is
-// row[slot(i)]. Ties therefore break as they would on a copy of the
-// points, and a slot that is no point of the set is never read. A caller
-// with all its rows known up front (the final radius, a distance matrix)
-// reads them through DistanceRows, which reads each pool once for a tile of
-// rows rather than once per row.
+// slot, in either scan order: point i's distance is row[slot(i)]. They
+// break ties by position (a pass in slot order compares positions), so
+// ties break as they would on a copy of the points, and a slot that is no
+// point of the set never wins. A caller with all its rows known up front
+// (the final radius, a distance matrix) reads them through DistanceRows,
+// which reads each pool once for a tile of rows rather than once per row.
 #ifndef FKC_METRIC_COLORED_POOL_H_
 #define FKC_METRIC_COLORED_POOL_H_
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "metric/coordinate_pool.h"
@@ -67,10 +66,14 @@ class ColoredPool {
   size_t slot(size_t i) const { return slots_[i]; }
 
   /// row[s] = metric distance from `q` to the coordinates in slot s, for
-  /// every s in [0, slot_count()): one DistanceSoA over the borrowed pool
-  /// and one over the owned one, so a CountingMetric counts every slot,
-  /// including borrowed columns that are no point of the set.
-  void DistanceRow(const Metric& metric, const Point& q, double* row) const;
+  /// every s in [0, slot_count()): one DistanceSoAOrdered over the borrowed
+  /// pool and one over the owned one, so a CountingMetric counts every slot,
+  /// including borrowed columns that are no point of the set. kForward reads
+  /// the slots first to last (borrowed pool first), kBackward last to first
+  /// (owned pool first, each pool's blocks newest first); the row is the
+  /// same, bit for bit.
+  void DistanceRow(const Metric& metric, const Point& q, double* row,
+                   ScanOrder order = ScanOrder::kForward) const;
 
   /// DistanceRow for every center at once: row c, at out + c *
   /// slot_count(), is DistanceRow(metric, centers[c]) bit for bit. One
@@ -95,7 +98,10 @@ class ColoredPool {
 };
 
 /// Collects the points of a ColoredPool in position order, then lays out
-/// their coordinates at Build.
+/// their coordinates at Build. A column position costs its column and
+/// fields only; a copied position also keeps where its coordinates are,
+/// and takes the next own slot after the `columns` pool's. Only the copied
+/// coordinates are written at Build, unless it copies every position.
 class ColoredPool::Builder {
  public:
   /// `reserve`: the expected point count. `columns`, when given, is the
@@ -113,7 +119,8 @@ class ColoredPool::Builder {
   /// Appends `p`, whose coordinates are column `column` of the `columns`
   /// pool, at the next position.
   void AddColumn(const Point& p, size_t column);
-  /// AddColumn for a point given by its fields.
+  /// AddColumn for a point given by its fields: no coordinates are read,
+  /// and the dimension is the `columns` pool's.
   void AddColumn(size_t column, int color, int64_t arrival, uint64_t id);
 
   /// Borrows `columns` when column positions make up at least half of the
@@ -123,14 +130,13 @@ class ColoredPool::Builder {
   ColoredPool Build() &&;
 
  private:
-  // The slot of a position Build copies, until Build assigns it one.
-  static constexpr uint32_t kCopied = std::numeric_limits<uint32_t>::max();
+  void Push(uint32_t slot, int color, int64_t arrival, uint64_t id);
 
-  ColoredPool pool_;  // its slots_ hold each column position's column
+  ColoredPool pool_;  // slots_: a column's column, a copy's own slot
   const CoordinatePool* columns_;
-  size_t dim_ = 0;
-  size_t column_count_ = 0;
-  // Per position: where its coordinates are read from if copied.
+  size_t lent_;      // columns_->size(), or 0: the first own slot
+  size_t dim_ = 0;   // of the copied positions
+  // The copied positions' coordinates, in position (and own slot) order.
   std::vector<CoordinatePool::ColumnRef> sources_;
 };
 

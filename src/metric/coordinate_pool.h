@@ -40,6 +40,13 @@
 
 namespace fkc {
 
+/// The order in which a scan visits a pool's blocks (Metric::
+/// DistanceSoAOrdered). Every distance is the same either way; the order
+/// decides only which blocks a scan reads first, so two scans of a pool
+/// larger than L2 in opposite orders let the second start on the blocks the
+/// first left in cache.
+enum class ScanOrder { kForward, kBackward };
+
 class CoordinatePool {
  public:
   /// Kernels load this many doubles per vector (AVX-512 width); the row
@@ -134,6 +141,20 @@ class CoordinatePool {
       const size_t count = std::min(kBlockLanes - offset, size_ - first);
       f(Span{Block(b) + offset, first, count});
       first += count;
+    }
+  }
+
+  /// ForEachSpan in `order`: kBackward visits the same spans newest first.
+  template <typename F>
+  void ForEachSpan(ScanOrder order, F&& f) const {
+    if (order == ScanOrder::kForward) return ForEachSpan(f);
+    // Chain slots [head_, head_ + size_), block by block from the last.
+    for (size_t end = head_ + size_; end > head_;) {
+      const size_t b = (end - 1) / kBlockLanes;
+      const size_t begin = std::max(b * kBlockLanes, head_);
+      f(Span{Block(b) + (begin - b * kBlockLanes), begin - head_,
+             end - begin});
+      end = begin;
     }
   }
 

@@ -46,6 +46,14 @@ class CountingMetric final : public Metric {
     inner_->DistanceSoA(p, pool, out);
   }
 
+  /// An ordered scan counts like DistanceSoA and forwards the order.
+  void DistanceSoAOrdered(const Point& p, const CoordinatePool& pool,
+                          ScanOrder order, double* out) const override {
+    count_.fetch_add(static_cast<int64_t>(pool.size()),
+                     std::memory_order_relaxed);
+    inner_->DistanceSoAOrdered(p, pool, order, out);
+  }
+
   /// A bounded scan counts like the exact one: one per stored point, however
   /// many dimensions the inner kernel actually reads.
   void DistanceSoAWithin(const Point& p, const CoordinatePool& pool,

@@ -31,6 +31,11 @@ void Metric::DistanceSoA(const Point& p, const CoordinatePool& pool,
   }
 }
 
+void Metric::DistanceSoAOrdered(const Point& p, const CoordinatePool& pool,
+                                ScanOrder /*order*/, double* out) const {
+  DistanceSoA(p, pool, out);
+}
+
 void Metric::DistanceSoAWithin(const Point& p, const CoordinatePool& pool,
                                double /*bound*/, double* out) const {
   DistanceSoA(p, pool, out);
@@ -55,16 +60,16 @@ namespace {
 constexpr double kUnit = 0x1p-53;
 
 /// Shared body of the built-in SoA overrides: dimension check plus one raw
-/// kernel call per block of the pool, each writing at its block's offset in
-/// `out`. `cutoff` is empty for an exact kernel and the scan's cutoff for a
-/// bounded one.
+/// kernel call per block of the pool, in `order`, each writing at its
+/// block's offset in `out`. `cutoff` is empty for an exact kernel and the
+/// scan's cutoff for a bounded one.
 template <typename Kernel, typename... Cutoff>
 inline void RunSoAKernel(Kernel kernel, const Point& p,
-                         const CoordinatePool& pool, double* out,
-                         Cutoff... cutoff) {
+                         const CoordinatePool& pool, ScanOrder order,
+                         double* out, Cutoff... cutoff) {
   if (pool.empty()) return;  // a never-filled pool has no dimension yet
   FKC_CHECK_EQ(p.coords.size(), pool.dim());
-  pool.ForEachSpan([&](const CoordinatePool::Span& span) {
+  pool.ForEachSpan(order, [&](const CoordinatePool::Span& span) {
     kernel(p.coords.data(), span.data, CoordinatePool::kRowStride, pool.dim(),
            span.count, cutoff..., out + span.first);
   });
@@ -102,13 +107,21 @@ double ScanCutoff(double (*cutoff)(double), double bound,
 
 void EuclideanMetric::DistanceSoA(const Point& p, const CoordinatePool& pool,
                                   double* out) const {
-  RunSoAKernel(simd::ActiveKernels().euclidean, p, pool, out);
+  RunSoAKernel(simd::ActiveKernels().euclidean, p, pool, ScanOrder::kForward,
+               out);
+}
+
+void EuclideanMetric::DistanceSoAOrdered(const Point& p,
+                                         const CoordinatePool& pool,
+                                         ScanOrder order, double* out) const {
+  RunSoAKernel(simd::ActiveKernels().euclidean, p, pool, order, out);
 }
 
 void EuclideanMetric::DistanceSoAWithin(const Point& p,
                                         const CoordinatePool& pool,
                                         double bound, double* out) const {
-  RunSoAKernel(simd::ActiveKernels().euclidean_within, p, pool, out,
+  RunSoAKernel(simd::ActiveKernels().euclidean_within, p, pool,
+               ScanOrder::kForward, out,
                ScanCutoff(simd::SquaredDistanceCutoff, bound, pool));
 }
 
@@ -121,13 +134,21 @@ void EuclideanMetric::DistanceSoATile(const Point* rows, size_t row_count,
 
 void ManhattanMetric::DistanceSoA(const Point& p, const CoordinatePool& pool,
                                   double* out) const {
-  RunSoAKernel(simd::ActiveKernels().manhattan, p, pool, out);
+  RunSoAKernel(simd::ActiveKernels().manhattan, p, pool, ScanOrder::kForward,
+               out);
+}
+
+void ManhattanMetric::DistanceSoAOrdered(const Point& p,
+                                         const CoordinatePool& pool,
+                                         ScanOrder order, double* out) const {
+  RunSoAKernel(simd::ActiveKernels().manhattan, p, pool, order, out);
 }
 
 void ManhattanMetric::DistanceSoAWithin(const Point& p,
                                         const CoordinatePool& pool,
                                         double bound, double* out) const {
-  RunSoAKernel(simd::ActiveKernels().manhattan_within, p, pool, out,
+  RunSoAKernel(simd::ActiveKernels().manhattan_within, p, pool,
+               ScanOrder::kForward, out,
                ScanCutoff(simd::DistanceCutoff, bound, pool));
 }
 
@@ -140,13 +161,21 @@ void ManhattanMetric::DistanceSoATile(const Point* rows, size_t row_count,
 
 void ChebyshevMetric::DistanceSoA(const Point& p, const CoordinatePool& pool,
                                   double* out) const {
-  RunSoAKernel(simd::ActiveKernels().chebyshev, p, pool, out);
+  RunSoAKernel(simd::ActiveKernels().chebyshev, p, pool, ScanOrder::kForward,
+               out);
+}
+
+void ChebyshevMetric::DistanceSoAOrdered(const Point& p,
+                                         const CoordinatePool& pool,
+                                         ScanOrder order, double* out) const {
+  RunSoAKernel(simd::ActiveKernels().chebyshev, p, pool, order, out);
 }
 
 void ChebyshevMetric::DistanceSoAWithin(const Point& p,
                                         const CoordinatePool& pool,
                                         double bound, double* out) const {
-  RunSoAKernel(simd::ActiveKernels().chebyshev_within, p, pool, out,
+  RunSoAKernel(simd::ActiveKernels().chebyshev_within, p, pool,
+               ScanOrder::kForward, out,
                ScanCutoff(simd::DistanceCutoff, bound, pool));
 }
 

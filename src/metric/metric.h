@@ -9,11 +9,10 @@
 #include <string>
 #include <vector>
 
+#include "metric/coordinate_pool.h"
 #include "metric/point.h"
 
 namespace fkc {
-
-class CoordinatePool;
 
 /// A metric's statement of how far its computed distances may stray from
 /// the exact ones (Metric::RoundingError).
@@ -59,6 +58,16 @@ class Metric {
   virtual void DistanceSoA(const Point& p, const CoordinatePool& pool,
                            double* out) const;
 
+  /// DistanceSoA with the pool's blocks visited in `order`: out[i] is
+  /// DistanceSoA's out[i], bit for bit, in either order (each lane owns one
+  /// pair, so the order moves no rounding). A caller that alternates the
+  /// order between consecutive scans of one pool reads the blocks the
+  /// previous scan left in cache first. The base implementation is the
+  /// forward DistanceSoA, so a decorator or custom metric that overrides
+  /// only DistanceSoA stays correct without opting in; it scans forward.
+  virtual void DistanceSoAOrdered(const Point& p, const CoordinatePool& pool,
+                                  ScanOrder order, double* out) const;
+
   /// Bounded SoA scan, for callers that only need the columns within
   /// `bound`: out[i] is bit-identical to DistanceSoA's wherever that
   /// distance is <= bound, and !(out[i] <= bound) everywhere else. The base
@@ -100,6 +109,8 @@ class EuclideanMetric final : public Metric {
   double Distance(const Point& a, const Point& b) const override;
   void DistanceSoA(const Point& p, const CoordinatePool& pool,
                    double* out) const override;
+  void DistanceSoAOrdered(const Point& p, const CoordinatePool& pool,
+                          ScanOrder order, double* out) const override;
   void DistanceSoAWithin(const Point& p, const CoordinatePool& pool,
                          double bound, double* out) const override;
   void DistanceSoATile(const Point* rows, size_t row_count,
@@ -115,6 +126,8 @@ class ManhattanMetric final : public Metric {
   double Distance(const Point& a, const Point& b) const override;
   void DistanceSoA(const Point& p, const CoordinatePool& pool,
                    double* out) const override;
+  void DistanceSoAOrdered(const Point& p, const CoordinatePool& pool,
+                          ScanOrder order, double* out) const override;
   void DistanceSoAWithin(const Point& p, const CoordinatePool& pool,
                          double bound, double* out) const override;
   void DistanceSoATile(const Point* rows, size_t row_count,
@@ -130,6 +143,8 @@ class ChebyshevMetric final : public Metric {
   double Distance(const Point& a, const Point& b) const override;
   void DistanceSoA(const Point& p, const CoordinatePool& pool,
                    double* out) const override;
+  void DistanceSoAOrdered(const Point& p, const CoordinatePool& pool,
+                          ScanOrder order, double* out) const override;
   void DistanceSoAWithin(const Point& p, const CoordinatePool& pool,
                          double bound, double* out) const override;
   void DistanceSoATile(const Point* rows, size_t row_count,

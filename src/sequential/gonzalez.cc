@@ -19,8 +19,16 @@ GonzalezResult GonzalezKCenter(const Metric& metric, const ColoredPool& pool,
   const int heads_wanted = std::min(k, n);
   const size_t stride = pool.slot_count();
 
-  // nearest[i] = distance from point i to the current head set.
-  std::vector<double> nearest(n, std::numeric_limits<double>::infinity());
+  // Per slot: the distance from its point to the current head set, and the
+  // point's position. A slot that holds no point of the set has -inf and
+  // never wins.
+  std::vector<double> nearest(stride,
+                              -std::numeric_limits<double>::infinity());
+  std::vector<int> position(stride, -1);
+  for (int i = 0; i < n; ++i) {
+    nearest[pool.slot(i)] = std::numeric_limits<double>::infinity();
+    position[pool.slot(i)] = i;
+  }
   std::vector<double> own_row(rows == nullptr ? stride : 0);
 
   int next_head = first_index;
@@ -30,15 +38,20 @@ GonzalezResult GonzalezKCenter(const Metric& metric, const ColoredPool& pool,
     result.insertion_distances.push_back(next_distance);
 
     double* const row = rows != nullptr ? rows + j * stride : own_row.data();
-    pool.DistanceRow(metric, pool.At(next_head), row);
+    pool.DistanceRow(metric, pool.At(next_head), row,
+                     j % 2 == 0 ? ScanOrder::kForward : ScanOrder::kBackward);
+    // The farthest point, ties to the lowest position, in slot order; the
+    // min is a select, not a branch, so a pass does not mispredict on the
+    // ~half of the points the new head is nearer to.
     next_distance = 0.0;
     next_head = -1;
-    for (int i = 0; i < n; ++i) {
-      const double d = row[pool.slot(i)];
-      if (d < nearest[i]) nearest[i] = d;
-      if (nearest[i] > next_distance) {
-        next_distance = nearest[i];
-        next_head = i;
+    for (size_t s = 0; s < stride; ++s) {
+      const double m = row[s] < nearest[s] ? row[s] : nearest[s];
+      nearest[s] = m;
+      if (m > next_distance ||
+          (m == next_distance && next_head != -1 && position[s] < next_head)) {
+        next_distance = m;
+        next_head = position[s];
       }
     }
     if (on_head && !on_head(row, next_distance)) break;

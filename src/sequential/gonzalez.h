@@ -39,8 +39,18 @@ using GonzalezHeadFn =
 /// Runs the farthest-point greedy over `pool` starting from `first_index`,
 /// selecting min(k, n) heads unless `on_head` ends it sooner. Each head is
 /// read from the pool (At) and costs one DistanceRow, so O(n * k) distance
-/// evaluations in at most 2k kernel calls. Points are visited in position
-/// order, so ties go to the lowest index whatever the pool's slot order.
+/// evaluations in at most 2k kernel calls.
+///
+/// Scan order: even heads scan the pool forward, odd heads backward (owned
+/// slots first, each pool's blocks newest first), so on a pool larger than
+/// L2 each pass starts on the blocks the previous one read last. Every row
+/// is the same in either order, bit for bit.
+///
+/// Ties: the next head is the farthest point with the lowest position,
+/// whatever the pool's slot order or the pass's scan order, so the heads
+/// are those of a forward scan over a copy of the points. The pass that
+/// picks it runs over the slots, with a select rather than a branch for the
+/// running minimum.
 /// `rows`, when given, has room for min(k, n) rows of pool.slot_count()
 /// doubles, and head j's row is written at rows + j * slot_count() and left
 /// there for the caller; otherwise one buffer of the traversal's own holds

@@ -52,13 +52,17 @@
 // assignment, usually enough), and moves other heads only when none is
 // left. They allocate nothing, so the stop rule's per-head tests stay cheap
 // on small pools. Only rho* itself goes through MaximumCapacitatedMatching,
-// whose assignment picks the centers.
+// whose assignment picks the centers; it runs Hopcroft–Karp on the
+// cap-expanded graph without building it, with the expanded graph's
+// neighbor order, so its assignment is the expanded graph's.
 //
 // The solve reads its input as one ColoredPool (SolvePool): Gonzalez scans
-// the coordinates into rows the solve keeps, the color table reads the
-// color column, radius tests work on point indices, and only the final
+// the coordinates into rows the solve keeps, alternating the scan direction
+// from head to head (gonzalez.h), the color table reads the color column in
+// position order, radius tests work on point indices, and only the final
 // centers become Points. The final radius reads the kept row of each center
-// that is a head and tiles one DistanceRows pass for the others. Solve over
+// that is a head, tiles one DistanceRows pass for the others, and takes the
+// minimum over the rows slot by slot (ClusteringRadiusFromRows). Solve over
 // a vector validates it and builds that pool.
 //
 // Runtime: O(n*j) for the j <= k heads the traversal computes, whose rows

@@ -27,12 +27,19 @@ double ClusteringRadiusFromRows(const ColoredPool& window,
                                 const std::vector<const double*>& rows) {
   if (window.empty()) return 0.0;
   if (rows.empty()) return std::numeric_limits<double>::infinity();
+  // Row by row over the slots, so the min is one vector select per lane
+  // block; each slot still takes its rows' minimum in center order.
+  const size_t stride = window.slot_count();
+  std::vector<double> nearest(stride,
+                              std::numeric_limits<double>::infinity());
+  for (const double* row : rows) {
+    for (size_t s = 0; s < stride; ++s) {
+      nearest[s] = row[s] < nearest[s] ? row[s] : nearest[s];
+    }
+  }
   double worst = 0.0;
   for (size_t i = 0; i < window.size(); ++i) {
-    const size_t s = window.slot(i);
-    double nearest = std::numeric_limits<double>::infinity();
-    for (const double* row : rows) nearest = std::min(nearest, row[s]);
-    worst = std::max(worst, nearest);
+    worst = std::max(worst, nearest[window.slot(i)]);
   }
   return worst;
 }

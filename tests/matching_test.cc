@@ -1,6 +1,7 @@
 // Tests for src/matching: bipartite graph plumbing, Hopcroft-Karp maximum
 // matching (cross-checked against exhaustive search), and the capacitated
-// color-slot wrapper.
+// color-slot matching (cross-checked against Hopcroft-Karp on the explicitly
+// cap-expanded graph).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -167,6 +168,81 @@ TEST(CapacitatedMatchingTest, AssignedColorsComeFromAllowedSets) {
     }
     for (int c = 0; c < ell; ++c) EXPECT_LE(usage[c], caps[c]);
   }
+}
+
+// The oracle: expand color c into cap(c) slots as explicit right vertices,
+// head h adjacent to every slot of each color of allowed[h], in list order,
+// and run MaximumBipartiteMatching on that graph.
+CapacitatedMatchingResult ExpandedGraphMatching(
+    const std::vector<std::vector<int>>& allowed,
+    const ColorConstraint& constraint) {
+  std::vector<int> first(constraint.ell() + 1, 0);
+  for (int c = 0; c < constraint.ell(); ++c) {
+    first[c + 1] = first[c] + constraint.cap(c);
+  }
+  BipartiteGraph graph(static_cast<int>(allowed.size()), first.back());
+  for (size_t h = 0; h < allowed.size(); ++h) {
+    for (int c : allowed[h]) {
+      for (int s = first[c]; s < first[c + 1]; ++s) {
+        graph.AddEdge(static_cast<int>(h), s);
+      }
+    }
+  }
+  const MatchingResult matching = MaximumBipartiteMatching(graph);
+  CapacitatedMatchingResult result;
+  result.size = matching.size;
+  result.assigned_color.assign(allowed.size(), -1);
+  for (size_t h = 0; h < allowed.size(); ++h) {
+    const int s = matching.match_left[h];
+    if (s == -1) continue;
+    result.assigned_color[h] = static_cast<int>(
+        std::upper_bound(first.begin(), first.end(), s) - first.begin() - 1);
+  }
+  return result;
+}
+
+TEST(CapacitatedMatchingTest, EqualsHopcroftKarpOnTheExpandedGraph) {
+  Rng rng(2718);
+  int zero_cap = 0;
+  int unsaturated = 0;
+  int headless = 0;  // heads with no allowed color
+  for (int trial = 0; trial < 3000; ++trial) {
+    const int heads = static_cast<int>(rng.NextBounded(13));
+    const int ell = 1 + static_cast<int>(rng.NextBounded(6));
+    std::vector<int> caps(ell);
+    for (int& c : caps) {
+      c = static_cast<int>(rng.NextBounded(4));
+      zero_cap += c == 0 ? 1 : 0;
+    }
+    // Allowed colors in ascending order (as the solvers list them) on even
+    // trials, shuffled and sometimes repeated on odd ones.
+    const double density = 0.1 + 0.8 * rng.NextDouble();
+    std::vector<std::vector<int>> allowed(heads);
+    for (auto& row : allowed) {
+      for (int c = 0; c < ell; ++c) {
+        if (rng.NextBernoulli(density)) row.push_back(c);
+      }
+      if (trial % 2 == 1) {
+        if (!row.empty() && rng.NextBernoulli(0.2)) row.push_back(row[0]);
+        for (size_t i = row.size(); i > 1; --i) {
+          std::swap(row[i - 1], row[rng.NextBounded(i)]);
+        }
+      }
+      headless += row.empty() ? 1 : 0;
+    }
+    const ColorConstraint constraint(caps);
+    const CapacitatedMatchingResult expected =
+        ExpandedGraphMatching(allowed, constraint);
+    const CapacitatedMatchingResult actual =
+        MaximumCapacitatedMatching(allowed, constraint);
+    ASSERT_EQ(actual.size, expected.size) << "trial " << trial;
+    ASSERT_EQ(actual.assigned_color, expected.assigned_color)
+        << "trial " << trial;
+    unsaturated += actual.Saturates(heads) ? 0 : 1;
+  }
+  EXPECT_GT(zero_cap, 100);
+  EXPECT_GT(unsaturated, 100);
+  EXPECT_GT(headless, 100);
 }
 
 }  // namespace

@@ -1,11 +1,17 @@
 // Tests for src/metric: point semantics, metric implementations and axioms,
-// and distance extrema / aspect ratio.
+// ordered SoA scans, and distance extrema / aspect ratio.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <utility>
 
 #include "common/random.h"
 #include "metric/aspect_ratio.h"
+#include "metric/coordinate_pool.h"
+#include "metric/counting_metric.h"
 #include "metric/metric.h"
 #include "metric/point.h"
 
@@ -104,6 +110,78 @@ TEST(MetricTest, DistanceToSetPicksClosest) {
 
 TEST(MetricTest, DefaultMetricIsEuclidean) {
   EXPECT_EQ(DefaultMetric().Name(), "euclidean");
+}
+
+TEST(MetricTest, OrderedScansEqualTheForwardScanBitForBit) {
+  // Pools of one block, one block exactly, just past it and several
+  // blocks, plus one whose head sits mid-block after DropFront; each
+  // built-in metric at d = 1, 3 and 54. A backward scan visits the blocks
+  // last first and must still write every column's distance bit for bit as
+  // DistanceSoA does, and a CountingMetric must count it as one.
+  const EuclideanMetric euclidean;
+  const ManhattanMetric manhattan;
+  const ChebyshevMetric chebyshev;
+  const Metric* metrics[] = {&euclidean, &manhattan, &chebyshev};
+  Rng rng(17);
+  for (size_t dim : {1, 3, 54}) {
+    for (size_t columns : {1, 127, 128, 129, 300, 301}) {
+      CoordinatePool pool(dim);
+      for (size_t i = 0; i < columns; ++i) {
+        Coordinates coords(dim);
+        for (double& x : coords) x = rng.NextUniform(-50.0, 50.0);
+        pool.Append(Point(std::move(coords), 0));
+      }
+      if (columns == 301) pool.DropFront(59);  // 242 left, from mid-block
+      Coordinates query(dim);
+      for (double& x : query) x = rng.NextUniform(-50.0, 50.0);
+      const Point q(std::move(query), 0);
+      for (const Metric* metric : metrics) {
+        SCOPED_TRACE(metric->Name() + " dim=" + std::to_string(dim) +
+                     " columns=" + std::to_string(columns));
+        std::vector<double> want(pool.size(), -1.0);
+        metric->DistanceSoA(q, pool, want.data());
+        for (ScanOrder order : {ScanOrder::kForward, ScanOrder::kBackward}) {
+          std::vector<double> got(pool.size(), -2.0);
+          metric->DistanceSoAOrdered(q, pool, order, got.data());
+          EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                got.size() * sizeof(double)),
+                    0);
+          CountingMetric counted(metric);
+          CountingMetric counted_forward(metric);
+          std::fill(got.begin(), got.end(), -3.0);
+          counted.DistanceSoAOrdered(q, pool, order, got.data());
+          counted_forward.DistanceSoA(q, pool, want.data());
+          EXPECT_EQ(counted.count(), counted_forward.count());
+          EXPECT_EQ(counted.count(), static_cast<int64_t>(pool.size()));
+          EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                got.size() * sizeof(double)),
+                    0);
+        }
+      }
+    }
+  }
+}
+
+TEST(MetricTest, BackwardSpansCoverTheForwardSpansInReverse) {
+  CoordinatePool pool(2);
+  for (int i = 0; i < 300; ++i) pool.Append(P({1.0 * i, -1.0 * i}));
+  for (size_t drop : {0, 1, 127, 40}) {
+    pool.DropFront(drop);
+    std::vector<std::pair<size_t, size_t>> forward;
+    std::vector<std::pair<size_t, size_t>> backward;
+    pool.ForEachSpan(ScanOrder::kForward,
+                     [&](const CoordinatePool::Span& span) {
+                       forward.emplace_back(span.first, span.count);
+                       EXPECT_EQ(span.data[0], pool.At(span.first, 0));
+                     });
+    pool.ForEachSpan(ScanOrder::kBackward,
+                     [&](const CoordinatePool::Span& span) {
+                       backward.emplace_back(span.first, span.count);
+                       EXPECT_EQ(span.data[0], pool.At(span.first, 0));
+                     });
+    std::reverse(backward.begin(), backward.end());
+    EXPECT_EQ(backward, forward) << "after dropping " << drop;
+  }
 }
 
 TEST(AspectRatioTest, ExtremaSkipZeroPairs) {

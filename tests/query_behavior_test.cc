@@ -586,6 +586,113 @@ TEST(QueryBehaviorTest, DenseCoresetPoolCopiesOnlyOtherPoints) {
   EXPECT_GT(evicted, 0);
 }
 
+// `pool` against a FromPoints copy of the points it was gathered from:
+// position by position the same color, arrival, id and At, and every
+// position's distance from a probe point through DistanceRow, bit for bit.
+void ExpectEqualsFromPointsCopy(const ColoredPool& pool,
+                                const std::vector<Point>& points) {
+  const ColoredPool copy = ColoredPool::FromPoints(points);
+  ASSERT_EQ(pool.size(), copy.size());
+  if (points.empty()) return;
+  ASSERT_EQ(pool.dim(), copy.dim());
+  ExpectSamePoints(pool.ToPoints(), points);
+  std::vector<double> row(pool.slot_count());
+  std::vector<double> copy_row(copy.slot_count());
+  pool.DistanceRow(kMetric, points[points.size() / 2], row.data());
+  copy.DistanceRow(kMetric, points[points.size() / 2], copy_row.data());
+  for (size_t i = 0; i < pool.size(); ++i) {
+    EXPECT_EQ(pool.color(i), copy.color(i)) << "position " << i;
+    const Point got = pool.At(i);
+    const Point want = copy.At(i);
+    EXPECT_EQ(got.coords, want.coords) << "position " << i;
+    EXPECT_EQ(got.color, want.color) << "position " << i;
+    EXPECT_EQ(got.arrival, want.arrival) << "position " << i;
+    EXPECT_EQ(got.id, want.id) << "position " << i;
+    EXPECT_EQ(std::memcmp(&row[pool.slot(i)], &copy_row[copy.slot(i)],
+                          sizeof(double)),
+              0)
+        << "position " << i;
+  }
+}
+
+TEST(QueryBehaviorTest, GatheredPoolsEqualAFromPointsCopy) {
+  // Two guesses. The dense d = 54 one of DenseCoresetPoolCopiesOnlyOtherPoints
+  // (a cap of one per color replaces attractors in their own representative
+  // sets) mostly borrows its attractor pool. The clustered 3-D one holds
+  // many representatives per attractor, so its pools mostly copy every
+  // point, its own attractors' columns included. Expiry and Cleanup leave
+  // orphans in both.
+  const ColorConstraint constraint({1, 1, 1});
+  GuessStructure dense(40.0, 0.5, 300, constraint, CoreVariant::kFull);
+  GuessStructure clustered(6.0, 1.0, 90, ColorConstraint({2, 1, 2}),
+                           CoreVariant::kFull);
+  PointArena dense_arena;
+  PointArena clustered_arena;
+  Rng rng(31);
+  std::vector<Point> recent;
+  int borrowing = 0;
+  int copying_columns = 0;  // copy-everything pools with own attractors
+  int with_orphans = 0;
+  int replaced = 0;
+  const auto check = [&](const GuessStructure& guess,
+                         const PointArena& arena) {
+    const auto walk = [&](const AttractorList& entries,
+                          const std::vector<Slot>& orphans, int* own) {
+      std::vector<Point> points;
+      for (size_t e = 0; e < entries.size(); ++e) {
+        entries.ForEachRep(e, [&](Slot s) {
+          ++(s == entries.attractor(e) ? *own : replaced);
+          points.push_back(arena.ToPoint(s));
+        });
+      }
+      for (Slot s : orphans) points.push_back(arena.ToPoint(s));
+      with_orphans += orphans.empty() ? 0 : 1;
+      return points;
+    };
+    int own[2] = {0, 0};
+    const ColoredPool pools[] = {guess.CoresetPool(arena),
+                                 guess.ValidationPool(arena)};
+    const std::vector<Point> points[] = {
+        walk(guess.c_entries(), guess.c_orphans(), &own[0]),
+        walk(guess.v_entries(), guess.v_orphans(), &own[1])};
+    for (int f = 0; f < 2; ++f) {
+      if (pools[f].borrowed() != nullptr) {
+        ++borrowing;
+      } else if (own[f] > 0) {
+        ++copying_columns;
+      }
+      ExpectEqualsFromPointsCopy(pools[f], points[f]);
+    }
+  };
+  for (int64_t t = 1; t <= 1200; ++t) {
+    Coordinates coords(54);
+    if (!recent.empty() && rng.NextBernoulli(0.15)) {
+      coords = recent[rng.NextBounded(recent.size())].coords;
+      coords[rng.NextBounded(coords.size())] += rng.NextUniform(0.0, 0.1);
+    } else {
+      for (double& x : coords) x = rng.NextUniform(0.0, 20.0);
+    }
+    Point p(std::move(coords), static_cast<int>(rng.NextBounded(3)), t,
+            static_cast<uint64_t>(t));
+    recent.push_back(p);
+    if (recent.size() > 20) recent.erase(recent.begin());
+    dense.Update(dense_arena.Add(p), p, t, dense_arena, kMetric, nullptr);
+    Point q = ClusteredPoint(&rng);
+    q.arrival = t;
+    q.id = static_cast<uint64_t>(t);
+    clustered.Update(clustered_arena.Add(q), q, t, clustered_arena, kMetric,
+                     nullptr);
+    if (t % 40 != 0) continue;
+    SCOPED_TRACE("t=" + std::to_string(t));
+    check(dense, dense_arena);
+    check(clustered, clustered_arena);
+  }
+  EXPECT_GT(borrowing, 0);
+  EXPECT_GT(copying_columns, 0);
+  EXPECT_GT(with_orphans, 0);
+  EXPECT_GT(replaced, 0);
+}
+
 TEST(QueryBehaviorTest, SolverOverridingOnlySolveGivesJonesAnswers) {
   // The shape of a forwarding decorator that predates SolvePool: the
   // default SolvePool materializes the pool and calls this Solve.
