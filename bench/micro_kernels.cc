@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <new>
 #include <string>
 #include <vector>
@@ -33,7 +34,7 @@
 #include "datasets/blobs.h"
 #include "datasets/registry.h"
 #include "matching/capacitated_matching.h"
-#include "matching/hopcroft_karp.h"
+#include "metric/aspect_ratio.h"
 #include "metric/colored_pool.h"
 #include "metric/coordinate_pool.h"
 #include "metric/counting_metric.h"
@@ -615,6 +616,61 @@ BENCHMARK(BM_DistanceSoATile)
     ->ArgsProduct({{3, 54}, {1, 4, 8}})
     ->Unit(benchmark::kMicrosecond);
 
+// The distance-extrema scan behind every fixed-range set-up, on the
+// ~2,000-point sample Prepare takes from 30,000 covtype (d = 54) or phones
+// (d = 3) points. Arg 1 is ComputeDistanceExtrema, one triangular walk of
+// tile calls; arg 0 is a copy of the pair loop it replaced, one Distance
+// call per pair. Set-up checks that both give the same extrema, bit for
+// bit. Args: {dim, tiled}.
+DistanceExtrema PairLoopExtrema(const Metric& metric,
+                                const std::vector<Point>& points) {
+  DistanceExtrema out;
+  out.min_distance = std::numeric_limits<double>::infinity();
+  out.max_distance = 0.0;
+  for (size_t i = 0; i < points.size(); ++i) {
+    for (size_t j = i + 1; j < points.size(); ++j) {
+      const double d = metric.Distance(points[i], points[j]);
+      if (d == 0.0) {
+        ++out.zero_pairs;
+        continue;
+      }
+      if (d < out.min_distance) out.min_distance = d;
+      if (d > out.max_distance) out.max_distance = d;
+    }
+  }
+  return out;
+}
+
+void BM_DistanceExtrema(benchmark::State& state) {
+  const EuclideanMetric concrete;
+  const Metric& metric = concrete;
+  const size_t dim = static_cast<size_t>(state.range(0));
+  const bool tiled = state.range(1) == 1;
+  auto made = datasets::MakeDataset(dim == 54 ? "covtype" : "phones", 30000,
+                                    42);
+  FKC_CHECK(made.ok()) << made.status().ToString();
+  const std::vector<Point> sample = bench::BoundsSample(made.value().points);
+  FKC_CHECK_EQ(sample[0].dimension(), dim);
+  const DistanceExtrema want = PairLoopExtrema(metric, sample);
+  const DistanceExtrema got = ComputeDistanceExtrema(metric, sample).value();
+  FKC_CHECK(std::memcmp(&got.min_distance, &want.min_distance,
+                        sizeof(double)) == 0 &&
+            std::memcmp(&got.max_distance, &want.max_distance,
+                        sizeof(double)) == 0 &&
+            got.zero_pairs == want.zero_pairs);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        tiled ? ComputeDistanceExtrema(metric, sample).value()
+              : PairLoopExtrema(metric, sample));
+  }
+  const int64_t n = static_cast<int64_t>(sample.size());
+  state.SetItemsProcessed(state.iterations() * n * (n - 1) / 2);
+  state.SetLabel(simd::ActiveKernels().name);
+}
+BENCHMARK(BM_DistanceExtrema)
+    ->ArgsProduct({{54, 3}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
+
 void BM_Gonzalez(benchmark::State& state) {
   const EuclideanMetric metric;
   const auto points = MakePoints(static_cast<int>(state.range(0)), 3);
@@ -624,21 +680,6 @@ void BM_Gonzalez(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_Gonzalez)->Range(256, 4096)->Complexity(benchmark::oN);
-
-void BM_HopcroftKarp(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  Rng rng(5);
-  BipartiteGraph graph(n, n);
-  for (int l = 0; l < n; ++l) {
-    for (int r = 0; r < n; ++r) {
-      if (rng.NextBernoulli(0.2)) graph.AddEdge(l, r);
-    }
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(MaximumBipartiteMatching(graph));
-  }
-}
-BENCHMARK(BM_HopcroftKarp)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_CapacitatedMatching(benchmark::State& state) {
   const ColorConstraint constraint = ColorConstraint::Uniform(7, 2);

@@ -107,8 +107,12 @@ int main(int argc, char** argv) {
   for (size_t i = 0; i < points.size(); i += sample_stride) {
     sample.push_back(points[i]);
   }
-  const fkc::DistanceExtrema extrema =
-      fkc::ComputeDistanceExtrema(metric, sample);
+  const auto computed = fkc::ComputeDistanceExtrema(metric, sample);
+  if (!computed.ok()) {
+    std::fprintf(stderr, "%s\n", computed.status().ToString().c_str());
+    return 1;
+  }
+  const fkc::DistanceExtrema& extrema = computed.value();
 
   // --- Configure the chosen algorithm. ---
   fkc::SlidingWindowOptions options;

@@ -11,8 +11,8 @@ constexpr int kInf = std::numeric_limits<int>::max();
 
 // Hopcroft–Karp on the cap-expanded graph, read straight off `allowed`:
 // head h's neighbors are the slots [first[c], first[c + 1]) of each color c
-// of allowed[h], in list order, then slot order. That is the adjacency the
-// expanded BipartiteGraph would hold, visited in the same order, so every
+// of allowed[h], in list order, then slot order. That is the adjacency an
+// explicit expanded graph would hold, visited in the same order, so every
 // phase makes the same choices.
 class SlotMatcher {
  public:

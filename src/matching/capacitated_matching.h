@@ -3,10 +3,11 @@
 // and ChenEtAl fair-center solvers. It runs Hopcroft–Karp on the graph that
 // expands each color into cap(i) slots, without building that graph: a
 // head's neighbors are read off its allowed colors, in list order and then
-// slot order, which is the order the expanded BipartiteGraph would list
-// them. The result is therefore the one MaximumBipartiteMatching gives on
-// that graph (tests/matching_test.cc checks it), and a call allocates only
-// its per-head and per-slot arrays.
+// slot order, which is the order an explicit expanded graph would list
+// them. The result is therefore the one Hopcroft–Karp gives on that graph
+// (tests/matching_test.cc checks it against the explicit-graph reference in
+// tests/hopcroft_karp.h), and a call allocates only its per-head and
+// per-slot arrays.
 #ifndef FKC_MATCHING_CAPACITATED_MATCHING_H_
 #define FKC_MATCHING_CAPACITATED_MATCHING_H_
 

@@ -103,7 +103,8 @@ TEST_P(BoundedScanDifferentialTest, StateAndAnswersMatchTheExactScan) {
   options.num_threads = c.threads;
   if (!c.adaptive) {
     const std::vector<Point> sample(points.begin(), points.begin() + 300);
-    const DistanceExtrema extrema = ComputeDistanceExtrema(*c.metric, sample);
+    const DistanceExtrema extrema =
+        ComputeDistanceExtrema(*c.metric, sample).value();
     options.d_min = extrema.min_distance / 2.0;
     options.d_max = extrema.max_distance * 2.0;
   }

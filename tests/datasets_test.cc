@@ -65,7 +65,7 @@ double EstimateDoublingDimension(const Metric& metric,
                                  const std::vector<Point>& points,
                                  int scales = 6) {
   if (points.size() < 2) return 0.0;
-  const double diameter = Diameter(metric, points);
+  const double diameter = Diameter(metric, points).value();
   if (diameter <= 0.0) return 0.0;
 
   double worst_growth = 1.0;
@@ -269,7 +269,7 @@ TEST(PhonesSimTest, WideAspectRatio) {
   // Subsample for the O(n^2) extrema scan.
   std::vector<Point> sample;
   for (size_t i = 0; i < points.size(); i += 4) sample.push_back(points[i]);
-  const double ratio = AspectRatio(kMetric, sample);
+  const double ratio = AspectRatio(kMetric, sample).value();
   EXPECT_GT(ratio, 1e3) << "handoffs must create a wide scale range";
 }
 

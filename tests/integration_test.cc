@@ -40,7 +40,8 @@ TEST_P(DatasetIntegrationTest, FullPipelineMatchesPaperClaims) {
   for (size_t i = 0; i < dataset.value().points.size(); i += 3) {
     sample.push_back(dataset.value().points[i]);
   }
-  const DistanceExtrema extrema = ComputeDistanceExtrema(kMetric, sample);
+  const DistanceExtrema extrema =
+      ComputeDistanceExtrema(kMetric, sample).value();
   ASSERT_GT(extrema.max_distance, 0.0);
 
   SlidingWindowOptions fixed;

@@ -1,16 +1,15 @@
-// Tests for src/matching: bipartite graph plumbing, Hopcroft-Karp maximum
-// matching (cross-checked against exhaustive search), and the capacitated
-// color-slot matching (cross-checked against Hopcroft-Karp on the explicitly
-// cap-expanded graph).
+// Tests for src/matching, the capacitated color-slot matching, cross-checked
+// against Hopcroft-Karp on the explicitly cap-expanded graph; and for that
+// reference (hopcroft_karp.h): bipartite graph plumbing and maximum matching
+// cross-checked against exhaustive search.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <functional>
 
 #include "common/random.h"
-#include "matching/bipartite_graph.h"
+#include "hopcroft_karp.h"
 #include "matching/capacitated_matching.h"
-#include "matching/hopcroft_karp.h"
 
 namespace fkc {
 namespace {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <utility>
 
@@ -186,27 +187,219 @@ TEST(MetricTest, BackwardSpansCoverTheForwardSpansInReverse) {
 
 TEST(AspectRatioTest, ExtremaSkipZeroPairs) {
   std::vector<Point> points = {P({0}), P({0}), P({3}), P({10})};
-  const DistanceExtrema extrema = ComputeDistanceExtrema(kEuclidean, points);
+  const DistanceExtrema extrema =
+      ComputeDistanceExtrema(kEuclidean, points).value();
   EXPECT_DOUBLE_EQ(extrema.min_distance, 3.0);
   EXPECT_DOUBLE_EQ(extrema.max_distance, 10.0);
   EXPECT_EQ(extrema.zero_pairs, 1);
 }
 
 TEST(AspectRatioTest, DegenerateInputsReturnOne) {
-  EXPECT_DOUBLE_EQ(AspectRatio(kEuclidean, {}), 1.0);
-  EXPECT_DOUBLE_EQ(AspectRatio(kEuclidean, {P({1})}), 1.0);
-  EXPECT_DOUBLE_EQ(AspectRatio(kEuclidean, {P({1}), P({1})}), 1.0);
+  EXPECT_DOUBLE_EQ(AspectRatio(kEuclidean, {}).value(), 1.0);
+  EXPECT_DOUBLE_EQ(AspectRatio(kEuclidean, {P({1})}).value(), 1.0);
+  EXPECT_DOUBLE_EQ(AspectRatio(kEuclidean, {P({1}), P({1})}).value(), 1.0);
 }
 
 TEST(AspectRatioTest, KnownRatio) {
   std::vector<Point> points = {P({0}), P({1}), P({100})};
-  EXPECT_DOUBLE_EQ(AspectRatio(kEuclidean, points), 100.0);
+  EXPECT_DOUBLE_EQ(AspectRatio(kEuclidean, points).value(), 100.0);
 }
 
 TEST(AspectRatioTest, DiameterBruteForce) {
   std::vector<Point> points = {P({0, 0}), P({1, 1}), P({-3, 4})};
-  EXPECT_DOUBLE_EQ(Diameter(kEuclidean, points), 5.0);
-  EXPECT_DOUBLE_EQ(Diameter(kEuclidean, {}), 0.0);
+  EXPECT_DOUBLE_EQ(Diameter(kEuclidean, points).value(), 5.0);
+  EXPECT_DOUBLE_EQ(Diameter(kEuclidean, {}).value(), 0.0);
+}
+
+// The pair loop ComputeDistanceExtrema replaced: one Distance call per pair
+// i < j, in that argument order. Counts the NaN distances it skips into
+// `nan_pairs` when given.
+DistanceExtrema PairLoopExtrema(const Metric& metric,
+                                const std::vector<Point>& points,
+                                int64_t* nan_pairs = nullptr) {
+  DistanceExtrema out;
+  out.min_distance = std::numeric_limits<double>::infinity();
+  out.max_distance = 0.0;
+  for (size_t i = 0; i < points.size(); ++i) {
+    for (size_t j = i + 1; j < points.size(); ++j) {
+      const double d = metric.Distance(points[i], points[j]);
+      if (nan_pairs != nullptr && std::isnan(d)) ++*nan_pairs;
+      if (d == 0.0) {
+        ++out.zero_pairs;
+        continue;
+      }
+      if (d < out.min_distance) out.min_distance = d;
+      if (d > out.max_distance) out.max_distance = d;
+    }
+  }
+  return out;
+}
+
+// A metric that overrides Distance only, so the walk reaches it through the
+// base class's tile and SoA fallbacks. It is not symmetric on purpose (an
+// L1 distance plus a tilt when a's first coordinate is the larger): a walk
+// that swapped a pair's arguments would fold other values.
+class DistanceOnlyMetric final : public Metric {
+ public:
+  double Distance(const Point& a, const Point& b) const override {
+    double sum = 0.0;
+    for (size_t i = 0; i < a.coords.size(); ++i) {
+      sum += std::fabs(a.coords[i] - b.coords[i]);
+    }
+    return a.coords[0] > b.coords[0] ? 1.5 * sum : sum;
+  }
+  std::string Name() const override { return "distance_only"; }
+};
+
+enum class ExtremaData { kDuplicates, kSubnormal, kOverflowing, kNonFinite };
+
+// n points of dimension dim: about a quarter repeat an earlier point, and
+// the rest are uniform at the data kind's scale. Subnormal coordinates make
+// distinct points' Euclidean squares underflow to zero distances; ~1e154
+// coordinates overflow Euclidean distances to +inf; non-finite coordinates
+// (+-inf, NaN) give +inf and NaN distances.
+std::vector<Point> ExtremaPoints(ExtremaData data, size_t dim, size_t n,
+                                 Rng* rng) {
+  const double scale = data == ExtremaData::kSubnormal     ? 1e-310
+                       : data == ExtremaData::kOverflowing ? 1e154
+                                                           : 50.0;
+  const double specials[] = {std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()};
+  std::vector<Point> points;
+  for (size_t i = 0; i < n; ++i) {
+    if (i > 0 && rng->NextBernoulli(0.25)) {
+      points.push_back(points[rng->NextBounded(i)]);
+      continue;
+    }
+    Coordinates coords(dim);
+    for (double& x : coords) {
+      x = scale * rng->NextUniform(-1.0, 1.0);
+      if (data == ExtremaData::kNonFinite && rng->NextBernoulli(0.02)) {
+        x = specials[rng->NextBounded(3)];
+      }
+    }
+    points.emplace_back(std::move(coords), 0);
+  }
+  return points;
+}
+
+void ExpectSameExtrema(const DistanceExtrema& got,
+                       const DistanceExtrema& want) {
+  EXPECT_EQ(std::memcmp(&got.min_distance, &want.min_distance,
+                        sizeof(double)),
+            0)
+      << got.min_distance << " vs " << want.min_distance;
+  EXPECT_EQ(std::memcmp(&got.max_distance, &want.max_distance,
+                        sizeof(double)),
+            0)
+      << got.max_distance << " vs " << want.max_distance;
+  EXPECT_EQ(got.zero_pairs, want.zero_pairs);
+}
+
+TEST(AspectRatioTest, TiledWalkEqualsThePairLoopBitForBit) {
+  // Sizes at the tile (8 rows) and pool block (128 columns) edges, and the
+  // ~2,000-point sample size of the fixed-range set-up; the built-in
+  // metrics, a CountingMetric over one, and a Distance-only metric on the
+  // base-class fallbacks. Diameter and AspectRatio go through the walk too
+  // (below the largest size).
+  const CountingMetric counting(&kEuclidean);
+  const DistanceOnlyMetric distance_only;
+  const Metric* metrics[] = {&kEuclidean, &kManhattan, &kChebyshev, &counting,
+                             &distance_only};
+  const ExtremaData all_data[] = {ExtremaData::kDuplicates,
+                                  ExtremaData::kSubnormal,
+                                  ExtremaData::kOverflowing,
+                                  ExtremaData::kNonFinite};
+  Rng rng(2024);
+  int64_t zero_pairs = 0;
+  int infinite_max = 0;
+  int64_t nan_pairs = 0;
+  for (size_t dim : {1, 3, 54}) {
+    for (size_t n : {0, 1, 2, 7, 8, 9, 127, 128, 129, 257, 2000}) {
+      for (ExtremaData data : all_data) {
+        // The largest size once per dimension: the pair loop is slow.
+        if (n == 2000 && data != ExtremaData::kDuplicates) continue;
+        const std::vector<Point> points = ExtremaPoints(data, dim, n, &rng);
+        for (const Metric* metric : metrics) {
+          SCOPED_TRACE(metric->Name() + " dim=" + std::to_string(dim) +
+                       " n=" + std::to_string(n) + " data=" +
+                       std::to_string(static_cast<int>(data)));
+          const DistanceExtrema want =
+              PairLoopExtrema(*metric, points, &nan_pairs);
+          const Result<DistanceExtrema> got =
+              ComputeDistanceExtrema(*metric, points);
+          ASSERT_TRUE(got.ok()) << got.status().ToString();
+          ExpectSameExtrema(got.value(), want);
+          zero_pairs += want.zero_pairs;
+          infinite_max += std::isinf(want.max_distance) ? 1 : 0;
+          if (n == 2000) continue;  // the walk again, twice
+          const double diameter = Diameter(*metric, points).value();
+          EXPECT_EQ(std::memcmp(&diameter, &want.max_distance,
+                                sizeof(double)),
+                    0);
+          const double ratio = AspectRatio(*metric, points).value();
+          if (want.max_distance > 0.0 && std::isfinite(want.min_distance)) {
+            EXPECT_EQ(ratio, want.max_distance / want.min_distance);
+          } else {
+            EXPECT_EQ(ratio, 1.0);
+          }
+        }
+      }
+    }
+  }
+  // The data reached the cases it is there for.
+  EXPECT_GT(zero_pairs, 0);
+  EXPECT_GT(infinite_max, 0);
+  EXPECT_GT(nan_pairs, 0);
+}
+
+TEST(AspectRatioTest, SubnormalDistinctPointsCountAsZeroPairs) {
+  // Euclidean squares of subnormal differences underflow to 0: the pair
+  // loop counted such distinct points as coincident, and so does the walk.
+  const std::vector<Point> points = {P({1e-310}), P({3e-310}), P({5e-310})};
+  const DistanceExtrema extrema =
+      ComputeDistanceExtrema(kEuclidean, points).value();
+  EXPECT_EQ(extrema.zero_pairs, 3);
+  EXPECT_TRUE(std::isinf(extrema.min_distance));
+  EXPECT_EQ(extrema.max_distance, 0.0);
+  ExpectSameExtrema(ComputeDistanceExtrema(kManhattan, points).value(),
+                    PairLoopExtrema(kManhattan, points));
+}
+
+TEST(AspectRatioTest, ZeroDimensionalPointsAreAllCoincident) {
+  const std::vector<Point> points(5, P({}));
+  const DistanceExtrema extrema =
+      ComputeDistanceExtrema(kEuclidean, points).value();
+  EXPECT_EQ(extrema.zero_pairs, 10);
+  EXPECT_TRUE(std::isinf(extrema.min_distance));
+  EXPECT_EQ(extrema.max_distance, 0.0);
+}
+
+TEST(AspectRatioTest, MixedDimensionsAreInvalidArgument) {
+  // The odd point first, in the middle of a pool block and last: each is
+  // reported, not read past its end.
+  std::vector<Point> points;
+  for (int i = 0; i < 200; ++i) {
+    points.push_back(P({static_cast<double>(i), 1.0, 2.0}));
+  }
+  for (size_t odd : {size_t{0}, size_t{150}, size_t{199}}) {
+    std::vector<Point> mixed = points;
+    mixed[odd] = P({7.0});
+    const Metric* metrics[] = {&kEuclidean, &kChebyshev};
+    for (const Metric* metric : metrics) {
+      const Result<DistanceExtrema> extrema =
+          ComputeDistanceExtrema(*metric, mixed);
+      ASSERT_FALSE(extrema.ok());
+      EXPECT_EQ(extrema.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(extrema.status().message().find("mixed dimension"),
+                std::string::npos);
+      EXPECT_EQ(AspectRatio(*metric, mixed).status().code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(Diameter(*metric, mixed).status().code(),
+                StatusCode::kInvalidArgument);
+    }
+  }
 }
 
 }  // namespace
