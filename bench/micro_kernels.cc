@@ -536,6 +536,71 @@ void BM_CoresetSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_CoresetSolve)->Unit(benchmark::kMillisecond);
 
+// One head pass (simd::KernelSet::head_pass) over a covtype coreset row:
+// the bookkeeping Gonzalez does per head on top of the row's DistanceRow,
+// which is the fold into the nearest-head distances, the farthest point,
+// and the per-color nearest table Jones reads. The row is head 1's of the
+// solve, folded into head 0's distances; the fold is idempotent, so every
+// iteration sees the same input, and each resets the color table.
+// `table_lanes_per_pass` counts the slots that pass the color filter in a
+// pass in slot order (a vector pass tests a few more against entries its
+// own lanes then improve); it depends only on the data.
+void BM_HeadPass(benchmark::State& state) {
+  const EuclideanMetric metric;
+  const datasets::Dataset& dataset = CovtypeStream();
+  const ColoredPool pool =
+      CovtypeDenseGuess().guess.CoresetPool(CovtypeDenseGuess().arena);
+  const int ell = dataset.ell;
+  const size_t stride = pool.slot_count();
+  std::vector<double> rows(2 * stride);
+  const GonzalezResult heads =
+      GonzalezKCenter(metric, pool, 2, 0, nullptr, rows.data());
+  FKC_CHECK_EQ(heads.head_indices.size(), 2u);
+  std::vector<double> nearest(stride, -std::numeric_limits<double>::infinity());
+  std::vector<int> position(stride, -1);
+  std::vector<int> color(stride, ell);
+  for (size_t i = 0; i < pool.size(); ++i) {
+    nearest[pool.slot(i)] = rows[pool.slot(i)];
+    position[pool.slot(i)] = static_cast<int>(i);
+    color[pool.slot(i)] = pool.color(i);
+  }
+  std::vector<double> color_distance(ell + 1);
+  std::vector<int> color_index(ell + 1);
+  const auto reset_table = [&] {
+    std::fill(color_distance.begin(), color_distance.end(),
+              std::numeric_limits<double>::infinity());
+    color_distance[ell] = -std::numeric_limits<double>::infinity();
+    std::fill(color_index.begin(), color_index.end(), -1);
+  };
+  const simd::HeadPassKernel head_pass = simd::ActiveKernels().head_pass;
+  const double* row = rows.data() + stride;
+  // The lanes at or below their color's entry as the pass reaches them in
+  // slot order, each followed by the exact update.
+  int64_t table_lanes = 0;
+  reset_table();
+  for (size_t s = 0; s < stride; ++s) {
+    if (row[s] <= color_distance[color[s]]) {
+      ++table_lanes;
+      simd::internal::KeepNearestColor(row, position.data(), color.data(), s,
+                                       color_distance.data(),
+                                       color_index.data());
+    }
+  }
+  for (auto _ : state) {
+    reset_table();
+    benchmark::DoNotOptimize(head_pass(row, position.data(), color.data(),
+                                       stride, nearest.data(),
+                                       color_distance.data(),
+                                       color_index.data()));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(stride));
+  state.counters["slots"] = static_cast<double>(stride);
+  state.counters["table_lanes_per_pass"] = static_cast<double>(table_lanes);
+  state.SetLabel(simd::ActiveKernels().name);
+}
+BENCHMARK(BM_HeadPass)->Unit(benchmark::kMicrosecond);
+
 // What a covtype query's `query_ms_p50` times past PlanQuery's validity
 // checks: the coreset hand-off from that guess (CoresetPool) and the Jones
 // solve on it. `rows_per_solve` is BM_CoresetSolve's exact pass count.

@@ -143,8 +143,9 @@ struct QueryPlan {
   /// coreset.ToPoints().
   ///
   /// Lifetime: the pool may borrow the selected guess's attractor pool
-  /// instead of copying it, so it is valid only until the window's next
-  /// non-const call (Update, UpdateBatch, PlanQuery, Query, a restore
+  /// instead of copying it, and reads the window's arrival and id columns
+  /// when it materializes a point, so it is valid only until the window's
+  /// next non-const call (Update, UpdateBatch, PlanQuery, Query, a restore
   /// into it, or its destruction). Copy it out with ToPoints() to keep it.
   ColoredPool coreset;
   /// guess / coreset_size / guesses_inspected are populated; solver_millis

@@ -24,17 +24,15 @@ ColoredPool GatherFamily(const AttractorList& entries,
                          const PointArena& arena) {
   ColoredPool::Builder builder(
       static_cast<size_t>(entries.total_reps()) + orphans.size(),
-      &attractors);
+      &attractors, arena.fields());
   const auto add = [&](Slot s) {
-    builder.Add(arena.coords(s), arena.dim(), arena.color(s), arena.arrival(s),
-                arena.id(s));
+    builder.Add(arena.coords(s), arena.dim(), arena.color(s), s);
   };
   for (size_t e = 0; e < entries.size(); ++e) {
     const Slot attractor = entries.attractor(e);
     entries.ForEachRep(e, [&](Slot rep) {
       if (rep == attractor) {
-        builder.AddColumn(e, arena.color(rep), arena.arrival(rep),
-                          arena.id(rep));
+        builder.AddColumn(e, arena.color(rep), rep);
       } else {
         add(rep);
       }

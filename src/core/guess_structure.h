@@ -103,7 +103,9 @@ class GuessStructure {
   /// c-family and c_pool(): on a dense guess most of R is self-represented
   /// c-attractors, so the pool borrows c_pool() and copies only the
   /// replaced representatives and orphans. In the kValidationOnly variant
-  /// this equals ValidationPool() (Query runs A on RV there).
+  /// this equals ValidationPool() (Query runs A on RV there). Both pools
+  /// read arrivals and ids from `arena`'s columns when they materialize a
+  /// point, so they are valid only while `arena` is unchanged too.
   ColoredPool CoresetPool(const PointArena& arena) const;
 
   MemoryStats Memory() const;

@@ -23,6 +23,7 @@
 #include <limits>
 #include <vector>
 
+#include "metric/colored_pool.h"
 #include "metric/point.h"
 
 namespace fkc {
@@ -49,6 +50,11 @@ class PointArena {
   int color(Slot s) const { return colors_[s]; }
   int64_t arrival(Slot s) const { return arrivals_[s]; }
   uint64_t id(Slot s) const { return ids_[s]; }
+  /// The arrival and id columns, indexed by slot; valid until the next Add,
+  /// Compact or Reset.
+  ColoredPool::FieldColumns fields() const {
+    return {arrivals_.data(), ids_.data()};
+  }
 
   /// IsActive (metric/point.h) for row s.
   bool IsActive(Slot s, int64_t now, int64_t window_size) const {

@@ -1,5 +1,8 @@
 #include "metric/colored_pool.h"
 
+#include <algorithm>
+#include <type_traits>
+
 #include "common/logging.h"
 
 namespace fkc {
@@ -11,7 +14,8 @@ Point ColoredPool::At(size_t i) const {
       s < lent ? borrowed_->Column(s) : own_.Column(s - lent);
   Coordinates c(dim());
   for (size_t d = 0; d < c.size(); ++d) c[d] = column.data[d * column.stride];
-  return Point(std::move(c), colors_[i], arrivals_[i], ids_[i]);
+  return Point(std::move(c), colors_[i], fields_.arrivals[field_rows_[i]],
+               fields_.ids[field_rows_[i]]);
 }
 
 std::vector<Point> ColoredPool::ToPoints() const {
@@ -61,57 +65,68 @@ ColoredPool ColoredPool::FromPoints(const std::vector<Point>& points) {
   return std::move(builder).Build();
 }
 
-ColoredPool::Builder::Builder(size_t reserve, const CoordinatePool* columns)
+ColoredPool::Builder::Builder(size_t reserve, const CoordinatePool* columns,
+                              FieldColumns fields)
     : columns_(columns), lent_(columns != nullptr ? columns->size() : 0) {
-  pool_.colors_.reserve(reserve);
-  pool_.arrivals_.reserve(reserve);
-  pool_.ids_.reserve(reserve);
-  pool_.slots_.reserve(reserve);
+  pool_.fields_ = fields;
+  if (reserve != 0) Allocate(reserve);
   sources_.reserve(reserve);
 }
 
+void ColoredPool::Builder::Allocate(size_t capacity) {
+  // Default-initialized: every position up to size_ is written by Push.
+  const size_t n = pool_.size_;
+  const auto move_to = [n, capacity](auto& array) {
+    using T = typename std::remove_reference_t<decltype(array)>::element_type;
+    std::unique_ptr<T[]> grown(new T[capacity]);
+    if (n != 0) std::copy(array.get(), array.get() + n, grown.get());
+    array = std::move(grown);
+  };
+  move_to(pool_.colors_);
+  move_to(pool_.slots_);
+  move_to(pool_.field_rows_);
+  capacity_ = capacity;
+}
+
+uint32_t ColoredPool::Builder::OwnFieldRow(const Point& p) {
+  FKC_CHECK(pool_.fields_.arrivals == nullptr)
+      << "a builder given field columns takes field rows, not Points";
+  pool_.own_arrivals_.push_back(p.arrival);
+  pool_.own_ids_.push_back(p.id);
+  return static_cast<uint32_t>(pool_.own_ids_.size() - 1);
+}
+
 void ColoredPool::Builder::Add(const Point& p) {
-  Add(p.coords.data(), p.dimension(), p.color, p.arrival, p.id);
+  Add(p.coords.data(), p.dimension(), p.color, OwnFieldRow(p));
 }
 
 void ColoredPool::Builder::Add(const double* coords, size_t dim, int color,
-                               int64_t arrival, uint64_t id) {
+                               uint32_t field_row) {
   if (sources_.empty()) {
     dim_ = dim;
   } else {
     FKC_CHECK_EQ(dim, dim_) << "pool points must share one dimension";
   }
-  Push(static_cast<uint32_t>(lent_ + sources_.size()), color, arrival, id);
+  Push(static_cast<uint32_t>(lent_ + sources_.size()), color, field_row);
   sources_.push_back({coords, 1});
 }
 
 void ColoredPool::Builder::AddColumn(const Point& p, size_t column) {
   FKC_CHECK(columns_ != nullptr);
   FKC_CHECK_EQ(p.dimension(), columns_->dim());
-  AddColumn(column, p.color, p.arrival, p.id);
-}
-
-void ColoredPool::Builder::AddColumn(size_t column, int color,
-                                     int64_t arrival, uint64_t id) {
   FKC_CHECK_LT(column, lent_);
-  Push(static_cast<uint32_t>(column), color, arrival, id);
-}
-
-void ColoredPool::Builder::Push(uint32_t slot, int color, int64_t arrival,
-                                uint64_t id) {
-  pool_.colors_.push_back(color);
-  pool_.arrivals_.push_back(arrival);
-  pool_.ids_.push_back(id);
-  pool_.slots_.push_back(slot);
+  AddColumn(column, p.color, OwnFieldRow(p));
 }
 
 ColoredPool ColoredPool::Builder::Build() && {
-  const size_t n = pool_.slots_.size();
+  const size_t n = pool_.size_;
   const size_t column_count = n - sources_.size();
   if (column_count == 0) {
     // Nothing to borrow: the own slots start at 0.
     if (lent_ != 0) {
-      for (uint32_t& slot : pool_.slots_) slot -= static_cast<uint32_t>(lent_);
+      for (size_t i = 0; i < n; ++i) {
+        pool_.slots_[i] -= static_cast<uint32_t>(lent_);
+      }
     }
   } else {
     if (!sources_.empty()) {
@@ -138,6 +153,11 @@ ColoredPool ColoredPool::Builder::Build() && {
   }
   if (!sources_.empty()) {
     pool_.own_ = CoordinatePool::FromColumns(dim_, sources_);
+  }
+  if (pool_.fields_.arrivals == nullptr) {
+    FKC_CHECK_EQ(pool_.own_ids_.size(), n)
+        << "a builder without field columns takes Points only";
+    pool_.fields_ = {pool_.own_arrivals_.data(), pool_.own_ids_.data()};
   }
   return std::move(pool_);
 }

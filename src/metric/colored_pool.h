@@ -3,9 +3,14 @@
 //
 // The head <-> color matching of Jones et al. reads a point set's
 // coordinates (through distance rows), its colors and its indices; only the
-// final centers need whole Points. A ColoredPool holds exactly that: color,
-// arrival and id columns, position i of each describing point i, and the
-// coordinates of every position in some CoordinatePool column.
+// final centers need whole Points. A ColoredPool holds exactly that: color
+// and slot columns, position i of each describing point i, the coordinates
+// of every position in some CoordinatePool column, and for each position a
+// row of the field columns that hold its arrival and id. Those are the
+// pool's own for a pool built from Points; a window query's pool reads the
+// window's PointArena columns instead, and only for the points it
+// materializes (At, ToPoints), so gathering a coreset reads no arrival or
+// id at all.
 //
 // Slots: the coordinates live in slots. A pool either owns them all (slot i
 // is position i), or borrows another structure's CoordinatePool and owns
@@ -27,6 +32,7 @@
 #define FKC_METRIC_COLORED_POOL_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "metric/coordinate_pool.h"
@@ -39,12 +45,21 @@ class ColoredPool {
  public:
   class Builder;
 
+  /// Columns a pool reads its points' arrivals and ids from, indexed by a
+  /// row each position is added with (a PointArena's columns, indexed by
+  /// slot). The solvers never read these fields: only At and ToPoints do,
+  /// for the points they return.
+  struct FieldColumns {
+    const int64_t* arrivals = nullptr;
+    const uint64_t* ids = nullptr;
+  };
+
   /// `points` at positions [0, points.size()), copied; slot i is position
   /// i. All points must share one dimension (FKC_CHECK).
   static ColoredPool FromPoints(const std::vector<Point>& points);
 
-  size_t size() const { return colors_.size(); }
-  bool empty() const { return colors_.empty(); }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
   size_t dim() const {
     return borrowed_ != nullptr ? borrowed_->dim() : own_.dim();
   }
@@ -91,48 +106,81 @@ class ColoredPool {
  private:
   const CoordinatePool* borrowed_ = nullptr;  // slots [0, borrowed_->size())
   CoordinatePool own_;                        // the slots after them
-  std::vector<int> colors_;
-  std::vector<int64_t> arrivals_;
-  std::vector<uint64_t> ids_;
-  std::vector<uint32_t> slots_;  // position -> slot
+  // Per position, size_ of each (the Builder may have allocated more).
+  size_t size_ = 0;
+  std::unique_ptr<int[]> colors_;
+  std::unique_ptr<uint32_t[]> slots_;       // position -> slot
+  std::unique_ptr<uint32_t[]> field_rows_;  // position -> row of fields_
+  // The caller's field columns, or own_arrivals_ and own_ids_.
+  FieldColumns fields_;
+  std::vector<int64_t> own_arrivals_;
+  std::vector<uint64_t> own_ids_;
 };
 
 /// Collects the points of a ColoredPool in position order, then lays out
-/// their coordinates at Build. A column position costs its column and
-/// fields only; a copied position also keeps where its coordinates are,
-/// and takes the next own slot after the `columns` pool's. Only the copied
+/// their coordinates at Build. A position's color, slot and field row go
+/// straight into the pool's arrays, sized for `reserve` positions up front
+/// (and doubled when a caller adds more): one capacity test and three
+/// stores per position. A column position costs its column and those
+/// only; a copied position also keeps where its coordinates are, and
+/// takes the next own slot after the `columns` pool's. Only the copied
 /// coordinates are written at Build, unless it copies every position.
 class ColoredPool::Builder {
  public:
   /// `reserve`: the expected point count. `columns`, when given, is the
   /// pool AddColumn refers to; it must outlive Build, and a pool that
-  /// borrows it must not outlive the next change to it.
-  explicit Builder(size_t reserve, const CoordinatePool* columns = nullptr);
+  /// borrows it must not outlive the next change to it. `fields`, when
+  /// given, are the columns the row-taking Add and AddColumn refer to; the
+  /// pool reads them when it materializes a point, so it must not outlive
+  /// the next change to them either. A builder takes either Points or
+  /// field rows, not both.
+  explicit Builder(size_t reserve, const CoordinatePool* columns = nullptr,
+                   FieldColumns fields = {});
 
   /// Appends `p` at the next position; its coordinates are copied at
-  /// Build, so `p` must stay valid until then.
+  /// Build, so `p` must stay valid until then, and its arrival and id now.
   void Add(const Point& p);
   /// Appends the point whose `dim` coordinates start at `coords` (read at
-  /// Build) and whose fields are the rest.
-  void Add(const double* coords, size_t dim, int color, int64_t arrival,
-           uint64_t id);
+  /// Build), of color `color`, whose arrival and id are row `field_row` of
+  /// the `fields` columns.
+  void Add(const double* coords, size_t dim, int color, uint32_t field_row);
   /// Appends `p`, whose coordinates are column `column` of the `columns`
   /// pool, at the next position.
   void AddColumn(const Point& p, size_t column);
-  /// AddColumn for a point given by its fields: no coordinates are read,
-  /// and the dimension is the `columns` pool's.
-  void AddColumn(size_t column, int color, int64_t arrival, uint64_t id);
+  /// AddColumn for a point given by its color and field row: no
+  /// coordinates are read, and the dimension is the `columns` pool's.
+  /// `column` must be below columns->size() and `fields` given; unlike the
+  /// Point overload, this one does not check.
+  void AddColumn(size_t column, int color, uint32_t field_row) {
+    Push(static_cast<uint32_t>(column), color, field_row);
+  }
 
   /// Borrows `columns` when column positions make up at least half of the
   /// pool, and copies every position otherwise: a borrowing pool costs a
   /// second kernel call per row and scans the columns that are no point
-  /// of the set, which only pays when most positions need no copy.
+  /// of the set, which only pays when most positions need no copy. The
+  /// copied coordinates land in fresh blocks that are zero-filled only
+  /// where no coordinate lands: every row's slack, and the last block's
+  /// lanes past its points (the tail lane group the kernels over-read, and
+  /// the rest of that row). Nothing else of a block is written twice.
   ColoredPool Build() &&;
 
  private:
-  void Push(uint32_t slot, int color, int64_t arrival, uint64_t id);
+  void Push(uint32_t slot, int color, uint32_t field_row) {
+    if (pool_.size_ == capacity_) Allocate(capacity_ < 8 ? 16 : 2 * capacity_);
+    const size_t i = pool_.size_++;
+    pool_.colors_[i] = color;
+    pool_.slots_[i] = slot;
+    pool_.field_rows_[i] = field_row;
+  }
+  /// The field row of a Point's arrival and id, appended to the pool's own
+  /// columns.
+  uint32_t OwnFieldRow(const Point& p);
+  /// Moves the fields to arrays of `capacity` positions.
+  void Allocate(size_t capacity);
 
   ColoredPool pool_;  // slots_: a column's column, a copy's own slot
+  size_t capacity_ = 0;  // positions the pool's arrays hold
   const CoordinatePool* columns_;
   size_t lent_;      // columns_->size(), or 0: the first own slot
   size_t dim_ = 0;   // of the copied positions

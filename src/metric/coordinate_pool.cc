@@ -15,13 +15,20 @@ void CoordinatePool::ResetDim(size_t dim) {
   spare_.reset();
 }
 
-void CoordinatePool::LinkBlock() {
+void CoordinatePool::LinkBlock(size_t filled) {
   std::unique_ptr<double[]> block;
   if (spare_ != nullptr) {
     block = std::move(spare_);
+  } else {
+    block.reset(new double[dim_ * kRowStride]);
+  }
+  if (filled == 0) {
     std::fill_n(block.get(), dim_ * kRowStride, 0.0);
   } else {
-    block.reset(new double[dim_ * kRowStride]());
+    for (size_t d = 0; d < dim_; ++d) {
+      std::fill(block.get() + d * kRowStride + filled,
+                block.get() + (d + 1) * kRowStride, 0.0);
+    }
   }
   if (front_ == nullptr) {
     front_ = std::move(block);
@@ -37,7 +44,7 @@ void CoordinatePool::WriteColumns(const std::vector<ColumnRef>& columns) {
   const size_t n = columns.size();
   for (size_t first = 0; first < n; first += kLaneAlign) {
     if (first % kBlockLanes == 0 && first / kBlockLanes == BlockCount()) {
-      LinkBlock();
+      LinkBlock(std::min(kBlockLanes, n - first));
     }
     const size_t width = std::min(n - first, kLaneAlign);
     const ColumnRef* tile = columns.data() + first;
@@ -95,7 +102,7 @@ CoordinatePool CoordinatePool::FromPoints(const std::vector<Point>& points) {
 void CoordinatePool::Append(const double* coords) {
   FKC_CHECK_GT(dim_, 0u) << "ResetDim before Append";
   const size_t slot = head_ + size_;
-  if (slot == BlockCount() * kBlockLanes) LinkBlock();
+  if (slot == BlockCount() * kBlockLanes) LinkBlock(0);
   double* column = Block(slot / kBlockLanes) + slot % kBlockLanes;
   for (size_t d = 0; d < dim_; ++d) column[d * kRowStride] = coords[d];
   ++size_;

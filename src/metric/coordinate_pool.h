@@ -11,9 +11,10 @@
 //           coordinate d of kBlockLanes consecutive points, followed by one
 //           lane width of slack. A kernel scan that starts anywhere in a
 //           block and covers at most the rest of it therefore over-reads
-//           only into its own row (a block is zeroed when linked, and
-//           Assign leaves the pool's own earlier values past its new
-//           points: readable doubles either way).
+//           only into its own row (a block is zeroed when linked, apart
+//           from the lanes a bulk build is about to write, and Assign
+//           leaves the pool's own earlier values past its new points:
+//           readable doubles either way).
 //           kRowStride is an odd number of cache lines, so consecutive rows
 //           never sit a 4 KiB multiple apart.
 //
@@ -85,7 +86,9 @@ class CoordinatePool {
   /// position i. The bulk builder: it writes one lane width of positions
   /// at a time, so each row gets one cache line of contiguous stores while
   /// those points' coordinates stay in L1, where one Append per point
-  /// would store a single double into every row.
+  /// would store a single double into every row. Each block it links is
+  /// zeroed only past the lanes it fills (the last block's tail and every
+  /// row's slack), not written twice.
   static CoordinatePool FromColumns(size_t dim,
                                     const std::vector<ColumnRef>& columns);
 
@@ -169,8 +172,10 @@ class CoordinatePool {
   }
   size_t BlockCount() const { return front_ ? rest_.size() + 1 : 0; }
 
-  /// Links a zeroed tail block: the spare if there is one, else a new one.
-  void LinkBlock();
+  /// Links a tail block (the spare if there is one, else a new one) whose
+  /// first `filled` lanes the caller is about to write in every row: the
+  /// rest of each row, its slack included, is zeroed.
+  void LinkBlock(size_t filled);
 
   /// Writes the points `columns` refers to at positions [0, n) of an empty
   /// pool, linking blocks past the ones it holds (FromColumns, Assign).

@@ -50,6 +50,30 @@
 // operations, so every distance is bit-identical to the single-row kernel
 // of any width. The same row slack contract holds.
 //
+// Head passes (the head_pass kernel) do the bookkeeping of one Gonzalez
+// head over the distance row DistanceRow filled for it (gonzalez.h); no
+// metric is involved, and the pass reads each slot once. For every slot s
+// in [0, count), in any order:
+//   - nearest[s] = row[s] < nearest[s] ? row[s] : nearest[s], the fold of
+//     the row into the distances to the heads so far (a select, so a NaN
+//     row entry leaves nearest[s] as it was);
+//   - the farthest point is the largest folded nearest[s] above 0, ties to
+//     the lowest position[s]; NaN never wins, and neither does a slot that
+//     is no point of the set, since the caller holds -inf there;
+//   - with a color column, each color keeps its nearest point: color[s] is
+//     an index into color_distance / color_index, and (row[s], position[s])
+//     replaces entry c = color[s] when row[s] < color_distance[c], or when
+//     they are equal and position[s] < color_index[c]. The caller fills
+//     entry c with (+inf, -1) for each of its ell colors, so an entry ends
+//     as its color's smallest distance at the lowest position (NaN and +inf
+//     never enter), and entry ell with (-inf, -1), the sentinel its
+//     non-member slots point at: nothing replaces it.
+// Both rules pick a minimum of (distance, position) pairs, so the answer
+// does not depend on which slots run together: every width returns the
+// same bits. A vector pass tests each lane against its own color's entry
+// (one gather per vector) with row[s] <= entry, and only the rare lanes
+// that pass run the exact update, one at a time in slot order.
+//
 // One binary runs everywhere: only the AVX2/AVX-512 translation units are
 // built with -mavx2/-mavx512f, and ActiveKernels() selects the widest
 // variant the running CPU reports (cpuid via __builtin_cpu_supports),
@@ -87,11 +111,28 @@ using TileKernel = void (*)(const double* const* queries, size_t rows,
                             const double* data, size_t stride, size_t dim,
                             size_t count, size_t out_stride, double* out);
 
+/// The farthest point of a head pass: its folded distance and its
+/// position, or {0, -1} when no point lies farther than 0.
+struct Farthest {
+  double distance;
+  int position;
+};
+
+/// Head pass over `count` slots: folds `row` into `nearest`, returns the
+/// farthest point, and, when `color` is not null, keeps each color's nearest
+/// point in color_distance / color_index (ell + 1 entries, the last the
+/// (-inf, -1) sentinel); see the file comment. `position` is -1 and
+/// nearest[s] -inf at a slot that is no point of the set.
+using HeadPassKernel = Farthest (*)(const double* row, const int* position,
+                                    const int* color, size_t count,
+                                    double* nearest, double* color_distance,
+                                    int* color_index);
+
 /// The most rows any set holds in one tile.
 constexpr size_t kMaxTileRows = 8;
 
-/// One exact, one bounded and one tile kernel per built-in metric, all of
-/// one vector width.
+/// One exact, one bounded and one tile kernel per built-in metric, and the
+/// head pass, all of one vector width.
 struct KernelSet {
   const char* name;  ///< "scalar", "avx2", "avx512"
   size_t lanes;      ///< pairs processed per vector
@@ -105,6 +146,7 @@ struct KernelSet {
   TileKernel euclidean_tile;
   TileKernel manhattan_tile;
   TileKernel chebyshev_tile;
+  HeadPassKernel head_pass;
 };
 
 /// Cutoff of a Euclidean bounded scan: the smallest double s with
@@ -142,6 +184,23 @@ constexpr size_t RoundUpToLanes(size_t count) {
 
 /// The portable reference kernels; always available.
 const KernelSet& ScalarKernels();
+
+namespace internal {
+// The head pass's two update rules, one candidate at a time: the scalar
+// pass applies them to every slot, the vector passes to their lane
+// results and to the rare lanes that pass the color filter. Defined with
+// the scalar kernels, so they are built for the baseline target.
+
+/// Replaces `*best` with `candidate` when it is farther, or as far at a
+/// lower position.
+void KeepFarthest(Farthest candidate, Farthest* best);
+
+/// Replaces slot s's color entry with (row[s], position[s]) when that is
+/// nearer, or as near at a lower position.
+void KeepNearestColor(const double* row, const int* position,
+                      const int* color, size_t s, double* color_distance,
+                      int* color_index);
+}  // namespace internal
 
 /// Every kernel set compiled into this binary, scalar first. Sets beyond
 /// what the running CPU supports are included (for enumeration) — check

@@ -171,6 +171,109 @@ void TileAvx2(const double* const* queries, size_t rows, const double* data,
   }
 }
 
+// Per-lane farthest points over 4 slots, one lane per slot: the rule of
+// internal::KeepFarthest, lane by lane (positions widened to 64 bits, so
+// one mask serves both blends).
+struct FarthestLanes {
+  __m256d distance = _mm256_setzero_pd();
+  __m256i position = _mm256_set1_epi64x(-1);
+
+  void Keep(__m256d m, __m256i pos) {
+    const __m256d wins = _mm256_or_pd(
+        _mm256_cmp_pd(m, distance, _CMP_GT_OQ),
+        _mm256_and_pd(_mm256_cmp_pd(m, distance, _CMP_EQ_OQ),
+                      _mm256_castsi256_pd(_mm256_cmpgt_epi64(position, pos))));
+    distance = _mm256_blendv_pd(distance, m, wins);
+    position = _mm256_castpd_si256(_mm256_blendv_pd(
+        _mm256_castsi256_pd(position), _mm256_castsi256_pd(pos), wins));
+  }
+
+  Farthest Reduce() const {
+    alignas(32) double d[kLanes];
+    alignas(32) long long p[kLanes];
+    _mm256_store_pd(d, distance);
+    _mm256_store_si256(reinterpret_cast<__m256i*>(p), position);
+    Farthest best = {0.0, -1};
+    for (size_t l = 0; l < kLanes; ++l) {
+      internal::KeepFarthest({d[l], static_cast<int>(p[l])}, &best);
+    }
+    return best;
+  }
+};
+
+// The head pass over the 4 slots from s: folds the row into `nearest`,
+// keeps the farthest per lane, and sends the lanes that may improve their
+// color's nearest point (row <= its entry; see the header) through the
+// exact update in slot order.
+template <bool kColors>
+inline void HeadPassLanes(const double* row, const int* position,
+                          const int* color, size_t s, double* nearest,
+                          double* color_distance, int* color_index,
+                          FarthestLanes* farthest) {
+  const __m256d d = _mm256_loadu_pd(row + s);
+  const __m256d m = _mm256_min_pd(d, _mm256_loadu_pd(nearest + s));
+  _mm256_storeu_pd(nearest + s, m);
+  farthest->Keep(m, _mm256_cvtepi32_epi64(_mm_loadu_si128(
+                        reinterpret_cast<const __m128i*>(position + s))));
+  if constexpr (kColors) {
+    const __m128i c =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(color + s));
+    // The masked form with every lane on: GCC's plain gather starts from
+    // an undefined vector and trips -Wmaybe-uninitialized.
+    const __m256d entry = _mm256_mask_i32gather_pd(
+        _mm256_setzero_pd(), color_distance, c,
+        _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
+    unsigned lanes = static_cast<unsigned>(
+        _mm256_movemask_pd(_mm256_cmp_pd(d, entry, _CMP_LE_OQ)));
+    for (; lanes != 0; lanes &= lanes - 1) {
+      internal::KeepNearestColor(row, position, color,
+                                 s + static_cast<size_t>(__builtin_ctz(lanes)),
+                                 color_distance, color_index);
+    }
+  }
+}
+
+// Two independent sets of lanes per 8 slots keep two compare chains in
+// flight; the tail past the last full vector runs the scalar pass.
+template <bool kColors>
+Farthest HeadPassAvx2(const double* row, const int* position,
+                      const int* color, size_t count, double* nearest,
+                      double* color_distance, int* color_index) {
+  FarthestLanes even;
+  FarthestLanes odd;
+  size_t s = 0;
+  for (; s + 2 * kLanes <= count; s += 2 * kLanes) {
+    HeadPassLanes<kColors>(row, position, color, s, nearest, color_distance,
+                           color_index, &even);
+    HeadPassLanes<kColors>(row, position, color, s + kLanes, nearest,
+                           color_distance, color_index, &odd);
+  }
+  if (s + kLanes <= count) {
+    HeadPassLanes<kColors>(row, position, color, s, nearest, color_distance,
+                           color_index, &even);
+    s += kLanes;
+  }
+  even.Keep(odd.distance, odd.position);  // the same rule, lane by lane
+  Farthest farthest = even.Reduce();
+  if (s < count) {
+    const Farthest tail = ScalarKernels().head_pass(
+        row + s, position + s, kColors ? color + s : nullptr, count - s,
+        nearest + s, color_distance, color_index);
+    internal::KeepFarthest(tail, &farthest);
+  }
+  return farthest;
+}
+
+Farthest HeadPass(const double* row, const int* position, const int* color,
+                  size_t count, double* nearest, double* color_distance,
+                  int* color_index) {
+  return color != nullptr
+             ? HeadPassAvx2<true>(row, position, color, count, nearest,
+                                  color_distance, color_index)
+             : HeadPassAvx2<false>(row, position, color, count, nearest,
+                                   color_distance, color_index);
+}
+
 const KernelSet kAvx2Set = {
     "avx2",
     kLanes,
@@ -183,7 +286,8 @@ const KernelSet kAvx2Set = {
     ScanAvx2<ChebyshevTerm, true>,
     TileAvx2<EuclideanTerm>,
     TileAvx2<ManhattanTerm>,
-    TileAvx2<ChebyshevTerm>};
+    TileAvx2<ChebyshevTerm>,
+    HeadPass};
 
 }  // namespace
 

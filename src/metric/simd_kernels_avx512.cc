@@ -194,6 +194,102 @@ void TileAvx512(const double* const* queries, size_t rows, const double* data,
   }
 }
 
+// Per-lane farthest points over 8 slots, one lane per slot: the rule of
+// internal::KeepFarthest, lane by lane.
+struct FarthestLanes {
+  __m512d distance = _mm512_setzero_pd();
+  __m512i position = _mm512_set1_epi64(-1);
+
+  void Keep(__m512d m, __m512i pos) {
+    const __mmask8 wins =
+        _mm512_cmp_pd_mask(m, distance, _CMP_GT_OQ) |
+        (_mm512_cmp_pd_mask(m, distance, _CMP_EQ_OQ) &
+         _mm512_cmplt_epi64_mask(pos, position));
+    distance = _mm512_mask_mov_pd(distance, wins, m);
+    position = _mm512_mask_mov_epi64(position, wins, pos);
+  }
+
+  Farthest Reduce() const {
+    alignas(64) double d[kLanes];
+    alignas(64) int64_t p[kLanes];
+    _mm512_store_pd(d, distance);
+    _mm512_store_si512(p, position);
+    Farthest best = {0.0, -1};
+    for (size_t l = 0; l < kLanes; ++l) {
+      internal::KeepFarthest({d[l], static_cast<int>(p[l])}, &best);
+    }
+    return best;
+  }
+};
+
+// The head pass over the 8 slots from s: folds the row into `nearest`,
+// keeps the farthest per lane, and sends the lanes that may improve their
+// color's nearest point (row <= its entry; see the header) through the
+// exact update in slot order.
+template <bool kColors>
+inline void HeadPassLanes(const double* row, const int* position,
+                          const int* color, size_t s, double* nearest,
+                          double* color_distance, int* color_index,
+                          FarthestLanes* farthest) {
+  const __m512d d = _mm512_loadu_pd(row + s);
+  const __m512d m = _mm512_min_pd(d, _mm512_loadu_pd(nearest + s));
+  _mm512_storeu_pd(nearest + s, m);
+  farthest->Keep(m, _mm512_cvtepi32_epi64(_mm256_loadu_si256(
+                        reinterpret_cast<const __m256i*>(position + s))));
+  if constexpr (kColors) {
+    const __m256i c =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(color + s));
+    unsigned lanes = _mm512_cmp_pd_mask(
+        d, _mm512_i32gather_pd(c, color_distance, 8), _CMP_LE_OQ);
+    for (; lanes != 0; lanes &= lanes - 1) {
+      internal::KeepNearestColor(row, position, color,
+                                 s + static_cast<size_t>(__builtin_ctz(lanes)),
+                                 color_distance, color_index);
+    }
+  }
+}
+
+// Two independent sets of lanes per 16 slots keep two compare chains in
+// flight; the tail past the last full vector runs the scalar pass.
+template <bool kColors>
+Farthest HeadPassAvx512(const double* row, const int* position,
+                        const int* color, size_t count, double* nearest,
+                        double* color_distance, int* color_index) {
+  FarthestLanes even;
+  FarthestLanes odd;
+  size_t s = 0;
+  for (; s + 2 * kLanes <= count; s += 2 * kLanes) {
+    HeadPassLanes<kColors>(row, position, color, s, nearest, color_distance,
+                           color_index, &even);
+    HeadPassLanes<kColors>(row, position, color, s + kLanes, nearest,
+                           color_distance, color_index, &odd);
+  }
+  if (s + kLanes <= count) {
+    HeadPassLanes<kColors>(row, position, color, s, nearest, color_distance,
+                           color_index, &even);
+    s += kLanes;
+  }
+  even.Keep(odd.distance, odd.position);  // the same rule, lane by lane
+  Farthest farthest = even.Reduce();
+  if (s < count) {
+    const Farthest tail = ScalarKernels().head_pass(
+        row + s, position + s, kColors ? color + s : nullptr, count - s,
+        nearest + s, color_distance, color_index);
+    internal::KeepFarthest(tail, &farthest);
+  }
+  return farthest;
+}
+
+Farthest HeadPass(const double* row, const int* position, const int* color,
+                  size_t count, double* nearest, double* color_distance,
+                  int* color_index) {
+  return color != nullptr
+             ? HeadPassAvx512<true>(row, position, color, count, nearest,
+                                    color_distance, color_index)
+             : HeadPassAvx512<false>(row, position, color, count, nearest,
+                                     color_distance, color_index);
+}
+
 const KernelSet kAvx512Set = {
     "avx512",
     kLanes,
@@ -206,7 +302,8 @@ const KernelSet kAvx512Set = {
     ScanAvx512<ChebyshevTerm, true>,
     TileAvx512<EuclideanTerm>,
     TileAvx512<ManhattanTerm>,
-    TileAvx512<ChebyshevTerm>};
+    TileAvx512<ChebyshevTerm>,
+    HeadPass};
 
 }  // namespace
 

@@ -122,6 +122,36 @@ void TileScalar(const double* const* queries, size_t rows, const double* data,
   }
 }
 
+// The head pass, one slot at a time in slot order: the fold is a select,
+// not a branch, so a pass does not mispredict on the ~half of the points
+// the new head is nearer to.
+template <bool kColors>
+Farthest HeadPassScalar(const double* row, const int* position,
+                        const int* color, size_t count, double* nearest,
+                        double* color_distance, int* color_index) {
+  Farthest farthest = {0.0, -1};
+  for (size_t s = 0; s < count; ++s) {
+    const double m = row[s] < nearest[s] ? row[s] : nearest[s];
+    nearest[s] = m;
+    internal::KeepFarthest({m, position[s]}, &farthest);
+    if constexpr (kColors) {
+      internal::KeepNearestColor(row, position, color, s, color_distance,
+                                 color_index);
+    }
+  }
+  return farthest;
+}
+
+Farthest HeadPass(const double* row, const int* position, const int* color,
+                  size_t count, double* nearest, double* color_distance,
+                  int* color_index) {
+  return color != nullptr
+             ? HeadPassScalar<true>(row, position, color, count, nearest,
+                                    color_distance, color_index)
+             : HeadPassScalar<false>(row, position, color, count, nearest,
+                                     color_distance, color_index);
+}
+
 uint64_t BitsOf(double value) {
   uint64_t bits;
   std::memcpy(&bits, &value, sizeof(bits));
@@ -146,7 +176,8 @@ const KernelSet kScalarSet = {
     ScanScalar<ChebyshevTerm, true>,
     TileScalar<EuclideanTerm>,
     TileScalar<ManhattanTerm>,
-    TileScalar<ChebyshevTerm>};
+    TileScalar<ChebyshevTerm>,
+    HeadPass};
 
 bool CpuHasAvx2() {
 #if (defined(__GNUC__) || defined(__clang__)) && \
@@ -196,6 +227,29 @@ const KernelSet* PickActive() {
 }
 
 }  // namespace
+
+namespace internal {
+
+void KeepFarthest(Farthest candidate, Farthest* best) {
+  if (candidate.distance > best->distance ||
+      (candidate.distance == best->distance &&
+       candidate.position < best->position)) {
+    *best = candidate;
+  }
+}
+
+void KeepNearestColor(const double* row, const int* position,
+                      const int* color, size_t s, double* color_distance,
+                      int* color_index) {
+  const int c = color[s];
+  if (row[s] < color_distance[c] ||
+      (row[s] == color_distance[c] && position[s] < color_index[c])) {
+    color_distance[c] = row[s];
+    color_index[c] = position[s];
+  }
+}
+
+}  // namespace internal
 
 double SquaredDistanceCutoff(double bound) {
   constexpr double kInf = std::numeric_limits<double>::infinity();

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <functional>
 #include <limits>
+#include <string>
 
-#include "common/logging.h"
 #include "metric/colored_pool.h"
 
 namespace fkc {
@@ -28,14 +28,21 @@ void ForEachCombination(const std::vector<int>& pool, size_t start, int take,
   }
 }
 
+// The enumeration is exponential in the point count.
+Status CheckTiny(const std::vector<Point>& points) {
+  if (points.size() <= kMaxBruteForcePoints) return Status::OK();
+  return Status::InvalidArgument(
+      "brute force takes at most " + std::to_string(kMaxBruteForcePoints) +
+      " points, got " + std::to_string(points.size()));
+}
+
 }  // namespace
 
 Result<FairCenterSolution> BruteForceFairCenter(
     const Metric& metric, const std::vector<Point>& points,
     const ColorConstraint& constraint) {
   if (points.empty()) return FairCenterSolution{};
-  FKC_CHECK_LE(points.size(), 64u)
-      << "brute force is exponential; keep test instances tiny";
+  FKC_RETURN_IF_ERROR(CheckTiny(points));
   FKC_RETURN_IF_ERROR(constraint.CheckSolverInput(points));
 
   // Pools per color, and the per-color take = min(cap, available): adding a
@@ -91,7 +98,10 @@ Result<FairCenterSolution> BruteForceFairCenter(
   };
   recurse(0);
 
-  FKC_CHECK(std::isfinite(best.radius));
+  if (!std::isfinite(best.radius)) {
+    return Status::OutOfRange(
+        "no candidate radius is finite: the points' distances overflow");
+  }
   return best;
 }
 
@@ -100,7 +110,7 @@ Result<FairCenterSolution> BruteForceKCenter(const Metric& metric,
                                              int k) {
   if (points.empty()) return FairCenterSolution{};
   if (k <= 0) return Status::Infeasible("k must be positive");
-  FKC_CHECK_LE(points.size(), 64u);
+  FKC_RETURN_IF_ERROR(CheckTiny(points));
 
   // Single-color reduction: reuse the fair enumerator with one color.
   std::vector<Point> recolored = points;

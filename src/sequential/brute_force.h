@@ -9,15 +9,21 @@
 
 namespace fkc {
 
+/// The most points the exact solvers take.
+constexpr size_t kMaxBruteForcePoints = 64;
+
 /// Exact fair center: enumerates, per color, all combinations of
 /// min(cap_i, count_i) points (adding centers never increases the radius, so
 /// an optimal solution of maximal per-color size always exists) and takes the
-/// best cartesian combination. Guarded to tiny instances.
+/// best cartesian combination. kInvalidArgument above kMaxBruteForcePoints
+/// points; kOutOfRange when no candidate's radius is finite (every choice
+/// leaves some distance that overflows), as a window answers such a query.
 Result<FairCenterSolution> BruteForceFairCenter(
     const Metric& metric, const std::vector<Point>& points,
     const ColorConstraint& constraint);
 
-/// Exact unconstrained k-center: enumerates all size-min(k,n) subsets.
+/// Exact unconstrained k-center: enumerates all size-min(k,n) subsets, with
+/// BruteForceFairCenter's errors.
 Result<FairCenterSolution> BruteForceKCenter(const Metric& metric,
                                              const std::vector<Point>& points,
                                              int k);

@@ -4,32 +4,44 @@
 #include <limits>
 
 #include "common/logging.h"
+#include "metric/simd_kernels.h"
 
 namespace fkc {
 
 GonzalezResult GonzalezKCenter(const Metric& metric, const ColoredPool& pool,
                                int k, int first_index,
-                               const GonzalezHeadFn& on_head, double* rows) {
+                               const GonzalezHeadFn& on_head, double* rows,
+                               int ell) {
   GonzalezResult result;
   if (pool.empty() || k <= 0) return result;
   FKC_CHECK_GE(first_index, 0);
   FKC_CHECK_LT(first_index, static_cast<int>(pool.size()));
+  FKC_CHECK_GE(ell, 0);
 
   const int n = static_cast<int>(pool.size());
   const int heads_wanted = std::min(k, n);
   const size_t stride = pool.slot_count();
 
-  // Per slot: the distance from its point to the current head set, and the
-  // point's position. A slot that holds no point of the set has -inf and
-  // never wins.
+  // Per slot: the distance from its point to the current head set, the
+  // point's position and its color. A slot that holds no point of the set
+  // has -inf, position -1 and color `ell`, the table's sentinel entry.
   std::vector<double> nearest(stride,
                               -std::numeric_limits<double>::infinity());
   std::vector<int> position(stride, -1);
+  std::vector<int> color(ell > 0 ? stride : 0, ell);
   for (int i = 0; i < n; ++i) {
     nearest[pool.slot(i)] = std::numeric_limits<double>::infinity();
     position[pool.slot(i)] = i;
+    if (ell > 0) {
+      FKC_CHECK(pool.color(i) >= 0 && pool.color(i) < ell)
+          << "color " << pool.color(i) << " outside [0, " << ell << ")";
+      color[pool.slot(i)] = pool.color(i);
+    }
   }
+  std::vector<double> color_distance(ell + 1);
+  std::vector<int> color_index(ell + 1);
   std::vector<double> own_row(rows == nullptr ? stride : 0);
+  const simd::HeadPassKernel head_pass = simd::ActiveKernels().head_pass;
 
   int next_head = first_index;
   double next_distance = std::numeric_limits<double>::infinity();
@@ -40,21 +52,20 @@ GonzalezResult GonzalezKCenter(const Metric& metric, const ColoredPool& pool,
     double* const row = rows != nullptr ? rows + j * stride : own_row.data();
     pool.DistanceRow(metric, pool.At(next_head), row,
                      j % 2 == 0 ? ScanOrder::kForward : ScanOrder::kBackward);
-    // The farthest point, ties to the lowest position, in slot order; the
-    // min is a select, not a branch, so a pass does not mispredict on the
-    // ~half of the points the new head is nearer to.
-    next_distance = 0.0;
-    next_head = -1;
-    for (size_t s = 0; s < stride; ++s) {
-      const double m = row[s] < nearest[s] ? row[s] : nearest[s];
-      nearest[s] = m;
-      if (m > next_distance ||
-          (m == next_distance && next_head != -1 && position[s] < next_head)) {
-        next_distance = m;
-        next_head = position[s];
-      }
+    std::fill(color_distance.begin(), color_distance.end() - 1,
+              std::numeric_limits<double>::infinity());
+    std::fill(color_index.begin(), color_index.end(), -1);
+    color_distance.back() = -std::numeric_limits<double>::infinity();
+    const simd::Farthest farthest =
+        head_pass(row, position.data(), ell > 0 ? color.data() : nullptr,
+                  stride, nearest.data(), color_distance.data(),
+                  color_index.data());
+    next_distance = farthest.distance;
+    next_head = farthest.position;
+    if (on_head && !on_head({next_distance, color_distance.data(),
+                             color_index.data()})) {
+      break;
     }
-    if (on_head && !on_head(row, next_distance)) break;
     if (next_head == -1) break;  // all points coincide with the heads
   }
 

@@ -25,32 +25,46 @@ struct GonzalezResult {
   double coverage_radius = 0.0;
 };
 
-/// Sees each selected head's distance row as ColoredPool::DistanceRow
-/// fills it, once per head in selection order: d(head, point i) is
-/// row[pool.slot(i)]. It is called after the row has updated every point's
-/// distance to the head set, so `next_distance` is the insertion distance
-/// the next head would have: the coverage radius of the heads so far, 0 when
-/// every point coincides with one of them. Returning false ends the
-/// traversal after this head, with the heads so far as the result and
+/// What the traversal knows once a head's pass is done (its distance row
+/// is in `rows`, when GonzalezKCenter is given them).
+struct GonzalezHead {
+  /// The insertion distance the next head would have: the coverage radius
+  /// of the heads so far, 0 when every point coincides with one of them.
+  double next_distance;
+  /// Per color c < ell (GonzalezKCenter's `ell`): the head's distance to
+  /// its nearest point of color c, and that point's position, the lowest
+  /// among equal distances. (+inf, -1) when no point of color c is nearer
+  /// than +inf; NaN distances never count.
+  const double* color_distance;
+  const int* color_index;
+};
+
+/// Sees each selected head once, in selection order, after its pass has
+/// updated every point's distance to the head set. Returning false ends
+/// the traversal after this head, with the heads so far as the result and
 /// `next_distance` as its coverage radius.
-using GonzalezHeadFn =
-    std::function<bool(const double* row, double next_distance)>;
+using GonzalezHeadFn = std::function<bool(const GonzalezHead& head)>;
 
 /// Runs the farthest-point greedy over `pool` starting from `first_index`,
 /// selecting min(k, n) heads unless `on_head` ends it sooner. Each head is
 /// read from the pool (At) and costs one DistanceRow, so O(n * k) distance
-/// evaluations in at most 2k kernel calls.
+/// evaluations in at most 2k kernel calls, and one head pass of the active
+/// simd::KernelSet over the row (simd_kernels.h): it folds the row into
+/// each point's distance to the heads, picks the next head and, when `ell`
+/// is positive, fills the per-color table `on_head` sees. Every color of
+/// the pool must then lie in [0, ell) (FKC_CHECK).
 ///
 /// Scan order: even heads scan the pool forward, odd heads backward (owned
 /// slots first, each pool's blocks newest first), so on a pool larger than
 /// L2 each pass starts on the blocks the previous one read last. Every row
 /// is the same in either order, bit for bit.
 ///
-/// Ties: the next head is the farthest point with the lowest position,
-/// whatever the pool's slot order or the pass's scan order, so the heads
-/// are those of a forward scan over a copy of the points. The pass that
-/// picks it runs over the slots, with a select rather than a branch for the
-/// running minimum.
+/// Ties: the next head is the farthest point with the lowest position, and
+/// each color's nearest point is the one with the lowest position, whatever
+/// the pool's slot order, the pass's scan order or the kernel width, so
+/// heads and tables are those of a forward scan over a copy of the points.
+/// A slot that is no point of the set never wins either, nor does a point
+/// at distance 0.
 /// `rows`, when given, has room for min(k, n) rows of pool.slot_count()
 /// doubles, and head j's row is written at rows + j * slot_count() and left
 /// there for the caller; otherwise one buffer of the traversal's own holds
@@ -58,7 +72,7 @@ using GonzalezHeadFn =
 GonzalezResult GonzalezKCenter(const Metric& metric, const ColoredPool& pool,
                                int k, int first_index = 0,
                                const GonzalezHeadFn& on_head = nullptr,
-                               double* rows = nullptr);
+                               double* rows = nullptr, int ell = 0);
 
 /// The same greedy over a pool built from `points` for this call.
 GonzalezResult GonzalezKCenter(const Metric& metric,

@@ -153,9 +153,9 @@ Result<FairCenterSolution> JonesFairCenter::SolvePool(
   const int k = constraint.TotalK();
   if (k <= 0) return Status::Infeasible("all color caps are zero");
 
-  // Gonzalez scans the pool once per head into rows the solve keeps: they
-  // fill the color table, and the final radius reads them for the centers
-  // that are heads.
+  // Gonzalez scans the pool once per head into rows the solve keeps, and
+  // its head pass over each row fills the head's color table; the final
+  // radius reads the rows again for the centers that are heads.
   const size_t heads_wanted = std::min(static_cast<size_t>(k), pool.size());
   const size_t stride = pool.slot_count();
   const std::unique_ptr<double[]> rows(new double[heads_wanted * stride]);
@@ -181,32 +181,26 @@ Result<FairCenterSolution> JonesFairCenter::SolvePool(
   double insertion = kInf;
   const GonzalezResult gonzalez = GonzalezKCenter(
       metric, pool, k, /*first_index=*/0,
-      [&](const double* row, double next_distance) {
+      [&](const GonzalezHead& head) {
         table.insertion.push_back(insertion);
         if (std::isfinite(insertion)) add_candidate(insertion / 2.0);
-        insertion = next_distance;
-        const size_t h = table.nearest_distance.size();
-        table.nearest_distance.resize(h + ell, kInf);
-        table.nearest_index.resize(h + ell, -1);
-        double* distance = table.nearest_distance.data() + h;
-        int* index = table.nearest_index.data() + h;
-        for (size_t i = 0; i < pool.size(); ++i) {
-          const int c = pool.color(i);
-          const double d = row[pool.slot(i)];
-          if (d < distance[c]) {
-            distance[c] = d;
-            index[c] = static_cast<int>(i);
-          }
-        }
+        insertion = head.next_distance;
+        table.nearest_distance.insert(table.nearest_distance.end(),
+                                      head.color_distance,
+                                      head.color_distance + ell);
+        table.nearest_index.insert(table.nearest_index.end(),
+                                   head.color_index, head.color_index + ell);
         for (int c = 0; c < ell; ++c) {
-          if (std::isfinite(distance[c])) add_candidate(distance[c]);
+          if (std::isfinite(head.color_distance[c])) {
+            add_candidate(head.color_distance[c]);
+          }
         }
 
         // The stop rule (see the header): with the next head's insertion
         // distance delta known, stop once delta/2 is infeasible and the
         // largest candidate so far is feasible.
         if (table.heads() == heads_wanted) return true;
-        const double half = next_distance / 2.0;
+        const double half = head.next_distance / 2.0;
         if (!(half >= std::numeric_limits<double>::min()) ||
             tester.Feasible(half) || !tester.Feasible(top)) {
           return true;
@@ -214,7 +208,7 @@ Result<FairCenterSolution> JonesFairCenter::SolvePool(
         stop_radius = half;
         return false;
       },
-      rows.get());
+      rows.get(), ell);
 
   // Feasibility is monotone in rho: binary search for the smallest feasible
   // candidate. A full traversal first checks that the largest one is.

@@ -58,12 +58,15 @@
 //
 // The solve reads its input as one ColoredPool (SolvePool): Gonzalez scans
 // the coordinates into rows the solve keeps, alternating the scan direction
-// from head to head (gonzalez.h), the color table reads the color column in
-// position order, radius tests work on point indices, and only the final
+// from head to head (gonzalez.h), and its head pass over each row (one
+// vectorized kernel, simd_kernels.h) hands the solve the head's color
+// table: per color, the nearest point, the lowest position among equal
+// distances, so the table is the one a loop over the positions in order
+// would fill. Radius tests work on point indices, and only the final
 // centers become Points. The final radius reads the kept row of each center
-// that is a head, tiles one DistanceRows pass for the others, and takes the
-// minimum over the rows slot by slot (ClusteringRadiusFromRows). Solve over
-// a vector validates it and builds that pool.
+// that is a head, tiles one DistanceRows pass for the others, and folds the
+// rows with the same head pass (ClusteringRadiusFromRows). Solve over a
+// vector validates it and builds that pool.
 //
 // Runtime: O(n*j) for the j <= k heads the traversal computes, whose rows
 // also fill the per-color distance table and most of the final radius;

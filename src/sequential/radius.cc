@@ -1,7 +1,8 @@
 #include "sequential/radius.h"
 
-#include <algorithm>
 #include <limits>
+
+#include "metric/simd_kernels.h"
 
 namespace fkc {
 
@@ -27,21 +28,25 @@ double ClusteringRadiusFromRows(const ColoredPool& window,
                                 const std::vector<const double*>& rows) {
   if (window.empty()) return 0.0;
   if (rows.empty()) return std::numeric_limits<double>::infinity();
-  // Row by row over the slots, so the min is one vector select per lane
-  // block; each slot still takes its rows' minimum in center order.
+  // One head pass per row, without colors: each folds its row into the
+  // points' nearest distances, and the last one's farthest point is the
+  // radius. A slot that is no point of the set holds -inf and never counts.
   const size_t stride = window.slot_count();
   std::vector<double> nearest(stride,
-                              std::numeric_limits<double>::infinity());
-  for (const double* row : rows) {
-    for (size_t s = 0; s < stride; ++s) {
-      nearest[s] = row[s] < nearest[s] ? row[s] : nearest[s];
-    }
-  }
-  double worst = 0.0;
+                              -std::numeric_limits<double>::infinity());
+  std::vector<int> position(stride, -1);
   for (size_t i = 0; i < window.size(); ++i) {
-    worst = std::max(worst, nearest[window.slot(i)]);
+    nearest[window.slot(i)] = std::numeric_limits<double>::infinity();
+    position[window.slot(i)] = static_cast<int>(i);
   }
-  return worst;
+  const simd::HeadPassKernel head_pass = simd::ActiveKernels().head_pass;
+  double radius = 0.0;
+  for (const double* row : rows) {
+    radius = head_pass(row, position.data(), nullptr, stride, nearest.data(),
+                       nullptr, nullptr)
+                 .distance;
+  }
+  return radius;
 }
 
 }  // namespace fkc

@@ -25,9 +25,10 @@ double PoolClusteringRadius(const Metric& metric, const ColoredPool& window,
 
 /// The radius of centers whose distance rows are already known:
 /// rows[c][window.slot(i)] is d(center c, point i), as
-/// ColoredPool::DistanceRow fills it. Min-accumulated per slot in center
-/// order, one row at a time, then the max over the points' slots; +inf for
-/// a non-empty window with no rows. The Jones
+/// ColoredPool::DistanceRow fills it. Folded into each point's nearest
+/// distance in center order, one head pass (simd_kernels.h) per row, whose
+/// last farthest point is the radius; +inf for a non-empty window with no
+/// rows. The Jones
 /// solver passes the rows its traversal kept for centers that are heads, so
 /// its final radius reads the pool only for centers that are not.
 double ClusteringRadiusFromRows(const ColoredPool& window,

@@ -149,6 +149,35 @@ TEST(BruteForceTest, EmptyInputGivesEmptySolution) {
   EXPECT_TRUE(result.value().centers.empty());
 }
 
+TEST(BruteForceTest, MoreThanTheLimitIsInvalidArgument) {
+  const auto at_limit = RandomColored(64, 2, 1, 7);
+  ASSERT_TRUE(
+      BruteForceFairCenter(kMetric, at_limit, ColorConstraint({64})).ok());
+  const auto points = RandomColored(65, 2, 2, 7);
+  EXPECT_EQ(BruteForceFairCenter(kMetric, points, ColorConstraint({1, 1}))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(BruteForceKCenter(kMetric, points, 2).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(BruteForceTest, OverflowingDistancesAreOutOfRange) {
+  // d(-1e308, 1e308) overflows to +inf, and one center leaves one of the
+  // two points at that distance whichever it is.
+  const std::vector<Point> points = {P({-1e308}, 0), P({1e308}, 0)};
+  EXPECT_EQ(BruteForceFairCenter(kMetric, points, ColorConstraint({1}))
+                .status()
+                .code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(BruteForceKCenter(kMetric, points, 1).status().code(),
+            StatusCode::kOutOfRange);
+  // Two centers cover both points at radius 0.
+  const auto both = BruteForceFairCenter(kMetric, points, ColorConstraint({2}));
+  ASSERT_TRUE(both.ok());
+  EXPECT_EQ(both.value().radius, 0.0);
+}
+
 TEST(BruteForceTest, KCenterMatchesSingleColorFair) {
   const auto points = RandomColored(10, 2, 3, 5);
   auto unconstrained = BruteForceKCenter(kMetric, points, 3);

@@ -1,16 +1,26 @@
 // Tests for the Gonzalez farthest-point greedy: selection invariants, the
 // classic 2-approximation, the head-separation properties the fair solvers
-// rely on, and ties that do not depend on the order its scans read a pool.
+// rely on, ties that do not depend on the order its scans read a pool, and
+// heads, per-color tables and Jones solutions equal to those of the loops
+// the head-pass kernel replaced (head_pass_reference.h), bit for bit.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <string>
 
 #include "common/random.h"
+#include "core/guess_structure.h"
+#include "core/point_arena.h"
+#include "datasets/registry.h"
+#include "head_pass_reference.h"
 #include "metric/coordinate_pool.h"
 #include "metric/metric.h"
 #include "sequential/brute_force.h"
 #include "sequential/gonzalez.h"
+#include "sequential/jones_fair_center.h"
 #include "sequential/radius.h"
 
 namespace fkc {
@@ -223,6 +233,278 @@ TEST(GonzalezTest, TiesGoToTheLowestPositionInEitherScanOrder) {
                         result.head_indices.size() * stride *
                             sizeof(double)),
             0);
+}
+
+// Euclidean, but NaN between a point whose first coordinate is 5 and one
+// whose first coordinate is 10 (never between a point and itself).
+class NanMetric final : public Metric {
+ public:
+  double Distance(const Point& a, const Point& b) const override {
+    if (a.coords[0] + b.coords[0] == 15.0) {
+      return std::numeric_limits<double>::quiet_NaN();
+    }
+    return kMetric.Distance(a, b);
+  }
+  std::string Name() const override { return "nan"; }
+};
+
+// A point on the grid {0, 5, 10}^3 (or {-1e308, 0, 1e308}^3, where most
+// distances overflow to +inf), of a color below ell - 1: color ell - 1
+// has no member.
+Point GridPoint(Rng* rng, int ell, int64_t id, bool overflow) {
+  Coordinates coords(3);
+  for (double& x : coords) {
+    const double step = static_cast<double>(rng->NextBounded(3));
+    x = overflow ? (step - 1.0) * 1e308 : step * 5.0;
+  }
+  return Point(std::move(coords), static_cast<int>(rng->NextBounded(ell - 1)),
+               id, static_cast<uint64_t>(id));
+}
+
+// One pool the head-pass tests run on, with the column pool it may borrow.
+struct HeadPassPool {
+  std::string name;
+  const Metric* metric;
+  int ell;
+  std::unique_ptr<CoordinatePool> columns;
+  ColoredPool pool;
+};
+
+// A pool that borrows a three-block column pool (its head mid-block after
+// DropFront), skips every ninth column, so those are no point of the set,
+// and copies a point before every fourth column: grid distances tie
+// between borrowed and copied slots, whose slot order is not their
+// positions'.
+HeadPassPool BorrowingGridPool(const Metric* metric, int ell, bool overflow,
+                               uint64_t seed) {
+  Rng rng(seed);
+  HeadPassPool out{std::string("borrowing grid") +
+                       (overflow ? " overflow " : " ") + metric->Name(),
+                   metric, ell, std::make_unique<CoordinatePool>(3),
+                   ColoredPool()};
+  std::vector<Point> stored;
+  for (int64_t id = 0; id < 400; ++id) {
+    stored.push_back(GridPoint(&rng, ell, id, overflow));
+    out.columns->Append(stored.back());
+  }
+  constexpr size_t kDropped = 45;
+  out.columns->DropFront(kDropped);
+  stored.erase(stored.begin(), stored.begin() + kDropped);
+  ColoredPool::Builder builder(stored.size(), out.columns.get());
+  std::vector<Point> copies;  // read at Build
+  copies.reserve(stored.size());
+  for (size_t e = 0; e < stored.size(); ++e) {
+    if (e % 9 == 5) continue;
+    if (e % 4 == 1) {
+      copies.push_back(
+          GridPoint(&rng, ell, 1000 + static_cast<int64_t>(e), overflow));
+      builder.Add(copies.back());
+    }
+    builder.AddColumn(stored[e], e);
+  }
+  out.pool = std::move(builder).Build();
+  return out;
+}
+
+// The covtype query coreset of the densest guess of a W = 10000 window
+// (delta = 0.5, gamma = 27), fed 11,000 arrivals: ~9,900 points, most of
+// them borrowed c-attractor columns, d = 54, 7 colors.
+struct CovtypeCoreset {
+  CovtypeCoreset()
+      : dataset(datasets::MakeDataset("covtype", 30000).value()),
+        constraint(ColorConstraint::Proportional(dataset.points, dataset.ell,
+                                                 14)),
+        guess(27.0, 0.5, 10000, constraint, CoreVariant::kFull) {
+    for (int64_t t = 1; t <= 11000; ++t) {
+      Point p = dataset.points[static_cast<size_t>(t) % dataset.points.size()];
+      p.arrival = t;
+      p.id = static_cast<uint64_t>(t);
+      guess.Update(arena.Add(p), p, t, arena, kMetric, nullptr);
+      arena.Sweep([this](const auto& mark) { guess.ForEachSlot(mark); },
+                  [this](const std::vector<Slot>& map) {
+                    guess.RemapSlots(map);
+                  });
+    }
+  }
+
+  datasets::Dataset dataset;
+  ColorConstraint constraint;
+  PointArena arena;
+  GuessStructure guess;
+};
+
+const CovtypeCoreset& Covtype() {
+  static const CovtypeCoreset* const coreset = new CovtypeCoreset();
+  return *coreset;
+}
+
+std::vector<HeadPassPool> HeadPassPools() {
+  static const NanMetric kNan;
+  std::vector<HeadPassPool> pools;
+  pools.push_back(BorrowingGridPool(&kMetric, 4, false, 41));
+  pools.push_back(BorrowingGridPool(&kMetric, 3, true, 42));
+  pools.push_back(BorrowingGridPool(&kNan, 4, false, 43));
+  // Owned pools around the vector widths.
+  for (size_t n : {1u, 7u, 8u, 9u, 129u}) {
+    Rng rng(n);
+    std::vector<Point> points;
+    for (size_t i = 0; i < n; ++i) {
+      points.push_back(GridPoint(&rng, 3, static_cast<int64_t>(i), false));
+    }
+    pools.push_back({"owned grid of " + std::to_string(n), &kMetric, 3,
+                     nullptr, ColoredPool::FromPoints(points)});
+  }
+  // Every point coincides: the first head leaves no next one.
+  pools.push_back({"coincident", &kMetric, 2, nullptr,
+                   ColoredPool::FromPoints(std::vector<Point>(
+                       20, Point(Coordinates{1.0, 2.0, 3.0}, 0)))});
+  const CovtypeCoreset& covtype = Covtype();
+  pools.push_back({"covtype dense-guess coreset", &kMetric,
+                   covtype.dataset.ell, nullptr,
+                   covtype.guess.CoresetPool(covtype.arena)});
+  return pools;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(HeadPassTest, GonzalezMatchesTheReferenceLoops) {
+  for (const HeadPassPool& c : HeadPassPools()) {
+    const size_t stride = c.pool.slot_count();
+    for (int k : {1, 5, 27}) {
+      SCOPED_TRACE(c.name + " k=" + std::to_string(k));
+      const reference::Traversal want =
+          reference::Gonzalez(*c.metric, c.pool, k, 0, c.ell);
+      std::vector<double> rows(std::min<size_t>(k, c.pool.size()) * stride);
+      std::vector<std::vector<double>> distances;
+      std::vector<std::vector<int>> indices;
+      const GonzalezResult got = GonzalezKCenter(
+          *c.metric, c.pool, k, 0,
+          [&](const GonzalezHead& head) {
+            distances.emplace_back(head.color_distance,
+                                   head.color_distance + c.ell);
+            indices.emplace_back(head.color_index, head.color_index + c.ell);
+            return true;
+          },
+          rows.data(), c.ell);
+      ASSERT_EQ(got.head_indices, want.heads);
+      ASSERT_EQ(got.insertion_distances.size(), want.insertion.size());
+      for (size_t j = 0; j < want.heads.size(); ++j) {
+        SCOPED_TRACE("head " + std::to_string(j));
+        EXPECT_TRUE(SameBits(got.insertion_distances[j], want.insertion[j]));
+        EXPECT_TRUE(SameBits(distances[j], want.color_distance[j]));
+        EXPECT_EQ(indices[j], want.color_index[j]);
+        EXPECT_EQ(std::memcmp(rows.data() + j * stride, want.rows[j].data(),
+                              stride * sizeof(double)),
+                  0);
+      }
+      EXPECT_TRUE(SameBits(got.coverage_radius, want.coverage));
+      // Without a table the heads are the same.
+      const GonzalezResult plain = GonzalezKCenter(*c.metric, c.pool, k);
+      EXPECT_EQ(plain.head_indices, want.heads);
+      EXPECT_TRUE(SameBits(plain.coverage_radius, want.coverage));
+    }
+  }
+}
+
+TEST(HeadPassTest, GonzalezTablesCoverEqualTiesAndEmptyColors) {
+  // The cases above must reach what they are there for: ties in a color's
+  // nearest point between slots in reverse position order, a color with no
+  // member, and +inf and NaN distances.
+  const HeadPassPool grid = BorrowingGridPool(&kMetric, 4, false, 41);
+  const reference::Traversal t =
+      reference::Gonzalez(*grid.metric, grid.pool, 27, 0, grid.ell);
+  int reversed_ties = 0;
+  for (size_t j = 0; j < t.heads.size(); ++j) {
+    EXPECT_EQ(t.color_index[j][grid.ell - 1], -1);
+    for (int c = 0; c + 1 < grid.ell; ++c) {
+      const int best = t.color_index[j][c];
+      for (size_t i = static_cast<size_t>(best) + 1; i < grid.pool.size();
+           ++i) {
+        if (grid.pool.color(i) == c &&
+            t.rows[j][grid.pool.slot(i)] == t.color_distance[j][c] &&
+            grid.pool.slot(i) < grid.pool.slot(best)) {
+          ++reversed_ties;
+        }
+      }
+    }
+  }
+  EXPECT_GT(reversed_ties, 10);
+  const HeadPassPool overflow = BorrowingGridPool(&kMetric, 3, true, 42);
+  const reference::Traversal o =
+      reference::Gonzalez(kMetric, overflow.pool, 27, 0, overflow.ell);
+  EXPECT_EQ(o.insertion[1], std::numeric_limits<double>::infinity());
+  static const NanMetric kNan;
+  const HeadPassPool nan = BorrowingGridPool(&kNan, 4, false, 43);
+  const reference::Traversal n =
+      reference::Gonzalez(kNan, nan.pool, 27, 0, nan.ell);
+  size_t nan_entries = 0;
+  for (const auto& row : n.rows) {
+    for (double d : row) nan_entries += std::isnan(d) ? 1 : 0;
+  }
+  EXPECT_GT(nan_entries, 100u);
+}
+
+TEST(HeadPassTest, RadiusFromRowsMatchesTheReferenceFold) {
+  for (const HeadPassPool& c : HeadPassPools()) {
+    SCOPED_TRACE(c.name);
+    // Rows of up to nine points, every seventh position, folded 0 to 9 at
+    // a time.
+    const size_t stride = c.pool.slot_count();
+    const size_t centers = std::min<size_t>(9, c.pool.size());
+    std::vector<std::vector<double>> rows(centers,
+                                          std::vector<double>(stride));
+    std::vector<const double*> row_ptrs;
+    for (size_t r = 0; r < centers; ++r) {
+      c.pool.DistanceRow(*c.metric, c.pool.At(r * 7 % c.pool.size()),
+                         rows[r].data());
+      row_ptrs.push_back(rows[r].data());
+    }
+    for (size_t used = 0; used <= centers; ++used) {
+      const std::vector<const double*> some(row_ptrs.begin(),
+                                            row_ptrs.begin() + used);
+      EXPECT_TRUE(SameBits(ClusteringRadiusFromRows(c.pool, some),
+                           reference::RadiusFromRows(c.pool, some)))
+          << used << " rows";
+    }
+  }
+}
+
+TEST(HeadPassTest, JonesSolvePoolMatchesTheReferenceLoops) {
+  for (const HeadPassPool& c : HeadPassPools()) {
+    SCOPED_TRACE(c.name);
+    std::vector<int> caps(c.ell);
+    for (int color = 0; color < c.ell; ++color) caps[color] = 1 + color % 3;
+    const ColorConstraint constraint =
+        c.name == "covtype dense-guess coreset" ? Covtype().constraint
+                                                : ColorConstraint(caps);
+    const auto got = JonesFairCenter().SolvePool(*c.metric, c.pool,
+                                                  constraint);
+    const auto want = reference::Jones(*c.metric, c.pool, constraint);
+    ASSERT_EQ(got.ok(), want.ok()) << got.status().ToString();
+    if (!got.ok()) {
+      EXPECT_EQ(got.status().code(), want.status().code());
+      continue;
+    }
+    EXPECT_TRUE(SameBits(got.value().radius, want.value().radius))
+        << got.value().radius << " vs " << want.value().radius;
+    ASSERT_EQ(got.value().centers.size(), want.value().centers.size());
+    for (size_t i = 0; i < want.value().centers.size(); ++i) {
+      const Point& a = got.value().centers[i];
+      const Point& b = want.value().centers[i];
+      EXPECT_EQ(a.id, b.id) << "center " << i;
+      EXPECT_EQ(a.color, b.color) << "center " << i;
+      EXPECT_EQ(a.arrival, b.arrival) << "center " << i;
+      EXPECT_EQ(a.coords, b.coords) << "center " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -6,7 +6,10 @@
 // set's single-row kernel for every row count; every bounded kernel must be
 // exact within its bound and out of range beyond it; and the CoordinatePool
 // must hold its block invariants under arbitrary append/drop-front churn
-// and after a bulk build, never moving a stored coordinate.
+// and after a bulk build, never moving a stored coordinate. Every head-pass
+// kernel must reproduce the loops it replaced (tests/head_pass_reference.h)
+// on rows with ties, +inf, NaN, slots that are no point of the set and
+// colors with no member.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,10 +17,12 @@
 #include <cstring>
 #include <deque>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "head_pass_reference.h"
 #include "metric/coordinate_pool.h"
 #include "metric/counting_metric.h"
 #include "metric/metric.h"
@@ -689,6 +694,183 @@ TEST(SimdKernelTest, RangeTestEqualsTheExactScan) {
 // --- CoordinatePool blocks under churn. ---
 
 constexpr size_t kB = CoordinatePool::kBlockLanes;
+
+// One head pass's input over `count` slots: a row drawn from a few values
+// (so distances tie, also across colors and between slots whose order is
+// not their positions'), +inf, NaN and -0.0 among them; nearest distances
+// from an earlier fold, some equal to the row; positions a shuffle of the
+// members, so slot order is not position order; slots that are no point
+// of the set (position -1, nearest -inf, the sentinel color), and color
+// ell - 1 left without a member.
+struct HeadPassCase {
+  HeadPassCase(size_t count, int ell, Rng* rng)
+      : ell(ell), row(count), nearest(count), position(count, -1),
+        color(count, ell) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const double values[] = {0.0, -0.0, 1.0, 2.0, 2.0, 3.0, 3.0, 5.0,
+                             kInf, std::numeric_limits<double>::quiet_NaN()};
+    const auto draw = [&] { return values[rng->NextBounded(10)]; };
+    std::vector<size_t> members;
+    for (size_t s = 0; s < count; ++s) {
+      row[s] = draw();
+      if (rng->NextBounded(5) == 0) {
+        nearest[s] = -kInf;  // no point of the set
+      } else {
+        members.push_back(s);
+        const double earlier = draw();
+        nearest[s] = std::isnan(earlier) ? kInf : earlier;
+      }
+    }
+    rng->Shuffle(&members);
+    slots.resize(members.size());
+    for (size_t i = 0; i < members.size(); ++i) {
+      position[members[i]] = static_cast<int>(i);
+      color[members[i]] = static_cast<int>(rng->NextBounded(ell - 1));
+      slots[i] = members[i];
+      colors.push_back(color[members[i]]);
+    }
+  }
+
+  int ell;
+  std::vector<double> row, nearest;      // per slot
+  std::vector<int> position, color;      // per slot
+  std::vector<size_t> slots;             // per position
+  std::vector<int> colors;               // per position
+};
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(HeadPassTest, EveryWidthMatchesTheReferenceLoops) {
+  Rng rng(35);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (size_t count : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                       size_t{15}, size_t{16}, size_t{17}, size_t{129},
+                       size_t{1000}}) {
+    for (int ell : {2, 4, 9}) {
+      for (int trial = 0; trial < 20; ++trial) {
+        const HeadPassCase c(count, ell, &rng);
+        std::vector<double> want_nearest = c.nearest;
+        const simd::Farthest want =
+            reference::Farthest(c.row.data(), c.position.data(), count,
+                                want_nearest.data());
+        std::vector<double> want_distance;
+        std::vector<int> want_index;
+        reference::ColorTable(c.row.data(), c.slots, c.colors, ell,
+                              &want_distance, &want_index);
+        for (const simd::KernelSet* set : SupportedSets()) {
+          SCOPED_TRACE(std::string(set->name) + " count=" +
+                       std::to_string(count) + " ell=" + std::to_string(ell) +
+                       " trial=" + std::to_string(trial));
+          for (bool colored : {true, false}) {
+            std::vector<double> nearest = c.nearest;
+            std::vector<double> distance(ell + 1, kInf);
+            std::vector<int> index(ell + 1, -1);
+            distance[ell] = -kInf;
+            const simd::Farthest got = set->head_pass(
+                c.row.data(), c.position.data(),
+                colored ? c.color.data() : nullptr, count, nearest.data(),
+                distance.data(), index.data());
+            EXPECT_TRUE(SameBits(got.distance, want.distance));
+            EXPECT_EQ(got.position, want.position);
+            for (size_t s = 0; s < count; ++s) {
+              ASSERT_TRUE(SameBits(nearest[s], want_nearest[s]))
+                  << "slot " << s;
+            }
+            // The sentinel is never replaced; without colors nothing is.
+            EXPECT_EQ(distance[ell], -kInf);
+            EXPECT_EQ(index[ell], -1);
+            for (int k = 0; k < ell; ++k) {
+              if (colored) {
+                EXPECT_TRUE(SameBits(distance[k], want_distance[k]))
+                    << "color " << k << ": " << distance[k] << " vs "
+                    << want_distance[k];
+                EXPECT_EQ(index[k], want_index[k]) << "color " << k;
+              } else {
+                EXPECT_EQ(distance[k], kInf);
+                EXPECT_EQ(index[k], -1);
+              }
+            }
+            EXPECT_EQ(index[ell - 1], -1) << "color without a member";
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(HeadPassTest, CoincidentPointsLeaveNoFarthestPoint) {
+  // Every member at distance 0 from the head, but one whose row entry is
+  // NaN and whose earlier fold was 0 already, and a non-member slot among
+  // them: nothing wins at 0, so there is no next head.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr size_t kCount = 21;
+  std::vector<double> row(kCount, 0.0);
+  row[4] = std::numeric_limits<double>::quiet_NaN();
+  std::vector<int> position(kCount);
+  std::vector<int> color(kCount, 0);
+  for (size_t s = 0; s < kCount; ++s) position[s] = static_cast<int>(s);
+  position[9] = -1;
+  color[9] = 1;
+  for (const simd::KernelSet* set : SupportedSets()) {
+    std::vector<double> nearest(kCount, kInf);
+    nearest[9] = -kInf;
+    nearest[4] = 0.0;
+    double distance[2] = {kInf, -kInf};
+    int index[2] = {-1, -1};
+    const simd::Farthest got =
+        set->head_pass(row.data(), position.data(), color.data(), kCount,
+                       nearest.data(), distance, index);
+    EXPECT_EQ(got.distance, 0.0) << set->name;
+    EXPECT_EQ(got.position, -1) << set->name;
+    EXPECT_EQ(nearest[4], 0.0) << set->name;  // NaN leaves nearest as it was
+    EXPECT_EQ(distance[0], 0.0) << set->name;
+    EXPECT_EQ(index[0], 0) << set->name;
+    EXPECT_EQ(index[1], -1) << set->name;
+  }
+}
+
+TEST(CoordinatePoolTest, BulkBuildZeroesEveryLaneItDoesNotFill) {
+  // A bulk build writes each block's lanes up to its points and zeroes the
+  // rest of every row, slack included: the lanes a kernel over-reads, and
+  // the ones a later Append fills one at a time. The heap is dirtied with
+  // NaN first, so a block that skipped its zeroing would show it.
+  Rng rng(12);
+  const size_t dim = 3;
+  for (size_t n : {size_t{1}, size_t{7}, size_t{9}, kB, kB + 1,
+                   size_t{1135}}) {
+    const size_t block_doubles = dim * CoordinatePool::kRowStride;
+    {
+      std::vector<std::unique_ptr<double[]>> junk(12);
+      for (auto& block : junk) {
+        block.reset(new double[block_doubles]);
+        std::fill_n(block.get(), block_doubles,
+                    std::numeric_limits<double>::quiet_NaN());
+      }
+    }
+    CoordinatePool pool =
+        CoordinatePool::FromPoints(RandomPoints(n, dim, &rng));
+    pool.ForEachSpan([&](const CoordinatePool::Span& span) {
+      for (size_t d = 0; d < dim; ++d) {
+        const double* row = span.data + d * CoordinatePool::kRowStride;
+        for (size_t i = span.count; i < CoordinatePool::kRowStride; ++i) {
+          ASSERT_EQ(row[i], 0.0) << "n=" << n << " block of " << span.first
+                                 << " row " << d << " lane " << i;
+        }
+      }
+    });
+    // Appends past a bulk-built tail keep the kernels exact.
+    const auto extra = RandomPoints(10, dim, &rng);
+    for (const Point& p : extra) pool.Append(p);
+    const Point query = RandomPoints(1, dim, &rng)[0];
+    for (const simd::KernelSet* set : SupportedSets()) {
+      ExpectKernelMatchesScalar(set->euclidean,
+                                simd::ScalarKernels().euclidean, query, pool,
+                                set->name, "euclidean");
+    }
+  }
+}
 
 TEST(CoordinatePoolTest, AppendDropFrontChurnAgainstMirror) {
   // Random Append/DropFront churn checked against a plain mirror deque
