@@ -31,11 +31,9 @@
 //      stalls ingest) — then verify the concurrently-built fleet
 //      checkpoints byte-identically to a serially-built one,
 //   9. survive a SIGKILL: the leader captures every tranche into a
-//      directory-backed DeltaLog while a LogSender streams it over a unix
-//      socket to a fault-injected follower (frames dropped, corrupted,
-//      and truncated on a seeded schedule) that still converges to a
-//      byte-equal checkpoint — then the leader "dies" and a fresh process
-//      image reconstructs the whole fleet purely from the on-disk log.
+//      directory-backed DeltaLog, then "dies", and a second DeltaLog
+//      opened on the same directory replays the whole fleet purely from
+//      the on-disk chain (a base plus deltas) and answers identically.
 //
 // The replication phase doubles as the CI kill-and-recover smoke:
 // --replication_only runs phase 9 alone (slowly, so a SIGKILL lands
@@ -64,8 +62,6 @@
 #include "sequential/color_constraint.h"
 #include "sequential/jones_fair_center.h"
 #include "serving/delta_log.h"
-#include "serving/replication/fault_injector.h"
-#include "serving/replication/transport.h"
 #include "serving/shard_manager.h"
 #include "serving/spill_store.h"
 
@@ -157,7 +153,8 @@ int RunRecovery(const std::string& log_dir, const fkc::EuclideanMetric& metric,
 }
 
 // Phase 9 (and, with endless=true, the --replication_only kill target):
-// crash-safe captures + wire replication to a fault-injected follower.
+// crash-safe captures into a directory-backed DeltaLog, replayed by a
+// second log opened on the same directory.
 int RunReplicationPhase(const std::string& log_dir,
                         const fkc::EuclideanMetric& metric,
                         const fkc::JonesFairCenter& jones,
@@ -175,49 +172,6 @@ int RunReplicationPhase(const std::string& log_dir,
   auto opened = log.Open();
   if (!opened.ok()) {
     std::fprintf(stderr, "log open failed: %s\n", opened.ToString().c_str());
-    return 1;
-  }
-
-  // The follower's link misbehaves on a seeded, budget-bounded schedule:
-  // once the budget is spent every frame delivers, so convergence is
-  // guaranteed, not lucky.
-  srv::FaultInjector::Options fault_options;
-  fault_options.seed = 2024;
-  fault_options.drop_prob = 0.3;
-  fault_options.corrupt_prob = 0.2;
-  fault_options.truncate_prob = 0.1;
-  fault_options.max_faults = 8;
-  srv::FaultInjector injector(fault_options);
-
-  const std::string socket_path =
-      (std::filesystem::temp_directory_path() /
-       fkc::StrFormat("fkc_mts_%lld.sock",
-                      static_cast<long long>(
-                          std::chrono::steady_clock::now().time_since_epoch()
-                              .count() %
-                          1000000)))
-          .string();
-  srv::LogSender::Options sender_options;
-  sender_options.unix_socket_path = socket_path;
-  sender_options.heartbeat_interval = std::chrono::milliseconds(20);
-  sender_options.fault_injector = &injector;
-  srv::LogSender sender(&log, sender_options);
-  auto sender_started = sender.Start();
-  if (!sender_started.ok()) {
-    std::fprintf(stderr, "sender start failed: %s\n",
-                 sender_started.ToString().c_str());
-    return 1;
-  }
-  srv::LogReceiver::Options receiver_options;
-  receiver_options.unix_socket_path = socket_path;
-  receiver_options.receive_timeout = std::chrono::milliseconds(500);
-  receiver_options.initial_backoff = std::chrono::milliseconds(5);
-  receiver_options.max_backoff = std::chrono::milliseconds(100);
-  srv::LogReceiver receiver(&metric, &jones, receiver_options);
-  auto receiver_started = receiver.Start();
-  if (!receiver_started.ok()) {
-    std::fprintf(stderr, "receiver start failed: %s\n",
-                 receiver_started.ToString().c_str());
     return 1;
   }
 
@@ -258,62 +212,15 @@ int RunReplicationPhase(const std::string& log_dir,
                    captured.status().ToString().c_str());
       return 1;
     }
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(endless ? 50 : 5));
+    if (endless) std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
 
-  // Wait for the follower to drain the chain despite the fault schedule.
-  const int64_t want_entries = 1 + static_cast<int64_t>(log.chain_length());
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  srv::LogReceiver::StalenessBound bound;
-  do {
-    bound = receiver.staleness();
-    if (bound.has_fleet && bound.entries_behind == 0 &&
-        bound.applied_entries == want_entries) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  } while (std::chrono::steady_clock::now() < deadline);
+  std::printf("\nreplication: generation %lld, %zu chained deltas\n",
+              static_cast<long long>(log.generation()), log.chain_length());
 
-  const auto counters = injector.counters();
-  std::printf(
-      "\nreplication: generation %lld, %zu chained deltas; follower applied "
-      "%lld/%lld entries (staleness bound %lld), surviving %lld dropped + "
-      "%lld corrupted + %lld truncated frames over %lld connects (%lld "
-      "resyncs served)\n",
-      static_cast<long long>(log.generation()), log.chain_length(),
-      static_cast<long long>(bound.applied_entries),
-      static_cast<long long>(want_entries),
-      static_cast<long long>(bound.entries_behind),
-      static_cast<long long>(counters.frames_dropped),
-      static_cast<long long>(counters.frames_corrupted),
-      static_cast<long long>(counters.frames_truncated),
-      static_cast<long long>(receiver.stats().connects),
-      static_cast<long long>(sender.stats().resyncs_served));
-  if (bound.entries_behind != 0 || bound.applied_entries != want_entries) {
-    std::fprintf(stderr, "follower never converged\n");
-    return 1;
-  }
-
-  // Byte-equal convergence: both sides replay/checkpoint their own view.
-  auto leader_fleet = log.Replay(&metric, &jones, options.num_threads);
-  auto leader_blob = leader_fleet.ok()
-                         ? leader_fleet.value().CheckpointAll()
-                         : fkc::Result<std::string>(leader_fleet.status());
-  auto follower_blob = receiver.CheckpointAll();
-  const bool converged = leader_blob.ok() && follower_blob.ok() &&
-                         leader_blob.value() == follower_blob.value();
-  std::printf("follower checkpoint %s the leader's (%zu bytes)\n",
-              converged ? "MATCHES" : "DIFFERS FROM (bug!)",
-              leader_blob.ok() ? leader_blob.value().size() : size_t{0});
-  receiver.Stop();
-  sender.Stop();
-  if (!converged) return 1;
-
-  // Simulated SIGKILL: a second process image knows nothing but the
-  // directory. Reconstruct and compare answers with the (still live
-  // here, conveniently) leader.
+  // Simulated SIGKILL: a second log opened on the directory knows nothing
+  // but what the leader published there. Replay it and compare answers
+  // with the (still live here, conveniently) leader.
   srv::DeltaLog risen(log_dir);
   if (!risen.Open().ok()) return 1;
   auto recovered = risen.Replay(&metric, &jones, options.num_threads);
@@ -733,9 +640,9 @@ int main(int argc, char** argv) {
       concurrent_identical ? "MATCHES" : "DIFFERS FROM (bug!)");
   if (!concurrent_identical) return 1;
 
-  // --- 9. Crash-safe replication: leader captures into a durable log, a
-  // fault-injected follower converges over the wire, and a SIGKILL'd
-  // leader rises again from nothing but the log directory. ---
+  // --- 9. Crash-safe replication: the leader captures into a durable log,
+  // and a SIGKILL'd leader rises again from nothing but the log
+  // directory. ---
   const int replication_code =
       RunReplicationPhase(replication_log_dir, metric, jones, constraint,
                           options, trace, keys, batch, /*endless=*/false);

@@ -1,5 +1,6 @@
 #include "core/options_io.h"
 
+#include <climits>
 #include <cmath>
 
 namespace fkc {
@@ -17,6 +18,11 @@ Status ReadColorCaps(CheckpointReader* reader, std::vector<int>* caps) {
     FKC_RETURN_IF_ERROR(reader->NextInt(&value));
     if (value < 0) {
       return Status::InvalidArgument("negative cap in checkpoint");
+    }
+    // Bounded before the narrowing, and k = sum of caps must fit the int
+    // ColorConstraint keeps it in.
+    if (value > INT_MAX || total_k + value > INT_MAX) {
+      return Status::InvalidArgument("caps in checkpoint sum past INT_MAX");
     }
     cap = static_cast<int>(value);
     total_k += value;

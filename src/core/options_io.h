@@ -33,7 +33,8 @@ constexpr int64_t kMaxCheckpointColors = 1 << 20;
 /// Reads and validates the "<ell> <caps...>" constraint block shared by the
 /// core checkpoint and the serving layer's fleet/delta formats: ell in
 /// [1, kMaxCheckpointColors], no negative cap, at least one positive cap
-/// (an all-zero constraint would abort the window constructor downstream).
+/// (an all-zero constraint would abort the window constructor downstream),
+/// and caps summing to at most INT_MAX (ColorConstraint's precondition).
 Status ReadColorCaps(CheckpointReader* reader, std::vector<int>* caps);
 
 /// Writes the constraint block ReadColorCaps reads.

@@ -1,6 +1,8 @@
 #include "sequential/color_constraint.h"
 
 #include <algorithm>
+#include <climits>
+#include <cstdint>
 #include <numeric>
 
 #include "common/logging.h"
@@ -10,8 +12,13 @@ namespace fkc {
 
 ColorConstraint::ColorConstraint(std::vector<int> caps)
     : caps_(std::move(caps)) {
-  for (int cap : caps_) FKC_CHECK_GE(cap, 0);
-  total_k_ = std::accumulate(caps_.begin(), caps_.end(), 0);
+  int64_t total_k = 0;
+  for (int cap : caps_) {
+    FKC_CHECK_GE(cap, 0);
+    total_k += cap;
+  }
+  FKC_CHECK_LE(total_k, int64_t{INT_MAX});
+  total_k_ = static_cast<int>(total_k);
 }
 
 ColorConstraint ColorConstraint::Uniform(int ell, int cap_per_color) {

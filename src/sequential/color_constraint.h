@@ -18,7 +18,8 @@ class ColorConstraint {
   ColorConstraint() = default;
 
   /// `caps[i]` is the maximum number of centers of color i. Caps must be
-  /// non-negative; zero disables a color entirely.
+  /// non-negative, and their sum k at most INT_MAX; zero disables a color
+  /// entirely.
   explicit ColorConstraint(std::vector<int> caps);
 
   /// Uniform caps: `ell` colors, each allowed `cap_per_color` centers.

@@ -151,34 +151,15 @@ void DeltaLog::SweepOtherGenerationsLocked(int64_t keep_generation) {
     int64_t index = 0;
     if (!ParseSegmentName(name, &generation, &index)) continue;
     // Keep only the adopted base itself: a base adoption resets the chain
-    // to empty, so same-generation delta files (possible when a follower
-    // re-receives its current generation's base on resync) must go too —
-    // a restart would otherwise re-adopt a chain the in-memory state no
-    // longer describes.
+    // to empty, so same-generation delta files (orphans of a base that
+    // never published or failed to decode) must go too — a restart would
+    // otherwise re-adopt a chain the in-memory state no longer describes.
     if (generation == keep_generation && index == 0) continue;
     if (RemoveFileIfExists(directory_ + "/" + name).ok()) removed_any = true;
   }
   // One directory sync for the whole batch; a failure only delays the
   // retirement to the next sweep or the next Open.
   if (removed_any) SyncDirectory(directory_);
-}
-
-Status DeltaLog::AdoptBaseLocked(int64_t new_generation, std::string payload) {
-  if (has_base_) ++rebases_;
-  generation_ = new_generation;
-  base_ = std::move(payload);
-  has_base_ = true;
-  chain_.clear();
-  chain_bytes_ = 0;
-  force_rebase_ = false;
-  if (directory_.empty()) return Status::OK();
-  // The base segment is already durable, and recovery adopts the highest
-  // valid base regardless of the manifest — so a manifest failure here
-  // cannot lose the capture, only the fast-path breadcrumb. Old-generation
-  // files are retired after the manifest flips, never before.
-  Status manifest = WriteManifest(new_generation);
-  SweepOtherGenerationsLocked(new_generation);
-  return manifest;
 }
 
 Status DeltaLog::Open() {
@@ -336,10 +317,24 @@ Result<DeltaLog::CaptureStats> DeltaLog::Capture(ShardManager* manager) {
     // Publish before adopting: a kill after this line recovers the new
     // generation, a kill before it recovers the old one — never neither.
     FKC_RETURN_IF_ERROR(PersistLocked(new_generation, 0, full.value()));
+    if (has_base_) ++rebases_;
+    generation_ = new_generation;
+    has_base_ = true;
+    base_ = std::move(full).value();
+    chain_.clear();
+    chain_bytes_ = 0;
+    force_rebase_ = false;
     stats.rebased = true;
-    stats.bytes = full.value().size();
-    FKC_RETURN_IF_ERROR(
-        AdoptBaseLocked(new_generation, std::move(full).value()));
+    stats.bytes = base_.size();
+    if (!directory_.empty()) {
+      // The base segment is already durable, and recovery adopts the
+      // highest valid base regardless of the manifest — so a manifest
+      // failure cannot lose the capture, only the fast-path breadcrumb.
+      // Old-generation files are retired after the manifest flips.
+      Status manifest = WriteManifest(new_generation);
+      SweepOtherGenerationsLocked(new_generation);
+      FKC_RETURN_IF_ERROR(manifest);
+    }
   } else {
     auto delta = manager->CheckpointDelta();
     if (!delta.ok()) return delta.status();
@@ -361,34 +356,6 @@ Result<DeltaLog::CaptureStats> DeltaLog::Capture(ShardManager* manager) {
   return stats;
 }
 
-Status DeltaLog::AppendBase(int64_t generation, const std::string& payload) {
-  std::lock_guard<std::mutex> lock(mu_);
-  FKC_RETURN_IF_ERROR(OpenedLocked());
-  if (generation < 1) {
-    return Status::InvalidArgument("generation numbers start at 1");
-  }
-  FKC_RETURN_IF_ERROR(PersistLocked(generation, 0, payload));
-  return AdoptBaseLocked(generation, payload);
-}
-
-Status DeltaLog::AppendDelta(int64_t generation, int64_t index,
-                             const std::string& payload) {
-  std::lock_guard<std::mutex> lock(mu_);
-  FKC_RETURN_IF_ERROR(OpenedLocked());
-  if (!has_base_ || generation != generation_ ||
-      index != static_cast<int64_t>(chain_.size()) + 1) {
-    return Status::FailedPrecondition(StrFormat(
-        "out-of-order append (%lld,%lld) onto generation %lld with %zu "
-        "deltas — resync from the base instead",
-        static_cast<long long>(generation), static_cast<long long>(index),
-        static_cast<long long>(generation_), chain_.size()));
-  }
-  FKC_RETURN_IF_ERROR(PersistLocked(generation, index, payload));
-  chain_bytes_ += static_cast<int64_t>(payload.size());
-  chain_.push_back(payload);
-  return Status::OK();
-}
-
 Result<ShardManager> DeltaLog::Replay(
     const Metric* metric, const FairCenterSolver* solver, int num_threads,
     int64_t max_live_shards, std::shared_ptr<SpillStore> spill_store) const {
@@ -405,28 +372,6 @@ Result<ShardManager> DeltaLog::Replay(
     FKC_RETURN_IF_ERROR(manager.value().ApplyDelta(delta));
   }
   return manager;
-}
-
-std::vector<DeltaLog::Entry> DeltaLog::EntriesFrom(int64_t generation,
-                                                   int64_t from_index) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Entry> entries;
-  if (!opened_ || !has_base_) return entries;
-  int64_t start = from_index;
-  if (generation != generation_ || start < 0 ||
-      start > static_cast<int64_t>(chain_.size()) + 1) {
-    start = 0;  // resync from the base
-  }
-  if (start == 0) {
-    entries.push_back(Entry{generation_, 0, base_});
-    start = 1;
-  }
-  for (int64_t index = start;
-       index <= static_cast<int64_t>(chain_.size()); ++index) {
-    entries.push_back(
-        Entry{generation_, index, chain_[static_cast<size_t>(index - 1)]});
-  }
-  return entries;
 }
 
 bool DeltaLog::has_base() const {

@@ -14,7 +14,7 @@
 // The log lives in memory, and optionally also in a directory. Without a
 // directory it is usable from construction and Open() is a no-op. With a
 // directory, Open() must run first, and every entry is published to disk
-// before Capture (or an append) reports success, so a SIGKILL'd leader
+// before Capture reports success, so a SIGKILL'd leader
 // reconstructs its entire ShardManager fleet on restart by replaying the
 // on-disk chain. On-disk layout (all IO through common/fs_util's
 // atomic-publish helpers):
@@ -44,13 +44,13 @@
 // shard) to the fleet as of that capture.
 //
 // Capture is exactly what the ShardManager's background maintenance thread
-// feeds each tick (MaintenanceOptions::delta_log). The same class serves
-// both ends of the wire: a LogSender streams EntriesFrom() to followers,
-// and a follower's LogReceiver can AppendBase/AppendDelta received entries
-// into its own directory-backed log so the follower survives ITS next kill
-// too. Thread-safe: one internal mutex serializes Capture, appends, Replay
-// and accessors (the manager calls it from the maintenance thread while
-// tests read from the main thread).
+// feeds each tick (MaintenanceOptions::delta_log). Replication is this log
+// replayed: a follower is a second DeltaLog opened on the same directory
+// (or any copy of it) whose Replay restores the base and applies the chain,
+// and a follower that already holds the fleet catches up by ApplyDelta on
+// the newer deltas alone. Thread-safe: one internal mutex serializes
+// Capture, Replay and accessors (the manager calls it from the maintenance
+// thread while tests read from the main thread).
 //
 // Under the manager's two-level locking, a Capture runs concurrently with
 // ingest: CheckpointDelta/CheckpointAll are epoch snapshots that pin the
@@ -101,14 +101,6 @@ class DeltaLog {
     bool manifest_rebuilt = false;  ///< MANIFEST was absent, torn, or stale
   };
 
-  /// One log entry, as shipped to followers. index 0 is the generation's
-  /// base (CheckpointAll bytes); 1..N its deltas (CheckpointDelta bytes).
-  struct Entry {
-    int64_t generation = 0;
-    int64_t index = 0;
-    std::string payload;
-  };
-
   /// An in-memory log (default Options).
   DeltaLog();
   explicit DeltaLog(Options options);
@@ -143,15 +135,6 @@ class DeltaLog {
   /// (Replay then reproduces a stale fleet until the next re-base).
   Result<CaptureStats> Capture(ShardManager* manager);
 
-  /// Follower-side appends (the LogReceiver persisting what it applied).
-  /// AppendBase opens `generation` (replacing any current chain, retiring
-  /// the previous generation's files); AppendDelta must continue the
-  /// current generation at exactly chain_length() + 1, else
-  /// kFailedPrecondition (an out-of-order delivery — resync instead).
-  Status AppendBase(int64_t generation, const std::string& payload);
-  Status AppendDelta(int64_t generation, int64_t index,
-                     const std::string& payload);
-
   /// Replays the log: Restore(base), then ApplyDelta for each chained
   /// delta in order. kFailedPrecondition while the log has no base. The
   /// execution/resource knobs mirror ShardManager::Restore.
@@ -159,13 +142,6 @@ class DeltaLog {
       const Metric* metric, const FairCenterSolver* solver,
       int num_threads = 1, int64_t max_live_shards = 0,
       std::shared_ptr<SpillStore> spill_store = nullptr) const;
-
-  /// Entries at or after `from_index` of `generation`, in order — what a
-  /// follower at that position still needs. A stale or unknown
-  /// `generation` (and any from_index past the chain on it) returns the
-  /// WHOLE current chain, base first: the resync-from-base rule.
-  std::vector<Entry> EntriesFrom(int64_t generation,
-                                 int64_t from_index) const;
 
   bool has_base() const;
   size_t base_bytes() const;
@@ -190,11 +166,6 @@ class DeltaLog {
   /// `keep_generation`'s base (one directory sync for the batch) — run
   /// after a base adoption, whose chain is by definition empty.
   void SweepOtherGenerationsLocked(int64_t keep_generation);
-  /// Shared tail of AppendBase/Capture-rebase: adopt `payload` as the base
-  /// of `new_generation` in memory and, with a directory, publish the
-  /// manifest and retire old files. Requires mu_; the segment file must
-  /// already be on disk.
-  Status AdoptBaseLocked(int64_t new_generation, std::string payload);
 
   const std::string directory_;
   const Options options_;

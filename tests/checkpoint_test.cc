@@ -662,5 +662,26 @@ TEST(CheckpointGoldenTest, RetiredV1FixtureIsRejected) {
       << from_v1.status().ToString();
 }
 
+// The golden blob with its caps edited: a cap past INT_MAX, or caps summing
+// past it, must fail with kInvalidArgument, neither aborting in
+// ColorConstraint nor wrapping into a plausible constraint (a cap of
+// 2^32 + 1 would read as 1).
+TEST(CheckpointGoldenTest, RejectsOverflowingCaps) {
+  const std::string v2 = ReadFixture("window_v2.bin");
+  const std::string options =
+      "fkc-checkpoint-v2 60 0x1p+1 0x1p+0 0 1 0x0p+0 0x0p+0 1 1 ";
+  const std::string caps = "2 2 2 ";  // two colors, two centers each
+  ASSERT_EQ(v2.rfind(options + caps, 0), 0u);
+  const std::string body = v2.substr(options.size() + caps.size());
+  for (const char* forged :
+       {"2 2147483648 2 ", "2 2147483647 2 ", "2 4294967297 2 "}) {
+    auto restored = FairCenterSlidingWindow::DeserializeState(
+        options + forged + body, &kMetric, &kJones);
+    ASSERT_FALSE(restored.ok()) << forged;
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument)
+        << forged;
+  }
+}
+
 }  // namespace
 }  // namespace fkc

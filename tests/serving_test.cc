@@ -597,6 +597,25 @@ TEST(ShardManagerTest, RestoreRejectsImplausibleOptions) {
   ASSERT_FALSE(zero_caps.ok());
 }
 
+// A cap past INT_MAX, or caps summing past it, must fail with
+// kInvalidArgument, neither aborting in ColorConstraint nor wrapping into a
+// plausible constraint (a cap of 2^32 + 1 would read as 1).
+TEST(ShardManagerTest, RestoreRejectsOverflowingCaps) {
+  const std::string options =
+      "fkc-shards-v2 60 0x1p+1 0x1p+0 0 1 0x0p+0 0x0p+0 1 1 ";
+  ASSERT_TRUE(serving::ShardManager::Restore(options + "2 2 2 0 0 ",
+                                             &kMetric, &kJones)
+                  .ok());
+  for (const char* forged :
+       {"2 2147483648 2 ", "2 2147483647 2 ", "2 4294967297 2 "}) {
+    auto restored = serving::ShardManager::Restore(options + forged + "0 0 ",
+                                                   &kMetric, &kJones);
+    ASSERT_FALSE(restored.ok()) << forged;
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument)
+        << forged;
+  }
+}
+
 // A blob's caps are bounded only by their type: a fleet with a large cap and
 // no shards restores, and the first ingest for a new tenant builds a window
 // from those caps and answers.
