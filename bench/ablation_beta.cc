@@ -58,7 +58,8 @@ int main(int argc, char** argv) {
     options.d_min = prepared.d_min;
     options.d_max = prepared.d_max;
     windows.push_back(std::make_unique<fkc::FairCenterSlidingWindow>(
-        options, prepared.constraint, &metric, &jones));
+        fkc::bench::Checked(fkc::FairCenterSlidingWindow::Create(
+            options, prepared.constraint, &metric, &jones))));
     driver.AddStreaming("Ours@beta=" + beta_text, windows.back().get());
   }
   driver.AddBaseline("Jones", &jones);

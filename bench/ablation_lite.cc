@@ -44,14 +44,18 @@ int main(int argc, char** argv) {
     fine.delta = 0.5;
     fine.d_min = prepared.d_min;
     fine.d_max = prepared.d_max;
-    fkc::FairCenterSlidingWindow full_fine(fine, prepared.constraint, &metric,
-                                           &jones);
+    fkc::FairCenterSlidingWindow full_fine =
+        fkc::bench::Checked(fkc::FairCenterSlidingWindow::Create(
+            fine, prepared.constraint, &metric, &jones));
     fkc::SlidingWindowOptions coarse = fine;
     coarse.delta = 4.0;
-    fkc::FairCenterSlidingWindow full_coarse(coarse, prepared.constraint,
-                                             &metric, &jones);
-    fkc::FairCenterSlidingWindow lite(fkc::ValidationOnlyOptions(fine),
-                                      prepared.constraint, &metric, &jones);
+    fkc::FairCenterSlidingWindow full_coarse =
+        fkc::bench::Checked(fkc::FairCenterSlidingWindow::Create(
+            coarse, prepared.constraint, &metric, &jones));
+    fkc::FairCenterSlidingWindow lite =
+        fkc::bench::Checked(fkc::FairCenterSlidingWindow::Create(
+            fkc::ValidationOnlyOptions(fine), prepared.constraint, &metric,
+            &jones));
 
     fkc::WindowDriver driver(&metric, prepared.constraint, window);
     driver.AddStreaming("Full@0.5", &full_fine);

@@ -39,7 +39,8 @@ int main(int argc, char** argv) {
 
   const fkc::EuclideanMetric metric;
   const fkc::JonesFairCenter jones;
-  const fkc::ColorConstraint constraint({2, 2});
+  const fkc::ColorConstraint constraint =
+      fkc::bench::Checked(fkc::ColorConstraint::Create({2, 2}));
 
   // Alternating-regime stream.
   fkc::Rng rng(42);
@@ -62,12 +63,14 @@ int main(int argc, char** argv) {
   warm_options.window_size = window;
   warm_options.delta = 1.0;
   warm_options.adaptive_range = true;
-  fkc::FairCenterSlidingWindow warm(warm_options, constraint, &metric,
-                                    &jones);
+  fkc::FairCenterSlidingWindow warm =
+      fkc::bench::Checked(fkc::FairCenterSlidingWindow::Create(
+          warm_options, constraint, &metric, &jones));
   fkc::SlidingWindowOptions cold_options = warm_options;
   cold_options.warm_start_new_guesses = false;
-  fkc::FairCenterSlidingWindow cold(cold_options, constraint, &metric,
-                                    &jones);
+  fkc::FairCenterSlidingWindow cold =
+      fkc::bench::Checked(fkc::FairCenterSlidingWindow::Create(
+          cold_options, constraint, &metric, &jones));
 
   fkc::WindowDriver driver(&metric, constraint, window);
   driver.AddStreaming("warm-start", &warm);

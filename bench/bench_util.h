@@ -8,9 +8,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/status.h"
 #include "datasets/registry.h"
 #include "metric/aspect_ratio.h"
 #include "metric/metric.h"
@@ -19,6 +21,16 @@
 
 namespace fkc {
 namespace bench {
+
+/// The value of a Result the bench's own configuration produced (a window
+/// from FairCenterSlidingWindow::Create, a constraint from
+/// ColorConstraint::Create): a rejected configuration stops the bench with
+/// its Status (FKC_CHECK).
+template <typename T>
+T Checked(Result<T> result) {
+  FKC_CHECK(result.ok()) << result.status().ToString();
+  return std::move(result).value();
+}
 
 /// A prepared experiment input: materialized points, the paper's fairness
 /// constraint, and distance bounds for the fixed-range ("Ours") variant.

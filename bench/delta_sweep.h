@@ -77,14 +77,16 @@ inline std::vector<DeltaSweepResult> RunDeltaSweep(
       fixed.d_max = prepared.d_max;
       fixed.num_threads = ResolveThreadCount(config.num_threads);
       windows.push_back(std::make_unique<FairCenterSlidingWindow>(
-          fixed, prepared.constraint, &metric, &jones));
+          Checked(FairCenterSlidingWindow::Create(fixed, prepared.constraint,
+                                                  &metric, &jones))));
       driver.AddStreaming(StrFormat("Ours@%g", delta), windows.back().get());
 
       SlidingWindowOptions adaptive = fixed;
       adaptive.adaptive_range = true;
       adaptive.d_min = adaptive.d_max = 0.0;
       windows.push_back(std::make_unique<FairCenterSlidingWindow>(
-          adaptive, prepared.constraint, &metric, &jones));
+          Checked(FairCenterSlidingWindow::Create(adaptive, prepared.constraint,
+                                                  &metric, &jones))));
       driver.AddStreaming(StrFormat("OursObliv@%g", delta),
                           windows.back().get());
     }

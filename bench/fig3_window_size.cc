@@ -94,13 +94,15 @@ int main(int argc, char** argv) {
         fixed.d_min = prepared.d_min;
         fixed.d_max = prepared.d_max;
         fixed.num_threads = fkc::ResolveThreadCount(threads);
-        fkc::FairCenterSlidingWindow ours(fixed, prepared.constraint, &metric,
-                                          &jones);
+        fkc::FairCenterSlidingWindow ours =
+            fkc::bench::Checked(fkc::FairCenterSlidingWindow::Create(
+                fixed, prepared.constraint, &metric, &jones));
         fkc::SlidingWindowOptions adaptive = fixed;
         adaptive.adaptive_range = true;
         adaptive.d_min = adaptive.d_max = 0.0;
-        fkc::FairCenterSlidingWindow oblivious(adaptive, prepared.constraint,
-                                               &metric, &jones);
+        fkc::FairCenterSlidingWindow oblivious =
+            fkc::bench::Checked(fkc::FairCenterSlidingWindow::Create(
+                adaptive, prepared.constraint, &metric, &jones));
 
         fkc::WindowDriver driver(&metric, prepared.constraint, window_size);
         driver.AddStreaming("Ours", &ours);

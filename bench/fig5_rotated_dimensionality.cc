@@ -78,12 +78,14 @@ int main(int argc, char** argv) {
       fine.d_min = prepared.d_min;
       fine.d_max = prepared.d_max;
       fine.num_threads = fkc::ResolveThreadCount(threads);
-      fkc::FairCenterSlidingWindow ours_fine(fine, prepared.constraint,
-                                             &metric, &jones);
+      fkc::FairCenterSlidingWindow ours_fine =
+          fkc::bench::Checked(fkc::FairCenterSlidingWindow::Create(
+              fine, prepared.constraint, &metric, &jones));
       fkc::SlidingWindowOptions coarse = fine;
       coarse.delta = 2.0;
-      fkc::FairCenterSlidingWindow ours_coarse(coarse, prepared.constraint,
-                                               &metric, &jones);
+      fkc::FairCenterSlidingWindow ours_coarse =
+          fkc::bench::Checked(fkc::FairCenterSlidingWindow::Create(
+              coarse, prepared.constraint, &metric, &jones));
       driver.AddStreaming("Ours@0.5", &ours_fine);
       driver.AddStreaming("Ours@2.0", &ours_coarse);
       driver.AddBaseline("Jones", &jones);

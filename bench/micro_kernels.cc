@@ -313,8 +313,9 @@ void BM_FleetWindowUpdate(benchmark::State& state) {
   options.window_size = 2000;
   options.delta = 1.0;
   options.adaptive_range = true;
-  FairCenterSlidingWindow window(options, prepared->constraint, &metric,
-                                 &jones);
+  FairCenterSlidingWindow window =
+      bench::Checked(FairCenterSlidingWindow::Create(
+          options, prepared->constraint, &metric, &jones));
   size_t cursor = 0;
   int64_t allocations = 0;
   const auto feed = [&] {
@@ -507,12 +508,27 @@ void BM_CoresetHandoff(benchmark::State& state) {
 }
 BENCHMARK(BM_CoresetHandoff)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
+// The shadow counters of one Jones solve on a covtype coreset pool: the
+// rows its traversal read from the float32 shadow (metric/shadow_pool.h)
+// and the exact distances that resolved their decisions. A CountingMetric
+// is a decorator, which reads exact rows only, so these come from the
+// solve itself. Both depend only on the data (every width computes the
+// same shadow rows), so CI compares them scalar vs SIMD at 0%.
+void SetShadowCounters(const FairCenterSolution& solution,
+                       benchmark::State* state) {
+  state->counters["shadow_rows_per_solve"] =
+      static_cast<double>(solution.shadow_rows);
+  state->counters["resolved_pairs_per_solve"] =
+      static_cast<double>(solution.resolved_pairs);
+}
+
 // A covtype query's Jones solve (SolvePool) on that guess's coreset pool.
 // `rows_per_solve` counts the solve's passes over the pool: the distance
 // pairs a CountingMetric sees over the pool's slot count, i.e. one per
 // Gonzalez head the traversal computes before its stop rule fires, plus one
 // per center that is not a head. It depends only on the data, so CI
-// compares it scalar vs SIMD at 0%.
+// compares it scalar vs SIMD at 0%. The uncounted solve reads the shadow
+// for every head after the first (SetShadowCounters).
 void BM_CoresetSolve(benchmark::State& state) {
   const EuclideanMetric metric;
   const datasets::Dataset& dataset = CovtypeStream();
@@ -524,6 +540,8 @@ void BM_CoresetSolve(benchmark::State& state) {
   CountingMetric counting(&metric);
   auto counted = jones.SolvePool(counting, pool, constraint);
   FKC_CHECK(counted.ok()) << counted.status().ToString();
+  const auto shadowed = jones.SolvePool(metric, pool, constraint);
+  FKC_CHECK(shadowed.ok()) << shadowed.status().ToString();
   for (auto _ : state) {
     benchmark::DoNotOptimize(jones.SolvePool(metric, pool, constraint));
   }
@@ -532,6 +550,7 @@ void BM_CoresetSolve(benchmark::State& state) {
   state.counters["rows_per_solve"] =
       static_cast<double>(counting.count()) /
       static_cast<double>(pool.slot_count());
+  SetShadowCounters(shadowed.value(), &state);
   state.SetLabel(simd::ActiveKernels().name);
 }
 BENCHMARK(BM_CoresetSolve)->Unit(benchmark::kMillisecond);
@@ -553,8 +572,10 @@ void BM_HeadPass(benchmark::State& state) {
   const int ell = dataset.ell;
   const size_t stride = pool.slot_count();
   std::vector<double> rows(2 * stride);
+  // Through a decorator, so both rows are exact (not the float32 shadow's).
+  const CountingMetric exact(&metric);
   const GonzalezResult heads =
-      GonzalezKCenter(metric, pool, 2, 0, nullptr, rows.data());
+      GonzalezKCenter(exact, pool, 2, 0, nullptr, rows.data());
   FKC_CHECK_EQ(heads.head_indices.size(), 2u);
   std::vector<double> nearest(stride, -std::numeric_limits<double>::infinity());
   std::vector<int> position(stride, -1);
@@ -603,7 +624,8 @@ BENCHMARK(BM_HeadPass)->Unit(benchmark::kMicrosecond);
 
 // What a covtype query's `query_ms_p50` times past PlanQuery's validity
 // checks: the coreset hand-off from that guess (CoresetPool) and the Jones
-// solve on it. `rows_per_solve` is BM_CoresetSolve's exact pass count.
+// solve on it. `rows_per_solve` is BM_CoresetSolve's exact pass count, and
+// the shadow counters are its too.
 void BM_CoresetQuery(benchmark::State& state) {
   const EuclideanMetric metric;
   const datasets::Dataset& dataset = CovtypeStream();
@@ -614,6 +636,8 @@ void BM_CoresetQuery(benchmark::State& state) {
   CountingMetric counting(&metric);
   const ColoredPool counted_pool = driven.guess.CoresetPool(driven.arena);
   FKC_CHECK(jones.SolvePool(counting, counted_pool, constraint).ok());
+  const auto shadowed = jones.SolvePool(metric, counted_pool, constraint);
+  FKC_CHECK(shadowed.ok()) << shadowed.status().ToString();
   for (auto _ : state) {
     const ColoredPool pool = driven.guess.CoresetPool(driven.arena);
     benchmark::DoNotOptimize(jones.SolvePool(metric, pool, constraint));
@@ -624,6 +648,7 @@ void BM_CoresetQuery(benchmark::State& state) {
   state.counters["rows_per_solve"] =
       static_cast<double>(counting.count()) /
       static_cast<double>(counted_pool.slot_count());
+  SetShadowCounters(shadowed.value(), &state);
   state.SetLabel(simd::ActiveKernels().name);
 }
 BENCHMARK(BM_CoresetQuery)->Unit(benchmark::kMillisecond);
@@ -850,7 +875,9 @@ void BM_SlidingWindowUpdate(benchmark::State& state) {
   options.window_size = 2000;
   options.delta = static_cast<double>(state.range(0)) / 10.0;
   options.adaptive_range = true;
-  FairCenterSlidingWindow window(options, constraint, &metric, &jones);
+  FairCenterSlidingWindow window =
+      bench::Checked(FairCenterSlidingWindow::Create(
+          options, constraint, &metric, &jones));
   size_t cursor = 0;
   // Warm up to steady state.
   for (int i = 0; i < 4000; ++i) {
@@ -888,7 +915,8 @@ FairCenterSlidingWindow MakeEngineWindow(int num_threads,
   options.num_threads = num_threads;
   static const ColorConstraint constraint = ColorConstraint::Uniform(7, 2);
   static const JonesFairCenter jones;
-  return FairCenterSlidingWindow(options, constraint, metric, &jones);
+  return bench::Checked(
+      FairCenterSlidingWindow::Create(options, constraint, metric, &jones));
 }
 
 void RunEngineBench(benchmark::State& state, int num_threads,
@@ -1012,7 +1040,9 @@ void BM_KMedianLedger(benchmark::State& state) {
   options.num_threads = 1;
   static const ColorConstraint constraint = ColorConstraint::Uniform(7, 2);
   static const JonesFairCenter jones;
-  FairCenterSlidingWindow window(options, constraint, &counting, &jones);
+  FairCenterSlidingWindow window =
+      bench::Checked(FairCenterSlidingWindow::Create(
+          options, constraint, &counting, &jones));
   for (const Point& p : points) window.Update(p);
   const int64_t update_calls = counting.count();
   counting.Reset();
@@ -1063,7 +1093,9 @@ void BM_SlidingWindowQuery(benchmark::State& state) {
   options.window_size = 2000;
   options.delta = static_cast<double>(state.range(0)) / 10.0;
   options.adaptive_range = true;
-  FairCenterSlidingWindow window(options, constraint, &metric, &jones);
+  FairCenterSlidingWindow window =
+      bench::Checked(FairCenterSlidingWindow::Create(
+          options, constraint, &metric, &jones));
   for (const Point& p : points) window.Update(p);
   for (auto _ : state) {
     auto result = window.Query();

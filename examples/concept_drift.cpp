@@ -26,19 +26,31 @@ int main() {
   const int64_t window_size = 1000;
   const int64_t regime_length = 2500;
   const int64_t regime_count = 3;
-  const fkc::ColorConstraint constraint({2, 2});
+  const auto constraint = fkc::ColorConstraint::Create({2, 2});
   const fkc::EuclideanMetric metric;
   const fkc::JonesFairCenter jones;
+  if (!constraint.ok()) {
+    std::fprintf(stderr, "%s\n", constraint.status().ToString().c_str());
+    return 1;
+  }
 
   fkc::SlidingWindowOptions options;
   options.window_size = window_size;
   options.delta = 1.0;
   options.adaptive_range = true;
-  fkc::FairCenterSlidingWindow sliding(options, constraint, &metric, &jones);
-
+  auto sliding_window = fkc::FairCenterSlidingWindow::Create(
+      options, constraint.value(), &metric, &jones);
   options.window_size = regime_count * regime_length;
-  fkc::FairCenterSlidingWindow whole_stream(options, constraint, &metric,
-                                            &jones);
+  auto whole_stream_window = fkc::FairCenterSlidingWindow::Create(
+      options, constraint.value(), &metric, &jones);
+  for (const auto* created : {&sliding_window, &whole_stream_window}) {
+    if (!created->ok()) {
+      std::fprintf(stderr, "%s\n", created->status().ToString().c_str());
+      return 1;
+    }
+  }
+  fkc::FairCenterSlidingWindow& sliding = sliding_window.value();
+  fkc::FairCenterSlidingWindow& whole_stream = whole_stream_window.value();
 
   fkc::ReferenceWindow truth(window_size);
   fkc::Rng rng(7);

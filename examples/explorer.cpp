@@ -9,6 +9,7 @@
 //   explorer --dataset=blobs5 --algorithm=lite --queries=20
 #include <cstdio>
 #include <memory>
+#include <utility>
 
 #include "common/flags.h"
 #include "common/logging.h"
@@ -129,9 +130,15 @@ int main(int argc, char** argv) {
   std::unique_ptr<fkc::FairCenterSlidingWindow> streaming;
   fkc::WindowDriver driver(&metric, constraint, window);
   if (algorithm == "ours" || algorithm == "oblivious" || algorithm == "lite") {
-    streaming = std::make_unique<fkc::FairCenterSlidingWindow>(
+    auto created = fkc::FairCenterSlidingWindow::Create(
         algorithm == "lite" ? fkc::ValidationOnlyOptions(options) : options,
         constraint, &metric, &jones);
+    if (!created.ok()) {
+      std::fprintf(stderr, "%s\n", created.status().ToString().c_str());
+      return 1;
+    }
+    streaming = std::make_unique<fkc::FairCenterSlidingWindow>(
+        std::move(created).value());
     driver.AddStreaming(algorithm, streaming.get());
   } else if (algorithm == "jones") {
     driver.AddBaseline("jones", &jones);

@@ -34,7 +34,12 @@ int main() {
 
   // Budget of 14 representatives, background capped at 10: the majority
   // class can never occupy more than 10 slots of the summary.
-  const fkc::ColorConstraint constraint({4, 10});  // color 0 = signal
+  const auto caps = fkc::ColorConstraint::Create({4, 10});  // color 0 = signal
+  if (!caps.ok()) {
+    std::fprintf(stderr, "%s\n", caps.status().ToString().c_str());
+    return 1;
+  }
+  const fkc::ColorConstraint& constraint = caps.value();
   const fkc::EuclideanMetric metric;
   const fkc::JonesFairCenter jones;
 
@@ -42,8 +47,13 @@ int main() {
   options.window_size = window_size;
   options.delta = 1.0;
   options.adaptive_range = true;
-  fkc::FairCenterSlidingWindow fair_summary(options, constraint, &metric,
-                                            &jones);
+  auto created = fkc::FairCenterSlidingWindow::Create(options, constraint,
+                                                      &metric, &jones);
+  if (!created.ok()) {
+    std::fprintf(stderr, "%s\n", created.status().ToString().c_str());
+    return 1;
+  }
+  fkc::FairCenterSlidingWindow& fair_summary = created.value();
   fkc::ReferenceWindow window(window_size);
 
   std::printf("%8s | %22s | %22s\n", "t", "fair (sig/bkg, radius)",

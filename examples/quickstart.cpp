@@ -18,7 +18,13 @@
 int main() {
   // 1. The fairness constraint: two demographic groups, at most 2 centers
   //    from group 0 and at most 1 from group 1.
-  const fkc::ColorConstraint constraint({2, 1});
+  //    Create returns a Status for caps no constraint can have (a negative
+  //    cap, or caps summing past INT_MAX).
+  const auto constraint = fkc::ColorConstraint::Create({2, 1});
+  if (!constraint.ok()) {
+    std::fprintf(stderr, "%s\n", constraint.status().ToString().c_str());
+    return 1;
+  }
 
   // 2. The metric space and the sequential solver used on query coresets
   //    (Jones et al. 2020, the best known 3-approximation).
@@ -36,7 +42,15 @@ int main() {
   options.delta = 1.0;         // coreset precision (smaller = more accurate)
   options.adaptive_range = true;
   options.num_threads = 0;
-  fkc::FairCenterSlidingWindow window(options, constraint, &metric, &solver);
+  //    Create returns kInvalidArgument for options or inputs the window
+  //    cannot run with, where the constructor would abort.
+  auto created = fkc::FairCenterSlidingWindow::Create(
+      options, constraint.value(), &metric, &solver);
+  if (!created.ok()) {
+    std::fprintf(stderr, "%s\n", created.status().ToString().c_str());
+    return 1;
+  }
+  fkc::FairCenterSlidingWindow& window = created.value();
 
   // 4. Stream synthetic data: three drifting Gaussian clusters whose points
   //    belong to group 0 with probability 0.7. Arrivals are delivered in

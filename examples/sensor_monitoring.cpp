@@ -53,8 +53,13 @@ int main() {
   options.window_size = window_size;
   options.delta = 2.0;            // coarser coreset: bigger memory savings
   options.adaptive_range = true;  // sensor scales are unknown a priori
-  fkc::FairCenterSlidingWindow streaming(options, constraint, &metric,
-                                         &jones);
+  auto created = fkc::FairCenterSlidingWindow::Create(options, constraint,
+                                                      &metric, &jones);
+  if (!created.ok()) {
+    std::fprintf(stderr, "%s\n", created.status().ToString().c_str());
+    return 1;
+  }
+  fkc::FairCenterSlidingWindow& streaming = created.value();
   fkc::ReferenceWindow full_window(window_size);
 
   std::printf("%8s %12s %12s %10s %12s %12s\n", "t", "stream_rad",

@@ -7,6 +7,7 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
+#include "core/options_io.h"
 #include "sequential/k_median.h"
 
 namespace fkc {
@@ -31,15 +32,21 @@ class RecordingObserver final : public DistanceObserver {
 };
 
 // The shared back half of both query modes: selects the coreset through
-// PlanQuery, then runs `solve` on it, timed into `stats->solver_millis`. An
-// empty window answers with an empty solution without running the solver.
+// PlanQuery, timed into `stats->plan_millis`, then runs `solve` on it, timed
+// into `stats->solver_millis`. An empty window answers with an empty
+// solution without running the solver.
 template <typename Solution, typename Solve>
 Result<Solution> SolveOnPlan(FairCenterSlidingWindow* window,
                              QueryStats* stats, Solve solve) {
   if (stats != nullptr) *stats = QueryStats{};
+  Stopwatch plan_timer;
   auto plan = window->PlanQuery();
+  const double plan_millis = plan_timer.ElapsedMillis();
   if (!plan.ok()) return plan.status();
-  if (stats != nullptr) *stats = plan.value().stats;
+  if (stats != nullptr) {
+    *stats = plan.value().stats;
+    stats->plan_millis = plan_millis;
+  }
   if (plan.value().coreset.empty()) return Solution{};
 
   Stopwatch solver_timer;
@@ -141,6 +148,19 @@ FairCenterSlidingWindow::FairCenterSlidingWindow(SlidingWindowOptions options,
                          options_.variant));
     }
   }
+}
+
+Result<FairCenterSlidingWindow> FairCenterSlidingWindow::Create(
+    SlidingWindowOptions options, ColorConstraint constraint,
+    const Metric* metric, const FairCenterSolver* solver) {
+  if (metric == nullptr) return Status::InvalidArgument("null metric");
+  if (solver == nullptr) return Status::InvalidArgument("null solver");
+  if (constraint.TotalK() <= 0) {
+    return Status::InvalidArgument("the color constraint has no positive cap");
+  }
+  FKC_RETURN_IF_ERROR(ValidateSlidingWindowOptions(options));
+  return FairCenterSlidingWindow(std::move(options), std::move(constraint),
+                                 metric, solver);
 }
 
 Status FairCenterSlidingWindow::Update(Coordinates coords, int color) {

@@ -120,13 +120,15 @@ double DeltaForEpsilon(double epsilon, double beta, double alpha);
 /// Inverse of DeltaForEpsilon: the epsilon guaranteed by a given delta.
 double EpsilonForDelta(double delta, double beta, double alpha);
 
-/// Per-query diagnostics. Every field except `solver_millis` (a wall time)
-/// is deterministic: identical state produces identical values at any thread
-/// count, parallel or sequential query path alike.
+/// Per-query diagnostics. Every field except `plan_millis` and
+/// `solver_millis` (wall times) is deterministic: identical state produces
+/// identical values at any thread count, parallel or sequential query path
+/// alike. The two times split one query into its plan and its solve.
 struct QueryStats {
   double guess = 0.0;          ///< the selected gamma-hat
   int64_t coreset_size = 0;    ///< points handed to the sequential solver
   int guesses_inspected = 0;   ///< ladder entries examined by Query
+  double plan_millis = 0.0;    ///< time spent in PlanQuery
   double solver_millis = 0.0;  ///< time spent inside the sequential solver
 };
 
@@ -148,8 +150,8 @@ struct QueryPlan {
   /// next non-const call (Update, UpdateBatch, PlanQuery, Query, a restore
   /// into it, or its destruction). Copy it out with ToPoints() to keep it.
   ColoredPool coreset;
-  /// guess / coreset_size / guesses_inspected are populated; solver_millis
-  /// stays 0 (no solver has run yet).
+  /// guess / coreset_size / guesses_inspected are populated; plan_millis
+  /// and solver_millis stay 0 (Query times the plan and the solve).
   QueryStats stats;
 };
 
@@ -165,16 +167,27 @@ Status ValidateArrival(const Point& p, const ColorConstraint& constraint,
 /// algorithm, whose coreset also answers k-median queries.
 ///
 /// Typical use:
-///   FairCenterSlidingWindow window(options, constraint, &metric, &solver);
+///   auto window = FairCenterSlidingWindow::Create(options, constraint,
+///                                                 &metric, &solver);
+///   (test window.ok(), then use window.value())
 ///   for each stream point: window.Update(coords, color);
 ///   auto solution = window.Query();
 class FairCenterSlidingWindow {
  public:
   /// `metric` and `solver` must outlive the window. Arrivals of a color
   /// whose cap is 0 are rejected by Update (see ValidateArrival).
+  /// Preconditions (FKC_CHECK): the ones Create tests.
   FairCenterSlidingWindow(SlidingWindowOptions options,
                           ColorConstraint constraint, const Metric* metric,
                           const FairCenterSolver* solver);
+
+  /// The constructor, with its preconditions tested first:
+  /// kInvalidArgument for a null metric or solver, a constraint with no
+  /// positive cap, and any options ValidateSlidingWindowOptions rejects.
+  static Result<FairCenterSlidingWindow> Create(SlidingWindowOptions options,
+                                                ColorConstraint constraint,
+                                                const Metric* metric,
+                                                const FairCenterSolver* solver);
 
   /// Feeds the next stream point; arrival time and id are assigned
   /// internally (one logical time step per call). An arrival breaking

@@ -7,13 +7,19 @@
 
 namespace fkc {
 
-Point ColoredPool::At(size_t i) const {
+void ColoredPool::CopyCoordinates(size_t i, double* out) const {
   const size_t s = slot(i);
   const size_t lent = borrowed_ != nullptr ? borrowed_->size() : 0;
   const CoordinatePool::ColumnRef column =
       s < lent ? borrowed_->Column(s) : own_.Column(s - lent);
+  for (size_t d = 0, n = dim(); d < n; ++d) {
+    out[d] = column.data[d * column.stride];
+  }
+}
+
+Point ColoredPool::At(size_t i) const {
   Coordinates c(dim());
-  for (size_t d = 0; d < c.size(); ++d) c[d] = column.data[d * column.stride];
+  CopyCoordinates(i, c.data());
   return Point(std::move(c), colors_[i], fields_.arrivals[field_rows_[i]],
                fields_.ids[field_rows_[i]]);
 }

@@ -68,6 +68,8 @@ class ColoredPool {
 
   /// Point i, materialized.
   Point At(size_t i) const;
+  /// Writes point i's dim() coordinates to `out`.
+  void CopyCoordinates(size_t i, double* out) const;
 
   /// Every point in position order; bit-identical to the points the pool
   /// was built from.
@@ -97,6 +99,25 @@ class ColoredPool {
   /// center.
   void DistanceRows(const Metric& metric, const std::vector<Point>& centers,
                     double* out) const;
+
+  /// Calls f(span) for every block of coordinates the pool scans, with
+  /// span.first the slot of its first column: the borrowed pool's blocks,
+  /// then the owned pool's, in the order DistanceRow reads them.
+  template <typename F>
+  void ForEachSpan(ScanOrder order, F&& f) const {
+    const size_t lent = borrowed_ != nullptr ? borrowed_->size() : 0;
+    const auto shifted = [&](CoordinatePool::Span span) {
+      span.first += lent;
+      f(span);
+    };
+    if (order == ScanOrder::kForward) {
+      if (lent != 0) borrowed_->ForEachSpan(order, f);
+      own_.ForEachSpan(order, shifted);
+    } else {
+      own_.ForEachSpan(order, shifted);
+      if (lent != 0) borrowed_->ForEachSpan(order, f);
+    }
+  }
 
   /// The borrowed pool, or nullptr when the pool owns all its slots.
   const CoordinatePool* borrowed() const { return borrowed_; }

@@ -50,6 +50,19 @@
 // operations, so every distance is bit-identical to the single-row kernel
 // of any width. The same row slack contract holds.
 //
+// Shadow kernels serve a float32 shadow of a pool (shadow_pool.h). A fill
+// kernel is the exact kernel of its metric, out[i] bit for bit, that also
+// stores each lane's coordinate difference query[d] - x as a float at
+// shadow[d * shadow_stride + i]; a difference that is NaN or outside
+// float's range is stored as 0 (every width masks it the same way, so each
+// conversion is defined and the shadow's bytes do not depend on the width).
+// A shadow kernel scores a float query against the float columns of such a
+// shadow with the same per-metric terms, in float arithmetic: each lane
+// owns one pair and accumulates its terms in ascending dimension order, and
+// the float result is widened into the double out[i]. So every width gives
+// the same bits here too. Shadow rows are readable (not meaningful) up to
+// RoundUpToShadowLanes(count) floats, the widest set's float vector.
+//
 // Head passes (the head_pass kernel) do the bookkeeping of one Gonzalez
 // head over the distance row DistanceRow filled for it (gonzalez.h); no
 // metric is involved, and the pass reads each slot once. For every slot s
@@ -82,6 +95,7 @@
 #define FKC_METRIC_SIMD_KERNELS_H_
 
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "metric/coordinate_pool.h"
@@ -111,6 +125,20 @@ using TileKernel = void (*)(const double* const* queries, size_t rows,
                             const double* data, size_t stride, size_t dim,
                             size_t count, size_t out_stride, double* out);
 
+/// Shadow fill: out[i] as the DistanceKernel computes it, and
+/// shadow[d * shadow_stride + i] = float(query[d] - data[d * stride + i]),
+/// or 0 where that difference is NaN or outside float's range.
+using ShadowFillKernel = void (*)(const double* query, const double* data,
+                                  size_t stride, size_t dim, size_t count,
+                                  float* shadow, size_t shadow_stride,
+                                  double* out);
+
+/// Shadow scan: out[i] = distance(query, float column i of `data`),
+/// computed in float and widened; see the file comment.
+using ShadowKernel = void (*)(const float* query, const float* data,
+                              size_t stride, size_t dim, size_t count,
+                              double* out);
+
 /// The farthest point of a head pass: its folded distance and its
 /// position, or {0, -1} when no point lies farther than 0.
 struct Farthest {
@@ -131,8 +159,8 @@ using HeadPassKernel = Farthest (*)(const double* row, const int* position,
 /// The most rows any set holds in one tile.
 constexpr size_t kMaxTileRows = 8;
 
-/// One exact, one bounded and one tile kernel per built-in metric, and the
-/// head pass, all of one vector width.
+/// One exact, one bounded, one tile, one shadow fill and one shadow kernel
+/// per built-in metric, and the head pass, all of one vector width.
 struct KernelSet {
   const char* name;  ///< "scalar", "avx2", "avx512"
   size_t lanes;      ///< pairs processed per vector
@@ -146,6 +174,12 @@ struct KernelSet {
   TileKernel euclidean_tile;
   TileKernel manhattan_tile;
   TileKernel chebyshev_tile;
+  ShadowFillKernel euclidean_fill;
+  ShadowFillKernel manhattan_fill;
+  ShadowFillKernel chebyshev_fill;
+  ShadowKernel euclidean_shadow;
+  ShadowKernel manhattan_shadow;
+  ShadowKernel chebyshev_shadow;
   HeadPassKernel head_pass;
 };
 
@@ -180,6 +214,21 @@ void ExactScan(const double* query, const double* data, size_t stride,
 constexpr size_t RoundUpToLanes(size_t count) {
   return (count + CoordinatePool::kLaneAlign - 1) / CoordinatePool::kLaneAlign *
          CoordinatePool::kLaneAlign;
+}
+
+/// Floats a shadow kernel reads at once at the widest width (AVX-512).
+constexpr size_t kShadowLanes = 16;
+
+/// Shadow rows must be readable (not meaningful) up to this many floats.
+constexpr size_t RoundUpToShadowLanes(size_t count) {
+  return (count + kShadowLanes - 1) / kShadowLanes * kShadowLanes;
+}
+
+/// The float a fill kernel stores for the difference `diff`: the nearest
+/// float, or 0 for NaN and for a difference outside float's range.
+inline float ShadowValue(double diff) {
+  constexpr double kMax = std::numeric_limits<float>::max();
+  return diff >= -kMax && diff <= kMax ? static_cast<float>(diff) : 0.0f;
 }
 
 /// The portable reference kernels; always available.

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 namespace fkc {
@@ -30,6 +31,10 @@ inline __m256i TailMask(size_t rem) {
 inline __m256d Abs(__m256d v) {
   const __m256d sign_mask = _mm256_set1_pd(-0.0);
   return _mm256_andnot_pd(sign_mask, v);
+}
+
+inline __m256 Abs(__m256 v) {
+  return _mm256_andnot_ps(_mm256_set1_ps(-0.0f), v);
 }
 
 // Bit i set when lane i is live in the block starting at pair i0.
@@ -52,32 +57,55 @@ inline void StoreLanes(double* out, size_t i0, size_t count, __m256d v) {
   }
 }
 
-// One policy per metric: a pair's per-dimension term and its final step.
-// Every kernel below applies them in ascending dimension order, one pair
-// per lane.
+// One policy per metric: a pair's per-dimension term, given the pair's
+// coordinate difference (Add) or its two coordinates (Step), and its final
+// step, on four double lanes for the exact kernels and on eight float lanes
+// for the shadow ones. Every kernel below applies them in ascending
+// dimension order, one pair per lane.
 struct EuclideanTerm {
-  static __m256d Step(__m256d acc, __m256d qd, __m256d pts) {
-    const __m256d diff = _mm256_sub_pd(qd, pts);
+  static __m256d Add(__m256d acc, __m256d diff) {
     return _mm256_add_pd(acc, _mm256_mul_pd(diff, diff));
   }
+  static __m256 Add(__m256 acc, __m256 diff) {
+    return _mm256_add_ps(acc, _mm256_mul_ps(diff, diff));
+  }
   static __m256d Finish(__m256d acc) { return _mm256_sqrt_pd(acc); }
+  static __m256 Finish(__m256 acc) { return _mm256_sqrt_ps(acc); }
 };
 
 struct ManhattanTerm {
-  static __m256d Step(__m256d acc, __m256d qd, __m256d pts) {
-    return _mm256_add_pd(acc, Abs(_mm256_sub_pd(qd, pts)));
+  static __m256d Add(__m256d acc, __m256d diff) {
+    return _mm256_add_pd(acc, Abs(diff));
+  }
+  static __m256 Add(__m256 acc, __m256 diff) {
+    return _mm256_add_ps(acc, Abs(diff));
   }
   static __m256d Finish(__m256d acc) { return acc; }
+  static __m256 Finish(__m256 acc) { return acc; }
 };
 
-// max(diff, best): returns `best` when equal or unordered, matching the
+// max(|diff|, best): returns `best` when equal or unordered, matching the
 // scalar `if (diff > best) best = diff`.
 struct ChebyshevTerm {
-  static __m256d Step(__m256d best, __m256d qd, __m256d pts) {
-    return _mm256_max_pd(Abs(_mm256_sub_pd(qd, pts)), best);
+  static __m256d Add(__m256d best, __m256d diff) {
+    return _mm256_max_pd(Abs(diff), best);
+  }
+  static __m256 Add(__m256 best, __m256 diff) {
+    return _mm256_max_ps(Abs(diff), best);
   }
   static __m256d Finish(__m256d best) { return best; }
+  static __m256 Finish(__m256 best) { return best; }
 };
+
+template <typename Term>
+inline __m256d Step(__m256d acc, __m256d qd, __m256d pts) {
+  return Term::Add(acc, _mm256_sub_pd(qd, pts));
+}
+
+template <typename Term>
+inline __m256 Step(__m256 acc, __m256 qd, __m256 pts) {
+  return Term::Add(acc, _mm256_sub_ps(qd, pts));
+}
 
 // One query against every column, one vector of pairs at a time.
 template <typename Term, bool kBounded>
@@ -88,7 +116,7 @@ void ScanAvx2(const double* query, const double* data, size_t stride,
     const int dead = 0xF & ~LiveLanes(i, count);
     __m256d acc = _mm256_setzero_pd();
     for (size_t d = 0; d < dim; ++d) {
-      acc = Term::Step(acc, _mm256_set1_pd(query[d]),
+      acc = Step<Term>(acc, _mm256_set1_pd(query[d]),
                        _mm256_loadu_pd(data + d * stride + i));
       if constexpr (kBounded) {
         if (IsBoundCheckDim(d, dim) &&
@@ -96,6 +124,70 @@ void ScanAvx2(const double* query, const double* data, size_t stride,
       }
     }
     StoreLanes(out, i, count, Term::Finish(acc));
+  }
+}
+
+// The exact scan that also stores each difference's float (ShadowValue,
+// lane by lane: out-of-range and NaN lanes are masked to 0 before the
+// conversion). The four floats of a tail block are stored whole: the lanes
+// past `count` are the shadow row's own slack.
+template <typename Term>
+void FillAvx2(const double* query, const double* data, size_t stride,
+              size_t dim, size_t count, float* shadow, size_t shadow_stride,
+              double* out) {
+  const __m256d max = _mm256_set1_pd(std::numeric_limits<float>::max());
+  for (size_t i = 0; i < count; i += kLanes) {
+    __m256d acc = _mm256_setzero_pd();
+    for (size_t d = 0; d < dim; ++d) {
+      const __m256d diff = _mm256_sub_pd(
+          _mm256_set1_pd(query[d]), _mm256_loadu_pd(data + d * stride + i));
+      const __m256d in_range = _mm256_cmp_pd(Abs(diff), max, _CMP_LE_OQ);
+      _mm_storeu_ps(shadow + d * shadow_stride + i,
+                    _mm256_cvtpd_ps(_mm256_and_pd(diff, in_range)));
+      acc = Term::Add(acc, diff);
+    }
+    StoreLanes(out, i, count, Term::Finish(acc));
+  }
+}
+
+// Widens eight float results into out[i, i + 8), storing the live lanes.
+inline void StoreWidened(double* out, size_t i, size_t count, __m256 v) {
+  StoreLanes(out, i, count, _mm256_cvtps_pd(_mm256_castps256_ps128(v)));
+  if (i + kLanes < count) {
+    StoreLanes(out, i + kLanes, count,
+               _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1)));
+  }
+}
+
+// A float query against every float column: four independent 8-lane
+// chains per 32 columns keep the adds in flight, then one chain per 8.
+template <typename Term>
+void ShadowAvx2(const float* query, const float* data, size_t stride,
+                size_t dim, size_t count, double* out) {
+  constexpr size_t kFloats = 8;
+  constexpr size_t kChains = 4;
+  size_t i = 0;
+  for (; i + kChains * kFloats <= count; i += kChains * kFloats) {
+    __m256 acc[kChains];
+    for (size_t c = 0; c < kChains; ++c) acc[c] = _mm256_setzero_ps();
+    for (size_t d = 0; d < dim; ++d) {
+      const __m256 qd = _mm256_set1_ps(query[d]);
+      const float* row = data + d * stride + i;
+      for (size_t c = 0; c < kChains; ++c) {
+        acc[c] = Step<Term>(acc[c], qd, _mm256_loadu_ps(row + c * kFloats));
+      }
+    }
+    for (size_t c = 0; c < kChains; ++c) {
+      StoreWidened(out, i + c * kFloats, count, Term::Finish(acc[c]));
+    }
+  }
+  for (; i < count; i += kFloats) {
+    __m256 acc = _mm256_setzero_ps();
+    for (size_t d = 0; d < dim; ++d) {
+      acc = Step<Term>(acc, _mm256_set1_ps(query[d]),
+                       _mm256_loadu_ps(data + d * stride + i));
+    }
+    StoreWidened(out, i, count, Term::Finish(acc));
   }
 }
 
@@ -123,8 +215,8 @@ void TileRowsAvx2(const double* const* queries, const double* data,
       const __m256d pts1 = _mm256_loadu_pd(row + kLanes);
       for (size_t r = 0; r < kRows; ++r) {
         const __m256d qd = _mm256_set1_pd(queries[r][d]);
-        acc0[r] = Term::Step(acc0[r], qd, pts0);
-        acc1[r] = Term::Step(acc1[r], qd, pts1);
+        acc0[r] = Step<Term>(acc0[r], qd, pts0);
+        acc1[r] = Step<Term>(acc1[r], qd, pts1);
       }
     }
     for (size_t r = 0; r < kRows; ++r) {
@@ -139,7 +231,7 @@ void TileRowsAvx2(const double* const* queries, const double* data,
     for (size_t d = 0; d < dim; ++d) {
       const __m256d pts = _mm256_loadu_pd(data + d * stride + i);
       for (size_t r = 0; r < kRows; ++r) {
-        acc[r] = Term::Step(acc[r], _mm256_set1_pd(queries[r][d]), pts);
+        acc[r] = Step<Term>(acc[r], _mm256_set1_pd(queries[r][d]), pts);
       }
     }
     for (size_t r = 0; r < kRows; ++r) {
@@ -287,6 +379,12 @@ const KernelSet kAvx2Set = {
     TileAvx2<EuclideanTerm>,
     TileAvx2<ManhattanTerm>,
     TileAvx2<ChebyshevTerm>,
+    FillAvx2<EuclideanTerm>,
+    FillAvx2<ManhattanTerm>,
+    FillAvx2<ChebyshevTerm>,
+    ShadowAvx2<EuclideanTerm>,
+    ShadowAvx2<ManhattanTerm>,
+    ShadowAvx2<ChebyshevTerm>,
     HeadPass};
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <utility>
 
 namespace fkc {
@@ -35,6 +36,12 @@ inline __m512d Abs(__m512d v) {
       _mm512_andnot_si512(sign, _mm512_castpd_si512(v)));
 }
 
+inline __m512 Abs(__m512 v) {
+  const __m512i sign = _mm512_set1_epi32(INT32_MIN);
+  return _mm512_castsi512_ps(
+      _mm512_andnot_si512(sign, _mm512_castps_si512(v)));
+}
+
 // Lanes of the block starting at pair i0 that hold live pairs.
 inline __mmask8 LiveLanes(size_t i0, size_t count) {
   return i0 + kLanes <= count ? static_cast<__mmask8>(0xFF)
@@ -55,32 +62,56 @@ inline void StoreLanes(double* out, size_t i0, size_t count, __m512d v) {
   }
 }
 
-// One policy per metric: a pair's per-dimension term and its final step.
+// One policy per metric: a pair's per-dimension term, given the pair's
+// coordinate difference (Add), and its final step, on eight double lanes
+// for the exact kernels and on sixteen float lanes for the shadow ones.
 // Every kernel below applies them in ascending dimension order, one pair
 // per lane.
 struct EuclideanTerm {
-  static __m512d Step(__m512d acc, __m512d qd, __m512d pts) {
-    const __m512d diff = _mm512_sub_pd(qd, pts);
+  static __m512d Add(__m512d acc, __m512d diff) {
     return _mm512_add_pd(acc, _mm512_mul_pd(diff, diff));
   }
+  static __m512 Add(__m512 acc, __m512 diff) {
+    return _mm512_add_ps(acc, _mm512_mul_ps(diff, diff));
+  }
   static __m512d Finish(__m512d acc) { return _mm512_sqrt_pd(acc); }
+  static __m512 Finish(__m512 acc) { return _mm512_sqrt_ps(acc); }
 };
 
 struct ManhattanTerm {
-  static __m512d Step(__m512d acc, __m512d qd, __m512d pts) {
-    return _mm512_add_pd(acc, Abs(_mm512_sub_pd(qd, pts)));
+  static __m512d Add(__m512d acc, __m512d diff) {
+    return _mm512_add_pd(acc, Abs(diff));
+  }
+  static __m512 Add(__m512 acc, __m512 diff) {
+    return _mm512_add_ps(acc, Abs(diff));
   }
   static __m512d Finish(__m512d acc) { return acc; }
+  static __m512 Finish(__m512 acc) { return acc; }
 };
 
-// max(diff, best): returns `best` when equal or unordered, matching the
+// max(|diff|, best): returns `best` when equal or unordered, matching the
 // scalar `if (diff > best) best = diff`.
 struct ChebyshevTerm {
-  static __m512d Step(__m512d best, __m512d qd, __m512d pts) {
-    return _mm512_max_pd(Abs(_mm512_sub_pd(qd, pts)), best);
+  static __m512d Add(__m512d best, __m512d diff) {
+    return _mm512_max_pd(Abs(diff), best);
+  }
+  static __m512 Add(__m512 best, __m512 diff) {
+    return _mm512_max_ps(Abs(diff), best);
   }
   static __m512d Finish(__m512d best) { return best; }
+  static __m512 Finish(__m512 best) { return best; }
 };
+
+// A pair's term from its two coordinates.
+template <typename Term>
+inline __m512d Step(__m512d acc, __m512d qd, __m512d pts) {
+  return Term::Add(acc, _mm512_sub_pd(qd, pts));
+}
+
+template <typename Term>
+inline __m512 Step(__m512 acc, __m512 qd, __m512 pts) {
+  return Term::Add(acc, _mm512_sub_ps(qd, pts));
+}
 
 // One query against every column. Two vectors (16 pairs) per dim pass:
 // amortizes the query broadcast and keeps two independent accumulation
@@ -98,8 +129,8 @@ void ScanAvx512(const double* query, const double* data, size_t stride,
     for (size_t d = 0; d < dim; ++d) {
       const __m512d qd = _mm512_set1_pd(query[d]);
       const double* row = data + d * stride + i;
-      acc0 = Term::Step(acc0, qd, _mm512_loadu_pd(row));
-      acc1 = Term::Step(acc1, qd, _mm512_loadu_pd(row + kLanes));
+      acc0 = Step<Term>(acc0, qd, _mm512_loadu_pd(row));
+      acc1 = Step<Term>(acc1, qd, _mm512_loadu_pd(row + kLanes));
       if constexpr (kBounded) {
         if (IsBoundCheckDim(d, dim) &&
             (PastCutoff(acc0, cut) & PastCutoff(acc1, cut)) == 0xFF) break;
@@ -112,7 +143,7 @@ void ScanAvx512(const double* query, const double* data, size_t stride,
     const __mmask8 dead = static_cast<__mmask8>(~LiveLanes(i, count));
     __m512d acc = _mm512_setzero_pd();
     for (size_t d = 0; d < dim; ++d) {
-      acc = Term::Step(acc, _mm512_set1_pd(query[d]),
+      acc = Step<Term>(acc, _mm512_set1_pd(query[d]),
                        _mm512_loadu_pd(data + d * stride + i));
       if constexpr (kBounded) {
         if (IsBoundCheckDim(d, dim) &&
@@ -120,6 +151,95 @@ void ScanAvx512(const double* query, const double* data, size_t stride,
       }
     }
     StoreLanes(out, i, count, Term::Finish(acc));
+  }
+}
+
+// Stores the float of each of the eight differences (ShadowValue, lane by
+// lane: out-of-range and NaN lanes are masked to 0 before the conversion).
+// A tail block's eight floats are stored whole: the lanes past `count` are
+// the shadow row's own slack.
+inline void StoreShadow(float* shadow, __m512d diff) {
+  const __mmask8 in_range = _mm512_cmp_pd_mask(
+      Abs(diff), _mm512_set1_pd(std::numeric_limits<float>::max()),
+      _CMP_LE_OQ);
+  _mm256_storeu_ps(shadow, _mm512_maskz_cvtpd_ps(in_range, diff));
+}
+
+// The exact scan (ScanAvx512's two chains per 16 pairs) that also stores
+// each difference's float.
+template <typename Term>
+void FillAvx512(const double* query, const double* data, size_t stride,
+                size_t dim, size_t count, float* shadow, size_t shadow_stride,
+                double* out) {
+  size_t i = 0;
+  for (; i + 2 * kLanes <= count; i += 2 * kLanes) {
+    __m512d acc0 = _mm512_setzero_pd();
+    __m512d acc1 = _mm512_setzero_pd();
+    for (size_t d = 0; d < dim; ++d) {
+      const __m512d qd = _mm512_set1_pd(query[d]);
+      const double* row = data + d * stride + i;
+      float* shadow_row = shadow + d * shadow_stride + i;
+      const __m512d diff0 = _mm512_sub_pd(qd, _mm512_loadu_pd(row));
+      const __m512d diff1 = _mm512_sub_pd(qd, _mm512_loadu_pd(row + kLanes));
+      StoreShadow(shadow_row, diff0);
+      StoreShadow(shadow_row + kLanes, diff1);
+      acc0 = Term::Add(acc0, diff0);
+      acc1 = Term::Add(acc1, diff1);
+    }
+    _mm512_storeu_pd(out + i, Term::Finish(acc0));
+    _mm512_storeu_pd(out + i + kLanes, Term::Finish(acc1));
+  }
+  for (; i < count; i += kLanes) {
+    __m512d acc = _mm512_setzero_pd();
+    for (size_t d = 0; d < dim; ++d) {
+      const __m512d diff = _mm512_sub_pd(
+          _mm512_set1_pd(query[d]), _mm512_loadu_pd(data + d * stride + i));
+      StoreShadow(shadow + d * shadow_stride + i, diff);
+      acc = Term::Add(acc, diff);
+    }
+    StoreLanes(out, i, count, Term::Finish(acc));
+  }
+}
+
+// Widens sixteen float results into out[i, i + 16), storing the live lanes.
+inline void StoreWidened(double* out, size_t i, size_t count, __m512 v) {
+  StoreLanes(out, i, count, _mm512_cvtps_pd(_mm512_castps512_ps256(v)));
+  if (i + kLanes < count) {
+    const __m256 high = _mm256_castpd_ps(
+        _mm512_extractf64x4_pd(_mm512_castps_pd(v), 1));
+    StoreLanes(out, i + kLanes, count, _mm512_cvtps_pd(high));
+  }
+}
+
+// A float query against every float column: four independent 16-lane
+// chains per 64 columns keep the adds in flight, then one chain per 16.
+template <typename Term>
+void ShadowAvx512(const float* query, const float* data, size_t stride,
+                  size_t dim, size_t count, double* out) {
+  constexpr size_t kFloats = 16;
+  constexpr size_t kChains = 4;
+  size_t i = 0;
+  for (; i + kChains * kFloats <= count; i += kChains * kFloats) {
+    __m512 acc[kChains];
+    for (size_t c = 0; c < kChains; ++c) acc[c] = _mm512_setzero_ps();
+    for (size_t d = 0; d < dim; ++d) {
+      const __m512 qd = _mm512_set1_ps(query[d]);
+      const float* row = data + d * stride + i;
+      for (size_t c = 0; c < kChains; ++c) {
+        acc[c] = Step<Term>(acc[c], qd, _mm512_loadu_ps(row + c * kFloats));
+      }
+    }
+    for (size_t c = 0; c < kChains; ++c) {
+      StoreWidened(out, i + c * kFloats, count, Term::Finish(acc[c]));
+    }
+  }
+  for (; i < count; i += kFloats) {
+    __m512 acc = _mm512_setzero_ps();
+    for (size_t d = 0; d < dim; ++d) {
+      acc = Step<Term>(acc, _mm512_set1_ps(query[d]),
+                       _mm512_loadu_ps(data + d * stride + i));
+    }
+    StoreWidened(out, i, count, Term::Finish(acc));
   }
 }
 
@@ -146,8 +266,8 @@ void TileRowsAvx512(const double* const* queries, const double* data,
       const __m512d pts1 = _mm512_loadu_pd(row + kLanes);
       for (size_t r = 0; r < kRows; ++r) {
         const __m512d qd = _mm512_set1_pd(queries[r][d]);
-        acc0[r] = Term::Step(acc0[r], qd, pts0);
-        acc1[r] = Term::Step(acc1[r], qd, pts1);
+        acc0[r] = Step<Term>(acc0[r], qd, pts0);
+        acc1[r] = Step<Term>(acc1[r], qd, pts1);
       }
     }
     for (size_t r = 0; r < kRows; ++r) {
@@ -162,7 +282,7 @@ void TileRowsAvx512(const double* const* queries, const double* data,
     for (size_t d = 0; d < dim; ++d) {
       const __m512d pts = _mm512_loadu_pd(data + d * stride + i);
       for (size_t r = 0; r < kRows; ++r) {
-        acc[r] = Term::Step(acc[r], _mm512_set1_pd(queries[r][d]), pts);
+        acc[r] = Step<Term>(acc[r], _mm512_set1_pd(queries[r][d]), pts);
       }
     }
     for (size_t r = 0; r < kRows; ++r) {
@@ -303,6 +423,12 @@ const KernelSet kAvx512Set = {
     TileAvx512<EuclideanTerm>,
     TileAvx512<ManhattanTerm>,
     TileAvx512<ChebyshevTerm>,
+    FillAvx512<EuclideanTerm>,
+    FillAvx512<ManhattanTerm>,
+    FillAvx512<ChebyshevTerm>,
+    ShadowAvx512<EuclideanTerm>,
+    ShadowAvx512<ManhattanTerm>,
+    ShadowAvx512<ChebyshevTerm>,
     HeadPass};
 
 }  // namespace

@@ -45,28 +45,53 @@ inline bool AllPastCutoff(const double* partial, size_t n, double cutoff) {
   return true;
 }
 
-// One policy per metric: a pair's per-dimension term and its final step.
+// One policy per metric: a pair's per-dimension term, given the pair's
+// coordinate difference (Add) or its two coordinates (Step), and its final
+// step, in double for the exact kernels and in float for the shadow ones.
 struct EuclideanTerm {
-  static double Step(double acc, double qd, double x) {
-    const double diff = qd - x;
+  template <typename T>
+  static T Add(T acc, T diff) {
     return acc + diff * diff;
   }
-  static double Finish(double acc) { return std::sqrt(acc); }
+  template <typename T>
+  static T Step(T acc, T qd, T x) {
+    return Add(acc, qd - x);
+  }
+  template <typename T>
+  static T Finish(T acc) {
+    return std::sqrt(acc);
+  }
 };
 
 struct ManhattanTerm {
-  static double Step(double acc, double qd, double x) {
-    return acc + std::fabs(qd - x);
+  template <typename T>
+  static T Add(T acc, T diff) {
+    return acc + std::fabs(diff);
   }
-  static double Finish(double acc) { return acc; }
+  template <typename T>
+  static T Step(T acc, T qd, T x) {
+    return Add(acc, qd - x);
+  }
+  template <typename T>
+  static T Finish(T acc) {
+    return acc;
+  }
 };
 
 struct ChebyshevTerm {
-  static double Step(double best, double qd, double x) {
-    const double diff = std::fabs(qd - x);
-    return diff > best ? diff : best;
+  template <typename T>
+  static T Add(T best, T diff) {
+    const T a = std::fabs(diff);
+    return a > best ? a : best;
   }
-  static double Finish(double best) { return best; }
+  template <typename T>
+  static T Step(T best, T qd, T x) {
+    return Add(best, qd - x);
+  }
+  template <typename T>
+  static T Finish(T best) {
+    return best;
+  }
 };
 
 template <typename Term, bool kBounded>
@@ -86,6 +111,47 @@ void ScanScalar(const double* query, const double* data, size_t stride,
       }
     }
     for (size_t i = 0; i < n; ++i) acc[i] = Term::Finish(acc[i]);
+  }
+}
+
+// The exact scan's dimension-outer traversal, storing each difference's
+// float as it goes.
+template <typename Term>
+void FillScalar(const double* query, const double* data, size_t stride,
+                size_t dim, size_t count, float* shadow, size_t shadow_stride,
+                double* out) {
+  std::fill(out, out + count, 0.0);
+  for (size_t d = 0; d < dim; ++d) {
+    const double* row = data + d * stride;
+    float* shadow_row = shadow + d * shadow_stride;
+    const double qd = query[d];
+    for (size_t i = 0; i < count; ++i) {
+      const double diff = qd - row[i];
+      shadow_row[i] = ShadowValue(diff);
+      out[i] = Term::Add(out[i], diff);
+    }
+  }
+  for (size_t i = 0; i < count; ++i) out[i] = Term::Finish(out[i]);
+}
+
+// The exact scan's traversal in float, over chunks of one block's lanes
+// whose running sums stay on the stack.
+template <typename Term>
+void ShadowScalar(const float* query, const float* data, size_t stride,
+                  size_t dim, size_t count, double* out) {
+  constexpr size_t kChunk = CoordinatePool::kBlockLanes;
+  float acc[kChunk];
+  for (size_t first = 0; first < count; first += kChunk) {
+    const size_t n = std::min(kChunk, count - first);
+    std::fill(acc, acc + n, 0.0f);
+    for (size_t d = 0; d < dim; ++d) {
+      const float* row = data + d * stride + first;
+      const float qd = query[d];
+      for (size_t i = 0; i < n; ++i) acc[i] = Term::Step(acc[i], qd, row[i]);
+    }
+    for (size_t i = 0; i < n; ++i) {
+      out[first + i] = static_cast<double>(Term::Finish(acc[i]));
+    }
   }
 }
 
@@ -177,6 +243,12 @@ const KernelSet kScalarSet = {
     TileScalar<EuclideanTerm>,
     TileScalar<ManhattanTerm>,
     TileScalar<ChebyshevTerm>,
+    FillScalar<EuclideanTerm>,
+    FillScalar<ManhattanTerm>,
+    FillScalar<ChebyshevTerm>,
+    ShadowScalar<EuclideanTerm>,
+    ShadowScalar<ManhattanTerm>,
+    ShadowScalar<ChebyshevTerm>,
     HeadPass};
 
 bool CpuHasAvx2() {

@@ -21,6 +21,21 @@ ColorConstraint::ColorConstraint(std::vector<int> caps)
   total_k_ = static_cast<int>(total_k);
 }
 
+Result<ColorConstraint> ColorConstraint::Create(std::vector<int> caps) {
+  int64_t total_k = 0;
+  for (size_t c = 0; c < caps.size(); ++c) {
+    if (caps[c] < 0) {
+      return Status::InvalidArgument("negative cap for color " +
+                                     std::to_string(c));
+    }
+    total_k += caps[c];
+  }
+  if (total_k > INT_MAX) {
+    return Status::InvalidArgument("caps sum past INT_MAX");
+  }
+  return ColorConstraint(std::move(caps));
+}
+
 ColorConstraint ColorConstraint::Uniform(int ell, int cap_per_color) {
   FKC_CHECK_GT(ell, 0);
   FKC_CHECK_GE(cap_per_color, 0);

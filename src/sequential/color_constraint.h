@@ -18,9 +18,13 @@ class ColorConstraint {
   ColorConstraint() = default;
 
   /// `caps[i]` is the maximum number of centers of color i. Caps must be
-  /// non-negative, and their sum k at most INT_MAX; zero disables a color
-  /// entirely.
+  /// non-negative, and their sum k at most INT_MAX (FKC_CHECK); zero
+  /// disables a color entirely.
   explicit ColorConstraint(std::vector<int> caps);
+
+  /// The constructor, with its preconditions tested first:
+  /// kInvalidArgument for a negative cap or caps summing past INT_MAX.
+  static Result<ColorConstraint> Create(std::vector<int> caps);
 
   /// Uniform caps: `ell` colors, each allowed `cap_per_color` centers.
   static ColorConstraint Uniform(int ell, int cap_per_color);

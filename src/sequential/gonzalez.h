@@ -4,6 +4,7 @@
 #ifndef FKC_SEQUENTIAL_GONZALEZ_H_
 #define FKC_SEQUENTIAL_GONZALEZ_H_
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -23,6 +24,16 @@ struct GonzalezResult {
   /// Coverage radius: max over all points of the distance to the full head
   /// set. Classic guarantee: at most 2x the optimal k-center radius.
   double coverage_radius = 0.0;
+  /// The bound on how far each row the traversal wrote into the caller's
+  /// `rows` lies from the exact row (ShadowPool::error()); 0 when they are
+  /// exact.
+  double row_error = 0.0;
+  /// Rows read from a float32 shadow of the pool (shadow_pool.h), and the
+  /// Metric::Distance calls that resolved their decisions exactly. A
+  /// traversal that went back to exact rows counts the shadow work it did
+  /// before.
+  int64_t shadow_rows = 0;
+  int64_t resolved_pairs = 0;
 };
 
 /// What the traversal knows once a head's pass is done (its distance row
@@ -47,12 +58,25 @@ using GonzalezHeadFn = std::function<bool(const GonzalezHead& head)>;
 
 /// Runs the farthest-point greedy over `pool` starting from `first_index`,
 /// selecting min(k, n) heads unless `on_head` ends it sooner. Each head is
-/// read from the pool (At) and costs one DistanceRow, so O(n * k) distance
+/// read from the pool (At) and costs one distance row, so O(n * k) distance
 /// evaluations in at most 2k kernel calls, and one head pass of the active
 /// simd::KernelSet over the row (simd_kernels.h): it folds the row into
 /// each point's distance to the heads, picks the next head and, when `ell`
 /// is positive, fills the per-color table `on_head` sees. Every color of
 /// the pool must then lie in [0, ell) (FKC_CHECK).
+///
+/// Row source: a DistanceRow per head, or, on a pool ShadowPool::Serves
+/// (a built-in metric over more than 1 MiB of coordinates), a float32
+/// shadow that head 0's exact pass fills and later heads scan
+/// (shadow_pool.h). Every decision of a shadow row is then resolved with
+/// Metric::Distance: the next head among the points whose folded distance
+/// lies within 2 * error() of the farthest, and each color's nearest point
+/// among the points of that color within 2 * error() of its nearest. So
+/// heads, insertion distances and tables are the exact rows' whatever the
+/// source. A resolution with more than ShadowPool::kMaxCandidates
+/// candidates, or a shadow Fill declines, sends the traversal back to
+/// exact rows (a restart that replays the heads so far without calling
+/// `on_head` again).
 ///
 /// Scan order: even heads scan the pool forward, odd heads backward (owned
 /// slots first, each pool's blocks newest first), so on a pool larger than
@@ -68,7 +92,8 @@ using GonzalezHeadFn = std::function<bool(const GonzalezHead& head)>;
 /// `rows`, when given, has room for min(k, n) rows of pool.slot_count()
 /// doubles, and head j's row is written at rows + j * slot_count() and left
 /// there for the caller; otherwise one buffer of the traversal's own holds
-/// each row in turn.
+/// each row in turn. Each row lies within the result's row_error of the
+/// exact row (0 unless the traversal read the shadow).
 GonzalezResult GonzalezKCenter(const Metric& metric, const ColoredPool& pool,
                                int k, int first_index = 0,
                                const GonzalezHeadFn& on_head = nullptr,

@@ -153,9 +153,10 @@ Result<FairCenterSolution> JonesFairCenter::SolvePool(
   const int k = constraint.TotalK();
   if (k <= 0) return Status::Infeasible("all color caps are zero");
 
-  // Gonzalez scans the pool once per head into rows the solve keeps, and
-  // its head pass over each row fills the head's color table; the final
-  // radius reads the rows again for the centers that are heads.
+  // Gonzalez scans the pool once per head into rows the solve keeps (a
+  // float32 shadow's, within gonzalez.row_error, on a large pool), and its
+  // head pass over each row fills the head's color table; the final radius
+  // reads the rows again for the centers that are heads.
   const size_t heads_wanted = std::min(static_cast<size_t>(k), pool.size());
   const size_t stride = pool.slot_count();
   const std::unique_ptr<double[]> rows(new double[heads_wanted * stride]);
@@ -259,7 +260,11 @@ Result<FairCenterSolution> JonesFairCenter::SolvePool(
   for (size_t c = 0, o = 0; c < centers.size(); ++c) {
     if (center_rows[c] == nullptr) center_rows[c] = tile.data() + o++ * stride;
   }
-  solution.radius = ClusteringRadiusFromRows(pool, center_rows);
+  solution.shadow_rows = gonzalez.shadow_rows;
+  solution.resolved_pairs = gonzalez.resolved_pairs;
+  solution.radius =
+      ResolvedClusteringRadius(metric, pool, solution.centers, center_rows,
+                               gonzalez.row_error, &solution.resolved_pairs);
   return solution;
 }
 

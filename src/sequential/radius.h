@@ -3,6 +3,7 @@
 #ifndef FKC_SEQUENTIAL_RADIUS_H_
 #define FKC_SEQUENTIAL_RADIUS_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "metric/colored_pool.h"
@@ -34,11 +35,29 @@ double PoolClusteringRadius(const Metric& metric, const ColoredPool& window,
 double ClusteringRadiusFromRows(const ColoredPool& window,
                                 const std::vector<const double*>& rows);
 
+/// ClusteringRadiusFromRows for rows that may lie off the exact ones by up
+/// to `row_error` each (a Gonzalez traversal's shadow rows, shadow_pool.h);
+/// rows[c] is centers[c]'s. The points whose folded distance lies within
+/// 2 * row_error of the fold's farthest are resolved with metric.Distance
+/// to every center, so the radius is the exact rows' bit for bit. When more
+/// than ShadowPool::kMaxCandidates points are that close, it is
+/// PoolClusteringRadius's. Adds the Distance calls to `*resolved_pairs`.
+/// With a row_error of 0 this is ClusteringRadiusFromRows.
+double ResolvedClusteringRadius(const Metric& metric, const ColoredPool& window,
+                                const std::vector<Point>& centers,
+                                const std::vector<const double*>& rows,
+                                double row_error, int64_t* resolved_pairs);
+
 /// A fair-center solution: the chosen centers and their radius over the
 /// point set they were computed for.
 struct FairCenterSolution {
   std::vector<Point> centers;
   double radius = 0.0;
+  /// The solve's work on a float32 shadow of its input (shadow_pool.h):
+  /// rows read from the shadow, and Metric::Distance calls that resolved
+  /// their decisions; 0 for solves on exact rows only.
+  int64_t shadow_rows = 0;
+  int64_t resolved_pairs = 0;
 };
 
 }  // namespace fkc

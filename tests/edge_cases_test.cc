@@ -225,6 +225,121 @@ TEST(EdgeCaseTest, WindowRejectsBadOptions) {
                "delta");
 }
 
+// Create answers every input the constructor would abort on with
+// kInvalidArgument, one rejected input per case.
+void ExpectCreateRejects(const SlidingWindowOptions& options,
+                         const ColorConstraint& constraint,
+                         const Metric* metric, const FairCenterSolver* solver,
+                         const std::string& what) {
+  const auto window =
+      FairCenterSlidingWindow::Create(options, constraint, metric, solver);
+  ASSERT_FALSE(window.ok()) << what;
+  EXPECT_EQ(window.status().code(), StatusCode::kInvalidArgument) << what;
+}
+
+SlidingWindowOptions AdaptiveOptions() {
+  SlidingWindowOptions options;
+  options.window_size = 10;
+  options.adaptive_range = true;
+  return options;
+}
+
+TEST(EdgeCaseTest, CreateRejectsANullMetric) {
+  ExpectCreateRejects(AdaptiveOptions(), ColorConstraint({1}), nullptr,
+                      &kJones, "null metric");
+}
+
+TEST(EdgeCaseTest, CreateRejectsANullSolver) {
+  ExpectCreateRejects(AdaptiveOptions(), ColorConstraint({1}), &kMetric,
+                      nullptr, "null solver");
+}
+
+TEST(EdgeCaseTest, CreateRejectsAConstraintWithNoPositiveCap) {
+  ExpectCreateRejects(AdaptiveOptions(), ColorConstraint({0, 0}), &kMetric,
+                      &kJones, "all-zero caps");
+  ExpectCreateRejects(AdaptiveOptions(), ColorConstraint(), &kMetric, &kJones,
+                      "no colors");
+}
+
+TEST(EdgeCaseTest, CreateRejectsAZeroWindow) {
+  SlidingWindowOptions options = AdaptiveOptions();
+  options.window_size = 0;
+  ExpectCreateRejects(options, ColorConstraint({1}), &kMetric, &kJones,
+                      "window_size 0");
+}
+
+TEST(EdgeCaseTest, CreateRejectsANonPositiveDelta) {
+  SlidingWindowOptions options = AdaptiveOptions();
+  options.delta = 0.0;
+  ExpectCreateRejects(options, ColorConstraint({1}), &kMetric, &kJones,
+                      "delta 0");
+  options.delta = std::numeric_limits<double>::quiet_NaN();
+  ExpectCreateRejects(options, ColorConstraint({1}), &kMetric, &kJones,
+                      "delta NaN");
+}
+
+TEST(EdgeCaseTest, CreateRejectsANonPositiveBeta) {
+  SlidingWindowOptions options = AdaptiveOptions();
+  options.beta = -1.0;
+  ExpectCreateRejects(options, ColorConstraint({1}), &kMetric, &kJones,
+                      "beta -1");
+}
+
+TEST(EdgeCaseTest, CreateRejectsAnUnknownVariant) {
+  SlidingWindowOptions options = AdaptiveOptions();
+  options.variant = static_cast<CoreVariant>(7);
+  ExpectCreateRejects(options, ColorConstraint({1}), &kMetric, &kJones,
+                      "variant 7");
+}
+
+TEST(EdgeCaseTest, CreateRejectsABadFixedRange) {
+  SlidingWindowOptions options = AdaptiveOptions();
+  options.adaptive_range = false;
+  options.d_min = 0.0;
+  options.d_max = 1.0;
+  ExpectCreateRejects(options, ColorConstraint({1}), &kMetric, &kJones,
+                      "d_min 0");
+  options.d_min = 2.0;
+  ExpectCreateRejects(options, ColorConstraint({1}), &kMetric, &kJones,
+                      "d_max < d_min");
+  options.d_min = 1e-300;
+  options.d_max = 1e300;
+  options.beta = 1e-9;
+  ExpectCreateRejects(options, ColorConstraint({1}), &kMetric, &kJones,
+                      "ladder past the exponent bound");
+}
+
+TEST(EdgeCaseTest, CreateBuildsWhatTheConstructorBuilds) {
+  auto created = FairCenterSlidingWindow::Create(
+      AdaptiveOptions(), ColorConstraint({1, 1}), &kMetric, &kJones);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  FairCenterSlidingWindow built(AdaptiveOptions(), ColorConstraint({1, 1}),
+                                &kMetric, &kJones);
+  for (int i = 0; i < 30; ++i) {
+    const Coordinates coords = {static_cast<double>(i % 7), 1.0 * i};
+    ASSERT_TRUE(created.value().Update(coords, i % 2).ok());
+    ASSERT_TRUE(built.Update(coords, i % 2).ok());
+  }
+  EXPECT_EQ(created.value().SerializeState(), built.SerializeState());
+}
+
+TEST(EdgeCaseTest, ColorConstraintCreateRejectsANegativeCap) {
+  const auto constraint = ColorConstraint::Create({2, -1, 3});
+  ASSERT_FALSE(constraint.ok());
+  EXPECT_EQ(constraint.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(EdgeCaseTest, ColorConstraintCreateRejectsCapsSummingPastIntMax) {
+  const auto constraint =
+      ColorConstraint::Create({std::numeric_limits<int>::max(), 1});
+  ASSERT_FALSE(constraint.ok());
+  EXPECT_EQ(constraint.status().code(), StatusCode::kInvalidArgument);
+  const auto at_max =
+      ColorConstraint::Create({std::numeric_limits<int>::max() - 1, 1});
+  ASSERT_TRUE(at_max.ok());
+  EXPECT_EQ(at_max.value().TotalK(), std::numeric_limits<int>::max());
+}
+
 TEST(EdgeCaseTest, WindowPopulationTracksFill) {
   SlidingWindowOptions options;
   options.window_size = 5;

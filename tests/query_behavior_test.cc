@@ -112,6 +112,20 @@ TEST(QueryBehaviorTest, ChosenGuessTracksWindowScale) {
   EXPECT_LT(narrow_stats.guess, wide_stats.guess / 10.0);
 }
 
+TEST(QueryBehaviorTest, StatsSplitAQueryIntoPlanAndSolve) {
+  Harness h(40, ColorConstraint({2, 2}), 2.0, 9);
+  for (int i = 0; i < 120; ++i) h.Feed();
+  QueryStats stats;
+  ASSERT_TRUE(h.window.Query(&stats).ok());
+  EXPECT_GT(stats.plan_millis, 0.0);
+  EXPECT_GT(stats.solver_millis, 0.0);
+  // PlanQuery alone times neither.
+  auto plan = h.window.PlanQuery();
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(plan.value().stats.plan_millis, 0.0);
+  EXPECT_EQ(plan.value().stats.solver_millis, 0.0);
+}
+
 TEST(QueryBehaviorTest, StatsConsistency) {
   Harness h(40, ColorConstraint({2, 2}), 2.0, 9);
   for (int i = 0; i < 120; ++i) h.Feed();

@@ -14,12 +14,13 @@ tool as the CI walltime steps do:
   * entries new in the head run pass.
 
 It also checks the perf job's exact counter gate: `allocs_per_*`,
-`rows_per_solve` and the pivot index's `candidates_per_*` and
-`exact_pairs_per_*` counters are stable counters, so --exact-prefixes holds
-them to zero tolerance, and a prefix of no stable counter is an error
-rather than a gate that compares nothing; and that a run with
---benchmark_repetitions compares on each entry's median real_time, while a
-single-run file compares as before.
+`rows_per_solve`, the pivot index's `candidates_per_*` and
+`exact_pairs_per_*` counters and the float32 shadow's `shadow_rows_per_*`
+and `resolved_pairs_per_*` counters are stable counters, so
+--exact-prefixes holds them to zero tolerance, and a prefix of no stable
+counter is an error rather than a gate that compares nothing; and that a
+run with --benchmark_repetitions compares on each entry's median
+real_time, while a single-run file compares as before.
 """
 
 import json
@@ -147,6 +148,15 @@ class CompareBenchExactCounterTest(unittest.TestCase):
         self.assertIn("BM_Update/exact_pairs_per_arrival", out)
         code, out = self.run_tool("candidates_per_arrival", 56.0, 57.0,
                                   "candidates_per_,exact_pairs_per_")
+        self.assertEqual(code, 1, out)
+
+    def test_shadow_counters_compare_exactly(self):
+        code, out = self.run_tool("resolved_pairs_per_solve", 91.0, 91.0,
+                                  "shadow_rows_per_,resolved_pairs_per_")
+        self.assertEqual(code, 0, out)
+        self.assertIn("BM_Update/resolved_pairs_per_solve", out)
+        code, out = self.run_tool("shadow_rows_per_solve", 7.0, 8.0,
+                                  "shadow_rows_per_,resolved_pairs_per_")
         self.assertEqual(code, 1, out)
 
     def test_unstable_exact_prefix_is_an_error(self):

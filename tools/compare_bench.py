@@ -82,7 +82,9 @@ import sys
 # run of operations, so they depend on the stream only; rows_per_solve
 # counts the pool passes of one solve on fixed data, and the pivot index's
 # candidates_per_arrival and exact_pairs_per_arrival the columns and pairs
-# of fixed range queries.
+# of fixed range queries; shadow_rows_per_* and resolved_pairs_per_* count
+# the float32 shadow rows of one traversal on fixed data and the exact
+# distances that resolve them, the same at every kernel width.
 STABLE_PREFIXES = (
     "distance_calls",
     "expiry_sweeps",
@@ -93,6 +95,8 @@ STABLE_PREFIXES = (
     "rows_per_solve",
     "candidates_per",
     "exact_pairs_per",
+    "shadow_rows_per",
+    "resolved_pairs_per",
 )
 
 # shard_scaling fields: higher-is-better throughputs (wall time axis) vs
