@@ -509,7 +509,8 @@ void BM_CoresetHandoff(benchmark::State& state) {
 BENCHMARK(BM_CoresetHandoff)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // The shadow counters of one Jones solve on a covtype coreset pool: the
-// rows its traversal read from the float32 shadow (metric/shadow_pool.h)
+// rows its traversal read from the pools' float32 twins
+// (metric/shadow_pool.h)
 // and the exact distances that resolved their decisions. A CountingMetric
 // is a decorator, which reads exact rows only, so these come from the
 // solve itself. Both depend only on the data (every width computes the
@@ -527,8 +528,9 @@ void SetShadowCounters(const FairCenterSolution& solution,
 // pairs a CountingMetric sees over the pool's slot count, i.e. one per
 // Gonzalez head the traversal computes before its stop rule fires, plus one
 // per center that is not a head. It depends only on the data, so CI
-// compares it scalar vs SIMD at 0%. The uncounted solve reads the shadow
-// for every head after the first (SetShadowCounters).
+// compares it scalar vs SIMD at 0%. The uncounted solve reads the
+// float32 twins of the coreset's pools for every head, head 0 included
+// (SetShadowCounters).
 void BM_CoresetSolve(benchmark::State& state) {
   const EuclideanMetric metric;
   const datasets::Dataset& dataset = CovtypeStream();

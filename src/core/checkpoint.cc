@@ -390,6 +390,13 @@ Status ReadBody(std::string_view bytes, bool adaptive, PointBounds* bounds,
   if (state->now < 0) {
     return Status::InvalidArgument("negative clock in checkpoint");
   }
+  // Every arrival adds 1 to the clock and to the next id, which no window
+  // runs near 2^63: past 2^62 either is forged, and later arrivals would
+  // overflow the clock or wrap the ids below the stored ones.
+  if (state->now > (int64_t{1} << 62) ||
+      state->next_id > (uint64_t{1} << 62)) {
+    return Status::InvalidArgument("clock or next id in checkpoint past 2^62");
+  }
   bounds->now = state->now;
 
   if (adaptive) {

@@ -525,10 +525,15 @@ Result<QueryPlan> FairCenterSlidingWindow::PlanQuery() {
 }
 
 Result<FairCenterSolution> FairCenterSlidingWindow::Query(QueryStats* stats) {
-  return SolveOnPlan<FairCenterSolution>(
+  Result<FairCenterSolution> solved = SolveOnPlan<FairCenterSolution>(
       this, stats, [&](const ColoredPool& coreset) {
         return solver_->SolvePool(*metric_, coreset, constraint_);
       });
+  if (stats != nullptr && solved.ok()) {
+    stats->shadow_rows = solved.value().shadow_rows;
+    stats->resolved_pairs = solved.value().resolved_pairs;
+  }
+  return solved;
 }
 
 Result<ObjectiveSolution> FairCenterSlidingWindow::Query(

@@ -130,6 +130,12 @@ struct QueryStats {
   int guesses_inspected = 0;   ///< ladder entries examined by Query
   double plan_millis = 0.0;    ///< time spent in PlanQuery
   double solver_millis = 0.0;  ///< time spent inside the sequential solver
+  /// The fair-center solve's FairCenterSolution::shadow_rows and
+  /// resolved_pairs: how many of its rows came from a float32 shadow, and
+  /// the exact distances that resolved them (0 and 0 on exact rows; the
+  /// k-median objective leaves both 0).
+  int64_t shadow_rows = 0;
+  int64_t resolved_pairs = 0;
 };
 
 /// The resolved front half of a query (Algorithm 3's guess selection): the

@@ -276,12 +276,13 @@ void GuessStructure::Update(Slot p, const Point& probe, int64_t now,
 }
 
 void GuessStructure::Cleanup(const PointArena& arena) {
-  const int k = constraint_.TotalK();
+  // In int64_t: caps may sum to INT_MAX, and k + 2 must not overflow.
+  const int64_t k = constraint_.TotalK();
 
   // Line 1-2: with k+2 v-attractors, evict the oldest — entry 0, as entries
   // ascend by arrival; its representatives survive as orphans (subject to
   // the threshold below).
-  if (static_cast<int>(v_entries_.size()) == k + 2) {
+  if (static_cast<int64_t>(v_entries_.size()) == k + 2) {
     v_entries_.PopFront([this](Slot rep) { v_orphans_.push_back(rep); });
     v_pool_.DropFront(1);
   }
@@ -289,7 +290,7 @@ void GuessStructure::Cleanup(const PointArena& arena) {
   // Lines 3-5: with k+1 v-attractors the guess is invalid until the oldest
   // of them expires; points older than that are useless and are dropped
   // from A, RV, and R.
-  if (static_cast<int>(v_entries_.size()) == k + 1) {
+  if (static_cast<int64_t>(v_entries_.size()) == k + 1) {
     const int64_t threshold = arena.arrival(v_entries_.attractor(0));
     DropPointsOlderThan(&v_orphans_, threshold, arena);
     DropCFront(

@@ -45,9 +45,9 @@ Status ValidateSlidingWindowOptions(const SlidingWindowOptions& options) {
   if (!std::isfinite(options.delta) || options.delta <= 0.0) {
     return Status::InvalidArgument("delta must be finite and > 0");
   }
-  if (!std::isfinite(options.beta) || options.beta <= 0.0) {
+  if (!std::isfinite(options.beta) || !(options.beta >= kMinBeta)) {
     return Status::InvalidArgument(
-        "beta must be finite and > 0 (guess ladder ratio is 1 + beta)");
+        "beta must be finite and >= 1e-6 (guess ladder ratio is 1 + beta)");
   }
   const int variant = static_cast<int>(options.variant);
   if (variant < 0 || variant > 1) {

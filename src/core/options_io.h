@@ -27,6 +27,13 @@ namespace fkc {
 /// fleet formats, so the bound cannot drift between layers.
 constexpr int64_t kMaxLadderExponent = 1 << 12;
 
+/// The finest guess ladder a window accepts. From 1 + kMinBeta on, every
+/// finite positive distance lies within the ladder's exponent range and
+/// consecutive rungs differ by far more than its rounding tolerance, so a
+/// rung lookup takes a step or two; a finer ratio (a forged beta of 5e-324
+/// reads as a ratio of 1) would walk the ladder for minutes.
+constexpr double kMinBeta = 1e-6;
+
 /// Upper bound on a plausible checkpointed color count.
 constexpr int64_t kMaxCheckpointColors = 1 << 20;
 
@@ -42,8 +49,8 @@ void WriteColorCaps(std::ostringstream* out, const ColorConstraint& c);
 
 /// Rejects options that a FairCenterSlidingWindow cannot be built from —
 /// the exact set the constructor would otherwise abort on via CHECK
-/// (window_size >= 1, finite delta > 0, finite beta > 0 for the guess
-/// ladder, variant in range, and in fixed-range mode finite bounds with
+/// (window_size >= 1, finite delta > 0, finite beta >= kMinBeta for the
+/// guess ladder, variant in range, and in fixed-range mode finite bounds with
 /// 0 < d_min <= d_max). Checkpoint readers run this before constructing
 /// anything, so a corrupted or adversarial blob surfaces as kInvalidArgument
 /// instead of a process abort. num_threads is an execution knob and is not

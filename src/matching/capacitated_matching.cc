@@ -1,5 +1,6 @@
 #include "matching/capacitated_matching.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "common/logging.h"
@@ -22,8 +23,16 @@ class SlotMatcher {
         first_(constraint.ell() + 1, 0),
         match_head_(allowed.size(), -1),
         dist_(allowed.size(), kInf) {
+    // A color takes at most one slot per head, and only its lowest slots:
+    // a matched slot stays matched, and the first free slot of a color is
+    // the one a search takes. So min(cap, heads) slots per color give the
+    // same matching as the full expansion, and a cap near INT_MAX costs
+    // no more than one of `heads`.
     const int ell = constraint.ell();
-    for (int c = 0; c < ell; ++c) first_[c + 1] = first_[c] + constraint.cap(c);
+    const int heads = static_cast<int>(allowed.size());
+    for (int c = 0; c < ell; ++c) {
+      first_[c + 1] = first_[c] + std::min(constraint.cap(c), heads);
+    }
     match_slot_.assign(first_[ell], -1);
     for (const std::vector<int>& colors : allowed) {
       for (int c : colors) {

@@ -158,7 +158,8 @@ ColoredPool ColoredPool::Builder::Build() && {
     }
   }
   if (!sources_.empty()) {
-    pool_.own_ = CoordinatePool::FromColumns(dim_, sources_);
+    // Copies beside a borrowed pool's twin get its reference.
+    pool_.own_ = CoordinatePool::FromColumns(dim_, sources_, pool_.borrowed_);
   }
   if (pool_.fields_.arrivals == nullptr) {
     FKC_CHECK_EQ(pool_.own_ids_.size(), n)

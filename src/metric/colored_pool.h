@@ -121,6 +121,8 @@ class ColoredPool {
 
   /// The borrowed pool, or nullptr when the pool owns all its slots.
   const CoordinatePool* borrowed() const { return borrowed_; }
+  /// The pool's own slots, after the borrowed ones.
+  const CoordinatePool& owned() const { return own_; }
   /// Positions whose coordinates the pool copied into its own slots.
   size_t copied() const { return own_.size(); }
 
@@ -184,6 +186,9 @@ class ColoredPool::Builder {
   /// where no coordinate lands: every row's slack, and the last block's
   /// lanes past its points (the tail lane group the kernels over-read, and
   /// the rest of that row). Nothing else of a block is written twice.
+  /// Beside a borrowed pool that keeps a float32 twin, the copies get a
+  /// twin on its reference too (coordinate_pool.h), so shadow rows
+  /// (shadow_pool.h) cover every slot.
   ColoredPool Build() &&;
 
  private:

@@ -1,36 +1,59 @@
 #include "metric/coordinate_pool.h"
 
 #include <algorithm>
+#include <new>
 
 #include "common/logging.h"
+#include "metric/simd_kernels.h"
 
 namespace fkc {
+namespace {
+
+constexpr std::align_val_t kTwinAlign{64};
+
+float* NewTwinBlock(size_t floats) {
+  return static_cast<float*>(
+      ::operator new[](floats * sizeof(float), kTwinAlign));
+}
+
+}  // namespace
+
+void CoordinatePool::FreeFloats::operator()(float* p) const {
+  ::operator delete[](p, kTwinAlign);
+}
 
 void CoordinatePool::ResetDim(size_t dim) {
   dim_ = dim;
   size_ = 0;
   head_ = 0;
-  front_.reset();
+  front_ = Storage();
   rest_.clear();
-  spare_.reset();
+  spare_ = Storage();
+  DropTwin();
 }
 
 void CoordinatePool::LinkBlock(size_t filled) {
-  std::unique_ptr<double[]> block;
-  if (spare_ != nullptr) {
+  Storage block;
+  if (spare_.coords != nullptr) {
     block = std::move(spare_);
   } else {
-    block.reset(new double[dim_ * kRowStride]);
+    block.coords.reset(new double[dim_ * kRowStride]);
   }
   if (filled == 0) {
-    std::fill_n(block.get(), dim_ * kRowStride, 0.0);
+    std::fill_n(block.coords.get(), dim_ * kRowStride, 0.0);
   } else {
     for (size_t d = 0; d < dim_; ++d) {
-      std::fill(block.get() + d * kRowStride + filled,
-                block.get() + (d + 1) * kRowStride, 0.0);
+      std::fill(block.coords.get() + d * kRowStride + filled,
+                block.coords.get() + (d + 1) * kRowStride, 0.0);
     }
   }
-  if (front_ == nullptr) {
+  if (has_twin()) {
+    if (block.twin == nullptr) {
+      block.twin.reset(NewTwinBlock(dim_ * kTwinStride));
+    }
+    std::fill_n(block.twin.get(), dim_ * kTwinStride, 0.0f);
+  }
+  if (front_.coords == nullptr) {
     front_ = std::move(block);
   } else {
     // The list keeps its capacity through DropFront; starting it at four
@@ -60,31 +83,80 @@ void CoordinatePool::WriteColumns(const std::vector<ColumnRef>& columns) {
 }
 
 CoordinatePool CoordinatePool::FromColumns(
-    size_t dim, const std::vector<ColumnRef>& columns) {
+    size_t dim, const std::vector<ColumnRef>& columns,
+    const CoordinatePool* twin_of) {
   CoordinatePool pool(dim);
   const size_t blocks = (columns.size() + kBlockLanes - 1) / kBlockLanes;
   if (blocks > 1) pool.rest_.reserve(blocks - 1);
   pool.WriteColumns(columns);
+  if (twin_of != nullptr && twin_of->has_twin()) {
+    FKC_CHECK_EQ(twin_of->dim(), dim);
+    pool.MakeTwin(twin_of->twin_reference_);
+  } else {
+    pool.MaybeMakeTwin();
+  }
   return pool;
 }
 
 void CoordinatePool::Assign(const std::vector<ColumnRef>& columns) {
   FKC_CHECK_GT(dim_, 0u) << "ResetDim before Assign";
+  DropTwin();
   // Unlink the blocks past the ones the new points fill, tail first.
   const size_t blocks = (columns.size() + kBlockLanes - 1) / kBlockLanes;
   while (BlockCount() > blocks) {
-    std::unique_ptr<double[]> last;
+    Storage last;
     if (rest_.empty()) {
       last = std::move(front_);
     } else {
       last = std::move(rest_.back());
       rest_.pop_back();
     }
-    if (spare_ == nullptr) spare_ = std::move(last);
+    if (spare_.coords == nullptr) spare_ = std::move(last);
   }
   head_ = 0;
   size_ = 0;
   WriteColumns(columns);
+  MaybeMakeTwin();
+}
+
+void CoordinatePool::MaybeMakeTwin() {
+  if (has_twin() || size_ * dim_ * sizeof(double) <= kTwinMinBytes) return;
+  std::vector<double> reference(dim_);
+  for (size_t d = 0; d < dim_; ++d) reference[d] = At(0, d);
+  MakeTwin(reference);
+}
+
+void CoordinatePool::MakeTwin(const std::vector<double>& reference) {
+  twin_reference_ = reference;
+  twin_extent_.assign(dim_, 0.0);
+  const simd::TwinRowKernel twin_row = simd::ActiveKernels().twin_row;
+  const size_t end = head_ + size_;  // one past the last live slot
+  for (size_t b = 0; b < BlockCount(); ++b) {
+    Storage& block = b == 0 ? front_ : rest_[b - 1];
+    if (block.twin == nullptr) {
+      block.twin.reset(NewTwinBlock(dim_ * kTwinStride));
+    }
+    // The live lanes [lo, hi) of the block; every other float is 0.
+    const size_t lo = b == 0 ? head_ : 0;
+    const size_t hi = std::min(kBlockLanes, end - b * kBlockLanes);
+    for (size_t d = 0; d < dim_; ++d) {
+      float* twin = block.twin.get() + d * kTwinStride;
+      std::fill(twin, twin + lo, 0.0f);
+      twin_extent_[d] =
+          twin_row(block.coords.get() + d * kRowStride + lo, reference[d],
+                   hi - lo, twin + lo, twin_extent_[d]);
+      std::fill(twin + hi, twin + kTwinStride, 0.0f);
+    }
+  }
+}
+
+void CoordinatePool::DropTwin() {
+  twin_reference_.clear();
+  twin_extent_.clear();
+  for (size_t b = 0; b < BlockCount(); ++b) {
+    (b == 0 ? front_ : rest_[b - 1]).twin.reset();
+  }
+  spare_.twin.reset();
 }
 
 CoordinatePool CoordinatePool::FromPoints(const std::vector<Point>& points) {
@@ -106,6 +178,16 @@ void CoordinatePool::Append(const double* coords) {
   double* column = Block(slot / kBlockLanes) + slot % kBlockLanes;
   for (size_t d = 0; d < dim_; ++d) column[d * kRowStride] = coords[d];
   ++size_;
+  if (!has_twin()) {
+    MaybeMakeTwin();
+    return;
+  }
+  float* twin = TwinBlock(slot / kBlockLanes) + slot % kBlockLanes;
+  const simd::TwinRowKernel twin_row = simd::ScalarKernels().twin_row;
+  for (size_t d = 0; d < dim_; ++d) {
+    twin_extent_[d] = twin_row(coords + d, twin_reference_[d], 1,
+                               twin + d * kTwinStride, twin_extent_[d]);
+  }
 }
 
 void CoordinatePool::Append(const Point& p) {
@@ -123,7 +205,7 @@ void CoordinatePool::DropFront(size_t n) {
   // Block `freed` becomes the front; block freed - 1 becomes the spare and
   // the blocks before it are freed.
   spare_ = freed == 1 ? std::move(front_) : std::move(rest_[freed - 2]);
-  front_ = freed <= rest_.size() ? std::move(rest_[freed - 1]) : nullptr;
+  front_ = freed <= rest_.size() ? std::move(rest_[freed - 1]) : Storage();
   rest_.erase(rest_.begin(),
               rest_.begin() + static_cast<long>(std::min(freed, rest_.size())));
 }
@@ -131,7 +213,12 @@ void CoordinatePool::DropFront(size_t n) {
 void CoordinatePool::CheckInvariants() const {
   FKC_CHECK_LT(head_, kBlockLanes);
   FKC_CHECK_EQ(BlockCount(), (head_ + size_ + kBlockLanes - 1) / kBlockLanes);
-  for (size_t b = 0; b < BlockCount(); ++b) FKC_CHECK(Block(b) != nullptr);
+  for (size_t b = 0; b < BlockCount(); ++b) {
+    FKC_CHECK(Block(b) != nullptr);
+    FKC_CHECK_EQ(TwinBlock(b) != nullptr, has_twin());
+  }
+  FKC_CHECK_EQ(twin_extent_.size(), twin_reference_.size());
+  FKC_CHECK(!has_twin() || twin_reference_.size() == dim_);
 }
 
 }  // namespace fkc

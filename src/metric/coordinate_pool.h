@@ -29,6 +29,26 @@
 //           last, which it keeps as a spare for the next link: a pool that
 //           appends and drops at one pace stops allocating. A stored
 //           coordinate never moves.
+//
+// Twin:     once a pool holds more than kTwinMinBytes of coordinates, it
+//           keeps a float32 twin of its columns for the shadow rows of
+//           metric/shadow_pool.h. The pool decides from its size alone.
+//           Twin coordinate d of a column x is float(x_d - r_d), centred on
+//           a reference column r that is copied when the twin is made
+//           (position 0's, or the reference of the pool a ColoredPool
+//           borrows; see FromColumns), or 0 when that difference is NaN or
+//           outside float's range. Its blocks mirror the double blocks:
+//           dim() rows of kTwinStride floats, kBlockLanes lanes followed by
+//           one float vector of slack, so a span that starts mid-block is
+//           readable too (the float kernels read RoundUpToShadowLanes(count)
+//           floats). Append writes one float column; DropFront and the
+//           spare block move each twin block with its double block. The
+//           twin also keeps twin_extent(): per dimension, the largest
+//           |x_d - r_d| (as a double; +inf for NaN) of every column it has
+//           held, dropped ones included, which bounds the live columns'
+//           distance to r. The twin is derived state: it is never
+//           serialized, and a restore rebuilds it with the pool. A pool
+//           that shrinks keeps its twin; Assign and ResetDim decide anew.
 #ifndef FKC_METRIC_COORDINATE_POOL_H_
 #define FKC_METRIC_COORDINATE_POOL_H_
 
@@ -60,14 +80,26 @@ class CoordinatePool {
   static constexpr size_t kBlockLanes = 128;
   /// Distance between consecutive rows of a block.
   static constexpr size_t kRowStride = kBlockLanes + kLaneAlign;
+  /// Float kernels load this many floats per vector (AVX-512 width): the
+  /// twin's row slack.
+  static constexpr size_t kTwinLanes = 16;
+  /// Distance between consecutive rows of a twin block: nine cache lines.
+  static constexpr size_t kTwinStride = kBlockLanes + kTwinLanes;
+  /// A pool makes its twin once its coordinates take more than this many
+  /// bytes. On covtype coresets a nine-head traversal on float rows breaks
+  /// even with exact rows between 250 and 2,000 points (0.1-0.9 MB) at
+  /// every kernel width (measured on a 4-vCPU AVX-512 VM).
+  static constexpr size_t kTwinMinBytes = size_t{1} << 20;
 
   /// The live positions of one block: column i of `data` (rows kRowStride
   /// doubles apart, each readable up to RoundUpToLanes(count) doubles) is
-  /// position first + i, for i in [0, count).
+  /// position first + i, for i in [0, count). `twin` is the same columns
+  /// of the twin (rows kTwinStride floats apart), or nullptr.
   struct Span {
     const double* data;
     size_t first;
     size_t count;
+    const float* twin;
   };
 
   /// Where a pool build reads one point's coordinates: coordinate d is
@@ -88,14 +120,19 @@ class CoordinatePool {
   /// those points' coordinates stay in L1, where one Append per point
   /// would store a single double into every row. Each block it links is
   /// zeroed only past the lanes it fills (the last block's tail and every
-  /// row's slack), not written twice.
+  /// row's slack), not written twice. When `twin_of` keeps a twin, the
+  /// pool's twin is centred on its reference whatever the pool's size, so
+  /// the two twins read as one (a ColoredPool's copied columns beside the
+  /// pool it borrows).
   static CoordinatePool FromColumns(size_t dim,
-                                    const std::vector<ColumnRef>& columns);
+                                    const std::vector<ColumnRef>& columns,
+                                    const CoordinatePool* twin_of = nullptr);
 
   /// Replaces the pool's points with the ones `columns` refers to, at
   /// positions [0, columns.size()), in the pool's own dimension: FromColumns
   /// into the blocks the pool already holds, so a scratch pool refilled
-  /// every call allocates only when it grows. Keeps the spare block.
+  /// every call allocates only when it grows. Keeps the spare block. The
+  /// twin is made anew, from the new size.
   void Assign(const std::vector<ColumnRef>& columns);
 
   /// FromColumns over `points` at positions [0, points.size()). All points
@@ -106,8 +143,10 @@ class CoordinatePool {
   /// Drops all points and re-dimensions the pool.
   void ResetDim(size_t dim);
 
-  /// Stores `coords` (dim() doubles) at position size(). O(dim), plus one
-  /// block allocation every kBlockLanes appends.
+  /// Stores `coords` (dim() doubles) at position size(), and its float
+  /// column in the twin, which the append that takes the pool past
+  /// kTwinMinBytes makes. O(dim), plus one block allocation every
+  /// kBlockLanes appends.
   void Append(const double* coords);
   void Append(const Point& p);
 
@@ -135,6 +174,19 @@ class CoordinatePool {
     return {Block(slot / kBlockLanes) + slot % kBlockLanes, kRowStride};
   }
 
+  /// Whether the pool keeps a twin (see the file comment).
+  bool has_twin() const { return !twin_reference_.empty(); }
+  /// The twin's reference column and extent, dim() doubles each; empty
+  /// without a twin.
+  const std::vector<double>& twin_reference() const { return twin_reference_; }
+  const std::vector<double>& twin_extent() const { return twin_extent_; }
+  /// Position pos of the twin: its float d is at [d * kTwinStride]. Only
+  /// with a twin.
+  const float* TwinColumn(size_t pos) const {
+    const size_t slot = head_ + pos;
+    return TwinBlock(slot / kBlockLanes) + slot % kBlockLanes;
+  }
+
   /// Calls f(Span) for every block holding live positions, oldest first.
   template <typename F>
   void ForEachSpan(F&& f) const {
@@ -142,7 +194,7 @@ class CoordinatePool {
     size_t offset = head_;
     for (size_t b = 0; first < size_; ++b, offset = 0) {
       const size_t count = std::min(kBlockLanes - offset, size_ - first);
-      f(Span{Block(b) + offset, first, count});
+      f(Span{Block(b) + offset, first, count, TwinSpan(b, offset)});
       first += count;
     }
   }
@@ -156,7 +208,7 @@ class CoordinatePool {
       const size_t b = (end - 1) / kBlockLanes;
       const size_t begin = std::max(b * kBlockLanes, head_);
       f(Span{Block(b) + (begin - b * kBlockLanes), begin - head_,
-             end - begin});
+             end - begin, TwinSpan(b, begin - b * kBlockLanes)});
       end = begin;
     }
   }
@@ -166,16 +218,43 @@ class CoordinatePool {
   void CheckInvariants() const;
 
  private:
+  /// One block of the chain: its doubles, and its twin block while the
+  /// pool keeps a twin (dim_ * kTwinStride floats).
+  struct FreeFloats {
+    void operator()(float* p) const;
+  };
+  struct Storage {
+    std::unique_ptr<double[]> coords;
+    // 64-byte aligned, so every twin row (nine cache lines) starts on a
+    // line and a 16-float load splits no line.
+    std::unique_ptr<float[], FreeFloats> twin;
+  };
+
   /// Block b of the chain, b < BlockCount().
-  double* Block(size_t b) const {
-    return b == 0 ? front_.get() : rest_[b - 1].get();
+  const Storage& StorageOf(size_t b) const {
+    return b == 0 ? front_ : rest_[b - 1];
   }
-  size_t BlockCount() const { return front_ ? rest_.size() + 1 : 0; }
+  double* Block(size_t b) const { return StorageOf(b).coords.get(); }
+  float* TwinBlock(size_t b) const { return StorageOf(b).twin.get(); }
+  const float* TwinSpan(size_t b, size_t offset) const {
+    return has_twin() ? TwinBlock(b) + offset : nullptr;
+  }
+  size_t BlockCount() const { return front_.coords ? rest_.size() + 1 : 0; }
 
   /// Links a tail block (the spare if there is one, else a new one) whose
   /// first `filled` lanes the caller is about to write in every row: the
-  /// rest of each row, its slack included, is zeroed.
+  /// rest of each row, its slack included, is zeroed. With a twin, the
+  /// whole twin block is zeroed.
   void LinkBlock(size_t filled);
+
+  /// Makes the twin when the pool is past kTwinMinBytes and has none,
+  /// centred on position 0.
+  void MaybeMakeTwin();
+  /// Replaces the twin with one centred on `reference` (dim_ doubles),
+  /// written from the live columns.
+  void MakeTwin(const std::vector<double>& reference);
+  /// Drops the twin and its blocks.
+  void DropTwin();
 
   /// Writes the points `columns` refers to at positions [0, n) of an empty
   /// pool, linking blocks past the ones it holds (FromColumns, Assign).
@@ -188,10 +267,13 @@ class CoordinatePool {
   // s % kBlockLanes of block s / kBlockLanes. Block 0 is held apart from
   // the others, so a one-block pool costs one allocation and a scan of it
   // follows one pointer.
-  std::unique_ptr<double[]> front_;
-  std::vector<std::unique_ptr<double[]>> rest_;  // blocks 1, 2, ...
+  Storage front_;
+  std::vector<Storage> rest_;  // blocks 1, 2, ...
   // The last block DropFront emptied, unlinked; LinkBlock reuses it.
-  std::unique_ptr<double[]> spare_;
+  Storage spare_;
+  // The twin's reference and extent; both empty without a twin.
+  std::vector<double> twin_reference_;
+  std::vector<double> twin_extent_;
 };
 
 }  // namespace fkc

@@ -11,23 +11,29 @@ namespace {
 
 // The bound on a shadow row's error. Notation: n = dim, u = 2^-53 and
 // v = 2^-24 the unit roundoffs of double and float, N the metric's norm
-// (L2, L1 or L-infinity), h head 0, x_i the coordinates in slot i, and
-// t_i = h - x_i, exact, so that the exact distance is
-// D(x_i, x_j) = N(t_j - t_i).
+// (L2, L1 or L-infinity), r the twins' reference column, x_i the
+// coordinates in slot i, and t_i = x_i - r, exact, so that the exact
+// distance is D(x_i, x_j) = N(t_j - t_i). A row's head is a slot too: its
+// float query is its own twin column.
 //
-// 1. Centring. The fill kernel stores c_i = fl_f(fl_d(h - x_i)) per
-//    coordinate. A double difference is exact when subnormal and within
-//    u|y| of y = h_d - x_id otherwise; a conversion to float is within
-//    v|z| + a of z, a = 2^-150 (half the smallest subnormal float), since
-//    every |z| is within float's range (step 4). So with w = v + 2u, each
-//    error e_id = c_id - t_id has |e_id| <= w |t_id| + a, and as N is a
-//    monotone norm, N(e_i) <= w N(t_i) + a N(1), N(1) = sqrt(n), n or 1.
-// 2. The radius. N(t_i) is the exact distance of h and x_i, whose computed
-//    value r_i is head 0's exact row: with the metric's RoundingError
-//    (rho, alpha), N(t_i) <= (r_i + alpha) / (1 - rho) <= T for
-//    T = (R + alpha) / (1 - rho), R the largest r_i. So the distance D_f =
-//    N(c_j - c_i) of the float coordinates is within
-//    N(e_i) + N(e_j) <= 2 w T + 2 a N(1) of D <= 2T.
+// 1. Centring. The twin stores c_i = fl_f(fl_d(x_i - r)) per coordinate. A
+//    double difference is exact when subnormal and within u|y| of y =
+//    x_id - r_d otherwise; a conversion to float is within v|z| + a of z,
+//    a = 2^-150 (half the smallest subnormal float), since every |z| is
+//    within float's range (step 4). So with w = v + 2u, each error e_id =
+//    c_id - t_id has |e_id| <= w |t_id| + a, and as N is a monotone norm,
+//    N(e_i) <= w N(t_i) + a N(1), N(1) = sqrt(n), n or 1.
+// 2. The extent. Each twin keeps M_d >= |fl_d(x_id - r_d)| over every
+//    column it has held (coordinate_pool.h), so |t_id| <= M_d / (1 - u),
+//    and by monotonicity N(t_i) <= N(M) / (1 - u) for every slot, the
+//    extents of a borrowing pool's two twins taken lane by lane. The
+//    metric's Distance between the origin and M differs from N(M) only by
+//    its own rounding (the differences 0 - M_d are exact), so with its
+//    RoundingError (rho, alpha), N(t_i) <= T for
+//    T = (Distance(0, M) + alpha) / (1 - rho) / (1 - u). So the distance
+//    D_f = N(c_j - c_i) of the float coordinates is within
+//    N(e_i) + N(e_j) <= 2 w T + 2 a N(1) of D <= 2T. (On the covtype
+//    coreset T is ~1.4 times the largest distance to the reference.)
 // 3. Float arithmetic. The shadow kernel computes D_f from the floats with
 //    the metric's own loop in float; the derivation of the metric's
 //    RoundingError (metric.cc) with v for u and 2^-150 for 2^-1075 bounds
@@ -35,15 +41,16 @@ namespace {
 //    sqrt(n) 2^-73 (Euclidean), 2 n v and 0 (Manhattan), v and 0
 //    (Chebyshev), where m v <= 1/2 (n <= kMaxDim) and nothing overflows
 //    (step 4). Widening to double is exact.
-// 4. Range. With T <= kMaxRadius = 2^60 every centred coordinate, and every
-//    float partial (at most (1 + rho_f) D_f^2 <= 2^124), stays well inside
-//    float's range (2^128).
+// 4. Range. With T <= kMaxRadius = 2^60 every centred coordinate
+//    (|c_id| <= M_d (1 + w) <= 2T), and every float partial (at most
+//    (1 + rho_f) D_f^2 <= 2^124), stays well inside float's range (2^128).
 // 5. The exact row. Distance itself is within rho D + alpha of D.
 // Summing, with D_f <= 2 T (1 + w) + 2 a N(1) and D <= 2T:
 //   |shadow - Distance| <= 2T (w + rho + rho_f (1 + w))
 //                          + 2 a N(1) (1 + rho_f) + alpha_f + alpha.
 // Every step of computing T and the bound rounds, each by at most u
-// relative to a sum of non-negative terms; kRoundUp covers them all.
+// relative to a sum of non-negative terms, and 1 / (1 - u) is within 2u
+// of 1; kRoundUp covers them all.
 constexpr double kUnit = 0x1p-53;
 constexpr double kFloatUnit = 0x1p-24;
 constexpr double kFloatHalfTiny = 0x1p-150;
@@ -70,25 +77,20 @@ Norm NormOf(const Metric& metric) {
   return Norm::kNone;
 }
 
-struct ShadowKernels {
-  simd::ShadowFillKernel fill;
-  simd::ShadowKernel scan;
-};
-
-ShadowKernels KernelsOf(Norm norm) {
+simd::ShadowKernel KernelOf(Norm norm) {
   const simd::KernelSet& set = simd::ActiveKernels();
   switch (norm) {
     case Norm::kEuclidean:
-      return {set.euclidean_fill, set.euclidean_shadow};
+      return set.euclidean_shadow;
     case Norm::kManhattan:
-      return {set.manhattan_fill, set.manhattan_shadow};
+      return set.manhattan_shadow;
     case Norm::kChebyshev:
-      return {set.chebyshev_fill, set.chebyshev_shadow};
+      return set.chebyshev_shadow;
     case Norm::kNone:
       break;
   }
   FKC_CHECK(false) << "metric has no shadow kernels";
-  return {nullptr, nullptr};
+  return nullptr;
 }
 
 // The float loop's error (step 3) and N(1) (step 1) for dimension n.
@@ -115,86 +117,67 @@ NormTerms TermsOf(Norm norm, size_t dim) {
 }  // namespace
 
 bool ShadowPool::Serves(const Metric& metric, const ColoredPool& pool) {
-  return pool.slot_count() * pool.dim() * sizeof(double) > kMinBytes &&
-         NormOf(metric) != Norm::kNone;
+  const CoordinatePool* lent = pool.borrowed();
+  const CoordinatePool& own = pool.owned();
+  if (lent != nullptr && !lent->has_twin()) return false;
+  // Beside a twinned borrowed pool, the Builder centres the copies' twin
+  // on the same reference.
+  if (!own.empty() && !own.has_twin()) return false;
+  return !pool.empty() && NormOf(metric) != Norm::kNone;
 }
 
-bool ShadowPool::Fill(const Metric& metric, const ColoredPool& pool,
-                      const Point& head, double* row) {
-  FKC_CHECK_EQ(head.coords.size(), pool.dim());
+std::optional<ShadowPool> ShadowPool::Create(const Metric& metric,
+                                             const ColoredPool& pool) {
+  if (!Serves(metric, pool)) return std::nullopt;
   const Norm norm = NormOf(metric);
-  const ShadowKernels kernels = KernelsOf(norm);
-  kernel_ = kernels.scan;
-  dim_ = pool.dim();
-  spans_.clear();
-  pool.ForEachSpan(ScanOrder::kForward,
-                   [&](const CoordinatePool::Span& span) {
-                     spans_.push_back({span.first, span.count});
-                   });
-  const size_t floats = spans_.size() * dim_ * kRowStride;
-  if (floats > capacity_) {
-    data_.reset(static_cast<float*>(
-        ::operator new[](floats * sizeof(float), std::align_val_t{64})));
-    capacity_ = floats;
-  }
-  size_t k = 0;
-  pool.ForEachSpan(ScanOrder::kForward, [&](const CoordinatePool::Span&
-                                                span) {
-    float* block = data_.get() + k++ * dim_ * kRowStride;
-    kernels.fill(head.coords.data(), span.data, CoordinatePool::kRowStride,
-                 dim_, span.count, block, kRowStride, row + span.first);
-    // The lanes a shadow kernel reads past the span are zeroed, not left
-    // to whatever the allocation held.
-    const size_t end = simd::RoundUpToShadowLanes(span.count);
-    for (size_t d = 0; d < dim_; ++d) {
-      std::fill(block + d * kRowStride + span.count,
-                block + d * kRowStride + end, 0.0f);
-    }
-  });
+  const size_t dim = pool.dim();
+  if (dim > kMaxDim) return std::nullopt;
 
-  // R, the row's largest entry (+inf when the row holds a NaN), and
-  // whether it makes float32 unsafe.
-  const std::optional<DistanceError> exact = metric.RoundingError(dim_);
-  FKC_CHECK(exact.has_value()) << "a shadow metric states its rounding";
-  double radius = 0.0;
-  for (size_t s = 0; s < pool.slot_count(); ++s) {
-    if (!(row[s] <= radius)) {
-      radius = std::isnan(row[s]) ? kInf : row[s];
+  // M, lane by lane over the twins the pool scans, and T (step 2).
+  Point extent;
+  extent.coords.assign(dim, 0.0);
+  for (const CoordinatePool* twin : {pool.borrowed(), &pool.owned()}) {
+    if (twin == nullptr || twin->empty()) continue;
+    for (size_t d = 0; d < dim; ++d) {
+      extent.coords[d] = std::max(extent.coords[d], twin->twin_extent()[d]);
     }
   }
-  const double t =
-      (radius + exact->absolute) / (1.0 - exact->relative) * kRoundUp;
-  if (!(t <= kMaxRadius) || dim_ > kMaxDim) return false;
-  const NormTerms terms = TermsOf(norm, dim_);
+  const std::optional<DistanceError> exact = metric.RoundingError(dim);
+  FKC_CHECK(exact.has_value()) << "a shadow metric states its rounding";
+  Point origin;
+  origin.coords.assign(dim, 0.0);
+  const double t = (metric.Distance(origin, extent) + exact->absolute) /
+                   (1.0 - exact->relative) * kRoundUp;
+  if (!(t <= kMaxRadius)) return std::nullopt;
+
+  const NormTerms terms = TermsOf(norm, dim);
   const double w = kFloatUnit + 2.0 * kUnit;
   const double rho_f = terms.float_error.relative;
-  error_ = (2.0 * t * (w + exact->relative + rho_f * (1.0 + w)) +
-            2.0 * kFloatHalfTiny * terms.ones * (1.0 + rho_f) +
-            terms.float_error.absolute + exact->absolute) *
-           kRoundUp;
-  // A bound no finer than a 64th of the radius separates too little to
-  // save a pass.
-  return error_ < t / 64.0;
+  ShadowPool shadow(pool, KernelOf(norm));
+  shadow.error_ = (2.0 * t * (w + exact->relative + rho_f * (1.0 + w)) +
+                   2.0 * kFloatHalfTiny * terms.ones * (1.0 + rho_f) +
+                   terms.float_error.absolute + exact->absolute) *
+                  kRoundUp;
+  // A bound no finer than a 64th of T separates too little to save a pass.
+  if (!(shadow.error_ < t / 64.0)) return std::nullopt;
+  return shadow;
 }
 
 void ShadowPool::Row(size_t slot, ScanOrder order, double* row) {
-  // The head's centred coordinates: its column in the block holding slot.
-  const auto span = std::upper_bound(
-      spans_.begin(), spans_.end(), slot,
-      [](size_t s, const Span& sp) { return s < sp.first; }) - 1;
-  const float* column =
-      Block(static_cast<size_t>(span - spans_.begin())) + (slot - span->first);
-  query_.resize(dim_);
-  for (size_t d = 0; d < dim_; ++d) query_[d] = column[d * kRowStride];
-  const auto scan = [&](size_t k) {
-    kernel_(query_.data(), Block(k), kRowStride, dim_, spans_[k].count,
-            row + spans_[k].first);
-  };
-  if (order == ScanOrder::kForward) {
-    for (size_t k = 0; k < spans_.size(); ++k) scan(k);
-  } else {
-    for (size_t k = spans_.size(); k-- > 0;) scan(k);
+  // The head's float query: its own twin column.
+  const size_t lent =
+      pool_->borrowed() != nullptr ? pool_->borrowed()->size() : 0;
+  const float* column = slot < lent
+                            ? pool_->borrowed()->TwinColumn(slot)
+                            : pool_->owned().TwinColumn(slot - lent);
+  const size_t dim = query_.size();
+  for (size_t d = 0; d < dim; ++d) {
+    query_[d] = column[d * CoordinatePool::kTwinStride];
   }
+  pool_->ForEachSpan(order, [&](const CoordinatePool::Span& span) {
+    kernel_(query_.data(), span.twin, CoordinatePool::kTwinStride, dim,
+            span.count, row + span.first);
+  });
 }
 
 size_t ShadowPool::Candidates(const double* row, const double* nearest,

@@ -1,18 +1,21 @@
-// A float32 shadow of a ColoredPool's coordinates, for traversals whose
-// rows stream a pool larger than the caches.
+// Float32 shadow rows of a ColoredPool, for traversals whose rows stream a
+// pool larger than the caches.
 //
 // A Gonzalez traversal (sequential/gonzalez.h) reads its pool once per
 // head. On a covtype coreset (~9,900 points, d = 54) each exact row streams
 // ~4.3 MB of doubles from L3; a float copy is half that, about the size of
-// L2. The shadow is that copy, centred: head 0's exact pass (Fill) also
-// stores each coordinate's difference to head 0 as a float, in the pool's
-// block layout, one float block per block span of the pool. Later heads
-// scan the shadow (Row) with the float kernels of simd_kernels.h.
+// L2. A CoordinatePool past CoordinatePool::kTwinMinBytes keeps that copy
+// as it grows: its twin, each coordinate centred on a reference column
+// (coordinate_pool.h). A ColoredPool that borrows such a pool writes its
+// copied columns' twin against the same reference, so the two twins read
+// as one. A ShadowPool is a view over those twins: it owns no buffer, and
+// every head's row (Row) is a scan of the twins with the float kernels of
+// simd_kernels.h.
 //
 // A shadow row is not the exact row: each entry lies within error() of the
 // distance Metric::Distance computes for its pair. The bound is proven in
-// shadow_pool.cc from R, the largest entry of head 0's exact row, which
-// bounds every centred coordinate. A caller that reads shadow rows
+// shadow_pool.cc from T, a bound on every column's distance to the
+// reference that the twins' extents give. A caller that reads shadow rows
 // resolves each decision exactly: every slot whose shadow value lies
 // within 2 * error() of the decisive one is a candidate, and Distance
 // decides among the candidates (ResolveFarthest, for the farthest point
@@ -24,17 +27,17 @@
 // ChebyshevMetric, all final) have shadow kernels; every other metric,
 // decorators included, reads exact rows.
 //
-// Fill declines (returns false) when R makes float32 unsafe: R too large
-// for float's range (or not finite), or so small that the bound is no
-// finer than R itself. The fill kernels store 0 for a difference outside
-// float's range, so every conversion is defined either way.
+// Create declines when T makes float32 unsafe: T too large for float's
+// range (or not finite), or so small that the bound is no finer than T
+// itself. A twin stores 0 for a difference outside float's range and
+// records it in its extent as +inf, so every conversion is defined either
+// way.
 #ifndef FKC_METRIC_SHADOW_POOL_H_
 #define FKC_METRIC_SHADOW_POOL_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <new>
+#include <optional>
 #include <vector>
 
 #include "metric/colored_pool.h"
@@ -47,22 +50,22 @@ namespace fkc {
 
 class ShadowPool {
  public:
-  /// A pool gets a shadow when its coordinates take more than this many
-  /// bytes. On covtype coresets a nine-head traversal on the shadow breaks
-  /// even with exact rows between 250 and 2,000 points (0.1-0.9 MB) at
-  /// every kernel width (measured on a 4-vCPU AVX-512 VM; CHANGES.md).
-  static constexpr size_t kMinBytes = size_t{1} << 20;
+  /// A pool's twin, and so its shadow rows, starts past this many bytes of
+  /// coordinates.
+  static constexpr size_t kMinBytes = CoordinatePool::kTwinMinBytes;
   /// The most candidates one decision resolves before its caller goes back
   /// to exact rows.
   static constexpr size_t kMaxCandidates = 64;
-  /// Floats between consecutive rows of a shadow block. Every block starts
-  /// its span at lane 0, so a span of at most kBlockLanes columns is
-  /// readable up to RoundUpToShadowLanes(count) floats without slack.
-  static constexpr size_t kRowStride = CoordinatePool::kBlockLanes;
 
-  /// True when `metric` is a built-in metric and `pool`'s coordinates take
-  /// more than kMinBytes.
+  /// True when `metric` is a built-in metric and every CoordinatePool that
+  /// `pool` scans keeps a twin (on one reference: ColoredPool::Builder
+  /// centres copies on the borrowed pool's).
   static bool Serves(const Metric& metric, const ColoredPool& pool);
+
+  /// The shadow view of `pool` (which must outlive it) when Serves holds
+  /// and the twins' extent makes float32 safe; nullopt otherwise.
+  static std::optional<ShadowPool> Create(const Metric& metric,
+                                          const ColoredPool& pool);
 
   /// The candidates of a shadow row's decisions: the slots s in
   /// [0, count), in slot order, with nearest[s] >= far_bound or, when
@@ -93,14 +96,7 @@ class ShadowPool {
                                         size_t count, double* nearest,
                                         int64_t* pairs);
 
-  /// One pass of `metric`'s fill kernel over `pool` (`metric` must be a
-  /// built-in metric): row[s] is DistanceRow(metric, head, row)'s, bit for
-  /// bit, and the shadow holds every slot's coordinates centred on `head`.
-  /// Returns whether the shadow is usable; when it is not, only the row is.
-  bool Fill(const Metric& metric, const ColoredPool& pool, const Point& head,
-            double* row);
-
-  /// The bound on |Row(...)[s] - metric.Distance| of a usable shadow.
+  /// The bound on |Row(...)[s] - metric.Distance|.
   double error() const { return error_; }
 
   /// row[s], for every slot s of the pool, lies within error() of the
@@ -109,27 +105,13 @@ class ShadowPool {
   void Row(size_t slot, ScanOrder order, double* row);
 
  private:
-  struct Span {
-    size_t first;  // slot of the block's first column
-    size_t count;
-  };
-  struct FreeFloats {
-    void operator()(float* p) const {
-      ::operator delete[](p, std::align_val_t{64});
-    }
-  };
+  ShadowPool(const ColoredPool& pool, simd::ShadowKernel kernel)
+      : pool_(&pool), kernel_(kernel), query_(pool.dim()) {}
 
-  const float* Block(size_t k) const {
-    return data_.get() + k * dim_ * kRowStride;
-  }
-
-  simd::ShadowKernel kernel_ = nullptr;
-  size_t dim_ = 0;
+  const ColoredPool* pool_;
+  simd::ShadowKernel kernel_;
   double error_ = 0.0;
-  std::vector<Span> spans_;  // span k is block k, in forward order
-  std::unique_ptr<float[], FreeFloats> data_;
-  size_t capacity_ = 0;       // floats data_ holds
-  std::vector<float> query_;  // Row's centred head
+  std::vector<float> query_;  // Row's head, its twin column
 };
 
 }  // namespace fkc

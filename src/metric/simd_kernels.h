@@ -50,18 +50,22 @@
 // operations, so every distance is bit-identical to the single-row kernel
 // of any width. The same row slack contract holds.
 //
-// Shadow kernels serve a float32 shadow of a pool (shadow_pool.h). A fill
-// kernel is the exact kernel of its metric, out[i] bit for bit, that also
-// stores each lane's coordinate difference query[d] - x as a float at
-// shadow[d * shadow_stride + i]; a difference that is NaN or outside
-// float's range is stored as 0 (every width masks it the same way, so each
-// conversion is defined and the shadow's bytes do not depend on the width).
-// A shadow kernel scores a float query against the float columns of such a
-// shadow with the same per-metric terms, in float arithmetic: each lane
-// owns one pair and accumulates its terms in ascending dimension order, and
-// the float result is widened into the double out[i]. So every width gives
-// the same bits here too. Shadow rows are readable (not meaningful) up to
-// RoundUpToShadowLanes(count) floats, the widest set's float vector.
+// Shadow kernels serve the float32 twin of a pool (coordinate_pool.h,
+// read as shadow rows by shadow_pool.h). A shadow kernel scores a float
+// query against float columns with the same per-metric terms, in float
+// arithmetic: each lane owns one pair and accumulates its terms in
+// ascending dimension order, and the float result is widened into the
+// double out[i]. So every width gives the same bits here too. Float rows
+// are readable (not meaningful) up to RoundUpToShadowLanes(count) floats,
+// the widest set's float vector.
+//
+// Twin rows (the twin_row kernel) write a pool's float32 twin
+// (coordinate_pool.h): the float of each coordinate's difference to the
+// twin's reference, or 0 where that difference is NaN or outside float's
+// range (every width masks it the same way, so each conversion is defined
+// and the floats do not depend on the width), and the largest |difference|
+// (+inf when one is NaN). A maximum is exact, so it too is the same at
+// every width. They read and write only the count live lanes.
 //
 // Head passes (the head_pass kernel) do the bookkeeping of one Gonzalez
 // head over the distance row DistanceRow filled for it (gonzalez.h); no
@@ -95,7 +99,6 @@
 #define FKC_METRIC_SIMD_KERNELS_H_
 
 #include <cstddef>
-#include <limits>
 #include <vector>
 
 #include "metric/coordinate_pool.h"
@@ -125,14 +128,6 @@ using TileKernel = void (*)(const double* const* queries, size_t rows,
                             const double* data, size_t stride, size_t dim,
                             size_t count, size_t out_stride, double* out);
 
-/// Shadow fill: out[i] as the DistanceKernel computes it, and
-/// shadow[d * shadow_stride + i] = float(query[d] - data[d * stride + i]),
-/// or 0 where that difference is NaN or outside float's range.
-using ShadowFillKernel = void (*)(const double* query, const double* data,
-                                  size_t stride, size_t dim, size_t count,
-                                  float* shadow, size_t shadow_stride,
-                                  double* out);
-
 /// Shadow scan: out[i] = distance(query, float column i of `data`),
 /// computed in float and widened; see the file comment.
 using ShadowKernel = void (*)(const float* query, const float* data,
@@ -156,11 +151,18 @@ using HeadPassKernel = Farthest (*)(const double* row, const int* position,
                                     double* nearest, double* color_distance,
                                     int* color_index);
 
+/// Twin row: twin[i] = float(row[i] - reference), or 0 where that
+/// difference is NaN or outside float's range, for i in [0, count);
+/// returns the largest of `extent` and every |row[i] - reference|, or +inf
+/// when one is NaN. See the file comment.
+using TwinRowKernel = double (*)(const double* row, double reference,
+                                 size_t count, float* twin, double extent);
+
 /// The most rows any set holds in one tile.
 constexpr size_t kMaxTileRows = 8;
 
-/// One exact, one bounded, one tile, one shadow fill and one shadow kernel
-/// per built-in metric, and the head pass, all of one vector width.
+/// One exact, one bounded, one tile and one shadow kernel per built-in
+/// metric, the head pass and the twin row, all of one vector width.
 struct KernelSet {
   const char* name;  ///< "scalar", "avx2", "avx512"
   size_t lanes;      ///< pairs processed per vector
@@ -174,13 +176,11 @@ struct KernelSet {
   TileKernel euclidean_tile;
   TileKernel manhattan_tile;
   TileKernel chebyshev_tile;
-  ShadowFillKernel euclidean_fill;
-  ShadowFillKernel manhattan_fill;
-  ShadowFillKernel chebyshev_fill;
   ShadowKernel euclidean_shadow;
   ShadowKernel manhattan_shadow;
   ShadowKernel chebyshev_shadow;
   HeadPassKernel head_pass;
+  TwinRowKernel twin_row;
 };
 
 /// Cutoff of a Euclidean bounded scan: the smallest double s with
@@ -216,19 +216,11 @@ constexpr size_t RoundUpToLanes(size_t count) {
          CoordinatePool::kLaneAlign;
 }
 
-/// Floats a shadow kernel reads at once at the widest width (AVX-512).
-constexpr size_t kShadowLanes = 16;
-
-/// Shadow rows must be readable (not meaningful) up to this many floats.
+/// Shadow rows must be readable (not meaningful) up to this many floats:
+/// whole vectors of the widest width (AVX-512), the twin's row slack.
 constexpr size_t RoundUpToShadowLanes(size_t count) {
-  return (count + kShadowLanes - 1) / kShadowLanes * kShadowLanes;
-}
-
-/// The float a fill kernel stores for the difference `diff`: the nearest
-/// float, or 0 for NaN and for a difference outside float's range.
-inline float ShadowValue(double diff) {
-  constexpr double kMax = std::numeric_limits<float>::max();
-  return diff >= -kMax && diff <= kMax ? static_cast<float>(diff) : 0.0f;
+  constexpr size_t kFloats = CoordinatePool::kTwinLanes;
+  return (count + kFloats - 1) / kFloats * kFloats;
 }
 
 /// The portable reference kernels; always available.

@@ -127,29 +127,6 @@ void ScanAvx2(const double* query, const double* data, size_t stride,
   }
 }
 
-// The exact scan that also stores each difference's float (ShadowValue,
-// lane by lane: out-of-range and NaN lanes are masked to 0 before the
-// conversion). The four floats of a tail block are stored whole: the lanes
-// past `count` are the shadow row's own slack.
-template <typename Term>
-void FillAvx2(const double* query, const double* data, size_t stride,
-              size_t dim, size_t count, float* shadow, size_t shadow_stride,
-              double* out) {
-  const __m256d max = _mm256_set1_pd(std::numeric_limits<float>::max());
-  for (size_t i = 0; i < count; i += kLanes) {
-    __m256d acc = _mm256_setzero_pd();
-    for (size_t d = 0; d < dim; ++d) {
-      const __m256d diff = _mm256_sub_pd(
-          _mm256_set1_pd(query[d]), _mm256_loadu_pd(data + d * stride + i));
-      const __m256d in_range = _mm256_cmp_pd(Abs(diff), max, _CMP_LE_OQ);
-      _mm_storeu_ps(shadow + d * shadow_stride + i,
-                    _mm256_cvtpd_ps(_mm256_and_pd(diff, in_range)));
-      acc = Term::Add(acc, diff);
-    }
-    StoreLanes(out, i, count, Term::Finish(acc));
-  }
-}
-
 // Widens eight float results into out[i, i + 8), storing the live lanes.
 inline void StoreWidened(double* out, size_t i, size_t count, __m256 v) {
   StoreLanes(out, i, count, _mm256_cvtps_pd(_mm256_castps256_ps128(v)));
@@ -189,6 +166,32 @@ void ShadowAvx2(const float* query, const float* data, size_t stride,
     }
     StoreWidened(out, i, count, Term::Finish(acc));
   }
+}
+
+// The twin row four lanes at a time (NaN and out-of-range lanes masked to
+// 0 before the conversion), then the scalar loop for the last lanes.
+double TwinRow(const double* row, double reference, size_t count,
+               float* twin, double extent) {
+  const __m256d r = _mm256_set1_pd(reference);
+  const __m256d max = _mm256_set1_pd(std::numeric_limits<float>::max());
+  __m256d most = _mm256_set1_pd(extent);
+  __m256d nan = _mm256_setzero_pd();
+  size_t i = 0;
+  for (; i + kLanes <= count; i += kLanes) {
+    const __m256d diff = _mm256_sub_pd(_mm256_loadu_pd(row + i), r);
+    const __m256d a = Abs(diff);
+    const __m256d in_range = _mm256_cmp_pd(a, max, _CMP_LE_OQ);
+    _mm_storeu_ps(twin + i, _mm256_cvtpd_ps(_mm256_and_pd(diff, in_range)));
+    most = _mm256_max_pd(a, most);  // `most` where a is NaN
+    nan = _mm256_or_pd(nan, _mm256_cmp_pd(a, a, _CMP_UNORD_Q));
+  }
+  alignas(32) double lanes[kLanes];
+  _mm256_store_pd(lanes, most);
+  extent = _mm256_movemask_pd(nan) != 0
+               ? std::numeric_limits<double>::infinity()
+               : *std::max_element(lanes, lanes + kLanes);
+  return ScalarKernels().twin_row(row + i, reference, count - i, twin + i,
+                                  extent);
 }
 
 constexpr size_t kTileRows = 4;
@@ -379,13 +382,11 @@ const KernelSet kAvx2Set = {
     TileAvx2<EuclideanTerm>,
     TileAvx2<ManhattanTerm>,
     TileAvx2<ChebyshevTerm>,
-    FillAvx2<EuclideanTerm>,
-    FillAvx2<ManhattanTerm>,
-    FillAvx2<ChebyshevTerm>,
     ShadowAvx2<EuclideanTerm>,
     ShadowAvx2<ManhattanTerm>,
     ShadowAvx2<ChebyshevTerm>,
-    HeadPass};
+    HeadPass,
+    TwinRow};
 
 }  // namespace
 

@@ -154,53 +154,6 @@ void ScanAvx512(const double* query, const double* data, size_t stride,
   }
 }
 
-// Stores the float of each of the eight differences (ShadowValue, lane by
-// lane: out-of-range and NaN lanes are masked to 0 before the conversion).
-// A tail block's eight floats are stored whole: the lanes past `count` are
-// the shadow row's own slack.
-inline void StoreShadow(float* shadow, __m512d diff) {
-  const __mmask8 in_range = _mm512_cmp_pd_mask(
-      Abs(diff), _mm512_set1_pd(std::numeric_limits<float>::max()),
-      _CMP_LE_OQ);
-  _mm256_storeu_ps(shadow, _mm512_maskz_cvtpd_ps(in_range, diff));
-}
-
-// The exact scan (ScanAvx512's two chains per 16 pairs) that also stores
-// each difference's float.
-template <typename Term>
-void FillAvx512(const double* query, const double* data, size_t stride,
-                size_t dim, size_t count, float* shadow, size_t shadow_stride,
-                double* out) {
-  size_t i = 0;
-  for (; i + 2 * kLanes <= count; i += 2 * kLanes) {
-    __m512d acc0 = _mm512_setzero_pd();
-    __m512d acc1 = _mm512_setzero_pd();
-    for (size_t d = 0; d < dim; ++d) {
-      const __m512d qd = _mm512_set1_pd(query[d]);
-      const double* row = data + d * stride + i;
-      float* shadow_row = shadow + d * shadow_stride + i;
-      const __m512d diff0 = _mm512_sub_pd(qd, _mm512_loadu_pd(row));
-      const __m512d diff1 = _mm512_sub_pd(qd, _mm512_loadu_pd(row + kLanes));
-      StoreShadow(shadow_row, diff0);
-      StoreShadow(shadow_row + kLanes, diff1);
-      acc0 = Term::Add(acc0, diff0);
-      acc1 = Term::Add(acc1, diff1);
-    }
-    _mm512_storeu_pd(out + i, Term::Finish(acc0));
-    _mm512_storeu_pd(out + i + kLanes, Term::Finish(acc1));
-  }
-  for (; i < count; i += kLanes) {
-    __m512d acc = _mm512_setzero_pd();
-    for (size_t d = 0; d < dim; ++d) {
-      const __m512d diff = _mm512_sub_pd(
-          _mm512_set1_pd(query[d]), _mm512_loadu_pd(data + d * stride + i));
-      StoreShadow(shadow + d * shadow_stride + i, diff);
-      acc = Term::Add(acc, diff);
-    }
-    StoreLanes(out, i, count, Term::Finish(acc));
-  }
-}
-
 // Widens sixteen float results into out[i, i + 16), storing the live lanes.
 inline void StoreWidened(double* out, size_t i, size_t count, __m512 v) {
   StoreLanes(out, i, count, _mm512_cvtps_pd(_mm512_castps512_ps256(v)));
@@ -241,6 +194,31 @@ void ShadowAvx512(const float* query, const float* data, size_t stride,
     }
     StoreWidened(out, i, count, Term::Finish(acc));
   }
+}
+
+// The twin row eight lanes at a time (NaN and out-of-range lanes masked to
+// 0 by the conversion), then the scalar loop for the last lanes.
+double TwinRow(const double* row, double reference, size_t count,
+               float* twin, double extent) {
+  const __m512d r = _mm512_set1_pd(reference);
+  const __m512d max = _mm512_set1_pd(std::numeric_limits<float>::max());
+  __m512d most = _mm512_set1_pd(extent);
+  __mmask8 nan = 0;
+  size_t i = 0;
+  for (; i + kLanes <= count; i += kLanes) {
+    const __m512d diff = _mm512_sub_pd(_mm512_loadu_pd(row + i), r);
+    const __m512d a = Abs(diff);
+    const __mmask8 in_range = _mm512_cmp_pd_mask(a, max, _CMP_LE_OQ);
+    _mm256_storeu_ps(twin + i, _mm512_maskz_cvtpd_ps(in_range, diff));
+    most = _mm512_max_pd(a, most);  // `most` where a is NaN
+    nan |= _mm512_cmp_pd_mask(a, a, _CMP_UNORD_Q);
+  }
+  alignas(64) double lanes[kLanes];
+  _mm512_store_pd(lanes, most);
+  extent = nan != 0 ? std::numeric_limits<double>::infinity()
+                    : *std::max_element(lanes, lanes + kLanes);
+  return ScalarKernels().twin_row(row + i, reference, count - i, twin + i,
+                                  extent);
 }
 
 constexpr size_t kTileRows = 8;
@@ -423,13 +401,11 @@ const KernelSet kAvx512Set = {
     TileAvx512<EuclideanTerm>,
     TileAvx512<ManhattanTerm>,
     TileAvx512<ChebyshevTerm>,
-    FillAvx512<EuclideanTerm>,
-    FillAvx512<ManhattanTerm>,
-    FillAvx512<ChebyshevTerm>,
     ShadowAvx512<EuclideanTerm>,
     ShadowAvx512<ManhattanTerm>,
     ShadowAvx512<ChebyshevTerm>,
-    HeadPass};
+    HeadPass,
+    TwinRow};
 
 }  // namespace
 

@@ -114,26 +114,6 @@ void ScanScalar(const double* query, const double* data, size_t stride,
   }
 }
 
-// The exact scan's dimension-outer traversal, storing each difference's
-// float as it goes.
-template <typename Term>
-void FillScalar(const double* query, const double* data, size_t stride,
-                size_t dim, size_t count, float* shadow, size_t shadow_stride,
-                double* out) {
-  std::fill(out, out + count, 0.0);
-  for (size_t d = 0; d < dim; ++d) {
-    const double* row = data + d * stride;
-    float* shadow_row = shadow + d * shadow_stride;
-    const double qd = query[d];
-    for (size_t i = 0; i < count; ++i) {
-      const double diff = qd - row[i];
-      shadow_row[i] = ShadowValue(diff);
-      out[i] = Term::Add(out[i], diff);
-    }
-  }
-  for (size_t i = 0; i < count; ++i) out[i] = Term::Finish(out[i]);
-}
-
 // The exact scan's traversal in float, over chunks of one block's lanes
 // whose running sums stay on the stack.
 template <typename Term>
@@ -218,6 +198,20 @@ Farthest HeadPass(const double* row, const int* position, const int* color,
                                      color_distance, color_index);
 }
 
+double TwinRow(const double* row, double reference, size_t count,
+               float* twin, double extent) {
+  constexpr double kMax = std::numeric_limits<float>::max();
+  int nan = 0;
+  for (size_t i = 0; i < count; ++i) {
+    const double diff = row[i] - reference;
+    const double a = std::fabs(diff);
+    twin[i] = a <= kMax ? static_cast<float>(diff) : 0.0f;
+    extent = a > extent ? a : extent;
+    nan |= a != a;
+  }
+  return nan != 0 ? std::numeric_limits<double>::infinity() : extent;
+}
+
 uint64_t BitsOf(double value) {
   uint64_t bits;
   std::memcpy(&bits, &value, sizeof(bits));
@@ -243,13 +237,11 @@ const KernelSet kScalarSet = {
     TileScalar<EuclideanTerm>,
     TileScalar<ManhattanTerm>,
     TileScalar<ChebyshevTerm>,
-    FillScalar<EuclideanTerm>,
-    FillScalar<ManhattanTerm>,
-    FillScalar<ChebyshevTerm>,
     ShadowScalar<EuclideanTerm>,
     ShadowScalar<ManhattanTerm>,
     ShadowScalar<ChebyshevTerm>,
-    HeadPass};
+    HeadPass,
+    TwinRow};
 
 bool CpuHasAvx2() {
 #if (defined(__GNUC__) || defined(__clang__)) && \

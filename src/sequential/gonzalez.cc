@@ -138,8 +138,8 @@ GonzalezResult GonzalezKCenter(const Metric& metric, const ColoredPool& pool,
   std::vector<int> color_index(ell + 1);
   std::vector<double> own_row(rows == nullptr ? stride : 0);
   const simd::HeadPassKernel head_pass = simd::ActiveKernels().head_pass;
-  bool on_shadow = ShadowPool::Serves(metric, pool);
-  ShadowPool shadow_pool;
+  std::optional<ShadowPool> shadow = ShadowPool::Create(metric, pool);
+  bool on_shadow = shadow.has_value();
   std::optional<Resolver> resolver;
   if (on_shadow) resolver.emplace(metric, pool, ell);
   std::vector<Point> heads;  // the shadow's heads so far, for the resolver
@@ -165,15 +165,13 @@ GonzalezResult GonzalezKCenter(const Metric& metric, const ColoredPool& pool,
       double* const row = rows != nullptr ? rows + j * stride : own_row.data();
       const ScanOrder order =
           j % 2 == 0 ? ScanOrder::kForward : ScanOrder::kBackward;
-      if (!on_shadow) {
-        pool.DistanceRow(metric, head, row, order);
-      } else if (j == 0) {
-        on_shadow = shadow_pool.Fill(metric, pool, head, row);
-      } else {
-        shadow_pool.Row(pool.slot(next_head), order, row);
+      if (on_shadow) {
+        shadow->Row(pool.slot(next_head), order, row);
         ++result.shadow_rows;
+        heads.push_back(std::move(head));
+      } else {
+        pool.DistanceRow(metric, head, row, order);
       }
-      if (on_shadow) heads.push_back(std::move(head));
       std::fill(color_distance.begin(), color_distance.end() - 1, kInf);
       std::fill(color_index.begin(), color_index.end(), -1);
       color_distance.back() = -kInf;
@@ -181,10 +179,10 @@ GonzalezResult GonzalezKCenter(const Metric& metric, const ColoredPool& pool,
           head_pass(row, position.data(), ell > 0 ? color.data() : nullptr,
                     stride, nearest.data(), color_distance.data(),
                     color_index.data());
-      if (on_shadow && j > 0 &&
-          !resolver->Resolve(heads, shadow_pool.error(), row, nearest.data(),
-                            position.data(), color.data(), stride, &farthest,
-                            color_distance.data(), color_index.data())) {
+      if (on_shadow &&
+          !resolver->Resolve(heads, shadow->error(), row, nearest.data(),
+                             position.data(), color.data(), stride, &farthest,
+                             color_distance.data(), color_index.data())) {
         return false;
       }
       next_distance = farthest.distance;
@@ -203,7 +201,7 @@ GonzalezResult GonzalezKCenter(const Metric& metric, const ColoredPool& pool,
   };
   while (!traverse()) on_shadow = false;
 
-  result.row_error = on_shadow ? shadow_pool.error() : 0.0;
+  result.row_error = on_shadow ? shadow->error() : 0.0;
   result.resolved_pairs = resolver ? resolver->pairs() : 0;
   return result;
 }

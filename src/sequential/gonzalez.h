@@ -65,18 +65,18 @@ using GonzalezHeadFn = std::function<bool(const GonzalezHead& head)>;
 /// is positive, fills the per-color table `on_head` sees. Every color of
 /// the pool must then lie in [0, ell) (FKC_CHECK).
 ///
-/// Row source: a DistanceRow per head, or, on a pool ShadowPool::Serves
-/// (a built-in metric over more than 1 MiB of coordinates), a float32
-/// shadow that head 0's exact pass fills and later heads scan
-/// (shadow_pool.h). Every decision of a shadow row is then resolved with
-/// Metric::Distance: the next head among the points whose folded distance
-/// lies within 2 * error() of the farthest, and each color's nearest point
-/// among the points of that color within 2 * error() of its nearest. So
-/// heads, insertion distances and tables are the exact rows' whatever the
-/// source. A resolution with more than ShadowPool::kMaxCandidates
-/// candidates, or a shadow Fill declines, sends the traversal back to
-/// exact rows (a restart that replays the heads so far without calling
-/// `on_head` again).
+/// Row source: a DistanceRow per head, or, on a pool ShadowPool::Create
+/// serves (a built-in metric over pools that keep a float32 twin, past
+/// 1 MiB of coordinates), a shadow row per head, head 0 included, scanned
+/// from the twins (shadow_pool.h). Every decision of a shadow row is then
+/// resolved with Metric::Distance: the next head among the points whose
+/// folded distance lies within 2 * error() of the farthest, and each
+/// color's nearest point among the points of that color within
+/// 2 * error() of its nearest. So heads, insertion distances and tables are
+/// the exact rows' whatever the source. A resolution with more than
+/// ShadowPool::kMaxCandidates candidates sends the traversal back to exact
+/// rows (a restart that replays the heads so far without calling `on_head`
+/// again).
 ///
 /// Scan order: even heads scan the pool forward, odd heads backward (owned
 /// slots first, each pool's blocks newest first), so on a pool larger than

@@ -156,7 +156,8 @@ Result<FairCenterSolution> JonesFairCenter::SolvePool(
   // Gonzalez scans the pool once per head into rows the solve keeps (a
   // float32 shadow's, within gonzalez.row_error, on a large pool), and its
   // head pass over each row fills the head's color table; the final radius
-  // reads the rows again for the centers that are heads.
+  // is the traversal's when the centers are a prefix of the heads, and
+  // reads the rows again for the centers that are heads otherwise.
   const size_t heads_wanted = std::min(static_cast<size_t>(k), pool.size());
   const size_t stride = pool.slot_count();
   const std::unique_ptr<double[]> rows(new double[heads_wanted * stride]);
@@ -238,11 +239,32 @@ Result<FairCenterSolution> JonesFairCenter::SolvePool(
   }
   const std::vector<int> centers = tester.Centers(candidates[lo]);
 
-  // The final radius: a center that is a head reuses its kept row; the
-  // others get one DistanceRows tile.
   FairCenterSolution solution;
   solution.centers.reserve(centers.size());
   for (int index : centers) solution.centers.push_back(pool.At(index));
+  solution.shadow_rows = gonzalez.shadow_rows;
+  solution.resolved_pairs = gonzalez.resolved_pairs;
+
+  // The final radius. Centers that are, as a set, the first p heads have
+  // the traversal's own: every point's distance to them is the fold of
+  // those heads' rows, whose farthest point is head p's insertion distance
+  // (the coverage radius when p is every head), resolved exactly.
+  std::vector<int> sorted = centers;
+  std::sort(sorted.begin(), sorted.end());
+  const size_t p = centers.size();
+  if (p <= gonzalez.head_indices.size()) {
+    std::vector<int> prefix(gonzalez.head_indices.begin(),
+                            gonzalez.head_indices.begin() + p);
+    std::sort(prefix.begin(), prefix.end());
+    if (prefix == sorted) {
+      solution.radius = p < gonzalez.head_indices.size()
+                            ? gonzalez.insertion_distances[p]
+                            : gonzalez.coverage_radius;
+      return solution;
+    }
+  }
+  // Otherwise a center that is a head reuses its kept row, and the others
+  // get one DistanceRows tile.
   std::vector<const double*> center_rows(centers.size(), nullptr);
   std::vector<Point> others;
   for (size_t c = 0; c < centers.size(); ++c) {
@@ -260,8 +282,6 @@ Result<FairCenterSolution> JonesFairCenter::SolvePool(
   for (size_t c = 0, o = 0; c < centers.size(); ++c) {
     if (center_rows[c] == nullptr) center_rows[c] = tile.data() + o++ * stride;
   }
-  solution.shadow_rows = gonzalez.shadow_rows;
-  solution.resolved_pairs = gonzalez.resolved_pairs;
   solution.radius =
       ResolvedClusteringRadius(metric, pool, solution.centers, center_rows,
                                gonzalez.row_error, &solution.resolved_pairs);

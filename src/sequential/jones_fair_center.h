@@ -63,10 +63,13 @@
 // table: per color, the nearest point, the lowest position among equal
 // distances, so the table is the one a loop over the positions in order
 // would fill. Radius tests work on point indices, and only the final
-// centers become Points. The final radius reads the kept row of each center
-// that is a head, tiles one DistanceRows pass for the others, and folds the
-// rows with the same head pass (ClusteringRadiusFromRows). Solve over a
-// vector validates it and builds that pool.
+// centers become Points. When the centers are, as a set, the first p
+// heads, the final radius is the traversal's: head p's insertion distance
+// (the coverage radius when p is every head), the farthest point of the
+// fold of those heads' rows. Otherwise it reads the kept row of each
+// center that is a head, tiles one DistanceRows pass for the others, and
+// folds the rows with the same head pass (ClusteringRadiusFromRows). Solve
+// over a vector validates it and builds that pool.
 //
 // Runtime: O(n*j) for the j <= k heads the traversal computes, whose rows
 // also fill the per-color distance table and most of the final radius;

@@ -683,5 +683,57 @@ TEST(CheckpointGoldenTest, RejectsOverflowingCaps) {
   }
 }
 
+// The golden blob with its clock (the body's first int64, 150 arrivals)
+// forged to INT64_MAX: it restored, and the next Update overflowed the
+// clock into a negative one that the window's own checkpoint then refused.
+// The same for the next id (the u64 after it), whose wrap put new ids below
+// the stored ones.
+TEST(CheckpointGoldenTest, RejectsAClockWithNoRoomToAdvance) {
+  const std::string v2 = ReadFixture("window_v2.bin");
+  const std::string prefix =
+      "fkc-checkpoint-v2 60 0x1p+1 0x1p+0 0 1 0x0p+0 0x0p+0 1 1 2 2 2 2932 ";
+  ASSERT_EQ(v2.rfind(prefix, 0), 0u);
+  int64_t clock = 0;
+  std::memcpy(&clock, v2.data() + prefix.size(), sizeof(clock));
+  ASSERT_EQ(clock, 150);
+  for (const int64_t forged :
+       {std::numeric_limits<int64_t>::max(), (int64_t{1} << 62) + 1}) {
+    std::string bytes = v2;
+    std::memcpy(&bytes[prefix.size()], &forged, sizeof(forged));
+    auto restored =
+        FairCenterSlidingWindow::DeserializeState(bytes, &kMetric, &kJones);
+    ASSERT_FALSE(restored.ok()) << forged;
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+  }
+  for (const uint64_t forged :
+       {std::numeric_limits<uint64_t>::max(), (uint64_t{1} << 62) + 1}) {
+    std::string bytes = v2;
+    std::memcpy(&bytes[prefix.size() + sizeof(int64_t)], &forged,
+                sizeof(forged));
+    auto restored =
+        FairCenterSlidingWindow::DeserializeState(bytes, &kMetric, &kJones);
+    ASSERT_FALSE(restored.ok()) << forged;
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+// The golden blob with a beta the guess ladder cannot resolve (a ratio
+// 1 + beta that rounds to 1): it must fail with kInvalidArgument, not
+// restore into a window whose first update walks the ladder for minutes.
+TEST(CheckpointGoldenTest, RejectsABetaBelowTheMinimum) {
+  const std::string v2 = ReadFixture("window_v2.bin");
+  const std::string head = "fkc-checkpoint-v2 60 ";
+  const std::string beta = "0x1p+1 ";
+  ASSERT_EQ(v2.rfind(head + beta, 0), 0u);
+  const std::string rest = v2.substr(head.size() + beta.size());
+  for (const char* forged : {"4.9e-324 ", "0x1p-30 ", "0 "}) {
+    auto restored = FairCenterSlidingWindow::DeserializeState(
+        head + forged + rest, &kMetric, &kJones);
+    ASSERT_FALSE(restored.ok()) << forged;
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument)
+        << forged;
+  }
+}
+
 }  // namespace
 }  // namespace fkc

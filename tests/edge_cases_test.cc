@@ -11,6 +11,7 @@
 #include "common/random.h"
 #include "core/fair_center_sliding_window.h"
 #include "core/guess_ladder.h"
+#include "core/options_io.h"
 #include "datasets/registry.h"
 #include "metric/metric.h"
 #include "sequential/brute_force.h"
@@ -285,6 +286,22 @@ TEST(EdgeCaseTest, CreateRejectsANonPositiveBeta) {
                       "beta -1");
 }
 
+// A ratio 1 + beta the ladder cannot resolve: 5e-324 reads as a ratio of
+// 1, and a rung lookup walked ~2^30 rungs (a checkpoint with that beta
+// restored, then hung in its first Update).
+TEST(EdgeCaseTest, CreateRejectsABetaBelowTheMinimum) {
+  SlidingWindowOptions options = AdaptiveOptions();
+  for (double beta : {5e-324, 1e-300, 1e-7}) {
+    options.beta = beta;
+    ExpectCreateRejects(options, ColorConstraint({1}), &kMetric, &kJones,
+                        "beta " + std::to_string(beta));
+  }
+  options.beta = kMinBeta;
+  EXPECT_TRUE(FairCenterSlidingWindow::Create(options, ColorConstraint({1}),
+                                              &kMetric, &kJones)
+                  .ok());
+}
+
 TEST(EdgeCaseTest, CreateRejectsAnUnknownVariant) {
   SlidingWindowOptions options = AdaptiveOptions();
   options.variant = static_cast<CoreVariant>(7);
@@ -304,7 +321,7 @@ TEST(EdgeCaseTest, CreateRejectsABadFixedRange) {
                       "d_max < d_min");
   options.d_min = 1e-300;
   options.d_max = 1e300;
-  options.beta = 1e-9;
+  options.beta = 1e-5;
   ExpectCreateRejects(options, ColorConstraint({1}), &kMetric, &kJones,
                       "ladder past the exponent bound");
 }

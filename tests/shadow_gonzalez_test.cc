@@ -1,10 +1,13 @@
-// Tests for the float32 shadow (metric/shadow_pool.h). Gonzalez and Jones
-// on each built-in metric, over pools large enough for the shadow, must
-// give the heads, insertion distances, per-head color tables, centers and
-// radius of the same metric behind tests/exact_scan_metric.h (exact rows),
-// bit for bit. The shadow kernels of every compiled width must match the
-// scalar ones bit for bit, and the shadow's error bound must hold against
-// exact distances on adversarial pairs.
+// Tests for the float32 shadow (metric/shadow_pool.h) over the pools'
+// twins (metric/coordinate_pool.h). Gonzalez and Jones on each built-in
+// metric, over pools large enough for a twin, must give the heads,
+// insertion distances, per-head color tables, centers and radius of the
+// same metric behind tests/exact_scan_metric.h (exact rows), bit for bit:
+// on owned and borrowing pools, after the reference column has expired,
+// and on a restored window. Jones's radius taken from the traversal must
+// equal ClusteringRadius. The shadow kernels of every compiled width must
+// match the scalar ones bit for bit, and the shadow's error bound must hold
+// against exact distances on adversarial pairs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,11 +16,13 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "core/fair_center_sliding_window.h"
 #include "covtype_coreset.h"
 #include "exact_scan_metric.h"
 #include "metric/colored_pool.h"
@@ -28,6 +33,7 @@
 #include "sequential/color_constraint.h"
 #include "sequential/gonzalez.h"
 #include "sequential/jones_fair_center.h"
+#include "sequential/radius.h"
 
 namespace fkc {
 namespace {
@@ -51,7 +57,7 @@ bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
 }
 
 // A pool of `ell` colors, the column pool it may borrow, and what the
-// shadow must do on it: serve every head, decline at Fill (fall back), go
+// shadow must do on it: serve every head, decline at Create (fall back), go
 // back to exact rows after a resolution (restart), or any of these.
 enum class Expect { kShadow, kFallBack, kRestart, kAny };
 
@@ -196,13 +202,17 @@ std::vector<ShadowCase> Cases() {
   {
     // Borrows a column pool whose head sits mid-block after DropFront,
     // skips every ninth column (a slot that is no point of the set) and
-    // copies a point before every fourth one.
+    // copies a point before every fourth one. The pool made its twin on
+    // the append that took it past kMinBytes, centred on position 0, which
+    // DropFront then removed: the reference has expired.
     ShadowCase c{"borrowing, head mid-block", 4, Expect::kShadow,
                  std::make_unique<CoordinatePool>(kDim), ColoredPool()};
     std::vector<Point> stored = UniformPoints(9, 0.0, 1.0, 4);
     const std::vector<Point> extra = UniformPoints(10, 0.0, 1.0, 4);
     for (const Point& p : stored) c.columns->Append(p);
     constexpr size_t kDropped = 45;
+    EXPECT_TRUE(c.columns->has_twin());
+    EXPECT_EQ(c.columns->twin_reference(), stored[0].coords);
     c.columns->DropFront(kDropped);
     stored.erase(stored.begin(), stored.begin() + kDropped);
     ColoredPool::Builder builder(stored.size(), c.columns.get());
@@ -247,6 +257,12 @@ TEST(ShadowGonzalezTest, TraversalsMatchExactRows) {
     ASSERT_GT(c.pool.slot_count() * c.pool.dim() * sizeof(double),
               ShadowPool::kMinBytes)
         << c.name;
+    if (c.pool.borrowed() != nullptr) {
+      // The copied columns' twin shares the borrowed one's reference.
+      ASSERT_GT(c.pool.copied(), 0u) << c.name;
+      ASSERT_EQ(c.pool.owned().twin_reference(),
+                c.pool.borrowed()->twin_reference());
+    }
     for (const Metric* metric : kBuiltIns) {
       ASSERT_TRUE(ShadowPool::Serves(*metric, c.pool));
       const ExactScanMetric exact(metric);
@@ -277,11 +293,13 @@ TEST(ShadowGonzalezTest, TraversalsMatchExactRows) {
           EXPECT_GT(got.result.resolved_pairs, 0);
         }
         // Whether the shadow served the traversal, declined, or gave up.
-        const int64_t later_heads =
-            static_cast<int64_t>(want.result.head_indices.size()) - 1;
+        // Served, every head reads a shadow row, head 0 included.
+        const int64_t heads =
+            static_cast<int64_t>(want.result.head_indices.size());
         switch (c.expect) {
           case Expect::kShadow:
-            EXPECT_EQ(got.result.shadow_rows, later_heads);
+            EXPECT_EQ(got.result.shadow_rows, heads);
+            EXPECT_GT(got.result.resolved_pairs, 0);
             EXPECT_GT(got.result.row_error, 0.0);
             break;
           case Expect::kFallBack:
@@ -326,6 +344,11 @@ TEST(ShadowGonzalezTest, JonesMatchesExactRows) {
       }
       EXPECT_TRUE(SameBits(got.value().radius, want.value().radius))
           << got.value().radius << " vs " << want.value().radius;
+      // Both solves may take the radius from their traversal; the
+      // definition reads every point.
+      EXPECT_TRUE(SameBits(
+          got.value().radius,
+          ClusteringRadius(exact, c.pool.ToPoints(), got.value().centers)));
       ASSERT_EQ(got.value().centers.size(), want.value().centers.size());
       for (size_t i = 0; i < want.value().centers.size(); ++i) {
         const Point& a = got.value().centers[i];
@@ -355,8 +378,7 @@ std::vector<T> Block(size_t dim, size_t stride, F value) {
 TEST(ShadowKernelTest, EveryWidthMatchesTheScalarKernels) {
   const simd::KernelSet& scalar = simd::ScalarKernels();
   Rng rng(11);
-  constexpr size_t kStride = CoordinatePool::kRowStride;
-  constexpr size_t kFloatStride = ShadowPool::kRowStride;
+  constexpr size_t kFloatStride = CoordinatePool::kTwinStride;
   for (const simd::KernelSet* set : simd::CompiledKernelSets()) {
     if (!simd::CpuSupports(*set)) continue;
     for (size_t dim : {1u, 5u, 54u}) {
@@ -364,18 +386,8 @@ TEST(ShadowKernelTest, EveryWidthMatchesTheScalarKernels) {
                            128u}) {
         SCOPED_TRACE(std::string(set->name) + " dim=" + std::to_string(dim) +
                      " count=" + std::to_string(count));
-        // Doubles of mixed scales, with NaN and out-of-float-range
-        // differences in some lanes.
-        const std::vector<double> data =
-            Block<double>(dim, kStride, [&](size_t d, size_t i) {
-              if (i % 29 == 3 && d == 0) return 1e300;
-              if (i % 31 == 4 && d + 1 == dim) {
-                return std::numeric_limits<double>::quiet_NaN();
-              }
-              return rng.NextUniform(-1.0, 1.0) * std::ldexp(1.0, i % 40);
-            });
-        std::vector<double> query(dim);
-        for (double& x : query) x = rng.NextUniform(-1.0, 1.0);
+        // Floats of mixed scales, read from a mid-row offset too: a span
+        // that starts mid-block reads into the row's slack.
         const std::vector<float> floats =
             Block<float>(dim, kFloatStride, [&](size_t, size_t i) {
               return static_cast<float>(rng.NextUniform(-1.0, 1.0) *
@@ -385,49 +397,22 @@ TEST(ShadowKernelTest, EveryWidthMatchesTheScalarKernels) {
         for (float& x : float_query) {
           x = static_cast<float>(rng.NextUniform(-1.0, 1.0));
         }
-        const simd::ShadowFillKernel fills[3][2] = {
-            {scalar.euclidean_fill, set->euclidean_fill},
-            {scalar.manhattan_fill, set->manhattan_fill},
-            {scalar.chebyshev_fill, set->chebyshev_fill}};
         const simd::ShadowKernel scans[3][2] = {
             {scalar.euclidean_shadow, set->euclidean_shadow},
             {scalar.manhattan_shadow, set->manhattan_shadow},
             {scalar.chebyshev_shadow, set->chebyshev_shadow}};
-        const simd::DistanceKernel exacts[3] = {
-            scalar.euclidean, scalar.manhattan, scalar.chebyshev};
+        const size_t offset = CoordinatePool::kBlockLanes - count;
         for (int m = 0; m < 3; ++m) {
-          std::vector<double> out[2];
-          std::vector<float> shadow[2];
-          for (int w = 0; w < 2; ++w) {
-            out[w].assign(count, 0.0);
-            shadow[w].assign(dim * kFloatStride, 0.0f);
-            fills[m][w](query.data(), data.data(), kStride, dim, count,
-                        shadow[w].data(), kFloatStride, out[w].data());
-          }
-          std::vector<double> want(count);
-          exacts[m](query.data(), data.data(), kStride, dim, count,
-                    want.data());
-          EXPECT_TRUE(SameBits(out[0], want));
-          EXPECT_TRUE(SameBits(out[1], want));
-          for (size_t d = 0; d < dim; ++d) {
-            for (size_t i = 0; i < count; ++i) {
-              const double diff = query[d] - data[d * kStride + i];
-              const float expected = simd::ShadowValue(diff);
-              for (int w = 0; w < 2; ++w) {
-                const float got = shadow[w][d * kFloatStride + i];
-                ASSERT_EQ(std::memcmp(&got, &expected, sizeof(float)), 0)
-                    << "fill " << m << " width " << w << " d=" << d
-                    << " i=" << i;
-              }
+          for (size_t first : {size_t{0}, offset}) {
+            std::vector<double> scan[2];
+            for (int w = 0; w < 2; ++w) {
+              scan[w].assign(count, 0.0);
+              scans[m][w](float_query.data(), floats.data() + first,
+                          kFloatStride, dim, count, scan[w].data());
             }
+            EXPECT_TRUE(SameBits(scan[0], scan[1]))
+                << "scan " << m << " first=" << first;
           }
-          std::vector<double> scan[2];
-          for (int w = 0; w < 2; ++w) {
-            scan[w].assign(count, 0.0);
-            scans[m][w](float_query.data(), floats.data(), kFloatStride, dim,
-                        count, scan[w].data());
-          }
-          EXPECT_TRUE(SameBits(scan[0], scan[1])) << "scan " << m;
         }
       }
     }
@@ -470,9 +455,12 @@ TEST(ShadowCandidatesTest, FindsTheSlotsOfEitherTestUpToTheLimit) {
   }
 }
 
-// Points of dimension `dim` from `coordinate(i, d)`, colors 0.
-ColoredPool PoolOf(size_t n, size_t dim,
-                   const std::function<double(size_t, size_t)>& coordinate) {
+// Points of dimension `dim` from `coordinate(i, d)`, colors 0: just enough
+// of them for a twin (past kMinBytes of coordinates), or `n`.
+ColoredPool PoolOf(size_t dim,
+                   const std::function<double(size_t, size_t)>& coordinate,
+                   size_t n = 0) {
+  if (n == 0) n = ShadowPool::kMinBytes / (dim * sizeof(double)) + 1;
   std::vector<Point> points;
   for (size_t i = 0; i < n; ++i) {
     Coordinates coords(dim);
@@ -495,63 +483,57 @@ TEST(ShadowErrorTest, BoundsEveryPairOnAdversarialPools) {
   };
   std::vector<Adversary> pools;
   double worst = 0.0;  // the largest error seen, as a share of the bound
-  pools.push_back({"offset 1e9, unit spread", PoolOf(300, 54, uniform(1e9, 1.0))});
+  pools.push_back({"offset 1e9, unit spread", PoolOf(54, uniform(1e9, 1.0))});
   pools.push_back({"offset 1e15, spread 0.25",
-                   PoolOf(300, 20, uniform(1e15, 0.25))});
-  pools.push_back({"mixed scales", PoolOf(300, 54, [&rng](size_t, size_t d) {
+                   PoolOf(20, uniform(1e15, 0.25))});
+  pools.push_back({"mixed scales", PoolOf(54, [&rng](size_t, size_t d) {
                      return rng.NextUniform(-1.0, 1.0) *
                             (d == 0 ? 1e6 : d % 2 == 0 ? 1e-6 : 1.0);
                    })});
   // Differences at the midpoints between floats, where conversion rounds
-  // to even, and at float's precision edge.
-  pools.push_back({"float midpoints", PoolOf(300, 54, [&rng](size_t i,
-                                                             size_t d) {
+  // to even, and at float's precision edge (the reference, position 0, is
+  // the origin).
+  pools.push_back({"float midpoints", PoolOf(54, [&rng](size_t i, size_t d) {
                      if (i == 0) return 0.0;
                      const double k = static_cast<double>(rng.NextBounded(
                          1u << 24));
                      return std::ldexp(k + 0.5, -24 + static_cast<int>(d % 8)) *
                             (d % 3 == 0 ? -1.0 : 1.0);
                    })});
-  pools.push_back({"float subnormal range",
-                   PoolOf(300, 54, uniform(0.0, 1e-40))});
-  pools.push_back({"d = 600", PoolOf(200, 600, uniform(0.0, 1.0))});
-  pools.push_back({"spread 1e16", PoolOf(300, 8, uniform(0.0, 1e16))});
-  pools.push_back({"duplicates", PoolOf(300, 54, [](size_t i, size_t d) {
+  pools.push_back({"float subnormal range", PoolOf(54, uniform(0.0, 1e-40))});
+  pools.push_back({"d = 600", PoolOf(600, uniform(0.0, 1.0))});
+  pools.push_back({"spread 1e16", PoolOf(8, uniform(0.0, 1e16))});
+  pools.push_back({"duplicates", PoolOf(54, [](size_t i, size_t d) {
                      return std::sin(static_cast<double>((i % 7) * 54 + d));
                    })});
   for (const Adversary& a : pools) {
     for (const Metric* metric : kBuiltIns) {
       SCOPED_TRACE(a.name + " " + metric->Name());
       const ColoredPool& pool = a.pool;
-      const size_t stride = pool.slot_count();
-      std::vector<double> row(stride);
-      std::vector<double> exact_row(stride);
-      ShadowPool shadow;
-      const Point head = pool.At(0);
-      const bool usable = shadow.Fill(*metric, pool, head, row.data());
-      pool.DistanceRow(*metric, head, exact_row.data());
-      EXPECT_TRUE(SameBits(row, exact_row));
+      ASSERT_TRUE(ShadowPool::Serves(*metric, pool));
+      std::optional<ShadowPool> shadow = ShadowPool::Create(*metric, pool);
       if (a.name == "float subnormal range" && metric == &kEuclidean) {
         // Every square underflows float: nothing to separate.
-        EXPECT_FALSE(usable);
+        EXPECT_FALSE(shadow.has_value());
         continue;
       }
-      ASSERT_TRUE(usable);
-      const double radius = *std::max_element(row.begin(), row.end());
-      EXPECT_GT(shadow.error(), 0.0);
-      EXPECT_LT(shadow.error(), radius / 64.0);
-      for (size_t h = 0; h < pool.size(); h += 7) {
+      ASSERT_TRUE(shadow.has_value());
+      EXPECT_GT(shadow->error(), 0.0);
+      std::vector<double> row(pool.slot_count());
+      // About 40 heads, each against every point.
+      const size_t step = pool.size() / 40 + 1;
+      for (size_t h = 0; h < pool.size(); h += step) {
         const Point center = pool.At(h);
-        shadow.Row(pool.slot(h), h % 2 == 0 ? ScanOrder::kForward
-                                            : ScanOrder::kBackward,
-                   row.data());
+        shadow->Row(pool.slot(h), h % 2 == 0 ? ScanOrder::kForward
+                                             : ScanOrder::kBackward,
+                    row.data());
         for (size_t i = 0; i < pool.size(); ++i) {
           const double exact = metric->Distance(center, pool.At(i));
           const double error = std::fabs(row[pool.slot(i)] - exact);
-          ASSERT_LE(error, shadow.error())
+          ASSERT_LE(error, shadow->error())
               << "pair " << h << ", " << i << ": " << row[pool.slot(i)]
               << " vs " << exact;
-          worst = std::max(worst, error / shadow.error());
+          worst = std::max(worst, error / shadow->error());
         }
       }
     }
@@ -561,31 +543,192 @@ TEST(ShadowErrorTest, BoundsEveryPairOnAdversarialPools) {
   EXPECT_GT(worst, 1e-3);
 }
 
-TEST(ShadowErrorTest, FillDeclinesWhereFloatIsUnsafe) {
+TEST(ShadowErrorTest, CreateDeclinesWhereFloatIsUnsafe) {
   Rng rng(14);
   std::vector<std::pair<std::string, ColoredPool>> pools;
-  pools.emplace_back("spread 4e18", PoolOf(100, 8, [&rng](size_t, size_t) {
+  pools.emplace_back("spread 4e18", PoolOf(8, [&rng](size_t, size_t) {
                        return rng.NextUniform(-2e18, 2e18);
                      }));
-  pools.emplace_back("overflowing distances",
-                     PoolOf(100, 3, [&rng](size_t, size_t) {
+  pools.emplace_back("overflowing distances", PoolOf(3, [&rng](size_t, size_t) {
                        return rng.NextUniform(-1.0, 1.0) * 1e308;
                      }));
-  pools.emplace_back("coincident", PoolOf(100, 5, [](size_t, size_t d) {
+  pools.emplace_back("coincident", PoolOf(5, [](size_t, size_t d) {
                        return static_cast<double>(d);
                      }));
-  pools.emplace_back("spread 1e-310", PoolOf(100, 5, [&rng](size_t, size_t) {
+  pools.emplace_back("spread 1e-310", PoolOf(5, [&rng](size_t, size_t) {
                        return rng.NextUniform(-1.0, 1.0) * 1e-310;
+                     }));
+  // One NaN coordinate: the twin stores 0 for it and its extent is +inf.
+  pools.emplace_back("a NaN coordinate", PoolOf(54, [&rng](size_t i, size_t d) {
+                       return i == 700 && d == 3
+                                  ? std::numeric_limits<double>::quiet_NaN()
+                                  : rng.NextUniform(-1.0, 1.0);
                      }));
   for (const auto& [name, pool] : pools) {
     for (const Metric* metric : kBuiltIns) {
       SCOPED_TRACE(name + " " + metric->Name());
-      std::vector<double> row(pool.slot_count());
-      std::vector<double> exact_row(pool.slot_count());
-      ShadowPool shadow;
-      EXPECT_FALSE(shadow.Fill(*metric, pool, pool.At(0), row.data()));
-      pool.DistanceRow(*metric, pool.At(0), exact_row.data());
-      EXPECT_TRUE(SameBits(row, exact_row));
+      EXPECT_TRUE(ShadowPool::Serves(*metric, pool));
+      EXPECT_FALSE(ShadowPool::Create(*metric, pool).has_value());
+    }
+  }
+  // Pools under kMinBytes keep no twin, and decorators get no shadow.
+  const ColoredPool small = PoolOf(54, [&rng](size_t, size_t) {
+    return rng.NextUniform(-1.0, 1.0);
+  }, 2000);
+  EXPECT_FALSE(small.owned().has_twin());
+  EXPECT_FALSE(ShadowPool::Serves(kEuclidean, small));
+}
+
+// Whether `centers` (whose ids are pool positions) are, as a set, the first
+// centers.size() heads of Gonzalez's traversal, the case in which Jones
+// takes its radius from the traversal.
+bool CentersAreAHeadPrefix(const Metric& metric,
+                           const std::vector<Point>& points, int k,
+                           const std::vector<Point>& centers) {
+  const GonzalezResult heads = GonzalezKCenter(metric, points, k);
+  if (centers.size() > heads.head_indices.size()) return false;
+  std::vector<int> prefix(heads.head_indices.begin(),
+                          heads.head_indices.begin() + centers.size());
+  std::vector<int> ids;
+  for (const Point& c : centers) ids.push_back(static_cast<int>(c.id));
+  std::sort(prefix.begin(), prefix.end());
+  std::sort(ids.begin(), ids.end());
+  return prefix == ids;
+}
+
+TEST(RadiusShortcutTest, EqualsClusteringRadius) {
+  // Small pools on a coarse grid (ties everywhere), with copies of later
+  // points at lower positions in another color, and caps that leave some
+  // heads no center of their own color: Jones's radius equals the
+  // definition whether its centers are a head prefix (the traversal's
+  // radius) or not (a center that is a copy or another color's point).
+  int prefix_cases = 0;
+  int other_cases = 0;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    Rng rng(seed);
+    const int ell = 1 + static_cast<int>(seed % 4);
+    const size_t n = 30 + 3 * seed;
+    std::vector<Point> points;
+    for (size_t i = 0; i < n; ++i) {
+      Coordinates coords(3);
+      for (double& x : coords) x = static_cast<double>(rng.NextBounded(7));
+      points.push_back(Make(std::move(coords),
+                            static_cast<int>(rng.NextBounded(ell)),
+                            static_cast<int64_t>(i)));
+    }
+    if (seed % 3 == 0) {
+      // A lower-position copy in another color of every fifth point of
+      // the second half.
+      for (size_t i = n / 2; i < n; i += 5) {
+        Point& copy = points[i - n / 2];
+        copy.coords = points[i].coords;
+        copy.color = (points[i].color + 1) % ell;
+      }
+    }
+    std::vector<int> caps(ell);
+    for (int c = 0; c < ell; ++c) {
+      caps[c] = seed % 2 == 0 ? 1 : 1 + static_cast<int>(rng.NextBounded(3));
+    }
+    const ColorConstraint constraint(caps);
+    for (const Metric* metric : kBuiltIns) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " " + metric->Name());
+      const auto solved = JonesFairCenter().Solve(*metric, points, constraint);
+      ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+      const std::vector<Point>& centers = solved.value().centers;
+      EXPECT_TRUE(SameBits(solved.value().radius,
+                           ClusteringRadius(*metric, points, centers)));
+      if (CentersAreAHeadPrefix(*metric, points, constraint.TotalK(),
+                                centers)) {
+        ++prefix_cases;
+      } else {
+        ++other_cases;
+      }
+    }
+  }
+  EXPECT_GT(prefix_cases, 20);
+  EXPECT_GT(other_cases, 20);
+}
+
+TEST(RadiusShortcutTest, CovtypeCentersAreAHeadPrefix) {
+  // The covtype query's centers are its first heads, so its radius is the
+  // traversal's: the solve reads no row after the traversal.
+  const CovtypeCoreset& covtype = Covtype();
+  const ColoredPool pool = covtype.guess.CoresetPool(covtype.arena);
+  const auto solved =
+      JonesFairCenter().SolvePool(kEuclidean, pool, covtype.constraint);
+  ASSERT_TRUE(solved.ok());
+  const std::vector<Point> points = pool.ToPoints();
+  std::vector<Point> centers;
+  for (const Point& c : solved.value().centers) {
+    // Ids here are arrivals; the prefix test wants positions.
+    const auto at = std::find_if(points.begin(), points.end(),
+                                 [&c](const Point& p) { return p.id == c.id; });
+    ASSERT_NE(at, points.end());
+    Point center = c;
+    center.id = static_cast<uint64_t>(at - points.begin());
+    centers.push_back(center);
+  }
+  EXPECT_TRUE(CentersAreAHeadPrefix(kEuclidean, points,
+                                    covtype.constraint.TotalK(), centers));
+  EXPECT_TRUE(SameBits(solved.value().radius,
+                       ClusteringRadius(kEuclidean, points,
+                                        solved.value().centers)));
+}
+
+TEST(ShadowWindowTest, RestoredWindowQueriesOnTheShadow) {
+  // A covtype window whose dense guesses keep twins: its query, and the
+  // query of the window restored from its checkpoint (whose pools rebuild
+  // their twins on other references), read shadow rows, report them in
+  // QueryStats, and answer as Jones on exact rows over the same coreset.
+  const CovtypeCoreset& covtype = Covtype();
+  SlidingWindowOptions options;
+  options.window_size = 4000;
+  options.delta = 0.5;
+  options.adaptive_range = true;
+  const JonesFairCenter jones;
+  auto made = FairCenterSlidingWindow::Create(options, covtype.constraint,
+                                              &kEuclidean, &jones);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  FairCenterSlidingWindow window = std::move(made).value();
+  for (size_t t = 0; t < 4500; ++t) {
+    const Point& p = covtype.dataset.points[t];
+    ASSERT_TRUE(window.Update(p.coords, p.color).ok());
+  }
+  auto restored = FairCenterSlidingWindow::DeserializeState(
+      window.SerializeState(), &kEuclidean, &jones);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  const ExactScanMetric exact(&kEuclidean);
+  std::vector<Point> answer;
+  double radius = 0.0;
+  for (FairCenterSlidingWindow* w : {&window, &restored.value()}) {
+    SCOPED_TRACE(w == &window ? "original" : "restored");
+    QueryStats stats;
+    const auto got = w->Query(&stats);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_GT(stats.shadow_rows, 0);
+    EXPECT_GT(stats.resolved_pairs, 0);
+    EXPECT_EQ(stats.shadow_rows, got.value().shadow_rows);
+    EXPECT_EQ(stats.resolved_pairs, got.value().resolved_pairs);
+    auto plan = w->PlanQuery();
+    ASSERT_TRUE(plan.ok());
+    const auto want =
+        jones.SolvePool(exact, plan.value().coreset, covtype.constraint);
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(want.value().shadow_rows, 0);
+    EXPECT_TRUE(SameBits(got.value().radius, want.value().radius));
+    ASSERT_EQ(got.value().centers.size(), want.value().centers.size());
+    for (size_t i = 0; i < want.value().centers.size(); ++i) {
+      EXPECT_EQ(got.value().centers[i].id, want.value().centers[i].id);
+    }
+    if (answer.empty()) {
+      answer = got.value().centers;
+      radius = got.value().radius;
+    } else {
+      EXPECT_TRUE(SameBits(got.value().radius, radius));
+      ASSERT_EQ(got.value().centers.size(), answer.size());
+      for (size_t i = 0; i < answer.size(); ++i) {
+        EXPECT_EQ(got.value().centers[i].id, answer[i].id);
+      }
     }
   }
 }

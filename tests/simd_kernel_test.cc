@@ -1248,5 +1248,247 @@ TEST(CoordinatePoolTest, SpansTileThePositionsInsideTheirRows) {
   }
 }
 
+// --- The float32 twin (coordinate_pool.h) under churn. ---
+
+// The float a twin stores for a coordinate x against reference r, written
+// out from its definition.
+float TwinFloat(double x, double r) {
+  const double diff = x - r;
+  return std::fabs(diff) <= std::numeric_limits<float>::max()
+             ? static_cast<float>(diff)
+             : 0.0f;
+}
+
+TEST(SimdKernelTest, TwinRowKernelsMatchTheDefinitionBitForBit) {
+  // Every width writes the definition's floats (0 for NaN and
+  // out-of-range differences), only in its count lanes, and returns the
+  // same extent: the largest |difference| and the given extent, +inf with
+  // a NaN among them.
+  Rng rng(43);
+  const double specials[] = {1e300, -1e300, 3.5e38, -3.5e38, 4.9e-324,
+                             -0.0, std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()};
+  for (const simd::KernelSet* set : SupportedSets()) {
+    for (size_t count = 0; count <= 40; ++count) {
+      for (int trial = 0; trial < 6; ++trial) {
+        SCOPED_TRACE(std::string(set->name) + " count=" +
+                     std::to_string(count) + " trial=" +
+                     std::to_string(trial));
+        std::vector<double> row(count);
+        for (double& x : row) {
+          x = rng.NextBernoulli(0.1) ? specials[rng.NextBounded(8)]
+                                     : rng.NextUniform(-1e3, 1e3);
+        }
+        if (trial < 2) {
+          for (double& x : row) {
+            if (std::isnan(x)) x = 1.0;
+          }
+        }
+        const double reference = trial % 3 == 0 ? 0.0 : rng.NextUniform(-5, 5);
+        const double extent = trial % 2 == 0 ? 0.0 : 700.0;
+        std::vector<float> twin(count + 16, 7.0f);
+        const double got =
+            set->twin_row(row.data(), reference, count, twin.data(), extent);
+        double want = extent;
+        bool nan = false;
+        for (size_t i = 0; i < count; ++i) {
+          const double diff = row[i] - reference;
+          nan |= std::isnan(diff);
+          if (!std::isnan(diff)) want = std::max(want, std::fabs(diff));
+          const float expected = TwinFloat(row[i], reference);
+          ASSERT_EQ(std::memcmp(&twin[i], &expected, sizeof(float)), 0)
+              << "lane " << i;
+        }
+        for (size_t i = count; i < twin.size(); ++i) {
+          ASSERT_EQ(twin[i], 7.0f) << "wrote past the count at " << i;
+        }
+        if (nan) want = std::numeric_limits<double>::infinity();
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+            << got << " vs " << want;
+      }
+    }
+  }
+}
+
+TEST(CoordinatePoolTest, TwinEqualsATwinBuiltFromScratchUnderChurn) {
+  // d = 512, so the twin starts at 257 points (two blocks). After every
+  // Append, DropFront (which recycles emptied blocks as the spare),
+  // Assign and ResetDim, checked against a mirror: the pool keeps a twin
+  // exactly when it has been past kTwinMinBytes since its last Assign or
+  // ResetDim; its reference is position 0 of the append or the build that
+  // made it; every live float is the definition's, bit for bit, and equals
+  // the twin FromColumns builds from the live columns on that reference;
+  // the extent is the largest |x - r| of every column since the twin was
+  // made; and every span's twin pointer is its first column, readable up
+  // to RoundUpToShadowLanes(count) floats, which read 0 past the count.
+  const size_t dim = 512;
+  const size_t threshold = CoordinatePool::kTwinMinBytes / (dim * 8) + 1;
+  ASSERT_EQ(threshold, 257u);
+  CoordinatePool pool(dim);
+  Rng rng(41);
+  std::deque<Coordinates> mirror;
+  std::vector<double> reference;  // empty while the pool keeps no twin
+  std::vector<double> extent;
+  int step = 0;
+  const auto cover = [&](const Coordinates& x) {
+    for (size_t d = 0; d < dim; ++d) {
+      const double a = std::fabs(x[d] - reference[d]);
+      extent[d] = std::isnan(a) ? std::numeric_limits<double>::infinity()
+                                : std::max(extent[d], a);
+    }
+  };
+  const auto make_twin = [&] {
+    reference = mirror.front();
+    extent.assign(dim, 0.0);
+    for (const Coordinates& x : mirror) cover(x);
+  };
+  const auto fresh = [&] {
+    Coordinates coords(dim);
+    for (size_t d = 0; d < dim; ++d) {
+      coords[d] = rng.NextUniform(-10, 10) * std::ldexp(1.0, d % 30);
+    }
+    // Now and then a coordinate outside float's range, or a NaN.
+    if (rng.NextBernoulli(0.01)) coords[rng.NextBounded(dim)] = 1e300;
+    if (rng.NextBernoulli(0.002)) {
+      coords[rng.NextBounded(dim)] = std::numeric_limits<double>::quiet_NaN();
+    }
+    return coords;
+  };
+  const auto append = [&] {
+    Coordinates coords = fresh();
+    pool.Append(coords.data());
+    mirror.push_back(std::move(coords));
+    if (!reference.empty()) {
+      cover(mirror.back());
+    } else if (mirror.size() >= threshold) {
+      make_twin();
+    }
+  };
+  const auto drop = [&](size_t max_drop) {
+    const size_t n = rng.NextBounded(std::min(mirror.size(), max_drop) + 1);
+    pool.DropFront(n);
+    mirror.erase(mirror.begin(), mirror.begin() + static_cast<long>(n));
+  };
+  const auto assign = [&](size_t n) {
+    std::vector<Coordinates> next;
+    for (size_t i = 0; i < n; ++i) next.push_back(fresh());
+    std::vector<CoordinatePool::ColumnRef> columns;
+    for (const Coordinates& x : next) columns.push_back({x.data(), 1});
+    pool.Assign(columns);
+    mirror.assign(next.begin(), next.end());
+    reference.clear();
+    if (n >= threshold) make_twin();
+  };
+  const auto same_float = [](float a, float b) {
+    return std::memcmp(&a, &b, sizeof(float)) == 0;
+  };
+  const auto check = [&] {
+    ++step;
+    SCOPED_TRACE("step " + std::to_string(step));
+    pool.CheckInvariants();
+    ASSERT_EQ(pool.size(), mirror.size());
+    ASSERT_EQ(pool.has_twin(), !reference.empty());
+    if (!pool.has_twin()) return;
+    ASSERT_TRUE(std::equal(reference.begin(), reference.end(),
+                           pool.twin_reference().begin(),
+                           [](double a, double b) {
+                             return std::memcmp(&a, &b, sizeof a) == 0;
+                           }));
+    ASSERT_EQ(pool.twin_extent(), extent);
+    // From scratch on the same reference.
+    std::vector<CoordinatePool::ColumnRef> columns;
+    for (const Coordinates& x : mirror) columns.push_back({x.data(), 1});
+    const CoordinatePool scratch =
+        CoordinatePool::FromColumns(dim, columns, &pool);
+    ASSERT_EQ(scratch.has_twin(), true);
+    for (size_t i = 0; i < mirror.size(); ++i) {
+      const float* got = pool.TwinColumn(i);
+      const float* want = scratch.TwinColumn(i);
+      for (size_t d = 0; d < dim; ++d) {
+        const float value = got[d * CoordinatePool::kTwinStride];
+        ASSERT_TRUE(same_float(value, TwinFloat(mirror[i][d], reference[d])))
+            << "position " << i << " d " << d;
+        ASSERT_TRUE(same_float(value, want[d * CoordinatePool::kTwinStride]));
+      }
+    }
+    pool.ForEachSpan([&](const CoordinatePool::Span& span) {
+      ASSERT_EQ(span.twin, pool.TwinColumn(span.first));
+      for (size_t d = 0; d < dim; ++d) {
+        const float* row = span.twin + d * CoordinatePool::kTwinStride;
+        for (size_t i = span.count; i < simd::RoundUpToShadowLanes(span.count);
+             ++i) {
+          ASSERT_EQ(row[i], 0.0f) << "lane " << i << " past " << span.count;
+        }
+      }
+    });
+  };
+
+  // Grow past the threshold, drain to empty (the spare comes back), grow
+  // again on the old twin, and churn around five blocks.
+  while (mirror.size() < 3 * kB) {
+    append();
+    if (mirror.size() % 17 == 0 || mirror.size() == threshold) check();
+  }
+  check();
+  while (!mirror.empty()) {
+    drop(kB + kB / 2);
+    check();
+  }
+  for (int i = 0; i < 700; ++i) {
+    if (mirror.size() < 4 * kB && rng.NextBernoulli(0.7)) {
+      append();
+    } else {
+      drop(i % 20 == 0 ? kB + kB / 2 : 6);
+    }
+    if (i % 23 == 0) check();
+  }
+  check();
+  // Assign decides anew: a small refill drops the twin, a large one makes
+  // one on its own position 0; appends then grow past the threshold again.
+  assign(kB + 3);
+  check();
+  while (mirror.size() < threshold + 5) append();
+  check();
+  assign(3 * kB);
+  check();
+  drop(kB);
+  check();
+  // ResetDim drops it too.
+  pool.ResetDim(dim);
+  mirror.clear();
+  reference.clear();
+  check();
+  for (size_t i = 0; i < threshold; ++i) append();
+  check();
+}
+
+TEST(CoordinatePoolTest, FromColumnsTwinsOnlyPastTheThresholdOrOnRequest) {
+  Rng rng(42);
+  const size_t dim = 54;
+  const size_t threshold = CoordinatePool::kTwinMinBytes / (dim * 8) + 1;
+  const std::vector<Point> points = RandomPoints(threshold, dim, &rng);
+  std::vector<CoordinatePool::ColumnRef> columns;
+  for (const Point& p : points) columns.push_back({p.coords.data(), 1});
+  const CoordinatePool big = CoordinatePool::FromColumns(dim, columns);
+  ASSERT_TRUE(big.has_twin());
+  EXPECT_EQ(big.twin_reference(), points[0].coords);
+  columns.resize(10);
+  const CoordinatePool small = CoordinatePool::FromColumns(dim, columns);
+  EXPECT_FALSE(small.has_twin());
+  // Asked for, a small pool twins on the other pool's reference.
+  std::reverse(columns.begin(), columns.end());
+  const CoordinatePool beside =
+      CoordinatePool::FromColumns(dim, columns, &big);
+  ASSERT_TRUE(beside.has_twin());
+  EXPECT_EQ(beside.twin_reference(), big.twin_reference());
+  for (size_t i = 0; i < 10; ++i) {
+    for (size_t d = 0; d < dim; ++d) {
+      EXPECT_EQ(beside.TwinColumn(i)[d * CoordinatePool::kTwinStride],
+                TwinFloat(points[9 - i].coords[d], points[0].coords[d]));
+    }
+  }
+  EXPECT_FALSE(CoordinatePool::FromColumns(dim, columns, &small).has_twin());
+}
+
 }  // namespace
 }  // namespace fkc
