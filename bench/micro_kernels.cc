@@ -8,9 +8,9 @@
 // --threads (default: hardware concurrency) sets the thread count of the
 // *_Parallel benchmarks.
 //
-// The binary replaces the global operator new with a counting one, so the
-// update and hand-off benches can report heap allocations per operation
-// (`allocs_per_*`). The count is per thread, and each bench reads it on its
+// The binary replaces the global operator new (plain and over-aligned)
+// with a counting one, so the update and hand-off benches can report heap
+// allocations per operation (`allocs_per_*`). The count is per thread, and each bench reads it on its
 // own thread around the calls it measures. Each figure covers a fixed run
 // of operations outside the timed loop, so it depends on the stream only,
 // not on how many iterations timing took.
@@ -63,6 +63,22 @@ __attribute__((noinline)) void operator delete(void* p) noexcept {
   std::free(p);
 }
 __attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+// The over-aligned forms (CoordinatePool's blocks) count too.
+__attribute__((noinline)) void* operator new(std::size_t size,
+                                             std::align_val_t align) {
+  ++t_allocations;
+  const std::size_t a = static_cast<std::size_t>(align);
+  if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* p,
+                                               std::align_val_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t,
+                                               std::align_val_t) noexcept {
   std::free(p);
 }
 
@@ -121,9 +137,10 @@ void RunSoAScan(benchmark::State& state, const simd::KernelSet& kernels) {
   std::vector<double> out(n);
   for (auto _ : state) {
     pool.ForEachSpan([&](const CoordinatePool::Span& span) {
-      kernels.euclidean(points[0].coords.data(), span.data,
-                        CoordinatePool::kRowStride, pool.dim(), span.count,
-                        out.data() + span.first);
+      kernels.Of(simd::Norm::kEuclidean)
+          .exact(points[0].coords.data(), span.data,
+                 CoordinatePool::kRowStride, pool.dim(), span.count,
+                 out.data() + span.first);
     });
     benchmark::DoNotOptimize(out.data());
   }

@@ -131,6 +131,9 @@ FairCenterSlidingWindow::FairCenterSlidingWindow(SlidingWindowOptions options,
   FKC_CHECK(solver_ != nullptr);
   FKC_CHECK_GT(options_.window_size, 0);
   FKC_CHECK_GT(options_.delta, 0.0);
+  // A finer ladder would walk its rungs for minutes (options_io.h).
+  FKC_CHECK(std::isfinite(options_.beta));
+  FKC_CHECK_GE(options_.beta, kMinBeta);
   FKC_CHECK_GT(constraint_.TotalK(), 0);
 
   if (options_.adaptive_range) {

@@ -113,7 +113,7 @@ const std::vector<size_t>& PivotIndex::Candidates() {
   // coordinates: the built-in bounded Chebyshev kernel, run on those rows
   // of each block, is exact at or below the margin.
   const simd::BoundedDistanceKernel scan =
-      simd::ActiveKernels().chebyshev_within;
+      simd::ActiveKernels().Of(simd::Norm::kChebyshev).within;
   const double cutoff = simd::DistanceCutoff(margin_);
   scratch_.resize(CoordinatePool::kBlockLanes);
   for (size_t b = LowerBound(Key(e0 - margin_));

@@ -9,18 +9,14 @@
 namespace fkc {
 namespace {
 
-constexpr std::align_val_t kTwinAlign{64};
-
-float* NewTwinBlock(size_t floats) {
-  return static_cast<float*>(
-      ::operator new[](floats * sizeof(float), kTwinAlign));
+// A block of `count` T, freed by CoordinatePool::AlignedDelete<T>.
+template <typename T>
+T* NewBlock(size_t count) {
+  return static_cast<T*>(::operator new[](
+      count * sizeof(T), std::align_val_t{CoordinatePool::kBlockAlign}));
 }
 
 }  // namespace
-
-void CoordinatePool::FreeFloats::operator()(float* p) const {
-  ::operator delete[](p, kTwinAlign);
-}
 
 void CoordinatePool::ResetDim(size_t dim) {
   dim_ = dim;
@@ -37,7 +33,7 @@ void CoordinatePool::LinkBlock(size_t filled) {
   if (spare_.coords != nullptr) {
     block = std::move(spare_);
   } else {
-    block.coords.reset(new double[dim_ * kRowStride]);
+    block.coords.reset(NewBlock<double>(dim_ * kRowStride));
   }
   if (filled == 0) {
     std::fill_n(block.coords.get(), dim_ * kRowStride, 0.0);
@@ -49,7 +45,7 @@ void CoordinatePool::LinkBlock(size_t filled) {
   }
   if (has_twin()) {
     if (block.twin == nullptr) {
-      block.twin.reset(NewTwinBlock(dim_ * kTwinStride));
+      block.twin.reset(NewBlock<float>(dim_ * kTwinStride));
     }
     std::fill_n(block.twin.get(), dim_ * kTwinStride, 0.0f);
   }
@@ -134,7 +130,7 @@ void CoordinatePool::MakeTwin(const std::vector<double>& reference) {
   for (size_t b = 0; b < BlockCount(); ++b) {
     Storage& block = b == 0 ? front_ : rest_[b - 1];
     if (block.twin == nullptr) {
-      block.twin.reset(NewTwinBlock(dim_ * kTwinStride));
+      block.twin.reset(NewBlock<float>(dim_ * kTwinStride));
     }
     // The live lanes [lo, hi) of the block; every other float is 0.
     const size_t lo = b == 0 ? head_ : 0;

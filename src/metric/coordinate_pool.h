@@ -55,6 +55,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <memory>
+#include <new>
 #include <vector>
 
 #include "metric/point.h"
@@ -85,6 +86,13 @@ class CoordinatePool {
   static constexpr size_t kTwinLanes = 16;
   /// Distance between consecutive rows of a twin block: nine cache lines.
   static constexpr size_t kTwinStride = kBlockLanes + kTwinLanes;
+  /// Every block, of doubles or of twin floats, starts on a multiple of
+  /// this many bytes, and a row is a whole number of such cache lines: so
+  /// every row starts on a line, and no full vector from a lane multiple of
+  /// its width splits one.
+  static constexpr size_t kBlockAlign = 64;
+  static_assert(kRowStride * sizeof(double) % kBlockAlign == 0 &&
+                kTwinStride * sizeof(float) % kBlockAlign == 0);
   /// A pool makes its twin once its coordinates take more than this many
   /// bytes. On covtype coresets a nine-head traversal on float rows breaks
   /// even with exact rows between 250 and 2,000 points (0.1-0.9 MB) at
@@ -218,16 +226,18 @@ class CoordinatePool {
   void CheckInvariants() const;
 
  private:
+  /// Frees a block allocated kBlockAlign-aligned.
+  template <typename T>
+  struct AlignedDelete {
+    void operator()(T* p) const {
+      ::operator delete[](p, std::align_val_t{kBlockAlign});
+    }
+  };
   /// One block of the chain: its doubles, and its twin block while the
   /// pool keeps a twin (dim_ * kTwinStride floats).
-  struct FreeFloats {
-    void operator()(float* p) const;
-  };
   struct Storage {
-    std::unique_ptr<double[]> coords;
-    // 64-byte aligned, so every twin row (nine cache lines) starts on a
-    // line and a 16-float load splits no line.
-    std::unique_ptr<float[], FreeFloats> twin;
+    std::unique_ptr<double[], AlignedDelete<double>> coords;
+    std::unique_ptr<float[], AlignedDelete<float>> twin;
   };
 
   /// Block b of the chain, b < BlockCount().

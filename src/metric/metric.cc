@@ -75,12 +75,35 @@ inline void RunSoAKernel(Kernel kernel, const Point& p,
   });
 }
 
-/// Shared body of the built-in tile overrides: kMaxTileRows rows at a time,
-/// one kernel call per block of the pool for all of them.
-void RunTileKernel(simd::TileKernel kernel, const Point* rows,
-                   size_t row_count, const CoordinatePool& pool,
-                   size_t out_stride, double* out) {
+}  // namespace
+
+void NormMetric::DistanceSoA(const Point& p, const CoordinatePool& pool,
+                             double* out) const {
+  NormMetric::DistanceSoAOrdered(p, pool, ScanOrder::kForward, out);
+}
+
+void NormMetric::DistanceSoAOrdered(const Point& p, const CoordinatePool& pool,
+                                    ScanOrder order, double* out) const {
+  RunSoAKernel(simd::ActiveKernels().Of(norm_).exact, p, pool, order, out);
+}
+
+void NormMetric::DistanceSoAWithin(const Point& p, const CoordinatePool& pool,
+                                   double bound, double* out) const {
+  // With dim <= kBoundCheckDims no block is ever tested, so the cutoff is
+  // not computed.
+  const double cutoff = pool.dim() > simd::kBoundCheckDims
+                            ? simd::CutoffOf(norm_, bound)
+                            : 0.0;
+  RunSoAKernel(simd::ActiveKernels().Of(norm_).within, p, pool,
+               ScanOrder::kForward, out, cutoff);
+}
+
+void NormMetric::DistanceSoATile(const Point* rows, size_t row_count,
+                                 const CoordinatePool& pool, size_t out_stride,
+                                 double* out) const {
   if (pool.empty()) return;  // a never-filled pool has no dimension yet
+  // kMaxTileRows rows at a time, one kernel call per block for all of them.
+  const simd::TileKernel kernel = simd::ActiveKernels().Of(norm_).tile;
   const double* queries[simd::kMaxTileRows];
   for (size_t first = 0; first < row_count; first += simd::kMaxTileRows) {
     const size_t tile = std::min(simd::kMaxTileRows, row_count - first);
@@ -94,96 +117,6 @@ void RunTileKernel(simd::TileKernel kernel, const Point* rows,
              span.count, out_stride, tile_out + span.first);
     });
   }
-}
-
-/// The cutoff of a bounded scan, computed once per scan. With dim <=
-/// kBoundCheckDims no block is ever tested, so it is not computed.
-double ScanCutoff(double (*cutoff)(double), double bound,
-                  const CoordinatePool& pool) {
-  return pool.dim() > simd::kBoundCheckDims ? cutoff(bound) : 0.0;
-}
-
-}  // namespace
-
-void EuclideanMetric::DistanceSoA(const Point& p, const CoordinatePool& pool,
-                                  double* out) const {
-  RunSoAKernel(simd::ActiveKernels().euclidean, p, pool, ScanOrder::kForward,
-               out);
-}
-
-void EuclideanMetric::DistanceSoAOrdered(const Point& p,
-                                         const CoordinatePool& pool,
-                                         ScanOrder order, double* out) const {
-  RunSoAKernel(simd::ActiveKernels().euclidean, p, pool, order, out);
-}
-
-void EuclideanMetric::DistanceSoAWithin(const Point& p,
-                                        const CoordinatePool& pool,
-                                        double bound, double* out) const {
-  RunSoAKernel(simd::ActiveKernels().euclidean_within, p, pool,
-               ScanOrder::kForward, out,
-               ScanCutoff(simd::SquaredDistanceCutoff, bound, pool));
-}
-
-void EuclideanMetric::DistanceSoATile(const Point* rows, size_t row_count,
-                                      const CoordinatePool& pool,
-                                      size_t out_stride, double* out) const {
-  RunTileKernel(simd::ActiveKernels().euclidean_tile, rows, row_count, pool,
-                out_stride, out);
-}
-
-void ManhattanMetric::DistanceSoA(const Point& p, const CoordinatePool& pool,
-                                  double* out) const {
-  RunSoAKernel(simd::ActiveKernels().manhattan, p, pool, ScanOrder::kForward,
-               out);
-}
-
-void ManhattanMetric::DistanceSoAOrdered(const Point& p,
-                                         const CoordinatePool& pool,
-                                         ScanOrder order, double* out) const {
-  RunSoAKernel(simd::ActiveKernels().manhattan, p, pool, order, out);
-}
-
-void ManhattanMetric::DistanceSoAWithin(const Point& p,
-                                        const CoordinatePool& pool,
-                                        double bound, double* out) const {
-  RunSoAKernel(simd::ActiveKernels().manhattan_within, p, pool,
-               ScanOrder::kForward, out,
-               ScanCutoff(simd::DistanceCutoff, bound, pool));
-}
-
-void ManhattanMetric::DistanceSoATile(const Point* rows, size_t row_count,
-                                      const CoordinatePool& pool,
-                                      size_t out_stride, double* out) const {
-  RunTileKernel(simd::ActiveKernels().manhattan_tile, rows, row_count, pool,
-                out_stride, out);
-}
-
-void ChebyshevMetric::DistanceSoA(const Point& p, const CoordinatePool& pool,
-                                  double* out) const {
-  RunSoAKernel(simd::ActiveKernels().chebyshev, p, pool, ScanOrder::kForward,
-               out);
-}
-
-void ChebyshevMetric::DistanceSoAOrdered(const Point& p,
-                                         const CoordinatePool& pool,
-                                         ScanOrder order, double* out) const {
-  RunSoAKernel(simd::ActiveKernels().chebyshev, p, pool, order, out);
-}
-
-void ChebyshevMetric::DistanceSoAWithin(const Point& p,
-                                        const CoordinatePool& pool,
-                                        double bound, double* out) const {
-  RunSoAKernel(simd::ActiveKernels().chebyshev_within, p, pool,
-               ScanOrder::kForward, out,
-               ScanCutoff(simd::DistanceCutoff, bound, pool));
-}
-
-void ChebyshevMetric::DistanceSoATile(const Point* rows, size_t row_count,
-                                      const CoordinatePool& pool,
-                                      size_t out_stride, double* out) const {
-  RunTileKernel(simd::ActiveKernels().chebyshev_tile, rows, row_count, pool,
-                out_stride, out);
 }
 
 // The rounding errors below follow the scalar loops of Distance, which the

@@ -11,6 +11,7 @@
 
 #include "metric/coordinate_pool.h"
 #include "metric/point.h"
+#include "metric/simd_kernels.h"
 
 namespace fkc {
 
@@ -73,10 +74,8 @@ class Metric {
   /// distance is <= bound, and !(out[i] <= bound) everywhere else. The base
   /// implementation is the exact DistanceSoA, so any metric (and any
   /// decorator that overrides only DistanceSoA) satisfies the contract. The
-  /// built-in metrics dispatch to the bounded kernels in simd_kernels.h,
-  /// which stop reading a lane block's dimensions once every lane's partial
-  /// sum (or max) proves its distance past the bound — exact, because
-  /// partials of non-negative terms never decrease under round-to-nearest.
+  /// built-in metrics run the bounded kernels of simd_kernels.h, which stop
+  /// reading a lane block once its partials prove it past the bound.
   virtual void DistanceSoAWithin(const Point& p, const CoordinatePool& pool,
                                  double bound, double* out) const;
 
@@ -103,10 +102,14 @@ class Metric {
   virtual std::string Name() const = 0;
 };
 
-/// Euclidean (L2) distance.
-class EuclideanMetric final : public Metric {
+/// The built-in metrics of coordinates under a norm, the three final
+/// classes below: the SoA scans run the norm's kernels in
+/// simd::ActiveKernels() (simd_kernels.h), which reproduce each subclass's
+/// scalar Distance bit for bit.
+class NormMetric : public Metric {
  public:
-  double Distance(const Point& a, const Point& b) const override;
+  simd::Norm norm() const { return norm_; }
+
   void DistanceSoA(const Point& p, const CoordinatePool& pool,
                    double* out) const override;
   void DistanceSoAOrdered(const Point& p, const CoordinatePool& pool,
@@ -116,40 +119,39 @@ class EuclideanMetric final : public Metric {
   void DistanceSoATile(const Point* rows, size_t row_count,
                        const CoordinatePool& pool, size_t out_stride,
                        double* out) const override;
+
+ private:
+  friend class EuclideanMetric;
+  friend class ManhattanMetric;
+  friend class ChebyshevMetric;
+  explicit NormMetric(simd::Norm norm) : norm_(norm) {}
+
+  simd::Norm norm_;
+};
+
+/// Euclidean (L2) distance.
+class EuclideanMetric final : public NormMetric {
+ public:
+  EuclideanMetric() : NormMetric(simd::Norm::kEuclidean) {}
+  double Distance(const Point& a, const Point& b) const override;
   std::optional<DistanceError> RoundingError(size_t dim) const override;
   std::string Name() const override { return "euclidean"; }
 };
 
 /// Manhattan (L1) distance.
-class ManhattanMetric final : public Metric {
+class ManhattanMetric final : public NormMetric {
  public:
+  ManhattanMetric() : NormMetric(simd::Norm::kManhattan) {}
   double Distance(const Point& a, const Point& b) const override;
-  void DistanceSoA(const Point& p, const CoordinatePool& pool,
-                   double* out) const override;
-  void DistanceSoAOrdered(const Point& p, const CoordinatePool& pool,
-                          ScanOrder order, double* out) const override;
-  void DistanceSoAWithin(const Point& p, const CoordinatePool& pool,
-                         double bound, double* out) const override;
-  void DistanceSoATile(const Point* rows, size_t row_count,
-                       const CoordinatePool& pool, size_t out_stride,
-                       double* out) const override;
   std::optional<DistanceError> RoundingError(size_t dim) const override;
   std::string Name() const override { return "manhattan"; }
 };
 
 /// Chebyshev (L-infinity) distance.
-class ChebyshevMetric final : public Metric {
+class ChebyshevMetric final : public NormMetric {
  public:
+  ChebyshevMetric() : NormMetric(simd::Norm::kChebyshev) {}
   double Distance(const Point& a, const Point& b) const override;
-  void DistanceSoA(const Point& p, const CoordinatePool& pool,
-                   double* out) const override;
-  void DistanceSoAOrdered(const Point& p, const CoordinatePool& pool,
-                          ScanOrder order, double* out) const override;
-  void DistanceSoAWithin(const Point& p, const CoordinatePool& pool,
-                         double bound, double* out) const override;
-  void DistanceSoATile(const Point* rows, size_t row_count,
-                       const CoordinatePool& pool, size_t out_stride,
-                       double* out) const override;
   std::optional<DistanceError> RoundingError(size_t dim) const override;
   std::string Name() const override { return "chebyshev"; }
 };

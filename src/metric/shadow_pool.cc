@@ -60,55 +60,21 @@ constexpr size_t kMaxDim = size_t{1} << 20;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// The norm of a built-in metric, or none. Only the final built-in classes
-// have shadow kernels, so a decorator or a custom metric answers kNone.
-enum class Norm { kNone, kEuclidean, kManhattan, kChebyshev };
-
-Norm NormOf(const Metric& metric) {
-  if (dynamic_cast<const EuclideanMetric*>(&metric) != nullptr) {
-    return Norm::kEuclidean;
-  }
-  if (dynamic_cast<const ManhattanMetric*>(&metric) != nullptr) {
-    return Norm::kManhattan;
-  }
-  if (dynamic_cast<const ChebyshevMetric*>(&metric) != nullptr) {
-    return Norm::kChebyshev;
-  }
-  return Norm::kNone;
-}
-
-simd::ShadowKernel KernelOf(Norm norm) {
-  const simd::KernelSet& set = simd::ActiveKernels();
-  switch (norm) {
-    case Norm::kEuclidean:
-      return set.euclidean_shadow;
-    case Norm::kManhattan:
-      return set.manhattan_shadow;
-    case Norm::kChebyshev:
-      return set.chebyshev_shadow;
-    case Norm::kNone:
-      break;
-  }
-  FKC_CHECK(false) << "metric has no shadow kernels";
-  return nullptr;
-}
-
 // The float loop's error (step 3) and N(1) (step 1) for dimension n.
 struct NormTerms {
   DistanceError float_error;
   double ones;
 };
 
-NormTerms TermsOf(Norm norm, size_t dim) {
+NormTerms TermsOf(simd::Norm norm, size_t dim) {
   const double n = static_cast<double>(dim);
   switch (norm) {
-    case Norm::kEuclidean:
+    case simd::Norm::kEuclidean:
       return {{(n + 4.0) * kFloatUnit, std::sqrt(n) * 0x1p-73},
               std::sqrt(n)};
-    case Norm::kManhattan:
+    case simd::Norm::kManhattan:
       return {{2.0 * n * kFloatUnit, 0.0}, n};
-    case Norm::kChebyshev:
-    case Norm::kNone:
+    case simd::Norm::kChebyshev:
       break;
   }
   return {{kFloatUnit, 0.0}, 1.0};
@@ -123,13 +89,14 @@ bool ShadowPool::Serves(const Metric& metric, const ColoredPool& pool) {
   // Beside a twinned borrowed pool, the Builder centres the copies' twin
   // on the same reference.
   if (!own.empty() && !own.has_twin()) return false;
-  return !pool.empty() && NormOf(metric) != Norm::kNone;
+  // Only the built-in metrics (NormMetric) have shadow kernels.
+  return !pool.empty() && dynamic_cast<const NormMetric*>(&metric) != nullptr;
 }
 
 std::optional<ShadowPool> ShadowPool::Create(const Metric& metric,
                                              const ColoredPool& pool) {
   if (!Serves(metric, pool)) return std::nullopt;
-  const Norm norm = NormOf(metric);
+  const simd::Norm norm = dynamic_cast<const NormMetric&>(metric).norm();
   const size_t dim = pool.dim();
   if (dim > kMaxDim) return std::nullopt;
 
@@ -153,7 +120,7 @@ std::optional<ShadowPool> ShadowPool::Create(const Metric& metric,
   const NormTerms terms = TermsOf(norm, dim);
   const double w = kFloatUnit + 2.0 * kUnit;
   const double rho_f = terms.float_error.relative;
-  ShadowPool shadow(pool, KernelOf(norm));
+  ShadowPool shadow(pool, simd::ActiveKernels().Of(norm).shadow);
   shadow.error_ = (2.0 * t * (w + exact->relative + rho_f * (1.0 + w)) +
                    2.0 * kFloatHalfTiny * terms.ones * (1.0 + rho_f) +
                    terms.float_error.absolute + exact->absolute) *

@@ -50,9 +50,6 @@ namespace fkc {
 
 class ShadowPool {
  public:
-  /// A pool's twin, and so its shadow rows, starts past this many bytes of
-  /// coordinates.
-  static constexpr size_t kMinBytes = CoordinatePool::kTwinMinBytes;
   /// The most candidates one decision resolves before its caller goes back
   /// to exact rows.
   static constexpr size_t kMaxCandidates = 64;

@@ -1,6 +1,22 @@
 // Vectorized distance kernels over the dim-major CoordinatePool layout,
 // with runtime CPU dispatch.
 //
+// Layout of the code. A KernelSet holds every kernel of one vector width:
+// one row per norm (norm[], indexed by Norm) of exact, bounded, tile and
+// shadow scans, so a built-in metric (NormMetric, metric.h) reads the row
+// of its Norm; and the head pass and twin row. The scalar set
+// (simd_kernels_scalar.cc) is the reference every width is tested
+// against. The AVX2 and AVX-512 sets share one body per kernel family
+// (simd_kernels_vector.h), templated on a lane-ops struct that spells the
+// family's vector operations in one ISA's intrinsics and fixes its unroll
+// shapes; each ISA file holds only that struct, in an anonymous namespace,
+// and its set. So every instantiation of a body has internal linkage, and
+// the linker never merges one ISA's body into the other's set
+// (tools/check_kernel_symbols.py checks what each ISA object exports).
+// Only the ISA files are built with -mavx2/-mavx512f, and ActiveKernels()
+// picks the widest set the running CPU reports (cpuid), so one binary runs
+// everywhere; non-x86 builds have the scalar set only.
+//
 // Kernel contract — bit-identical lane-per-pair accumulation:
 //   out[i] = metric(query, column i of `data`) for i in [0, count), where
 //   `data` is a dim-major matrix (row d starts at data + d * stride) and
@@ -9,68 +25,58 @@
 //   scanned one block at a time: each block's live span ends at least one
 //   lane width before the end of its row (the row slack), so the contract
 //   holds wherever in the block the span starts.
-//
 // Each SIMD lane owns exactly one (query, point) pair and accumulates that
-// pair's terms over dimensions in ascending order — the same per-pair
-// summation order as the scalar loop. Vector width therefore changes only
-// *which pairs run together*, never any pair's rounding, so scalar, AVX2,
-// and AVX-512 kernels return bit-identical doubles (verified by
-// tests/simd_kernel_test.cc). The kernel translation units are compiled
-// with FP contraction off: a fused multiply-add would skip the
-// intermediate rounding of the scalar `sum += diff * diff`.
+// pair's terms over dimensions in ascending order, as the scalar loop
+// does. Vector width therefore changes only *which pairs run together*,
+// never any pair's rounding, so every width returns bit-identical doubles
+// (tests/simd_kernel_test.cc). The kernel files are compiled with FP
+// contraction off: a fused multiply-add would skip the intermediate
+// rounding of the scalar `sum += diff * diff`.
 //
-// Bounded scans (the *_within kernels) serve callers that only need to know
-// which pairs lie within `bound`: out[i] is the exact distance wherever
-// d <= bound, and !(out[i] <= bound) everywhere else. The caller turns the
-// bound into a cutoff once per scan, and the kernel abandons a lane block
-// once every live lane's running partial (sum of squares, sum of absolute
-// differences, or running max) is at or past the cutoff, testing every
-// kBoundCheckDims dimensions:
-//   - Euclidean: the smallest double s with fl(sqrt(s)) > bound;
-//   - Manhattan, Chebyshev: the smallest double past bound.
-// This is exact, not a heuristic. Every term is non-negative, and under
-// round-to-nearest fl(a + t) >= a for t >= 0 (max never decreases either),
-// so a partial never decreases along the dimensions; and fl(sqrt) is
-// monotone. A lane at or past the cutoff therefore ends past `bound`, and
-// so does the value stored for it. Lanes of a block that is not abandoned
-// run to the last dimension, so every in-range lane is bit-identical to the
-// exact kernel. A NaN partial is never past the cutoff, and a bound of
-// +inf or NaN gives a NaN cutoff, so those scans run to completion. The
-// exact kernels are the same bodies with the check compiled out.
+// Bounded scans (`within`) serve callers that only need the pairs within
+// `bound`: out[i] is the exact distance wherever d <= bound, and
+// !(out[i] <= bound) everywhere else. The caller turns the bound into a
+// cutoff once per scan (CutoffOf): for Euclidean the smallest double s
+// with fl(sqrt(s)) > bound, otherwise the smallest double past bound. The
+// kernel abandons a lane block once every live lane's running partial
+// (sum of squares, sum of absolute differences, or max) is at or past the
+// cutoff, testing every kBoundCheckDims dimensions. This is exact: every
+// term is non-negative, and under round-to-nearest fl(a + t) >= a for
+// t >= 0 (max never decreases either), and fl(sqrt) is monotone, so a lane
+// at or past the cutoff ends past `bound`, and so does its stored value.
+// Lanes of a block that is not abandoned run to the last dimension, so
+// every in-range lane is bit-identical to the exact kernel. A NaN partial
+// is never past the cutoff, and a bound of +inf or NaN gives a NaN cutoff,
+// so those scans run to completion. The exact kernels are the same bodies
+// with the check compiled out.
 //
-// Tile scans (the *_tile kernels) score several queries against one block:
+// Tile scans (`tile`) score several queries against one block:
 // out[r * out_stride + i] = metric(queries[r], column i). A pass over a
-// covtype coreset (~9,900 points, d = 54) streams ~4.3 MB, more than L2, so
-// one pass per query is bound by memory traffic. A tile kernel loads each
-// lane chunk of a block row once and applies it to up to tile_rows queries
-// held in registers (8 on AVX-512, 4 on AVX2, a constant of the set); a
-// call with more rows runs them tile after tile over the same block, which
-// is still in cache. Each lane still owns one (query, point) pair and
-// accumulates its terms in ascending dimension order with the same
-// operations, so every distance is bit-identical to the single-row kernel
-// of any width. The same row slack contract holds.
+// covtype coreset (~9,900 points, d = 54) streams ~4.3 MB, more than L2,
+// so one pass per query is bound by memory traffic. A tile kernel loads
+// each lane chunk of a block row once for up to tile_rows queries held in
+// registers; a call with more rows runs them tile after tile over the
+// same block, still in cache. Each lane still owns one pair with the same
+// operations in the same order, so every distance is bit-identical to the
+// single-row kernel of any width. The same row slack contract holds.
 //
-// Shadow kernels serve the float32 twin of a pool (coordinate_pool.h,
-// read as shadow rows by shadow_pool.h). A shadow kernel scores a float
-// query against float columns with the same per-metric terms, in float
-// arithmetic: each lane owns one pair and accumulates its terms in
-// ascending dimension order, and the float result is widened into the
-// double out[i]. So every width gives the same bits here too. Float rows
-// are readable (not meaningful) up to RoundUpToShadowLanes(count) floats,
-// the widest set's float vector.
+// Shadow scans (`shadow`) score a float query against the float columns
+// of a pool's float32 twin (coordinate_pool.h, read by shadow_pool.h) with
+// the same terms in float arithmetic, one pair per lane in ascending
+// dimension order, and widen each result into the double out[i]: the same
+// bits at every width. Float rows are readable up to
+// RoundUpToShadowLanes(count) floats, the widest set's float vector.
 //
-// Twin rows (the twin_row kernel) write a pool's float32 twin
-// (coordinate_pool.h): the float of each coordinate's difference to the
-// twin's reference, or 0 where that difference is NaN or outside float's
-// range (every width masks it the same way, so each conversion is defined
-// and the floats do not depend on the width), and the largest |difference|
-// (+inf when one is NaN). A maximum is exact, so it too is the same at
-// every width. They read and write only the count live lanes.
+// Twin rows (twin_row) write a pool's twin: the float of each
+// coordinate's difference to the twin's reference, or 0 where that
+// difference is NaN or outside float's range (every width masks it so, so
+// each conversion is defined), and the largest |difference| (+inf when one
+// is NaN), exact and so the same at every width. They read and write only
+// the count live lanes.
 //
-// Head passes (the head_pass kernel) do the bookkeeping of one Gonzalez
-// head over the distance row DistanceRow filled for it (gonzalez.h); no
-// metric is involved, and the pass reads each slot once. For every slot s
-// in [0, count), in any order:
+// Head passes (head_pass) do the bookkeeping of one Gonzalez head over the
+// distance row DistanceRow filled for it (gonzalez.h), reading each slot
+// once. For every slot s in [0, count), in any order:
 //   - nearest[s] = row[s] < nearest[s] ? row[s] : nearest[s], the fold of
 //     the row into the distances to the heads so far (a select, so a NaN
 //     row entry leaves nearest[s] as it was);
@@ -90,11 +96,6 @@
 // same bits. A vector pass tests each lane against its own color's entry
 // (one gather per vector) with row[s] <= entry, and only the rare lanes
 // that pass run the exact update, one at a time in slot order.
-//
-// One binary runs everywhere: only the AVX2/AVX-512 translation units are
-// built with -mavx2/-mavx512f, and ActiveKernels() selects the widest
-// variant the running CPU reports (cpuid via __builtin_cpu_supports),
-// falling back to the always-present scalar set on non-x86 builds.
 #ifndef FKC_METRIC_SIMD_KERNELS_H_
 #define FKC_METRIC_SIMD_KERNELS_H_
 
@@ -161,26 +162,31 @@ using TwinRowKernel = double (*)(const double* row, double reference,
 /// The most rows any set holds in one tile.
 constexpr size_t kMaxTileRows = 8;
 
-/// One exact, one bounded, one tile and one shadow kernel per built-in
-/// metric, the head pass and the twin row, all of one vector width.
+/// The norm of a built-in metric: the index of its row in KernelSet::norm.
+enum class Norm { kEuclidean, kManhattan, kChebyshev };
+constexpr size_t kNormCount = 3;
+
+/// One norm's exact, bounded, tile and shadow kernels.
+struct NormKernels {
+  DistanceKernel exact;
+  BoundedDistanceKernel within;
+  TileKernel tile;
+  ShadowKernel shadow;
+};
+
+/// Every kernel of one vector width: a row of kernels per norm, the head
+/// pass and the twin row.
 struct KernelSet {
   const char* name;  ///< "scalar", "avx2", "avx512"
   size_t lanes;      ///< pairs processed per vector
   size_t tile_rows;  ///< queries a tile kernel holds at once (<= kMaxTileRows)
-  DistanceKernel euclidean;
-  DistanceKernel manhattan;
-  DistanceKernel chebyshev;
-  BoundedDistanceKernel euclidean_within;
-  BoundedDistanceKernel manhattan_within;
-  BoundedDistanceKernel chebyshev_within;
-  TileKernel euclidean_tile;
-  TileKernel manhattan_tile;
-  TileKernel chebyshev_tile;
-  ShadowKernel euclidean_shadow;
-  ShadowKernel manhattan_shadow;
-  ShadowKernel chebyshev_shadow;
+  NormKernels norm[kNormCount];  ///< indexed by Norm
   HeadPassKernel head_pass;
   TwinRowKernel twin_row;
+
+  const NormKernels& Of(Norm n) const {
+    return norm[static_cast<size_t>(n)];
+  }
 };
 
 /// Cutoff of a Euclidean bounded scan: the smallest double s with
@@ -191,6 +197,9 @@ double SquaredDistanceCutoff(double bound);
 /// bound (NaN for +inf or NaN).
 double DistanceCutoff(double bound);
 
+/// The cutoff a bounded kernel of `norm` takes for `bound`.
+double CutoffOf(Norm norm, double bound);
+
 /// A bounded kernel tests its block against the cutoff after every
 /// kBoundCheckDims-th dimension, except the last (the block ends there
 /// anyway). Each abandoned block costs one mispredicted branch, so a test
@@ -198,7 +207,9 @@ double DistanceCutoff(double bound);
 constexpr size_t kBoundCheckDims = 4;
 
 /// True when a bounded kernel tests its block after dimension d of dim.
-constexpr bool IsBoundCheckDim(size_t d, size_t dim) {
+/// Static, so each kernel file keeps its own copy (see
+/// simd_kernels_vector.h).
+static constexpr bool IsBoundCheckDim(size_t d, size_t dim) {
   return (d + 1) % kBoundCheckDims == 0 && d + 1 < dim;
 }
 

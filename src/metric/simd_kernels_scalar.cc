@@ -228,18 +228,15 @@ const KernelSet kScalarSet = {
     "scalar",
     1,
     kScalarTileRows,
-    ExactScan<ScanScalar<EuclideanTerm, false>>,
-    ExactScan<ScanScalar<ManhattanTerm, false>>,
-    ExactScan<ScanScalar<ChebyshevTerm, false>>,
-    ScanScalar<EuclideanTerm, true>,
-    ScanScalar<ManhattanTerm, true>,
-    ScanScalar<ChebyshevTerm, true>,
-    TileScalar<EuclideanTerm>,
-    TileScalar<ManhattanTerm>,
-    TileScalar<ChebyshevTerm>,
-    ShadowScalar<EuclideanTerm>,
-    ShadowScalar<ManhattanTerm>,
-    ShadowScalar<ChebyshevTerm>,
+    {{ExactScan<ScanScalar<EuclideanTerm, false>>,
+      ScanScalar<EuclideanTerm, true>, TileScalar<EuclideanTerm>,
+      ShadowScalar<EuclideanTerm>},
+     {ExactScan<ScanScalar<ManhattanTerm, false>>,
+      ScanScalar<ManhattanTerm, true>, TileScalar<ManhattanTerm>,
+      ShadowScalar<ManhattanTerm>},
+     {ExactScan<ScanScalar<ChebyshevTerm, false>>,
+      ScanScalar<ChebyshevTerm, true>, TileScalar<ChebyshevTerm>,
+      ShadowScalar<ChebyshevTerm>}},
     HeadPass,
     TwinRow};
 
@@ -359,6 +356,11 @@ double DistanceCutoff(double bound) {
   if (bound == 0.0) return std::numeric_limits<double>::denorm_min();
   const uint64_t bits = BitsOf(bound);
   return DoubleOf(bound > 0.0 ? bits + 1 : bits - 1);
+}
+
+double CutoffOf(Norm norm, double bound) {
+  return norm == Norm::kEuclidean ? SquaredDistanceCutoff(bound)
+                                  : DistanceCutoff(bound);
 }
 
 const KernelSet& ScalarKernels() { return kScalarSet; }

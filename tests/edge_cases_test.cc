@@ -224,6 +224,16 @@ TEST(EdgeCaseTest, WindowRejectsBadOptions) {
   EXPECT_DEATH(FairCenterSlidingWindow(options, ColorConstraint({1}),
                                        &kMetric, &kJones),
                "delta");
+  // A beta below kMinBeta once walked the guess ladder for minutes.
+  options.delta = 0.5;
+  for (double beta : {kMinBeta / 2, 5e-324,
+                      std::numeric_limits<double>::infinity(),
+                      std::numeric_limits<double>::quiet_NaN()}) {
+    options.beta = beta;
+    EXPECT_DEATH(FairCenterSlidingWindow(options, ColorConstraint({1}),
+                                         &kMetric, &kJones),
+                 "beta");
+  }
 }
 
 // Create answers every input the constructor would abort on with

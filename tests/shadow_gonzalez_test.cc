@@ -69,7 +69,7 @@ struct ShadowCase {
   ColoredPool pool;
 };
 
-// d = 54 and 2,600 points: 1.12 MB of coordinates, above kMinBytes.
+// d = 54 and 2,600 points: 1.12 MB of coordinates, above kTwinMinBytes.
 constexpr int kDim = 54;
 constexpr int kPoints = 2600;
 
@@ -203,7 +203,7 @@ std::vector<ShadowCase> Cases() {
     // Borrows a column pool whose head sits mid-block after DropFront,
     // skips every ninth column (a slot that is no point of the set) and
     // copies a point before every fourth one. The pool made its twin on
-    // the append that took it past kMinBytes, centred on position 0, which
+    // the append that took it past kTwinMinBytes, centred on position 0, which
     // DropFront then removed: the reference has expired.
     ShadowCase c{"borrowing, head mid-block", 4, Expect::kShadow,
                  std::make_unique<CoordinatePool>(kDim), ColoredPool()};
@@ -255,7 +255,7 @@ Traversal Traverse(const Metric& metric, const ColoredPool& pool, int k,
 TEST(ShadowGonzalezTest, TraversalsMatchExactRows) {
   for (const ShadowCase& c : Cases()) {
     ASSERT_GT(c.pool.slot_count() * c.pool.dim() * sizeof(double),
-              ShadowPool::kMinBytes)
+              CoordinatePool::kTwinMinBytes)
         << c.name;
     if (c.pool.borrowed() != nullptr) {
       // The copied columns' twin shares the borrowed one's reference.
@@ -397,18 +397,16 @@ TEST(ShadowKernelTest, EveryWidthMatchesTheScalarKernels) {
         for (float& x : float_query) {
           x = static_cast<float>(rng.NextUniform(-1.0, 1.0));
         }
-        const simd::ShadowKernel scans[3][2] = {
-            {scalar.euclidean_shadow, set->euclidean_shadow},
-            {scalar.manhattan_shadow, set->manhattan_shadow},
-            {scalar.chebyshev_shadow, set->chebyshev_shadow}};
         const size_t offset = CoordinatePool::kBlockLanes - count;
-        for (int m = 0; m < 3; ++m) {
+        for (size_t m = 0; m < simd::kNormCount; ++m) {
+          const simd::ShadowKernel scans[2] = {scalar.norm[m].shadow,
+                                               set->norm[m].shadow};
           for (size_t first : {size_t{0}, offset}) {
             std::vector<double> scan[2];
             for (int w = 0; w < 2; ++w) {
               scan[w].assign(count, 0.0);
-              scans[m][w](float_query.data(), floats.data() + first,
-                          kFloatStride, dim, count, scan[w].data());
+              scans[w](float_query.data(), floats.data() + first,
+                       kFloatStride, dim, count, scan[w].data());
             }
             EXPECT_TRUE(SameBits(scan[0], scan[1]))
                 << "scan " << m << " first=" << first;
@@ -456,11 +454,11 @@ TEST(ShadowCandidatesTest, FindsTheSlotsOfEitherTestUpToTheLimit) {
 }
 
 // Points of dimension `dim` from `coordinate(i, d)`, colors 0: just enough
-// of them for a twin (past kMinBytes of coordinates), or `n`.
+// of them for a twin (past kTwinMinBytes of coordinates), or `n`.
 ColoredPool PoolOf(size_t dim,
                    const std::function<double(size_t, size_t)>& coordinate,
                    size_t n = 0) {
-  if (n == 0) n = ShadowPool::kMinBytes / (dim * sizeof(double)) + 1;
+  if (n == 0) n = CoordinatePool::kTwinMinBytes / (dim * sizeof(double)) + 1;
   std::vector<Point> points;
   for (size_t i = 0; i < n; ++i) {
     Coordinates coords(dim);
@@ -571,7 +569,7 @@ TEST(ShadowErrorTest, CreateDeclinesWhereFloatIsUnsafe) {
       EXPECT_FALSE(ShadowPool::Create(*metric, pool).has_value());
     }
   }
-  // Pools under kMinBytes keep no twin, and decorators get no shadow.
+  // Pools under kTwinMinBytes keep no twin, and decorators get no shadow.
   const ColoredPool small = PoolOf(54, [&rng](size_t, size_t) {
     return rng.NextUniform(-1.0, 1.0);
   }, 2000);

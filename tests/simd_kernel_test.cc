@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <deque>
 #include <limits>
@@ -88,23 +89,19 @@ void ExpectKernelMatchesScalar(simd::DistanceKernel kernel,
       << set_name << "/" << metric_name << " not bit-identical";
 }
 
-// One metric's exact and bounded kernels within a kernel set, and the
-// cutoff its bounded kernel takes.
-struct MetricKernels {
-  const char* name;
-  simd::DistanceKernel exact;
-  simd::BoundedDistanceKernel within;
-  double (*cutoff)(double);
-  simd::TileKernel tile;
-};
+// The norms' names, in simd::Norm order.
+constexpr const char* kNormNames[simd::kNormCount] = {"euclidean",
+                                                      "manhattan",
+                                                      "chebyshev"};
 
-std::vector<MetricKernels> KernelsOf(const simd::KernelSet& set) {
-  return {{"euclidean", set.euclidean, set.euclidean_within,
-           simd::SquaredDistanceCutoff, set.euclidean_tile},
-          {"manhattan", set.manhattan, set.manhattan_within,
-           simd::DistanceCutoff, set.manhattan_tile},
-          {"chebyshev", set.chebyshev, set.chebyshev_within,
-           simd::DistanceCutoff, set.chebyshev_tile}};
+// Every norm's exact kernel of `set` against the scalar reference's.
+void ExpectSetMatchesScalar(const simd::KernelSet& set, const Point& query,
+                            const CoordinatePool& pool) {
+  for (size_t m = 0; m < simd::kNormCount; ++m) {
+    ExpectKernelMatchesScalar(set.norm[m].exact,
+                              simd::ScalarKernels().norm[m].exact, query,
+                              pool, set.name, kNormNames[m]);
+  }
 }
 
 // Runs a tile kernel over every block of `pool` for all `queries` at once,
@@ -127,23 +124,23 @@ size_t ExpectBoundedScanHonorsContract(const simd::KernelSet& set, size_t m,
                                        const Point& query,
                                        const CoordinatePool& pool,
                                        double bound) {
-  const MetricKernels kernels = KernelsOf(set)[m];
+  const char* name = kNormNames[m];
   const size_t count = pool.size();
   std::vector<double> exact(count, -1.0), got(count, -1.0);
-  ScanPool(KernelsOf(simd::ScalarKernels())[m].exact, query, pool,
-           exact.data());
-  ScanPoolWithin(kernels.within, kernels.cutoff(bound), query, pool,
-                 got.data());
+  ScanPool(simd::ScalarKernels().norm[m].exact, query, pool, exact.data());
+  ScanPoolWithin(set.norm[m].within,
+                 simd::CutoffOf(static_cast<simd::Norm>(m), bound), query,
+                 pool, got.data());
   size_t abandoned = 0;
   for (size_t i = 0; i < count; ++i) {
     if (exact[i] <= bound) {
       EXPECT_EQ(std::memcmp(&exact[i], &got[i], sizeof(double)), 0)
-          << set.name << "/" << kernels.name << " in-range pair " << i
+          << set.name << "/" << name << " in-range pair " << i
           << " not exact: " << got[i] << " vs " << exact[i] << " (dim="
           << pool.dim() << ", count=" << count << ", bound=" << bound << ")";
     } else {
       EXPECT_FALSE(got[i] <= bound)
-          << set.name << "/" << kernels.name << " out-of-range pair " << i
+          << set.name << "/" << name << " out-of-range pair " << i
           << " came back in range: " << got[i] << " (exact " << exact[i]
           << ", bound=" << bound << ")";
     }
@@ -182,7 +179,8 @@ void ExpectTilesMatchSingleRows(const std::vector<Point>& queries,
   const size_t n = pool.size();
   const size_t stride = n + 3;
   for (const simd::KernelSet* set : SupportedSets()) {
-    for (const MetricKernels& kernels : KernelsOf(*set)) {
+    for (size_t m = 0; m < simd::kNormCount; ++m) {
+      const simd::NormKernels& kernels = set->norm[m];
       std::vector<std::vector<double>> single(queries.size());
       for (size_t r = 0; r < queries.size(); ++r) {
         single[r].assign(n, -1.0);
@@ -197,12 +195,12 @@ void ExpectTilesMatchSingleRows(const std::vector<Point>& queries,
           EXPECT_EQ(std::memcmp(single[r].data(), got.data() + r * stride,
                                 n * sizeof(double)),
                     0)
-              << set->name << "/" << kernels.name << " row " << r << " of "
+              << set->name << "/" << kNormNames[m] << " row " << r << " of "
               << rows << " diverged (dim=" << pool.dim() << ", count=" << n
               << where << ")";
           for (size_t i = n; i < stride; ++i) {
             EXPECT_EQ(got[r * stride + i], kUnwritten)
-                << set->name << "/" << kernels.name << " row " << r
+                << set->name << "/" << kNormNames[m] << " row " << r
                 << " wrote past the pool (count=" << n << where << ")";
           }
         }
@@ -248,13 +246,7 @@ TEST(SimdKernelTest, CompiledSetsMatchScalarBitForBit) {
       const Point query = RandomPoints(1, dim, &rng)[0];
       for (const simd::KernelSet* set : simd::CompiledKernelSets()) {
         if (!simd::CpuSupports(*set)) continue;
-        const auto& scalar = simd::ScalarKernels();
-        ExpectKernelMatchesScalar(set->euclidean, scalar.euclidean, query,
-                                  pool, set->name, "euclidean");
-        ExpectKernelMatchesScalar(set->manhattan, scalar.manhattan, query,
-                                  pool, set->name, "manhattan");
-        ExpectKernelMatchesScalar(set->chebyshev, scalar.chebyshev, query,
-                                  pool, set->name, "chebyshev");
+        ExpectSetMatchesScalar(*set, query, pool);
       }
     }
   }
@@ -284,13 +276,7 @@ TEST(SimdKernelTest, SubnormalCoordinatesStayBitIdentical) {
   const Point query(std::move(query_coords), 0);
   for (const simd::KernelSet* set : simd::CompiledKernelSets()) {
     if (!simd::CpuSupports(*set)) continue;
-    const auto& scalar = simd::ScalarKernels();
-    ExpectKernelMatchesScalar(set->euclidean, scalar.euclidean, query, pool,
-                              set->name, "euclidean");
-    ExpectKernelMatchesScalar(set->manhattan, scalar.manhattan, query, pool,
-                              set->name, "manhattan");
-    ExpectKernelMatchesScalar(set->chebyshev, scalar.chebyshev, query, pool,
-                              set->name, "chebyshev");
+    ExpectSetMatchesScalar(*set, query, pool);
   }
 }
 
@@ -434,13 +420,13 @@ TEST(SimdKernelTest, TileKernelsOnSubnormalDuplicateAndEmptyInputs) {
   // An empty pool: the kernels and every metric write nothing.
   const CoordinatePool empty(dim);
   for (const simd::KernelSet* set : SupportedSets()) {
-    for (const MetricKernels& kernels : KernelsOf(*set)) {
+    for (size_t m = 0; m < simd::kNormCount; ++m) {
+      const simd::TileKernel tile = set->norm[m].tile;
       double sentinel = -7.0;
-      ScanPoolTile(kernels.tile, queries, empty, 0, &sentinel);
+      ScanPoolTile(tile, queries, empty, 0, &sentinel);
       const double* row = queries[0].coords.data();
-      kernels.tile(&row, 1, nullptr, CoordinatePool::kRowStride, dim, 0, 0,
-                   &sentinel);
-      EXPECT_EQ(sentinel, -7.0) << set->name << "/" << kernels.name;
+      tile(&row, 1, nullptr, CoordinatePool::kRowStride, dim, 0, 0, &sentinel);
+      EXPECT_EQ(sentinel, -7.0) << set->name << "/" << kNormNames[m];
     }
   }
   const ManhattanMetric manhattan;
@@ -568,7 +554,7 @@ TEST(SimdKernelTest, BoundedScansAreExactWithinTheBound) {
       const CoordinatePool pool = CoordinatePool::FromPoints(stored);
       for (size_t m = 0; m < 3; ++m) {
         std::vector<double> exact(n);
-        ScanPool(KernelsOf(simd::ScalarKernels())[m].exact, query, pool,
+        ScanPool(simd::ScalarKernels().norm[m].exact, query, pool,
                  exact.data());
         std::sort(exact.begin(), exact.end());
         const double median = exact[n / 2];
@@ -865,9 +851,10 @@ TEST(CoordinatePoolTest, BulkBuildZeroesEveryLaneItDoesNotFill) {
     for (const Point& p : extra) pool.Append(p);
     const Point query = RandomPoints(1, dim, &rng)[0];
     for (const simd::KernelSet* set : SupportedSets()) {
-      ExpectKernelMatchesScalar(set->euclidean,
-                                simd::ScalarKernels().euclidean, query, pool,
-                                set->name, "euclidean");
+      ExpectKernelMatchesScalar(
+          set->Of(simd::Norm::kEuclidean).exact,
+          simd::ScalarKernels().Of(simd::Norm::kEuclidean).exact, query, pool,
+          set->name, "euclidean");
     }
   }
 }
@@ -1030,26 +1017,28 @@ TEST(CoordinatePoolTest, KernelsMatchDistanceOnMultiBlockPoolWithMidBlockHead) {
         std::vector<double> sorted = want;
         std::sort(sorted.begin(), sorted.end());
         for (const simd::KernelSet* set : SupportedSets()) {
-          const MetricKernels kernels = KernelsOf(*set)[m];
+          const simd::NormKernels& kernels = set->norm[m];
+          const char* name = kNormNames[m];
           std::vector<double> got(n, -1.0);
           ScanPool(kernels.exact, query, pool, got.data());
           EXPECT_EQ(std::memcmp(want.data(), got.data(), n * sizeof(double)),
                     0)
-              << set->name << "/" << kernels.name << " dim=" << dim
+              << set->name << "/" << name << " dim=" << dim
               << " head=" << head;
           for (double bound :
                {0.0, sorted[n / 3], std::numeric_limits<double>::infinity()}) {
             std::fill(got.begin(), got.end(), -1.0);
-            ScanPoolWithin(kernels.within, kernels.cutoff(bound), query, pool,
-                           got.data());
+            ScanPoolWithin(kernels.within,
+                           simd::CutoffOf(static_cast<simd::Norm>(m), bound),
+                           query, pool, got.data());
             for (size_t i = 0; i < n; ++i) {
               if (want[i] <= bound) {
                 ASSERT_EQ(std::memcmp(&want[i], &got[i], sizeof(double)), 0)
-                    << set->name << "/" << kernels.name << " pair " << i
+                    << set->name << "/" << name << " pair " << i
                     << " dim=" << dim << " head=" << head;
               } else {
                 ASSERT_FALSE(got[i] <= bound)
-                    << set->name << "/" << kernels.name << " pair " << i;
+                    << set->name << "/" << name << " pair " << i;
               }
             }
           }
@@ -1090,14 +1079,8 @@ TEST(CoordinatePoolTest, KernelsMatchScalarOnHeadShiftedPoolAtRowEnd) {
     ASSERT_EQ(spans, 1u);
 
     const Point query = RandomPoints(1, dim, &rng)[0];
-    const auto& scalar = simd::ScalarKernels();
     for (const simd::KernelSet* set : SupportedSets()) {
-      ExpectKernelMatchesScalar(set->euclidean, scalar.euclidean, query, pool,
-                                set->name, "euclidean");
-      ExpectKernelMatchesScalar(set->manhattan, scalar.manhattan, query, pool,
-                                set->name, "manhattan");
-      ExpectKernelMatchesScalar(set->chebyshev, scalar.chebyshev, query, pool,
-                                set->name, "chebyshev");
+      ExpectSetMatchesScalar(*set, query, pool);
       // The bounded kernels read no further, whatever they abandon.
       for (size_t m = 0; m < 3; ++m) {
         for (double bound : {0.0, 150.0, 1e300}) {
@@ -1119,7 +1102,6 @@ TEST(CoordinatePoolTest, KernelsMatchScalarOnBulkBuiltPool) {
   // Counts one below a lane multiple (the widest lane over-read), one past
   // a block and ragged multi-block pools.
   Rng rng(27);
-  const auto& scalar = simd::ScalarKernels();
   for (size_t dim : {1u, 3u, 54u}) {
     for (size_t n : {size_t{7}, size_t{9}, size_t{63}, kB + 1, size_t{4095}}) {
       const auto stored = RandomPoints(n, dim, &rng);
@@ -1127,12 +1109,7 @@ TEST(CoordinatePoolTest, KernelsMatchScalarOnBulkBuiltPool) {
       pool.CheckInvariants();
       const Point query = RandomPoints(1, dim, &rng)[0];
       for (const simd::KernelSet* set : SupportedSets()) {
-        ExpectKernelMatchesScalar(set->euclidean, scalar.euclidean, query,
-                                  pool, set->name, "euclidean");
-        ExpectKernelMatchesScalar(set->manhattan, scalar.manhattan, query,
-                                  pool, set->name, "manhattan");
-        ExpectKernelMatchesScalar(set->chebyshev, scalar.chebyshev, query,
-                                  pool, set->name, "chebyshev");
+        ExpectSetMatchesScalar(*set, query, pool);
       }
       const EuclideanMetric euclidean;
       std::vector<double> out(n, -1.0);
@@ -1321,6 +1298,7 @@ TEST(CoordinatePoolTest, TwinEqualsATwinBuiltFromScratchUnderChurn) {
   // the extent is the largest |x - r| of every column since the twin was
   // made; and every span's twin pointer is its first column, readable up
   // to RoundUpToShadowLanes(count) floats, which read 0 past the count.
+  // Every block, doubles and floats alike, starts on kBlockAlign bytes.
   const size_t dim = 512;
   const size_t threshold = CoordinatePool::kTwinMinBytes / (dim * 8) + 1;
   ASSERT_EQ(threshold, 257u);
@@ -1329,6 +1307,7 @@ TEST(CoordinatePoolTest, TwinEqualsATwinBuiltFromScratchUnderChurn) {
   std::deque<Coordinates> mirror;
   std::vector<double> reference;  // empty while the pool keeps no twin
   std::vector<double> extent;
+  size_t head = 0;  // the front block's lane of position 0
   int step = 0;
   const auto cover = [&](const Coordinates& x) {
     for (size_t d = 0; d < dim; ++d) {
@@ -1367,6 +1346,7 @@ TEST(CoordinatePoolTest, TwinEqualsATwinBuiltFromScratchUnderChurn) {
   const auto drop = [&](size_t max_drop) {
     const size_t n = rng.NextBounded(std::min(mirror.size(), max_drop) + 1);
     pool.DropFront(n);
+    head = (head + n) % kB;
     mirror.erase(mirror.begin(), mirror.begin() + static_cast<long>(n));
   };
   const auto assign = [&](size_t n) {
@@ -1375,6 +1355,7 @@ TEST(CoordinatePoolTest, TwinEqualsATwinBuiltFromScratchUnderChurn) {
     std::vector<CoordinatePool::ColumnRef> columns;
     for (const Coordinates& x : next) columns.push_back({x.data(), 1});
     pool.Assign(columns);
+    head = 0;
     mirror.assign(next.begin(), next.end());
     reference.clear();
     if (n >= threshold) make_twin();
@@ -1388,6 +1369,18 @@ TEST(CoordinatePoolTest, TwinEqualsATwinBuiltFromScratchUnderChurn) {
     pool.CheckInvariants();
     ASSERT_EQ(pool.size(), mirror.size());
     ASSERT_EQ(pool.has_twin(), !reference.empty());
+    size_t lane = head;  // of the first span's column; 0 past the front
+    pool.ForEachSpan([&](const CoordinatePool::Span& span) {
+      const auto start = [&](const void* p, size_t bytes) {
+        return (reinterpret_cast<uintptr_t>(p) - lane * bytes) %
+               CoordinatePool::kBlockAlign;
+      };
+      EXPECT_EQ(start(span.data, sizeof(double)), 0u) << "lane " << lane;
+      if (span.twin != nullptr) {
+        EXPECT_EQ(start(span.twin, sizeof(float)), 0u) << "lane " << lane;
+      }
+      lane = 0;
+    });
     if (!pool.has_twin()) return;
     ASSERT_TRUE(std::equal(reference.begin(), reference.end(),
                            pool.twin_reference().begin(),
@@ -1455,6 +1448,7 @@ TEST(CoordinatePoolTest, TwinEqualsATwinBuiltFromScratchUnderChurn) {
   check();
   // ResetDim drops it too.
   pool.ResetDim(dim);
+  head = 0;
   mirror.clear();
   reference.clear();
   check();
