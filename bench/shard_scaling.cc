@@ -45,12 +45,11 @@
 // multi-core runner.
 //
 // After contention, the CROSS-OBJECTIVE scenario: the same keyed stream is
-// replayed into three fleets — default fair-center, default k-median, and a
-// mixed fleet where half the tenants are overridden to k-median before
-// their first arrival — recording per-objective ingest throughput, final
-// objective values, window memory, and full-checkpoint size (the mixed
-// fleet's blob carries the fkc-shards-v3 objective table; the pure
-// fair-center fleet stays byte-compatible v2). Objective values and
+// replayed into one fleet per objective, each answering a final
+// QueryAll(objective) — recording ingest throughput, final objective
+// values, window memory, and full-checkpoint size. The objective is a
+// query argument, so the two fleets hold the same windows and checkpoint
+// the same bytes; only the objective values differ. Objective values and
 // checkpoint bytes are deterministic; the throughputs are wall-clock.
 //
 // Wall-clock throughput is hardware-dependent; the JSON also records the
@@ -131,6 +130,8 @@ struct ShardedRunOptions {
   int64_t batch_size = 64;
   /// A QueryAll fan-out after every this many arrivals (0 = never).
   int64_t query_every = 1024;
+  /// The objective every QueryAll fan-out answers.
+  ObjectiveKind objective = ObjectiveKind::kFairCenter;
   /// Burst arrivals: every `burst_every` arrivals the driver withholds the
   /// next `burst_size` arrivals and delivers them as ONE oversized
   /// IngestBatch call (bypassing `batch_size`), modelling synchronized
@@ -224,7 +225,7 @@ ShardedThroughputReport RunShardedThroughput(
       deliver_burst();  // a query mid-cycle ships the partial burst first
       feeder.Flush();  // answers must reflect every arrival delivered so far
       Stopwatch timer;
-      const auto answers = manager->QueryAll();
+      const auto answers = manager->QueryAll(options.objective);
       report.query_seconds += timer.ElapsedMillis() / 1e3;
       for (const serving::ShardAnswer& answer : answers) {
         FKC_CHECK(answer.solution.ok())
@@ -793,8 +794,8 @@ int main(int argc, char** argv) {
                  "arrivals between key-generation rotations in the "
                  "create-heavy contention entry (0 = skip it)");
   flags.AddString("objective", &objective,
-                  "fleet-default clustering objective of the shard-count "
-                  "sweep: fair-center or k-median");
+                  "objective the shard-count sweep's QueryAll fan-outs "
+                  "answer: fair-center or k-median");
   flags.AddInt64("burst_every", &burst_every,
                  "burst-arrival period of the sweep in arrivals (0 = "
                  "steady batches, no bursts)");
@@ -845,7 +846,6 @@ int main(int argc, char** argv) {
   std::vector<RunResult> results;
   for (int64_t shards = 1; shards <= max_shards; shards *= 2) {
     fkc::serving::ShardManagerOptions options;
-    options.objective = objective_kind.value();
     options.window.window_size = window;
     options.window.delta = delta;
     options.window.adaptive_range = true;
@@ -863,6 +863,7 @@ int main(int argc, char** argv) {
     run_options.stream_length = points;
     run_options.batch_size = batch;
     run_options.query_every = query_every;
+    run_options.objective = objective_kind.value();
     run_options.burst_every = burst_every;
     run_options.burst_size = burst_size;
 
@@ -1032,10 +1033,10 @@ int main(int argc, char** argv) {
     std::printf("#   per shard vs global %.2fx\n", speedup);
   }
 
-  // --- Cross-objective scenario: the same keyed stream into a fair-center
-  // fleet, a k-median fleet, and a mixed fleet (odd tenants overridden to
-  // k-median before their first arrival). Objective values, memory, and
-  // checkpoint bytes are deterministic; updates/s is wall-clock. ---
+  // --- Cross-objective scenario: the same keyed stream into one fleet per
+  // objective, each queried for its own objective at the end. Objective
+  // values, memory, and checkpoint bytes are deterministic; updates/s is
+  // wall-clock. ---
   struct CrossObjectiveResult {
     std::string mode;
     fkc::ShardedThroughputReport report;
@@ -1046,10 +1047,8 @@ int main(int argc, char** argv) {
   };
   std::vector<CrossObjectiveResult> cross_results;
   if (cross_tenants > 0) {
-    auto run_cross = [&](const char* mode, fkc::ObjectiveKind kind,
-                         bool mixed) {
+    auto run_cross = [&](const char* mode, fkc::ObjectiveKind kind) {
       fkc::serving::ShardManagerOptions options;
-      options.objective = kind;
       options.window.window_size = window;
       options.window.delta = delta;
       options.window.adaptive_range = true;
@@ -1060,10 +1059,6 @@ int main(int argc, char** argv) {
       for (int64_t s = 0; s < cross_tenants; ++s) {
         keys.push_back(
             fkc::StrFormat("tenant-%02lld", static_cast<long long>(s)));
-        if (mixed && (s % 2) == 1) {
-          FKC_CHECK_OK(manager.SetTenantObjective(
-              keys.back(), fkc::ObjectiveKind::kKMedian));
-        }
       }
       auto stream = fkc::datasets::MakeStream(prepared.dataset);
       fkc::ShardedRunOptions run_options;
@@ -1076,7 +1071,7 @@ int main(int argc, char** argv) {
       result.mode = mode;
       result.report =
           fkc::RunShardedThroughput(&manager, stream.get(), keys, run_options);
-      for (const auto& answer : manager.QueryAll()) {
+      for (const auto& answer : manager.QueryAll(kind)) {
         if (!answer.solution.ok()) continue;
         result.objective_value_sum += answer.solution.value().value;
         ++result.answered;
@@ -1091,11 +1086,9 @@ int main(int argc, char** argv) {
                 static_cast<long long>(cross_tenants),
                 static_cast<long long>(points));
     cross_results.push_back(
-        run_cross("fair_center", fkc::ObjectiveKind::kFairCenter, false));
+        run_cross("fair_center", fkc::ObjectiveKind::kFairCenter));
     cross_results.push_back(
-        run_cross("k_median", fkc::ObjectiveKind::kKMedian, false));
-    cross_results.push_back(
-        run_cross("mixed", fkc::ObjectiveKind::kFairCenter, true));
+        run_cross("k_median", fkc::ObjectiveKind::kKMedian));
     for (const auto& r : cross_results) {
       std::printf(
           "#   %-12s %10.0f updates/s, value sum %.3f over %lld shards, "

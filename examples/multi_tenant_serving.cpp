@@ -43,6 +43,7 @@
 //
 //   multi_tenant_serving [--tenants=4] [--threads=0]
 //                        [--batch=32] [--window=1000] [--points=12000]
+//                        [--objective=fair-center]
 //                        [--spill_dir=<tmp>] [--replication_log_dir=<tmp>]
 //                        [--replication_only] [--recover_only]
 #include <algorithm>
@@ -113,7 +114,8 @@ bool SameAnswers(const std::vector<fkc::serving::ShardAnswer>& a,
 // log directory the kill left behind — possibly with a torn tail, which
 // recovery truncates back to the last intact capture.
 int RunRecovery(const std::string& log_dir, const fkc::EuclideanMetric& metric,
-                const fkc::JonesFairCenter& jones, int num_threads) {
+                const fkc::JonesFairCenter& jones, int num_threads,
+                fkc::ObjectiveKind objective) {
   fkc::serving::DeltaLog log(log_dir);
   auto opened = log.Open();
   if (!opened.ok()) {
@@ -138,7 +140,7 @@ int RunRecovery(const std::string& log_dir, const fkc::EuclideanMetric& metric,
     return 1;
   }
   std::printf("replayed fleet (%zu shards):\n", replayed.value().shard_count());
-  PrintAnswers(replayed.value().QueryAll());
+  PrintAnswers(replayed.value().QueryAll(objective));
   // Replay is deterministic: a second replay must checkpoint byte-equal.
   auto again = log.Replay(&metric, &jones, num_threads);
   auto first_blob = replayed.value().CheckpointAll();
@@ -162,7 +164,7 @@ int RunReplicationPhase(const std::string& log_dir,
                         const fkc::serving::ShardManagerOptions& options,
                         const std::vector<fkc::Point>& trace,
                         const std::vector<std::string>& keys, int64_t batch,
-                        bool endless) {
+                        fkc::ObjectiveKind objective, bool endless) {
   namespace srv = fkc::serving;
   std::error_code cleanup;
   std::filesystem::remove_all(log_dir, cleanup);  // fresh leader log
@@ -230,7 +232,8 @@ int RunReplicationPhase(const std::string& log_dir,
     return 1;
   }
   const bool recovered_identical =
-      SameAnswers(leader.QueryAll(), recovered.value().QueryAll());
+      SameAnswers(leader.QueryAll(objective),
+                  recovered.value().QueryAll(objective));
   std::printf("fleet recovered from the on-disk log answers %s\n",
               recovered_identical ? "IDENTICALLY" : "DIFFERENTLY (bug!)");
   return recovered_identical ? 0 : 1;
@@ -257,8 +260,8 @@ int main(int argc, char** argv) {
   flags.AddInt64("window", &window, "per-tenant window size");
   flags.AddInt64("points", &points, "total arrivals across all tenants");
   flags.AddString("objective", &objective,
-                  "fleet-default clustering objective: fair-center or "
-                  "k-median (per-tenant overrides still apply)");
+                  "objective every query of the run answers: fair-center "
+                  "or k-median");
   flags.AddString("spill_dir", &spill_dir,
                   "directory for the durable-spill phase (default: a "
                   "fresh ./multi_tenant_spill, removed afterwards)");
@@ -292,9 +295,17 @@ int main(int argc, char** argv) {
   const bool owns_replication_dir = replication_log_dir.empty();
   if (owns_replication_dir) replication_log_dir = "multi_tenant_replog";
 
+  auto parsed_objective = fkc::ParseObjectiveTag(objective);
+  if (!parsed_objective.ok()) {
+    std::fprintf(stderr, "%s\n",
+                 parsed_objective.status().ToString().c_str());
+    return 1;
+  }
+  const fkc::ObjectiveKind kind = parsed_objective.value();
+
   if (recover_only) {
     return RunRecovery(replication_log_dir, metric, jones,
-                       fkc::ResolveThreadCount(threads));
+                       fkc::ResolveThreadCount(threads), kind);
   }
 
   fkc::datasets::PhonesSimOptions data_options;
@@ -305,13 +316,6 @@ int main(int argc, char** argv) {
       fkc::ColorConstraint::Proportional(trace, data_options.ell, 14);
 
   fkc::serving::ShardManagerOptions options;
-  auto objective_kind = fkc::ParseObjectiveTag(objective);
-  if (!objective_kind.ok()) {
-    std::fprintf(stderr, "%s\n",
-                 objective_kind.status().ToString().c_str());
-    return 1;
-  }
-  options.objective = objective_kind.value();
   options.window.window_size = window;
   options.window.delta = 1.0;
   options.window.adaptive_range = true;  // tenant scales unknown a priori
@@ -326,7 +330,8 @@ int main(int argc, char** argv) {
   if (replication_only) {
     // The kill target: leave the log directory behind for --recover_only.
     return RunReplicationPhase(replication_log_dir, metric, jones, constraint,
-                               options, trace, keys, batch, /*endless=*/true);
+                               options, trace, keys, batch, kind,
+                               /*endless=*/true);
   }
 
   // --- 1. One tenant deviates from the fleet template: a quarter-size
@@ -371,7 +376,7 @@ int main(int argc, char** argv) {
   std::printf("fleet after %lld arrivals over %zu tenants (%lld pts stored):\n",
               static_cast<long long>(first_phase), manager.shard_count(),
               static_cast<long long>(manager.TotalMemory().TotalPoints()));
-  const auto before = manager.QueryAll();
+  const auto before = manager.QueryAll(kind);
   PrintAnswers(before);
 
   // --- 3. Kill/restore cycle. ---
@@ -389,7 +394,7 @@ int main(int argc, char** argv) {
                  restored.status().ToString().c_str());
     return 1;
   }
-  auto after = restored.value().QueryAll();
+  auto after = restored.value().QueryAll(kind);
   bool identical = before.size() == after.size();
   for (size_t i = 0; identical && i < before.size(); ++i) {
     identical = before[i].key == after[i].key &&
@@ -416,7 +421,7 @@ int main(int argc, char** argv) {
   pending = {};
   std::printf("\nfleet after %lld more arrivals into the restored manager:\n",
               static_cast<long long>(points - first_phase));
-  PrintAnswers(restored.value().QueryAll());
+  PrintAnswers(restored.value().QueryAll(kind));
 
   // --- 5. Idle-tenant eviction: spill everything idle, then watch the
   // spilled fleet keep answering — QueryAll reads spilled shards
@@ -426,7 +431,8 @@ int main(int argc, char** argv) {
   std::printf("\nEvictIdle(0): spilled %lld of %zu shards (%zu live)\n",
               static_cast<long long>(evicted), leader.shard_count(),
               leader.live_shard_count());
-  PrintAnswers(leader.QueryAll());  // ephemeral: spilled shards stay spilled
+  // Ephemeral: spilled shards stay spilled.
+  PrintAnswers(leader.QueryAll(kind));
   // A targeted Query on a spilled tenant rehydrates it in place (the const
   // accessor never rehydrates, so it doubles as a residency probe).
   const fkc::serving::ShardManager& probe = leader;
@@ -438,7 +444,7 @@ int main(int argc, char** argv) {
     }
   }
   fkc::QueryStats stats;
-  auto touched = leader.Query(spilled_key, &stats);
+  auto touched = leader.Query(spilled_key, &stats, kind);
   std::printf("Query(%s) rehydrated its shard: %zu live, value=%.3f\n",
               spilled_key.c_str(), leader.live_shard_count(),
               touched.ok() ? touched.value().value : -1.0);
@@ -461,8 +467,8 @@ int main(int argc, char** argv) {
                    applied.ToString().c_str());
       return false;
     }
-    const auto leader_answers = leader.QueryAll();
-    const auto follower_answers = follower.value().QueryAll();
+    const auto leader_answers = leader.QueryAll(kind);
+    const auto follower_answers = follower.value().QueryAll(kind);
     bool caught_up = leader_answers.size() == follower_answers.size();
     for (size_t i = 0; caught_up && i < leader_answers.size(); ++i) {
       caught_up = leader_answers[i].key == follower_answers[i].key &&
@@ -561,8 +567,8 @@ int main(int argc, char** argv) {
                  replayed.status().ToString().c_str());
     return 1;
   }
-  const auto durable_answers = durable.QueryAll();
-  const auto replayed_answers = replayed.value().QueryAll();
+  const auto durable_answers = durable.QueryAll(kind);
+  const auto replayed_answers = replayed.value().QueryAll(kind);
   bool replay_identical = durable_answers.size() == replayed_answers.size();
   for (size_t i = 0; replay_identical && i < durable_answers.size(); ++i) {
     replay_identical =
@@ -591,7 +597,7 @@ int main(int argc, char** argv) {
   std::atomic<int64_t> scans{0};
   std::thread dashboard([&] {
     while (!done.load(std::memory_order_relaxed)) {
-      for (const auto& answer : live.QueryAll()) {
+      for (const auto& answer : live.QueryAll(kind)) {
         if (!answer.solution.ok() &&
             answer.solution.status().code() != fkc::StatusCode::kNotFound) {
           std::fprintf(stderr, "dashboard: %s\n",
@@ -645,7 +651,8 @@ int main(int argc, char** argv) {
   // directory. ---
   const int replication_code =
       RunReplicationPhase(replication_log_dir, metric, jones, constraint,
-                          options, trace, keys, batch, /*endless=*/false);
+                          options, trace, keys, batch, kind,
+                          /*endless=*/false);
   if (owns_replication_dir) {
     std::error_code cleanup;  // best-effort
     std::filesystem::remove_all(replication_log_dir, cleanup);

@@ -97,12 +97,12 @@ enum class ObjectiveKind {
   kKMedian = 1,     ///< sliding-window k-median (minimize sum of distances)
 };
 
-/// Stable wire tag of an objective ("fair-center" / "k-median"), used by the
-/// fkc-shards-v3 fleet format and the --objective flags.
+/// Stable tag of an objective ("fair-center" / "k-median"), the value the
+/// --objective flags take.
 const char* ObjectiveTag(ObjectiveKind kind);
 
-/// Inverse of ObjectiveTag. kInvalidArgument on an unknown tag — restore
-/// paths must reject forged tags gracefully, never abort.
+/// Inverse of ObjectiveTag. kInvalidArgument on an unknown tag, never an
+/// abort.
 Result<ObjectiveKind> ParseObjectiveTag(const std::string& tag);
 
 /// An objective-generic clustering answer: the chosen centers plus the

@@ -120,17 +120,4 @@ bool SameCheckpointedOptions(const SlidingWindowOptions& a,
          a.warm_start_new_guesses == b.warm_start_new_guesses;
 }
 
-void WriteObjectiveTag(std::ostringstream* out, ObjectiveKind kind) {
-  *out << ObjectiveTag(kind) << ' ';
-}
-
-Status ReadObjectiveTag(CheckpointReader* reader, ObjectiveKind* out) {
-  std::string tag;
-  FKC_RETURN_IF_ERROR(reader->NextToken(&tag));
-  auto kind = ParseObjectiveTag(tag);
-  if (!kind.ok()) return kind.status();
-  *out = kind.value();
-  return Status::OK();
-}
-
 }  // namespace fkc

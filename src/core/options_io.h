@@ -80,14 +80,6 @@ Status ReadSlidingWindowOptions(CheckpointReader* reader,
 bool SameCheckpointedOptions(const SlidingWindowOptions& a,
                              const SlidingWindowOptions& b);
 
-/// Writes the objective's wire tag ("fair-center" / "k-median") as one
-/// token, used by the fkc-shards-v3 fleet format.
-void WriteObjectiveTag(std::ostringstream* out, ObjectiveKind kind);
-
-/// Reads the token WriteObjectiveTag wrote. kInvalidArgument on an unknown
-/// or forged tag — restore paths reject, never abort.
-Status ReadObjectiveTag(CheckpointReader* reader, ObjectiveKind* out);
-
 }  // namespace fkc
 
 #endif  // FKC_CORE_OPTIONS_IO_H_

@@ -15,17 +15,12 @@ namespace fkc {
 namespace serving {
 namespace {
 
-// Full-fleet formats: v2 is the template, the constraint, the per-tenant
-// override table and the shards; v3 adds the fleet-default objective tag
-// and the per-tenant objective table right after the magic. The retired v1
-// (no override table) is rejected by name. Writers emit v2 / delta-v2 bytes
-// whenever the whole fleet runs default fair-center — byte-identical to
-// pre-objective builds — and switch to v3 as soon as any other objective is
-// involved.
-constexpr const char* kMagicV2 = "fkc-shards-v2";
-constexpr const char* kMagicV3 = "fkc-shards-v3";
+// Fleet formats: a full blob is the template, the constraint, the
+// per-tenant override table and the shards; a delta omits the template.
+// The retired v1 (no override table) is rejected by name, every other
+// magic as a bad one.
+constexpr const char* kMagic = "fkc-shards-v2";
 constexpr const char* kDeltaMagic = "fkc-shards-delta-v2";
-constexpr const char* kDeltaMagicV3 = "fkc-shards-delta-v3";
 
 // Shard keys travel as length-prefixed raw segments in the fleet checkpoint
 // (CheckpointReader::NextRaw); this cap keeps write and read sides agreeing
@@ -37,37 +32,6 @@ constexpr size_t kMaxKeyBytes = 1u << 20;
 // Upper bounds on checkpointed table sizes, rejected before any allocation.
 constexpr int64_t kMaxShards = 1 << 24;
 
-// Reads a "<count> { <raw key> <value> }*" table: the v2 option overrides
-// or the v3 objective overrides (`what` names it in errors). `read_value`
-// validates each value, so unknown tags or bad options reject here, before
-// any window exists.
-template <typename Value, typename ReadValue>
-Status ReadKeyedTable(CheckpointReader* cursor, const char* what,
-                      ReadValue read_value,
-                      std::map<std::string, Value>* out) {
-  int64_t count = 0;
-  FKC_RETURN_IF_ERROR(cursor->NextInt(&count));
-  // Every entry occupies well over one byte, so the remaining blob length
-  // bounds any honest count.
-  if (count < 0 || count > kMaxShards ||
-      static_cast<size_t>(count) > cursor->Remaining()) {
-    return Status::InvalidArgument(std::string("implausible ") + what +
-                                   " count in checkpoint");
-  }
-  out->clear();
-  for (int64_t i = 0; i < count; ++i) {
-    std::string key;
-    Value value{};
-    FKC_RETURN_IF_ERROR(cursor->NextRaw(&key, kMaxKeyBytes));
-    FKC_RETURN_IF_ERROR(read_value(cursor, &value));
-    if (!out->emplace(std::move(key), std::move(value)).second) {
-      return Status::InvalidArgument(std::string("duplicate ") + what +
-                                     " key in checkpoint");
-    }
-  }
-  return Status::OK();
-}
-
 void WriteOverrides(std::ostringstream* out,
                     const std::map<std::string, SlidingWindowOptions>& map) {
   *out << map.size() << ' ';
@@ -77,47 +41,32 @@ void WriteOverrides(std::ostringstream* out,
   }
 }
 
-void WriteObjectiveOverrides(std::ostringstream* out,
-                             const std::map<std::string, ObjectiveKind>& map) {
-  *out << map.size() << ' ';
-  for (const auto& [key, kind] : map) {
-    WriteCheckpointRaw(out, key);
-    WriteObjectiveTag(out, kind);
-  }
-}
-
 // Everything a fleet blob carries ahead of its shard segments.
 struct FleetHeader {
   bool delta = false;
-  /// v2 blobs predate the objective layer: all-fair-center.
-  ObjectiveKind objective = ObjectiveKind::kFairCenter;
   SlidingWindowOptions window;  ///< the shard template (full blobs only)
   std::vector<int> caps;
   std::map<std::string, SlidingWindowOptions> overrides;
-  std::map<std::string, ObjectiveKind> objectives;
   int64_t shard_count = 0;
 };
 
-// Reads a full (v2/v3) or delta (v2/v3) fleet header, up to and
-// including the plausibility-checked shard count.
+// Reads a full or delta fleet header, up to and including the
+// plausibility-checked shard count.
 Status ReadFleetHeader(CheckpointReader* cursor, bool delta,
                        FleetHeader* header) {
   const char* what = delta ? "delta" : "checkpoint";
   header->delta = delta;
   std::string magic;
   FKC_RETURN_IF_ERROR(cursor->NextToken(&magic));
-  const bool v3 = magic == (delta ? kDeltaMagicV3 : kMagicV3);
-  const bool v2 = magic == (delta ? kDeltaMagic : kMagicV2);
   if (!delta && magic == "fkc-shards-v1") {
     return Status::InvalidArgument(
         "fkc-shards-v1 is a retired format; re-checkpoint with a build that "
         "reads it");
   }
-  if (!v3 && !v2) {
+  if (magic != (delta ? kDeltaMagic : kMagic)) {
     return Status::InvalidArgument(std::string("not an fkc shard ") + what +
                                    " (bad magic '" + magic + "')");
   }
-  if (v3) FKC_RETURN_IF_ERROR(ReadObjectiveTag(cursor, &header->objective));
   // ReadSlidingWindowOptions validates what it parses (window size, delta,
   // beta, variant, slack exponents, range bounds): a corrupted or
   // adversarial blob must fail here, not abort in a constructor CHECK.
@@ -125,17 +74,24 @@ Status ReadFleetHeader(CheckpointReader* cursor, bool delta,
     FKC_RETURN_IF_ERROR(ReadSlidingWindowOptions(cursor, &header->window));
   }
   FKC_RETURN_IF_ERROR(ReadColorCaps(cursor, &header->caps));
-  FKC_RETURN_IF_ERROR(ReadKeyedTable(
-      cursor, "override",
-      [](CheckpointReader* in, SlidingWindowOptions* options) {
-        FKC_RETURN_IF_ERROR(ReadSlidingWindowOptions(in, options));
-        options->num_threads = 1;
-        return Status::OK();
-      },
-      &header->overrides));
-  if (v3) {
-    FKC_RETURN_IF_ERROR(ReadKeyedTable(cursor, "objective-override",
-                                       ReadObjectiveTag, &header->objectives));
+  // The override table: "<count> { <raw key> <options> }*". Every entry
+  // occupies well over one byte, so the remaining blob length bounds any
+  // honest count.
+  int64_t overrides = 0;
+  FKC_RETURN_IF_ERROR(cursor->NextInt(&overrides));
+  if (overrides < 0 || overrides > kMaxShards ||
+      static_cast<size_t>(overrides) > cursor->Remaining()) {
+    return Status::InvalidArgument("implausible override count in checkpoint");
+  }
+  for (int64_t i = 0; i < overrides; ++i) {
+    std::string key;
+    SlidingWindowOptions options;
+    FKC_RETURN_IF_ERROR(cursor->NextRaw(&key, kMaxKeyBytes));
+    FKC_RETURN_IF_ERROR(ReadSlidingWindowOptions(cursor, &options));
+    options.num_threads = 1;
+    if (!header->overrides.emplace(std::move(key), options).second) {
+      return Status::InvalidArgument("duplicate override key in checkpoint");
+    }
   }
   FKC_RETURN_IF_ERROR(cursor->NextInt(&header->shard_count));
   if (header->shard_count < 0 || header->shard_count > kMaxShards ||
@@ -150,7 +106,6 @@ Status ReadFleetHeader(CheckpointReader* cursor, bool delta,
 struct FleetShard {
   std::string key;
   std::unique_ptr<FairCenterSlidingWindow> window;
-  ObjectiveKind kind = ObjectiveKind::kFairCenter;  ///< from the header
 };
 
 // Reads the next shard segment after `header`: the raw key, the
@@ -181,9 +136,6 @@ Status ReadFleetShard(CheckpointReader* cursor, const FleetHeader& header,
   }
   shard->window =
       std::make_unique<FairCenterSlidingWindow>(std::move(window).value());
-  auto kind = header.objectives.find(shard->key);
-  shard->kind =
-      kind == header.objectives.end() ? header.objective : kind->second;
   return Status::OK();
 }
 
@@ -358,12 +310,6 @@ SlidingWindowOptions ShardManager::OptionsForKey(const std::string& key) const {
   return options;
 }
 
-ObjectiveKind ShardManager::ObjectiveForKey(const std::string& key) const {
-  auto it = routing_->objective_overrides.find(key);
-  return it == routing_->objective_overrides.end() ? options_.objective
-                                                   : it->second;
-}
-
 ShardManager::Shard* ShardManager::RouteLocked(const std::string& key,
                                                bool create_missing,
                                                int64_t touch) {
@@ -371,7 +317,6 @@ ShardManager::Shard* ShardManager::RouteLocked(const std::string& key,
   if (it == routing_->shards.end()) {
     if (!create_missing) return nullptr;
     it = routing_->shards.try_emplace(key).first;
-    it->second.kind = ObjectiveForKey(key);
     it->second.live = std::make_unique<FairCenterSlidingWindow>(
         OptionsForKey(key), constraint_, metric_, solver_);
     live_count_.fetch_add(1, std::memory_order_relaxed);
@@ -451,11 +396,10 @@ Status ShardManager::EnsureLiveHeld(const std::string& key, Shard* shard) {
   return Status::OK();
 }
 
-bool ShardManager::InstallLocked(const std::string& key, Shard* shard,
-                                 std::unique_ptr<FairCenterSlidingWindow> window,
-                                 ObjectiveKind kind) {
+bool ShardManager::InstallLocked(
+    const std::string& key, Shard* shard,
+    std::unique_ptr<FairCenterSlidingWindow> window) {
   const bool was_live = shard->live != nullptr;
-  shard->kind = kind;
   shard->live = std::move(window);
   shard->dim = shard->live->dimension();
   // The shard now matches a fleet blob's state exactly.
@@ -596,11 +540,10 @@ Status ShardManager::EnforceLiveCap(const std::string* exclude) {
 }
 
 std::vector<ShardManager::PinnedShard> ShardManager::PinFleet(
-    std::map<std::string, SlidingWindowOptions>* overrides_out,
-    std::map<std::string, ObjectiveKind>* objectives_out) {
+    std::map<std::string, SlidingWindowOptions>* overrides_out) {
   // One hold, so the snapshot is a consistent cut of the routing state:
   // every shard that existed before the call is pinned, and the override
-  // tables travel with exactly that shard set. The map iterates in
+  // table travels with exactly that shard set. The map iterates in
   // ascending key order, which checkpoint byte-equality rests on.
   std::lock_guard<std::shared_mutex> map_lock(routing_->mu);
   std::vector<PinnedShard> pinned;
@@ -610,9 +553,6 @@ std::vector<ShardManager::PinnedShard> ShardManager::PinFleet(
     pinned.push_back(PinnedShard{&key, &shard});
   }
   if (overrides_out != nullptr) *overrides_out = routing_->overrides;
-  if (objectives_out != nullptr) {
-    *objectives_out = routing_->objective_overrides;
-  }
   return pinned;
 }
 
@@ -781,38 +721,17 @@ const SlidingWindowOptions* ShardManager::TenantOptions(
   return it == routing_->overrides.end() ? nullptr : &it->second;
 }
 
-Status ShardManager::SetTenantObjective(const std::string& key,
-                                        ObjectiveKind objective) {
-  std::lock_guard<std::shared_mutex> map_lock(routing_->mu);
-  FKC_RETURN_IF_ERROR(ValidateKey(key));
-  if (routing_->shards.count(key) != 0) {
-    return Status::FailedPrecondition("shard '" + key +
-                                      "' already exists; its objective is "
-                                      "fixed at creation");
-  }
-  if (objective == options_.objective) {
-    routing_->objective_overrides.erase(key);  // same as the default
-  } else {
-    routing_->objective_overrides[key] = objective;
-  }
-  return Status::OK();
-}
-
-ObjectiveKind ShardManager::TenantObjective(const std::string& key) const {
-  std::shared_lock<std::shared_mutex> map_lock(routing_->mu);
-  return ObjectiveForKey(key);
-}
-
 Result<ObjectiveSolution> ShardManager::Query(const std::string& key,
-                                              QueryStats* stats) {
+                                              QueryStats* stats,
+                                              ObjectiveKind objective) {
   Result<ObjectiveSolution> answer = ObjectiveSolution{};
   FKC_RETURN_IF_ERROR(TouchLiveShard(key, [&](Shard& shard) {
-    answer = shard.live->Query(shard.kind, stats);
+    answer = shard.live->Query(objective, stats);
   }));
   return answer;
 }
 
-std::vector<ShardAnswer> ShardManager::QueryAll() {
+std::vector<ShardAnswer> ShardManager::QueryAll(ObjectiveKind objective) {
   // Epoch snapshot: pin the current shard set under one map-lock hold,
   // then answer shard by shard under per-shard locks only —
   // ingest to unrelated shards proceeds throughout the round.
@@ -831,24 +750,19 @@ std::vector<ShardAnswer> ShardManager::QueryAll() {
     Shard* shard = pinned[i].shard;
     std::unique_lock<std::mutex> shard_lock(shard->mu);
     if (shard->live != nullptr) {
-      answers[i].solution =
-          shard->live->Query(shard->kind, &answers[i].stats);
+      answers[i].solution = shard->live->Query(objective, &answers[i].stats);
       return;
     }
     // The load happens under the shard lock (a concurrent rehydration
     // commits and erases the entry under the same lock); the query runs
-    // outside every manager lock. The shard's objective is captured beside
-    // the window: ApplyDelta, the only post-creation writer of `kind`,
-    // swaps it under this same shard lock.
-    const ObjectiveKind objective = shard->kind;
+    // outside every manager lock.
     auto window = LoadSpilled(answers[i].key, *shard);
     shard_lock.unlock();
     if (!window.ok()) {
       answers[i].solution = window.status();
       return;
     }
-    answers[i].solution =
-        window.value().Query(objective, &answers[i].stats);
+    answers[i].solution = window.value().Query(objective, &answers[i].stats);
   });
   return answers;
 }
@@ -884,29 +798,16 @@ int64_t ShardManager::EvictIdle(int64_t idle_ttl, Status* spill_status) {
 }
 
 Result<std::string> ShardManager::CheckpointSnapshot(bool dirty_only) {
-  // Pin set and override tables under ONE map-lock hold, so the tables
-  // travel with the shard set they were snapshotted beside. Both iterate
+  // Pin set and override table under ONE map-lock hold, so the table
+  // travels with the shard set it was snapshotted beside. Both iterate
   // in ascending key order, as a serially built fleet's do — the
   // byte-equality contract under concurrent building.
   std::map<std::string, SlidingWindowOptions> overrides;
-  std::map<std::string, ObjectiveKind> objectives;
-  std::vector<PinnedShard> pinned = PinFleet(&overrides, &objectives);
+  std::vector<PinnedShard> pinned = PinFleet(&overrides);
   FleetPin unpin(this, &pinned);
 
-  // Format choice: a fleet whose every tenant runs the default fair-center
-  // objective serializes as v2 — byte-identical to pre-objective builds —
-  // and switches to v3 (magic, then the default tag, then the objective
-  // table after the option overrides) as soon as any other objective is
-  // configured, fleet-wide or per tenant.
-  const bool mixed = options_.objective != ObjectiveKind::kFairCenter ||
-                     !objectives.empty();
   std::ostringstream out;
-  if (mixed) {
-    out << (dirty_only ? kDeltaMagicV3 : kMagicV3) << ' ';
-    WriteObjectiveTag(&out, options_.objective);
-  } else {
-    out << (dirty_only ? kDeltaMagic : kMagicV2) << ' ';
-  }
+  out << (dirty_only ? kDeltaMagic : kMagic) << ' ';
   if (!dirty_only) {
     // The window template (needed to spawn shards for keys first seen
     // after a restore). num_threads, max_live_shards, and the spill store
@@ -916,7 +817,6 @@ Result<std::string> ShardManager::CheckpointSnapshot(bool dirty_only) {
   }
   WriteColorCaps(&out, constraint_);
   WriteOverrides(&out, overrides);
-  if (mixed) WriteObjectiveOverrides(&out, objectives);
 
   // Every captured shard: length-prefixed key, length-prefixed core
   // checkpoint, taken one shard lock at a time. A spilled shard's state is
@@ -998,10 +898,6 @@ Status ShardManager::ApplyDelta(const std::string& bytes) {
   CheckpointReader cursor(bytes);
   FleetHeader header;
   FKC_RETURN_IF_ERROR(ReadFleetHeader(&cursor, /*delta=*/true, &header));
-  if (header.objective != options_.objective) {
-    return Status::InvalidArgument(
-        "delta fleet objective does not match this manager's");
-  }
   if (header.caps != constraint_.caps()) {
     return Status::InvalidArgument(
         "delta constraint does not match this manager's");
@@ -1018,15 +914,13 @@ Status ShardManager::ApplyDelta(const std::string& bytes) {
   }
 
   {
-    // Replace the override tables (options AND objectives) as one unit.
     std::lock_guard<std::shared_mutex> map_lock(routing_->mu);
     routing_->overrides = std::move(header.overrides);
-    routing_->objective_overrides = std::move(header.objectives);
   }
   // Swap each staged shard in under its own lock: per-shard atomicity (a
   // concurrent QueryAll may see a partially applied delta, never a torn
   // shard), and ingest to untouched tenants proceeds throughout.
-  for (auto& [key, window, kind] : staged) {
+  for (auto& [key, window] : staged) {
     Shard* shard = nullptr;
     {
       std::lock_guard<std::shared_mutex> map_lock(routing_->mu);
@@ -1036,7 +930,7 @@ Status ShardManager::ApplyDelta(const std::string& bytes) {
         // under the map lock (nobody can hold its shard lock yet). A
         // visible entry without a window or a spill entry would read as a
         // spilled shard whose rehydration fails.
-        InstallLocked(it->first, &it->second, std::move(window), kind);
+        InstallLocked(it->first, &it->second, std::move(window));
         continue;
       }
       shard = &it->second;
@@ -1046,9 +940,7 @@ Status ShardManager::ApplyDelta(const std::string& bytes) {
     bool was_live;
     {
       std::lock_guard<std::shared_mutex> map_lock(routing_->mu);
-      // An objective change for an existing tenant arrives only this way,
-      // as a whole replacement state, never as a live mutation.
-      was_live = InstallLocked(key, shard, std::move(window), kind);
+      was_live = InstallLocked(key, shard, std::move(window));
       --shard->pins;
     }
     if (!was_live) {
@@ -1074,7 +966,6 @@ Result<ShardManager> ShardManager::Restore(
   options.num_threads = num_threads;
   options.max_live_shards = max_live_shards;
   options.spill_store = std::move(spill_store);
-  options.objective = header.objective;
   options.window = header.window;
 
   ShardManager manager(options, ColorConstraint(header.caps), metric, solver);
@@ -1087,12 +978,10 @@ Result<ShardManager> ShardManager::Restore(
                                        &seen_keys, &segment));
     {
       std::lock_guard<std::shared_mutex> map_lock(routing.mu);
-      // The key is new: ReadFleetShard rejects repeats. The checkpoint's
-      // own table (default tag + overrides) assigns the objective; v2
-      // tables are implicitly all-fair-center.
+      // The key is new: ReadFleetShard rejects repeats.
       const auto pos = routing.shards.try_emplace(std::move(segment.key)).first;
       manager.InstallLocked(pos->first, &pos->second,
-                            std::move(segment.window), segment.kind);
+                            std::move(segment.window));
     }
     // Enforce the cap as shards stream in, not after: a fleet far larger
     // than max_live_shards must never be fully resident at once — that is
@@ -1103,10 +992,8 @@ Result<ShardManager> ShardManager::Restore(
     FKC_RETURN_IF_ERROR(manager.EnforceLiveCap(nullptr));
   }
   // The manager is not published to any other thread until Restore
-  // returns, so its override tables are filled directly — after the shard
-  // segments, whose objectives ReadFleetShard looks up in `header`.
+  // returns, so its override table is filled directly.
   routing.overrides = std::move(header.overrides);
-  routing.objective_overrides = std::move(header.objectives);
   return manager;
 }
 

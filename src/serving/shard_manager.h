@@ -7,17 +7,11 @@
 // the pool with bit-identical per-shard results at any thread count — the
 // same determinism contract as the core engine.
 //
-// The OBJECTIVE LAYER: a window's state does not depend on the objective it
-// answers for, so the objective is a query-time choice recorded beside the
-// window (Shard::kind), and one fleet can host mixed-objective tenants —
-// fair-center dashboards beside k-median tenants on the same streams. The
-// fleet default objective lives in ShardManagerOptions; per-tenant
-// deviations are registered with SetTenantObjective before the tenant's
-// first arrival, exactly like option overrides. The spill / delta /
-// replication paths are untouched by the objective: every shard blob is a
-// plain window blob (fkc-checkpoint-v2), and the fleet format's v3
-// objective tables are the only record of which objective a tenant answers
-// for.
+// The OBJECTIVE is a query argument, not fleet state: a window's state does
+// not depend on the objective it answers for, so Query and QueryAll take
+// it per call (fair-center by default) and one shard answers a fair-center
+// dashboard and a k-median query alike. Nothing the manager stores or
+// checkpoints names an objective.
 //
 // Multi-tenant hardening on top of the basic routing:
 //   * per-tenant options: a tenant key may carry its own SlidingWindowOptions
@@ -34,12 +28,8 @@
 //     ingest, cleared on checkpoint); CheckpointDelta() serializes only the
 //     dirty shards and ApplyDelta() folds such a delta into a fleet restored
 //     from the matching base — steady-state fleets ship deltas, not the
-//     whole blob. Full checkpoints use the fkc-shards-v2 format when every
-//     tenant runs the default fair-center objective (so pure fair-center
-//     fleets stay byte-identical to pre-objective builds) and fkc-shards-v3
-//     — v2 plus the objective tag and per-tenant objective table — as soon
-//     as any other objective is involved; Restore accepts v2/v3 blobs
-//     (v2 restores unchanged, as all-fair-center). DeltaLog
+//     whole blob. Full checkpoints are fkc-shards-v2 and deltas
+//     fkc-shards-delta-v2; every other fleet format is refused. DeltaLog
 //     (serving/delta_log.h) turns the delta stream into a replayable,
 //     self-compacting log, held in memory or, given a directory, also
 //     published crash-safely to disk.
@@ -51,8 +41,8 @@
 // Concurrency model (one map lock + per-shard locks). The manager
 // serializes nothing behind one big mutex; instead:
 //
-//   * One ROUTING STATE holds the shard map, the per-tenant override
-//     tables (options and objectives), the LRU index of live shards, and
+//   * One ROUTING STATE holds the shard map, the per-tenant option
+//     overrides, the LRU index of live shards, and
 //     the shards' pin counts, all guarded by one reader-writer lock (the
 //     MAP LOCK, a std::shared_mutex). It is held only for map lookups and
 //     bookkeeping mutations (plus shard construction), never across a
@@ -68,7 +58,7 @@
 //   * Fleet-wide reads (QueryAll, CheckpointAll, CheckpointDelta) take
 //     EPOCH-SNAPSHOT semantics: one map-lock hold collects the key-ordered
 //     shard set, pins it against eviction via a per-shard refcount (and,
-//     for checkpoints, copies the override tables beside it), then shards
+//     for checkpoints, copies the override table beside it), then shards
 //     are visited one at a time under their own locks. The hold covers
 //     bookkeeping only, so it is brief; the fleet scan itself blocks ingest
 //     to one shard at a time, never the fleet. Shards and overrides are
@@ -146,13 +136,6 @@ struct ShardManagerOptions {
   /// parallelism lives at the manager level (one pool fanned across
   /// shards), never nested inside a shard.
   SlidingWindowOptions window;
-
-  /// Fleet-default clustering objective applied when a shard is created
-  /// (per-tenant deviations via SetTenantObjective). Checkpointed: a
-  /// non-default value (or any per-tenant objective override) switches the
-  /// fleet blob to the fkc-shards-v3 format; all-fair-center fleets keep
-  /// emitting v2 bytes, byte-identical to pre-objective builds.
-  ObjectiveKind objective = ObjectiveKind::kFairCenter;
 
   /// Worker threads of the shared pool multiplexing ingest and queries over
   /// the shards. 1 = fully sequential; 0 = hardware concurrency. An
@@ -238,9 +221,9 @@ struct MaintenanceStats {
   int64_t checkpoint_failures = 0;
 };
 
-/// Per-shard answer of a fan-out query. `solution.value` is the shard's
-/// objective value — covering radius for fair-center tenants, sum-of-
-/// distances cost for k-median tenants (see ObjectiveSolution).
+/// Per-shard answer of a fan-out query. `solution.value` is the value of
+/// the queried objective — covering radius for fair-center, sum-of-
+/// distances cost for k-median (see ObjectiveSolution).
 struct ShardAnswer {
   std::string key;
   Result<ObjectiveSolution> solution = ObjectiveSolution{};
@@ -328,27 +311,17 @@ class ShardManager {
   /// while no such call can interleave.
   const SlidingWindowOptions* TenantOptions(const std::string& key) const;
 
-  /// Registers the clustering objective `key`'s shard will optimize,
-  /// overriding the fleet default. Same lifecycle contract as
-  /// SetTenantOptions: must precede the tenant's first arrival
-  /// (kFailedPrecondition once the shard exists — a shard's objective is
-  /// fixed at creation), and a registration equal to the fleet default is
-  /// not stored. Objective overrides travel in v3 fleet checkpoints.
-  Status SetTenantObjective(const std::string& key, ObjectiveKind objective);
+  /// Queries one shard for `objective`, transparently rehydrating it if
+  /// spilled. Fails with kNotFound for an unknown key. Holds only `key`'s
+  /// shard lock during the query pipeline — concurrent ingest to other
+  /// tenants proceeds. The solution's `value` is the objective's value
+  /// (radius or k-median cost).
+  Result<ObjectiveSolution> Query(
+      const std::string& key, QueryStats* stats = nullptr,
+      ObjectiveKind objective = ObjectiveKind::kFairCenter);
 
-  /// The objective `key`'s shard runs (or would run when created):
-  /// the registered override, else the fleet default.
-  ObjectiveKind TenantObjective(const std::string& key) const;
-
-  /// Queries one shard, transparently rehydrating it if spilled. Fails with
-  /// kNotFound for an unknown key. Holds only `key`'s shard lock during
-  /// the query pipeline — concurrent ingest to other tenants proceeds.
-  /// The solution's `value` is the shard's objective value (radius or
-  /// k-median cost).
-  Result<ObjectiveSolution> Query(const std::string& key,
-                                  QueryStats* stats = nullptr);
-
-  /// Queries every shard — live and spilled — multiplexed over the pool
+  /// Queries every shard — live and spilled — for `objective`, multiplexed
+  /// over the pool
   /// (each shard's query pipeline runs sequentially inside its task).
   /// An epoch snapshot: the shard set is collected (and pinned against
   /// eviction) under the map lock, then each shard is visited under
@@ -361,7 +334,8 @@ class ShardManager {
   /// through the same checks as a rehydration, and one whose blob fails to
   /// load (a backend error, a corrupt blob, a foreign constraint or
   /// dimension) answers with that error.
-  std::vector<ShardAnswer> QueryAll();
+  std::vector<ShardAnswer> QueryAll(
+      ObjectiveKind objective = ObjectiveKind::kFairCenter);
 
   /// Spills every live shard whose last touch is more than `idle_ttl`
   /// ticks ago, where the manager clock ticks once per ingested arrival
@@ -378,12 +352,10 @@ class ShardManager {
   /// error is reported through `spill_status` when provided.
   int64_t EvictIdle(int64_t idle_ttl, Status* spill_status = nullptr);
 
-  /// Serializes the fleet — template, constraint, tenant overrides (options
-  /// and, in v3, objectives), and every shard (live or spilled) — into one
-  /// self-describing blob, and marks every shard clean. The format is v2
-  /// when the whole fleet is default fair-center (byte-identical to
-  /// pre-objective builds) and v3 otherwise. An epoch snapshot like
-  /// QueryAll: the shard
+  /// Serializes the fleet — template, constraint, tenant option overrides,
+  /// and every shard (live or spilled) — into one self-describing
+  /// fkc-shards-v2 blob, and marks every shard clean. An epoch snapshot
+  /// like QueryAll: the shard
   /// set (and override table) is pinned under one map-lock hold, then
   /// serialized one shard lock at a time in ascending key order, so the
   /// bytes do not depend on how concurrent callers interleaved; shards
@@ -404,20 +376,19 @@ class ShardManager {
   /// Epoch-snapshot semantics identical to CheckpointAll.
   Result<std::string> CheckpointDelta();
 
-  /// Folds a CheckpointDelta blob into this manager: replaces the override
-  /// tables and upserts every contained shard as live-and-clean. Validates
-  /// everything before mutating anything — on a non-OK return the manager
-  /// is unchanged. The delta's constraint and fleet-default objective must
-  /// match this manager's (forged tags reject); every contained shard takes
-  /// the objective the delta's table assigns it.
+  /// Folds a CheckpointDelta blob (fkc-shards-delta-v2) into this manager:
+  /// replaces the override table and upserts every contained shard as
+  /// live-and-clean. Validates everything before mutating anything — on a
+  /// non-OK return the manager is unchanged. The delta's constraint must
+  /// match this manager's; any other magic fails with kInvalidArgument.
   /// Shards are swapped in one at a time under their own locks; a
   /// concurrent QueryAll may observe a partially applied delta (per-shard
   /// atomicity), never a torn shard.
   Status ApplyDelta(const std::string& bytes);
 
-  /// Reconstructs a manager from CheckpointAll output — v3 or v2 (v2
-  /// restores as all-fair-center, unchanged). The retired fkc-shards-v1 and
-  /// fleets of fkc-checkpoint-v1 window blobs fail with kInvalidArgument.
+  /// Reconstructs a manager from CheckpointAll output (fkc-shards-v2). Any
+  /// other magic, the retired fleet formats included, and fleets of
+  /// fkc-checkpoint-v1 window blobs fail with kInvalidArgument.
   /// The restored fleet answers every query identically and
   /// behaves identically under any future ingest sequence. Every shard is
   /// deserialized and installed live, and the live-shard cap is enforced
@@ -558,8 +529,7 @@ class ShardManager {
   ///   * `mu` (the per-shard lock) guards the contents of `live` (every
   ///     Update/Query/SerializeState call), `spill_dirty`, and
   ///     `clean_epoch`.
-  ///   * The map lock (exclusive) guards `pins`, `last_touch`, `dim`, and
-  ///     `kind`.
+  ///   * The map lock (exclusive) guards `pins`, `last_touch`, and `dim`.
   ///   * The `live` POINTER itself (residency) changes only with BOTH the
   ///     map lock and `mu` held, so either lock suffices to read it.
   struct Shard {
@@ -568,10 +538,6 @@ class ShardManager {
     /// fleet accessors can lock shards they only read.
     mutable std::mutex mu;
     std::unique_ptr<FairCenterSlidingWindow> live;  ///< null when spilled
-    /// The objective this shard's queries answer for. Fixed when the entry
-    /// is created or restored (the fleet's objective table); ApplyDelta may
-    /// replace it together with the whole window.
-    ObjectiveKind kind = ObjectiveKind::kFairCenter;
     bool spill_dirty = false;  ///< spilled state not yet in a fleet blob
     /// Live shards: state_epoch() at the last fleet checkpoint;
     /// kNeverCheckpointed marks dirty-since-birth (or since a dirty spill
@@ -599,9 +565,6 @@ class ShardManager {
     std::map<std::string, Shard> shards;
     /// Per-tenant option overrides.
     std::map<std::string, SlidingWindowOptions> overrides;
-    /// Per-tenant objective overrides (tenants deviating from
-    /// options_.objective).
-    std::map<std::string, ObjectiveKind> objective_overrides;
     /// (last_touch, key) of the live shards: begin() is the LRU victim,
     /// least recently touched with ties broken by smaller key.
     std::set<std::pair<int64_t, std::string>> live_lru;
@@ -630,9 +593,6 @@ class ShardManager {
   /// Template or override for `key`, num_threads forced to 1. Requires the
   /// map lock.
   SlidingWindowOptions OptionsForKey(const std::string& key) const;
-  /// Fleet default or registered objective override for `key`. Requires
-  /// the map lock (shared suffices).
-  ObjectiveKind ObjectiveForKey(const std::string& key) const;
   /// Routing step of every single-shard operation. Requires the map lock
   /// (exclusive): finds `key`'s entry (creating a live one when
   /// `create_missing`), and refreshes its last_touch to `touch`. Returns
@@ -651,12 +611,11 @@ class ShardManager {
   /// internally. On success the shard is live.
   Status EnsureLiveHeld(const std::string& key, Shard* shard);
   /// Makes `window` the live, checkpoint-clean state of `key`'s entry,
-  /// answering for `kind` and touched at the current clock (Restore and
-  /// ApplyDelta). Requires the map lock, and the shard's `mu` once the
-  /// entry is visible to other threads. Returns whether it was live.
+  /// touched at the current clock (Restore and ApplyDelta). Requires the
+  /// map lock, and the shard's `mu` once the entry is visible to other
+  /// threads. Returns whether it was live.
   bool InstallLocked(const std::string& key, Shard* shard,
-                     std::unique_ptr<FairCenterSlidingWindow> window,
-                     ObjectiveKind kind);
+                     std::unique_ptr<FairCenterSlidingWindow> window);
   /// The single-key touch behind Query and shard(): routes `key` without
   /// creating it (kNotFound), pins it, rehydrates it under its lock and
   /// runs fn(shard) there, then unpins and enforces the live cap sparing
@@ -680,13 +639,11 @@ class ShardManager {
   /// enforcement). Caller must hold NO manager lock.
   Status EnforceLiveCap(const std::string* exclude);
   /// Pins every current shard entry under one map-lock hold and returns
-  /// the snapshot in ascending key order. When `overrides_out` /
-  /// `objectives_out` are non-null, the override tables are copied out
-  /// under the same hold, so they travel with the exact shard set they
-  /// were snapshotted beside.
+  /// the snapshot in ascending key order. When `overrides_out` is non-null,
+  /// the override table is copied out under the same hold, so it travels
+  /// with the exact shard set it was snapshotted beside.
   std::vector<PinnedShard> PinFleet(
-      std::map<std::string, SlidingWindowOptions>* overrides_out = nullptr,
-      std::map<std::string, ObjectiveKind>* objectives_out = nullptr);
+      std::map<std::string, SlidingWindowOptions>* overrides_out = nullptr);
   void UnpinFleet(const std::vector<PinnedShard>& pinned);
   /// Every shard entry, collected under the map lock (shared) for the
   /// gauges that then read each shard under its own lock. Entries are

@@ -1,14 +1,13 @@
 // Objective-layer contract: the objective is a query-time solver choice on
-// one window class. A window's state (and so its checkpoint) is the same
-// whichever objective it answers for; a k-median answer is the local search
-// on the planned coreset. Fair-center fleets keep emitting byte-identical
-// fkc-shards-v2 checkpoints (pre-objective builds restore them); mixed
-// fleets round-trip through fkc-shards-v3 byte-equal;
-// spilled shards answer like live ones under either objective; forged
-// objective tags and foreign shard blobs are rejected with a Status, never
-// an abort; SetTenantObjective is creation-time-only; and the deterministic
-// k-median local search honors its contract (medoids are input points, cost
-// never above the Gonzalez seed, bit-identical reruns).
+// one window class, and a query argument of the serving layer. A window's
+// state (and so its checkpoint) is the same whichever objective it answers
+// for, so fleets keep emitting fkc-shards-v2 blobs; a k-median answer is
+// the local search on the planned coreset; the manager answers exactly
+// what the shard's window answers; spilled shards answer like live ones
+// under either objective; forged objective tags and foreign shard blobs
+// are rejected with a Status, never an abort; and the deterministic
+// k-median local search honors its contract (medoids are input points,
+// cost never above the Gonzalez seed, bit-identical reruns).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -200,15 +199,14 @@ TEST(KMedianQueryTest, AnswerIsLocalSearchOnThePlannedCoreset) {
   }
 }
 
-// --- Fleet formats: v2 byte-compat for pure fair-center, v3 round-trips
-// for mixed fleets. ---
+// --- The objective is a query argument of the serving layer. ---
 
 TEST(ObjectiveFleetTest, PureFairCenterFleetStaysOnV2Bytes) {
   serving::ShardManager manager(Options(), kConstraint, &kMetric, &kJones);
   ASSERT_TRUE(manager.IngestBatch(KeyedStream(200, 29)).ok());
   const std::string blob = MustCheckpoint(&manager);
   EXPECT_EQ(blob.rfind("fkc-shards-v2", 0), 0u)
-      << "a default-objective fleet must keep emitting v2 bytes";
+      << "the fleet must keep emitting v2 bytes";
 
   auto restored =
       serving::ShardManager::Restore(blob, &kMetric, &kJones);
@@ -217,127 +215,16 @@ TEST(ObjectiveFleetTest, PureFairCenterFleetStaysOnV2Bytes) {
       << "restore -> re-checkpoint must be byte-equal";
 }
 
-TEST(ObjectiveFleetTest, MixedFleetRoundTripsByteEqual) {
-  serving::ShardManager manager(Options(), kConstraint, &kMetric, &kJones);
-  ASSERT_TRUE(
-      manager.SetTenantObjective("tenant-b", ObjectiveKind::kKMedian).ok());
-  ASSERT_TRUE(
-      manager.SetTenantObjective("tenant-d", ObjectiveKind::kKMedian).ok());
-  ASSERT_TRUE(manager.IngestBatch(KeyedStream(200, 31)).ok());
-  const std::string blob = MustCheckpoint(&manager);
-  EXPECT_EQ(blob.rfind("fkc-shards-v3", 0), 0u);
-
-  auto restored = serving::ShardManager::Restore(blob, &kMetric, &kJones);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(MustCheckpoint(&restored.value()), blob);
-  EXPECT_EQ(restored.value().TenantObjective("tenant-a"),
-            ObjectiveKind::kFairCenter);
-  EXPECT_EQ(restored.value().TenantObjective("tenant-b"),
-            ObjectiveKind::kKMedian);
-
-  // The restored mixed fleet answers exactly like the original, each
-  // tenant under its own objective.
-  auto before = manager.QueryAll();
-  auto after = restored.value().QueryAll();
-  ASSERT_EQ(before.size(), after.size());
-  for (size_t i = 0; i < before.size(); ++i) {
-    ASSERT_TRUE(before[i].solution.ok());
-    ASSERT_TRUE(after[i].solution.ok());
-    EXPECT_EQ(before[i].key, after[i].key);
-    EXPECT_EQ(before[i].solution.value().value,
-              after[i].solution.value().value);
-  }
-}
-
-TEST(ObjectiveFleetTest, NonDefaultFleetObjectiveSurvivesRestore) {
-  serving::ShardManagerOptions options = Options();
-  options.objective = ObjectiveKind::kKMedian;
-  serving::ShardManager manager(options, kConstraint, &kMetric, &kJones);
-  ASSERT_TRUE(manager.IngestBatch(KeyedStream(150, 37)).ok());
-  const std::string blob = MustCheckpoint(&manager);
-  EXPECT_EQ(blob.rfind("fkc-shards-v3", 0), 0u)
-      << "non-default fleet objective forces the v3 format";
-  auto restored = serving::ShardManager::Restore(blob, &kMetric, &kJones);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(restored.value().TenantObjective("tenant-a"),
-            ObjectiveKind::kKMedian);
-  EXPECT_EQ(MustCheckpoint(&restored.value()), blob);
-}
-
-TEST(ObjectiveFleetTest, DeltaCarriesObjectiveTableToTheFollower) {
-  serving::ShardManager leader(Options(), kConstraint, &kMetric, &kJones);
-  ASSERT_TRUE(
-      leader.SetTenantObjective("tenant-c", ObjectiveKind::kKMedian).ok());
-  const auto stream = KeyedStream(240, 41);
-  const std::vector<serving::KeyedPoint> first_half(stream.begin(),
-                                                    stream.begin() + 120);
-  const std::vector<serving::KeyedPoint> second_half(stream.begin() + 120,
-                                                     stream.end());
-  ASSERT_TRUE(leader.IngestBatch(first_half).ok());
-  const std::string base = MustCheckpoint(&leader);
-
-  auto follower = serving::ShardManager::Restore(base, &kMetric, &kJones);
-  ASSERT_TRUE(follower.ok()) << follower.status().ToString();
-
-  ASSERT_TRUE(leader.IngestBatch(second_half).ok());
-  auto delta = leader.CheckpointDelta();
-  ASSERT_TRUE(delta.ok()) << delta.status().ToString();
-  EXPECT_EQ(delta.value().rfind("fkc-shards-delta-v3", 0), 0u)
-      << "a mixed fleet's delta must carry the objective table";
-  ASSERT_TRUE(follower.value().ApplyDelta(delta.value()).ok());
-  EXPECT_EQ(MustCheckpoint(&follower.value()), MustCheckpoint(&leader));
-  EXPECT_EQ(follower.value().TenantObjective("tenant-c"),
-            ObjectiveKind::kKMedian);
-}
-
-// --- Forged tags and mismatched blobs degrade to Status. ---
-
-TEST(ObjectiveFleetTest, ForgedObjectiveTagsAreRejectedNotFatal) {
-  serving::ShardManager manager(Options(), kConstraint, &kMetric, &kJones);
-  ASSERT_TRUE(
-      manager.SetTenantObjective("tenant-b", ObjectiveKind::kKMedian).ok());
-  ASSERT_TRUE(manager.IngestBatch(KeyedStream(120, 43)).ok());
-  const std::string blob = MustCheckpoint(&manager);
-
-  // Forge the fleet-default tag ("fair-center", right after the magic).
-  std::string forged = blob;
-  const size_t tag_at = forged.find("fair-center");
-  ASSERT_NE(tag_at, std::string::npos);
-  forged.replace(tag_at, 11, "k-mediocre!");
-  auto bad_default =
-      serving::ShardManager::Restore(forged, &kMetric, &kJones);
-  ASSERT_FALSE(bad_default.ok());
-  EXPECT_EQ(bad_default.status().code(), StatusCode::kInvalidArgument);
-
-  // Forge the override table's tag the same way.
-  std::string forged_override = blob;
-  const size_t override_at = forged_override.find("k-median");
-  ASSERT_NE(override_at, std::string::npos);
-  forged_override.replace(override_at, 8, "k-maxian");
-  auto bad_override =
-      serving::ShardManager::Restore(forged_override, &kMetric, &kJones);
-  ASSERT_FALSE(bad_override.ok());
-  EXPECT_EQ(bad_override.status().code(), StatusCode::kInvalidArgument);
-
-  // Every truncation of the v3 blob fails with a Status, never an abort.
-  for (size_t cut = 0; cut < blob.size(); cut += 97) {
-    auto truncated =
-        serving::ShardManager::Restore(blob.substr(0, cut), &kMetric, &kJones);
-    EXPECT_FALSE(truncated.ok()) << "cut at " << cut;
-  }
-}
-
 TEST(ObjectiveFleetTest, OldKMedianWrapperSegmentIsRejectedNotFatal) {
   // Shard blobs are plain window blobs; a segment still wrapped in the
   // retired fkc-kmedian-v1 envelope is foreign bytes to Restore.
-  serving::ShardManagerOptions options = Options();
-  options.objective = ObjectiveKind::kKMedian;
-  serving::ShardManager manager(options, kConstraint, &kMetric, &kJones);
+  serving::ShardManager manager(Options(), kConstraint, &kMetric, &kJones);
   std::vector<serving::KeyedPoint> stream;
   for (const Point& p : RandomPoints(80, 47)) stream.push_back({"tenant-a", p});
   ASSERT_TRUE(manager.IngestBatch(stream).ok());
+  ASSERT_TRUE(manager.Query("tenant-a", nullptr, ObjectiveKind::kKMedian).ok());
   const std::string blob = MustCheckpoint(&manager);
-  ASSERT_EQ(blob.rfind("fkc-shards-v3", 0), 0u);
+  ASSERT_EQ(blob.rfind("fkc-shards-v2", 0), 0u);
   const std::string window = manager.shard("tenant-a")->SerializeState();
 
   // Re-emit the shard segment ("<size> <bytes>") with the window wrapped
@@ -360,52 +247,31 @@ TEST(ObjectiveFleetTest, OldKMedianWrapperSegmentIsRejectedNotFatal) {
   EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
 }
 
-// --- SetTenantObjective lifecycle. ---
-
-TEST(ObjectiveFleetTest, ObjectiveIsFixedAtShardCreation) {
+TEST(ObjectiveFleetTest, EachQueryChoosesItsObjective) {
   serving::ShardManager manager(Options(), kConstraint, &kMetric, &kJones);
-  EXPECT_EQ(manager.TenantObjective("tenant-a"), ObjectiveKind::kFairCenter);
-  ASSERT_TRUE(
-      manager.SetTenantObjective("tenant-a", ObjectiveKind::kKMedian).ok());
-  EXPECT_EQ(manager.TenantObjective("tenant-a"), ObjectiveKind::kKMedian);
-  // Re-registering the default erases the override.
-  ASSERT_TRUE(
-      manager.SetTenantObjective("tenant-a", ObjectiveKind::kFairCenter).ok());
-  EXPECT_EQ(manager.TenantObjective("tenant-a"), ObjectiveKind::kFairCenter);
-  ASSERT_TRUE(
-      manager.SetTenantObjective("tenant-a", ObjectiveKind::kKMedian).ok());
-
-  ASSERT_TRUE(manager.Ingest("tenant-a", Point({1.0, 2.0}, 0)).ok());
-  auto late =
-      manager.SetTenantObjective("tenant-a", ObjectiveKind::kFairCenter);
-  ASSERT_FALSE(late.ok());
-  EXPECT_EQ(late.code(), StatusCode::kFailedPrecondition)
-      << "an existing shard's objective must be immutable";
-  EXPECT_EQ(manager.TenantObjective("tenant-a"), ObjectiveKind::kKMedian);
-
-  // The shard really answers k-median queries.
-  ASSERT_NE(manager.shard("tenant-a"), nullptr);
-  ExpectSameSolution(manager.Query("tenant-a"),
-                     manager.shard("tenant-a")->Query(ObjectiveKind::kKMedian),
-                     "tenant-a");
-}
-
-TEST(ObjectiveFleetTest, MixedFleetAnswersBothObjectivesOnOneStream) {
-  serving::ShardManager manager(Options(), kConstraint, &kMetric, &kJones);
-  ASSERT_TRUE(
-      manager.SetTenantObjective("tenant-b", ObjectiveKind::kKMedian).ok());
-  // Identical per-tenant streams so the objective is the only difference.
   std::vector<serving::KeyedPoint> stream;
   for (const Point& p : RandomPoints(100, 53)) {
     stream.push_back({"tenant-a", p});
-    stream.push_back({"tenant-b", p});
   }
   ASSERT_TRUE(manager.IngestBatch(stream).ok());
 
-  auto fair = manager.Query("tenant-a");
-  auto median = manager.Query("tenant-b");
+  QueryStats fair_stats;
+  QueryStats median_stats;
+  auto fair = manager.Query("tenant-a", &fair_stats);
+  auto median =
+      manager.Query("tenant-a", &median_stats, ObjectiveKind::kKMedian);
   ASSERT_TRUE(fair.ok()) << fair.status().ToString();
   ASSERT_TRUE(median.ok()) << median.status().ToString();
+  // The manager answers exactly what the shard's window answers.
+  FairCenterSlidingWindow* window = manager.shard("tenant-a");
+  ASSERT_NE(window, nullptr);
+  ExpectSameSolution(fair, window->Query(ObjectiveKind::kFairCenter),
+                     "fair-center");
+  ExpectSameSolution(median, window->Query(ObjectiveKind::kKMedian),
+                     "k-median");
+  // Both objectives are solved on the one planned coreset.
+  EXPECT_EQ(median_stats.coreset_size, fair_stats.coreset_size);
+  EXPECT_EQ(median_stats.guess, fair_stats.guess);
   // k-median reports a SUM of distances over the coreset; fair-center a
   // covering radius. On 100 spread-out points the sum exceeds the max.
   EXPECT_GT(median.value().value, fair.value().value);
@@ -414,20 +280,35 @@ TEST(ObjectiveFleetTest, MixedFleetAnswersBothObjectivesOnOneStream) {
 }
 
 TEST(ObjectiveFleetTest, SameStreamGivesSameWindowBytesUnderEitherObjective) {
-  serving::ShardManager manager(Options(), kConstraint, &kMetric, &kJones);
-  ASSERT_TRUE(
-      manager.SetTenantObjective("tenant-b", ObjectiveKind::kKMedian).ok());
-  std::vector<serving::KeyedPoint> stream;
-  for (const Point& p : RandomPoints(120, 61)) {
-    stream.push_back({"tenant-a", p});
-    stream.push_back({"tenant-b", p});
+  // Two fleets on one stream, one queried only for fair-center and one
+  // only for k-median: the objective must leak into neither the windows
+  // nor the fleet blob.
+  serving::ShardManager fair(Options(), kConstraint, &kMetric, &kJones);
+  serving::ShardManager median(Options(), kConstraint, &kMetric, &kJones);
+  const auto stream = KeyedStream(240, 61);
+  ASSERT_TRUE(fair.IngestBatch(stream).ok());
+  ASSERT_TRUE(median.IngestBatch(stream).ok());
+  const std::string before = MustCheckpoint(&median);
+
+  for (const char* key : kKeys) {
+    ASSERT_TRUE(fair.Query(key).ok()) << key;
+    ASSERT_TRUE(median.Query(key, nullptr, ObjectiveKind::kKMedian).ok())
+        << key;
   }
-  ASSERT_TRUE(manager.IngestBatch(stream).ok());
-  ASSERT_NE(manager.shard("tenant-a"), nullptr);
-  ASSERT_NE(manager.shard("tenant-b"), nullptr);
-  EXPECT_EQ(manager.shard("tenant-a")->SerializeState(),
-            manager.shard("tenant-b")->SerializeState())
-      << "the objective must not leak into the window state";
+  for (const auto& answer : median.QueryAll(ObjectiveKind::kKMedian)) {
+    ASSERT_TRUE(answer.solution.ok()) << answer.key;
+  }
+  for (const char* key : kKeys) {
+    ASSERT_NE(fair.shard(key), nullptr);
+    ASSERT_NE(median.shard(key), nullptr);
+    EXPECT_EQ(fair.shard(key)->SerializeState(),
+              median.shard(key)->SerializeState())
+        << key;
+  }
+  const std::string after = MustCheckpoint(&median);
+  EXPECT_EQ(after.rfind("fkc-shards-v2", 0), 0u);
+  EXPECT_EQ(after, before) << "a k-median query must not change the bytes";
+  EXPECT_EQ(after, MustCheckpoint(&fair));
 }
 
 TEST(ObjectiveFleetTest, SpilledShardsAnswerLikeLiveOnes) {
@@ -437,27 +318,33 @@ TEST(ObjectiveFleetTest, SpilledShardsAnswerLikeLiveOnes) {
                                  &kJones);
   serving::ShardManager live(Options(), kConstraint, &kMetric, &kJones);
   for (serving::ShardManager* manager : {&spilling, &live}) {
-    ASSERT_TRUE(
-        manager->SetTenantObjective("tenant-b", ObjectiveKind::kKMedian).ok());
-    ASSERT_TRUE(
-        manager->SetTenantObjective("tenant-d", ObjectiveKind::kKMedian).ok());
     ASSERT_TRUE(manager->IngestBatch(KeyedStream(240, 67)).ok());
   }
   ASSERT_EQ(spilling.spilled_shard_count(), 3u);
 
-  // QueryAll answers spilled shards from ephemeral reads.
-  const auto from_spill = spilling.QueryAll();
-  const auto from_live = live.QueryAll();
-  ASSERT_EQ(from_spill.size(), from_live.size());
-  for (size_t i = 0; i < from_spill.size(); ++i) {
-    EXPECT_EQ(from_spill[i].key, from_live[i].key);
-    ExpectSameSolution(from_spill[i].solution, from_live[i].solution,
-                       "QueryAll " + from_live[i].key);
+  // QueryAll answers spilled shards from ephemeral reads, under either
+  // objective.
+  for (ObjectiveKind objective :
+       {ObjectiveKind::kKMedian, ObjectiveKind::kFairCenter}) {
+    const auto from_spill = spilling.QueryAll(objective);
+    const auto from_live = live.QueryAll(objective);
+    ASSERT_EQ(from_spill.size(), from_live.size());
+    for (size_t i = 0; i < from_spill.size(); ++i) {
+      EXPECT_EQ(from_spill[i].key, from_live[i].key);
+      ExpectSameSolution(from_spill[i].solution, from_live[i].solution,
+                         std::string("QueryAll ") + ObjectiveTag(objective) +
+                             " " + from_live[i].key);
+    }
   }
+  EXPECT_EQ(spilling.spilled_shard_count(), 3u)
+      << "QueryAll must not rehydrate";
   // Query rehydrates each shard in turn, spilling the previous one.
   for (const char* key : kKeys) {
+    ExpectSameSolution(spilling.Query(key, nullptr, ObjectiveKind::kKMedian),
+                       live.Query(key, nullptr, ObjectiveKind::kKMedian),
+                       std::string("Query k-median ") + key);
     ExpectSameSolution(spilling.Query(key), live.Query(key),
-                       std::string("Query ") + key);
+                       std::string("Query fair-center ") + key);
   }
   EXPECT_GT(spilling.rehydrations(), 0);
 }

@@ -533,8 +533,26 @@ std::string BuildV1Checkpoint(serving::ShardManager* manager) {
   return out.str();
 }
 
-// The v1 fleet format is retired: Restore rejects it by name, even when its
-// shard blobs are current.
+// Rewrites a v2 fleet blob (or, with `delta`, a v2 delta) of `manager`,
+// which has no option overrides, in the retired v3 layout: the v3 magic, a
+// default objective tag after it, and an empty objective table after the
+// option-override table.
+std::string BuildV3Blob(const std::string& v2,
+                        const serving::ShardManager& manager, bool delta) {
+  const std::string magic = delta ? "fkc-shards-delta-v2 " : "fkc-shards-v2 ";
+  std::ostringstream head;
+  head << magic;
+  if (!delta) WriteSlidingWindowOptions(&head, manager.options().window);
+  WriteColorCaps(&head, manager.constraint());
+  head << "0 ";  // no option overrides
+  EXPECT_EQ(v2.rfind(head.str(), 0), 0u) << "not a v2 blob without overrides";
+  return std::string(delta ? "fkc-shards-delta-v3" : "fkc-shards-v3") +
+         " fair-center " + head.str().substr(magic.size()) + "0 " +
+         v2.substr(head.str().size());
+}
+
+// The v1 and v3 fleet formats are retired: Restore rejects each with a
+// Status naming its magic, even when its shard blobs are current.
 TEST(ShardManagerTest, RestoreRejectsRetiredV1Fleet) {
   const auto stream = KeyedStream(200, 29);
   serving::ShardManager manager(Options(1), kConstraint, &kMetric, &kJones);
@@ -550,11 +568,51 @@ TEST(ShardManagerTest, RestoreRejectsRetiredV1Fleet) {
             std::string::npos)
       << restored.status().ToString();
 
+  const std::string blob = MustCheckpoint(&manager);
+  auto v3 = serving::ShardManager::Restore(
+      BuildV3Blob(blob, manager, /*delta=*/false), &kMetric, &kJones);
+  ASSERT_FALSE(v3.ok());
+  EXPECT_EQ(v3.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(v3.status().message().find("fkc-shards-v3"), std::string::npos)
+      << v3.status().ToString();
+
   // The same fleet written today restores.
-  auto v2 = serving::ShardManager::Restore(MustCheckpoint(&manager),
-                                           &kMetric, &kJones);
+  auto v2 = serving::ShardManager::Restore(blob, &kMetric, &kJones);
   ASSERT_TRUE(v2.ok()) << v2.status().ToString();
   ExpectSameAnswers(manager.QueryAll(), v2.value().QueryAll());
+}
+
+// ApplyDelta refuses a retired fkc-shards-delta-v3 delta by its magic and
+// leaves the follower as it was; the same delta as v2 applies.
+TEST(ShardManagerTest, ApplyDeltaRejectsRetiredV3Delta) {
+  const auto stream = KeyedStream(240, 31);
+  serving::ShardManager leader(Options(1), kConstraint, &kMetric, &kJones);
+  ASSERT_TRUE(leader
+                  .IngestBatch(std::vector<serving::KeyedPoint>(
+                      stream.begin(), stream.begin() + 120))
+                  .ok());
+  const std::string base = MustCheckpoint(&leader);
+  auto follower = serving::ShardManager::Restore(base, &kMetric, &kJones);
+  ASSERT_TRUE(follower.ok()) << follower.status().ToString();
+  ASSERT_TRUE(leader
+                  .IngestBatch(std::vector<serving::KeyedPoint>(
+                      stream.begin() + 120, stream.end()))
+                  .ok());
+  const std::string delta = MustDelta(&leader);
+  const auto before = follower.value().QueryAll();
+
+  const Status rejected =
+      follower.value().ApplyDelta(BuildV3Blob(delta, leader, /*delta=*/true));
+  EXPECT_EQ(rejected.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.message().find("fkc-shards-delta-v3"), std::string::npos)
+      << rejected.ToString();
+  EXPECT_EQ(follower.value().dirty_shard_count(), 0u);
+  ExpectSameAnswers(before, follower.value().QueryAll());
+  EXPECT_EQ(MustCheckpoint(&follower.value()), base)
+      << "a rejected delta changes nothing";
+
+  ASSERT_TRUE(follower.value().ApplyDelta(delta).ok());
+  EXPECT_EQ(MustCheckpoint(&follower.value()), MustCheckpoint(&leader));
 }
 
 // Implausible options in a blob (a slack other than 1, or a window_size /
