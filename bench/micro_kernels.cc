@@ -353,10 +353,12 @@ void BM_FleetWindowUpdate(benchmark::State& state) {
 BENCHMARK(BM_FleetWindowUpdate)->Unit(benchmark::kMicrosecond);
 
 // That guess, filled with one covtype window (W = 10000): most of its ~9,900
-// coreset representatives are their own c-attractor. Built once per process.
-const DrivenGuess& CovtypeDenseGuess() {
+// coreset representatives are their own c-attractor. Built once per process;
+// mutable because CoresetPool keeps the guess's copy pool, which holds the
+// same columns after every call while no arrival comes between them.
+DrivenGuess& CovtypeDenseGuess() {
   constexpr int64_t kWindow = 10000;
-  static const DrivenGuess* const driven = [] {
+  static DrivenGuess* const driven = [] {
     const datasets::Dataset& dataset = CovtypeStream();
     const EuclideanMetric metric;
     auto* filled = new DrivenGuess(
@@ -473,22 +475,26 @@ BENCHMARK(BM_CPhaseIndex)
 
 // A query's coreset hand-off from that guess. Arg 0 is the copy-out a query
 // used to pay: every representative and orphan copied out as a heap Point,
-// a pool built from the copies, and the copies freed. Arg 1 is the pool the
-// solver reads now (GuessStructure::CoresetPool): it borrows the dense
-// c-pool for the self-represented attractors and copies only the other
-// points (`copied_points`) out of the arena.
+// a pool built from the copies, and the copies freed. Args 1 and 2 are the
+// pool the solver reads now (GuessStructure::CoresetPool): it borrows the
+// dense c-pool for the self-represented attractors and the guess's copy
+// pool for the other points. Arg 1 drops the copy pool first, so every
+// hand-off copies all the other points (`copied_points`) out of the arena,
+// as the first query of a guess does. Arg 2 keeps it, as queries with no
+// arrival between them do: the walk finds every other point's copy and
+// copies none.
 void BM_CoresetHandoff(benchmark::State& state) {
-  const DrivenGuess& driven = CovtypeDenseGuess();
-  const GuessStructure* const guess = &driven.guess;
+  DrivenGuess& driven = CovtypeDenseGuess();
+  GuessStructure* const guess = &driven.guess;
   const PointArena& arena = driven.arena;
-  const bool borrow = state.range(0) != 0;
+  const int64_t mode = state.range(0);
   size_t points = 0;
-  size_t copied = 0;
+  int64_t copied = 0;
   const auto hand_off = [&] {
-    if (borrow) {
-      const ColoredPool pool = guess->CoresetPool(arena);
+    if (mode != 0) {
+      if (mode == 1) guess->DropCopyPool();
+      const ColoredPool pool = guess->CoresetPool(arena, &copied);
       points = pool.size();
-      copied = pool.copied();
       benchmark::DoNotOptimize(&pool);
     } else {
       std::vector<Point> copies;
@@ -500,10 +506,11 @@ void BM_CoresetHandoff(benchmark::State& state) {
       for (Slot s : guess->c_orphans()) copies.push_back(arena.ToPoint(s));
       const CoordinatePool pool = CoordinatePool::FromPoints(copies);
       points = copies.size();
-      copied = points;
+      copied = static_cast<int64_t>(points);
       benchmark::DoNotOptimize(&pool);
     }
   };
+  hand_off();  // fills the copy pool Arg 2 keeps
   const int64_t allocations_before = t_allocations;
   hand_off();
   const int64_t allocations = t_allocations - allocations_before;
@@ -520,10 +527,16 @@ void BM_CoresetHandoff(benchmark::State& state) {
   state.counters["own_attractor_share"] =
       static_cast<double>(own) / static_cast<double>(points);
   state.counters["allocs_per_query"] = static_cast<double>(allocations);
-  state.SetLabel(borrow ? "borrow c-pool+copy others"
-                        : "copy-out+FromPoints+free");
+  const char* const labels[] = {"copy-out+FromPoints+free",
+                                "borrow c-pool+copy others (cold)",
+                                "borrow c-pool+kept copies (warm)"};
+  state.SetLabel(labels[mode]);
 }
-BENCHMARK(BM_CoresetHandoff)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CoresetHandoff)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
 
 // The shadow counters of one Jones solve on a covtype coreset pool: the
 // rows its traversal read from the pools' float32 twins
@@ -643,12 +656,15 @@ BENCHMARK(BM_HeadPass)->Unit(benchmark::kMicrosecond);
 
 // What a covtype query's `query_ms_p50` times past PlanQuery's validity
 // checks: the coreset hand-off from that guess (CoresetPool) and the Jones
-// solve on it. `rows_per_solve` is BM_CoresetSolve's exact pass count, and
-// the shadow counters are its too.
+// solve on it. The guess keeps its copy pool from one iteration to the
+// next, so the hand-off is BM_CoresetHandoff/2's, which a query that
+// follows a few arrivals pays plus one column per point that joined.
+// `rows_per_solve` is BM_CoresetSolve's exact pass count, and the shadow
+// counters are its too.
 void BM_CoresetQuery(benchmark::State& state) {
   const EuclideanMetric metric;
   const datasets::Dataset& dataset = CovtypeStream();
-  const DrivenGuess& driven = CovtypeDenseGuess();
+  DrivenGuess& driven = CovtypeDenseGuess();
   const ColorConstraint constraint =
       ColorConstraint::Proportional(dataset.points, dataset.ell, 14);
   const JonesFairCenter jones;

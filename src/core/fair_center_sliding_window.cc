@@ -465,6 +465,7 @@ Result<QueryPlan> FairCenterSlidingWindow::PlanQuery() {
     FKC_CHECK_NE(last_slot_, PointArena::kNoSlot);
     plan.coreset = ColoredPool::FromPoints({arena_.ToPoint(last_slot_)});
     plan.stats.coreset_size = 1;
+    plan.stats.copied_points = 1;
     return plan;
   }
 
@@ -506,8 +507,8 @@ Result<QueryPlan> FairCenterSlidingWindow::PlanQuery() {
     }
 
     if (chosen >= 0) {
-      const GuessStructure& guess = *items[chosen];
-      plan.coreset = guess.CoresetPool(arena_);
+      GuessStructure& guess = *items[chosen];
+      plan.coreset = guess.CoresetPool(arena_, &plan.stats.copied_points);
       plan.stats.guess = guess.gamma();
       plan.stats.coreset_size = static_cast<int64_t>(plan.coreset.size());
       plan.stats.guesses_inspected = inspected;

@@ -128,6 +128,12 @@ struct QueryStats {
   double guess = 0.0;          ///< the selected gamma-hat
   int64_t coreset_size = 0;    ///< points handed to the sequential solver
   int guesses_inspected = 0;   ///< ladder entries examined by Query
+  /// Coreset points whose coordinates the hand-off copied
+  /// (GuessStructure::CoresetPool): the points that are no column of the
+  /// guess's attractor pool, or every point when the pool copies them all;
+  /// on a guess that keeps its copies across queries, only the points that
+  /// joined since its last hand-off.
+  int64_t copied_points = 0;
   double plan_millis = 0.0;    ///< time spent in PlanQuery
   double solver_millis = 0.0;  ///< time spent inside the sequential solver
   /// The fair-center solve's FairCenterSolution::shadow_rows and
@@ -151,13 +157,16 @@ struct QueryPlan {
   /// coreset.ToPoints().
   ///
   /// Lifetime: the pool may borrow the selected guess's attractor pool
-  /// instead of copying it, and reads the window's arrival and id columns
-  /// when it materializes a point, so it is valid only until the window's
-  /// next non-const call (Update, UpdateBatch, PlanQuery, Query, a restore
-  /// into it, or its destruction). Copy it out with ToPoints() to keep it.
+  /// instead of copying it, and the copy pool in which that guess keeps its
+  /// other points across queries, and reads the window's arrival and id
+  /// columns when it materializes a point, so it is valid only until the
+  /// window's next non-const call (Update, UpdateBatch, PlanQuery, Query, a
+  /// restore into it, or its destruction). Copy it out with ToPoints() to
+  /// keep it.
   ColoredPool coreset;
-  /// guess / coreset_size / guesses_inspected are populated; plan_millis
-  /// and solver_millis stay 0 (Query times the plan and the solve).
+  /// guess / coreset_size / guesses_inspected / copied_points are
+  /// populated; plan_millis and solver_millis stay 0 (Query times the plan
+  /// and the solve).
   QueryStats stats;
 };
 

@@ -15,6 +15,26 @@ void PushAttractor(AttractorList* entries, Slot p) {
   entries->AppendRep(entries->size() - 1, p);
 }
 
+/// Calls column(e, slot) on every representative that is its entry e's own
+/// attractor, and other(slot) on every other representative and orphan:
+/// entry by entry, then the orphans, the order a gathered pool's positions
+/// follow.
+template <typename Column, typename Other>
+void WalkFamily(const AttractorList& entries, const std::vector<Slot>& orphans,
+                Column&& column, Other&& other) {
+  for (size_t e = 0; e < entries.size(); ++e) {
+    const Slot attractor = entries.attractor(e);
+    entries.ForEachRep(e, [&](Slot rep) {
+      if (rep == attractor) {
+        column(e, rep);
+      } else {
+        other(rep);
+      }
+    });
+  }
+  for (Slot s : orphans) other(s);
+}
+
 /// One family's representatives, entry by entry, then its orphans, as a
 /// pool. Position e of `attractors` is entries[e]'s attractor, so a
 /// representative that is its entry's own attractor is column e there.
@@ -25,21 +45,25 @@ ColoredPool GatherFamily(const AttractorList& entries,
   ColoredPool::Builder builder(
       static_cast<size_t>(entries.total_reps()) + orphans.size(),
       &attractors, arena.fields());
-  const auto add = [&](Slot s) {
-    builder.Add(arena.coords(s), arena.dim(), arena.color(s), s);
-  };
-  for (size_t e = 0; e < entries.size(); ++e) {
-    const Slot attractor = entries.attractor(e);
-    entries.ForEachRep(e, [&](Slot rep) {
-      if (rep == attractor) {
-        builder.AddColumn(e, arena.color(rep), rep);
-      } else {
-        add(rep);
-      }
-    });
-  }
-  for (Slot s : orphans) add(s);
+  WalkFamily(
+      entries, orphans,
+      [&](size_t e, Slot rep) { builder.AddColumn(e, arena.color(rep), rep); },
+      [&](Slot s) {
+        builder.Add(arena.coords(s), arena.dim(), arena.color(s), s);
+      });
   return std::move(builder).Build();
+}
+
+/// Fetches every cache line of the `dim` doubles at `row`.
+void PrefetchRow(const double* row, size_t dim) {
+#if defined(__GNUC__) || defined(__clang__)
+  constexpr size_t kLineDoubles = 64 / sizeof(double);
+  for (size_t d = 0; d < dim; d += kLineDoubles) __builtin_prefetch(row + d);
+  __builtin_prefetch(row + dim - 1);
+#else
+  (void)row;
+  (void)dim;
+#endif
 }
 
 }  // namespace
@@ -97,6 +121,7 @@ void GuessStructure::RebuildPools(const PointArena& arena) {
   v_pool_ = rebuild(v_entries_);
   c_pool_ = rebuild(c_entries_);
   c_index_.Clear();
+  DropCopyPool();
 }
 
 void GuessStructure::DropCFront(size_t n) {
@@ -127,6 +152,19 @@ void GuessStructure::RemapSlots(const std::vector<Slot>& map) {
   c_entries_.RemapSlots(map);
   for (Slot& s : v_orphans_) s = map[s];
   for (Slot& s : c_orphans_) s = map[s];
+  if (copy_ == nullptr) return;
+  // The copy pool's slots follow, dead ones included; a dead column whose
+  // row the sweep dropped keeps kNoSlot, which no lookup matches.
+  CopyPool& copy = *copy_;
+  copy.high = -1;
+  for (size_t c = 0; c < copy.slots.size(); ++c) {
+    Slot& s = copy.slots[c];
+    if (s == PointArena::kNoSlot) continue;
+    s = map[s];
+    if (s == PointArena::kNoSlot) continue;
+    copy.column_of[s] = copy.base + static_cast<uint32_t>(c);
+    copy.high = std::max<int64_t>(copy.high, s);
+  }
 }
 
 void GuessStructure::RecomputeOldestArrival(const PointArena& arena) {
@@ -240,6 +278,11 @@ void GuessStructure::Update(Slot p, const Point& probe, int64_t now,
     // so verify_pool_ holds one block for good.
     const std::vector<size_t>& candidates = c_index_.Candidates();
     if (verify_pool_.dim() != arena.dim()) verify_pool_.ResetDim(arena.dim());
+    // The candidates' rows are cold after a query; fetch them all before
+    // the gathers read them.
+    for (size_t candidate : candidates) {
+      PrefetchRow(arena.coords(c_entries_.attractor(candidate)), arena.dim());
+    }
     dists = Scratch(CoordinatePool::kBlockLanes);
     for (size_t first = 0; first < candidates.size();
          first += CoordinatePool::kBlockLanes) {
@@ -303,9 +346,114 @@ ColoredPool GuessStructure::ValidationPool(const PointArena& arena) const {
   return GatherFamily(v_entries_, v_orphans_, v_pool_, arena);
 }
 
-ColoredPool GuessStructure::CoresetPool(const PointArena& arena) const {
-  if (variant_ == CoreVariant::kValidationOnly) return ValidationPool(arena);
-  return GatherFamily(c_entries_, c_orphans_, c_pool_, arena);
+ColoredPool GuessStructure::CoresetPool(const PointArena& arena,
+                                        int64_t* copied) {
+  int64_t count = 0;
+  ColoredPool pool;
+  if (variant_ == CoreVariant::kValidationOnly) {
+    pool = ValidationPool(arena);
+  } else if (c_pool_.has_twin()) {
+    pool = GatherCoreset(arena, &count);
+  } else {
+    DropCopyPool();
+    pool = GatherFamily(c_entries_, c_orphans_, c_pool_, arena);
+  }
+  if (copied != nullptr) {
+    *copied = count + static_cast<int64_t>(pool.copied());
+  }
+  return pool;
+}
+
+ColoredPool GuessStructure::GatherCoreset(const PointArena& arena,
+                                          int64_t* copied) {
+  if (copy_ == nullptr ||
+      copy_->pool.twin_reference() != c_pool_.twin_reference()) {
+    copy_ = std::make_unique<CopyPool>();
+  }
+  CopyPool& copy = *copy_;
+  if (copy.column_of.size() < arena.size()) copy.column_of.resize(arena.size());
+  copy.live.assign(copy.pool.size(), 0);
+  copy.hits.clear();
+  copy.misses.clear();
+  // A miss as one sortable key: its slot, then its position.
+  const auto miss = [](Slot s, size_t position) {
+    return uint64_t{s} << 32 | position;
+  };
+
+  // The walk: a column position costs what it costs GatherFamily, and
+  // every other point finds its copy, or is noted as a miss and given one
+  // below.
+  ColoredPool::Builder builder(
+      static_cast<size_t>(c_entries_.total_reps()) + c_orphans_.size(),
+      &c_pool_, arena.fields(), &copy.pool);
+  WalkFamily(
+      c_entries_, c_orphans_,
+      [&](size_t e, Slot rep) { builder.AddColumn(e, arena.color(rep), rep); },
+      [&](Slot s) {
+        const size_t position = builder.size();
+        const uint32_t c = copy.column_of[s] - copy.base;
+        if (c < copy.slots.size() && copy.slots[c] == s) {
+          copy.live[c] = 1;
+          copy.hits.push_back({static_cast<uint32_t>(position), c});
+          builder.AddTail(c, arena.color(s), s);
+        } else {
+          copy.misses.push_back(miss(s, position));
+          builder.AddTail(0, arena.color(s), s);  // its column comes below
+        }
+      });
+
+  // Drop the dead prefix; rebuild when what stays dead passes a quarter of
+  // the pool, or when a miss is not above every cached slot (the pool's
+  // columns would leave slot order).
+  size_t drop = 0;
+  while (drop < copy.live.size() && copy.live[drop] == 0) ++drop;
+  const size_t dead = copy.pool.size() - copy.hits.size() - drop;
+  const size_t size = copy.pool.size() - drop + copy.misses.size();
+  std::sort(copy.misses.begin(), copy.misses.end());
+  const bool ordered = copy.misses.empty() ||
+                       static_cast<int64_t>(copy.misses.front() >> 32) >
+                           copy.high;
+  if (copy.slots.empty() || !ordered || 4 * dead > size) {
+    // Every live point, in slot order.
+    std::vector<uint64_t>& live = copy.misses;
+    for (const auto& [position, c] : copy.hits) {
+      live.push_back(miss(copy.slots[c], position));
+    }
+    if (!copy.hits.empty()) std::sort(live.begin(), live.end());
+    std::vector<CoordinatePool::ColumnRef> columns(live.size());
+    copy.slots.resize(live.size());
+    copy.base = 0;
+    for (size_t c = 0; c < live.size(); ++c) {
+      const Slot s = static_cast<Slot>(live[c] >> 32);
+      columns[c] = {arena.coords(s), 1};
+      copy.slots[c] = s;
+      copy.column_of[s] = static_cast<uint32_t>(c);
+      builder.SetTailColumn(static_cast<uint32_t>(live[c]), c);
+    }
+    copy.high = live.empty() ? -1 : static_cast<int64_t>(live.back() >> 32);
+    copy.pool = CoordinatePool::FromColumns(c_pool_.dim(), columns, &c_pool_);
+    *copied += static_cast<int64_t>(live.size());
+    return std::move(builder).Build();
+  }
+  if (drop != 0) {
+    copy.pool.DropFront(drop);
+    copy.slots.erase(copy.slots.begin(),
+                     copy.slots.begin() + static_cast<std::ptrdiff_t>(drop));
+    copy.base += static_cast<uint32_t>(drop);
+    for (const auto& [position, c] : copy.hits) {
+      builder.SetTailColumn(position, c - drop);
+    }
+  }
+  for (const uint64_t key : copy.misses) {
+    const Slot s = static_cast<Slot>(key >> 32);
+    builder.SetTailColumn(static_cast<uint32_t>(key), copy.slots.size());
+    copy.column_of[s] = copy.base + static_cast<uint32_t>(copy.slots.size());
+    copy.slots.push_back(s);
+    copy.pool.Append(arena.coords(s));
+    copy.high = s;
+  }
+  *copied += static_cast<int64_t>(copy.misses.size());
+  return std::move(builder).Build();
 }
 
 MemoryStats GuessStructure::Memory() const {

@@ -21,6 +21,8 @@
 #define FKC_CORE_GUESS_STRUCTURE_H_
 
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/attractor_set.h"
@@ -106,7 +108,35 @@ class GuessStructure {
   /// this equals ValidationPool() (Query runs A on RV there). Both pools
   /// read arrivals and ids from `arena`'s columns when they materialize a
   /// point, so they are valid only while `arena` is unchanged too.
-  ColoredPool CoresetPool(const PointArena& arena) const;
+  ///
+  /// While c_pool() keeps a float32 twin (a dense guess past
+  /// CoordinatePool::kTwinMinBytes), the other points' coordinates are not
+  /// copied per call: the structure keeps them across calls in its copy
+  /// pool (copy_pool()), which the returned pool borrows as its tail. The
+  /// copy pool holds one column per point, in ascending slot order, plus
+  /// the columns of points that have since left the set. Each call syncs
+  /// it in its one walk over the family: a point finds its column through
+  /// a per-slot index in O(1), the points that joined since the last call
+  /// (all above its highest slot) are appended, and a dead prefix is
+  /// dropped. A point that leaves the set never comes back, so a dead
+  /// column stays dead; once dead columns pass a quarter of the pool, or
+  /// c_pool()'s twin has moved to another reference, it is rebuilt from
+  /// the live points. So a call that follows m arrivals copies at most m
+  /// points unless it rebuilds, and the copy pool never exceeds 4/3 of the
+  /// live points it stands for. It is derived state like the pools: never serialized,
+  /// remapped by RemapSlots and dropped by a restore. `copied`, when not
+  /// null, receives the number of points whose coordinates this call
+  /// copied. A pool that borrows the copy pool is valid until the next
+  /// non-const call on this structure, the next CoresetPool included.
+  ColoredPool CoresetPool(const PointArena& arena, int64_t* copied = nullptr);
+
+  /// The copy pool CoresetPool lends, or nullptr while there is none.
+  const CoordinatePool* copy_pool() const {
+    return copy_ != nullptr ? &copy_->pool : nullptr;
+  }
+  /// Frees the copy pool: the next CoresetPool copies every other point
+  /// anew, as a structure that was never queried does.
+  void DropCopyPool() { copy_.reset(); }
 
   MemoryStats Memory() const;
 
@@ -169,8 +199,12 @@ class GuessStructure {
 
   /// Rebuilds both pools from the entry lists (checkpoint restore — the
   /// only mutation path where incremental maintenance has nothing to work
-  /// from), and drops the pivot index.
+  /// from), and drops the pivot index and the copy pool.
   void RebuildPools(const PointArena& arena);
+
+  /// CoresetPool's walk while c_pool_ keeps a twin: syncs copy_ and lends
+  /// it as the tail. Adds the points it copies to `*copied`.
+  ColoredPool GatherCoreset(const PointArena& arena, int64_t* copied);
 
   /// Drops c_pool_'s first n positions, after the c-family popped its n
   /// oldest entries, and keeps c_index_ in step (or drops it, once the pool
@@ -221,6 +255,30 @@ class GuessStructure {
   PivotIndex c_index_;
   CoordinatePool verify_pool_;
   std::vector<CoordinatePool::ColumnRef> verify_columns_;
+
+  // CoresetPool's copy pool (see there): derived state, never serialized,
+  // and allocated only by a guess whose c_pool_ keeps a twin.
+  struct CopyPool {
+    // The columns, twinned on c_pool_'s reference; position i holds the
+    // point in slot slots[i] (kNoSlot once a sweep dropped its arena row).
+    CoordinatePool pool;
+    std::vector<Slot> slots;
+    // Per arena slot, base + the position of its column, when it has one:
+    // position c = column_of[s] - base is slot s's column exactly when
+    // slots[c] == s, so a stale entry reads as no column.
+    std::vector<uint32_t> column_of;
+    uint32_t base = 0;  // wraps: only differences are read
+    // The highest slot a column holds (in the arena's current numbering),
+    // or -1: every point that joins the set arrives above it.
+    int64_t high = -1;
+    // One call's scratch: per column, whether a live point holds it; the
+    // (position, column) of those points, and slot << 32 | position of the
+    // points without one.
+    std::vector<uint8_t> live;
+    std::vector<std::pair<uint32_t, uint32_t>> hits;
+    std::vector<uint64_t> misses;
+  };
+  std::unique_ptr<CopyPool> copy_;
 
   // Reusable scratch for the batched attractor scans (transient — never
   // serialized). It only grows, so a scan never zero-fills it. Kept

@@ -7,11 +7,17 @@
 
 namespace fkc {
 
+ColoredPool::Location ColoredPool::Locate(size_t s) const {
+  if (s < lent()) return {borrowed_, s};
+  s -= lent();
+  const size_t tail = tail_ != nullptr ? tail_->size() : 0;
+  if (s < tail) return {tail_, s};
+  return {&own_, s - tail};
+}
+
 void ColoredPool::CopyCoordinates(size_t i, double* out) const {
-  const size_t s = slot(i);
-  const size_t lent = borrowed_ != nullptr ? borrowed_->size() : 0;
-  const CoordinatePool::ColumnRef column =
-      s < lent ? borrowed_->Column(s) : own_.Column(s - lent);
+  const Location at = Locate(slot(i));
+  const CoordinatePool::ColumnRef column = at.pool->Column(at.position);
   for (size_t d = 0, n = dim(); d < n; ++d) {
     out[d] = column.data[d * column.stride];
   }
@@ -33,36 +39,20 @@ std::vector<Point> ColoredPool::ToPoints() const {
 
 void ColoredPool::DistanceRow(const Metric& metric, const Point& q,
                               double* row, ScanOrder order) const {
-  const size_t lent = borrowed_ != nullptr ? borrowed_->size() : 0;
-  const auto scan_borrowed = [&] {
-    if (lent != 0) metric.DistanceSoAOrdered(q, *borrowed_, order, row);
-  };
-  const auto scan_own = [&] {
-    if (!own_.empty()) metric.DistanceSoAOrdered(q, own_, order, row + lent);
-  };
-  if (order == ScanOrder::kForward) {
-    scan_borrowed();
-    scan_own();
-  } else {
-    scan_own();
-    scan_borrowed();
-  }
+  ForEachPool(order, [&](const CoordinatePool& pool, size_t first) {
+    metric.DistanceSoAOrdered(q, pool, order, row + first);
+  });
 }
 
 void ColoredPool::DistanceRows(const Metric& metric,
                                const std::vector<Point>& centers,
                                double* out) const {
   const size_t stride = slot_count();
-  size_t lent = 0;
-  if (borrowed_ != nullptr) {
-    metric.DistanceSoATile(centers.data(), centers.size(), *borrowed_, stride,
-                           out);
-    lent = borrowed_->size();
-  }
-  if (!own_.empty()) {
-    metric.DistanceSoATile(centers.data(), centers.size(), own_, stride,
-                           out + lent);
-  }
+  ForEachPool(ScanOrder::kForward,
+              [&](const CoordinatePool& pool, size_t first) {
+                metric.DistanceSoATile(centers.data(), centers.size(), pool,
+                                       stride, out + first);
+              });
 }
 
 ColoredPool ColoredPool::FromPoints(const std::vector<Point>& points) {
@@ -72,11 +62,15 @@ ColoredPool ColoredPool::FromPoints(const std::vector<Point>& points) {
 }
 
 ColoredPool::Builder::Builder(size_t reserve, const CoordinatePool* columns,
-                              FieldColumns fields)
-    : columns_(columns), lent_(columns != nullptr ? columns->size() : 0) {
+                              FieldColumns fields, const CoordinatePool* tail)
+    : columns_(columns),
+      tail_(tail),
+      lent_(columns != nullptr ? columns->size() : 0) {
+  FKC_CHECK(tail == nullptr || columns != nullptr)
+      << "a builder given a tail takes columns too";
   pool_.fields_ = fields;
   if (reserve != 0) Allocate(reserve);
-  sources_.reserve(reserve);
+  if (tail == nullptr) sources_.reserve(reserve);
 }
 
 void ColoredPool::Builder::Allocate(size_t capacity) {
@@ -127,7 +121,12 @@ void ColoredPool::Builder::AddColumn(const Point& p, size_t column) {
 ColoredPool ColoredPool::Builder::Build() && {
   const size_t n = pool_.size_;
   const size_t column_count = n - sources_.size();
-  if (column_count == 0) {
+  if (tail_ != nullptr) {
+    FKC_CHECK(sources_.empty()) << "a builder given a tail copies nothing";
+    FKC_CHECK_EQ(tail_->dim(), columns_->dim());
+    pool_.borrowed_ = columns_;
+    pool_.tail_ = tail_;
+  } else if (column_count == 0) {
     // Nothing to borrow: the own slots start at 0.
     if (lent_ != 0) {
       for (size_t i = 0; i < n; ++i) {

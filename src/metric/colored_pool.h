@@ -19,7 +19,10 @@
 // need not be a point of the set. A window query borrows the chosen
 // guess's dense c-attractor pool this way (GuessStructure::CoresetPool),
 // so the solver reads the coreset's self-represented attractors where the
-// guess stores them.
+// guess stores them. A pool may borrow a second pool, its tail, whose
+// slots follow the first's: a guess whose attractor pool keeps a float32
+// twin keeps copies of its other points across queries and lends them as
+// the tail, so its coreset's pool borrows every slot and owns none.
 //
 // Solvers read a pool through DistanceRow, which fills one distance per
 // slot, in either scan order: point i's distance is row[slot(i)]. They
@@ -77,14 +80,14 @@ class ColoredPool {
 
   /// The length of a distance row: slot_count() >= size().
   size_t slot_count() const {
-    return (borrowed_ != nullptr ? borrowed_->size() : 0) + own_.size();
+    return lent() + (tail_ != nullptr ? tail_->size() : 0) + own_.size();
   }
   /// The slot of position i.
   size_t slot(size_t i) const { return slots_[i]; }
 
   /// row[s] = metric distance from `q` to the coordinates in slot s, for
-  /// every s in [0, slot_count()): one DistanceSoAOrdered over the borrowed
-  /// pool and one over the owned one, so a CountingMetric counts every slot,
+  /// every s in [0, slot_count()): one DistanceSoAOrdered over each pool
+  /// the pool scans (ForEachPool), so a CountingMetric counts every slot,
   /// including borrowed columns that are no point of the set. kForward reads
   /// the slots first to last (borrowed pool first), kBackward last to first
   /// (owned pool first, each pool's blocks newest first); the row is the
@@ -94,41 +97,69 @@ class ColoredPool {
 
   /// DistanceRow for every center at once: row c, at out + c *
   /// slot_count(), is DistanceRow(metric, centers[c]) bit for bit. One
-  /// DistanceSoATile over the borrowed pool and one over the owned one, so
-  /// the pool's blocks are read once per tile of centers, not once per
-  /// center.
+  /// DistanceSoATile over each pool the pool scans, so the pool's blocks
+  /// are read once per tile of centers, not once per center.
   void DistanceRows(const Metric& metric, const std::vector<Point>& centers,
                     double* out) const;
 
-  /// Calls f(span) for every block of coordinates the pool scans, with
-  /// span.first the slot of its first column: the borrowed pool's blocks,
-  /// then the owned pool's, in the order DistanceRow reads them.
+  /// Calls f(pool, first) for every non-empty CoordinatePool the pool
+  /// scans, with `first` the slot of its position 0: the borrowed pool,
+  /// the tail and the owned pool, in slot order for kForward and in the
+  /// reverse order for kBackward.
   template <typename F>
-  void ForEachSpan(ScanOrder order, F&& f) const {
-    const size_t lent = borrowed_ != nullptr ? borrowed_->size() : 0;
-    const auto shifted = [&](CoordinatePool::Span span) {
-      span.first += lent;
-      f(span);
+  void ForEachPool(ScanOrder order, F&& f) const {
+    const size_t tail_first = lent();
+    const size_t own_first =
+        tail_first + (tail_ != nullptr ? tail_->size() : 0);
+    const auto visit = [&](const CoordinatePool* pool, size_t first) {
+      if (pool != nullptr && !pool->empty()) f(*pool, first);
     };
     if (order == ScanOrder::kForward) {
-      if (lent != 0) borrowed_->ForEachSpan(order, f);
-      own_.ForEachSpan(order, shifted);
+      visit(borrowed_, 0);
+      visit(tail_, tail_first);
+      visit(&own_, own_first);
     } else {
-      own_.ForEachSpan(order, shifted);
-      if (lent != 0) borrowed_->ForEachSpan(order, f);
+      visit(&own_, own_first);
+      visit(tail_, tail_first);
+      visit(borrowed_, 0);
     }
   }
 
+  /// Calls f(span) for every block of coordinates the pool scans, with
+  /// span.first its first column's slot, in the order DistanceRow reads
+  /// them.
+  template <typename F>
+  void ForEachSpan(ScanOrder order, F&& f) const {
+    ForEachPool(order, [&](const CoordinatePool& pool, size_t first) {
+      pool.ForEachSpan(order, [&](CoordinatePool::Span span) {
+        span.first += first;
+        f(span);
+      });
+    });
+  }
+
+  /// The pool holding slot s and the slot's position in it.
+  struct Location {
+    const CoordinatePool* pool;
+    size_t position;
+  };
+  Location Locate(size_t s) const;
+
   /// The borrowed pool, or nullptr when the pool owns all its slots.
   const CoordinatePool* borrowed() const { return borrowed_; }
+  /// The second borrowed pool, whose slots follow the first's, or nullptr.
+  const CoordinatePool* tail() const { return tail_; }
   /// The pool's own slots, after the borrowed ones.
   const CoordinatePool& owned() const { return own_; }
   /// Positions whose coordinates the pool copied into its own slots.
   size_t copied() const { return own_.size(); }
 
  private:
-  const CoordinatePool* borrowed_ = nullptr;  // slots [0, borrowed_->size())
-  CoordinatePool own_;                        // the slots after them
+  size_t lent() const { return borrowed_ != nullptr ? borrowed_->size() : 0; }
+
+  const CoordinatePool* borrowed_ = nullptr;  // slots [0, lent())
+  const CoordinatePool* tail_ = nullptr;      // the slots after them
+  CoordinatePool own_;                        // the slots after those
   // Per position, size_ of each (the Builder may have allocated more).
   size_t size_ = 0;
   std::unique_ptr<int[]> colors_;
@@ -144,21 +175,27 @@ class ColoredPool {
 /// their coordinates at Build. A position's color, slot and field row go
 /// straight into the pool's arrays, sized for `reserve` positions up front
 /// (and doubled when a caller adds more): one capacity test and three
-/// stores per position. A column position costs its column and those
-/// only; a copied position also keeps where its coordinates are, and
+/// stores per position. A column or tail position costs its column and
+/// those only; a copied position also keeps where its coordinates are, and
 /// takes the next own slot after the `columns` pool's. Only the copied
 /// coordinates are written at Build, unless it copies every position.
 class ColoredPool::Builder {
  public:
   /// `reserve`: the expected point count. `columns`, when given, is the
-  /// pool AddColumn refers to; it must outlive Build, and a pool that
-  /// borrows it must not outlive the next change to it. `fields`, when
-  /// given, are the columns the row-taking Add and AddColumn refer to; the
-  /// pool reads them when it materializes a point, so it must not outlive
-  /// the next change to them either. A builder takes either Points or
-  /// field rows, not both.
+  /// pool AddColumn refers to, and `tail` the one AddTail refers to; both
+  /// must outlive Build, and a pool that borrows them must not outlive the
+  /// next change to them. A builder given a tail takes `columns` too, and
+  /// column and tail positions only. `fields`, when given, are the columns
+  /// the row-taking Add, AddColumn and AddTail refer to; the pool reads
+  /// them when it materializes a point, so it must not outlive the next
+  /// change to them either. A builder takes either Points or field rows,
+  /// not both.
   explicit Builder(size_t reserve, const CoordinatePool* columns = nullptr,
-                   FieldColumns fields = {});
+                   FieldColumns fields = {},
+                   const CoordinatePool* tail = nullptr);
+
+  /// Positions added so far: the next one's index.
+  size_t size() const { return pool_.size_; }
 
   /// Appends `p` at the next position; its coordinates are copied at
   /// Build, so `p` must stay valid until then, and its arrival and id now.
@@ -177,18 +214,30 @@ class ColoredPool::Builder {
   void AddColumn(size_t column, int color, uint32_t field_row) {
     Push(static_cast<uint32_t>(column), color, field_row);
   }
+  /// Appends the point whose coordinates are column `column` of the tail,
+  /// given by its color and field row. Like AddColumn, it does not check:
+  /// the column must be below the tail's size at Build, and `fields` given.
+  void AddTail(size_t column, int color, uint32_t field_row) {
+    Push(static_cast<uint32_t>(lent_ + column), color, field_row);
+  }
+  /// Makes tail position `position`'s column `column`, for a tail that
+  /// changed after the position was added.
+  void SetTailColumn(size_t position, size_t column) {
+    pool_.slots_[position] = static_cast<uint32_t>(lent_ + column);
+  }
 
-  /// Borrows `columns` when column positions make up at least half of the
-  /// pool, and copies every position otherwise: a borrowing pool costs a
-  /// second kernel call per row and scans the columns that are no point
-  /// of the set, which only pays when most positions need no copy. The
-  /// copied coordinates land in fresh blocks that are zero-filled only
-  /// where no coordinate lands: every row's slack, and the last block's
-  /// lanes past its points (the tail lane group the kernels over-read, and
-  /// the rest of that row). Nothing else of a block is written twice.
-  /// Beside a borrowed pool that keeps a float32 twin, the copies get a
-  /// twin on its reference too (coordinate_pool.h), so shadow rows
-  /// (shadow_pool.h) cover every slot.
+  /// With a tail, borrows both pools whatever their share of the
+  /// positions. Otherwise borrows `columns` when column positions make up
+  /// at least half of the pool, and copies every position otherwise: a
+  /// borrowing pool costs a second kernel call per row and scans the
+  /// columns that are no point of the set, which only pays when most
+  /// positions need no copy. The copied coordinates land in fresh blocks
+  /// that are zero-filled only where no coordinate lands: every row's
+  /// slack, and the last block's lanes past its points (the tail lane
+  /// group the kernels over-read, and the rest of that row). Nothing else
+  /// of a block is written twice. Beside a borrowed pool that keeps a
+  /// float32 twin, the copies get a twin on its reference too
+  /// (coordinate_pool.h), so shadow rows (shadow_pool.h) cover every slot.
   ColoredPool Build() &&;
 
  private:
@@ -208,7 +257,8 @@ class ColoredPool::Builder {
   ColoredPool pool_;  // slots_: a column's column, a copy's own slot
   size_t capacity_ = 0;  // positions the pool's arrays hold
   const CoordinatePool* columns_;
-  size_t lent_;      // columns_->size(), or 0: the first own slot
+  const CoordinatePool* tail_;
+  size_t lent_;      // columns_->size(), or 0: the first tail or own slot
   size_t dim_ = 0;   // of the copied positions
   // The copied positions' coordinates, in position (and own slot) order.
   std::vector<CoordinatePool::ColumnRef> sources_;

@@ -83,14 +83,19 @@ NormTerms TermsOf(simd::Norm norm, size_t dim) {
 }  // namespace
 
 bool ShadowPool::Serves(const Metric& metric, const ColoredPool& pool) {
-  const CoordinatePool* lent = pool.borrowed();
-  const CoordinatePool& own = pool.owned();
-  if (lent != nullptr && !lent->has_twin()) return false;
-  // Beside a twinned borrowed pool, the Builder centres the copies' twin
-  // on the same reference.
-  if (!own.empty() && !own.has_twin()) return false;
+  // Every pool the rows scan keeps a twin, all on one reference: the error
+  // bound below holds only for twins that read as one.
+  const CoordinatePool* first = nullptr;
+  bool twinned = true;
+  pool.ForEachPool(ScanOrder::kForward,
+                   [&](const CoordinatePool& twin, size_t) {
+                     if (first == nullptr) first = &twin;
+                     twinned = twinned && twin.has_twin() &&
+                               twin.twin_reference() == first->twin_reference();
+                   });
   // Only the built-in metrics (NormMetric) have shadow kernels.
-  return !pool.empty() && dynamic_cast<const NormMetric*>(&metric) != nullptr;
+  return twinned && !pool.empty() &&
+         dynamic_cast<const NormMetric*>(&metric) != nullptr;
 }
 
 std::optional<ShadowPool> ShadowPool::Create(const Metric& metric,
@@ -103,12 +108,13 @@ std::optional<ShadowPool> ShadowPool::Create(const Metric& metric,
   // M, lane by lane over the twins the pool scans, and T (step 2).
   Point extent;
   extent.coords.assign(dim, 0.0);
-  for (const CoordinatePool* twin : {pool.borrowed(), &pool.owned()}) {
-    if (twin == nullptr || twin->empty()) continue;
-    for (size_t d = 0; d < dim; ++d) {
-      extent.coords[d] = std::max(extent.coords[d], twin->twin_extent()[d]);
-    }
-  }
+  pool.ForEachPool(ScanOrder::kForward,
+                   [&](const CoordinatePool& twin, size_t) {
+                     for (size_t d = 0; d < dim; ++d) {
+                       extent.coords[d] = std::max(extent.coords[d],
+                                                   twin.twin_extent()[d]);
+                     }
+                   });
   const std::optional<DistanceError> exact = metric.RoundingError(dim);
   FKC_CHECK(exact.has_value()) << "a shadow metric states its rounding";
   Point origin;
@@ -132,11 +138,8 @@ std::optional<ShadowPool> ShadowPool::Create(const Metric& metric,
 
 void ShadowPool::Row(size_t slot, ScanOrder order, double* row) {
   // The head's float query: its own twin column.
-  const size_t lent =
-      pool_->borrowed() != nullptr ? pool_->borrowed()->size() : 0;
-  const float* column = slot < lent
-                            ? pool_->borrowed()->TwinColumn(slot)
-                            : pool_->owned().TwinColumn(slot - lent);
+  const ColoredPool::Location at = pool_->Locate(slot);
+  const float* column = at.pool->TwinColumn(at.position);
   const size_t dim = query_.size();
   for (size_t d = 0; d < dim; ++d) {
     query_[d] = column[d * CoordinatePool::kTwinStride];

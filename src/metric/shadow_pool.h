@@ -7,8 +7,9 @@
 // L2. A CoordinatePool past CoordinatePool::kTwinMinBytes keeps that copy
 // as it grows: its twin, each coordinate centred on a reference column
 // (coordinate_pool.h). A ColoredPool that borrows such a pool writes its
-// copied columns' twin against the same reference, so the two twins read
-// as one. A ShadowPool is a view over those twins: it owns no buffer, and
+// copied columns' twin against the same reference, and a tail it borrows
+// beside it keeps its twin on that reference too, so the twins read as
+// one. A ShadowPool is a view over those twins: it owns no buffer, and
 // every head's row (Row) is a scan of the twins with the float kernels of
 // simd_kernels.h.
 //
@@ -55,8 +56,10 @@ class ShadowPool {
   static constexpr size_t kMaxCandidates = 64;
 
   /// True when `metric` is a built-in metric and every CoordinatePool that
-  /// `pool` scans keeps a twin (on one reference: ColoredPool::Builder
-  /// centres copies on the borrowed pool's).
+  /// `pool` scans keeps a twin, all on one reference (ColoredPool::Builder
+  /// centres copies on the borrowed pool's, and GuessStructure centres the
+  /// tail it lends on its attractor pool's). Twins on different references
+  /// do not read as one, so such a pool reads exact rows.
   static bool Serves(const Metric& metric, const ColoredPool& pool);
 
   /// The shadow view of `pool` (which must outlive it) when Serves holds

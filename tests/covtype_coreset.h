@@ -1,7 +1,9 @@
 // The covtype query coreset of the densest guess of a W = 10000 window
 // (delta = 0.5, gamma = 27), fed 11,000 arrivals: ~9,900 points, most of
 // them borrowed c-attractor columns, d = 54, 7 colors. Built once per
-// process.
+// process. The guess keeps its copy pool across CoresetPool calls, so the
+// fixture is mutable; it gets no arrival after it is built, so every call
+// lends the same copy pool unchanged.
 #ifndef FKC_TESTS_COVTYPE_CORESET_H_
 #define FKC_TESTS_COVTYPE_CORESET_H_
 
@@ -41,8 +43,8 @@ struct CovtypeCoreset {
   GuessStructure guess;
 };
 
-inline const CovtypeCoreset& Covtype() {
-  static const CovtypeCoreset* const coreset = new CovtypeCoreset();
+inline CovtypeCoreset& Covtype() {
+  static CovtypeCoreset* const coreset = new CovtypeCoreset();
   return *coreset;
 }
 

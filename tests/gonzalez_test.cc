@@ -329,7 +329,7 @@ std::vector<HeadPassPool> HeadPassPools() {
   // shadow's rows are not the exact ones; shadow_gonzalez_test diffs that
   // path's answers).
   static const ExactScanMetric kExact(&kMetric);
-  const CovtypeCoreset& covtype = Covtype();
+  CovtypeCoreset& covtype = Covtype();
   pools.push_back({"covtype dense-guess coreset", &kExact,
                    covtype.dataset.ell, nullptr,
                    covtype.guess.CoresetPool(covtype.arena)});

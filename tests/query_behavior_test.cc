@@ -648,8 +648,7 @@ TEST(QueryBehaviorTest, GatheredPoolsEqualAFromPointsCopy) {
   int copying_columns = 0;  // copy-everything pools with own attractors
   int with_orphans = 0;
   int replaced = 0;
-  const auto check = [&](const GuessStructure& guess,
-                         const PointArena& arena) {
+  const auto check = [&](GuessStructure& guess, const PointArena& arena) {
     const auto walk = [&](const AttractorList& entries,
                           const std::vector<Slot>& orphans, int* own) {
       std::vector<Point> points;
@@ -705,6 +704,267 @@ TEST(QueryBehaviorTest, GatheredPoolsEqualAFromPointsCopy) {
   EXPECT_GT(copying_columns, 0);
   EXPECT_GT(with_orphans, 0);
   EXPECT_GT(replaced, 0);
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// `got` (a window's planned coreset) against `want` (the same window's,
+// planned by another copy of it): position by position the same color,
+// arrival, id and coordinates, and the same distance from `probe` through
+// DistanceRow, bit for bit, whatever slots either pool gave the position.
+void ExpectSameCoreset(const ColoredPool& got, const ColoredPool& want,
+                       const Point& probe) {
+  ASSERT_EQ(got.size(), want.size());
+  std::vector<double> got_row(got.slot_count());
+  std::vector<double> want_row(want.slot_count());
+  got.DistanceRow(kMetric, probe, got_row.data());
+  want.DistanceRow(kMetric, probe, want_row.data(), ScanOrder::kBackward);
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got.color(i), want.color(i)) << "position " << i;
+    const Point g = got.At(i);
+    const Point w = want.At(i);
+    ASSERT_EQ(g.arrival, w.arrival) << "position " << i;
+    ASSERT_EQ(g.id, w.id) << "position " << i;
+    ASSERT_EQ(g.coords, w.coords) << "position " << i;
+    ASSERT_TRUE(SameBits(got_row[got.slot(i)], want_row[want.slot(i)]))
+        << "position " << i;
+  }
+}
+
+TEST(QueryBehaviorTest, KeptCopiesAnswerLikeARestoredWindow) {
+  // A d = 54 window whose densest valid guesses hold most of the window as
+  // c-attractors, so their pools pass CoordinatePool::kTwinMinBytes
+  // mid-stream and the guesses keep their other points' copies across
+  // queries. Near-copies of recent points under caps of one evict
+  // attractors from their own representative sets. A burst of far outliers
+  // makes the dense guesses run Cleanup and go invalid until it expires,
+  // so the chosen guess switches away and, a window later, back to a copy
+  // pool left stale. The window expires and sweeps its arena throughout.
+  // At each query the window is compared with its restore from a
+  // checkpoint taken just before, whose guesses have no copy pool: the
+  // coreset position by position and both objectives' answers. (The
+  // restore rebuilds each attractor pool's twin from the pool's size, so
+  // a restored window may read exact rows where the original reads shadow
+  // rows: KeptCopiesReadTheShadowLikeFreshCopies compares the shadow
+  // counters on one twin.)
+  constexpr size_t kDim = 54;
+  SlidingWindowOptions options;
+  options.window_size = 3000;
+  options.delta = 0.5;
+  options.adaptive_range = true;
+  const ColorConstraint constraint({1, 1, 1});
+  FairCenterSlidingWindow window(options, constraint, &kMetric, &kJones);
+  constexpr int64_t kEvery = 47;  // arrivals per query
+  Rng rng(17);
+  std::vector<Point> recent;
+  int kept = 0;      // queries whose coreset borrowed a copy pool
+  int switches = 0;  // queries on another guess than the last one
+  int sweeps = 0;    // arrivals after which the arena swept
+  int rebuilt = 0;   // switches back to a stale copy pool
+  bool kept_last = false;
+  double last_guess = 0.0;
+  for (int64_t t = 1; t <= 7000; ++t) {
+    Coordinates coords(kDim);
+    if (t >= 3700 && t < 3704) {
+      for (double& x : coords) x = 1e4 * static_cast<double>(t - 3699);
+    } else if (!recent.empty() && rng.NextBernoulli(0.15)) {
+      coords = recent[rng.NextBounded(recent.size())].coords;
+      coords[rng.NextBounded(kDim)] += rng.NextUniform(0.0, 0.1);
+    } else {
+      for (double& x : coords) x = rng.NextUniform(0.0, 20.0);
+    }
+    const Point p(std::move(coords), static_cast<int>(rng.NextBounded(3)));
+    recent.push_back(p);
+    if (recent.size() > 20) recent.erase(recent.begin());
+    const size_t rows = window.arena().size();
+    ASSERT_TRUE(window.Update(p).ok());
+    if (window.arena().size() <= rows) ++sweeps;
+    // Queries start just before the twin and thin out while the outliers
+    // hold the dense guesses invalid.
+    const bool away = t > 3800 && t < 6600;
+    if (t < 2700 || t % (away ? 5 * kEvery : kEvery) != 0) continue;
+    SCOPED_TRACE("t=" + std::to_string(t));
+
+    auto restored = FairCenterSlidingWindow::DeserializeState(
+        window.SerializeState(), &kMetric, &kJones);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    FairCenterSlidingWindow& cold = restored.value();
+    QueryStats got_stats;
+    QueryStats want_stats;
+    const auto got = window.Query(&got_stats);
+    const auto want = cold.Query(&want_stats);
+    ASSERT_TRUE(got.ok() && want.ok());
+    ExpectSameAnswer(got.value(), want.value());
+    ASSERT_TRUE(SameBits(got.value().radius, want.value().radius));
+    ASSERT_EQ(got_stats.guess, want_stats.guess);
+    ASSERT_EQ(got_stats.coreset_size, want_stats.coreset_size);
+
+    auto got_plan = window.PlanQuery();
+    auto want_plan = cold.PlanQuery();
+    ASSERT_TRUE(got_plan.ok() && want_plan.ok());
+    const ColoredPool& pool = got_plan.value().coreset;
+    ExpectSameCoreset(pool, want_plan.value().coreset, p);
+    const bool switched = last_guess != 0.0 && got_stats.guess != last_guess;
+    switches += switched ? 1 : 0;
+    last_guess = got_stats.guess;
+    const bool warm = kept_last;
+    kept_last = pool.tail() != nullptr;
+    if (pool.tail() == nullptr) continue;
+    ++kept;
+    // Dead columns never pass a quarter of the copy pool.
+    size_t live = 0;
+    for (size_t i = 0; i < pool.size(); ++i) {
+      live += pool.slot(i) >= pool.borrowed()->size() ? 1 : 0;
+    }
+    EXPECT_LE(3 * pool.tail()->size(), 4 * live);
+    if (switched) {
+      // Back on a guess whose copy pool Cleanup left all dead: rebuilt.
+      EXPECT_EQ(got_stats.copied_points, static_cast<int64_t>(live));
+      ++rebuilt;
+    } else if (warm) {
+      // The arrivals since the last hand-off add at most as many points.
+      EXPECT_LE(got_stats.copied_points, kEvery);
+      EXPECT_LT(got_stats.copied_points, static_cast<int64_t>(live));
+    }
+    // The k-median solve is slow on ~2,800 points: compare it once, on a
+    // copy pool kept through several hand-offs.
+    if (kept == 10) {
+      const auto got_median = window.Query(ObjectiveKind::kKMedian);
+      const auto want_median = cold.Query(ObjectiveKind::kKMedian);
+      ASSERT_TRUE(got_median.ok() && want_median.ok());
+      EXPECT_TRUE(
+          SameBits(got_median.value().value, want_median.value().value));
+      ExpectSamePoints(got_median.value().centers,
+                       want_median.value().centers);
+    }
+  }
+  EXPECT_GT(kept, 20);
+  EXPECT_EQ(switches, 2);
+  EXPECT_EQ(rebuilt, 1);
+  EXPECT_GT(sweeps, 0);
+}
+
+TEST(QueryBehaviorTest, KeptCopiesReadTheShadowLikeFreshCopies) {
+  // Two identical dense d = 54 guesses on one arena, fed the same stream
+  // and swept with it: their attractor pools, and so their twins, are the
+  // same. One keeps its copy pool across hand-offs; the other drops it
+  // before each, so each of its hand-offs copies every other point anew.
+  // Queries pause for a stretch, so the kept pool meets a stale set: far
+  // outliers in that stretch make both guesses run Cleanup, which drops
+  // most of the set. Later a run of near-copies replaces many recent
+  // representatives, so dead columns pile up behind live ones, and expiry
+  // kills the pool's front. Both pools answer alike, shadow counters
+  // included.
+  constexpr size_t kDim = 54;
+  const ColorConstraint constraint({1, 1, 1});
+  GuessStructure warm(40.0, 0.5, 3000, constraint, CoreVariant::kFull);
+  GuessStructure cold(40.0, 0.5, 3000, constraint, CoreVariant::kFull);
+  PointArena arena;
+  Rng rng(17);
+  std::vector<Point> recent;
+  int64_t since = 0;  // arrivals since the last hand-off
+  int kept = 0;       // hand-offs that lent the copy pool
+  int rebuilt = 0;    // of those, the ones that copied every other point
+  int swept = 0;      // sweeps while the copy pool was in use
+  for (int64_t t = 1; t <= 8200; ++t) {
+    Coordinates coords(kDim);
+    if (t >= 3700 && t < 3704) {
+      for (double& x : coords) x = 1e4 * static_cast<double>(t - 3699);
+    } else if (!recent.empty() &&
+               rng.NextBernoulli(t >= 6000 && t < 6600 ? 0.9 : 0.15)) {
+      coords = recent[rng.NextBounded(recent.size())].coords;
+      coords[rng.NextBounded(kDim)] += rng.NextUniform(0.0, 0.1);
+    } else {
+      for (double& x : coords) x = rng.NextUniform(0.0, 20.0);
+    }
+    Point p(std::move(coords), static_cast<int>(rng.NextBounded(3)), t,
+            static_cast<uint64_t>(t));
+    recent.push_back(p);
+    if (recent.size() > 20) recent.erase(recent.begin());
+    const Slot slot = arena.Add(p);
+    warm.Update(slot, p, t, arena, kMetric, nullptr);
+    cold.Update(slot, p, t, arena, kMetric, nullptr);
+    const bool swept_now = arena.Sweep(
+        [&](const auto& mark) {
+          warm.ForEachSlot(mark);
+          cold.ForEachSlot(mark);
+        },
+        [&](const std::vector<Slot>& map) {
+          warm.RemapSlots(map);
+          cold.RemapSlots(map);
+        });
+    swept += swept_now && warm.copy_pool() != nullptr ? 1 : 0;
+    ++since;
+    if (t < 2600 || (t > 3600 && t < 4600) || t % 23 != 0) continue;
+    SCOPED_TRACE("t=" + std::to_string(t));
+    int64_t warm_copied = 0;
+    int64_t cold_copied = 0;
+    const ColoredPool got = warm.CoresetPool(arena, &warm_copied);
+    cold.DropCopyPool();
+    const ColoredPool want = cold.CoresetPool(arena, &cold_copied);
+    ExpectSameCoreset(got, want, p);
+    const auto got_answer = kJones.SolvePool(kMetric, got, constraint);
+    const auto want_answer = kJones.SolvePool(kMetric, want, constraint);
+    ASSERT_TRUE(got_answer.ok() && want_answer.ok());
+    ExpectSameAnswer(got_answer.value(), want_answer.value());
+    EXPECT_EQ(got_answer.value().shadow_rows, want_answer.value().shadow_rows);
+    EXPECT_EQ(got_answer.value().resolved_pairs,
+              want_answer.value().resolved_pairs);
+    if (got.tail() != nullptr) {
+      ++kept;
+      // A hand-off copies what joined since the last one, unless it
+      // rebuilds the copy pool from every other point.
+      const bool rebuilds = warm_copied == cold_copied;
+      rebuilt += rebuilds ? 1 : 0;
+      EXPECT_TRUE(warm_copied <= since || rebuilds)
+          << warm_copied << " copied after " << since << " arrivals";
+      // Dead columns never pass a quarter of the copy pool, however many
+      // sweeps renumber it.
+      ASSERT_EQ(got.tail(), warm.copy_pool());
+      EXPECT_LE(3 * warm.copy_pool()->size(),
+                4 * static_cast<size_t>(cold_copied));
+    } else {
+      EXPECT_EQ(warm_copied, cold_copied);
+      EXPECT_EQ(warm.copy_pool(), nullptr);
+    }
+    since = 0;
+  }
+  EXPECT_GT(kept, 50);
+  // The first hand-off past the twin, the first after the pause, and the
+  // one at which the near-copies' dead columns pass a quarter; expiry
+  // kills only a prefix, which is dropped, not rebuilt.
+  EXPECT_EQ(rebuilt, 3);
+  EXPECT_GT(swept, 1);
+}
+
+TEST(QueryBehaviorTest, ThreeDimensionalGuessesCopyEveryHandOff) {
+  // A clustered 3-D window, as the fleet's: no attractor pool gets near
+  // CoordinatePool::kTwinMinBytes, so no guess keeps a copy pool, and each
+  // hand-off copies every point that is no borrowed column (all of them
+  // when the pool copies everything).
+  const ColorConstraint constraint({2, 1, 2});
+  SlidingWindowOptions options;
+  options.window_size = 100;
+  options.adaptive_range = true;
+  FairCenterSlidingWindow window(options, constraint, &kMetric, &kJones);
+  Rng rng(5);
+  int whole = 0;
+  for (int i = 0; i < 600; ++i) {
+    ASSERT_TRUE(window.Update(ClusteredPoint(&rng)).ok());
+    if (i % 13 != 0) continue;
+    QueryStats stats;
+    ASSERT_TRUE(window.Query(&stats).ok());
+    auto plan = window.PlanQuery();
+    ASSERT_TRUE(plan.ok());
+    const ColoredPool& pool = plan.value().coreset;
+    EXPECT_EQ(pool.tail(), nullptr);
+    EXPECT_EQ(stats.copied_points, static_cast<int64_t>(pool.copied()));
+    EXPECT_EQ(plan.value().stats.copied_points, stats.copied_points);
+    whole += stats.copied_points == stats.coreset_size ? 1 : 0;
+  }
+  EXPECT_GT(whole, 0);
 }
 
 TEST(QueryBehaviorTest, SolverOverridingOnlySolveGivesJonesAnswers) {

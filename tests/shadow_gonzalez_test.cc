@@ -104,7 +104,7 @@ ShadowCase Owned(std::string name, int ell, Expect expect,
 
 std::vector<ShadowCase> Cases() {
   std::vector<ShadowCase> cases;
-  const CovtypeCoreset& covtype = Covtype();
+  CovtypeCoreset& covtype = Covtype();
   cases.push_back({"covtype dense-guess coreset", covtype.dataset.ell,
                    Expect::kShadow, nullptr,
                    covtype.guess.CoresetPool(covtype.arena)});
@@ -258,10 +258,12 @@ TEST(ShadowGonzalezTest, TraversalsMatchExactRows) {
               CoordinatePool::kTwinMinBytes)
         << c.name;
     if (c.pool.borrowed() != nullptr) {
-      // The copied columns' twin shares the borrowed one's reference.
-      ASSERT_GT(c.pool.copied(), 0u) << c.name;
-      ASSERT_EQ(c.pool.owned().twin_reference(),
-                c.pool.borrowed()->twin_reference());
+      // The other points' columns, copied or the copy pool a guess lends
+      // as the tail, are twinned on the borrowed pool's reference.
+      const CoordinatePool& others =
+          c.pool.tail() != nullptr ? *c.pool.tail() : c.pool.owned();
+      ASSERT_FALSE(others.empty()) << c.name;
+      ASSERT_EQ(others.twin_reference(), c.pool.borrowed()->twin_reference());
     }
     for (const Metric* metric : kBuiltIns) {
       ASSERT_TRUE(ShadowPool::Serves(*metric, c.pool));
@@ -577,6 +579,79 @@ TEST(ShadowErrorTest, CreateDeclinesWhereFloatIsUnsafe) {
   EXPECT_FALSE(ShadowPool::Serves(kEuclidean, small));
 }
 
+TEST(ShadowErrorTest, TailTwinnedOnAnotherReferenceReadsExactRows) {
+  // A pool that borrows a twinned column pool and a tail, as a guess lends
+  // its attractor pool and its copy pool. The tail twinned on the column
+  // pool's reference reads as one twin with it, and the shadow serves.
+  // Twinned on another reference, the two twins' floats are centred on
+  // different columns and the error bound does not hold across them:
+  // Serves refuses, the solve reads exact rows, and it answers as a
+  // FromPoints copy of the points does.
+  const std::vector<Point> points = UniformPoints(21, 0.0, 1.0, 4);
+  constexpr size_t kColumns = 2500;  // past kTwinMinBytes at d = 54
+  std::vector<CoordinatePool::ColumnRef> column_refs;
+  std::vector<CoordinatePool::ColumnRef> tail_refs;
+  std::vector<int64_t> arrivals;
+  std::vector<uint64_t> ids;
+  for (size_t i = 0; i < points.size(); ++i) {
+    (i < kColumns ? column_refs : tail_refs)
+        .push_back({points[i].coords.data(), 1});
+    arrivals.push_back(points[i].arrival);
+    ids.push_back(points[i].id);
+  }
+  const CoordinatePool columns = CoordinatePool::FromColumns(kDim, column_refs);
+  ASSERT_TRUE(columns.has_twin());
+  // A twinned pool centred on another column: the columns reversed.
+  std::vector<CoordinatePool::ColumnRef> reversed(column_refs.rbegin(),
+                                                  column_refs.rend());
+  const CoordinatePool decoy = CoordinatePool::FromColumns(kDim, reversed);
+  ASSERT_TRUE(decoy.has_twin());
+  ASSERT_NE(decoy.twin_reference(), columns.twin_reference());
+  const CoordinatePool same = CoordinatePool::FromColumns(kDim, tail_refs,
+                                                          &columns);
+  const CoordinatePool other = CoordinatePool::FromColumns(kDim, tail_refs,
+                                                           &decoy);
+  const auto lend = [&](const CoordinatePool& tail) {
+    ColoredPool::Builder builder(points.size(), &columns,
+                                 {arrivals.data(), ids.data()}, &tail);
+    for (size_t i = 0; i < points.size(); ++i) {
+      const uint32_t row = static_cast<uint32_t>(i);
+      if (i < kColumns) {
+        builder.AddColumn(i, points[i].color, row);
+      } else {
+        builder.AddTail(i - kColumns, points[i].color, row);
+      }
+    }
+    return std::move(builder).Build();
+  };
+  const ColoredPool served = lend(same);
+  const ColoredPool refused = lend(other);
+  ASSERT_EQ(refused.tail(), &other);
+  const ColoredPool copy = ColoredPool::FromPoints(points);
+  const ColorConstraint constraint({2, 1, 2, 1});
+  for (const Metric* metric : kBuiltIns) {
+    SCOPED_TRACE(metric->Name());
+    EXPECT_TRUE(ShadowPool::Serves(*metric, served));
+    EXPECT_FALSE(ShadowPool::Serves(*metric, refused));
+    EXPECT_FALSE(ShadowPool::Create(*metric, refused).has_value());
+    const auto want = JonesFairCenter().SolvePool(*metric, copy, constraint);
+    ASSERT_TRUE(want.ok());
+    EXPECT_GT(want.value().shadow_rows, 0);
+    for (const ColoredPool* pool : {&served, &refused}) {
+      const auto got = JonesFairCenter().SolvePool(*metric, *pool, constraint);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(got.value().shadow_rows > 0, pool == &served);
+      EXPECT_TRUE(SameBits(got.value().radius, want.value().radius));
+      ASSERT_EQ(got.value().centers.size(), want.value().centers.size());
+      for (size_t c = 0; c < want.value().centers.size(); ++c) {
+        EXPECT_EQ(got.value().centers[c].id, want.value().centers[c].id);
+        EXPECT_EQ(got.value().centers[c].coords,
+                  want.value().centers[c].coords);
+      }
+    }
+  }
+}
+
 // Whether `centers` (whose ids are pool positions) are, as a set, the first
 // centers.size() heads of Gonzalez's traversal, the case in which Jones
 // takes its radius from the traversal.
@@ -650,7 +725,7 @@ TEST(RadiusShortcutTest, EqualsClusteringRadius) {
 TEST(RadiusShortcutTest, CovtypeCentersAreAHeadPrefix) {
   // The covtype query's centers are its first heads, so its radius is the
   // traversal's: the solve reads no row after the traversal.
-  const CovtypeCoreset& covtype = Covtype();
+  CovtypeCoreset& covtype = Covtype();
   const ColoredPool pool = covtype.guess.CoresetPool(covtype.arena);
   const auto solved =
       JonesFairCenter().SolvePool(kEuclidean, pool, covtype.constraint);
@@ -678,7 +753,7 @@ TEST(ShadowWindowTest, RestoredWindowQueriesOnTheShadow) {
   // query of the window restored from its checkpoint (whose pools rebuild
   // their twins on other references), read shadow rows, report them in
   // QueryStats, and answer as Jones on exact rows over the same coreset.
-  const CovtypeCoreset& covtype = Covtype();
+  CovtypeCoreset& covtype = Covtype();
   SlidingWindowOptions options;
   options.window_size = 4000;
   options.delta = 0.5;
